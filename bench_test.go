@@ -98,7 +98,7 @@ func BenchmarkConstructGeneralXOR(b *testing.B) {
 	p := profile.Build(tr.Blocks(4, 16), 16, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search.Construct(p, 8, search.Options{Family: hash.FamilyGeneralXOR}); err != nil {
+		if _, err := search.ConstructCtx(context.Background(), p, 8, search.Options{Family: hash.FamilyGeneralXOR}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkConstructPermutation2(b *testing.B) {
 	p := profile.Build(tr.Blocks(4, 16), 16, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search.Construct(p, 8, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2}); err != nil {
+		if _, err := search.ConstructCtx(context.Background(), p, 8, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -134,7 +134,7 @@ func benchTable2Cell(b *testing.B, bench string, instruction bool, cacheKB int) 
 			MaxInputs:  2,
 			NoFallback: true,
 		}
-		res, err := core.Tune(tr, cfg)
+		res, err := core.TuneCtx(context.Background(), tr, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func BenchmarkTable2Instr16KB(b *testing.B) { benchTable2Cell(b, "rijndael", tru
 func BenchmarkExp1GeneralVsPermutation(b *testing.B) {
 	tr := mustWorkload(b, "susan").Data(1)
 	cfg := core.Config{CacheBytes: 4096, NoFallback: true}
-	p, err := core.BuildProfile(tr, cfg)
+	p, err := core.BuildProfileCtx(context.Background(), tr, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,13 +169,13 @@ func BenchmarkExp1GeneralVsPermutation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := cfg
 		g.Family = hash.FamilyGeneralXOR
-		gres, err := core.TuneProfiled(tr, p, g)
+		gres, err := core.TuneProfiledCtx(context.Background(), tr, p, g, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		pm := cfg
 		pm.Family = hash.FamilyPermutation
-		pres, err := core.TuneProfiled(tr, p, pm)
+		pres, err := core.TuneProfiledCtx(context.Background(), tr, p, pm, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func optimalConvMisses(blocks []uint64) uint64 {
 func BenchmarkTable3Row(b *testing.B) {
 	var row experiments.Table3Row
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3For([]string{"engine"}, 1)
+		rows, err := experiments.Table3ForCtx(context.Background(), experiments.Options{}, []string{"engine"}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func BenchmarkAblationRestarts(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var est uint64
 			for i := 0; i < b.N; i++ {
-				res, err := search.Construct(p, 10, search.Options{
+				res, err := search.ConstructCtx(context.Background(), p, 10, search.Options{
 					Family: hash.FamilyPermutation, MaxInputs: 2,
 					Restarts: restarts, Seed: 42,
 				})
@@ -304,7 +304,7 @@ func BenchmarkCacheSimulator(b *testing.B) {
 	cfg := core.Config{CacheBytes: 4096}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Tune(tr, cfg)
+		res, err := core.TuneCtx(context.Background(), tr, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func BenchmarkAblationAnnealVsHillClimb(b *testing.B) {
 	b.Run("hill-climb", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
-			res, err := search.Construct(p, 10, search.Options{Family: hash.FamilyGeneralXOR})
+			res, err := search.ConstructCtx(context.Background(), p, 10, search.Options{Family: hash.FamilyGeneralXOR})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -342,7 +342,7 @@ func BenchmarkAblationAnnealVsHillClimb(b *testing.B) {
 	b.Run("anneal-20k", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
-			res, err := search.Anneal(p, 10, search.AnnealOptions{Steps: 20000, Seed: 1})
+			res, err := search.AnnealCtx(context.Background(), p, 10, search.AnnealOptions{Steps: 20000, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -364,7 +364,7 @@ func BenchmarkAblationParallelSearch(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := search.Construct(p, 8, search.Options{
+				if _, err := search.ConstructCtx(context.Background(), p, 8, search.Options{
 					Family: hash.FamilyGeneralXOR, Workers: workers,
 				}); err != nil {
 					b.Fatal(err)
@@ -378,7 +378,7 @@ func BenchmarkAblationParallelSearch(b *testing.B) {
 // without a tuned L1 index and reports the AMAT of each.
 func BenchmarkExtensionHierarchy(b *testing.B) {
 	tr := mustWorkload(b, "fft").Data(1)
-	res, err := core.Tune(tr, core.Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2})
+	res, err := core.TuneCtx(context.Background(), tr, core.Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func BenchmarkExtensionFixedHashes(b *testing.B) {
 	var rows []experiments.FixedRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.FixedVsTuned([]string{"susan"}, 4, 1)
+		rows, err = experiments.FixedVsTunedCtx(context.Background(), experiments.Options{}, []string{"susan"}, 4, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -446,7 +446,7 @@ func BenchmarkAblationConstructiveVsSearch(b *testing.B) {
 	b.Run("constructive", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
-			res, err := search.Constructive(p, 10, 2, 64)
+			res, err := search.ConstructiveCtx(context.Background(), p, 10, 2, 64)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -457,7 +457,7 @@ func BenchmarkAblationConstructiveVsSearch(b *testing.B) {
 	b.Run("hill-climb", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
-			res, err := search.Construct(p, 10, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2})
+			res, err := search.ConstructCtx(context.Background(), p, 10, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -821,7 +821,8 @@ func BenchmarkBuildParallel(b *testing.B) {
 				var best time.Duration
 				for i := 0; i < b.N; i++ {
 					start := time.Now()
-					got, err := profile.BuildParallel(w.blocks, n, cacheBlocks, workers)
+					got, err := profile.BuildStream(context.Background(), profile.Blocks(w.blocks), n, cacheBlocks,
+						profile.Options{Workers: workers})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -886,8 +887,8 @@ func BenchmarkBuildStream(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, err = profile.BuildStream(rd.BlockSource(4, n), n, cacheBlocks,
-					profile.ParallelOptions{Workers: workers})
+				_, err = profile.BuildStream(context.Background(), rd.BlockSource(4, n), n, cacheBlocks,
+					profile.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1062,8 +1063,12 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 				var p *profile.Profile
 				for i := 0; i < b.N; i++ {
 					start := time.Now()
-					p = profile.BuildSampled(blocks, n, benchProfileCacheBlocks,
-						profile.SampleOptions{K: k, Seed: 7})
+					var err error
+					p, err = profile.BuildStream(context.Background(), profile.Blocks(blocks), n, benchProfileCacheBlocks,
+						profile.Options{Sample: profile.SampleOptions{K: k, Seed: 7}})
+					if err != nil {
+						b.Fatal(err)
+					}
 					if d := time.Since(start); best == 0 || d < best {
 						best = d
 					}
@@ -1104,8 +1109,8 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 			b.SetBytes(int64(len(blocks)) * 8)
 			for i := 0; i < b.N; i++ {
 				var err error
-				sparseP, err = profile.BuildParallelOpts(blocks, n, benchProfileCacheBlocks,
-					profile.ParallelOptions{Workers: 1, ForceSparse: true})
+				sparseP, err = profile.BuildStream(context.Background(), profile.Blocks(blocks), n, benchProfileCacheBlocks,
+					profile.Options{ForceSparse: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1116,8 +1121,8 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				opt := skOpt
-				sketchP, err = profile.BuildParallelOpts(blocks, n, benchProfileCacheBlocks,
-					profile.ParallelOptions{Workers: 1, Sketch: &opt})
+				sketchP, err = profile.BuildStream(context.Background(), profile.Blocks(blocks), n, benchProfileCacheBlocks,
+					profile.Options{Sketch: &opt})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1195,7 +1200,7 @@ func BenchmarkClimb(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				res, err := search.Construct(p, m, v.opt)
+				res, err := search.ConstructCtx(context.Background(), p, m, v.opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1268,11 +1273,8 @@ func BenchmarkClimb(b *testing.B) {
 }
 
 // BenchmarkTune measures the end-to-end pipeline — Fig. 1 profiling,
-// §3.2 search, exact validation — on a 10M-access synthetic trace, in
-// both the check-free form (Tune) and the cancellable form (TuneCtx
-// with a live context and no sink). The final sub-benchmark writes
-// BENCH_pipeline.json recording the measured context-plumbing overhead;
-// the refactor's budget is < 2%.
+// §3.2 search, exact validation — on a 10M-access synthetic trace
+// through TuneCtx with a live context and no sink.
 func BenchmarkTune(b *testing.B) {
 	const accesses = 10_000_000
 	tr := &trace.Trace{Name: "pipeline-bench"}
@@ -1286,71 +1288,13 @@ func BenchmarkTune(b *testing.B) {
 		Family:     hash.FamilyPermutation,
 		MaxInputs:  2,
 	}
-	// Per-variant minimum single-run time: min-of-k is far more stable
-	// than a single sample when each run takes seconds.
-	best := map[string]time.Duration{}
-	measure := func(b *testing.B, name string, run func() error) {
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			if err := run(); err != nil {
-				b.Fatal(err)
-			}
-			elapsed := time.Since(start)
-			if cur, ok := best[name]; !ok || elapsed < cur {
-				best[name] = elapsed
-			}
-		}
-	}
-	b.Run("plain", func(b *testing.B) {
-		measure(b, "plain", func() error {
-			_, err := core.Tune(tr, cfg)
-			return err
-		})
-	})
 	b.Run("ctx", func(b *testing.B) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		measure(b, "ctx", func() error {
-			_, err := core.TuneCtx(ctx, tr, cfg, nil)
-			return err
-		})
-	})
-	b.Run("emit-baseline", func(b *testing.B) {
-		plain, ctx := best["plain"], best["ctx"]
-		if plain == 0 || ctx == 0 {
-			b.Skip("run the plain and ctx sub-benchmarks first")
+		for i := 0; i < b.N; i++ {
+			if _, err := core.TuneCtx(ctx, tr, cfg, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
-		overhead := (float64(ctx) - float64(plain)) / float64(plain) * 100
-		out := struct {
-			Benchmark   string  `json:"benchmark"`
-			Accesses    int     `json:"accesses"`
-			CacheBytes  int     `json:"cache_bytes"`
-			AddrBits    int     `json:"addr_bits"`
-			GoVersion   string  `json:"go_version"`
-			NumCPU      int     `json:"num_cpu"`
-			PlainMs     float64 `json:"tune_ms"`
-			CtxMs       float64 `json:"tune_ctx_ms"`
-			OverheadPct float64 `json:"ctx_overhead_pct"`
-			BudgetPct   float64 `json:"budget_pct"`
-		}{
-			Benchmark:   "BenchmarkTune",
-			Accesses:    accesses,
-			CacheBytes:  cfg.CacheBytes,
-			AddrBits:    cfg.AddrBits,
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			PlainMs:     float64(plain.Microseconds()) / 1000,
-			CtxMs:       float64(ctx.Microseconds()) / 1000,
-			OverheadPct: overhead,
-			BudgetPct:   2,
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_pipeline.json", append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(overhead, "ctx-overhead-%")
 	})
 }

@@ -19,10 +19,10 @@
 //	internal/hwcost       Table 1 switch-count models
 //	internal/netlist      executable Fig. 2 selector networks
 //	internal/workloads    synthetic MediaBench/MiBench + PowerStone suites
-//	internal/core         the end-to-end Tune pipeline
+//	internal/core         the staged Pipeline (profile, search, validate)
 //	internal/experiments  regenerates every table and figure
 //
-// Start with internal/core.Tune (see examples/quickstart), or run
+// Start with internal/core.TuneCtx (see examples/quickstart), or run
 //
 //	go run ./cmd/tables -table all
 //

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,11 +53,11 @@ func main() {
 			tr.Append(i*1024, trace.Read)
 		}
 	}
-	res, err := core.Tune(tr, core.Config{
+	res, err := core.TuneCtx(context.Background(), tr, core.Config{
 		CacheBytes: 1024,
 		Family:     hash.FamilyPermutation,
 		MaxInputs:  2,
-	})
+	}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

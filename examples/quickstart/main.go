@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,11 +33,11 @@ func main() {
 		tr.Ops += 64 * 6
 	}
 
-	res, err := core.Tune(tr, core.Config{
+	res, err := core.TuneCtx(context.Background(), tr, core.Config{
 		CacheBytes: cacheBytes,
 		Family:     hash.FamilyPermutation,
 		MaxInputs:  2, // cheap reconfigurable hardware (paper §5)
-	})
+	}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

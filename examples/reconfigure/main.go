@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ import (
 
 func main() {
 	const benchA, benchB = "fft", "adpcm_dec"
-	rows, err := experiments.PhaseReconfiguration(benchA, benchB, 4, 1,
+	rows, err := experiments.PhaseReconfigurationCtx(context.Background(), experiments.Options{}, benchA, benchB, 4, 1,
 		[]int{100, 1000, 10000, 100000})
 	if err != nil {
 		log.Fatal(err)
@@ -56,11 +57,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.Tune(w.Data(1), core.Config{
+		res, err := core.TuneCtx(context.Background(), w.Data(1), core.Config{
 			CacheBytes: 4096,
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,
-		})
+		}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -41,7 +43,7 @@ func TestConfigValidation(t *testing.T) {
 		{CacheBytes: 1 << 40, AddrBits: 30}, // blocks not power of two? (it is; but n too small)
 	}
 	for i, cfg := range bad {
-		if _, err := Tune(&trace.Trace{}, cfg); err == nil {
+		if _, err := TuneCtx(context.Background(), &trace.Trace{}, cfg, nil); err == nil {
 			t.Errorf("config %d (%+v) should be rejected", i, cfg)
 		}
 	}
@@ -49,7 +51,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestTuneRemovesThrash(t *testing.T) {
 	tr := thrashTrace(256, 200)
-	res, err := Tune(tr, Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2})
+	res, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestTuneRemovesThrash(t *testing.T) {
 
 func TestTuneGeneralXORFamily(t *testing.T) {
 	tr := thrashTrace(256, 100)
-	res, err := Tune(tr, Config{CacheBytes: 1024, Family: hash.FamilyGeneralXOR})
+	res, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Family: hash.FamilyGeneralXOR}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestFallbackGuard(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		tr.Append(uint64(i*4), trace.Read)
 	}
-	res, err := Tune(tr, Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2})
+	res, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +109,14 @@ func TestFallbackGuard(t *testing.T) {
 func TestTuneProfiledReusesProfile(t *testing.T) {
 	tr := thrashTrace(256, 100)
 	cfg := Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}
-	p, err := BuildProfile(tr, cfg)
+	p, err := BuildProfileCtx(context.Background(), tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, maxIn := range []int{2, 4, 0} {
 		c := cfg
 		c.MaxInputs = maxIn
-		res, err := TuneProfiled(tr, p, c)
+		res, err := TuneProfiledCtx(context.Background(), tr, p, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,13 +131,13 @@ func TestTuneProfiledReusesProfile(t *testing.T) {
 
 func TestTuneProfiledValidatesProfileShape(t *testing.T) {
 	tr := thrashTrace(256, 10)
-	p, _ := BuildProfile(tr, Config{CacheBytes: 1024})
+	p, _ := BuildProfileCtx(context.Background(), tr, Config{CacheBytes: 1024})
 	// Wrong cache size for this profile.
-	if _, err := TuneProfiled(tr, p, Config{CacheBytes: 4096}); err == nil {
+	if _, err := TuneProfiledCtx(context.Background(), tr, p, Config{CacheBytes: 4096}, nil); err == nil {
 		t.Fatal("capacity mismatch must be rejected")
 	}
 	// Wrong AddrBits.
-	if _, err := TuneProfiled(tr, p, Config{CacheBytes: 1024, AddrBits: 14}); err == nil {
+	if _, err := TuneProfiledCtx(context.Background(), tr, p, Config{CacheBytes: 1024, AddrBits: 14}, nil); err == nil {
 		t.Fatal("n mismatch must be rejected")
 	}
 }
@@ -166,7 +168,7 @@ func TestTuneSetAssociative(t *testing.T) {
 			tr.Append(b, trace.Read)
 		}
 	}
-	res, err := Tune(tr, Config{CacheBytes: 1024, Ways: 2, Family: hash.FamilyPermutation, MaxInputs: 2})
+	res, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Ways: 2, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +186,10 @@ func TestTuneSetAssociative(t *testing.T) {
 func TestTuneWaysValidation(t *testing.T) {
 	tr := &trace.Trace{}
 	tr.Append(0, trace.Read)
-	if _, err := Tune(tr, Config{CacheBytes: 1024, Ways: 3}); err == nil {
+	if _, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Ways: 3}, nil); err == nil {
 		t.Error("non-power-of-two ways must fail")
 	}
-	if _, err := Tune(tr, Config{CacheBytes: 1024, Ways: 256}); err == nil {
+	if _, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Ways: 256}, nil); err == nil {
 		t.Error("fully-associative geometry must fail (nothing to tune)")
 	}
 }
@@ -199,7 +201,7 @@ func TestMicroControls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Tune(st.Data(1), Config{CacheBytes: 4096, Family: hash.FamilyPermutation, MaxInputs: 2})
+	res, err := TuneCtx(context.Background(), st.Data(1), Config{CacheBytes: 4096, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestMicroControls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = Tune(rw.Data(1), Config{CacheBytes: 4096, Family: hash.FamilyPermutation, MaxInputs: 2})
+	res, err = TuneCtx(context.Background(), rw.Data(1), Config{CacheBytes: 4096, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +234,14 @@ func TestWorkersInvariance(t *testing.T) {
 	}
 	tr := w.Data(1)
 	base := Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}
-	want, err := Tune(tr, base)
+	want, err := TuneCtx(context.Background(), tr, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{-1, 1, 2, 4} {
 		cfg := base
 		cfg.Workers = workers
-		got, err := Tune(tr, cfg)
+		got, err := TuneCtx(context.Background(), tr, cfg, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -252,6 +254,33 @@ func TestWorkersInvariance(t *testing.T) {
 		}
 		if d := profileDiff(got.Profile, want.Profile); d != "" {
 			t.Fatalf("workers=%d: profile differs: %s", workers, d)
+		}
+	}
+	// Profile is ProfileSource over the in-memory trace: both entry
+	// points must agree for either engine, with and without checkpoints.
+	for _, workers := range []int{1, 4} {
+		for _, ckpt := range []bool{false, true} {
+			cfg := base
+			cfg.Workers = workers
+			if ckpt {
+				cfg.CheckpointPath = filepath.Join(t.TempDir(), "run")
+				cfg.CheckpointEvery = 1000
+			}
+			pl := Pipeline{Config: cfg}
+			fromTrace, err := pl.Profile(context.Background(), tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromSource, err := pl.ProfileSource(context.Background(), profile.Blocks(tr.Blocks(4, 16)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := profileDiff(fromTrace, want.Profile); d != "" {
+				t.Fatalf("workers=%d checkpoint=%v: Profile differs: %s", workers, ckpt, d)
+			}
+			if d := profileDiff(fromSource, fromTrace); d != "" {
+				t.Fatalf("workers=%d checkpoint=%v: ProfileSource differs from Profile: %s", workers, ckpt, d)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"xoridx/internal/core"
@@ -8,19 +9,19 @@ import (
 	"xoridx/internal/trace"
 )
 
-// ExampleTune demonstrates the whole pipeline on a thrashing stride.
-func ExampleTune() {
+// ExampleTuneCtx demonstrates the whole pipeline on a thrashing stride.
+func ExampleTuneCtx() {
 	tr := &trace.Trace{Name: "stride"}
 	for rep := 0; rep < 20; rep++ {
 		for i := uint64(0); i < 16; i++ {
 			tr.Append(i*1024, trace.Read) // stride == cache size
 		}
 	}
-	res, err := core.Tune(tr, core.Config{
+	res, err := core.TuneCtx(context.Background(), tr, core.Config{
 		CacheBytes: 1024,
 		Family:     hash.FamilyPermutation,
 		MaxInputs:  2,
-	})
+	}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -32,15 +33,16 @@ func ExampleTune() {
 	// permutation-based: true, fan-in: 2
 }
 
-// ExampleBuildProfile shows profile reuse across several searches.
-func ExampleBuildProfile() {
+// ExampleBuildProfileCtx shows profile reuse across several searches.
+func ExampleBuildProfileCtx() {
 	tr := &trace.Trace{Name: "pair"}
 	for i := 0; i < 100; i++ {
 		tr.Append(0, trace.Read)
 		tr.Append(1024, trace.Read)
 	}
 	cfg := core.Config{CacheBytes: 1024}
-	p, err := core.BuildProfile(tr, cfg)
+	ctx := context.Background()
+	p, err := core.BuildProfileCtx(ctx, tr, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -48,7 +50,7 @@ func ExampleBuildProfile() {
 		c := cfg
 		c.Family = hash.FamilyPermutation
 		c.MaxInputs = maxIn
-		res, err := core.TuneProfiled(tr, p, c)
+		res, err := core.TuneProfiledCtx(ctx, tr, p, c, nil)
 		if err != nil {
 			panic(err)
 		}

@@ -1,16 +1,14 @@
 package core
 
-// The staged, context-aware form of the pipeline. Tune runs the three
-// stages of the paper's construction algorithm — profile (Fig. 1),
-// search (§3.2), validate (§6) — as one blocking call; Pipeline exposes
-// them individually, threads a context through every hot loop beneath
-// them, and reports progress through an event sink. TuneCtx,
-// TuneProfiledCtx, BuildProfileCtx and SimulateCtx are the one-call
+// The staged form of the pipeline. Pipeline runs the three stages of
+// the paper's construction algorithm — profile (Fig. 1), search (§3.2),
+// validate (§6) — individually, threads a context through every hot
+// loop beneath them, and reports progress through an event sink.
+// TuneCtx, TuneProfiledCtx and BuildProfileCtx are the one-call
 // conveniences built on top of it.
 
 import (
 	"context"
-	"io"
 
 	"xoridx/internal/cache"
 	"xoridx/internal/gf2"
@@ -107,95 +105,37 @@ func (pl *Pipeline) emit(e Event) {
 }
 
 // Profile runs the Fig. 1 profiling stage: it extracts the block
-// sequence and builds the conflict-vector histogram, sharded across
-// Config.Workers when > 1 (bit-identical to the sequential pass).
-//
-// With Config.CheckpointPath set the stage runs through the
-// checkpointed builder — sharded when Workers > 1, sequential
-// otherwise; the snapshot format is shared, so either can resume the
-// other's snapshot — snapshotting every CheckpointEvery accesses;
-// Resume continues from an existing snapshot. On cancellation the
-// checkpointed paths return the partial profile so far — marked
-// Degraded and exact for the prefix it covers — alongside the error.
+// sequence and builds the conflict-vector histogram — ProfileSource
+// over the in-memory trace.
 func (pl *Pipeline) Profile(ctx context.Context, tr *trace.Trace) (*profile.Profile, error) {
-	cfg := pl.Config.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, err := pl.Config.Normalized()
+	if err != nil {
 		return nil, err
 	}
-	pl.emit(Event{Kind: StageStarted, Stage: StageProfile})
-	blocks := tr.Blocks(cfg.BlockBytes, cfg.AddrBits)
-	var (
-		p   *profile.Profile
-		err error
-	)
-	switch w := cfg.profileWorkers(); {
-	case cfg.CheckpointPath != "":
-		rest := blocks
-		src := func(dst []uint64) (int, error) {
-			if len(rest) == 0 {
-				return 0, io.EOF
-			}
-			k := copy(dst, rest)
-			rest = rest[k:]
-			return k, nil
-		}
-		copt := profile.CheckpointOptions{
-			Path:   cfg.profileCheckpointPath(),
-			Every:  uint64(cfg.CheckpointEvery),
-			Resume: cfg.Resume,
-		}
-		if w > 1 {
-			// Checkpointing and sharding compose: the snapshot format is
-			// shared, so a sequential snapshot resumes sharded and back.
-			p, err = profile.BuildStreamCheckpointedCtx(ctx, src, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes,
-				profile.ParallelOptions{Workers: w}, copt)
-		} else {
-			p, err = profile.BuildCheckpointedCtx(ctx, src, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes, copt)
-		}
-	default:
-		// BuildParallelCtx's Workers <= 1 path is the plain sequential
-		// pass, so one call covers sequential, sharded, sampled and
-		// alternative-backend builds alike.
-		p, err = profile.BuildParallelCtx(ctx, blocks, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes,
-			cfg.profileOptions())
-	}
-	if err != nil {
-		return p, err
-	}
-	pl.emit(Event{Kind: StageFinished, Stage: StageProfile})
-	return p, nil
+	return pl.ProfileSource(ctx, profile.Blocks(tr.Blocks(cfg.BlockBytes, cfg.AddrBits)))
 }
 
 // ProfileSource runs the Fig. 1 profiling stage over a block-source
-// stream instead of an in-memory trace — the entry point for
-// mmap-backed readers (trace.Open + StreamReader.BlockSource) and any
-// trace too large to materialise. The source must yield block
-// addresses already truncated to Config.AddrBits. Sharding, sampling,
-// backend selection and checkpointing follow the same Config knobs as
-// Profile; exact unsampled streams produce bit-identical profiles to
-// the in-memory pass.
+// stream — the entry point for mmap-backed readers (trace.Open +
+// StreamReader.BlockSource) and any trace too large to materialise.
+// The source must yield block addresses already truncated to
+// Config.AddrBits. The pass is sharded across Config.Workers when > 1
+// (bit-identical to the sequential pass) and follows the Config's
+// sampling and backend knobs.
+//
+// With Config.CheckpointPath set the pass snapshots every
+// CheckpointEvery accesses; Resume continues from an existing snapshot,
+// whichever worker count wrote it. On cancellation the sequential pass,
+// and a checkpointed sharded pass, return the partial profile so far —
+// marked Degraded and exact for the prefix it covers — alongside the
+// error.
 func (pl *Pipeline) ProfileSource(ctx context.Context, src profile.BlockSource) (*profile.Profile, error) {
-	cfg := pl.Config.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, err := pl.Config.Normalized()
+	if err != nil {
 		return nil, err
 	}
 	pl.emit(Event{Kind: StageStarted, Stage: StageProfile})
-	var (
-		p   *profile.Profile
-		err error
-	)
-	if cfg.CheckpointPath != "" {
-		copt := profile.CheckpointOptions{
-			Path:   cfg.profileCheckpointPath(),
-			Every:  uint64(cfg.CheckpointEvery),
-			Resume: cfg.Resume,
-		}
-		p, err = profile.BuildStreamCheckpointedCtx(ctx, src, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes,
-			cfg.profileOptions(), copt)
-	} else {
-		p, err = profile.BuildStreamCtx(ctx, src, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes,
-			cfg.profileOptions())
-	}
+	p, err := profile.BuildStream(ctx, src, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes, cfg.profileOptions())
 	if err != nil {
 		return p, err
 	}
@@ -336,8 +276,9 @@ func (pl *Pipeline) RunProfiled(ctx context.Context, tr *trace.Trace, p *profile
 	return pl.Validate(ctx, tr, p, sres)
 }
 
-// TuneCtx is Tune with cooperative cancellation and optional progress
-// events: every stage checks ctx periodically (see DESIGN.md §9 for
+// TuneCtx runs the full pipeline on a trace with cooperative
+// cancellation and optional progress events: every stage checks ctx
+// periodically (see DESIGN.md §9 for
 // the granularity per layer) and returns a wrapped ErrCanceled when it
 // is done. events may be nil.
 func TuneCtx(ctx context.Context, tr *trace.Trace, cfg Config, events Sink) (*Result, error) {
@@ -345,24 +286,19 @@ func TuneCtx(ctx context.Context, tr *trace.Trace, cfg Config, events Sink) (*Re
 	return pl.Run(ctx, tr)
 }
 
-// TuneProfiledCtx is TuneProfiled with cooperative cancellation and
-// optional progress events.
+// TuneProfiledCtx runs search and validation with a pre-built profile,
+// letting callers amortise profiling across several searches (e.g. the
+// 2-in/4-in/16-in sweep of Table 2). events may be nil.
 func TuneProfiledCtx(ctx context.Context, tr *trace.Trace, p *profile.Profile, cfg Config, events Sink) (*Result, error) {
 	pl := Pipeline{Config: cfg, Events: events}
 	return pl.RunProfiled(ctx, tr, p)
 }
 
-// BuildProfileCtx is BuildProfile with cooperative cancellation.
+// BuildProfileCtx profiles a trace for the given configuration; the
+// profile can then be shared across TuneProfiledCtx calls.
 func BuildProfileCtx(ctx context.Context, tr *trace.Trace, cfg Config) (*profile.Profile, error) {
 	pl := Pipeline{Config: cfg}
 	return pl.Profile(ctx, tr)
-}
-
-// SimulateCtx is Simulate with cooperative cancellation: the simulation
-// loop polls ctx and returns the statistics so far alongside a wrapped
-// ErrCanceled when it is done.
-func SimulateCtx(ctx context.Context, tr *trace.Trace, cfg Config, f hash.Func) (cache.Stats, error) {
-	return simulateCtx(ctx, tr, cfg.withDefaults(), f)
 }
 
 func simulateCtx(ctx context.Context, tr *trace.Trace, cfg Config, f hash.Func) (cache.Stats, error) {

@@ -13,23 +13,6 @@ func pipelineConfig() Config {
 	return Config{CacheBytes: 256, AddrBits: 12, Family: hash.FamilyGeneralXOR}
 }
 
-func TestTuneCtxMatchesTune(t *testing.T) {
-	tr := thrashTrace(64, 300)
-	cfg := pipelineConfig()
-	want, err := Tune(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := TuneCtx(context.Background(), tr, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Baseline != want.Baseline || got.Optimized != want.Optimized ||
-		got.Search.Estimated != want.Search.Estimated || got.UsedFallback != want.UsedFallback {
-		t.Fatalf("TuneCtx result %+v differs from Tune %+v", got, want)
-	}
-}
-
 // TestPipelineEventOrder runs the staged pipeline with a recording sink
 // and checks the event protocol: each stage brackets its work with
 // StageStarted/StageFinished, in pipeline order, with SearchProgress
@@ -117,23 +100,6 @@ func TestTuneCtxCanceledMidSearch(t *testing.T) {
 	}
 }
 
-func TestSimulateCtxCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfg := pipelineConfig()
-	_, err := SimulateCtx(ctx, thrashTrace(64, 10), cfg, hash.Modulo(12, 6))
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("error %v must wrap ErrCanceled", err)
-	}
-	// Uncanceled, it must agree with the plain Simulate.
-	tr := thrashTrace(64, 50)
-	want := Simulate(tr, cfg, hash.Modulo(12, 6))
-	got, err := SimulateCtx(context.Background(), tr, cfg, hash.Modulo(12, 6))
-	if err != nil || got != want {
-		t.Fatalf("SimulateCtx = %+v, %v; want %+v", got, err, want)
-	}
-}
-
 // TestPipelineStagedReuse exercises the staged API directly: one
 // profile feeds two searches with different families, and each result
 // matches the corresponding one-call pipeline.
@@ -157,12 +123,12 @@ func TestPipelineStagedReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Family = fam
-		want, err := Tune(tr, cfg)
+		want, err := TuneCtx(context.Background(), tr, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Optimized.Misses != want.Optimized.Misses {
-			t.Errorf("family %v: staged misses %d != Tune misses %d", fam, res.Optimized.Misses, want.Optimized.Misses)
+			t.Errorf("family %v: staged misses %d != TuneCtx misses %d", fam, res.Optimized.Misses, want.Optimized.Misses)
 		}
 	}
 }
@@ -200,19 +166,19 @@ func TestTypedGeometryErrors(t *testing.T) {
 		{CacheBytes: 1024, AddrBits: 8},
 	}
 	for i, cfg := range bad {
-		if _, err := Tune(thrashTrace(64, 1), cfg); !errors.Is(err, ErrInvalidGeometry) {
+		if _, err := TuneCtx(context.Background(), thrashTrace(64, 1), cfg, nil); !errors.Is(err, ErrInvalidGeometry) {
 			t.Errorf("config %d: error %v must wrap ErrInvalidGeometry", i, err)
 		}
 	}
 	// Profile mismatch: profile built for another geometry.
 	cfg := pipelineConfig()
-	p, err := BuildProfile(thrashTrace(64, 10), cfg)
+	p, err := BuildProfileCtx(context.Background(), thrashTrace(64, 10), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
 	other.CacheBytes = 512
-	if _, err := TuneProfiled(thrashTrace(64, 10), p, other); !errors.Is(err, ErrProfileMismatch) {
+	if _, err := TuneProfiledCtx(context.Background(), thrashTrace(64, 10), p, other, nil); !errors.Is(err, ErrProfileMismatch) {
 		t.Errorf("error %v must wrap ErrProfileMismatch", err)
 	}
 }

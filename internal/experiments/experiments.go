@@ -80,53 +80,33 @@ type Table2Row struct {
 	Cells [3]Table2Cell
 }
 
-// Table2 reproduces paper Table 2 for data caches (kind = trace.Read)
-// or instruction caches (kind = trace.Fetch): baseline misses/K-op and
-// the percentage of misses removed by optimized permutation-based
-// XOR-functions with 2, 4 and unlimited inputs. The final row returned
-// by Average is the paper's "average" row.
-func Table2(instruction bool, scale int) ([]Table2Row, error) {
-	return Table2Ctx(context.Background(), Options{}, instruction, scale)
-}
-
-// Table2Ctx is Table2 with cancellation and options.
+// Table2Ctx reproduces paper Table 2 for data caches (kind =
+// trace.Read) or instruction caches (kind = trace.Fetch): baseline
+// misses/K-op and the percentage of misses removed by optimized
+// permutation-based XOR-functions with 2, 4 and unlimited inputs. The
+// final row returned by Average is the paper's "average" row.
 func Table2Ctx(ctx context.Context, opt Options, instruction bool, scale int) ([]Table2Row, error) {
 	return Table2ForCtx(ctx, opt, nil, instruction, scale)
 }
 
-// Table2For runs Table 2 for a subset of benchmark names (nil = all),
-// used by the fast test and bench paths.
-func Table2For(names []string, instruction bool, scale int) ([]Table2Row, error) {
-	return Table2ForCtx(context.Background(), Options{}, names, instruction, scale)
-}
-
-// Table2ForCtx is Table2For with cancellation and options.
+// Table2ForCtx runs Table 2 for a subset of benchmark names (nil =
+// all), used by the fast test and bench paths.
 func Table2ForCtx(ctx context.Context, opt Options, names []string, instruction bool, scale int) ([]Table2Row, error) {
 	return Table2SuiteCtx(ctx, opt, workloads.MediaSuite(), names, instruction, scale)
 }
 
-// Table2Extra runs the Table 2 protocol over the extra benchmark suite
-// (gsm, g721, epic, pegwit) — benchmarks from the same families the
-// paper's evaluation drew on but did not have table space for.
-func Table2Extra(instruction bool, scale int) ([]Table2Row, error) {
-	return Table2ExtraCtx(context.Background(), Options{}, instruction, scale)
-}
-
-// Table2ExtraCtx is Table2Extra with cancellation and options.
+// Table2ExtraCtx runs the Table 2 protocol over the extra benchmark
+// suite (gsm, g721, epic, pegwit) — benchmarks from the same families
+// the paper's evaluation drew on but did not have table space for.
 func Table2ExtraCtx(ctx context.Context, opt Options, instruction bool, scale int) ([]Table2Row, error) {
 	return Table2SuiteCtx(ctx, opt, workloads.ExtraSuite(), nil, instruction, scale)
 }
 
-// Table2Suite is the generic driver behind Table2/Table2For/Table2Extra.
-// Benchmarks are processed in parallel (each row is independent); the
-// returned order matches the suite order.
-func Table2Suite(suite []workloads.Workload, names []string, instruction bool, scale int) ([]Table2Row, error) {
-	return Table2SuiteCtx(context.Background(), Options{}, suite, names, instruction, scale)
-}
-
-// Table2SuiteCtx is Table2Suite with cancellation and options. A
-// canceled context aborts every in-flight per-benchmark pipeline and
-// returns a wrapped core.ErrCanceled.
+// Table2SuiteCtx is the generic driver behind
+// Table2Ctx/Table2ForCtx/Table2ExtraCtx. Benchmarks are processed in
+// parallel (each row is independent); the returned order matches the
+// suite order. A canceled context aborts every in-flight
+// per-benchmark pipeline and returns a wrapped core.ErrCanceled.
 func Table2SuiteCtx(ctx context.Context, opt Options, suite []workloads.Workload, names []string, instruction bool, scale int) ([]Table2Row, error) {
 	var selected []workloads.Workload
 	for _, w := range suite {
@@ -235,15 +215,10 @@ type Exp1Row struct {
 	PermPct    float64 // average % misses removed, permutation-based
 }
 
-// Experiment1 reproduces the in-text comparison: the paper reports
+// Experiment1Ctx reproduces the in-text comparison: the paper reports
 // general 34.6/44.0/26.9% vs permutation-based 32.3/43.9/26.7% for
 // 1/4/16 KB data caches — i.e. restricting the family costs almost
 // nothing.
-func Experiment1(scale int) ([]Exp1Row, error) {
-	return Experiment1Ctx(context.Background(), Options{}, scale)
-}
-
-// Experiment1Ctx is Experiment1 with cancellation and options.
 func Experiment1Ctx(ctx context.Context, opt Options, scale int) ([]Exp1Row, error) {
 	suite := workloads.MediaSuite()
 	traces := make([]*trace.Trace, len(suite))
@@ -305,24 +280,14 @@ type Table3Row struct {
 // ("Because the optimal algorithm is very slow...").
 const Table3MaxTrace = 60000
 
-// Table3 reproduces paper Table 3 on the 4 KB direct-mapped data
+// Table3Ctx reproduces paper Table 3 on the 4 KB direct-mapped data
 // cache.
-func Table3(scale int) ([]Table3Row, error) {
-	return Table3Ctx(context.Background(), Options{}, scale)
-}
-
-// Table3Ctx is Table3 with cancellation and options.
 func Table3Ctx(ctx context.Context, opt Options, scale int) ([]Table3Row, error) {
 	return Table3ForCtx(ctx, opt, nil, scale)
 }
 
-// Table3For runs Table 3 for a subset of benchmark names (nil = all).
-// Rows are computed in parallel; order matches the suite.
-func Table3For(names []string, scale int) ([]Table3Row, error) {
-	return Table3ForCtx(context.Background(), Options{}, names, scale)
-}
-
-// Table3ForCtx is Table3For with cancellation and options.
+// Table3ForCtx runs Table 3 for a subset of benchmark names (nil =
+// all). Rows are computed in parallel; order matches the suite.
 func Table3ForCtx(ctx context.Context, opt Options, names []string, scale int) ([]Table3Row, error) {
 	var selected []workloads.Workload
 	for _, w := range workloads.PowerStoneSuite() {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -46,7 +47,7 @@ func TestRenderEq3(t *testing.T) {
 func TestTable2SubsetShape(t *testing.T) {
 	// fft is the canonical stride-conflict benchmark: XOR indexing must
 	// remove a large fraction of its 1 KB and 4 KB data-cache misses.
-	rows, err := Table2For([]string{"fft", "adpcm_dec"}, false, 1)
+	rows, err := Table2ForCtx(context.Background(), Options{}, []string{"fft", "adpcm_dec"}, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestTable2SubsetShape(t *testing.T) {
 func TestTable2InstructionSubset(t *testing.T) {
 	// rijndael instruction trace: the paper's signature result — nearly
 	// all 16 KB misses removed, nearly nothing at 1/4 KB (capacity).
-	rows, err := Table2For([]string{"rijndael"}, true, 1)
+	rows, err := Table2ForCtx(context.Background(), Options{}, []string{"rijndael"}, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestTable2AverageRow(t *testing.T) {
 }
 
 func TestTable3Subset(t *testing.T) {
-	rows, err := Table3For([]string{"crc", "pocsag", "engine"}, 1)
+	rows, err := Table3ForCtx(context.Background(), Options{}, []string{"crc", "pocsag", "engine"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestExperiment1SingleSizeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment 1 full sweep in short mode")
 	}
-	rows, err := Experiment1(1)
+	rows, err := Experiment1Ctx(context.Background(), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

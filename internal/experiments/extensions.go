@@ -46,15 +46,10 @@ type CrossApplicationResult struct {
 	Rows       []CrossRow
 }
 
-// CrossApplication tunes a permutation-based 2-input function for each
-// named benchmark's data trace on the given cache size, then evaluates
-// every function on every benchmark (nil names = a representative
-// four-benchmark subset).
-func CrossApplication(names []string, cacheKB, scale int) (*CrossApplicationResult, error) {
-	return CrossApplicationCtx(context.Background(), Options{}, names, cacheKB, scale)
-}
-
-// CrossApplicationCtx is CrossApplication with cancellation and options.
+// CrossApplicationCtx tunes a permutation-based 2-input function for
+// each named benchmark's data trace on the given cache size, then
+// evaluates every function on every benchmark (nil names = a
+// representative four-benchmark subset).
 func CrossApplicationCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) (*CrossApplicationResult, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "rijndael"}
@@ -167,14 +162,8 @@ type AssocRow struct {
 	OpsThousands float64
 }
 
-// AssociativityComparison runs the named benchmarks (nil = default
+// AssociativityComparisonCtx runs the named benchmarks (nil = default
 // subset) on a cacheKB-sized cache under five organisations.
-func AssociativityComparison(names []string, cacheKB, scale int) ([]AssocRow, error) {
-	return AssociativityComparisonCtx(context.Background(), Options{}, names, cacheKB, scale)
-}
-
-// AssociativityComparisonCtx is AssociativityComparison with
-// cancellation and options.
 func AssociativityComparisonCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]AssocRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "mpeg2_dec"}
@@ -275,21 +264,15 @@ type PhaseRow struct {
 	Reconfig   uint64 // per-application functions, swap (and flush) at each switch
 }
 
-// PhaseReconfiguration models two applications time-sharing one cache:
-// their data traces are interleaved with the given quantum and run
-// under (a) modulo indexing, (b) a single compromise XOR function tuned
-// on the merged trace, and (c) per-application reconfiguration, where
-// the index function is swapped — with the mandatory cache flush — at
-// every context switch. This extends the paper's per-application story
-// to the multiprogrammed setting its introduction alludes to: the
-// reconfiguration win must pay for the flushes, so it grows with the
-// quantum.
-func PhaseReconfiguration(benchA, benchB string, cacheKB, scale int, quanta []int) ([]PhaseRow, error) {
-	return PhaseReconfigurationCtx(context.Background(), Options{}, benchA, benchB, cacheKB, scale, quanta)
-}
-
-// PhaseReconfigurationCtx is PhaseReconfiguration with cancellation and
-// options.
+// PhaseReconfigurationCtx models two applications time-sharing one
+// cache: their data traces are interleaved with the given quantum and
+// run under (a) modulo indexing, (b) a single compromise XOR function
+// tuned on the merged trace, and (c) per-application reconfiguration,
+// where the index function is swapped — with the mandatory cache
+// flush — at every context switch. This extends the paper's
+// per-application story to the multiprogrammed setting its
+// introduction alludes to: the reconfiguration win must pay for the
+// flushes, so it grows with the quantum.
 func PhaseReconfigurationCtx(ctx context.Context, opt Options, benchA, benchB string, cacheKB, scale int, quanta []int) ([]PhaseRow, error) {
 	wa, err := workloads.ByName(benchA)
 	if err != nil {
@@ -377,16 +360,12 @@ type SweepPoint struct {
 	FullAssoc  uint64 // fully-associative LRU bound
 }
 
-// SizeSweep traces one benchmark's miss counts across cache sizes,
-// comparing conventional indexing, the tuned XOR function (re-tuned per
-// size, as a reconfigurable deployment would), the tuned function on a
-// 2-way cache (hashing and associativity compose), and the FA-LRU
-// reference. It generalises the paper's three-size tables into a curve.
-func SizeSweep(bench string, sizes []int, scale int) ([]SweepPoint, error) {
-	return SizeSweepCtx(context.Background(), Options{}, bench, sizes, scale)
-}
-
-// SizeSweepCtx is SizeSweep with cancellation and options.
+// SizeSweepCtx traces one benchmark's miss counts across cache sizes,
+// comparing conventional indexing, the tuned XOR function (re-tuned
+// per size, as a reconfigurable deployment would), the tuned function
+// on a 2-way cache (hashing and associativity compose), and the
+// FA-LRU reference. It generalises the paper's three-size tables into
+// a curve.
 func SizeSweepCtx(ctx context.Context, opt Options, bench string, sizes []int, scale int) ([]SweepPoint, error) {
 	w, err := workloads.ByName(bench)
 	if err != nil {
@@ -459,13 +438,8 @@ type FixedRow struct {
 	Accesses uint64
 }
 
-// FixedVsTuned runs the named benchmarks (nil = representative subset)
-// on a direct-mapped cache under the four index functions.
-func FixedVsTuned(names []string, cacheKB, scale int) ([]FixedRow, error) {
-	return FixedVsTunedCtx(context.Background(), Options{}, names, cacheKB, scale)
-}
-
-// FixedVsTunedCtx is FixedVsTuned with cancellation and options.
+// FixedVsTunedCtx runs the named benchmarks (nil = representative
+// subset) on a direct-mapped cache under the four index functions.
 func FixedVsTunedCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]FixedRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "rijndael", "mpeg2_dec"}
@@ -530,15 +504,10 @@ type EnergyRow struct {
 	XORvs2Way float64 // % energy XOR saves over 2-way
 }
 
-// EnergyComparison combines the exact simulations (miss + writeback
-// traffic) with the hwcost energy model — the quantitative form of the
-// paper's §1 power motivation. Per-access energy uses the Fig. 2b
-// permutation network for the XOR column.
-func EnergyComparison(names []string, cacheKB, scale int) ([]EnergyRow, error) {
-	return EnergyComparisonCtx(context.Background(), Options{}, names, cacheKB, scale)
-}
-
-// EnergyComparisonCtx is EnergyComparison with cancellation and options.
+// EnergyComparisonCtx combines the exact simulations (miss +
+// writeback traffic) with the hwcost energy model — the quantitative
+// form of the paper's §1 power motivation. Per-access energy uses the
+// Fig. 2b permutation network for the XOR column.
 func EnergyComparisonCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]EnergyRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "mpeg2_dec"}
@@ -612,15 +581,10 @@ type ReplRow struct {
 	DMXOR                    uint64 // direct-mapped tuned XOR (no policy at all)
 }
 
-// ReplacementAblation crosses replacement policy with indexing on
-// 2-way caches of the given size: application-specific hashing attacks
-// the same misses replacement policies do, from the indexing side.
-func ReplacementAblation(names []string, cacheKB, scale int) ([]ReplRow, error) {
-	return ReplacementAblationCtx(context.Background(), Options{}, names, cacheKB, scale)
-}
-
-// ReplacementAblationCtx is ReplacementAblation with cancellation and
-// options.
+// ReplacementAblationCtx crosses replacement policy with indexing on
+// 2-way caches of the given size: application-specific hashing
+// attacks the same misses replacement policies do, from the indexing
+// side.
 func ReplacementAblationCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]ReplRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "susan", "mpeg2_dec"}
@@ -691,17 +655,13 @@ type ASLRRow struct {
 	RetunedPct float64 // % removed after re-profiling at the new base
 }
 
-// ASLRRobustness tunes a function for each benchmark at its original
-// load address, then evaluates it after the whole image moves by each
-// delta — the situation a deployed per-application function meets under
-// address-space layout randomisation. Page-multiple shifts preserve the
-// intra-page conflict structure, so the tuned function should hold up;
-// re-tuning at the new base is the upper bound.
-func ASLRRobustness(bench string, cacheKB, scale int, deltas []uint64) ([]ASLRRow, error) {
-	return ASLRRobustnessCtx(context.Background(), Options{}, bench, cacheKB, scale, deltas)
-}
-
-// ASLRRobustnessCtx is ASLRRobustness with cancellation and options.
+// ASLRRobustnessCtx tunes a function for each benchmark at its
+// original load address, then evaluates it after the whole image
+// moves by each delta — the situation a deployed per-application
+// function meets under address-space layout randomisation.
+// Page-multiple shifts preserve the intra-page conflict structure, so
+// the tuned function should hold up; re-tuning at the new base is the
+// upper bound.
 func ASLRRobustnessCtx(ctx context.Context, opt Options, bench string, cacheKB, scale int, deltas []uint64) ([]ASLRRow, error) {
 	w, err := workloads.ByName(bench)
 	if err != nil {

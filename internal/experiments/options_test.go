@@ -15,7 +15,7 @@ import (
 // carries its own setting and both must reproduce the sequential rows.
 func TestConcurrentDriversDifferentWorkerCounts(t *testing.T) {
 	names := []string{"fft"}
-	want, err := Table2For(names, false, 1)
+	want, err := Table2ForCtx(context.Background(), Options{}, names, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

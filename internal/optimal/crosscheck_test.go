@@ -37,7 +37,7 @@ func TestVerifyDeltaIdentity(t *testing.T) {
 }
 
 func TestProfileBestBitSelectRejectsSparse(t *testing.T) {
-	sb := profile.NewSparseBuilder(30, 8)
+	sb := profile.NewBuilder(30, 8) // n > MaxFlatBits: sparse backend
 	for _, b := range []uint64{1, 2, 1, 2} {
 		sb.Add(b)
 	}

@@ -1,6 +1,7 @@
 package optimal
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestExhaustiveXORBeatsOrMatchesEverything(t *testing.T) {
 		t.Fatalf("returned matrix estimates to %d, reported %d", got, opt.Estimated)
 	}
 	for _, fam := range []hash.Family{hash.FamilyBitSelect, hash.FamilyPermutation, hash.FamilyGeneralXOR} {
-		res, err := search.Construct(p, m, search.Options{Family: fam})
+		res, err := search.ConstructCtx(context.Background(), p, m, search.Options{Family: fam})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func TestHillClimbingNearOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := search.Construct(p, 5, search.Options{Family: hash.FamilyGeneralXOR})
+	res, err := search.ConstructCtx(context.Background(), p, 5, search.Options{Family: hash.FamilyGeneralXOR})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestCheckpointRestoreMidBuild(t *testing.T) {
 
 func TestCheckpointSparseBackendRoundTrip(t *testing.T) {
 	blocks := syntheticBlocks(5000)
-	bd := NewSparseBuilder(32, 64)
+	bd := newBuilder(32, 64, true)
 	for _, b := range blocks {
 		bd.Add(b)
 	}
@@ -199,7 +199,9 @@ func TestRestoreRejectsConsistentLies(t *testing.T) {
 
 // cancelAfterSource delivers blocks and cancels the context once limit
 // blocks have been handed out — the deterministic stand-in for a kill
-// signal landing mid-profile.
+// signal landing mid-profile. It delivers at most 512 blocks per read,
+// so the sequential engine's per-read ctx poll stops a run within 512
+// accesses of the kill.
 func cancelAfterSource(blocks []uint64, limit int, cancel context.CancelFunc) BlockSource {
 	i := 0
 	return func(dst []uint64) (int, error) {
@@ -210,7 +212,7 @@ func cancelAfterSource(blocks []uint64, limit int, cancel context.CancelFunc) Bl
 			cancel()
 			// Keep delivering; the builder's ctx check stops the run.
 		}
-		k := copy(dst, blocks[i:])
+		k := copy(dst[:min(len(dst), 512)], blocks[i:])
 		i += k
 		return k, nil
 	}
@@ -232,12 +234,12 @@ func TestBuildCheckpointedKillResume(t *testing.T) {
 			t.Fatal("resume did not converge")
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		src := sliceSource(blocks)
+		src := Blocks(blocks)
 		if attempt < len(kills) {
 			src = cancelAfterSource(blocks, kills[attempt], cancel)
 		}
-		p, err := BuildCheckpointedCtx(ctx, src, 12, 64, CheckpointOptions{
-			Path: path, Every: 1000, Resume: true, ChunkSize: 512,
+		p, err := BuildStream(ctx, src, 12, 64, Options{
+			CheckpointPath: path, CheckpointEvery: 1000, Resume: true,
 		})
 		runs++
 		if attempt < len(kills) {
@@ -262,8 +264,8 @@ func TestBuildCheckpointedKillResume(t *testing.T) {
 	}
 	// Resuming a completed run replays nothing and returns the same
 	// profile again.
-	again, err := BuildCheckpointedCtx(context.Background(), sliceSource(blocks), 12, 64, CheckpointOptions{
-		Path: path, Resume: true,
+	again, err := BuildStream(context.Background(), Blocks(blocks), 12, 64, Options{
+		CheckpointPath: path, Resume: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +278,7 @@ func TestBuildCheckpointedKillResume(t *testing.T) {
 func TestBuildCheckpointedMatchesBuildWithoutPath(t *testing.T) {
 	blocks := syntheticBlocks(20000)
 	want := Build(blocks, 12, 64)
-	got, err := BuildCheckpointedCtx(context.Background(), sliceSource(blocks), 12, 64, CheckpointOptions{})
+	got, err := BuildStream(context.Background(), Blocks(blocks), 12, 64, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +297,8 @@ func TestBuildCheckpointedSourceShorterThanSnapshot(t *testing.T) {
 	if err := CheckpointFile(path, bd); err != nil {
 		t.Fatal(err)
 	}
-	_, err := BuildCheckpointedCtx(context.Background(), sliceSource(blocks[:100]), 12, 64, CheckpointOptions{
-		Path: path, Resume: true,
+	_, err := BuildStream(context.Background(), Blocks(blocks[:100]), 12, 64, Options{
+		CheckpointPath: path, Resume: true,
 	})
 	if !errors.Is(err, xerr.ErrFormat) {
 		t.Fatalf("short source: err = %v, want wrapped ErrFormat", err)
@@ -310,8 +312,8 @@ func TestBuildCheckpointedGeometryMismatch(t *testing.T) {
 	if err := CheckpointFile(path, bd); err != nil {
 		t.Fatal(err)
 	}
-	_, err := BuildCheckpointedCtx(context.Background(), sliceSource([]uint64{1}), 10, 64, CheckpointOptions{
-		Path: path, Resume: true,
+	_, err := BuildStream(context.Background(), Blocks([]uint64{1}), 10, 64, Options{
+		CheckpointPath: path, Resume: true,
 	})
 	if !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("geometry mismatch: err = %v, want wrapped ErrProfileMismatch", err)
@@ -321,7 +323,7 @@ func TestBuildCheckpointedGeometryMismatch(t *testing.T) {
 // transientSource fails every other call with a transient error,
 // consuming nothing on failure.
 func transientSource(blocks []uint64, faults *int) BlockSource {
-	inner := sliceSource(blocks)
+	inner := Blocks(blocks)
 	fail := false
 	return func(dst []uint64) (int, error) {
 		fail = !fail
@@ -337,9 +339,8 @@ func TestBuildCheckpointedRetriesTransientSource(t *testing.T) {
 	blocks := syntheticBlocks(20000)
 	want := Build(blocks, 12, 64)
 	faults := 0
-	got, err := BuildCheckpointedCtx(context.Background(), transientSource(blocks, &faults), 12, 64, CheckpointOptions{
-		Retry:     faultio.Policy{MaxRetries: 2},
-		ChunkSize: 512,
+	got, err := BuildStream(context.Background(), transientSource(blocks, &faults), 12, 64, Options{
+		Retry: faultio.Policy{MaxRetries: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +355,7 @@ func TestBuildCheckpointedRetriesTransientSource(t *testing.T) {
 
 func TestRetrySourceExhaustionFailsBuild(t *testing.T) {
 	src := func(dst []uint64) (int, error) { return 0, xerr.ErrIO }
-	_, err := BuildCheckpointedCtx(context.Background(), src, 12, 64, CheckpointOptions{
+	_, err := BuildStream(context.Background(), src, 12, 64, Options{
 		Retry: faultio.Policy{MaxRetries: 3},
 	})
 	if !errors.Is(err, xerr.ErrIO) {
@@ -396,10 +397,10 @@ func TestRetrySourceDeliversPartialChunkBeforeRetrying(t *testing.T) {
 func TestBuildCtxReturnsDegradedPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p, err := BuildCtx(ctx, syntheticBlocks(100), 12, 64)
+	p, err := BuildStream(ctx, Blocks(syntheticBlocks(100)), 12, 64, Options{})
 	wantCanceled(t, err)
 	if p == nil || !p.Degraded {
-		t.Fatalf("canceled BuildCtx returned p=%v, want a Degraded partial profile", p)
+		t.Fatalf("canceled sequential build returned p=%v, want a Degraded partial profile", p)
 	}
 }
 
@@ -407,7 +408,7 @@ func TestShardRunConvertsPanic(t *testing.T) {
 	testShardHook = func(int) { panic("boom") }
 	defer func() { testShardHook = nil }()
 	s := &shardState{idx: 3, blocks: []uint64{1, 2, 3}}
-	s.run(context.Background(), 8, 4, ParallelOptions{})
+	s.run(context.Background(), 8, 4, Options{})
 	if !errors.Is(s.err, xerr.ErrPanic) {
 		t.Fatalf("recovered panic: err = %v, want wrapped ErrPanic", s.err)
 	}
@@ -419,7 +420,7 @@ func TestShardRunConvertsPanic(t *testing.T) {
 	}
 }
 
-// TestBuildStreamCheckpointedKillResume is the parallel analog of
+// TestBuildStreamCheckpointedKillResume is the sharded analog of
 // TestBuildCheckpointedKillResume, with a twist the sequential test
 // cannot express: every resume attempt uses a different worker count
 // and chunk size, so convergence also proves the snapshot is
@@ -436,13 +437,12 @@ func TestBuildStreamCheckpointedKillResume(t *testing.T) {
 			t.Fatal("resume did not converge")
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		src := sliceSource(blocks)
+		src := Blocks(blocks)
 		if attempt < len(kills) {
 			src = cancelAfterSource(blocks, kills[attempt], cancel)
 		}
-		p, err := BuildStreamCheckpointedCtx(ctx, src, 12, 64,
-			ParallelOptions{Workers: 1 + attempt, ChunkSize: 300 + 170*attempt},
-			CheckpointOptions{Path: path, Every: 1500, Resume: true})
+		p, err := BuildStream(ctx, src, 12, 64, Options{Workers: 1 + attempt, ChunkSize: 300 + 170*attempt,
+			CheckpointPath: path, CheckpointEvery: 1500, Resume: true})
 		if attempt < len(kills) {
 			wantCanceled(t, err)
 			if p == nil || !p.Degraded {
@@ -462,8 +462,8 @@ func TestBuildStreamCheckpointedKillResume(t *testing.T) {
 func TestBuildStreamCheckpointedMatchesBuildWithoutPath(t *testing.T) {
 	blocks := syntheticBlocks(20000)
 	want := Build(blocks, 12, 64)
-	got, err := BuildStreamCheckpointedCtx(context.Background(), sliceSource(blocks), 12, 64,
-		ParallelOptions{Workers: 3, ChunkSize: 640}, CheckpointOptions{})
+	got, err := BuildStream(context.Background(), Blocks(blocks), 12, 64,
+		Options{Workers: 3, ChunkSize: 640})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,16 +483,15 @@ func TestParallelSequentialSnapshotInterop(t *testing.T) {
 	// Parallel partial → sequential finish.
 	path := filepath.Join(t.TempDir(), "p2s.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
-	p, err := BuildStreamCheckpointedCtx(ctx, cancelAfterSource(blocks, 12000, cancel), 12, 64,
-		ParallelOptions{Workers: 4, ChunkSize: 512},
-		CheckpointOptions{Path: path, Every: 2000, Resume: true})
+	p, err := BuildStream(ctx, cancelAfterSource(blocks, 12000, cancel), 12, 64,
+		Options{Workers: 4, ChunkSize: 512, CheckpointPath: path, CheckpointEvery: 2000, Resume: true})
 	cancel()
 	wantCanceled(t, err)
 	if p == nil || !p.Degraded {
 		t.Fatalf("killed parallel run returned p=%v err=%v, want a degraded partial", p, err)
 	}
-	got, err := BuildCheckpointedCtx(context.Background(), sliceSource(blocks), 12, 64,
-		CheckpointOptions{Path: path, Resume: true, ChunkSize: 512})
+	got, err := BuildStream(context.Background(), Blocks(blocks), 12, 64,
+		Options{CheckpointPath: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,16 +502,15 @@ func TestParallelSequentialSnapshotInterop(t *testing.T) {
 	// Sequential partial → parallel finish.
 	path2 := filepath.Join(t.TempDir(), "s2p.ckpt")
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	p2, err := BuildCheckpointedCtx(ctx2, cancelAfterSource(blocks, 9000, cancel2), 12, 64,
-		CheckpointOptions{Path: path2, Every: 1000, Resume: true, ChunkSize: 256})
+	p2, err := BuildStream(ctx2, cancelAfterSource(blocks, 9000, cancel2), 12, 64,
+		Options{CheckpointPath: path2, CheckpointEvery: 1000, Resume: true})
 	cancel2()
 	wantCanceled(t, err)
 	if p2 == nil || !p2.Degraded {
 		t.Fatalf("killed sequential run returned p=%v err=%v, want a degraded partial", p2, err)
 	}
-	got2, err := BuildStreamCheckpointedCtx(context.Background(), sliceSource(blocks), 12, 64,
-		ParallelOptions{Workers: 3, ChunkSize: 777},
-		CheckpointOptions{Path: path2, Resume: true})
+	got2, err := BuildStream(context.Background(), Blocks(blocks), 12, 64,
+		Options{Workers: 3, ChunkSize: 777, CheckpointPath: path2, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,14 +526,14 @@ func TestBuildStreamCheckpointedGeometryMismatch(t *testing.T) {
 	if err := CheckpointFile(path, bd); err != nil {
 		t.Fatal(err)
 	}
-	_, err := BuildStreamCheckpointedCtx(context.Background(), sliceSource([]uint64{1}), 10, 64,
-		ParallelOptions{Workers: 2}, CheckpointOptions{Path: path, Resume: true})
+	_, err := BuildStream(context.Background(), Blocks([]uint64{1}), 10, 64,
+		Options{Workers: 2, CheckpointPath: path, Resume: true})
 	if !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("geometry mismatch: err = %v, want wrapped ErrProfileMismatch", err)
 	}
 	// Same geometry, different backend: also a mismatch, not corruption.
-	_, err = BuildStreamCheckpointedCtx(context.Background(), sliceSource([]uint64{1}), 12, 64,
-		ParallelOptions{Workers: 2, ForceSparse: true}, CheckpointOptions{Path: path, Resume: true})
+	_, err = BuildStream(context.Background(), Blocks([]uint64{1}), 12, 64,
+		Options{Workers: 2, ForceSparse: true, CheckpointPath: path, Resume: true})
 	if !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("backend mismatch: err = %v, want wrapped ErrProfileMismatch", err)
 	}
@@ -567,8 +565,8 @@ func TestStreamShardTransientFaultIsolated(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	faults := 0
-	p, err := BuildStreamCtx(context.Background(), mkSrc(3, &faults), 12, 64,
-		ParallelOptions{Workers: 4, ChunkSize: chunk, Retry: faultio.Policy{MaxRetries: 5}})
+	p, err := BuildStream(context.Background(), mkSrc(3, &faults), 12, 64,
+		Options{Workers: 4, ChunkSize: chunk, Retry: faultio.Policy{MaxRetries: 5}})
 	if err != nil {
 		t.Fatalf("retried transient shard fault failed the build: %v", err)
 	}
@@ -581,8 +579,8 @@ func TestStreamShardTransientFaultIsolated(t *testing.T) {
 	waitGoroutines(t, baseline)
 
 	faults = 0
-	p, err = BuildStreamCtx(context.Background(), mkSrc(100, &faults), 12, 64,
-		ParallelOptions{Workers: 4, ChunkSize: chunk})
+	p, err = BuildStream(context.Background(), mkSrc(100, &faults), 12, 64,
+		Options{Workers: 4, ChunkSize: chunk})
 	if p != nil {
 		t.Fatal("failed build must not return a profile")
 	}
@@ -650,8 +648,8 @@ func TestStreamFaultMatrix(t *testing.T) {
 					return
 				}
 				src := func(dst []uint64) (int, error) { return rd.ReadBlocks(dst, 64, 12) }
-				p, err := BuildStreamCtx(context.Background(), src, 12, 64,
-					ParallelOptions{Workers: workers, ChunkSize: 256, Retry: faultio.Policy{MaxRetries: 4}})
+				p, err := BuildStream(context.Background(), src, 12, 64,
+					Options{Workers: workers, ChunkSize: 256, Retry: faultio.Policy{MaxRetries: 4}})
 				waitGoroutines(t, baseline)
 				if sc.transient {
 					if err != nil {

@@ -106,7 +106,7 @@ func TestSparseFlatDifferential(t *testing.T) {
 			blocks[i] = uint64(r.Intn(1 << uint(n)))
 		}
 		flat := Build(blocks, n, cacheBlocks)
-		sb := NewSparseBuilder(n, cacheBlocks)
+		sb := newBuilder(n, cacheBlocks, true)
 		for _, b := range blocks {
 			sb.Add(b)
 		}
@@ -191,7 +191,7 @@ func TestSparseWideAddressSmoke(t *testing.T) {
 // TestMergeBackendMismatch pins the flat-vs-sparse merge error.
 func TestMergeBackendMismatch(t *testing.T) {
 	flat := Build([]uint64{1, 2, 1, 2}, 8, 4)
-	sb := NewSparseBuilder(8, 4)
+	sb := newBuilder(8, 4, true)
 	for _, b := range []uint64{1, 2, 1, 2} {
 		sb.Add(b)
 	}

@@ -24,11 +24,11 @@ func fuzzBlocks(data []byte) []uint64 {
 	return blocks
 }
 
-// FuzzBuildParallelWorkers asserts worker-count invariance: the sharded
-// build must produce the same profile — histogram and every counter —
-// for workers = 1..8 on arbitrary traces, and that profile must match
-// the sequential Build. A stream build over an awkward chunk size is
-// held to the same standard.
+// FuzzBuildParallelWorkers asserts worker-count invariance: BuildStream
+// must produce the same profile — histogram and every counter — for
+// workers = 1..16 on both exact backends on arbitrary traces, and that
+// profile must match the sequential Build. A sharded build over an
+// awkward chunk size is held to the same standard.
 func FuzzBuildParallelWorkers(f *testing.F) {
 	f.Add([]byte{}, uint8(8), uint8(4))
 	f.Add([]byte{1, 0, 2, 0, 1, 0, 2, 0, 1, 0}, uint8(6), uint8(2))
@@ -44,15 +44,21 @@ func FuzzBuildParallelWorkers(f *testing.F) {
 		cacheBlocks := 1 + int(capRaw)%64 // 1..64
 		blocks := fuzzBlocks(data)
 		want := Build(blocks, n, cacheBlocks)
-		for workers := 1; workers <= 8; workers++ {
+		wantSparse := newBuilder(n, cacheBlocks, true).finishBlocks(blocks)
+		for workers := 1; workers <= 16; workers++ {
 			got := mustParallel(t, blocks, n, cacheBlocks, workers)
 			if d := diffProfiles(got, want); d != "" {
 				t.Fatalf("workers=%d n=%d cap=%d len=%d: %s",
 					workers, n, cacheBlocks, len(blocks), d)
 			}
+			got = mustParallelOpts(t, blocks, n, cacheBlocks, Options{Workers: workers, ForceSparse: true})
+			if d := diffProfiles(got, wantSparse); d != "" {
+				t.Fatalf("sparse workers=%d n=%d cap=%d len=%d: %s",
+					workers, n, cacheBlocks, len(blocks), d)
+			}
 		}
-		got, err := BuildStream(sliceSource(blocks), n, cacheBlocks,
-			ParallelOptions{Workers: 3, ChunkSize: 17})
+		got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
+			Options{Workers: 3, ChunkSize: 17})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,11 +95,11 @@ func FuzzShardMerge(f *testing.F) {
 		sort.Ints(points)
 		points = append(points, len(blocks))
 
-		rc := newReconciler(n, cacheBlocks, ParallelOptions{})
+		rc := newReconciler(newBuilder(n, cacheBlocks, false))
 		prev := 0
 		for idx, cut := range points {
 			s := &shardState{idx: idx, blocks: blocks[prev:cut]}
-			s.run(context.Background(), n, cacheBlocks, ParallelOptions{})
+			s.run(context.Background(), n, cacheBlocks, Options{})
 			if s.err != nil {
 				t.Fatal(s.err)
 			}
@@ -139,14 +145,14 @@ func FuzzParallelCheckpointResume(f *testing.F) {
 			kill = int(killRaw) % len(blocks)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		BuildStreamCheckpointedCtx(ctx, cancelAfterSource(blocks, kill, cancel), n, cacheBlocks,
-			ParallelOptions{Workers: 1 + int(wRaw)%4, ChunkSize: 1 + int(chunkRaw)%64},
-			CheckpointOptions{Path: path, Every: 1 + uint64(killRaw)%97, Resume: true})
+		BuildStream(ctx, cancelAfterSource(blocks, kill, cancel), n, cacheBlocks,
+			Options{Workers: 1 + int(wRaw)%4, ChunkSize: 1 + int(chunkRaw)%64,
+				CheckpointPath: path, CheckpointEvery: 1 + uint64(killRaw)%97, Resume: true})
 		cancel()
 
-		got, err := BuildStreamCheckpointedCtx(context.Background(), sliceSource(blocks), n, cacheBlocks,
-			ParallelOptions{Workers: 1 + int(chunkRaw)%5, ChunkSize: 1 + int(wRaw)%77},
-			CheckpointOptions{Path: path, Resume: true})
+		got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
+			Options{Workers: 1 + int(chunkRaw)%5, ChunkSize: 1 + int(wRaw)%77,
+				CheckpointPath: path, Resume: true})
 		if err != nil {
 			t.Fatal(err)
 		}

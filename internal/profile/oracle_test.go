@@ -18,7 +18,7 @@ package profile
 // Build bit for bit for every worker count and chunk size.
 
 import (
-	"io"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -196,8 +196,8 @@ func TestDifferentialSequentialVsOracle(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallelVsSequential checks that BuildParallel and
-// BuildStream are bit-identical to Build — counters included — for
+// TestDifferentialParallelVsSequential checks that BuildStream's two
+// engines are bit-identical to Build — counters included — for
 // every worker count and for chunk sizes that force many shard
 // boundaries, on randomized traces.
 func TestDifferentialParallelVsSequential(t *testing.T) {
@@ -219,8 +219,8 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 			}
 		}
 		chunk := 1 + r.Intn(40)
-		got, err := BuildStream(sliceSource(blocks), n, cacheBlocks,
-			ParallelOptions{Workers: 1 + r.Intn(4), ChunkSize: chunk})
+		got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
+			Options{Workers: 1 + r.Intn(4), ChunkSize: chunk})
 		if err != nil {
 			t.Fatalf("trial %d: BuildStream: %v", trial, err)
 		}
@@ -236,8 +236,8 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 // (locality-mixed or shard-boundary-adversarial) is profiled by the
 // sequential Build, the pre-overhaul sequential reference (refBuild),
 // the retained warmup/overlap parallel reference (refBuildParallel),
-// the new sharded BuildParallel at a random worker count in {1..16},
-// and BuildStream at a random chunk size — across all three histogram
+// BuildStream at a random worker count in {1..16} with one chunk per
+// worker, and BuildStream at a random chunk size — across all three histogram
 // backends (flat, forced-sparse, wide-n sparse) — and every result must
 // be bit-identical, counters and BuildStats walk-count probes included.
 func TestDifferentialShardedMatrix(t *testing.T) {
@@ -271,7 +271,7 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 
 		var want *Profile
 		if sparse {
-			want = NewSparseBuilder(n, cacheBlocks).finishBlocks(blocks)
+			want = newBuilder(n, cacheBlocks, true).finishBlocks(blocks)
 		} else {
 			want = Build(blocks, n, cacheBlocks)
 		}
@@ -283,7 +283,7 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 		workers := 1 + r.Intn(16)
 		var st BuildStats
 		got := mustParallelOpts(t, blocks, n, cacheBlocks,
-			ParallelOptions{Workers: workers, ForceSparse: sparse, Stats: &st})
+			Options{Workers: workers, ForceSparse: sparse, Stats: &st})
 		if d := diffProfiles(got, want); d != "" {
 			t.Fatalf("trial %d (n=%d cap=%d sparse=%v len=%d) workers=%d: sharded vs sequential: %s",
 				trial, n, cacheBlocks, sparse, len(blocks), workers, d)
@@ -300,8 +300,8 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 		}
 
 		chunk := 1 + r.Intn(48)
-		gs, err := BuildStream(sliceSource(blocks), n, cacheBlocks,
-			ParallelOptions{Workers: 1 + r.Intn(5), ChunkSize: chunk, ForceSparse: sparse})
+		gs, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
+			Options{Workers: 1 + r.Intn(5), ChunkSize: chunk, ForceSparse: sparse})
 		if err != nil {
 			t.Fatalf("trial %d: BuildStream: %v", trial, err)
 		}
@@ -316,18 +316,5 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 					trial, n, cacheBlocks, d)
 			}
 		}
-	}
-}
-
-// sliceSource adapts an in-memory block slice to the BlockSource shape.
-func sliceSource(blocks []uint64) BlockSource {
-	pos := 0
-	return func(dst []uint64) (int, error) {
-		if pos >= len(blocks) {
-			return 0, io.EOF
-		}
-		k := copy(dst, blocks[pos:])
-		pos += k
-		return k, nil
 	}
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -12,23 +13,25 @@ import (
 	"xoridx/internal/xerr"
 )
 
-// mustParallel unwraps BuildParallel for tests where the geometry is
-// known to be valid.
+// mustParallel runs the sharded engine over an in-memory trace split
+// into one chunk per worker, for tests where the geometry is known to
+// be valid.
 func mustParallel(t testing.TB, blocks []uint64, n, cacheBlocks, workers int) *Profile {
 	t.Helper()
-	p, err := BuildParallel(blocks, n, cacheBlocks, workers)
-	if err != nil {
-		t.Fatalf("BuildParallel(n=%d cap=%d workers=%d): %v", n, cacheBlocks, workers, err)
-	}
-	return p
+	return mustParallelOpts(t, blocks, n, cacheBlocks, Options{Workers: workers})
 }
 
-// mustParallelOpts is mustParallel with explicit options.
-func mustParallelOpts(t testing.TB, blocks []uint64, n, cacheBlocks int, opt ParallelOptions) *Profile {
+// mustParallelOpts is mustParallel with explicit options. A zero
+// ChunkSize is replaced by one chunk per worker, so even short test
+// traces cross shard boundaries.
+func mustParallelOpts(t testing.TB, blocks []uint64, n, cacheBlocks int, opt Options) *Profile {
 	t.Helper()
-	p, err := BuildParallelOpts(blocks, n, cacheBlocks, opt)
+	if opt.ChunkSize == 0 && opt.Workers > 1 {
+		opt.ChunkSize = max(1, (len(blocks)+opt.Workers-1)/opt.Workers)
+	}
+	p, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks, opt)
 	if err != nil {
-		t.Fatalf("BuildParallelOpts(n=%d cap=%d %+v): %v", n, cacheBlocks, opt, err)
+		t.Fatalf("BuildStream(context.Background(), n=%d cap=%d %+v): %v", n, cacheBlocks, opt, err)
 	}
 	return p
 }
@@ -61,13 +64,12 @@ func TestBuildParallelRejectsInvalidGeometry(t *testing.T) {
 	for _, tc := range []struct{ n, cacheBlocks int }{
 		{0, 4}, {-1, 4}, {65, 4}, {8, 0}, {8, -2},
 	} {
-		if _, err := BuildParallel([]uint64{1, 2, 3}, tc.n, tc.cacheBlocks, 3); !errors.Is(err, xerr.ErrInvalidOptions) {
-			t.Errorf("BuildParallel(n=%d cap=%d) err = %v, want ErrInvalidOptions",
-				tc.n, tc.cacheBlocks, err)
-		}
-		if _, err := BuildStream(sliceSource([]uint64{1, 2}), tc.n, tc.cacheBlocks, ParallelOptions{}); !errors.Is(err, xerr.ErrInvalidOptions) {
-			t.Errorf("BuildStream(n=%d cap=%d) err = %v, want ErrInvalidOptions",
-				tc.n, tc.cacheBlocks, err)
+		for _, workers := range []int{1, 3} {
+			_, err := BuildStream(context.Background(), Blocks([]uint64{1, 2, 3}), tc.n, tc.cacheBlocks, Options{Workers: workers})
+			if !errors.Is(err, xerr.ErrInvalidOptions) {
+				t.Errorf("BuildStream(context.Background(), n=%d cap=%d workers=%d) err = %v, want ErrInvalidOptions",
+					tc.n, tc.cacheBlocks, workers, err)
+			}
 		}
 	}
 }
@@ -108,8 +110,8 @@ func TestBuildParallelBoundaryAdversarial(t *testing.T) {
 			}
 		}
 		for _, chunk := range []int{period - 1, period, period + 1} {
-			got, err := BuildStream(sliceSource(blocks), 8, cacheBlocks,
-				ParallelOptions{Workers: 4, ChunkSize: chunk})
+			got, err := BuildStream(context.Background(), Blocks(blocks), 8, cacheBlocks,
+				Options{Workers: 4, ChunkSize: chunk})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +131,7 @@ func TestBuildParallelStatsInvariants(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		blocks := randomOracleTrace(r)
 		var st BuildStats
-		opt := ParallelOptions{Workers: 1 + r.Intn(8), Stats: &st}
+		opt := Options{Workers: 1 + r.Intn(8), Stats: &st}
 		p := mustParallelOpts(t, blocks, 8, 16, opt)
 		if st.CandidateWalks != p.Candidates {
 			t.Fatalf("trial %d workers=%d: CandidateWalks %d != Candidates %d",
@@ -152,9 +154,9 @@ func TestBuildParallelForceSparse(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
 		blocks := randomOracleTrace(r)
-		want := NewSparseBuilder(8, 8).finishBlocks(blocks)
+		want := newBuilder(8, 8, true).finishBlocks(blocks)
 		got := mustParallelOpts(t, blocks, 8, 8,
-			ParallelOptions{Workers: 2 + r.Intn(6), ForceSparse: true})
+			Options{Workers: 2 + r.Intn(6), ForceSparse: true})
 		if got.Sparse == nil {
 			t.Fatal("ForceSparse did not select the sparse backend")
 		}
@@ -178,7 +180,7 @@ func TestBuildParallelShardPanicNamesShard(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(i % 97)
 	}
-	_, err := BuildParallel(blocks, 8, 4, 4)
+	_, err := BuildStream(context.Background(), Blocks(blocks), 8, 4, Options{Workers: 4, ChunkSize: 1024})
 	if !errors.Is(err, xerr.ErrPanic) {
 		t.Fatalf("err = %v, want wrapped ErrPanic", err)
 	}
@@ -206,8 +208,8 @@ func TestBuildStreamShardPanicNotMaskedByCancellation(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(i % 131)
 	}
-	p, err := BuildStream(sliceSource(blocks), 8, 4,
-		ParallelOptions{Workers: 4, ChunkSize: 64})
+	p, err := BuildStream(context.Background(), Blocks(blocks), 8, 4,
+		Options{Workers: 4, ChunkSize: 64})
 	if p != nil {
 		t.Fatal("failed stream build must not return a profile")
 	}
@@ -243,7 +245,7 @@ func TestBuildStreamFillsShortReads(t *testing.T) {
 		pos += k
 		return k, nil
 	}
-	got, err := BuildStream(src, 8, 4, ParallelOptions{Workers: 2, ChunkSize: 25})
+	got, err := BuildStream(context.Background(), src, 8, 4, Options{Workers: 2, ChunkSize: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,15 +268,20 @@ func TestBuildStreamPropagatesSourceError(t *testing.T) {
 		}
 		return 0, boom
 	}
-	if _, err := BuildStream(src, 8, 4, ParallelOptions{Workers: 2, ChunkSize: 2}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
+	for _, workers := range []int{1, 2} {
+		calls = 0
+		if _, err := BuildStream(context.Background(), src, 8, 4, Options{Workers: workers, ChunkSize: 2}); !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom)
+		}
 	}
 }
 
 func TestBuildStreamRejectsStuckSource(t *testing.T) {
 	src := func(dst []uint64) (int, error) { return 0, nil }
-	if _, err := BuildStream(src, 8, 4, ParallelOptions{}); err == nil {
-		t.Fatal("expected error for a source that makes no progress")
+	for _, workers := range []int{1, 2} {
+		if _, err := BuildStream(context.Background(), src, 8, 4, Options{Workers: workers}); !errors.Is(err, xerr.ErrFormat) {
+			t.Fatalf("workers=%d: err = %v, want wrapped ErrFormat for a source that makes no progress", workers, err)
+		}
 	}
 }
 
@@ -290,21 +297,30 @@ func TestBuildStreamFinalChunkWithEOF(t *testing.T) {
 		}
 		return k, nil
 	}
-	got, err := BuildStream(src, 6, 4, ParallelOptions{Workers: 3, ChunkSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffProfiles(got, Build(blocks, 6, 4)); d != "" {
-		t.Fatal(d)
+	for _, workers := range []int{1, 3} {
+		pos = 0
+		got, err := BuildStream(context.Background(), src, 6, 4, Options{Workers: workers, ChunkSize: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffProfiles(got, Build(blocks, 6, 4)); d != "" {
+			t.Fatalf("workers=%d: %s", workers, d)
+		}
 	}
 }
 
-func TestParallelOptionsDefaults(t *testing.T) {
-	o := ParallelOptions{}.withDefaults()
-	if o.Workers < 1 {
-		t.Fatalf("Workers = %d", o.Workers)
+func TestOptionsDefaults(t *testing.T) {
+	o := Options{}.withDefaults()
+	if o.Workers != 0 {
+		t.Fatalf("Workers = %d, want the sequential engine's 0", o.Workers)
 	}
 	if o.ChunkSize != DefaultChunkSize {
 		t.Fatalf("ChunkSize = %d", o.ChunkSize)
+	}
+	if o.CheckpointEvery != DefaultCheckpointEvery {
+		t.Fatalf("CheckpointEvery = %d", o.CheckpointEvery)
+	}
+	if o := (Options{Workers: 8, Sample: SampleOptions{K: 4}}).withDefaults(); o.Workers != 1 {
+		t.Fatalf("sampled Workers = %d, want 1", o.Workers)
 	}
 }

@@ -140,24 +140,14 @@ func (bd *Builder) Stats() BuildStats { return bd.stats }
 
 // NewBuilder starts an empty profile with the given hashed-address
 // width and capacity filter. It panics on out-of-range arguments (the
-// constructor convention; the parallel builders validate and return
-// wrapped errors instead — see ValidateGeometry). Widths up to
+// constructor convention; BuildStream validates and returns wrapped
+// errors instead — see ValidateGeometry). Widths up to
 // MaxFlatBits get the flat table backend; wider profiles are sparse.
 func NewBuilder(n, cacheBlocks int) *Builder {
 	if err := ValidateGeometry(n, cacheBlocks); err != nil {
 		panic(err)
 	}
 	return newBuilder(n, cacheBlocks, n > MaxFlatBits)
-}
-
-// NewSparseBuilder is NewBuilder forcing the sparse map backend at any
-// width — useful for tests and for memory-constrained callers whose
-// histogram support is known to be small.
-func NewSparseBuilder(n, cacheBlocks int) *Builder {
-	if err := ValidateGeometry(n, cacheBlocks); err != nil {
-		panic(err)
-	}
-	return newBuilder(n, cacheBlocks, true)
 }
 
 // ValidateGeometry checks a (n, cacheBlocks) profiling geometry,
@@ -260,7 +250,7 @@ func (bd *Builder) Add(block uint64) {
 // anything: no conflict vectors, no bookkeeping. It reconstructs the
 // stack context at a shard boundary so a chunked builder classifies the
 // accesses of its own shard exactly as a sequential pass would (see
-// BuildParallel and DESIGN.md §8).
+// DESIGN.md §8).
 func (bd *Builder) Warm(block uint64) {
 	if bd.done {
 		panic("profile: Warm after Finish")

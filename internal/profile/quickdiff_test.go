@@ -2,11 +2,12 @@ package profile
 
 // Property-based differential tests: three structured trace generators
 // (strided, tiled, random) cross-check the sequential Build, the
-// sharded BuildParallel/BuildStream, and the naive oracle on arbitrary
+// sharded BuildStream, and the naive oracle on arbitrary
 // inputs, including block addresses at and beyond the 2^n mask edge and
 // degenerate empty / single-access traces.
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -78,17 +79,8 @@ func checkAllBuilders(t *testing.T, blocks []uint64) bool {
 				t.Logf("n=%d cap=%d: Build vs oracle: %s", n, cacheBlocks, d)
 				return false
 			}
-			gotPar, err := BuildParallel(blocks, n, cacheBlocks, 5)
-			if err != nil {
-				t.Logf("n=%d cap=%d: BuildParallel: %v", n, cacheBlocks, err)
-				return false
-			}
-			if d := diffProfiles(gotPar, want); d != "" {
-				t.Logf("n=%d cap=%d: BuildParallel vs oracle: %s", n, cacheBlocks, d)
-				return false
-			}
-			got, err := BuildStream(sliceSource(blocks), n, cacheBlocks,
-				ParallelOptions{Workers: 3, ChunkSize: 33})
+			got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
+				Options{Workers: 3, ChunkSize: 33})
 			if err != nil {
 				t.Logf("n=%d cap=%d: BuildStream: %v", n, cacheBlocks, err)
 				return false

@@ -171,7 +171,7 @@ func TestBuildDifferentialVsReference(t *testing.T) {
 		blocks := diffTrace(rng)
 		var got *Profile
 		if sparse {
-			got = NewSparseBuilder(n, cacheBlocks).finishBlocks(blocks)
+			got = newBuilder(n, cacheBlocks, true).finishBlocks(blocks)
 		} else {
 			got = Build(blocks, n, cacheBlocks)
 		}

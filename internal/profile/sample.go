@@ -29,13 +29,11 @@ package profile
 //
 // The candidate ordinal that decides sampling is global to the pass
 // (the j-th conflict candidate of the stream), which an isolated cold
-// shard cannot know; sampled builds therefore run sequentially —
-// ParallelOptions.withDefaults forces Workers to 1 when Sample.K > 1.
+// shard cannot know; BuildStream therefore runs sampled builds on its
+// sequential engine whatever Options.Workers says.
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"xoridx/internal/xerr"
@@ -52,26 +50,6 @@ type SampleOptions struct {
 
 // enabled reports whether the options actually sample.
 func (o SampleOptions) enabled() bool { return o.K > 1 }
-
-// NewSampledBuilder is NewBuilder with sampled conflict walks; see
-// SampleOptions. It panics on out-of-range geometry like NewBuilder.
-func NewSampledBuilder(n, cacheBlocks int, opt SampleOptions) *Builder {
-	if err := ValidateGeometry(n, cacheBlocks); err != nil {
-		panic(err)
-	}
-	bd := newBuilder(n, cacheBlocks, n > MaxFlatBits)
-	bd.setSampling(opt)
-	return bd
-}
-
-// BuildSampled runs the sampled profiling pass over a block sequence.
-func BuildSampled(blocks []uint64, n, cacheBlocks int, opt SampleOptions) *Profile {
-	bd := NewSampledBuilder(n, cacheBlocks, opt)
-	for _, blk := range blocks {
-		bd.Add(blk)
-	}
-	return bd.Finish()
-}
 
 // setSampling arms the builder's sampling gate. A no-op for K <= 1.
 func (bd *Builder) setSampling(opt SampleOptions) {
@@ -150,48 +128,6 @@ func (c Confidence) String() string {
 		return fmt.Sprintf("%d (exact)", c.Estimate)
 	}
 	return fmt.Sprintf("%d ± %d (%.0f%% CI, k=%d)", c.Estimate, c.Margin, c.Level*100, c.K)
-}
-
-// buildSampledStream is the sampled branch of the stream engine: a
-// single sequential builder consumes the chunked source, because the
-// sampling gate counts global candidate ordinals that cold shard
-// builders cannot reconstruct. It keeps BuildStreamCtx's contract —
-// fillChunk boundaries, Retry on transient source faults, Stats, and
-// cancellation returning the Degraded partial profile with the error.
-func buildSampledStream(ctx context.Context, src BlockSource, n, cacheBlocks int, opt ParallelOptions) (*Profile, error) {
-	bd := opt.newBuilder(n, cacheBlocks)
-	bd.setSampling(opt.Sample)
-	if opt.Retry.MaxRetries > 0 {
-		src = RetrySource(ctx, src, opt.Retry)
-	}
-	buf := make([]uint64, opt.ChunkSize)
-	for {
-		filled, ferr := fillChunk(src, buf)
-		for start := 0; start < filled; start += ctxCheckEvery {
-			if err := xerr.Check(ctx); err != nil {
-				p := bd.Finish()
-				p.Degraded = true
-				return p, err
-			}
-			end := start + ctxCheckEvery
-			if end > filled {
-				end = filled
-			}
-			for _, blk := range buf[start:end] {
-				bd.Add(blk)
-			}
-		}
-		if ferr == io.EOF {
-			break
-		}
-		if ferr != nil {
-			return nil, ferr
-		}
-	}
-	if opt.Stats != nil {
-		*opt.Stats = bd.stats
-	}
-	return bd.Finish(), nil
 }
 
 // checkSamplingCompatible verifies two profiles agree on sampling

@@ -6,6 +6,7 @@ package profile
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -13,6 +14,14 @@ import (
 
 	"xoridx/internal/xerr"
 )
+
+// buildSampled is the sampled reference pass: one Builder with the
+// sampling gate armed, fed the whole trace.
+func buildSampled(blocks []uint64, n, cacheBlocks int, opt SampleOptions) *Profile {
+	bd := newBuilder(n, cacheBlocks, n > MaxFlatBits)
+	bd.setSampling(opt)
+	return bd.finishBlocks(blocks)
+}
 
 // sampledSweepK is the sampling-factor sweep exercised throughout.
 var sampledSweepK = []uint64{4, 16, 64}
@@ -47,7 +56,7 @@ func TestSampledClassificationMatchesExact(t *testing.T) {
 	}
 	for _, k := range sampledSweepK {
 		const seed = 9
-		p := BuildSampled(blocks, 16, 64, SampleOptions{K: k, Seed: seed})
+		p := buildSampled(blocks, 16, 64, SampleOptions{K: k, Seed: seed})
 		if p.Accesses != exact.Accesses || p.Compulsory != exact.Compulsory ||
 			p.Capacity != exact.Capacity || p.Candidates != exact.Candidates {
 			t.Fatalf("k=%d: classification differs from exact: %+v vs %+v", k,
@@ -84,7 +93,7 @@ func TestSampledErrorWithinBound(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(62)), 30_000)
 	exact := Build(blocks, 16, 64)
 	for _, k := range sampledSweepK {
-		p := BuildSampled(blocks, 16, 64, SampleOptions{K: k, Seed: 7})
+		p := buildSampled(blocks, 16, 64, SampleOptions{K: k, Seed: 7})
 		for _, m := range []int{4, 6, 8} {
 			want := exact.EstimateConventional(m)
 			conf := p.ConfidenceFor(p.EstimateConventional(m))
@@ -111,26 +120,26 @@ func TestSampledErrorWithinBound(t *testing.T) {
 func TestSampledDeterministic(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(63)), 10_000)
 	opt := SampleOptions{K: 16, Seed: 1234}
-	a := BuildSampled(blocks, 16, 64, opt)
-	b := BuildSampled(blocks, 16, 64, opt)
+	a := buildSampled(blocks, 16, 64, opt)
+	b := buildSampled(blocks, 16, 64, opt)
 	if d := diffProfiles(a, b); d != "" {
 		t.Fatal(d)
 	}
 	// A different seed shifts the phase but not the classification.
-	c := BuildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 99})
+	c := buildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 99})
 	if c.Candidates != a.Candidates || c.Accesses != a.Accesses {
 		t.Fatal("seed changed classification counters")
 	}
 }
 
-// TestBuildStreamSampledMatchesSequential: the stream engine must
-// route sampled builds through the sequential path (cold shards cannot
-// know global candidate ordinals), yielding a profile bit-identical to
-// BuildSampled no matter how many workers were requested.
+// TestBuildStreamSampledMatchesSequential: BuildStream must route
+// sampled builds through the sequential engine (cold shards cannot know
+// global candidate ordinals), yielding a profile bit-identical to the
+// sampled reference pass no matter how many workers were requested.
 func TestBuildStreamSampledMatchesSequential(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(64)), 8_000)
 	opt := SampleOptions{K: 16, Seed: 5}
-	want := BuildSampled(blocks, 16, 64, opt)
+	want := buildSampled(blocks, 16, 64, opt)
 	pos := 0
 	src := func(dst []uint64) (int, error) {
 		if pos >= len(blocks) {
@@ -140,7 +149,7 @@ func TestBuildStreamSampledMatchesSequential(t *testing.T) {
 		pos += k
 		return k, nil
 	}
-	got, err := BuildStream(src, 16, 64, ParallelOptions{Workers: 4, ChunkSize: 999, Sample: opt})
+	got, err := BuildStream(context.Background(), src, 16, 64, Options{Workers: 4, ChunkSize: 999, Sample: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +162,8 @@ func TestBuildStreamSampledMatchesSequential(t *testing.T) {
 // carry the sampling gate across restarts faithfully, so the builder
 // must refuse rather than silently resample a different subset.
 func TestSampledBuilderCheckpointRejected(t *testing.T) {
-	bd := NewSampledBuilder(16, 64, SampleOptions{K: 8})
+	bd := NewBuilder(16, 64)
+	bd.setSampling(SampleOptions{K: 8})
 	bd.Add(0x40)
 	if err := bd.Checkpoint(io.Discard); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Fatalf("sampled Checkpoint returned %v, want ErrInvalidOptions", err)
@@ -168,7 +178,7 @@ func TestSampledWindowedCheckpointRoundTrip(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(65)), 12_000)
 	opt := SampleOptions{K: 16, Seed: 77}
 	mk := func() *Windowed {
-		w, err := NewSampledWindowed(16, 64, 0.5, opt)
+		w, err := NewWindowed(16, 64, 0.5, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,14 +221,14 @@ func TestSampledWindowedCheckpointRoundTrip(t *testing.T) {
 // would have no single scale factor.
 func TestSampledMergeCompatibility(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(66)), 4_000)
-	a := BuildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 1})
+	a := buildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 1})
 	if err := a.Merge(Build(blocks, 16, 64)); !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("merging exact into sampled returned %v", err)
 	}
-	if err := a.Merge(BuildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 2})); !errors.Is(err, xerr.ErrProfileMismatch) {
+	if err := a.Merge(buildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 2})); !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("merging different seeds returned %v", err)
 	}
-	if err := a.Merge(BuildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 1})); err != nil {
+	if err := a.Merge(buildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 1})); err != nil {
 		t.Fatalf("merging compatible sampled profiles: %v", err)
 	}
 }

@@ -329,19 +329,6 @@ func (h *hhHeap) down(i int) {
 	}
 }
 
-// NewSketchBuilder starts a profile on the count-min backend. Unlike
-// NewBuilder it returns errors (the options carry more domain than a
-// geometry pair).
-func NewSketchBuilder(n, cacheBlocks int, opt SketchOptions) (*Builder, error) {
-	if err := ValidateGeometry(n, cacheBlocks); err != nil {
-		return nil, err
-	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	return newSketchBuilder(n, cacheBlocks, opt), nil
-}
-
 func newSketchBuilder(n, cacheBlocks int, opt SketchOptions) *Builder {
 	b := newBuilder(n, cacheBlocks, true)
 	b.p.Sparse = nil

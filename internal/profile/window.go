@@ -66,35 +66,15 @@ func ValidateDecay(decay float64) error {
 }
 
 // NewWindowed starts an empty windowed profile. Backend selection
-// matches NewBuilder (flat up to MaxFlatBits, sparse beyond).
-func NewWindowed(n, cacheBlocks int, decay float64) (*Windowed, error) {
-	return newWindowed(n, cacheBlocks, decay, n > MaxFlatBits)
+// matches NewBuilder (flat up to MaxFlatBits, sparse beyond). A sample
+// with K > 1 turns on sampled conflict walks (see sample.go):
+// classification and the stream-spanning LRU state stay exact, only
+// every K-th conflict candidate is walked into the window histogram.
+func NewWindowed(n, cacheBlocks int, decay float64, sample SampleOptions) (*Windowed, error) {
+	return newWindowed(n, cacheBlocks, decay, n > MaxFlatBits, sample)
 }
 
-// NewSparseWindowed is NewWindowed forcing the sparse map backend at
-// any width, mirroring NewSparseBuilder.
-func NewSparseWindowed(n, cacheBlocks int, decay float64) (*Windowed, error) {
-	return newWindowed(n, cacheBlocks, decay, true)
-}
-
-// NewSampledWindowed is NewWindowed with sampled conflict walks (see
-// sample.go): classification and the stream-spanning LRU state stay
-// exact, only every opt.K-th conflict candidate is walked into the
-// window histogram. opt.K <= 1 degrades to the exact NewWindowed.
-func NewSampledWindowed(n, cacheBlocks int, decay float64, opt SampleOptions) (*Windowed, error) {
-	w, err := newWindowed(n, cacheBlocks, decay, n > MaxFlatBits)
-	if err != nil {
-		return nil, err
-	}
-	if opt.enabled() {
-		w.bd.setSampling(opt)
-		w.agg.SampleK = opt.K
-		w.agg.SampleSeed = opt.Seed
-	}
-	return w, nil
-}
-
-func newWindowed(n, cacheBlocks int, decay float64, sparse bool) (*Windowed, error) {
+func newWindowed(n, cacheBlocks int, decay float64, sparse bool, sample SampleOptions) (*Windowed, error) {
 	if err := ValidateGeometry(n, cacheBlocks); err != nil {
 		return nil, err
 	}
@@ -102,6 +82,7 @@ func newWindowed(n, cacheBlocks int, decay float64, sparse bool) (*Windowed, err
 		return nil, err
 	}
 	w := &Windowed{bd: newBuilder(n, cacheBlocks, sparse), decay: decay}
+	w.bd.setSampling(sample)
 	w.agg = emptyLike(w.bd.p)
 	return w, nil
 }
@@ -341,16 +322,13 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	w, err := newWindowed(n, cacheBlocks, decay, sparse)
+	w, err := newWindowed(n, cacheBlocks, decay, sparse, SampleOptions{K: sampleK, Seed: sampleSeed})
 	if err != nil {
 		return nil, err
 	}
 	w.rotations = rotations
 	w.total = total
 	if sampleK > 1 {
-		w.bd.setSampling(SampleOptions{K: sampleK, Seed: sampleSeed})
-		w.agg.SampleK = sampleK
-		w.agg.SampleSeed = sampleSeed
 		// The gate resumes mid-stream: restore its candidate ordinal and
 		// recompute the next trigger — the smallest ordinal past it that
 		// is congruent to the seed-derived phase mod K.

@@ -40,9 +40,9 @@ func newWindowedBackend(t *testing.T, n, cacheBlocks int, decay float64, sparse 
 		err error
 	)
 	if sparse {
-		w, err = NewSparseWindowed(n, cacheBlocks, decay)
+		w, err = newWindowed(n, cacheBlocks, decay, true, SampleOptions{})
 	} else {
-		w, err = NewWindowed(n, cacheBlocks, decay)
+		w, err = NewWindowed(n, cacheBlocks, decay, SampleOptions{})
 	}
 	if err != nil {
 		t.Fatalf("NewWindowed: %v", err)
@@ -54,7 +54,7 @@ func newWindowedBackend(t *testing.T, n, cacheBlocks int, decay float64, sparse 
 func buildBackend(blocks []uint64, n, cacheBlocks int, sparse bool) *Profile {
 	var bd *Builder
 	if sparse {
-		bd = NewSparseBuilder(n, cacheBlocks)
+		bd = newBuilder(n, cacheBlocks, true)
 	} else {
 		bd = NewBuilder(n, cacheBlocks)
 	}
@@ -267,11 +267,11 @@ func TestWindowedCheckpointCorruption(t *testing.T) {
 // outside [0, 1) is rejected with ErrInvalidOptions.
 func TestWindowedDecayDomain(t *testing.T) {
 	for _, bad := range []float64{-0.1, 1, 1.5, nan()} {
-		if _, err := NewWindowed(8, 8, bad); !errors.Is(err, xerr.ErrInvalidOptions) {
+		if _, err := NewWindowed(8, 8, bad, SampleOptions{}); !errors.Is(err, xerr.ErrInvalidOptions) {
 			t.Fatalf("NewWindowed(decay=%v) = %v, want ErrInvalidOptions", bad, err)
 		}
 	}
-	if _, err := NewWindowed(8, 8, 0.999); err != nil {
+	if _, err := NewWindowed(8, 8, 0.999, SampleOptions{}); err != nil {
 		t.Fatalf("NewWindowed(decay=0.999): %v", err)
 	}
 }

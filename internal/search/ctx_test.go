@@ -111,7 +111,7 @@ func TestRestartTotalsCountedOnce(t *testing.T) {
 	const restarts = 3
 	lastIter := map[int]int{}
 	lastEval := map[int]int{}
-	res, err := Construct(p, 6, Options{
+	res, err := ConstructCtx(context.Background(), p, 6, Options{
 		Family:   hash.FamilyPermutation,
 		Restarts: restarts,
 		Seed:     7,
@@ -148,7 +148,7 @@ func TestRestartTotalsCountedOnce(t *testing.T) {
 func TestProgressSnapshots(t *testing.T) {
 	p := ctxTestProfile()
 	var got []Progress
-	res, err := Construct(p, 6, Options{
+	res, err := ConstructCtx(context.Background(), p, 6, Options{
 		Family:   hash.FamilyGeneralXOR,
 		Progress: func(pr Progress) { got = append(got, pr) },
 	})
@@ -180,19 +180,19 @@ func TestProgressSnapshots(t *testing.T) {
 
 func TestTypedOptionErrors(t *testing.T) {
 	p := profile.Build([]uint64{1, 2, 3}, 12, 64)
-	if _, err := Construct(p, 0, Options{}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := ConstructCtx(context.Background(), p, 0, Options{}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("m=0 error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := Construct(p, 6, Options{MaxInputs: -1}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := ConstructCtx(context.Background(), p, 6, Options{MaxInputs: -1}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("negative MaxInputs error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := Construct(p, 6, Options{Family: hash.Family(99)}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.Family(99)}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("unknown family error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := Anneal(p, 0, AnnealOptions{}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := AnnealCtx(context.Background(), p, 0, AnnealOptions{}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("anneal m=0 error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := Constructive(p, 12, 2, 8); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := ConstructiveCtx(context.Background(), p, 12, 2, 8); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("constructive m=n error %v must wrap ErrInvalidOptions", err)
 	}
 }

@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"fmt"
 
 	"xoridx/internal/hash"
@@ -21,7 +22,7 @@ func Example_construct() {
 	for _, fam := range []hash.Family{
 		hash.FamilyBitSelect, hash.FamilyPermutation, hash.FamilyGeneralXOR,
 	} {
-		res, err := search.Construct(p, 6, search.Options{Family: fam, MaxInputs: 2})
+		res, err := search.ConstructCtx(context.Background(), p, 6, search.Options{Family: fam, MaxInputs: 2})
 		if err != nil {
 			panic(err)
 		}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,14 +18,14 @@ func construct2(t *testing.T, p *profile.Profile, m int, opt Options) (inc, brut
 	t.Helper()
 	optInc := opt
 	optInc.Progress = func(pr Progress) { incTrace = append(incTrace, pr) }
-	inc, err := Construct(p, m, optInc)
+	inc, err := ConstructCtx(context.Background(), p, m, optInc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	optBrute := opt
 	optBrute.NoIncremental = true
 	optBrute.Progress = func(pr Progress) { bruteTrace = append(bruteTrace, pr) }
-	brute, err = Construct(p, m, optBrute)
+	brute, err = ConstructCtx(context.Background(), p, m, optBrute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestEvaluatorMatchesEstimateBasis(t *testing.T) {
 func TestMemoHitsAcrossRestarts(t *testing.T) {
 	p := profile.Build(strideTrace(64, 32, 10), 12, 64)
 	opt := Options{Family: hash.FamilyGeneralXOR, Restarts: 3, Seed: 11}
-	inc, err := Construct(p, 6, opt)
+	inc, err := ConstructCtx(context.Background(), p, 6, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestMemoHitsAcrossRestarts(t *testing.T) {
 	}
 	optBrute := opt
 	optBrute.NoIncremental = true
-	brute, err := Construct(p, 6, optBrute)
+	brute, err := ConstructCtx(context.Background(), p, 6, optBrute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestMemoHitsAcrossRestarts(t *testing.T) {
 		t.Errorf("lookup reduction below 3x: incremental %d vs brute %d", inc.Lookups, brute.Lookups)
 	}
 	// Determinism of the accounting itself.
-	again, err := Construct(p, 6, opt)
+	again, err := ConstructCtx(context.Background(), p, 6, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +174,12 @@ func TestQuickIncrementalEquivalence(t *testing.T) {
 			blocks[i] = uint64(rr.Intn(1 << uint(n)))
 		}
 		p := profile.Build(blocks, n, 1<<uint(m))
-		inc, err := Construct(p, m, Options{Family: hash.FamilyGeneralXOR})
+		inc, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyGeneralXOR})
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		brute, err := Construct(p, m, Options{Family: hash.FamilyGeneralXOR, NoIncremental: true})
+		brute, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyGeneralXOR, NoIncremental: true})
 		if err != nil {
 			t.Log(err)
 			return false

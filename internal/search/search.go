@@ -136,17 +136,11 @@ func (r Result) Improvement() float64 {
 	return 1 - float64(r.Estimated)/float64(r.Baseline)
 }
 
-// Construct searches for an m-set-bit index function minimising the
-// profile's miss estimate. It is ConstructCtx with a background
-// context.
-func Construct(p *profile.Profile, m int, opt Options) (Result, error) {
-	return ConstructCtx(context.Background(), p, m, opt)
-}
-
-// ConstructCtx is Construct with cooperative cancellation: the climbs
-// check ctx between candidate evaluations (every ctxCheckEvery of
-// them), so a canceled context aborts the search within one
-// hill-climbing move and the call returns a wrapped xerr.ErrCanceled.
+// ConstructCtx searches for an m-set-bit index function minimising the
+// profile's miss estimate. The climbs check ctx between candidate
+// evaluations (every ctxCheckEvery of them), so a canceled context
+// aborts the search within one hill-climbing move and the call returns
+// a wrapped xerr.ErrCanceled.
 func ConstructCtx(ctx context.Context, p *profile.Profile, m int, opt Options) (Result, error) {
 	return constructCtx(ctx, p, m, opt, nil)
 }

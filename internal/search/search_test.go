@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,16 +26,16 @@ func strideTrace(stride, count, reps int) []uint64 {
 
 func TestConstructValidation(t *testing.T) {
 	p := profile.Build([]uint64{1, 2, 3}, 12, 64)
-	if _, err := Construct(p, 0, Options{}); err == nil {
+	if _, err := ConstructCtx(context.Background(), p, 0, Options{}); err == nil {
 		t.Error("m=0 should fail")
 	}
-	if _, err := Construct(p, 12, Options{}); err == nil {
+	if _, err := ConstructCtx(context.Background(), p, 12, Options{}); err == nil {
 		t.Error("m=n should fail")
 	}
-	if _, err := Construct(p, 6, Options{MaxInputs: -1}); err == nil {
+	if _, err := ConstructCtx(context.Background(), p, 6, Options{MaxInputs: -1}); err == nil {
 		t.Error("negative MaxInputs should fail")
 	}
-	if _, err := Construct(p, 6, Options{Family: hash.Family(99)}); err == nil {
+	if _, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.Family(99)}); err == nil {
 		t.Error("unknown family should fail")
 	}
 }
@@ -45,7 +46,7 @@ func TestGeneralXORSolvesStrideThrash(t *testing.T) {
 	const m, n = 6, 12
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, n, 1<<m)
-	res, err := Construct(p, m, Options{Family: hash.FamilyGeneralXOR})
+	res, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyGeneralXOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestPermutationSolvesStrideThrash(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, n, 1<<m)
 	for _, maxIn := range []int{2, 4, 0} {
-		res, err := Construct(p, m, Options{Family: hash.FamilyPermutation, MaxInputs: maxIn})
+		res, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyPermutation, MaxInputs: maxIn})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestPermutationSolvesStrideThrash(t *testing.T) {
 
 func TestPermutationOneInputIsModulo(t *testing.T) {
 	p := profile.Build(strideTrace(64, 16, 4), 12, 64)
-	res, err := Construct(p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 1})
+	res, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestBitSelectFindsHighBits(t *testing.T) {
 	const m, n = 6, 12
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, n, 1<<m)
-	res, err := Construct(p, m, Options{Family: hash.FamilyBitSelect})
+	res, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyBitSelect})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +140,11 @@ func TestXORBeatsBitSelectOnXorPattern(t *testing.T) {
 		}
 	}
 	p := profile.Build(blocks, n, 1<<m)
-	bs, err := Construct(p, m, Options{Family: hash.FamilyBitSelect})
+	bs, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyBitSelect})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gx, err := Construct(p, m, Options{Family: hash.FamilyGeneralXOR})
+	gx, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyGeneralXOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestSearchNeverWorseThanBaselineEstimate(t *testing.T) {
 		}
 		p := profile.Build(blocks, 12, 64)
 		for _, fam := range []hash.Family{hash.FamilyBitSelect, hash.FamilyPermutation, hash.FamilyGeneralXOR} {
-			res, err := Construct(p, 6, Options{Family: fam, MaxInputs: 2})
+			res, err := ConstructCtx(context.Background(), p, 6, Options{Family: fam, MaxInputs: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,11 +181,11 @@ func TestSearchNeverWorseThanBaselineEstimate(t *testing.T) {
 func TestRestartsOnlyImprove(t *testing.T) {
 	blocks := strideTrace(16, 64, 5)
 	p := profile.Build(blocks, 12, 64)
-	base, err := Construct(p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
+	base, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Construct(p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2, Restarts: 3, Seed: 1})
+	re, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2, Restarts: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestRestartsOnlyImprove(t *testing.T) {
 func TestMaxIterationsCap(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)
-	res, err := Construct(p, 6, Options{Family: hash.FamilyGeneralXOR, MaxIterations: 1})
+	res, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR, MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestMaxIterationsCap(t *testing.T) {
 func TestGeneralXORWithInputLimitRespectsBound(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)
-	res, err := Construct(p, 6, Options{Family: hash.FamilyGeneralXOR, MaxInputs: 2})
+	res, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR, MaxInputs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestResultMatrixAlwaysFullRank(t *testing.T) {
 			if fam == hash.FamilyBitSelect && maxIn != 0 {
 				continue
 			}
-			res, err := Construct(p, 8, Options{Family: fam, MaxInputs: maxIn})
+			res, err := ConstructCtx(context.Background(), p, 8, Options{Family: fam, MaxInputs: maxIn})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,12 +276,12 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 			}
 		}
 		p := profile.Build(blocks, 12, 64)
-		seq, err := Construct(p, 6, Options{Family: hash.FamilyGeneralXOR})
+		seq, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, -1} {
-			par, err := Construct(p, 6, Options{Family: hash.FamilyGeneralXOR, Workers: workers})
+			par, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +299,7 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 func TestAnnealFindsStrideSolution(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)
-	res, err := Anneal(p, 6, AnnealOptions{Steps: 5000, Seed: 7})
+	res, err := AnnealCtx(context.Background(), p, 6, AnnealOptions{Steps: 5000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestAnnealNeverReportsWorseThanVisited(t *testing.T) {
 		blocks[i] = uint64(rng.Intn(2048))
 	}
 	p := profile.Build(blocks, 12, 64)
-	res, err := Anneal(p, 6, AnnealOptions{Steps: 3000, Seed: 5})
+	res, err := AnnealCtx(context.Background(), p, 6, AnnealOptions{Steps: 3000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +340,10 @@ func TestAnnealNeverReportsWorseThanVisited(t *testing.T) {
 
 func TestAnnealValidation(t *testing.T) {
 	p := profile.Build([]uint64{1, 2}, 10, 8)
-	if _, err := Anneal(p, 0, AnnealOptions{}); err == nil {
+	if _, err := AnnealCtx(context.Background(), p, 0, AnnealOptions{}); err == nil {
 		t.Fatal("m=0 must fail")
 	}
-	if _, err := Anneal(p, 10, AnnealOptions{}); err == nil {
+	if _, err := AnnealCtx(context.Background(), p, 10, AnnealOptions{}); err == nil {
 		t.Fatal("m=n must fail")
 	}
 }
@@ -350,11 +351,11 @@ func TestAnnealValidation(t *testing.T) {
 func TestAnnealDeterministicPerSeed(t *testing.T) {
 	blocks := strideTrace(32, 16, 5)
 	p := profile.Build(blocks, 12, 64)
-	a, err := Anneal(p, 6, AnnealOptions{Steps: 1000, Seed: 11})
+	a, err := AnnealCtx(context.Background(), p, 6, AnnealOptions{Steps: 1000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Anneal(p, 6, AnnealOptions{Steps: 1000, Seed: 11})
+	b, err := AnnealCtx(context.Background(), p, 6, AnnealOptions{Steps: 1000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestAnnealDeterministicPerSeed(t *testing.T) {
 func TestConstructiveCoversStride(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)
-	res, err := Constructive(p, 6, 2, 64)
+	res, err := ConstructiveCtx(context.Background(), p, 6, 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,11 +395,11 @@ func TestConstructiveVsHillClimb(t *testing.T) {
 			blocks[i] = uint64(i%64)*64 + uint64(rng.Intn(4))
 		}
 		p := profile.Build(blocks, 12, 64)
-		cons, err := Constructive(p, 6, 2, 64)
+		cons, err := ConstructiveCtx(context.Background(), p, 6, 2, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hill, err := Construct(p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
+		hill, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,10 +417,10 @@ func TestConstructiveVsHillClimb(t *testing.T) {
 
 func TestConstructiveValidation(t *testing.T) {
 	p := profile.Build([]uint64{1}, 10, 8)
-	if _, err := Constructive(p, 0, 2, 8); err == nil {
+	if _, err := ConstructiveCtx(context.Background(), p, 0, 2, 8); err == nil {
 		t.Fatal("m=0 must fail")
 	}
-	if _, err := Constructive(p, 10, 2, 8); err == nil {
+	if _, err := ConstructiveCtx(context.Background(), p, 10, 2, 8); err == nil {
 		t.Fatal("m=n must fail")
 	}
 }
@@ -434,7 +435,7 @@ func TestSearchAtWiderAddressSpace(t *testing.T) {
 		}
 	}
 	p := profile.Build(blocks, 20, 1<<10)
-	res, err := Construct(p, 10, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
+	res, err := ConstructCtx(context.Background(), p, 10, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

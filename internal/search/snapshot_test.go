@@ -272,7 +272,7 @@ func TestResumeRejectsMismatchedSearch(t *testing.T) {
 
 func TestResumeWithoutPathRejected(t *testing.T) {
 	p := conflictProfile(12, 6)
-	if _, err := Construct(p, 6, Options{Resume: true}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := ConstructCtx(context.Background(), p, 6, Options{Resume: true}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Fatalf("Resume without CheckpointPath: err = %v, want wrapped ErrInvalidOptions", err)
 	}
 }

@@ -322,7 +322,7 @@ func readServiceState(r io.Reader, n, cacheBlocks, m int, decay float64, sample 
 			return fmt.Errorf("serve: checkpoint shard %d damaged (strict resume refuses to heal): %w", i, cause)
 		}
 		st.damage = append(st.damage, fmt.Errorf("serve: checkpoint shard %d damaged, cold-starting it: %w", i, cause))
-		wb, err := profile.NewSampledWindowed(n, cacheBlocks, decay, sample)
+		wb, err := profile.NewWindowed(n, cacheBlocks, decay, sample)
 		if err != nil {
 			return err
 		}

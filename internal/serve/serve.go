@@ -901,7 +901,7 @@ func (s *Server) sampling() profile.SampleOptions {
 // newWindowed cold-starts one shard's windowed profile with the
 // server's geometry, decay and sampling configuration.
 func (s *Server) newWindowed() (*profile.Windowed, error) {
-	return profile.NewSampledWindowed(s.n, s.cfg.CacheBytes/s.cfg.BlockBytes, s.opt.Decay, s.sampling())
+	return profile.NewWindowed(s.n, s.cfg.CacheBytes/s.cfg.BlockBytes, s.opt.Decay, s.sampling())
 }
 
 // rotateAndMerge rotates every healthy shard's window (pipelined: all
