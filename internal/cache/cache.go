@@ -127,8 +127,7 @@ type Cache struct {
 	sets    [][]line
 	clock   uint64
 	stats   Stats
-	shadow  *lru.DistanceTree // classifies capacity vs conflict misses
-	seen    map[uint64]bool   // blocks ever touched (compulsory detection)
+	shadow  *lru.Stack // FA shadow directory: classifies every miss
 	classif bool
 	rng     uint64 // xorshift state for Random replacement
 }
@@ -157,8 +156,7 @@ func New(cfg Config) (*Cache, error) {
 		cfg:     cfg,
 		idx:     idx,
 		sets:    sets,
-		shadow:  lru.NewDistanceTree(),
-		seen:    make(map[uint64]bool),
+		shadow:  lru.NewStack(),
 		classif: true,
 		rng:     0x243F6A8885A308D3, // pi digits: fixed, reproducible
 	}, nil
@@ -224,7 +222,7 @@ func (c *Cache) access(block uint64, isWrite bool) bool {
 				lines[i].dirty = true
 			}
 			if c.classif {
-				c.shadow.Touch(block)
+				c.shadow.Record(block)
 			}
 			return false
 		}
@@ -248,12 +246,13 @@ func (c *Cache) access(block uint64, isWrite bool) bool {
 		c.stats.Writebacks++
 	}
 	if c.classif {
-		dist := c.shadow.Touch(block)
-		switch {
-		case !c.seen[block]:
+		// The shadow sees every access, and (index, tag) identifies the
+		// block, so a block's first access always misses: cold in the
+		// shadow is exactly compulsory.
+		switch _, g := c.shadow.Touch(block, c.cfg.Blocks()-1); g {
+		case lru.GateCold:
 			c.stats.Compulsory++
-			c.seen[block] = true
-		case dist < 0 || dist >= c.cfg.Blocks():
+		case lru.GateBeyond:
 			c.stats.Capacity++
 		default:
 			c.stats.Conflict++

@@ -6,13 +6,15 @@ import (
 )
 
 // FuzzStackRoundTrip round-trips arbitrary access sequences through the
-// arena stack's snapshot representation: drive a stack with fuzzer-
-// chosen touches and removes, snapshot it with Blocks, rebuild it with
-// NewStackFrom, and require the rebuilt arena to be observably
-// identical — same listing, same membership, and identical behaviour
-// under a further shared access suffix. This is the lru half of the
-// profiling checkpoint codec contract (profile snapshots persist
-// exactly this listing).
+// stack's snapshot representation: drive a stack with fuzzer-chosen
+// accesses, snapshot it with Blocks, rebuild it with NewStackFrom, and
+// require the rebuilt stack to be observably identical — same listing,
+// same membership, and the same gates and candidate walks under a
+// further shared access suffix. The decoded accesses are replayed
+// cyclically to at least 3·minTreeSlots, so every non-empty input
+// crosses clock compactions before the snapshot. This is the lru half
+// of the profiling checkpoint codec contract (profile snapshots
+// persist exactly this listing).
 func FuzzStackRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 2, 0, 1, 0})
@@ -22,15 +24,13 @@ func FuzzStackRoundTrip(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		s := NewStack()
+		var blocks []uint64
 		for i := 0; i+1 < len(data); i += 2 {
-			v := binary.LittleEndian.Uint16(data[i:])
-			b := uint64(v >> 1)
-			if v&1 == 1 && s.Contains(b) {
-				s.Remove(b)
-				continue
-			}
-			s.Touch(b)
+			blocks = append(blocks, uint64(binary.LittleEndian.Uint16(data[i:])))
+		}
+		s := NewStack()
+		for i := 0; len(blocks) > 0 && i < 3*minTreeSlots; i++ {
+			s.Touch(blocks[i%len(blocks)], i%64)
 		}
 		snapshot := s.Blocks()
 		restored, err := NewStackFrom(snapshot)
@@ -46,11 +46,23 @@ func FuzzStackRoundTrip(f *testing.F) {
 				t.Fatalf("block %d: %#x, want %#x", i, got[i], snapshot[i])
 			}
 		}
-		// The restored stack must behave identically under further use.
-		for i := 0; i+1 < len(data) && i < 64; i += 2 {
-			b := uint64(binary.LittleEndian.Uint16(data[i:]))
-			if d1, d2 := s.Touch(b), restored.Touch(b); d1 != d2 {
-				t.Fatalf("restored stack diverges at suffix access %d: %d vs %d", i/2, d2, d1)
+		// The restored stack must gate and walk identically under
+		// further use, at limits spread across the live population.
+		for i, b := range blocks {
+			b ^= uint64(i) & 7 // reach a few blocks the prefix never saw
+			limit := int(b) % (s.Len() + 2)
+			stop1, g1 := s.Touch(b, limit)
+			stop2, g2 := restored.Touch(b, limit)
+			if g1 != g2 {
+				t.Fatalf("restored stack diverges at suffix access %d (block %#x, limit %d): gate %d vs %d", i, b, limit, g2, g1)
+			}
+			if g1 == GateWithin {
+				w1, w2 := walkAbove(s, stop1), walkAbove(restored, stop2)
+				for j := range w1 {
+					if w1[j] != w2[j] {
+						t.Fatalf("suffix access %d: walk %v, want %v", i, w2, w1)
+					}
+				}
 			}
 		}
 		// Duplicates in a snapshot must still be rejected.

@@ -1,22 +1,22 @@
-// Package lru provides the stack substrate for conflict-miss profiling
-// and fully-associative reference simulation.
+// Package lru provides the LRU index behind conflict-miss profiling and
+// fully-associative reference simulation.
 //
-// The central structure is Stack, an LRU stack over cache-block
-// addresses: blocks are ordered by recency, most recent at the top. The
-// profiling algorithm of Vandierendonck et al. (DATE 2006, Fig. 1)
-// walks the blocks above a re-referenced block to accumulate conflict
-// vectors; because it only walks when the reuse distance is at most the
-// cache capacity, the walk is bounded by the cache size in blocks.
+// The one structure is Stack, an LRU stack over cache-block addresses:
+// blocks are ordered by recency, most recent at the top. The profiling
+// algorithm of Vandierendonck et al. (DATE 2006, Fig. 1) walks the
+// blocks above a re-referenced block to accumulate conflict vectors;
+// because it only walks when the reuse distance is at most the cache
+// capacity, it first needs that distance classified without a walk.
 //
-// Stack is arena-backed: nodes live in one growable slab of int32-linked
-// entries instead of individually heap-allocated list elements, so a
-// profiling pass performs zero per-block allocations after the slab
-// warms up and the recency walk reads nearby slab entries instead of
-// chasing scattered pointers (DESIGN.md §12).
-//
-// For exact reuse (stack) distances without a bounded walk, DistanceTree
-// implements Olken's order-statistics approach over a Fenwick tree,
-// giving O(log u) per access where u is the number of live blocks.
+// Stack does both with one index (DESIGN.md §12). Nodes live in one
+// growable slab of int32-linked entries, so a profiling pass performs
+// zero per-block allocations once the slab warms up and the recency
+// walk reads nearby slab entries instead of chasing pointers. Each slot
+// also carries the virtual time of its block's last access, and a
+// Fenwick tree over those times answers Olken's order-statistics
+// query: the reuse distance of an access in O(log u), where u is the
+// number of live blocks. One map lookup per access resolves the slot
+// for all of it.
 package lru
 
 import (
@@ -36,17 +36,45 @@ type Node struct {
 // nilIdx is the arena's null link.
 const nilIdx = int32(-1)
 
-// Stack is an LRU stack of block addresses with O(1) membership lookup
-// and O(k) enumeration of the k blocks above a given block.
+// minTreeSlots is the initial (and minimum) Fenwick array length.
+const minTreeSlots = 4096
+
+// Gate is the three-way classification returned by Touch.
+type Gate int8
+
+const (
+	// GateCold marks a first-ever access (no reuse distance).
+	GateCold Gate = iota
+	// GateWithin marks a reuse distance <= the gate limit.
+	GateWithin
+	// GateBeyond marks a reuse distance > the gate limit.
+	GateBeyond
+)
+
+// Stack is an LRU stack of block addresses with O(1) membership lookup,
+// O(log u) reuse-distance classification and O(k) enumeration of the k
+// blocks above a re-referenced block.
+//
+// Slots are allocated in first-touch order and never freed, so slot i
+// holds the (i+1)-th distinct block ever touched. Every mutation stamps
+// a fresh time and moves its block to the top together, so between
+// calls the list order is the time order.
 //
 // The zero value is not usable; call NewStack.
 type Stack struct {
 	nodes   []Node
+	times   []uint64 // times[i]: virtual time of slot i's last access
 	byBlock map[uint64]int32
 	top     int32
 	bottom  int32
-	free    int32 // freelist head, linked through Next
-	size    int
+
+	// fen is a Fenwick tree over time slots 1..len-1 with one set slot
+	// per live block. It stays nil until the first Touch, so a stack
+	// that is only ever Recorded — the sharded reconciler's boundary
+	// stack, a snapshot being restored — never pays for order
+	// statistics it does not query; add is a no-op while it is nil.
+	fen   []int32
+	clock uint64 // last assigned virtual time
 }
 
 // NewStack returns an empty LRU stack.
@@ -55,135 +83,37 @@ func NewStack() *Stack {
 		byBlock: make(map[uint64]int32),
 		top:     nilIdx,
 		bottom:  nilIdx,
-		free:    nilIdx,
 	}
 }
 
 // NewStackFrom rebuilds a stack from a top-to-bottom block listing —
 // the inverse of Blocks, used to restore profiling state from a
-// checkpoint. Blocks must be distinct; a duplicate means the snapshot
-// is corrupt and is reported rather than panicking.
+// checkpoint. The result classifies every later access exactly as the
+// stack that was listed would: its clock differs, but reuse distances
+// depend only on relative recency. Blocks must be distinct; a
+// duplicate means the snapshot is corrupt and is reported rather than
+// panicking.
 func NewStackFrom(topToBottom []uint64) (*Stack, error) {
 	s := NewStack()
 	s.nodes = make([]Node, 0, len(topToBottom))
+	s.times = make([]uint64, 0, len(topToBottom))
 	for i := len(topToBottom) - 1; i >= 0; i-- {
 		b := topToBottom[i]
 		if s.Contains(b) {
 			return nil, fmt.Errorf("lru: duplicate block %#x in stack snapshot", b)
 		}
-		s.Push(b)
+		s.Record(b)
 	}
 	return s, nil
 }
 
 // Len returns the number of distinct blocks on the stack.
-func (s *Stack) Len() int { return s.size }
+func (s *Stack) Len() int { return len(s.nodes) }
 
 // Contains reports whether block has been touched before.
 func (s *Stack) Contains(block uint64) bool {
 	_, ok := s.byBlock[block]
 	return ok
-}
-
-// alloc takes a slot from the freelist or grows the slab.
-func (s *Stack) alloc(block uint64) int32 {
-	if s.free != nilIdx {
-		idx := s.free
-		s.free = s.nodes[idx].Next
-		s.nodes[idx] = Node{Block: block, Prev: nilIdx, Next: nilIdx}
-		return idx
-	}
-	if len(s.nodes) >= math.MaxInt32 {
-		panic("lru: stack exceeds 2^31-1 blocks")
-	}
-	s.nodes = append(s.nodes, Node{Block: block, Prev: nilIdx, Next: nilIdx})
-	return int32(len(s.nodes) - 1)
-}
-
-// Push puts a new block on top of the stack. The block must not already
-// be present (use Touch for the general case).
-func (s *Stack) Push(block uint64) {
-	if _, ok := s.byBlock[block]; ok {
-		panic("lru: Push of block already on stack")
-	}
-	idx := s.alloc(block)
-	s.nodes[idx].Next = s.top
-	if s.top != nilIdx {
-		s.nodes[s.top].Prev = idx
-	}
-	s.top = idx
-	if s.bottom == nilIdx {
-		s.bottom = idx
-	}
-	s.byBlock[block] = idx
-	s.size++
-}
-
-// unlink detaches the node at idx from the recency list without
-// touching the membership map or the freelist.
-func (s *Stack) unlink(idx int32) {
-	n := s.nodes[idx]
-	if n.Prev != nilIdx {
-		s.nodes[n.Prev].Next = n.Next
-	} else {
-		s.top = n.Next
-	}
-	if n.Next != nilIdx {
-		s.nodes[n.Next].Prev = n.Prev
-	} else {
-		s.bottom = n.Prev
-	}
-}
-
-// MoveToTop moves an existing block to the top of the stack.
-func (s *Stack) MoveToTop(block uint64) {
-	idx, ok := s.byBlock[block]
-	if !ok {
-		panic("lru: MoveToTop of block not on stack")
-	}
-	s.MoveIndexToTop(idx)
-}
-
-// MoveIndexToTop is MoveToTop addressed by arena slot — pairs with
-// Index and Raw in hot loops that have already resolved the block, so
-// the move costs no second map lookup.
-func (s *Stack) MoveIndexToTop(idx int32) {
-	if s.top == idx {
-		return
-	}
-	s.unlink(idx)
-	s.nodes[idx].Prev = nilIdx
-	s.nodes[idx].Next = s.top
-	s.nodes[s.top].Prev = idx
-	s.top = idx
-}
-
-// Remove deletes a block from the stack, returning its arena slot to
-// the freelist for reuse by a later Push. The profiling pass never
-// evicts, but bounded simulations (and tests exercising slab reuse) do.
-func (s *Stack) Remove(block uint64) {
-	idx, ok := s.byBlock[block]
-	if !ok {
-		panic("lru: Remove of block not on stack")
-	}
-	s.unlink(idx)
-	delete(s.byBlock, block)
-	s.nodes[idx] = Node{Next: s.free}
-	s.free = idx
-	s.size--
-}
-
-// Raw exposes the arena slab and the index of the top node (nilIdx when
-// empty) so a hot loop can walk the recency list inline:
-//
-//	nodes, top := s.Raw()
-//	for i := top; i != target; i = nodes[i].Next { ... nodes[i].Block ... }
-//
-// The returned slice aliases the stack's storage and is invalidated by
-// the next Push (append may move the slab); callers must treat it as
-// read-only and must not hold it across mutations.
-func (s *Stack) Raw() (nodes []Node, top int32) {
-	return s.nodes, s.top
 }
 
 // Index returns the arena slot of a block and whether it is present —
@@ -193,64 +123,170 @@ func (s *Stack) Index(block uint64) (int32, bool) {
 	return idx, ok
 }
 
-// WalkAbove calls fn for every block strictly above the given block on
-// the stack, from most recent downward, stopping early when fn returns
-// false or after limit blocks (limit < 0 means no limit). It returns
-// the number of blocks visited and whether the walk reached the target
-// block within the limit (reached == false means the reuse distance
-// exceeds limit). The target must be present on the stack.
+// Touch records an access to block and classifies its reuse distance —
+// the number of distinct blocks accessed since its previous access —
+// against limit. When the raw access gap since the previous touch is
+// at most limit, the distance (which never exceeds the gap) must be
+// within, and the prefix query is skipped: tight loops whose reuse
+// fits the capacity filter pay only the two Fenwick point updates.
 //
-// This is exactly the traversal of the paper's Fig. 1: the blocks above
-// x are the blocks accessed since the previous access to x.
-func (s *Stack) WalkAbove(block uint64, limit int, fn func(above uint64) bool) (visited int, reached bool) {
-	target, ok := s.byBlock[block]
+// stop is the slot that sat directly below block before the access.
+// After Touch, block is on top and the blocks accessed since its
+// previous access are exactly the slots from nodes[top].Next down to,
+// not including, stop:
+//
+//	stop, g := s.Touch(b, limit)
+//	nodes, top := s.Raw()
+//	for i := nodes[top].Next; i != stop; i = nodes[i].Next { ... }
+//
+// For a cold access that walk is empty.
+func (s *Stack) Touch(block uint64, limit int) (stop int32, g Gate) {
+	if s.fen == nil {
+		s.compact() // first query: build the order statistics from the list
+	}
+	stop, old := s.touch(block)
+	switch {
+	case old == 0:
+		return stop, GateCold
+	// Every live block owns one set slot and block's now sits at the
+	// clock, so the blocks accessed since old are the set slots beyond
+	// old, less block itself.
+	case int(s.clock-old-1) <= limit || len(s.nodes)-1-s.prefix(old) <= limit:
+		return stop, GateWithin
+	}
+	return stop, GateBeyond
+}
+
+// Record is Touch without the classification: it updates the recency
+// state only (warmup, replay and restore).
+func (s *Stack) Record(block uint64) { s.touch(block) }
+
+// touch stamps block with the next virtual time and moves it to the
+// top, pushing it if new. It returns the slot that sat below it before
+// the move and its previous time, 0 for a first touch (times start
+// at 1).
+func (s *Stack) touch(block uint64) (stop int32, old uint64) {
+	if s.fen != nil && s.clock+1 >= uint64(len(s.fen)) {
+		s.compact()
+	}
+	s.clock++
+	s.add(s.clock, 1)
+	idx, ok := s.byBlock[block]
 	if !ok {
-		panic("lru: WalkAbove of block not on stack")
+		if len(s.nodes) >= math.MaxInt32 {
+			panic("lru: stack exceeds 2^31-1 blocks")
+		}
+		idx = int32(len(s.nodes))
+		s.byBlock[block] = idx
+		s.nodes = append(s.nodes, Node{Block: block, Prev: nilIdx, Next: s.top})
+		s.times = append(s.times, s.clock)
+		if s.top != nilIdx {
+			s.nodes[s.top].Prev = idx
+		} else {
+			s.bottom = idx
+		}
+		s.top = idx
+		return s.nodes[idx].Next, 0
 	}
-	for i := s.top; i != nilIdx; i = s.nodes[i].Next {
-		if i == target {
-			return visited, true
-		}
-		if limit >= 0 && visited >= limit {
-			return visited, false
-		}
-		if fn != nil && !fn(s.nodes[i].Block) {
-			return visited, false
-		}
-		visited++
+	old = s.times[idx]
+	s.times[idx] = s.clock
+	s.add(old, -1)
+	n := s.nodes[idx]
+	if s.top == idx {
+		return n.Next, old
 	}
-	panic("lru: stack corrupted: target not reachable from top")
+	// Unlink (idx is not the top, so it has a Prev) and relink on top.
+	s.nodes[n.Prev].Next = n.Next
+	if n.Next != nilIdx {
+		s.nodes[n.Next].Prev = n.Prev
+	} else {
+		s.bottom = n.Prev
+	}
+	s.nodes[idx].Prev = nilIdx
+	s.nodes[idx].Next = s.top
+	s.nodes[s.top].Prev = idx
+	s.top = idx
+	return n.Next, old
 }
 
-// Depth returns the 0-based position of the block from the top (0 = most
-// recent). The reuse distance of the next access to this block would be
-// Depth. Cost is O(Depth); prefer DistanceTree when distances are large.
-func (s *Stack) Depth(block uint64) int {
-	d, reached := s.WalkAbove(block, -1, nil)
-	if !reached {
-		panic("lru: unreachable")
+// add updates the Fenwick tree at time slot i.
+func (s *Stack) add(i uint64, delta int32) {
+	for ; i < uint64(len(s.fen)); i += i & (-i) {
+		s.fen[i] += delta
 	}
-	return d
 }
 
-// Touch records an access: pushes the block if new (returning distance
-// -1, the convention for a compulsory/cold access), otherwise returns
-// its current depth and moves it to the top.
-func (s *Stack) Touch(block uint64) (distance int) {
-	if !s.Contains(block) {
-		s.Push(block)
-		return -1
+// prefix returns the number of set time slots <= i.
+func (s *Stack) prefix(i uint64) int {
+	sum := int32(0)
+	for ; i > 0; i &= i - 1 {
+		sum += s.fen[i]
 	}
-	d := s.Depth(block)
-	s.MoveToTop(block)
-	return d
+	return int(sum)
 }
 
-// Blocks returns all blocks from top to bottom. Intended for tests.
+// compact renumbers the live blocks' times to 1..u by walking the
+// stack bottom to top — list order is time order — and resizes the
+// Fenwick array to keep at least 4x headroom, so the amortized cost per
+// access stays O(log u).
+func (s *Stack) compact() {
+	u := len(s.nodes)
+	size := minTreeSlots
+	for size <= 4*u {
+		size <<= 1
+	}
+	if size != len(s.fen) {
+		s.fen = make([]int32, size)
+	} else {
+		clear(s.fen)
+	}
+	t := uint64(0)
+	for i := s.bottom; i != nilIdx; i = s.nodes[i].Prev {
+		t++
+		s.times[i] = t
+	}
+	// Build the all-ones prefix over slots 1..u in O(size).
+	for i := 1; i <= u; i++ {
+		s.fen[i] = 1
+	}
+	for i := 1; i < len(s.fen); i++ {
+		if j := i + i&(-i); j < len(s.fen) {
+			s.fen[j] += s.fen[i]
+		}
+	}
+	s.clock = uint64(u)
+}
+
+// Raw exposes the arena slab and the index of the top node (nilIdx when
+// empty) so a hot loop can walk the recency list inline (see Touch).
+// The returned slice aliases the stack's storage and is invalidated by
+// the next Touch or Record (append may move the slab); callers must
+// treat it as read-only and must not hold it across mutations.
+func (s *Stack) Raw() (nodes []Node, top int32) {
+	return s.nodes, s.top
+}
+
+// Blocks returns all blocks from top to bottom: the snapshot listing
+// NewStackFrom inverts.
 func (s *Stack) Blocks() []uint64 {
-	out := make([]uint64, 0, s.size)
+	out := make([]uint64, 0, len(s.nodes))
 	for i := s.top; i != nilIdx; i = s.nodes[i].Next {
 		out = append(out, s.nodes[i].Block)
 	}
 	return out
+}
+
+// FAMisses counts misses of a fully-associative LRU cache with the
+// given capacity in blocks over a sequence of block addresses: an
+// access misses iff it is a first touch or its reuse distance is >=
+// capacity. This is the paper's "FA" reference column (Table 3).
+func FAMisses(blocks []uint64, capacity int) uint64 {
+	s := NewStack()
+	var misses uint64
+	for _, b := range blocks {
+		if _, g := s.Touch(b, capacity-1); g != GateWithin {
+			misses++
+		}
+	}
+	return misses
 }

@@ -1,14 +1,17 @@
 package lru
 
 // listStack is the pre-arena Stack implementation — a heap-allocated
-// doubly-linked *listNode list — kept verbatim as a test-only reference.
-// The differential tests below drive it in lockstep with the arena
-// Stack on randomized access sequences and require identical behaviour
-// from every operation, so the slab/freelist rewrite is proven against
-// the structure it replaced rather than against a re-derivation of the
-// same idea.
+// doubly-linked *listNode list — kept as a test-only reference. Its
+// WalkAbove is the paper's Fig. 1 traversal, with no clock and no
+// order statistics. The differential tests below drive it in lockstep
+// with the arena Stack on randomized access sequences and require the
+// same recency order, the same gate as a bounded walk would decide,
+// and the same walked blocks, so the fused slab/time/Fenwick index is
+// proven against the structure it replaced rather than against a
+// re-derivation of the same idea.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -74,13 +77,6 @@ func (s *listStack) MoveToTop(block uint64) {
 	s.top = n
 }
 
-func (s *listStack) Remove(block uint64) {
-	n := s.byBlock[block]
-	s.unlink(n)
-	delete(s.byBlock, block)
-	s.size--
-}
-
 func (s *listStack) WalkAbove(block uint64, limit int, fn func(above uint64) bool) (visited int, reached bool) {
 	target := s.byBlock[block]
 	for n := s.top; n != nil; n = n.next {
@@ -106,10 +102,80 @@ func (s *listStack) Blocks() []uint64 {
 	return out
 }
 
-// TestStackDifferentialVsList drives the arena stack and the legacy
-// linked-list stack through identical randomized op sequences — pushes,
-// moves, removes (exercising the freelist), and bounded walks — and
-// requires bit-identical observable state after every step.
+// checkAccess touches b on both stacks at the given limit and
+// requires the arena gate to match the reference's bounded walk:
+// cold iff the reference has never seen b, within iff the walk reaches
+// b in at most limit steps, and, for a within access, the same blocks
+// walked in the same order.
+func checkAccess(t *testing.T, where string, arena *Stack, ref *listStack, b uint64, limit int) {
+	t.Helper()
+	want := GateCold
+	var wantSeen []uint64
+	if ref.Contains(b) {
+		_, reached := ref.WalkAbove(b, limit, func(y uint64) bool {
+			wantSeen = append(wantSeen, y)
+			return true
+		})
+		want = GateBeyond
+		if reached {
+			want = GateWithin
+		}
+		ref.MoveToTop(b)
+	} else {
+		ref.Push(b)
+	}
+	stop, got := arena.Touch(b, limit)
+	if got != want {
+		t.Fatalf("%s: Touch(%d, limit=%d) gate %d, want %d", where, b, limit, got, want)
+	}
+	gotSeen := walkAbove(arena, stop)
+	if got == GateCold && len(gotSeen) != 0 {
+		t.Fatalf("%s: cold Touch(%d) walks %v, want nothing", where, b, gotSeen)
+	}
+	if got != GateWithin {
+		return
+	}
+	if len(gotSeen) != len(wantSeen) {
+		t.Fatalf("%s: walk %v, want %v", where, gotSeen, wantSeen)
+	}
+	for i := range wantSeen {
+		if gotSeen[i] != wantSeen[i] {
+			t.Fatalf("%s: walk order %v, want %v", where, gotSeen, wantSeen)
+		}
+	}
+}
+
+// walkAbove lists the blocks a candidate walk visits after Touch
+// returned stop: from just below the new top down to stop.
+func walkAbove(s *Stack, stop int32) []uint64 {
+	var out []uint64
+	nodes, top := s.Raw()
+	for i := nodes[top].Next; i != stop; i = nodes[i].Next {
+		out = append(out, nodes[i].Block)
+	}
+	return out
+}
+
+// checkSame requires identical length and top-to-bottom order.
+func checkSame(t *testing.T, where string, arena *Stack, ref *listStack) {
+	t.Helper()
+	if arena.Len() != ref.Len() {
+		t.Fatalf("%s: Len %d, want %d", where, arena.Len(), ref.Len())
+	}
+	got, want := arena.Blocks(), ref.Blocks()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: order %v, want %v", where, got, want)
+		}
+	}
+}
+
+// TestStackDifferentialVsList drives the arena stack and the linked-
+// list reference through identical randomized access sequences —
+// gated touches and unclassified records — and requires bit-identical
+// observable state after every step. Each touch is checked at a limit
+// drawn around its true distance (one below, at, one above) or at
+// random, so both sides of every gate boundary are exercised.
 func TestStackDifferentialVsList(t *testing.T) {
 	const trials = 200
 	for trial := 0; trial < trials; trial++ {
@@ -119,122 +185,65 @@ func TestStackDifferentialVsList(t *testing.T) {
 		ref := newListStack()
 		for step := 0; step < 400; step++ {
 			b := uint64(rng.Intn(universe))
-			switch op := rng.Intn(10); {
-			case op < 5: // touch: push or move-to-top
-				if arena.Contains(b) != ref.Contains(b) {
-					t.Fatalf("trial %d step %d: Contains(%d) diverges", trial, step, b)
-				}
-				if arena.Contains(b) {
-					arena.MoveToTop(b)
+			where := fmt.Sprintf("trial %d step %d", trial, step)
+			if arena.Contains(b) != ref.Contains(b) {
+				t.Fatalf("%s: Contains(%d) diverges", where, b)
+			}
+			if rng.Intn(4) == 0 { // record: recency only
+				arena.Record(b)
+				if ref.Contains(b) {
 					ref.MoveToTop(b)
 				} else {
-					arena.Push(b)
 					ref.Push(b)
 				}
-			case op < 7: // remove, recycling the arena slot
-				if arena.Contains(b) {
-					arena.Remove(b)
-					ref.Remove(b)
-				}
-			default: // bounded walk over the blocks above b
-				if !arena.Contains(b) {
-					continue
-				}
+			} else {
 				limit := rng.Intn(universe + 2)
-				var gotSeen, wantSeen []uint64
-				gotV, gotR := arena.WalkAbove(b, limit, func(y uint64) bool {
-					gotSeen = append(gotSeen, y)
-					return true
-				})
-				wantV, wantR := ref.WalkAbove(b, limit, func(y uint64) bool {
-					wantSeen = append(wantSeen, y)
-					return true
-				})
-				if gotV != wantV || gotR != wantR {
-					t.Fatalf("trial %d step %d: walk(%d, limit=%d) = (%d,%v), want (%d,%v)",
-						trial, step, b, limit, gotV, gotR, wantV, wantR)
+				if ref.Contains(b) && rng.Intn(2) == 0 {
+					d, _ := ref.WalkAbove(b, -1, nil)
+					limit = max(0, d-1+rng.Intn(3))
 				}
-				for i := range wantSeen {
-					if gotSeen[i] != wantSeen[i] {
-						t.Fatalf("trial %d step %d: walk order %v, want %v", trial, step, gotSeen, wantSeen)
-					}
-				}
+				checkAccess(t, where, arena, ref, b, limit)
 			}
-			if arena.Len() != ref.Len() {
-				t.Fatalf("trial %d step %d: Len %d, want %d", trial, step, arena.Len(), ref.Len())
-			}
-		}
-		got, want := arena.Blocks(), ref.Blocks()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d blocks, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: final order %v, want %v", trial, got, want)
-			}
+			checkSame(t, where, arena, ref)
 		}
 	}
 }
 
-// TestStackFreelistReuse checks that removed slots are recycled: after
-// interleaved removes and pushes the slab must not grow beyond the peak
-// live population.
-func TestStackFreelistReuse(t *testing.T) {
-	s := NewStack()
-	for b := uint64(0); b < 64; b++ {
-		s.Push(b)
-	}
-	for round := 0; round < 100; round++ {
-		b := uint64(round % 64)
-		s.Remove(b)
-		s.Push(b + 1000*uint64(round+1)) // fresh block, recycled slot
-		s.Remove(b + 1000*uint64(round+1))
-		s.Push(b)
-	}
-	if nodes, _ := s.Raw(); len(nodes) > 65 {
-		t.Fatalf("slab grew to %d slots for 64 live blocks", len(nodes))
-	}
-	if s.Len() != 64 {
-		t.Fatalf("Len = %d, want 64", s.Len())
-	}
-}
-
-// TestStackRemovePanics pins the Remove contract for absent blocks.
-func TestStackRemovePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Remove of absent block should panic")
+// TestStackDifferentialCompaction is the long case: enough accesses to
+// cross many clock compactions, with a working set that grows and
+// shrinks by phase while fresh blocks keep arriving, so the Fenwick
+// array resizes up through several sizes. (It never resizes down: slots
+// are never freed, so the live population only grows.) Limits stay
+// small so the reference walk stays cheap.
+func TestStackDifferentialCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	arena := NewStack()
+	ref := newListStack()
+	var compactions, resizes int
+	next := uint64(1) // blocks below next have been handed out
+	step := 0
+	for _, ws := range []int{40, 600, 90, 3000, 200, 12000, 60} {
+		for k := 0; k < 4*minTreeSlots; k++ {
+			// Mostly reuse among the ws newest blocks; one access in
+			// sixteen brings in a fresh block.
+			b := next - 1 - uint64(rng.Intn(min(ws, int(next))))
+			if rng.Intn(16) == 0 {
+				b = next
+				next++
+			}
+			clock, size := arena.clock, len(arena.fen)
+			checkAccess(t, fmt.Sprintf("step %d", step), arena, ref, b, rng.Intn(300))
+			if arena.clock <= clock {
+				compactions++
+			}
+			if size != 0 && len(arena.fen) != size {
+				resizes++
+			}
+			step++
 		}
-	}()
-	NewStack().Remove(42)
-}
-
-// TestStackRawWalk checks the slab-level walk contract used by the
-// profiling hot loop: following Next from Raw's top index visits the
-// same sequence as Blocks.
-func TestStackRawWalk(t *testing.T) {
-	s := NewStack()
-	for _, b := range []uint64{5, 9, 1, 9, 5, 7} {
-		s.Touch(b)
+		checkSame(t, fmt.Sprintf("after phase ws=%d", ws), arena, ref)
 	}
-	want := s.Blocks()
-	nodes, top := s.Raw()
-	var got []uint64
-	for i := top; i != int32(-1); i = nodes[i].Next {
-		got = append(got, nodes[i].Block)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("raw walk saw %d blocks, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("raw walk %v, want %v", got, want)
-		}
-	}
-	if idx, ok := s.Index(7); !ok || nodes[idx].Block != 7 {
-		t.Fatalf("Index(7) = (%d, %v)", idx, ok)
-	}
-	if _, ok := s.Index(12345); ok {
-		t.Fatal("Index of absent block reported present")
+	if compactions < 8 || resizes < 3 {
+		t.Fatalf("%d compactions, %d resizes: the case no longer exercises compaction", compactions, resizes)
 	}
 }

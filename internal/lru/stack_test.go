@@ -5,18 +5,36 @@ import (
 	"testing"
 )
 
-func TestStackBasicOrder(t *testing.T) {
-	s := NewStack()
-	s.Push(1)
-	s.Push(2)
-	s.Push(3)
+// touchDistance touches b and returns its reuse distance read off the
+// candidate walk (the number of blocks above b before the access), or
+// -1 for a first touch.
+func touchDistance(s *Stack, b uint64) int {
+	stop, g := s.Touch(b, 0)
+	if g == GateCold {
+		return -1
+	}
+	return len(walkAbove(s, stop))
+}
+
+func checkOrder(t *testing.T, s *Stack, want []uint64) {
+	t.Helper()
 	got := s.Blocks()
-	want := []uint64{3, 2, 1}
+	if len(got) != len(want) {
+		t.Fatalf("Blocks() = %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Blocks() = %v, want %v", got, want)
 		}
 	}
+}
+
+func TestStackBasicOrder(t *testing.T) {
+	s := NewStack()
+	s.Record(1)
+	s.Record(2)
+	s.Record(3)
+	checkOrder(t, s, []uint64{3, 2, 1})
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
@@ -25,106 +43,40 @@ func TestStackBasicOrder(t *testing.T) {
 func TestStackMoveToTop(t *testing.T) {
 	s := NewStack()
 	for b := uint64(1); b <= 5; b++ {
-		s.Push(b)
+		s.Record(b)
 	}
-	s.MoveToTop(3) // 3 5 4 2 1
-	got := s.Blocks()
-	want := []uint64{3, 5, 4, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("after MoveToTop: %v, want %v", got, want)
-		}
-	}
-	// Move bottom and top.
-	s.MoveToTop(1) // 1 3 5 4 2
-	s.MoveToTop(1) // no-op
-	got = s.Blocks()
-	want = []uint64{1, 3, 5, 4, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("after bottom move: %v, want %v", got, want)
-		}
+	s.Record(3)
+	checkOrder(t, s, []uint64{3, 5, 4, 2, 1})
+	// Move bottom, then top (a no-op for the order).
+	s.Record(1)
+	s.Record(1)
+	checkOrder(t, s, []uint64{1, 3, 5, 4, 2})
+	if s.Len() != 5 {
+		t.Fatalf("Len = %d after moves, want 5", s.Len())
 	}
 }
 
 func TestStackDepthAndTouch(t *testing.T) {
 	s := NewStack()
-	if d := s.Touch(10); d != -1 {
+	if d := touchDistance(s, 10); d != -1 {
 		t.Fatalf("first touch distance = %d", d)
 	}
-	s.Touch(20)
-	s.Touch(30)
-	if d := s.Depth(10); d != 2 {
-		t.Fatalf("Depth(10) = %d", d)
+	s.Record(20)
+	s.Record(30)
+	if d := touchDistance(s, 10); d != 2 {
+		t.Fatalf("Touch(10) distance = %d", d)
 	}
-	if d := s.Touch(10); d != 2 {
-		t.Fatalf("Touch(10) = %d", d)
-	}
-	// After touching, 10 is on top.
-	if d := s.Depth(10); d != 0 {
-		t.Fatalf("post-touch depth = %d", d)
-	}
-	// Immediate re-touch has distance 0.
-	if d := s.Touch(10); d != 0 {
+	// After touching, 10 is on top: immediate re-touch has distance 0.
+	if d := touchDistance(s, 10); d != 0 {
 		t.Fatalf("re-touch = %d", d)
 	}
-}
-
-func TestWalkAbove(t *testing.T) {
-	s := NewStack()
-	for b := uint64(1); b <= 6; b++ {
-		s.Push(b)
+	// The gate agrees with the walk on both sides of the limit.
+	// Stack is now 10 30 20.
+	if _, g := s.Touch(30, 1); g != GateWithin {
+		t.Fatalf("distance 1 at limit 1: gate %d", g)
 	}
-	// Stack: 6 5 4 3 2 1. Blocks above 3 are 6, 5, 4.
-	var seen []uint64
-	visited, reached := s.WalkAbove(3, -1, func(b uint64) bool {
-		seen = append(seen, b)
-		return true
-	})
-	if !reached || visited != 3 {
-		t.Fatalf("visited=%d reached=%v", visited, reached)
-	}
-	want := []uint64{6, 5, 4}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("walk order %v, want %v", seen, want)
-		}
-	}
-	// Limit smaller than distance: not reached.
-	if _, reached := s.WalkAbove(1, 3, nil); reached {
-		t.Fatal("should not reach block 1 within limit 3")
-	}
-	// Limit exactly the distance: reached.
-	if _, reached := s.WalkAbove(3, 3, nil); !reached {
-		t.Fatal("limit == distance should reach")
-	}
-	// Early abort.
-	count := 0
-	if _, reached := s.WalkAbove(1, -1, func(uint64) bool { count++; return count < 2 }); reached {
-		t.Fatal("aborted walk should report not reached")
-	}
-	if count != 2 {
-		t.Fatalf("fn called %d times, want 2", count)
-	}
-}
-
-func TestStackPanics(t *testing.T) {
-	s := NewStack()
-	s.Push(1)
-	for name, fn := range map[string]func(){
-		"double push":        func() { s.Push(1) },
-		"move absent":        func() { s.MoveToTop(99) },
-		"walk above absent":  func() { s.WalkAbove(99, -1, nil) },
-		"depth absent block": func() { s.Depth(99) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s should panic", name)
-				}
-			}()
-			fn()
-		}()
+	if _, g := s.Touch(20, 1); g != GateBeyond {
+		t.Fatalf("distance 2 at limit 1: gate %d", g)
 	}
 }
 
@@ -161,7 +113,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 	want := referenceDistances(blocks)
 	s := NewStack()
 	for i, b := range blocks {
-		if got := s.Touch(b); got != want[i] {
+		if got := touchDistance(s, b); got != want[i] {
 			t.Fatalf("access %d block %d: distance %d, want %d", i, b, got, want[i])
 		}
 	}
@@ -170,25 +122,22 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 func TestNewStackFromRoundTrip(t *testing.T) {
 	s := NewStack()
 	for _, b := range []uint64{10, 20, 30, 20, 40, 10} {
-		s.Touch(b)
+		s.Record(b)
 	}
 	snapshot := s.Blocks()
 	restored, err := NewStackFrom(snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := restored.Blocks()
-	if len(got) != len(snapshot) {
-		t.Fatalf("restored %d blocks, want %d", len(got), len(snapshot))
-	}
-	for i := range snapshot {
-		if got[i] != snapshot[i] {
-			t.Fatalf("block %d: %#x, want %#x", i, got[i], snapshot[i])
+	checkOrder(t, restored, snapshot)
+	// The restored stack is already gated: it behaves identically going
+	// forward, at every limit.
+	for limit, b := range []uint64{30, 40, 10, 20, 99} {
+		stop1, g1 := s.Touch(b, limit)
+		stop2, g2 := restored.Touch(b, limit)
+		if g1 != g2 || g1 != GateCold && len(walkAbove(s, stop1)) != len(walkAbove(restored, stop2)) {
+			t.Fatalf("restored stack diverges on block %d at limit %d: gate %d vs %d", b, limit, g2, g1)
 		}
-	}
-	// The restored stack must behave identically going forward.
-	if d1, d2 := s.Touch(30), restored.Touch(30); d1 != d2 {
-		t.Fatalf("restored stack diverges: distance %d vs %d", d2, d1)
 	}
 }
 
@@ -205,5 +154,35 @@ func TestNewStackFromEmpty(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Fatalf("empty snapshot restored %d blocks", s.Len())
+	}
+}
+
+// TestStackRawWalk checks the slab-level walk contract used by the
+// profiling hot loop: following Next from Raw's top index visits the
+// same sequence as Blocks.
+func TestStackRawWalk(t *testing.T) {
+	s := NewStack()
+	for _, b := range []uint64{5, 9, 1, 9, 5, 7} {
+		s.Record(b)
+	}
+	want := s.Blocks()
+	nodes, top := s.Raw()
+	var got []uint64
+	for i := top; i != int32(-1); i = nodes[i].Next {
+		got = append(got, nodes[i].Block)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("raw walk saw %d blocks, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("raw walk %v, want %v", got, want)
+		}
+	}
+	if idx, ok := s.Index(7); !ok || nodes[idx].Block != 7 {
+		t.Fatalf("Index(7) = (%d, %v)", idx, ok)
+	}
+	if _, ok := s.Index(12345); ok {
+		t.Fatal("Index of absent block reported present")
 	}
 }

@@ -27,15 +27,9 @@ type GateSummary struct {
 }
 
 // Summary exports the stack's gate summary. First-touch order is read
-// straight off the arena slab: Push allocates slots in access order, so
-// while no slot has ever been recycled the slab order is the insertion
-// order. It panics if Remove has been called (a recycled slot breaks
-// that correspondence); profiling stacks never evict, so the constraint
-// is structural, not operational.
+// straight off the arena slab: slots are allocated in access order and
+// never freed, so the slab order is the insertion order.
 func (s *Stack) Summary() GateSummary {
-	if s.free != nilIdx || len(s.nodes) != s.size {
-		panic("lru: Summary after Remove: slab order is no longer insertion order")
-	}
 	first := make([]uint64, len(s.nodes))
 	for i := range s.nodes {
 		first[i] = s.nodes[i].Block

@@ -42,34 +42,29 @@ func AnalyzeConflicts(blocks []uint64, n, cacheBlocks, topVectors, topPairs int)
 	}
 	// Second pass: same distance-gated walk as Build, but counting
 	// pairs for hot vectors. The Olken gate classifies each access
-	// before the stack is touched, so capacity misses contribute
+	// before any stack entry is visited, so capacity misses contribute
 	// nothing and — unlike the old walk-then-undo scheme — cost no
 	// stack traversal at all.
 	pairs := make(map[[2]uint64]uint64)
 	mask := p.maskValue()
 	stack := lru.NewStack()
-	tree := lru.NewDistanceTree()
 	for _, raw := range blocks {
 		b := raw & mask
-		switch tree.TouchGate(b, cacheBlocks) {
-		case lru.GateCold:
-			stack.Push(b)
+		stop, g := stack.Touch(b, cacheBlocks)
+		if g != lru.GateWithin {
 			continue
-		case lru.GateWithin:
-			target, _ := stack.Index(b)
-			nodes, top := stack.Raw()
-			for i := top; i != target; i = nodes[i].Next {
-				y := nodes[i].Block
-				if hotSet[b^y] {
-					key := [2]uint64{b, y}
-					if key[0] > key[1] {
-						key[0], key[1] = key[1], key[0]
-					}
-					pairs[key]++
+		}
+		nodes, top := stack.Raw()
+		for i := nodes[top].Next; i != stop; i = nodes[i].Next {
+			y := nodes[i].Block
+			if hotSet[b^y] {
+				key := [2]uint64{b, y}
+				if key[0] > key[1] {
+					key[0], key[1] = key[1], key[0]
 				}
+				pairs[key]++
 			}
 		}
-		stack.MoveToTop(b)
 	}
 	out := &Analysis{Profile: p}
 	for k, c := range pairs {

@@ -195,16 +195,6 @@ func Restore(r io.Reader) (*Builder, error) {
 	p.Candidates = candidates
 	p.TotalPairs = totalPairs
 	bd.stack = st
-	// Rebuild the distance gate in the snapshot's recency order (bottom
-	// of the stack first). The tree's internal clock differs from an
-	// uninterrupted run's, but reuse distances depend only on relative
-	// recency, so the resumed pass classifies
-	// every access bit-identically (the kill/resume differential tests
-	// prove it).
-	bd.tree = lru.NewDistanceTree()
-	for i := len(stack) - 1; i >= 0; i-- {
-		bd.tree.Record(stack[i])
-	}
 	return bd, nil
 }
 

@@ -343,12 +343,7 @@ func (rc *reconciler) absorb(s *shardState) error {
 		return fmt.Errorf("profile: shard merge: %w", err)
 	}
 	for i := len(s.sum.Recency) - 1; i >= 0; i-- {
-		b := s.sum.Recency[i]
-		if idx, ok := rc.bound.Index(b); ok {
-			rc.bound.MoveIndexToTop(idx)
-		} else {
-			rc.bound.Push(b)
-		}
+		rc.bound.Record(s.sum.Recency[i])
 	}
 	return nil
 }

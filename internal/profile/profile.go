@@ -96,18 +96,17 @@ func Build(blocks []uint64, n, cacheBlocks int) *Profile {
 // time — the streaming form of Build for traces too large to hold in
 // memory (feed it straight from a trace decoder).
 //
-// The hot path is distance-gated (DESIGN.md §12): every access first
-// classifies its reuse distance against the capacity filter with one
-// Olken order-statistics query (or none, when the raw access gap
-// already proves the distance fits), so a
-// capacity miss is classified without visiting a single stack entry
-// and a conflict candidate walks the arena stack exactly once, with
-// no rollback path.
+// The hot path is distance-gated (DESIGN.md §12): every access makes
+// one lru.Stack.Touch, which looks the block up once, classifies its
+// reuse distance against the capacity filter with one Olken
+// order-statistics query (or none, when the raw access gap already
+// proves the distance fits) and moves it to the top. A capacity miss
+// is classified without visiting a single stack entry, and a conflict
+// candidate walks the arena stack exactly once, with no rollback path.
 type Builder struct {
 	p     *Profile
 	mask  uint64
 	stack *lru.Stack
-	tree  *lru.DistanceTree
 	stats BuildStats
 	done  bool
 
@@ -173,7 +172,6 @@ func newBuilder(n, cacheBlocks int, sparse bool) *Builder {
 		p:     p,
 		mask:  uint64(gf2.Mask(n)),
 		stack: lru.NewStack(),
-		tree:  lru.NewDistanceTree(),
 	}
 }
 
@@ -185,37 +183,33 @@ func (bd *Builder) Add(block uint64) {
 	p := bd.p
 	b := block & bd.mask
 	p.Accesses++
-	// Distance gate: one O(log u) order-statistics query (skipped
-	// entirely when the raw access gap already proves the distance is
-	// within the filter) classifies the access before any stack entry
-	// is visited. A capacity miss — which the old code paid a bounded
-	// walk plus a full rollback re-walk to discover — now costs no
-	// walk at all.
-	switch bd.tree.TouchGate(b, p.CacheBlocks) {
+	// Distance gate: the access is classified, and b moved to the top,
+	// before any stack entry is visited. A capacity miss — which the
+	// old code paid a bounded walk plus a full rollback re-walk to
+	// discover — costs no walk at all.
+	stop, g := bd.stack.Touch(b, p.CacheBlocks)
+	switch g {
 	case lru.GateCold:
 		// Compulsory miss: no conflict information.
 		p.Compulsory++
-		bd.stack.Push(b)
 		return
 	case lru.GateBeyond:
 		p.Capacity++
 		bd.stats.GatedCapacityMisses++
-		bd.stack.MoveToTop(b)
 		return
 	}
-	// Conflict candidate: the blocks above b are exactly the blocks
-	// accessed since its previous access, and the gate guarantees the
-	// walk reaches b within the filter. Walk them once, accumulating
-	// straight into the active backend — no callback, no per-element
-	// backend branch, no undo path — and batch the pair bookkeeping.
-	target, _ := bd.stack.Index(b)
+	// Conflict candidate: the blocks from just below b (now on top)
+	// down to stop are exactly the blocks accessed since its previous
+	// access, and the gate guarantees there are at most CacheBlocks of
+	// them. Walk them once, accumulating straight into the active
+	// backend — no callback, no per-element backend branch, no undo
+	// path — and batch the pair bookkeeping.
 	p.Candidates++
 	if k := bd.sampleK; k > 1 {
 		// Sampling gate (sample.go): only every k-th candidate walks;
-		// a skipped one still refreshes its recency, so the LRU state
-		// — and every later classification — stays exact.
+		// a skipped one has already refreshed its recency, so the LRU
+		// state — and every later classification — stays exact.
 		if bd.sampleCount++; bd.sampleCount != bd.sampleNext {
-			bd.stack.MoveIndexToTop(target)
 			return
 		}
 		bd.sampleNext += k
@@ -224,18 +218,18 @@ func (bd *Builder) Add(block uint64) {
 	nodes, top := bd.stack.Raw()
 	d := uint64(0)
 	if tbl := p.Table; tbl != nil {
-		for i := top; i != target; i = nodes[i].Next {
+		for i := nodes[top].Next; i != stop; i = nodes[i].Next {
 			tbl[b^nodes[i].Block]++
 			d++
 		}
 	} else if sk := p.Sketch; sk != nil {
-		for i := top; i != target; i = nodes[i].Next {
+		for i := nodes[top].Next; i != stop; i = nodes[i].Next {
 			sk.Inc(b ^ nodes[i].Block)
 			d++
 		}
 	} else {
 		sp := p.Sparse
-		for i := top; i != target; i = nodes[i].Next {
+		for i := nodes[top].Next; i != stop; i = nodes[i].Next {
 			sp[b^nodes[i].Block]++
 			d++
 		}
@@ -243,7 +237,6 @@ func (bd *Builder) Add(block uint64) {
 	p.TotalPairs += d
 	bd.stats.CandidateWalks++
 	bd.stats.WalkSteps += d
-	bd.stack.MoveIndexToTop(target)
 }
 
 // Warm replays one block access into the LRU stack without counting
@@ -255,12 +248,7 @@ func (bd *Builder) Warm(block uint64) {
 	if bd.done {
 		panic("profile: Warm after Finish")
 	}
-	b := block & bd.mask
-	if bd.tree.Record(b) {
-		bd.stack.Push(b)
-	} else {
-		bd.stack.MoveToTop(b)
-	}
+	bd.stack.Record(block & bd.mask)
 }
 
 // Seen reports whether the block is on the builder's LRU stack, i.e.

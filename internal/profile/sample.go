@@ -4,11 +4,12 @@ package profile
 // stack once per conflict candidate; on billion-access traces those
 // walks dominate the build. Sampling keeps the classification machinery
 // exact — every access still runs through the distance gate, so the LRU
-// stack, the Fenwick tree and the Compulsory/Capacity/Candidates
+// stack, its access times and the Compulsory/Capacity/Candidates
 // counters are bit-identical to an exact pass — but only every k-th
 // conflict candidate's reuse interval is walked into the histogram.
-// Skipped candidates still refresh their stack position (MoveToTop), so
-// later reuse distances are unaffected by the skipping.
+// Skipped candidates still refresh their stack position (the gate's
+// Touch moves them to the top), so later reuse distances are
+// unaffected by the skipping.
 //
 // The histogram therefore holds a deterministic ~1/k subsample of the
 // conflict pairs, and every Eq. 4 estimate read from it is a raw count

@@ -49,7 +49,7 @@ import (
 // unbounded block-access stream. Not safe for concurrent use; the
 // serve layer gives each shard its own instance.
 type Windowed struct {
-	bd        *Builder // current window; its stack/tree span the whole stream
+	bd        *Builder // current window; its LRU stack spans the whole stream
 	agg       *Profile // decayed fold of all rotated windows
 	decay     float64
 	rotations uint64
@@ -130,8 +130,8 @@ func (w *Windowed) Add(block uint64) {
 
 // Rotate closes the current window and folds it into the aggregate:
 // the aggregate decays by (1−decay), the window adds in undecayed, and
-// a fresh window begins. The LRU stack and distance gate carry over
-// untouched. Rotating an empty window still decays the aggregate —
+// a fresh window begins. The LRU stack, which is the distance gate,
+// carries over untouched. Rotating an empty window still decays the aggregate —
 // silence is information under exponential decay.
 func (w *Windowed) Rotate() {
 	win := w.bd.p
@@ -385,14 +385,6 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 		return nil, fmt.Errorf("profile: windowed snapshot stack: %w: %w", xerr.ErrFormat, err)
 	}
 	w.bd.stack = st
-	// Rebuild the distance gate in recency order (bottom of the stack
-	// first); reuse distances depend only on relative recency, so the
-	// resumed stream classifies bit-identically (same argument as
-	// Restore).
-	w.bd.tree = lru.NewDistanceTree()
-	for i := len(stack) - 1; i >= 0; i-- {
-		w.bd.tree.Record(stack[i])
-	}
 	return w, nil
 }
 
