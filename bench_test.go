@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -298,19 +299,27 @@ func BenchmarkAblationRestarts(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheSimulator measures raw simulation throughput.
+// BenchmarkCacheSimulator measures raw simulation throughput: one
+// cache.Cache.Run over susan's data trace, configured the way the
+// pipeline's validation stage simulates — 4 KB direct-mapped, 4-byte
+// blocks, modulo indexing over 16 address bits, miss classification
+// off.
 func BenchmarkCacheSimulator(b *testing.B) {
 	tr := mustWorkload(b, "susan").Data(1)
-	cfg := core.Config{CacheBytes: 4096}
+	cfg := cache.Config{SizeBytes: 4096, BlockBytes: 4, Ways: 1}
+	cfg.Index = hash.Modulo(16, cfg.SetBits())
+	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.TuneCtx(context.Background(), tr, cfg, nil)
+		c, err := cache.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = res
+		c.DisableClassification()
+		if st := c.Run(tr); st.Accesses != uint64(tr.Len()) {
+			b.Fatalf("simulated %d of %d accesses", st.Accesses, tr.Len())
+		}
 	}
-	b.SetBytes(int64(tr.Len()))
 }
 
 func mustWorkload(b *testing.B, name string) workloads.Workload {
@@ -689,6 +698,14 @@ func refProfileBuild(blocks []uint64, n, cacheBlocks int) *profile.Profile {
 	return p
 }
 
+// sameFlatProfile reports whether two flat profiles are bit-identical:
+// every bookkeeping counter and every histogram entry.
+func sameFlatProfile(got, want *profile.Profile) bool {
+	return got.Accesses == want.Accesses && got.Compulsory == want.Compulsory &&
+		got.Capacity == want.Capacity && got.Candidates == want.Candidates &&
+		got.TotalPairs == want.TotalPairs && slices.Equal(got.Table, want.Table)
+}
+
 // capacityHeavyBlocks draws uniformly from a universe far larger than
 // the capacity filter, so virtually every re-reference has a reuse
 // distance beyond cacheBlocks: the workload where the old pass paid a
@@ -723,10 +740,11 @@ func loopHeavyBlocks(length int) []uint64 {
 }
 
 // BenchmarkBuild measures the sequential Fig. 1 pass — arena stack,
-// distance-gated walks, backend-specialized accumulation — against the
-// pre-overhaul reference on three workload shapes, requiring
-// bit-identical profiles and recording the speedups in the sequential
-// section of BENCH_profile.json.
+// distance-gated walks over the top-of-stack window, backend-specialized
+// accumulation — against the pre-overhaul reference on three workload
+// shapes, requiring bit-identical profiles (every counter and every
+// histogram entry) and recording the speedups in the sequential section
+// of BENCH_profile.json.
 func BenchmarkBuild(b *testing.B) {
 	workloads := []struct {
 		name   string
@@ -765,8 +783,7 @@ func BenchmarkBuild(b *testing.B) {
 		// The baseline is only meaningful if both passes agree.
 		got := profile.Build(w.blocks, benchProfileN, benchProfileCacheBlocks)
 		want := refProfileBuild(w.blocks, benchProfileN, benchProfileCacheBlocks)
-		if got.TotalPairs != want.TotalPairs || got.Candidates != want.Candidates ||
-			got.Capacity != want.Capacity || got.Compulsory != want.Compulsory {
+		if !sameFlatProfile(got, want) {
 			b.Fatalf("%s: overhauled pass diverged from reference", w.name)
 		}
 		perMs := func(d time.Duration) float64 {
@@ -829,8 +846,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 					if d := time.Since(start); best == 0 || d < best {
 						best = d
 					}
-					if got.TotalPairs != want.TotalPairs || got.Candidates != want.Candidates ||
-						got.Capacity != want.Capacity || got.Compulsory != want.Compulsory {
+					if !sameFlatProfile(got, want) {
 						b.Fatalf("%s workers=%d: sharded build diverged from sequential", w.name, workers)
 					}
 				}

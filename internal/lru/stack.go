@@ -10,13 +10,19 @@
 //
 // Stack does both with one index (DESIGN.md §12). Nodes live in one
 // growable slab of int32-linked entries, so a profiling pass performs
-// zero per-block allocations once the slab warms up and the recency
-// walk reads nearby slab entries instead of chasing pointers. Each slot
-// also carries the virtual time of its block's last access, and a
-// Fenwick tree over those times answers Olken's order-statistics
-// query: the reuse distance of an access in O(log u), where u is the
-// number of live blocks. One map lookup per access resolves the slot
-// for all of it.
+// zero per-block allocations once the slab warms up. Each slot also
+// carries the virtual time of its block's last access, and a Fenwick
+// tree over those times answers Olken's order-statistics query: the
+// reuse distance of an access in O(log u), where u is the number of
+// live blocks. One map lookup per access resolves the slot for all of
+// it.
+//
+// Recent is not a second index but a mirror: the top k blocks of a
+// Stack in one contiguous slice, kept in step by the caller from
+// Touch's gate. Walking the slab's links is one dependent load per
+// step; an exact profiling pass reads the blocks above a candidate off
+// Recent instead, where the loads are independent. Sampled passes,
+// which walk only a few candidates, follow the links.
 package lru
 
 import (

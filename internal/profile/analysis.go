@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,23 +41,21 @@ func AnalyzeConflicts(blocks []uint64, n, cacheBlocks, topVectors, topPairs int)
 	for _, vc := range hot {
 		hotSet[uint64(vc.Vec)] = true
 	}
-	// Second pass: same distance-gated walk as Build, but counting
-	// pairs for hot vectors. The Olken gate classifies each access
-	// before any stack entry is visited, so capacity misses contribute
-	// nothing and — unlike the old walk-then-undo scheme — cost no
-	// stack traversal at all.
+	// Second pass: same distance-gated walk over the same top-of-stack
+	// window as Build, but counting pairs for hot vectors. The Olken
+	// gate classifies each access before any block is visited, so
+	// capacity misses contribute nothing and cost no walk at all.
 	pairs := make(map[[2]uint64]uint64)
 	mask := p.maskValue()
 	stack := lru.NewStack()
+	win := lru.NewRecent(cacheBlocks + 1)
 	for _, raw := range blocks {
 		b := raw & mask
-		stop, g := stack.Touch(b, cacheBlocks)
-		if g != lru.GateWithin {
+		if _, g := stack.Touch(b, cacheBlocks); g != lru.GateWithin {
+			win.Push(b)
 			continue
 		}
-		nodes, top := stack.Raw()
-		for i := nodes[top].Next; i != stop; i = nodes[i].Next {
-			y := nodes[i].Block
+		for _, y := range win.Lift(slices.Index(win.Blocks(), b)) {
 			if hotSet[b^y] {
 				key := [2]uint64{b, y}
 				if key[0] > key[1] {

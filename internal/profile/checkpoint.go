@@ -195,6 +195,7 @@ func Restore(r io.Reader) (*Builder, error) {
 	p.Candidates = candidates
 	p.TotalPairs = totalPairs
 	bd.stack = st
+	bd.resetWindow(stack)
 	return bd, nil
 }
 

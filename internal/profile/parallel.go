@@ -383,31 +383,8 @@ func (rc *reconciler) resolve(p *Profile, prefix []uint64, b uint64, target int3
 	}
 	rc.scratch = ys
 	p.Candidates++
-	if tbl := p.Table; tbl != nil {
-		for _, y := range prefix {
-			tbl[b^y]++
-		}
-		for _, y := range ys {
-			tbl[b^y]++
-		}
-	} else if sk := p.Sketch; sk != nil {
-		for _, y := range prefix {
-			sk.Inc(b ^ y)
-		}
-		for _, y := range ys {
-			sk.Inc(b ^ y)
-		}
-	} else {
-		sp := p.Sparse
-		for _, y := range prefix {
-			sp[b^y]++
-		}
-		for _, y := range ys {
-			sp[b^y]++
-		}
-	}
-	d := uint64(j + len(ys))
-	p.TotalPairs += d
+	p.addPairs(b, prefix)
+	p.addPairs(b, ys)
 	rc.stats.CandidateWalks++
-	rc.stats.WalkSteps += d
+	rc.stats.WalkSteps += uint64(j + len(ys))
 }

@@ -24,6 +24,7 @@ package profile
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"xoridx/internal/gf2"
@@ -102,13 +103,20 @@ func Build(blocks []uint64, n, cacheBlocks int) *Profile {
 // order-statistics query (or none, when the raw access gap already
 // proves the distance fits) and moves it to the top. A capacity miss
 // is classified without visiting a single stack entry, and a conflict
-// candidate walks the arena stack exactly once, with no rollback path.
+// candidate visits the blocks above it exactly once, with no rollback
+// path: on an exact build as a contiguous slice of the window that
+// mirrors the stack's top CacheBlocks+1 blocks.
 type Builder struct {
 	p     *Profile
 	mask  uint64
 	stack *lru.Stack
 	stats BuildStats
 	done  bool
+
+	// win mirrors the stack's top CacheBlocks+1 blocks for builds that
+	// walk every candidate; it is nil for sampled builds, which walk
+	// the stack's list instead (see Add).
+	win *lru.Recent
 
 	// Sampling gate (see sample.go). sampleK <= 1 profiles every
 	// candidate; otherwise sampleCount is the 1-indexed ordinal of the
@@ -172,6 +180,7 @@ func newBuilder(n, cacheBlocks int, sparse bool) *Builder {
 		p:     p,
 		mask:  uint64(gf2.Mask(n)),
 		stack: lru.NewStack(),
+		win:   lru.NewRecent(cacheBlocks + 1),
 	}
 }
 
@@ -184,27 +193,31 @@ func (bd *Builder) Add(block uint64) {
 	b := block & bd.mask
 	p.Accesses++
 	// Distance gate: the access is classified, and b moved to the top,
-	// before any stack entry is visited. A capacity miss — which the
-	// old code paid a bounded walk plus a full rollback re-walk to
-	// discover — costs no walk at all.
+	// before any stack entry is visited. A capacity miss costs no walk
+	// at all.
 	stop, g := bd.stack.Touch(b, p.CacheBlocks)
-	switch g {
-	case lru.GateCold:
-		// Compulsory miss: no conflict information.
-		p.Compulsory++
-		return
-	case lru.GateBeyond:
-		p.Capacity++
-		bd.stats.GatedCapacityMisses++
+	if g != lru.GateWithin {
+		if bd.win != nil {
+			bd.win.Push(b)
+		}
+		if g == lru.GateCold {
+			// Compulsory miss: no conflict information.
+			p.Compulsory++
+		} else {
+			p.Capacity++
+			bd.stats.GatedCapacityMisses++
+		}
 		return
 	}
-	// Conflict candidate: the blocks from just below b (now on top)
-	// down to stop are exactly the blocks accessed since its previous
-	// access, and the gate guarantees there are at most CacheBlocks of
-	// them. Walk them once, accumulating straight into the active
-	// backend — no callback, no per-element backend branch, no undo
-	// path — and batch the pair bookkeeping.
+	// Conflict candidate: the blocks accessed since b's previous access
+	// — at most CacheBlocks of them, by the gate — each contribute one
+	// conflict vector. An exact build reads them off the window as one
+	// contiguous slice. A sampled build keeps no window: keeping it in
+	// step would cost every skipped candidate an O(d) scan and shift,
+	// while the list moves b in O(1), so the few candidates it does
+	// walk follow the stack's links from just below b down to stop.
 	p.Candidates++
+	var d uint64
 	if k := bd.sampleK; k > 1 {
 		// Sampling gate (sample.go): only every k-th candidate walks;
 		// a skipped one has already refreshed its recency, so the LRU
@@ -214,7 +227,58 @@ func (bd *Builder) Add(block uint64) {
 		}
 		bd.sampleNext += k
 		p.SampledCandidates++
+		d = bd.walkList(b, stop)
+	} else {
+		// b sits at window position d: count the blocks above it in
+		// the same pass that finds it, then move it to the front.
+		d = p.addPairs(b, bd.win.Blocks())
+		bd.win.Lift(int(d))
 	}
+	bd.stats.CandidateWalks++
+	bd.stats.WalkSteps += d
+}
+
+// addPairs counts the conflict vector b⊕y into the active histogram
+// backend for every block y of ys that precedes b — all of them when b
+// is absent — and returns how many it counted.
+func (p *Profile) addPairs(b uint64, ys []uint64) uint64 {
+	d := 0
+	if tbl := p.Table; tbl != nil {
+		for _, y := range ys {
+			if y == b {
+				break
+			}
+			tbl[b^y]++
+			d++
+		}
+	} else if sk := p.Sketch; sk != nil {
+		for _, y := range ys {
+			if y == b {
+				break
+			}
+			sk.Inc(b ^ y)
+			d++
+		}
+	} else {
+		sp := p.Sparse
+		for _, y := range ys {
+			if y == b {
+				break
+			}
+			sp[b^y]++
+			d++
+		}
+	}
+	p.TotalPairs += uint64(d)
+	return uint64(d)
+}
+
+// walkList is a sampled build's conflict walk: it follows the stack's
+// links from just below b, now on top, down to stop, counting each
+// conflict vector straight into the active backend, and returns the
+// number of blocks visited.
+func (bd *Builder) walkList(b uint64, stop int32) uint64 {
+	p := bd.p
 	nodes, top := bd.stack.Raw()
 	d := uint64(0)
 	if tbl := p.Table; tbl != nil {
@@ -235,20 +299,36 @@ func (bd *Builder) Add(block uint64) {
 		}
 	}
 	p.TotalPairs += d
-	bd.stats.CandidateWalks++
-	bd.stats.WalkSteps += d
+	return d
 }
 
 // Warm replays one block access into the LRU stack without counting
 // anything: no conflict vectors, no bookkeeping. It reconstructs the
 // stack context at a shard boundary so a chunked builder classifies the
 // accesses of its own shard exactly as a sequential pass would (see
-// DESIGN.md §8).
+// DESIGN.md §8). The window, when kept, follows the stack's gate.
 func (bd *Builder) Warm(block uint64) {
 	if bd.done {
 		panic("profile: Warm after Finish")
 	}
-	bd.stack.Record(block & bd.mask)
+	b := block & bd.mask
+	if bd.win == nil {
+		bd.stack.Record(b)
+		return
+	}
+	if _, g := bd.stack.Touch(b, bd.p.CacheBlocks); g == lru.GateWithin {
+		bd.win.Lift(slices.Index(bd.win.Blocks(), b))
+	} else {
+		bd.win.Push(b)
+	}
+}
+
+// resetWindow reseeds the window from a restored stack's top-to-bottom
+// listing; sampled builds keep none.
+func (bd *Builder) resetWindow(topToBottom []uint64) {
+	if bd.win != nil {
+		bd.win.Reset(topToBottom)
+	}
 }
 
 // Seen reports whether the block is on the builder's LRU stack, i.e.

@@ -58,6 +58,7 @@ func (bd *Builder) setSampling(opt SampleOptions) {
 		return
 	}
 	bd.sampleK = opt.K
+	bd.win = nil // sampled builds walk the stack's list (see Builder.Add)
 	bd.p.SampleK = opt.K
 	bd.p.SampleSeed = opt.Seed
 	// First profiled candidate ordinal (1-indexed): a deterministic

@@ -385,6 +385,7 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 		return nil, fmt.Errorf("profile: windowed snapshot stack: %w: %w", xerr.ErrFormat, err)
 	}
 	w.bd.stack = st
+	w.bd.resetWindow(stack)
 	return w, nil
 }
 
