@@ -130,7 +130,7 @@ func main() {
 // streamTrace writes total accesses by cycling over the base trace,
 // shifting addresses by delta bytes after each full cycle. Memory
 // stays bounded by the base trace; the encoder never buffers more
-// than its 1 MiB write window. The declared op count is scaled
+// than its 64 KiB write window. The declared op count is scaled
 // proportionally so misses-per-K-uop normalisation survives the
 // stretch.
 func streamTrace(w io.Writer, tr *trace.Trace, total, delta uint64) error {

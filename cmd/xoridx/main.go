@@ -284,13 +284,13 @@ func main() {
 // confidence intervals when sampling — in place of the exact
 // simulation stage, which would need the whole trace in memory.
 func runStream(ctx context.Context, path string, cfg core.Config, events core.Sink, verbose bool, saveFn string) error {
-	src, err := trace.Open(path, true)
+	src, err := trace.Open(path)
 	if err != nil {
 		return err
 	}
 	defer src.Close()
 	mode := "buffered"
-	if src.Mapped {
+	if src.Mapped() {
 		mode = "mmap"
 	}
 	fmt.Printf("trace: %s (%d accesses, %d ops) [%s stream]\n", src.Name(), src.Len(), src.Ops(), mode)

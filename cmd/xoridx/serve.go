@@ -64,7 +64,7 @@ func serveMain(args []string) {
 	resume := fs.Bool("resume", false, "restore the -checkpoint file on startup (missing file = cold start)")
 	strict := fs.Bool("strict", false, "refuse to -resume from a checkpoint with a damaged shard blob instead of healing around it")
 	checkpointEvery := fs.Uint64("checkpoint-every", 0, "periodic checkpoint cadence in accesses: refresh shard recovery snapshots and rewrite -checkpoint every this many accesses (0 = only at re-tunes and exit)")
-	maxShardRestarts := fs.Int("max-shard-restarts", 0, "shard circuit-breaker budget: restarts from the last recovery snapshot before quarantining (0 = default, negative = first panic stops the world)")
+	maxShardRestarts := fs.Int("max-shard-restarts", 0, "shard circuit-breaker budget: restarts from the last recovery snapshot before quarantining (0 = default)")
 	shed := fs.Bool("shed", false, "shed load instead of blocking when a shard queue is full: drop-with-accounting plus hot-client fairness")
 	admissionWait := fs.Duration("admission-wait", 0, "with -shed, how long a full-queue ingest waits before shedding (0 = default, negative = immediately)")
 	retuneDeadline := fs.Duration("retune-deadline", 0, "re-tune watchdog: a search round over this long publishes its best-so-far result marked degraded (0 = no deadline)")

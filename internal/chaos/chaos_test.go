@@ -75,10 +75,10 @@ func TestChaosMatrix(t *testing.T) {
 }
 
 // TestChaosDifferentialNoFaults is the bit-identity acceptance check:
-// with fault injection disabled, a fully supervised server (restarts,
-// shedding, snapshot cadence all on) must publish exactly the same
-// matrix and serve exactly the same histogram as the pre-§16
-// configuration (supervision off, blocking backpressure).
+// with fault injection disabled, a server with shedding and the
+// snapshot cadence on must publish exactly the same matrix and serve
+// exactly the same histogram as one with default supervision and
+// blocking backpressure.
 func TestChaosDifferentialNoFaults(t *testing.T) {
 	run := func(opt serve.Options) *Report {
 		rep, err := Run(Config{Serve: opt, Kind: KindNone, Seed: 7})
@@ -94,22 +94,21 @@ func TestChaosDifferentialNoFaults(t *testing.T) {
 	supervised := baseOptions()
 	supervised.Shed = true
 	supervised.CheckpointEvery = 512
-	legacy := baseOptions()
-	legacy.MaxShardRestarts = -1
-	legacy.Shed = false
+	blocking := baseOptions()
+	blocking.Shed = false
 
-	a, b := run(supervised), run(legacy)
+	a, b := run(supervised), run(blocking)
 	if !a.FinalMatrix.Equal(b.FinalMatrix) {
-		t.Errorf("published H diverged:\nsupervised %v\nlegacy     %v", a.FinalMatrix, b.FinalMatrix)
+		t.Errorf("published H diverged:\nsupervised %v\nblocking   %v", a.FinalMatrix, b.FinalMatrix)
 	}
 	if a.FinalProfile == nil || b.FinalProfile == nil {
-		t.Fatalf("missing final profile: supervised %v, legacy %v", a.FinalProfile, b.FinalProfile)
+		t.Fatalf("missing final profile: supervised %v, blocking %v", a.FinalProfile, b.FinalProfile)
 	}
 	pa, pb := a.FinalProfile, b.FinalProfile
 	if pa.Accesses != pb.Accesses || pa.Compulsory != pb.Compulsory ||
 		pa.Capacity != pb.Capacity || pa.Candidates != pb.Candidates ||
 		pa.TotalPairs != pb.TotalPairs {
-		t.Errorf("histogram totals diverged:\nsupervised %+v\nlegacy     %+v", pa, pb)
+		t.Errorf("histogram totals diverged:\nsupervised %+v\nblocking   %+v", pa, pb)
 	}
 	sa, sb := pa.Support(), pb.Support()
 	if len(sa) != len(sb) {
@@ -121,7 +120,7 @@ func TestChaosDifferentialNoFaults(t *testing.T) {
 		}
 	}
 	if a.Stats.Ingested != b.Stats.Ingested || a.Sent != b.Sent {
-		t.Errorf("accounting diverged: supervised %d/%d, legacy %d/%d",
+		t.Errorf("accounting diverged: supervised %d/%d, blocking %d/%d",
 			a.Stats.Ingested, a.Sent, b.Stats.Ingested, b.Sent)
 	}
 }

@@ -70,21 +70,8 @@ func (bd *Builder) Checkpoint(w io.Writer) error {
 		put(p.Capacity)
 		put(p.Candidates)
 		put(p.TotalPairs)
-		stack := bd.stack.Blocks()
-		put(uint64(len(stack)))
-		for _, blk := range stack {
-			put(blk)
-		}
-		support := p.Support()
-		put(uint64(len(support)))
-		prev := uint64(0)
-		for _, vc := range support {
-			// Vectors are strictly ascending; delta coding keeps dense
-			// histograms compact.
-			put(uint64(vc.Vec) - prev)
-			put(vc.Count)
-			prev = uint64(vc.Vec)
-		}
+		putStack(put, bd.stack.Blocks())
+		putSupport(put, p)
 		return nil
 	})
 }
@@ -119,7 +106,6 @@ func Restore(r io.Reader) (*Builder, error) {
 	capacity := d.uvarint("capacity")
 	candidates := d.uvarint("candidates")
 	totalPairs := d.uvarint("totalPairs")
-	stackLen := d.uvarint("stack length")
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -127,46 +113,122 @@ func Restore(r io.Reader) (*Builder, error) {
 		return nil, fmt.Errorf("profile: snapshot counters disagree (%d+%d+%d != %d accesses): %w",
 			compulsory, capacity, candidates, accesses, xerr.ErrFormat)
 	}
-	if stackLen != compulsory {
-		return nil, fmt.Errorf("profile: snapshot stack holds %d blocks, compulsory counter says %d: %w",
-			stackLen, compulsory, xerr.ErrFormat)
+	stack, err := readStack(d, accesses, n, "snapshot stack")
+	if err != nil {
+		return nil, err
 	}
-	if stackLen > accesses || uint64(len(payload)) < stackLen {
-		return nil, fmt.Errorf("profile: snapshot stack length %d implausible: %w", stackLen, xerr.ErrFormat)
+	if uint64(len(stack)) != compulsory {
+		return nil, fmt.Errorf("profile: snapshot stack holds %d blocks, compulsory counter says %d: %w",
+			len(stack), compulsory, xerr.ErrFormat)
+	}
+	bd := newBuilder(n, cacheBlocks, sparse)
+	p := bd.p
+	p.Accesses = accesses
+	p.Compulsory = compulsory
+	p.Capacity = capacity
+	p.Candidates = candidates
+	p.TotalPairs = totalPairs
+	if err := readSupport(d, p, "snapshot histogram"); err != nil {
+		return nil, err
+	}
+	if d.rem() != 0 {
+		return nil, fmt.Errorf("profile: %d trailing bytes after snapshot payload: %w", d.rem(), xerr.ErrFormat)
+	}
+	if err := bd.restoreStack(stack, "snapshot stack"); err != nil {
+		return nil, err
+	}
+	return bd, nil
+}
+
+// putStack writes an LRU stack listing: its length, then each block
+// from top to bottom.
+func putStack(put func(uint64), stack []uint64) {
+	put(uint64(len(stack)))
+	for _, blk := range stack {
+		put(blk)
+	}
+}
+
+// readStack decodes a listing written by putStack. The listing may
+// hold at most limit blocks of n bits each; what names it in errors.
+func readStack(d *payloadReader, limit uint64, n int, what string) ([]uint64, error) {
+	stackLen := d.uvarint("stack length")
+	if d.err != nil {
+		return nil, d.err
+	}
+	if stackLen > limit || uint64(d.rem()) < stackLen {
+		return nil, fmt.Errorf("profile: %s length %d implausible: %w", what, stackLen, xerr.ErrFormat)
 	}
 	mask := uint64(gf2.Mask(n))
 	stack := make([]uint64, stackLen)
 	for i := range stack {
 		stack[i] = d.uvarint("stack block")
 		if d.err == nil && stack[i] > mask {
-			return nil, fmt.Errorf("profile: snapshot stack block %#x exceeds %d bits: %w", stack[i], n, xerr.ErrFormat)
+			return nil, fmt.Errorf("profile: %s block %#x exceeds %d bits: %w", what, stack[i], n, xerr.ErrFormat)
 		}
 	}
+	return stack, d.err
+}
+
+// restoreStack installs a listing decoded by readStack as the builder's
+// LRU stack and reseeds the window from it; sampled builds keep none.
+// what names the listing in errors.
+func (bd *Builder) restoreStack(topToBottom []uint64, what string) error {
+	st, err := lru.NewStackFrom(topToBottom)
+	if err != nil {
+		return fmt.Errorf("profile: %s: %w: %w", what, xerr.ErrFormat, err)
+	}
+	bd.stack = st
+	if bd.win != nil {
+		bd.win.Reset(topToBottom)
+	}
+	return nil
+}
+
+// putSupport writes p's histogram support: its length, then each
+// vector as the delta from the previous one, and its count. Vectors are
+// strictly ascending, so delta coding keeps dense histograms compact.
+func putSupport(put func(uint64), p *Profile) {
+	support := p.Support()
+	put(uint64(len(support)))
+	prev := uint64(0)
+	for _, vc := range support {
+		put(uint64(vc.Vec) - prev)
+		put(vc.Count)
+		prev = uint64(vc.Vec)
+	}
+}
+
+// readSupport decodes a support written by putSupport into p (allocated
+// empty with the right backend, its TotalPairs already set). The
+// vectors must ascend strictly within p.N bits, every count must be
+// nonzero, and the counts must sum to p.TotalPairs. what names the
+// histogram in errors.
+func readSupport(d *payloadReader, p *Profile, what string) error {
 	supportLen := d.uvarint("support length")
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
-	if uint64(len(payload)) < supportLen {
-		return nil, fmt.Errorf("profile: snapshot support length %d implausible: %w", supportLen, xerr.ErrFormat)
+	if uint64(d.rem()) < supportLen {
+		return fmt.Errorf("profile: %s support length %d implausible: %w", what, supportLen, xerr.ErrFormat)
 	}
-	bd := newBuilder(n, cacheBlocks, sparse)
-	p := bd.p
+	mask := uint64(gf2.Mask(p.N))
 	var vec, sum uint64
 	for i := uint64(0); i < supportLen; i++ {
 		dv := d.uvarint("vector delta")
 		count := d.uvarint("vector count")
 		if d.err != nil {
-			return nil, d.err
+			return d.err
 		}
 		if i > 0 && dv == 0 {
-			return nil, fmt.Errorf("profile: snapshot histogram vectors not strictly ascending: %w", xerr.ErrFormat)
+			return fmt.Errorf("profile: %s vectors not strictly ascending: %w", what, xerr.ErrFormat)
 		}
 		vec += dv
 		if vec > mask {
-			return nil, fmt.Errorf("profile: snapshot histogram vector %#x exceeds %d bits: %w", vec, n, xerr.ErrFormat)
+			return fmt.Errorf("profile: %s vector %#x exceeds %d bits: %w", what, vec, p.N, xerr.ErrFormat)
 		}
 		if count == 0 {
-			return nil, fmt.Errorf("profile: snapshot histogram carries a zero count: %w", xerr.ErrFormat)
+			return fmt.Errorf("profile: %s carries a zero count: %w", what, xerr.ErrFormat)
 		}
 		if p.Table != nil {
 			p.Table[vec] = count
@@ -175,28 +237,11 @@ func Restore(r io.Reader) (*Builder, error) {
 		}
 		sum += count
 	}
-	if d.err != nil {
-		return nil, d.err
+	if sum != p.TotalPairs {
+		return fmt.Errorf("profile: %s sums to %d pairs, counter says %d: %w",
+			what, sum, p.TotalPairs, xerr.ErrFormat)
 	}
-	if d.rem() != 0 {
-		return nil, fmt.Errorf("profile: %d trailing bytes after snapshot payload: %w", d.rem(), xerr.ErrFormat)
-	}
-	if sum != totalPairs {
-		return nil, fmt.Errorf("profile: snapshot histogram sums to %d pairs, counter says %d: %w",
-			sum, totalPairs, xerr.ErrFormat)
-	}
-	st, err := lru.NewStackFrom(stack)
-	if err != nil {
-		return nil, fmt.Errorf("profile: snapshot stack: %w: %w", xerr.ErrFormat, err)
-	}
-	p.Accesses = accesses
-	p.Compulsory = compulsory
-	p.Capacity = capacity
-	p.Candidates = candidates
-	p.TotalPairs = totalPairs
-	bd.stack = st
-	bd.resetWindow(stack)
-	return bd, nil
+	return nil
 }
 
 // payloadReader decodes snapshot payload primitives, latching the

@@ -3,11 +3,13 @@ package profile
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"xoridx/internal/ckpt"
@@ -24,6 +26,127 @@ func snapshotBytes(t *testing.T, bd *Builder) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// Golden snapshots of TestSnapshotGoldenBytes, recorded before XPC1 and
+// XWP1 shared their stack and support codecs.
+const (
+	xpc1 = "58504331011a060400280400243d041b12002406090a090a090a090b120a090a5fc9b8ee"
+	xwp1 = "58575031023c06040080808080808080f03f013c020138280400241e12060905090509060905120409" +
+		"0514000014120a06090309030902090312040903041200241b596d6a17"
+)
+
+// TestSnapshotGoldenBytes pins both snapshot byte formats — a small
+// flat XPC1 builder and a small sampled XWP1 windowed profile, both
+// with a nonempty support and stack — and checks that restoring the
+// pinned bytes and checkpointing again reproduces them.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	blocks := make([]uint64, 60)
+	for i := range blocks {
+		blocks[i] = uint64((i*i*3+i)%7*9) & 63
+	}
+
+	bd := NewBuilder(6, 4)
+	for _, b := range blocks[:40] {
+		bd.Add(b)
+	}
+	if got := hex.EncodeToString(snapshotBytes(t, bd)); got != xpc1 {
+		t.Fatalf("XPC1 snapshot\n%s\nwant\n%s", got, xpc1)
+	}
+	raw, _ := hex.DecodeString(xpc1)
+	back, err := Restore(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(snapshotBytes(t, back)); got != xpc1 {
+		t.Fatalf("XPC1 restore+checkpoint\n%s\nwant\n%s", got, xpc1)
+	}
+
+	w, err := NewWindowed(6, 4, 0.5, SampleOptions{K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks[:40] {
+		w.Add(b)
+	}
+	w.Rotate()
+	for _, b := range blocks[40:] {
+		w.Add(b)
+	}
+	windowedBytes := func(w *Windowed) string {
+		var buf bytes.Buffer
+		if err := w.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(buf.Bytes())
+	}
+	if got := windowedBytes(w); got != xwp1 {
+		t.Fatalf("XWP1 snapshot\n%s\nwant\n%s", got, xwp1)
+	}
+	raw, _ = hex.DecodeString(xwp1)
+	wback, err := RestoreWindowed(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := windowedBytes(wback); got != xwp1 {
+		t.Fatalf("XWP1 restore+checkpoint\n%s\nwant\n%s", got, xwp1)
+	}
+}
+
+// TestSnapshotErrorsNameTheirFormat: XPC1 and XWP1 share the stack and
+// support decoders, but a corrupt listing must still say which snapshot
+// it came from. Each payload byte of the golden snapshots in turn
+// becomes 0x7f, a one-byte varint past their 6-bit mask, and the
+// payload is resealed so the corruption reaches the decoders.
+func TestSnapshotErrorsNameTheirFormat(t *testing.T) {
+	cases := []struct {
+		magic, golden, prefix string
+		restore               func([]byte) error
+	}{
+		{checkpointMagic, xpc1, "profile: snapshot ", func(b []byte) error {
+			_, err := Restore(bytes.NewReader(b))
+			return err
+		}},
+		{windowMagic, xwp1, "profile: windowed snapshot ", func(b []byte) error {
+			_, err := RestoreWindowed(bytes.NewReader(b))
+			return err
+		}},
+	}
+	for _, c := range cases {
+		raw, _ := hex.DecodeString(c.golden)
+		version, payload, err := ckpt.Read(bytes.NewReader(raw), c.magic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for i := range payload {
+			mut := bytes.Clone(payload)
+			mut[i] = 0x7f
+			var buf bytes.Buffer
+			if err := ckpt.Write(&buf, c.magic, version, func(w *bytes.Buffer) error {
+				_, err := w.Write(mut)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			err := c.restore(buf.Bytes())
+			if err == nil || !strings.Contains(err.Error(), "exceeds 6 bits") {
+				continue
+			}
+			if !strings.HasPrefix(err.Error(), c.prefix) {
+				t.Errorf("%s byte %d: error %q does not start with %q", c.magic, i, err, c.prefix)
+			}
+			for _, part := range []string{"stack block", "histogram vector"} {
+				if strings.Contains(err.Error(), part) {
+					seen[part] = true
+				}
+			}
+		}
+		if !seen["stack block"] || !seen["histogram vector"] {
+			t.Errorf("%s: corruptions reached stack block %v, histogram vector %v; want both",
+				c.magic, seen["stack block"], seen["histogram vector"])
+		}
+	}
 }
 
 // TestCheckpointRestoreMidBuild: a builder checkpointed mid-trace and

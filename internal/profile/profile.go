@@ -323,14 +323,6 @@ func (bd *Builder) Warm(block uint64) {
 	}
 }
 
-// resetWindow reseeds the window from a restored stack's top-to-bottom
-// listing; sampled builds keep none.
-func (bd *Builder) resetWindow(topToBottom []uint64) {
-	if bd.win != nil {
-		bd.win.Reset(topToBottom)
-	}
-}
-
 // Seen reports whether the block is on the builder's LRU stack, i.e.
 // has been passed to Add or Warm before. The next Add of an unseen
 // block will be classified as a compulsory miss.

@@ -40,8 +40,6 @@ import (
 	"math"
 
 	"xoridx/internal/ckpt"
-	"xoridx/internal/gf2"
-	"xoridx/internal/lru"
 	"xoridx/internal/xerr"
 )
 
@@ -253,11 +251,7 @@ func (w *Windowed) Checkpoint(out io.Writer) error {
 		put(w.bd.sampleCount)
 		putProfileBody(put, w.agg)
 		putProfileBody(put, win)
-		stack := w.bd.stack.Blocks()
-		put(uint64(len(stack)))
-		for _, blk := range stack {
-			put(blk)
-		}
+		putStack(put, w.bd.stack.Blocks())
 		return nil
 	})
 }
@@ -271,14 +265,7 @@ func putProfileBody(put func(uint64), p *Profile) {
 	put(p.Candidates)
 	put(p.TotalPairs)
 	put(p.SampledCandidates)
-	support := p.Support()
-	put(uint64(len(support)))
-	prev := uint64(0)
-	for _, vc := range support {
-		put(uint64(vc.Vec) - prev)
-		put(vc.Count)
-		prev = uint64(vc.Vec)
-	}
+	putSupport(put, p)
 }
 
 // RestoreWindowed rebuilds a Windowed from a Checkpoint snapshot.
@@ -340,11 +327,10 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 		}
 		w.bd.sampleNext = next
 	}
-	mask := uint64(gf2.Mask(n))
-	if err := readProfileBody(d, w.agg, mask, sampled, "aggregate"); err != nil {
+	if err := readProfileBody(d, w.agg, sampled, "windowed snapshot aggregate histogram"); err != nil {
 		return nil, err
 	}
-	if err := readProfileBody(d, w.bd.p, mask, sampled, "window"); err != nil {
+	if err := readProfileBody(d, w.bd.p, sampled, "windowed snapshot window histogram"); err != nil {
 		return nil, err
 	}
 	win := w.bd.p
@@ -360,39 +346,23 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 		return nil, fmt.Errorf("profile: windowed snapshot window accesses %d exceed stream total %d: %w",
 			win.Accesses, total, xerr.ErrFormat)
 	}
-	stackLen := d.uvarint("stack length")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if stackLen > total || uint64(len(payload)) < stackLen {
-		return nil, fmt.Errorf("profile: windowed snapshot stack length %d implausible: %w", stackLen, xerr.ErrFormat)
-	}
-	stack := make([]uint64, stackLen)
-	for i := range stack {
-		stack[i] = d.uvarint("stack block")
-		if d.err == nil && stack[i] > mask {
-			return nil, fmt.Errorf("profile: windowed snapshot stack block %#x exceeds %d bits: %w", stack[i], n, xerr.ErrFormat)
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
+	stack, err := readStack(d, total, n, "windowed snapshot stack")
+	if err != nil {
+		return nil, err
 	}
 	if d.rem() != 0 {
 		return nil, fmt.Errorf("profile: %d trailing bytes after windowed snapshot payload: %w", d.rem(), xerr.ErrFormat)
 	}
-	st, err := lru.NewStackFrom(stack)
-	if err != nil {
-		return nil, fmt.Errorf("profile: windowed snapshot stack: %w: %w", xerr.ErrFormat, err)
+	if err := w.bd.restoreStack(stack, "windowed snapshot stack"); err != nil {
+		return nil, err
 	}
-	w.bd.stack = st
-	w.bd.resetWindow(stack)
 	return w, nil
 }
 
 // readProfileBody decodes one histogram/counter set written by
 // putProfileBody into p (allocated empty with the right backend) and
 // checks the histogram-sum invariant.
-func readProfileBody(d *payloadReader, p *Profile, mask uint64, sampled bool, what string) error {
+func readProfileBody(d *payloadReader, p *Profile, sampled bool, what string) error {
 	p.Accesses = d.uvarint("accesses")
 	p.Compulsory = d.uvarint("compulsory")
 	p.Capacity = d.uvarint("capacity")
@@ -401,40 +371,5 @@ func readProfileBody(d *payloadReader, p *Profile, mask uint64, sampled bool, wh
 	if sampled {
 		p.SampledCandidates = d.uvarint("sampledCandidates")
 	}
-	supportLen := d.uvarint("support length")
-	if d.err != nil {
-		return d.err
-	}
-	if uint64(len(d.b)) < supportLen {
-		return fmt.Errorf("profile: windowed snapshot %s support length %d implausible: %w", what, supportLen, xerr.ErrFormat)
-	}
-	var vec, sum uint64
-	for i := uint64(0); i < supportLen; i++ {
-		dv := d.uvarint("vector delta")
-		count := d.uvarint("vector count")
-		if d.err != nil {
-			return d.err
-		}
-		if i > 0 && dv == 0 {
-			return fmt.Errorf("profile: windowed snapshot %s vectors not strictly ascending: %w", what, xerr.ErrFormat)
-		}
-		vec += dv
-		if vec > mask {
-			return fmt.Errorf("profile: windowed snapshot %s vector %#x exceeds mask: %w", what, vec, xerr.ErrFormat)
-		}
-		if count == 0 {
-			return fmt.Errorf("profile: windowed snapshot %s carries a zero count: %w", what, xerr.ErrFormat)
-		}
-		if p.Table != nil {
-			p.Table[vec] = count
-		} else {
-			p.Sparse[vec] = count
-		}
-		sum += count
-	}
-	if sum != p.TotalPairs {
-		return fmt.Errorf("profile: windowed snapshot %s histogram sums to %d pairs, counter says %d: %w",
-			what, sum, p.TotalPairs, xerr.ErrFormat)
-	}
-	return nil
+	return readSupport(d, p, what)
 }

@@ -110,9 +110,7 @@ type Options struct {
 	// goroutine that panics is restarted from its last recovery
 	// snapshot (cold when none) up to this many times inside the
 	// RestartWindow; one more failure quarantines the shard. 0 selects
-	// DefaultMaxShardRestarts. A negative value disables supervision
-	// entirely: the first shard panic stops the world (the pre-§16
-	// behavior).
+	// DefaultMaxShardRestarts; a negative value is rejected.
 	MaxShardRestarts int
 
 	// RestartWindow, in accesses processed by the shard, bounds the
@@ -388,6 +386,9 @@ func New(opt Options) (*Server, error) {
 	}
 	if opt.QueueDepth < 0 {
 		return nil, fmt.Errorf("serve: negative QueueDepth: %w", xerr.ErrInvalidOptions)
+	}
+	if opt.MaxShardRestarts < 0 {
+		return nil, fmt.Errorf("serve: negative MaxShardRestarts: %w", xerr.ErrInvalidOptions)
 	}
 	if opt.MaxShardRestarts == 0 {
 		opt.MaxShardRestarts = DefaultMaxShardRestarts

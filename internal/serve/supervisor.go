@@ -34,14 +34,6 @@ func (s *Server) superviseShard(i int, sh *shard) {
 		if err == nil {
 			return // server shutdown
 		}
-		if s.opt.MaxShardRestarts < 0 {
-			// Supervision disabled: a lost shard poisons every
-			// aggregate, and without restarts stopping the world is
-			// the only honest response.
-			s.fail(err)
-			s.cancel()
-			return
-		}
 		s.fail(err)
 		// A shard that processed RestartWindow accesses since its last
 		// failure has earned its restart budget back.

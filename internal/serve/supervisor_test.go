@@ -258,35 +258,20 @@ func TestServeQuorumEscalatesStopTheWorld(t *testing.T) {
 	checkNoLeaks(t, baseline)
 }
 
-func TestServeSupervisionDisabledStopsTheWorld(t *testing.T) {
+// TestServeRejectsNegativeMaxShardRestarts: supervision has no off
+// switch. A negative budget is an invalid option, refused before any
+// goroutine starts.
+func TestServeRejectsNegativeMaxShardRestarts(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	var tripped atomic.Bool
-	s, err := New(Options{
-		Config:           serveConfig(),
-		Shards:           1,
-		WindowAccesses:   1 << 40,
-		MaxShardRestarts: -1,
-		FaultHook: func(_ int, _ uint64) {
-			if tripped.CompareAndSwap(false, true) {
-				panic("chaos: single fault")
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, budget := range []int{-1, -5} {
+		s, err := New(Options{Config: serveConfig(), MaxShardRestarts: budget})
+		if !errors.Is(err, xerr.ErrInvalidOptions) {
+			t.Fatalf("MaxShardRestarts=%d: New = %v, want ErrInvalidOptions", budget, err)
+		}
+		if s != nil {
+			t.Fatalf("MaxShardRestarts=%d: New returned a server alongside its error", budget)
+		}
 	}
-	if err := s.IngestBlocks(1, []uint64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "stop-the-world", func() bool { return s.ctx.Err() != nil })
-	st := s.Stats()
-	if st.Restarts != 0 || st.Quarantined != 0 {
-		t.Fatalf("Stats = %+v, want no restarts with supervision disabled", st)
-	}
-	if !errors.Is(s.Err(), xerr.ErrPanic) {
-		t.Fatalf("Err = %v, want the panic recorded", s.Err())
-	}
-	s.Close()
 	checkNoLeaks(t, baseline)
 }
 

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
@@ -24,50 +23,19 @@ import (
 
 const magic = "XTR1"
 
-// Encode serialises the trace in the binary format.
+// Encode serialises the trace in the binary format: a Writer
+// declaring len(t.Accesses) records, fed every access.
 func Encode(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
+	tw, err := NewWriter(w, t.Name, t.Ops, uint64(len(t.Accesses)))
+	if err != nil {
 		return err
 	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	putVarint := func(v int64) error {
-		n := binary.PutVarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(t.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
-	}
-	if err := putUvarint(t.Ops); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(t.Accesses))); err != nil {
-		return err
-	}
-	var prev [3]uint64
 	for _, a := range t.Accesses {
-		if a.Kind > Fetch {
-			return fmt.Errorf("trace: cannot encode kind %d: %w", a.Kind, xerr.ErrFormat)
-		}
-		if err := bw.WriteByte(byte(a.Kind)); err != nil {
+		if err := tw.WriteAccess(a); err != nil {
 			return err
 		}
-		delta := int64(a.Addr) - int64(prev[a.Kind])
-		if err := putVarint(delta); err != nil {
-			return err
-		}
-		prev[a.Kind] = a.Addr
 	}
-	return bw.Flush()
+	return tw.Close()
 }
 
 // Decode deserialises a trace written by Encode. It is the in-memory

@@ -2,15 +2,15 @@
 
 package trace
 
-import "os"
-
-// mmapSupported reports whether this build has a real mmap path.
-const mmapSupported = false
+import (
+	"errors"
+	"os"
+)
 
 // mmapFile always fails on platforms without a wired-up mmap path;
-// Open falls back to the buffered Reader.
+// Open streams the file instead.
 func mmapFile(_ *os.File, _ int) ([]byte, error) {
-	return nil, ErrMmapUnsupported
+	return nil, errors.ErrUnsupported
 }
 
 // munmapFile is unreachable when mmapFile never succeeds.

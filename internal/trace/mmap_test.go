@@ -1,20 +1,25 @@
 package trace
 
-// Differential matrix pinning MmapReader to Reader's contract: same
-// records, same header, same error classification at the same offsets,
-// on valid traces and on every truncation and corruption of them. The
-// streaming Writer is pinned to Encode the same way — byte-identical
-// output — so cmd/tracegen -stream produces exactly the format every
-// decoder already handles.
+// Differential matrix pinning the byte-window Reader (NewReaderBytes,
+// the mapped path) to the streamed one (NewReader, which refills its
+// window): same records, same header, same error classification at the
+// same offsets, on valid traces and on every truncation and corruption
+// of them. The streamed side runs over several sources (see
+// streamedSources), so a record resumed mid-varint or delivered
+// alongside io.EOF is covered too.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"testing/iotest"
 
 	"xoridx/internal/xerr"
 )
@@ -44,37 +49,54 @@ func mmapTraces() map[string]*Trace {
 	}
 }
 
+// streamedSource is one way of feeding an encoding to NewReader.
+type streamedSource struct {
+	name string
+	wrap func([]byte) io.Reader
+}
+
+// streamedSources are the streamed sides the byte window is held
+// against: the whole encoding per Read, one byte per Read (every record
+// resumes mid-varint), and the last bytes delivered alongside io.EOF.
+var streamedSources = []streamedSource{
+	{"whole", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"onebyte", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+	{"dataerr", func(b []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) }},
+}
+
 func TestMmapReaderMatchesReaderOnValidTraces(t *testing.T) {
 	for name, tr := range mmapTraces() {
 		t.Run(name, func(t *testing.T) {
 			data := encode(t, tr)
-			mr, err := NewMmapReaderBytes(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rd, err := NewReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mr.Name() != rd.Name() || mr.Ops() != rd.Ops() || mr.Len() != rd.Len() {
-				t.Fatalf("headers disagree: mmap %q/%d/%d, reader %q/%d/%d",
-					mr.Name(), mr.Ops(), mr.Len(), rd.Name(), rd.Ops(), rd.Len())
-			}
-			for i := 0; ; i++ {
-				ma, merr := mr.Next()
-				ra, rerr := rd.Next()
-				if ma != ra || !errorsEquivalent(merr, rerr) {
-					t.Fatalf("access %d: mmap (%+v, %v), reader (%+v, %v)", i, ma, merr, ra, rerr)
+			for _, src := range streamedSources {
+				mr, err := NewReaderBytes(data)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if mr.Pos() != rd.Pos() || mr.Offset() != rd.Offset() {
-					t.Fatalf("access %d: position mmap %d@%d, reader %d@%d",
-						i, mr.Pos(), mr.Offset(), rd.Pos(), rd.Offset())
+				rd, err := NewReader(src.wrap(data))
+				if err != nil {
+					t.Fatal(err)
 				}
-				if merr == io.EOF {
-					break
+				if mr.Name() != rd.Name() || mr.Ops() != rd.Ops() || mr.Len() != rd.Len() {
+					t.Fatalf("%s: headers disagree: bytes %q/%d/%d, streamed %q/%d/%d", src.name,
+						mr.Name(), mr.Ops(), mr.Len(), rd.Name(), rd.Ops(), rd.Len())
 				}
-				if merr != nil {
-					t.Fatalf("access %d: unexpected decode error %v on a valid trace", i, merr)
+				for i := 0; ; i++ {
+					ma, merr := mr.Next()
+					ra, rerr := rd.Next()
+					if ma != ra || !errorsEquivalent(merr, rerr) {
+						t.Fatalf("%s access %d: bytes (%+v, %v), streamed (%+v, %v)", src.name, i, ma, merr, ra, rerr)
+					}
+					if mr.Pos() != rd.Pos() || mr.Offset() != rd.Offset() {
+						t.Fatalf("%s access %d: position bytes %d@%d, streamed %d@%d",
+							src.name, i, mr.Pos(), mr.Offset(), rd.Pos(), rd.Offset())
+					}
+					if merr == io.EOF {
+						break
+					}
+					if merr != nil {
+						t.Fatalf("%s access %d: unexpected decode error %v on a valid trace", src.name, i, merr)
+					}
 				}
 			}
 		})
@@ -83,67 +105,149 @@ func TestMmapReaderMatchesReaderOnValidTraces(t *testing.T) {
 
 func TestMmapReaderReadBlocksChunkedMatchesReader(t *testing.T) {
 	data := encode(t, mmapTraces()["kinds"])
-	for _, chunk := range []int{1, 3, 7, 64, 1000} {
-		mr, err := NewMmapReaderBytes(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mbuf, rbuf := make([]uint64, chunk), make([]uint64, chunk)
-		for {
-			mn, merr := mr.ReadBlocks(mbuf, 4, 16)
-			rn, rerr := rd.ReadBlocks(rbuf, 4, 16)
-			if mn != rn || !errorsEquivalent(merr, rerr) {
-				t.Fatalf("chunk=%d: mmap (%d, %v), reader (%d, %v)", chunk, mn, merr, rn, rerr)
+	for _, src := range streamedSources {
+		for _, chunk := range []int{1, 3, 7, 64, 1000} {
+			mr, err := NewReaderBytes(data)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; i < mn; i++ {
-				if mbuf[i] != rbuf[i] {
-					t.Fatalf("chunk=%d: block %d: %#x vs %#x", chunk, i, mbuf[i], rbuf[i])
+			rd, err := NewReader(src.wrap(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mbuf, rbuf := make([]uint64, chunk), make([]uint64, chunk)
+			for {
+				mn, merr := mr.ReadBlocks(mbuf, 4, 16)
+				rn, rerr := rd.ReadBlocks(rbuf, 4, 16)
+				if mn != rn || !errorsEquivalent(merr, rerr) {
+					t.Fatalf("%s chunk=%d: bytes (%d, %v), streamed (%d, %v)", src.name, chunk, mn, merr, rn, rerr)
 				}
-			}
-			if merr == io.EOF {
-				break
+				for i := 0; i < mn; i++ {
+					if mbuf[i] != rbuf[i] {
+						t.Fatalf("%s chunk=%d: block %d: %#x vs %#x", src.name, chunk, i, mbuf[i], rbuf[i])
+					}
+				}
+				if merr == io.EOF {
+					break
+				}
 			}
 		}
 	}
 }
 
 // TestMmapReaderTruncationMatrix cuts a valid encoding at every byte
-// boundary: both decoders must agree on where decoding stops and how
+// boundary: both windows must agree on where decoding stops and how
 // the failure is classified (header vs record, offset, EOF vs format).
 func TestMmapReaderTruncationMatrix(t *testing.T) {
 	data := encode(t, streamTrace())
 	for cut := 0; cut <= len(data); cut++ {
 		prefix := data[:cut]
-		mr, merr := NewMmapReaderBytes(prefix)
-		rd, rerr := NewReader(bytes.NewReader(prefix))
-		if (merr == nil) != (rerr == nil) {
-			t.Fatalf("cut=%d: header: mmap err %v, reader err %v", cut, merr, rerr)
-		}
-		if merr != nil {
-			if !formatErrorsEquivalent(merr, rerr) {
-				t.Fatalf("cut=%d: header errors diverge: %v vs %v", cut, merr, rerr)
-			}
-			continue
-		}
-		for i := 0; ; i++ {
-			ma, me := mr.Next()
-			ra, re := rd.Next()
-			if ma != ra || !errorsEquivalent(me, re) {
-				t.Fatalf("cut=%d access %d: mmap (%+v, %v), reader (%+v, %v)", cut, i, ma, me, ra, re)
-			}
-			if me != nil {
-				break
+		for _, src := range streamedSources {
+			if msg := diffReaders(prefix, src); msg != "" {
+				t.Fatalf("cut=%d %s: %s", cut, src.name, msg)
 			}
 		}
 	}
 }
 
+// diffReaders decodes data through NewReaderBytes and through NewReader
+// over src, and describes the first difference in header acceptance,
+// decoded access, position or failure ("" when there is none).
+func diffReaders(data []byte, src streamedSource) string {
+	mr, merr := NewReaderBytes(data)
+	rd, rerr := NewReader(src.wrap(data))
+	if (merr == nil) != (rerr == nil) {
+		return fmt.Sprintf("header: bytes err %v, streamed err %v", merr, rerr)
+	}
+	if merr != nil {
+		if !formatErrorsEquivalent(merr, rerr) {
+			return fmt.Sprintf("header errors diverge: %v vs %v", merr, rerr)
+		}
+		return ""
+	}
+	if mr.Name() != rd.Name() || mr.Ops() != rd.Ops() || mr.Len() != rd.Len() {
+		return fmt.Sprintf("headers disagree: %q/%d/%d vs %q/%d/%d",
+			mr.Name(), mr.Ops(), mr.Len(), rd.Name(), rd.Ops(), rd.Len())
+	}
+	for i := 0; i < 1<<20; i++ {
+		ma, me := mr.Next()
+		ra, re := rd.Next()
+		if ma != ra || !errorsEquivalent(me, re) {
+			return fmt.Sprintf("access %d: bytes (%+v, %v), streamed (%+v, %v)", i, ma, me, ra, re)
+		}
+		if mr.Offset() != rd.Offset() {
+			return fmt.Sprintf("access %d: offset bytes %d, streamed %d", i, mr.Offset(), rd.Offset())
+		}
+		if me != nil {
+			break
+		}
+	}
+	return diffBlocks(data, src)
+}
+
+// diffBlocks holds ReadBlocks to Next on both windows: the same blocks,
+// then the same failure at the same position. A chunk of 1 stops each
+// bulk run after one record; 1000 lets a run reach the end of a refill
+// window or of the encoding, where Next takes over.
+func diffBlocks(data []byte, src streamedSource) string {
+	ref, err := NewReaderBytes(data)
+	if err != nil {
+		return "" // header failures are compared by diffReaders
+	}
+	want, wantErr := blocksVia(ref, 0)
+	windows := []struct {
+		name string
+		open func() (*Reader, error)
+	}{
+		{"bytes", func() (*Reader, error) { return NewReaderBytes(data) }},
+		{src.name, func() (*Reader, error) { return NewReader(src.wrap(data)) }},
+	}
+	for _, w := range windows {
+		for _, chunk := range []int{1, 1000} {
+			rd, err := w.open()
+			if err != nil {
+				return fmt.Sprintf("ReadBlocks %s: header %v", w.name, err)
+			}
+			got, gotErr := blocksVia(rd, chunk)
+			if !slices.Equal(got, want) || !errorsEquivalent(gotErr, wantErr) {
+				return fmt.Sprintf("ReadBlocks %s chunk=%d: %d blocks then %v, Next %d blocks then %v",
+					w.name, chunk, len(got), gotErr, len(want), wantErr)
+			}
+			if rd.Pos() != ref.Pos() || rd.Offset() != ref.Offset() {
+				return fmt.Sprintf("ReadBlocks %s chunk=%d: stopped at %d@%d, Next at %d@%d",
+					w.name, chunk, rd.Pos(), rd.Offset(), ref.Pos(), ref.Offset())
+			}
+		}
+	}
+	return ""
+}
+
+// blocksVia decodes rd to its first error as 16-bit block numbers of
+// 4-byte blocks: through ReadBlocks with the given chunk, or through
+// Next when chunk is 0.
+func blocksVia(rd *Reader, chunk int) ([]uint64, error) {
+	var blocks []uint64
+	if chunk == 0 {
+		for {
+			a, err := rd.Next()
+			if err != nil {
+				return blocks, err
+			}
+			blocks = append(blocks, a.Addr>>2&0xffff)
+		}
+	}
+	buf := make([]uint64, chunk)
+	for {
+		k, err := rd.ReadBlocks(buf, 4, 16)
+		blocks = append(blocks, buf[:k]...)
+		if err != nil {
+			return blocks, err
+		}
+	}
+}
+
 // TestMmapReaderCorruptKindMatrix flips each record's kind byte to an
-// invalid value and checks both decoders fail identically.
+// invalid value and checks both windows fail identically.
 func TestMmapReaderCorruptKindMatrix(t *testing.T) {
 	tr := streamTrace()
 	data := encode(t, tr)
@@ -162,26 +266,82 @@ func TestMmapReaderCorruptKindMatrix(t *testing.T) {
 	for rec, start := range starts[:len(starts)-1] {
 		mut := append([]byte(nil), data...)
 		mut[start] = 0x99
-		mr, err := NewMmapReaderBytes(mut)
-		if err != nil {
-			t.Fatal(err)
+		for _, src := range streamedSources {
+			if msg := diffReaders(mut, src); msg != "" {
+				t.Fatalf("record %d corrupted, %s: %s", rec, src.name, msg)
+			}
 		}
-		brd, err := NewReader(bytes.NewReader(mut))
+		mr, err := NewReaderBytes(mut)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for {
-			ma, me := mr.Next()
-			ra, re := brd.Next()
-			if ma != ra || !errorsEquivalent(me, re) {
-				t.Fatalf("record %d corrupted: mmap (%+v, %v), reader (%+v, %v)", rec, ma, me, ra, re)
-			}
-			if me != nil {
+			if _, err := mr.Next(); err != nil {
 				var fe *FormatError
-				if !errors.As(me, &fe) || fe.Offset != start || fe.Record != uint64(rec) {
-					t.Fatalf("record %d: error %v not anchored at record %d offset %d", rec, me, rec, start)
+				if !errors.As(err, &fe) || fe.Offset != start || fe.Record != uint64(rec) {
+					t.Fatalf("record %d: error %v not anchored at record %d offset %d", rec, err, rec, start)
 				}
 				break
+			}
+		}
+	}
+}
+
+// TestOverlongDeltaClassifiesAlike follows one record's kind byte with
+// 1..16 varint continuation bytes and then plenty of trailing data:
+// every window must fail (or decode) that record identically, however
+// many bytes it holds past the record start.
+func TestOverlongDeltaClassifiesAlike(t *testing.T) {
+	head := encode(t, &Trace{Name: "long"})
+	head = head[:len(head)-1] // drop the access count of zero
+	for cont := 1; cont <= 16; cont++ {
+		data := append([]byte(nil), head...)
+		data = append(data, 2, byte(Read)) // two records declared
+		data = append(data, bytes.Repeat([]byte{0xff}, cont)...)
+		data = append(data, bytes.Repeat([]byte{0x01}, 32)...)
+		for _, src := range streamedSources {
+			if msg := diffReaders(data, src); msg != "" {
+				t.Fatalf("%d continuation bytes, %s: %s", cont, src.name, msg)
+			}
+		}
+	}
+}
+
+// TestReaderRefillBoundaries decodes traces several windows long whose
+// records all have one length L, shifting the header by 0..L-1 bytes so
+// that the streamed window's refills cut a record at every byte phase.
+// The streamed Reader must match the byte window access for access and
+// offset for offset, and report a cut in the last record identically.
+func TestReaderRefillBoundaries(t *testing.T) {
+	for l := 2; l <= maxRecordLen; l++ {
+		// Alternating between 0 and hi makes every delta a varint of
+		// l-1 bytes (hi = 1<<63 wraps the delta to MinInt64, 10 bytes).
+		hi := uint64(1) << 63
+		if l-1 < binary.MaxVarintLen64 {
+			hi = uint64(1) << (7 * (l - 2))
+		}
+		for shift := 0; shift < l; shift++ {
+			tr := &Trace{Name: string(bytes.Repeat([]byte{'s'}, shift))}
+			for i := 0; i < 3*windowSize/l+l; i++ {
+				tr.Append(hi*uint64(1-i%2), Fetch)
+			}
+			data := encode(t, tr)
+			head, err := NewReaderBytes(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := head.Offset() + int64(tr.Len()*l); int64(len(data)) != want {
+				t.Fatalf("L=%d: encoding is %d bytes, want %d", l, len(data), want)
+			}
+			// The whole-encoding source fills the window to the brim,
+			// so the first refill cuts the record that spans stream
+			// offset windowSize, at the phase the shift selects.
+			whole := streamedSources[0]
+			if msg := diffReaders(data, whole); msg != "" {
+				t.Fatalf("L=%d shift=%d: %s", l, shift, msg)
+			}
+			if msg := diffReaders(data[:len(data)-1], whole); msg != "" {
+				t.Fatalf("L=%d shift=%d, last record cut: %s", l, shift, msg)
 			}
 		}
 	}
@@ -206,7 +366,7 @@ func formatErrorsEquivalent(a, b error) bool {
 		// textually.
 		return a.Error() == b.Error()
 	}
-	return fa.Offset == fb.Offset && fa.Record == fb.Record && fa.HaveRecord == fb.HaveRecord
+	return fa.Offset == fb.Offset && fa.Record == fb.Record && fa.HaveRecord == fb.HaveRecord && fa.What == fb.What
 }
 
 // TestMmapReaderHugeDeclaredCount pins the int-overflow audit at the
@@ -227,7 +387,7 @@ func TestMmapReaderHugeDeclaredCount(t *testing.T) {
 	buf.WriteByte(0) // one Read record, delta 0
 	buf.Write(tmp[:binary.PutVarint(tmp[:], 16)])
 
-	check := func(name string, r StreamReader) {
+	check := func(name string, r *Reader) {
 		if r.Len() != 1<<33 {
 			t.Fatalf("%s: Len() = %d, want %d", name, r.Len(), uint64(1)<<33)
 		}
@@ -242,36 +402,46 @@ func TestMmapReaderHugeDeclaredCount(t *testing.T) {
 			t.Fatalf("%s: error %v does not wrap xerr.ErrFormat", name, err)
 		}
 	}
-	mr, err := NewMmapReaderBytes(buf.Bytes())
+	mr, err := NewReaderBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("mmap", mr)
+	check("bytes", mr)
 	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("reader", rd)
+	check("streamed", rd)
 }
 
-func TestWriterMatchesEncodeByteForByte(t *testing.T) {
-	for name, tr := range mmapTraces() {
-		want := encode(t, tr)
-		var got bytes.Buffer
-		w, err := NewWriter(&got, tr.Name, tr.Ops, uint64(tr.Len()))
+// TestEncodeGoldenBytes pins the XTR1 encoding itself, so a change to
+// the Writer cannot move the format unnoticed: the expected bytes were
+// recorded from the encoder before Encode became a Writer.
+func TestEncodeGoldenBytes(t *testing.T) {
+	golden := map[string]string{
+		"kinds": "58545231056b696e64730740000001080210001801180218001801180218001801180218001801180218" +
+			"001801180218001801180218001801180218001801180218001801180218001801180218001801180218" +
+			"001801180218001801180218001801180218001801180218001801180218001801180218001801180218" +
+			"0018011802180018011802180018",
+		"jumps": "58545231056a756d707300040080808080804000ffffffffff3f02ffffffffffffffffff010154",
+	}
+	for name, want := range golden {
+		tr := mmapTraces()[name]
+		data := encode(t, tr)
+		if got := hex.EncodeToString(data); got != want {
+			t.Fatalf("%s: encoding\n%s\nwant\n%s", name, got, want)
+		}
+		back, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range tr.Accesses {
-			if err := w.WriteAccess(a); err != nil {
-				t.Fatal(err)
+		if back.Name != tr.Name || back.Ops != tr.Ops || len(back.Accesses) != len(tr.Accesses) {
+			t.Fatalf("%s: golden bytes decode to a different header", name)
+		}
+		for i := range tr.Accesses {
+			if back.Accesses[i] != tr.Accesses[i] {
+				t.Fatalf("%s: golden bytes decode access %d to %+v, want %+v", name, i, back.Accesses[i], tr.Accesses[i])
 			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("%s: streamed encoding differs from Encode (%d vs %d bytes)", name, got.Len(), len(want))
 		}
 	}
 }
@@ -300,8 +470,9 @@ func TestWriterEnforcesDeclaredCount(t *testing.T) {
 }
 
 // TestOpenMappedAndBufferedAgree exercises the production entry point
-// end to end on a real file: both paths must hand back the same
-// records, and the mapped path must report itself.
+// end to end on a real file: Open (mapped where the platform can) must
+// hand back the same records as a Reader streaming the same file, and
+// report which path it took.
 func TestOpenMappedAndBufferedAgree(t *testing.T) {
 	tr := mmapTraces()["kinds"]
 	path := filepath.Join(t.TempDir(), "t.xtr")
@@ -309,63 +480,68 @@ func TestOpenMappedAndBufferedAgree(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	read := func(preferMmap bool) (*Trace, bool) {
-		src, err := Open(path, preferMmap)
+	readAll := func(rd *Reader) *Trace {
+		out, err := rd.ReadAll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer src.Close()
-		out := &Trace{}
-		for {
-			a, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			out.Accesses = append(out.Accesses, a)
-		}
-		return out, src.Mapped
+		return out
 	}
-	buffered, mapped := read(false)
-	if mapped {
-		t.Fatal("preferMmap=false reported a mapping")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	viaMmap, mapped := read(true)
-	if !mapped {
-		t.Skip("mmap unavailable on this platform; fallback path already checked")
+	defer f.Close()
+	rd, err := NewReader(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(buffered.Accesses) != len(viaMmap.Accesses) || len(buffered.Accesses) != tr.Len() {
-		t.Fatalf("access counts: buffered %d, mmap %d, want %d", len(buffered.Accesses), len(viaMmap.Accesses), tr.Len())
+	if rd.Mapped() {
+		t.Fatal("a Reader over an io.Reader reported a mapping")
+	}
+	buffered := readAll(rd)
+	src, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	viaOpen := readAll(src)
+	if len(buffered.Accesses) != len(viaOpen.Accesses) || len(buffered.Accesses) != tr.Len() {
+		t.Fatalf("access counts: buffered %d, Open %d, want %d", len(buffered.Accesses), len(viaOpen.Accesses), tr.Len())
 	}
 	for i := range buffered.Accesses {
-		if buffered.Accesses[i] != viaMmap.Accesses[i] {
+		if buffered.Accesses[i] != viaOpen.Accesses[i] {
 			t.Fatalf("access %d differs between paths", i)
 		}
 	}
+	if !src.Mapped() {
+		t.Skip("mmap unavailable on this platform; the streamed path was checked")
+	}
 }
 
-// TestOpenFallsBackOnUnparsableHeader: a corrupt file must fail the
-// same way through Open regardless of the preferMmap flag (the mapped
-// path silently falls back and lets the buffered reader produce the
-// canonical error).
+// TestOpenFallsBackOnUnparsableHeader: a corrupt file must fail through
+// Open with the same format error the streamed Reader reports.
 func TestOpenFallsBackOnUnparsableHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.xtr")
 	if err := os.WriteFile(path, []byte("NOPE...."), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, preferMmap := range []bool{false, true} {
-		if _, err := Open(path, preferMmap); err == nil {
-			t.Fatalf("preferMmap=%v: corrupt header accepted", preferMmap)
-		} else if !errors.Is(err, xerr.ErrFormat) {
-			t.Fatalf("preferMmap=%v: error %v does not wrap xerr.ErrFormat", preferMmap, err)
-		}
+	rd, err := Open(path)
+	if err == nil {
+		rd.Close()
+		t.Fatal("corrupt header accepted")
+	}
+	if !errors.Is(err, xerr.ErrFormat) {
+		t.Fatalf("error %v does not wrap xerr.ErrFormat", err)
+	}
+	if _, want := NewReader(bytes.NewReader([]byte("NOPE...."))); !formatErrorsEquivalent(err, want) {
+		t.Fatalf("Open error %v, streamed Reader error %v", err, want)
 	}
 }
 
-// FuzzMmapReader feeds arbitrary bytes to both decoders and requires
-// identical behavior: header acceptance, every decoded access, and the
+// FuzzMmapReader feeds arbitrary bytes to the byte window and to the
+// streamed window, whole and one byte per Read, and requires identical
+// behavior: header acceptance, every decoded access, and the
 // classification and anchoring of the first failure.
 func FuzzMmapReader(f *testing.F) {
 	for _, tr := range mmapTraces() {
@@ -381,29 +557,9 @@ func FuzzMmapReader(f *testing.F) {
 	f.Add([]byte("XTR1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mr, merr := NewMmapReaderBytes(data)
-		rd, rerr := NewReader(bytes.NewReader(data))
-		if (merr == nil) != (rerr == nil) {
-			t.Fatalf("header: mmap err %v, reader err %v", merr, rerr)
-		}
-		if merr != nil {
-			if !formatErrorsEquivalent(merr, rerr) {
-				t.Fatalf("header errors diverge: %v vs %v", merr, rerr)
-			}
-			return
-		}
-		if mr.Name() != rd.Name() || mr.Ops() != rd.Ops() || mr.Len() != rd.Len() {
-			t.Fatalf("headers disagree: %q/%d/%d vs %q/%d/%d",
-				mr.Name(), mr.Ops(), mr.Len(), rd.Name(), rd.Ops(), rd.Len())
-		}
-		for i := 0; i < 1<<16; i++ {
-			ma, me := mr.Next()
-			ra, re := rd.Next()
-			if ma != ra || !errorsEquivalent(me, re) {
-				t.Fatalf("access %d: mmap (%+v, %v), reader (%+v, %v)", i, ma, me, ra, re)
-			}
-			if me != nil {
-				return
+		for _, src := range streamedSources[:2] {
+			if msg := diffReaders(data, src); msg != "" {
+				t.Fatalf("%s: %s", src.name, msg)
 			}
 		}
 	})

@@ -7,9 +7,6 @@ import (
 	"syscall"
 )
 
-// mmapSupported reports whether this build has a real mmap path.
-const mmapSupported = true
-
 // mmapFile maps size bytes of f read-only. The mapping is page-aligned
 // by construction (mmap returns whole pages); madvise(SEQUENTIAL) is
 // best-effort — the profiling pass is one forward sweep, so the kernel

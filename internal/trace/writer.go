@@ -17,8 +17,9 @@ import (
 // verifies the declaration and flushes; a Writer must not be shared
 // between goroutines.
 //
-// Memory is bounded by the bufio buffer regardless of trace length, so
-// a multi-GB trace streams to disk without ever materializing a Trace.
+// Memory is bounded by the windowSize flush buffer regardless of trace
+// length, so a multi-GB trace streams to disk without ever
+// materializing a Trace. Encode is a Writer over an in-memory Trace.
 type Writer struct {
 	bw       *bufio.Writer
 	declared uint64
@@ -31,7 +32,7 @@ type Writer struct {
 // positioned at the first access record. count is the exact number of
 // accesses the caller will write; Close fails if the tally differs.
 func NewWriter(w io.Writer, name string, ops, count uint64) (*Writer, error) {
-	tw := &Writer{bw: bufio.NewWriterSize(w, 1<<20), declared: count}
+	tw := &Writer{bw: bufio.NewWriterSize(w, windowSize), declared: count}
 	if _, err := tw.bw.WriteString(magic); err != nil {
 		return nil, err
 	}
@@ -56,9 +57,8 @@ func (w *Writer) putUvarint(v uint64) error {
 	return err
 }
 
-// WriteAccess appends one access record (kind byte plus the signed
-// varint delta against the previous same-kind address — the exact
-// layout Encode produces).
+// WriteAccess appends one access record: the kind byte plus the
+// signed varint delta against the previous same-kind address.
 func (w *Writer) WriteAccess(a Access) error {
 	if w.written >= w.declared {
 		return fmt.Errorf("trace: writer declared %d accesses, got more: %w", w.declared, xerr.ErrInvalidOptions)
