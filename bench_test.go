@@ -361,28 +361,6 @@ func BenchmarkAblationAnnealVsHillClimb(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallelSearch measures the parallel neighbor
-// evaluation speedup on the general-XOR search.
-func BenchmarkAblationParallelSearch(b *testing.B) {
-	tr := mustWorkload(b, "fft").Data(1)
-	p := profile.Build(tr.Blocks(4, 16), 16, 256)
-	for _, workers := range []int{1, 4} {
-		name := "sequential"
-		if workers > 1 {
-			name = "4-workers"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := search.ConstructCtx(context.Background(), p, 8, search.Options{
-					Family: hash.FamilyGeneralXOR, Workers: workers,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkExtensionHierarchy runs the two-level hierarchy with and
 // without a tuned L1 index and reports the AMAT of each.
 func BenchmarkExtensionHierarchy(b *testing.B) {
@@ -1214,104 +1192,6 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 			f.Sampled = sampled
 			f.Sketch = kres
 		})
-	})
-}
-
-// BenchmarkClimb measures the general-XOR null-space climb at the
-// paper's largest dimensions (n=16, m=8) with and without the
-// incremental coset-sum evaluator (DESIGN.md §10). Both variants must
-// return the bit-identical matrix and estimate; the metrics of record
-// are histogram lookups per climb (the evaluator's target is a >= 3x
-// reduction) and wall-clock time. The final sub-benchmark writes
-// BENCH_search.json — the perf-trajectory baseline for the search hot
-// path.
-func BenchmarkClimb(b *testing.B) {
-	const n, m, cacheBlocks = 16, 8, 256
-	tr := mustWorkload(b, "fft").Data(1)
-	p := profile.Build(tr.Blocks(4, n), n, cacheBlocks)
-	type variant struct {
-		name string
-		opt  search.Options
-	}
-	variants := []variant{
-		{"incremental", search.Options{Family: hash.FamilyGeneralXOR}},
-		{"brute", search.Options{Family: hash.FamilyGeneralXOR, NoIncremental: true}},
-	}
-	best := map[string]time.Duration{}
-	results := map[string]search.Result{}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				res, err := search.ConstructCtx(context.Background(), p, m, v.opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				elapsed := time.Since(start)
-				if cur, ok := best[v.name]; !ok || elapsed < cur {
-					best[v.name] = elapsed
-				}
-				results[v.name] = res
-				b.ReportMetric(float64(res.Lookups), "lookups")
-				b.ReportMetric(float64(res.MemoHits), "memo-hits")
-			}
-		})
-	}
-	b.Run("emit-baseline", func(b *testing.B) {
-		inc, okInc := results["incremental"]
-		brute, okBrute := results["brute"]
-		if !okInc || !okBrute {
-			b.Skip("run the incremental and brute sub-benchmarks first")
-		}
-		if !inc.Matrix.Equal(brute.Matrix) || inc.Estimated != brute.Estimated {
-			b.Fatalf("variants diverged: est %d vs %d", inc.Estimated, brute.Estimated)
-		}
-		ratio := float64(brute.Lookups) / float64(inc.Lookups)
-		speedup := float64(best["brute"]) / float64(best["incremental"])
-		out := struct {
-			Benchmark       string  `json:"benchmark"`
-			Workload        string  `json:"workload"`
-			N               int     `json:"n"`
-			M               int     `json:"m"`
-			CacheBlocks     int     `json:"cache_blocks"`
-			GoVersion       string  `json:"go_version"`
-			NumCPU          int     `json:"num_cpu"`
-			Estimated       uint64  `json:"estimated_misses"`
-			BruteLookups    uint64  `json:"brute_lookups"`
-			IncLookups      uint64  `json:"incremental_lookups"`
-			LookupRatio     float64 `json:"lookup_ratio"`
-			MemoHits        uint64  `json:"memo_hits"`
-			BruteMs         float64 `json:"brute_ms"`
-			IncMs           float64 `json:"incremental_ms"`
-			Speedup         float64 `json:"speedup"`
-			MatrixIdentical bool    `json:"matrix_identical"`
-		}{
-			Benchmark:       "BenchmarkClimb",
-			Workload:        "fft",
-			N:               n,
-			M:               m,
-			CacheBlocks:     cacheBlocks,
-			GoVersion:       runtime.Version(),
-			NumCPU:          runtime.NumCPU(),
-			Estimated:       inc.Estimated,
-			BruteLookups:    brute.Lookups,
-			IncLookups:      inc.Lookups,
-			LookupRatio:     ratio,
-			MemoHits:        inc.MemoHits,
-			BruteMs:         float64(best["brute"].Microseconds()) / 1000,
-			IncMs:           float64(best["incremental"].Microseconds()) / 1000,
-			Speedup:         speedup,
-			MatrixIdentical: true,
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_search.json", append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(ratio, "lookup-ratio")
-		b.ReportMetric(speedup, "speedup")
 	})
 }
 

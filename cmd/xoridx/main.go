@@ -82,8 +82,7 @@ func main() {
 	algo := flag.String("algo", "hillclimb", "search algorithm: hillclimb (paper), anneal, constructive")
 	maxInputs := flag.Int("maxinputs", 2, "max XOR inputs per set-index bit (0 = unlimited)")
 	restarts := flag.Int("restarts", 0, "extra random hill-climbing restarts")
-	workers := flag.Int("workers", 1, "parallel workers for profiling and search (1 = sequential, -1 = all cores); results are identical for any value")
-	noIncremental := flag.Bool("no-incremental", false, "score every search candidate with a full Gray-code walk instead of the memoized coset-sum evaluator; results are identical, only slower")
+	workers := flag.Int("workers", 1, "parallel workers for profiling (1 = sequential, -1 = all cores); results are identical for any value")
 	noFallback := flag.Bool("nofallback", false, "disable the revert-to-conventional guard")
 	verbose := flag.Bool("verbose", false, "print the profile and search details")
 	bitstream := flag.Bool("bitstream", false, "emit the Fig. 2b configuration bitstream for the selected function (permutation family, maxinputs <= 2)")
@@ -149,7 +148,6 @@ func main() {
 		Restarts:       *restarts,
 		NoFallback:     *noFallback,
 		Workers:        *workers,
-		NoIncremental:  *noIncremental,
 		CheckpointPath: *checkpoint,
 		Resume:         *resume,
 		SampleK:        *sampleK,

@@ -51,7 +51,6 @@ func serveMain(args []string) {
 	addrBits := fs.Int("n", 16, "hashed block-address bits")
 	family := fs.String("family", "general", "function family: permutation, general, bitselect")
 	maxInputs := fs.Int("maxinputs", 0, "max XOR inputs per set-index bit (0 = unlimited)")
-	workers := fs.Int("workers", 1, "parallel workers for the background search")
 	shards := fs.Int("shards", 4, "ingest shards (power of two)")
 	window := fs.Uint64("window", serve.DefaultWindowAccesses, "window length in accesses between re-tunes")
 	decay := fs.Float64("decay", 0.25, "per-window aggregate decay in [0,1): 0 remembers everything")
@@ -103,7 +102,6 @@ func serveMain(args []string) {
 			AddrBits:   *addrBits,
 			Family:     fam,
 			MaxInputs:  *maxInputs,
-			Workers:    *workers,
 		},
 		Shards:         *shards,
 		WindowAccesses: *window,

@@ -70,17 +70,11 @@ type Config struct {
 	MaxIterations int
 	// NoFallback disables the revert-to-conventional guard of §6.
 	NoFallback bool
-	// Workers fans both pipeline phases out across goroutines: the
-	// profiling pass shards the trace (profile.BuildStream, exact for
-	// any worker count) and the search phase parallelises neighbor
-	// evaluation where the algorithm supports it. 0 or 1 = sequential;
-	// < 0 = one worker per core.
+	// Workers shards the profiling pass across goroutines
+	// (profile.BuildStream, exact for any worker count); the search
+	// phase is sequential. 0 or 1 = sequential; < 0 = one worker per
+	// core.
 	Workers int
-	// NoIncremental disables the search phase's memoized coset-sum
-	// evaluator, scoring every candidate with a full Gray-code walk as
-	// the original implementation did. Results are identical; the knob
-	// exists for benchmarking and differential testing.
-	NoIncremental bool
 	// CheckpointPath, when non-empty, is the base path for crash
 	// snapshots: the profiling stage writes <path>.profile.ckpt and the
 	// search stage <path>.search.ckpt, both atomically, so a killed run
@@ -249,8 +243,6 @@ func (c Config) searchOptions() search.Options {
 		MaxIterations: c.MaxIterations,
 		Restarts:      c.Restarts,
 		Seed:          c.Seed,
-		Workers:       c.profileWorkers(),
-		NoIncremental: c.NoIncremental,
 	}
 	if c.CheckpointPath != "" {
 		opt.CheckpointPath = c.searchCheckpointPath()

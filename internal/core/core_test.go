@@ -225,8 +225,8 @@ func TestMicroControls(t *testing.T) {
 }
 
 // TestWorkersInvariance pins the parallelism contract at the pipeline
-// level: the Workers knob shards profiling and search fan-out but must
-// not change the selected function or any measured number.
+// level: the Workers knob shards profiling but must not change the
+// selected function or any measured number.
 func TestWorkersInvariance(t *testing.T) {
 	w, err := workloads.ByName("fft")
 	if err != nil {

@@ -40,8 +40,8 @@ const BlockBytes = 4
 // with different options.
 type Options struct {
 	// Workers is threaded into every per-trace core.Config: it shards
-	// the profiling pass (bit-identical results for any value) and
-	// parallelises the search where supported. The drivers already fan
+	// the profiling pass (bit-identical results for any value); the
+	// search is sequential. The drivers already fan
 	// out across benchmarks, so 0 keeps each per-trace pipeline
 	// sequential; cmd/tables -workers raises it when few benchmarks are
 	// selected.

@@ -10,9 +10,8 @@ import "fmt"
 // coordinates, so the residue is supported on the free positions only
 // and identifies the vector's coset of span(basis). GatherBits packs
 // that residue into a dense coset index; ScatterBits is its inverse on
-// canonical representatives. The search engine uses these to tabulate
-// per-hyperplane coset sums once and score every neighbour of a null
-// space with two table reads.
+// canonical representatives. The null-space climb uses them to
+// enumerate a hyperplane's coset representatives in canonical order.
 
 // Reduce XORs v against the basis vectors to eliminate their leading
 // bits, returning the canonical residue of v modulo span(basis). The

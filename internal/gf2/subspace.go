@@ -266,38 +266,38 @@ func MatrixWithNullSpace(v Subspace) Matrix {
 }
 
 // Hyperplanes appends every (dim-1)-dimensional subspace of s to dst and
-// returns it. There are 2^dim - 1 of them: each is the kernel within s
-// of one nonzero linear functional on s. Used to generate hill-climbing
-// neighbors (paper §3.2: neighbors share a dim-1 intersection).
+// returns it, in the order Hyperplane(1), ..., Hyperplane(2^dim - 1).
+// Used to generate hill-climbing neighbors (paper §3.2: neighbors share
+// a dim-1 intersection).
 func (s Subspace) Hyperplanes(dst []Subspace) []Subspace {
 	d := s.Dim()
-	if d == 0 {
-		return dst
-	}
 	if d > 30 {
 		panic("gf2: hyperplane enumeration dimension too large")
 	}
-	// A functional on s is determined by its values f_i on the basis
-	// vectors; f != 0 picks the hyperplane spanned by basis combinations
-	// with even functional value. Basis of the kernel of f on s: pick a
-	// basis vector b_k with f_k = 1; kernel basis = {b_i : f_i = 0} ∪
-	// {b_i ^ b_k : f_i = 1, i != k}.
 	for f := uint64(1); f < uint64(1)<<uint(d); f++ {
-		k := trailingZeros(f) // f_k == 1
-		vecs := make([]Vec, 0, d-1)
-		for i := 0; i < d; i++ {
-			if i == k {
-				continue
-			}
-			if f>>uint(i)&1 == 1 {
-				vecs = append(vecs, s.Basis[i]^s.Basis[k])
-			} else {
-				vecs = append(vecs, s.Basis[i])
-			}
-		}
-		dst = append(dst, Span(s.N, vecs...))
+		dst = append(dst, s.Hyperplane(f))
 	}
 	return dst
+}
+
+// Hyperplane returns the kernel within s of the nonzero linear
+// functional f on s, where bit i of f is the functional's value on
+// Basis[i]: the span of the basis combinations with even functional
+// value. Its basis: pick a basis vector b_k with f_k = 1; the kernel is
+// spanned by {b_i : f_i = 0} ∪ {b_i ^ b_k : f_i = 1, i != k}.
+func (s Subspace) Hyperplane(f uint64) Subspace {
+	k := trailingZeros(f) // f_k == 1
+	vecs := make([]Vec, 0, s.Dim()-1)
+	for i, b := range s.Basis {
+		switch {
+		case i == k:
+		case f>>uint(i)&1 == 1:
+			vecs = append(vecs, b^s.Basis[k])
+		default:
+			vecs = append(vecs, b)
+		}
+	}
+	return Span(s.N, vecs...)
 }
 
 // Extend returns span(s, v). If v ∈ s the result equals s.

@@ -387,8 +387,8 @@ func (p *Profile) ForEachNonZero(fn func(v gf2.Vec, count uint64)) {
 }
 
 // Support returns the nonzero (vector, count) entries of the histogram
-// in ascending vector order — the working set the incremental search
-// engine sweeps per hyperplane instead of Gray-walking 2^d entries per
+// in ascending vector order — the working set the null-space climb
+// sweeps once per move instead of Gray-walking 2^d entries per
 // candidate. The result is allocated exactly once: the flat backend
 // counts its nonzero entries in a first pass (and is already in
 // ascending order, so no sort is needed), the sparse backend sizes the

@@ -55,14 +55,8 @@ func AnnealCtx(ctx context.Context, p *profile.Profile, m int, opt AnnealOptions
 	}
 	best := cur
 	bestEst := curEst
-	res := Result{Baseline: baseline, Lookups: uint64(1) << uint(d)}
-
-	// The annealer samples hyperplanes of whatever null space the walk
-	// currently sits in, so the memoized coset tables pay off whenever
-	// the walk lingers or returns: a resampled (hyperplane, vector)
-	// proposal costs two array reads instead of a 2^d walk.
-	ev := newNullEvaluator(p)
-	hps := cur.Hyperplanes(nil)
+	walkCost := uint64(1) << uint(d)
+	res := Result{Baseline: baseline, Lookups: walkCost}
 	for step := 0; step < opt.Steps; step++ {
 		if step&(ctxCheckEvery-1) == 0 {
 			if err := xerr.Check(ctx); err != nil {
@@ -70,8 +64,6 @@ func AnnealCtx(ctx context.Context, p *profile.Profile, m int, opt AnnealOptions
 				// reached, tagged Degraded, alongside the error.
 				res.Matrix = gf2.MatrixWithNullSpace(best)
 				res.Estimated = bestEst
-				res.Lookups += ev.lookups.Load()
-				res.MemoHits = ev.hits.Load()
 				res.Degraded = true
 				return res, err
 			}
@@ -82,7 +74,7 @@ func AnnealCtx(ctx context.Context, p *profile.Profile, m int, opt AnnealOptions
 
 		// Random neighbor: random hyperplane of cur + random external
 		// vector (the same neighbourhood structure as the hill climber).
-		hp := hps[rng.Intn(len(hps))]
+		hp := cur.Hyperplane(uint64(rng.Intn(1<<uint(d)-1)) + 1)
 		var v gf2.Vec
 		for {
 			v = gf2.Vec(rng.Uint64()) & gf2.Mask(n)
@@ -94,13 +86,13 @@ func AnnealCtx(ctx context.Context, p *profile.Profile, m int, opt AnnealOptions
 		if cand.Dim() != d {
 			continue
 		}
-		candEst := ev.estimateExtend(ev.table(hp), v)
+		candEst := p.EstimateSubspace(cand)
 		res.Evaluated++
+		res.Lookups += walkCost
 		delta := float64(candEst) - float64(curEst)
 		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
 			cur = cand
 			curEst = candEst
-			hps = cur.Hyperplanes(hps[:0])
 			res.Iterations++
 			if curEst < bestEst {
 				best = cur
@@ -110,7 +102,5 @@ func AnnealCtx(ctx context.Context, p *profile.Profile, m int, opt AnnealOptions
 	}
 	res.Matrix = gf2.MatrixWithNullSpace(best)
 	res.Estimated = bestEst
-	res.Lookups += ev.lookups.Load()
-	res.MemoHits = ev.hits.Load()
 	return res, nil
 }

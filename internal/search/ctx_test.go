@@ -3,9 +3,7 @@ package search
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
-	"time"
 
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
@@ -33,8 +31,7 @@ func ctxTestProfile() *profile.Profile {
 // pre-canceled context. The matrix-space families poll the context once
 // per ctxCheckEvery candidate evaluations, so enough restarts are
 // requested that the cumulative evaluation count is guaranteed to cross
-// the threshold; the null-space families cross it within their first
-// hill-climbing move.
+// the threshold; the null-space climb polls before every move.
 func TestConstructCtxCanceledEachFamily(t *testing.T) {
 	p := ctxTestProfile()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -44,7 +41,6 @@ func TestConstructCtxCanceledEachFamily(t *testing.T) {
 		opt  Options
 	}{
 		{"general", Options{Family: hash.FamilyGeneralXOR}},
-		{"general-parallel", Options{Family: hash.FamilyGeneralXOR, Workers: 4}},
 		{"general-limited", Options{Family: hash.FamilyGeneralXOR, MaxInputs: 2, Restarts: 100, Seed: 1}},
 		{"permutation", Options{Family: hash.FamilyPermutation, MaxInputs: 2, Restarts: 100, Seed: 1}},
 		{"bitselect", Options{Family: hash.FamilyBitSelect, Restarts: 100, Seed: 1}},
@@ -62,30 +58,11 @@ func TestConstructCtxCanceledEachFamily(t *testing.T) {
 // climb to stop within one move.
 func TestConstructCtxCancelMidClimb(t *testing.T) {
 	p := ctxTestProfile()
-	for _, workers := range []int{0, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		opt := Options{Family: hash.FamilyGeneralXOR, Workers: workers,
-			Progress: func(Progress) { cancel() }}
-		_, err := ConstructCtx(ctx, p, 6, opt)
-		wantCanceled(t, err)
-		cancel()
-	}
-}
-
-func TestConstructCtxParallelNoGoroutineLeak(t *testing.T) {
-	p := ctxTestProfile()
-	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := ConstructCtx(ctx, p, 6, Options{Family: hash.FamilyGeneralXOR, Workers: 8})
+	defer cancel()
+	opt := Options{Family: hash.FamilyGeneralXOR, Progress: func(Progress) { cancel() }}
+	_, err := ConstructCtx(ctx, p, 6, opt)
 	wantCanceled(t, err)
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d running, baseline %d", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 func TestAnnealCtxCanceled(t *testing.T) {

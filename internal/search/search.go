@@ -54,17 +54,6 @@ type Options struct {
 	Restarts int
 	// Seed drives restart randomisation; ignored when Restarts is 0.
 	Seed int64
-	// Workers parallelises neighbor evaluation for the general-XOR
-	// null-space search: 0 or 1 = sequential (paper-faithful), > 1 =
-	// that many goroutines, < 0 = GOMAXPROCS. Results are identical to
-	// the sequential search.
-	Workers int
-	// NoIncremental disables the memoized coset-sum evaluator of the
-	// general-XOR null-space search and scores every neighbor with a
-	// full Gray-code walk, as the original implementation did. Results
-	// are bit-identical either way; this knob exists for differential
-	// testing and benchmarking.
-	NoIncremental bool
 	// Progress, when non-nil, receives a Progress snapshot after every
 	// hill-climbing move (and at the end of each climb). It is called
 	// synchronously from the search goroutine; keep it fast.
@@ -105,12 +94,12 @@ type Result struct {
 	Iterations int        // hill-climbing moves taken (all climbs)
 	Evaluated  int        // candidate evaluations performed
 	// Lookups counts histogram-read work units spent scoring
-	// candidates: 2^k entries per Gray-code walk, the support entries
-	// swept per memoized coset table, and two reads per table-served
-	// candidate (see DESIGN.md §10). The baseline estimate is excluded.
+	// candidates: 2^k entries per Gray-code walk, and for the
+	// general-XOR null-space climb the support entries swept once per
+	// move (see DESIGN.md §10). The baseline estimate is excluded.
 	Lookups uint64
-	// MemoHits counts candidate scores served from a memoized
-	// hyperplane table or null-space key instead of the histogram.
+	// MemoHits counts candidate scores the matrix-space climbs served
+	// from their null-space memo instead of the histogram.
 	MemoHits uint64
 	// Degraded marks a best-so-far result returned from a canceled or
 	// deadline-expired search: Matrix and Estimated hold the best
@@ -178,14 +167,11 @@ func constructCtx(ctx context.Context, p *profile.Profile, m int, opt Options, w
 	var climb func(s *state, start int) (Result, error)
 	switch opt.Family {
 	case hash.FamilyGeneralXOR:
-		switch {
-		case opt.MaxInputs > 0:
+		if opt.MaxInputs > 0 {
 			// Fan-in-limited general XOR: search matrix space under the
 			// weight constraint instead of unconstrained null spaces.
 			climb = (*state).climbGeneralLimited
-		case opt.Workers != 0 && opt.Workers != 1:
-			climb = (*state).climbNullSpaceParallel
-		default:
+		} else {
 			climb = (*state).climbNullSpace
 		}
 	case hash.FamilyPermutation:
@@ -196,11 +182,9 @@ func constructCtx(ctx context.Context, p *profile.Profile, m int, opt Options, w
 		return Result{}, fmt.Errorf("search: unknown family %v: %w", opt.Family, xerr.ErrInvalidOptions)
 	}
 	s := &state{ctx: ctx, p: p, n: n, m: m, opt: opt}
-	if opt.Family == hash.FamilyGeneralXOR && opt.MaxInputs == 0 && !opt.NoIncremental {
-		// The unconstrained null-space climbs share one incremental
-		// evaluator: its hyperplane tables persist across moves,
-		// restarts and workers.
-		s.ev = newNullEvaluator(p)
+	if opt.Family == hash.FamilyGeneralXOR && opt.MaxInputs == 0 {
+		// Every null-space climb sweeps the same support once per move.
+		s.support = p.Support()
 	}
 	startRestart := 0
 	if opt.Resume {
@@ -295,9 +279,11 @@ func restartSeed(seed int64, r int) int64 {
 }
 
 // ctxCheckEvery is the cancellation-check granularity in candidate
-// evaluations. Each evaluation walks up to 2^(n−m) profile entries, so
-// one poll per 1 K evaluations is unmeasurable yet keeps the
-// cancellation latency far below a single hill-climbing move.
+// evaluations of the matrix-space climbs and in annealing steps. Each
+// evaluation walks up to 2^(n−m) profile entries, so one poll per 1 K
+// evaluations is unmeasurable yet keeps the cancellation latency far
+// below a single hill-climbing move. The null-space climb polls once
+// per move instead: a move scores its whole neighbourhood at once.
 const ctxCheckEvery = 1024
 
 // state carries shared search context.
@@ -308,9 +294,9 @@ type state struct {
 	m       int
 	opt     Options
 	rng     *rand.Rand
-	ev      *nullEvaluator // incremental estimator; nil for the brute path
-	restart int            // current restart index, for Progress snapshots
-	tick    int            // evaluations since the last ctx check
+	support []profile.VectorCount // histogram support of the null-space climbs
+	restart int                   // current restart index, for Progress snapshots
+	tick    int                   // evaluations since the last ctx check
 
 	// Accumulators over completed climbs (plus, on a resumed run, the
 	// completed work recorded in the snapshot).
@@ -350,10 +336,6 @@ func (s *state) finalize(p *profile.Profile, m int) Result {
 	out.Evaluated = s.totEvals
 	out.Lookups = s.totLookups
 	out.MemoHits = s.totHits
-	if s.ev != nil {
-		out.Lookups += s.ev.lookups.Load()
-		out.MemoHits += s.ev.hits.Load()
-	}
 	out.Baseline = p.EstimateConventional(m)
 	if p.SampleK > 1 {
 		out.Confidence = p.ConfidenceFor(out.Estimated)

@@ -257,45 +257,6 @@ func TestImprovementZeroBaseline(t *testing.T) {
 	}
 }
 
-func TestParallelSearchMatchesSequential(t *testing.T) {
-	// The parallel neighbor evaluation must return bit-for-bit the same
-	// matrix as the sequential scan, on several profiles.
-	rng := rand.New(rand.NewSource(123))
-	for trial := 0; trial < 4; trial++ {
-		blocks := make([]uint64, 4000)
-		for i := range blocks {
-			switch trial {
-			case 0:
-				blocks[i] = uint64(i*64) % 4096
-			case 1:
-				blocks[i] = uint64(rng.Intn(2048))
-			case 2:
-				blocks[i] = uint64(i%32)*128 + uint64(rng.Intn(4))
-			default:
-				blocks[i] = uint64(rng.Intn(1<<12)) &^ 0x30
-			}
-		}
-		p := profile.Build(blocks, 12, 64)
-		seq, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, -1} {
-			par, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !par.Matrix.Equal(seq.Matrix) {
-				t.Fatalf("trial %d workers %d: parallel matrix differs\nseq:\n%v\npar:\n%v",
-					trial, workers, seq.Matrix, par.Matrix)
-			}
-			if par.Estimated != seq.Estimated || par.Iterations != seq.Iterations || par.Evaluated != seq.Evaluated {
-				t.Fatalf("trial %d workers %d: result metadata differs: %+v vs %+v", trial, workers, par, seq)
-			}
-		}
-	}
-}
-
 func TestAnnealFindsStrideSolution(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)

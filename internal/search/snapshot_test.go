@@ -149,8 +149,9 @@ func runResumable(t *testing.T, p *profile.Profile, m int, base Options, path st
 // resumeMatches kills a search at each point in kills, resuming from
 // the snapshot file every time, and requires the converged result to
 // be identical to the uninterrupted one in matrix, estimate and work
-// counters (Lookups/MemoHits are excluded: the memoized evaluator is
-// rebuilt on resume, so its bookkeeping legitimately differs).
+// counters (Lookups/MemoHits are excluded: a snapshot does not carry
+// the in-progress climb's lookup count, so that bookkeeping
+// legitimately differs).
 func resumeMatches(t *testing.T, p *profile.Profile, m int, base Options, kills []int) {
 	t.Helper()
 	want, err := ConstructCtx(context.Background(), p, m, base)
@@ -216,11 +217,6 @@ func TestKillResumeGeneralXOR(t *testing.T) {
 	resumeMatches(t, p, 6, Options{Family: hash.FamilyGeneralXOR}, []int{1, 2})
 }
 
-func TestKillResumeGeneralXORParallel(t *testing.T) {
-	p := conflictProfile(12, 6)
-	resumeMatches(t, p, 6, Options{Family: hash.FamilyGeneralXOR, Workers: 4}, []int{1, 3})
-}
-
 func TestKillResumeGeneralXORWithRestarts(t *testing.T) {
 	p := conflictProfile(12, 6)
 	resumeMatches(t, p, 6, Options{Family: hash.FamilyGeneralXOR, Restarts: 2, Seed: 7}, []int{2, 5})
@@ -284,7 +280,6 @@ func TestDegradedResultIsValidFunction(t *testing.T) {
 	// evaluation count is guaranteed to cross the threshold.
 	for _, opt := range []Options{
 		{Family: hash.FamilyGeneralXOR},
-		{Family: hash.FamilyGeneralXOR, Workers: 4},
 		{Family: hash.FamilyPermutation, MaxInputs: 4, Restarts: 100, Seed: 1},
 		{Family: hash.FamilyBitSelect, Restarts: 100, Seed: 1},
 	} {
@@ -314,17 +309,5 @@ func TestAnnealAndConstructiveDegrade(t *testing.T) {
 	res, err = ConstructiveCtx(ctx, p, 6, 4, 32)
 	if !errors.Is(err, xerr.ErrCanceled) || !res.Degraded || res.Matrix.Cols == nil {
 		t.Fatalf("ConstructiveCtx: res=%+v err=%v, want degraded best-so-far + ErrCanceled", res, err)
-	}
-}
-
-func TestParallelWorkerPanicRecovered(t *testing.T) {
-	// A nil profile makes every worker panic on its first estimate; the
-	// fan-out must convert that into a wrapped xerr.ErrPanic instead of
-	// crashing the process, with all goroutines joined.
-	s := &state{ctx: context.Background(), p: nil, n: 8, m: 4, opt: Options{NoIncremental: true}}
-	cur := gf2.SpanUnits(8, 4, 8)
-	_, _, _, err := s.bestNeighborParallel(cur, 1<<30, cur.Hyperplanes(nil), 2)
-	if !errors.Is(err, xerr.ErrPanic) {
-		t.Fatalf("worker panic: err = %v, want wrapped xerr.ErrPanic", err)
 	}
 }

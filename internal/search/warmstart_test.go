@@ -137,28 +137,6 @@ func TestWarmSnapshotInterop(t *testing.T) {
 	}
 }
 
-// TestWarmStartParallelWorkers pins that the warm seed flows through
-// the parallel null-space climb too, with the same answer as the
-// sequential warm climb.
-func TestWarmStartParallelWorkers(t *testing.T) {
-	const n, m = 12, 6
-	p := warmTestProfile(17, n, m)
-	from := randomFullRank(rand.New(rand.NewSource(5)), n, m)
-	opt := Options{Family: hash.FamilyGeneralXOR}
-	seq, err := ConstructWarmCtx(context.Background(), p, m, from, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Workers = 4
-	par, err := ConstructWarmCtx(context.Background(), p, m, from, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Matrix.Equal(seq.Matrix) || par.Estimated != seq.Estimated {
-		t.Fatalf("parallel warm climb diverged: est %d vs %d", par.Estimated, seq.Estimated)
-	}
-}
-
 // TestWarmStartValidation pins the option domain.
 func TestWarmStartValidation(t *testing.T) {
 	const n, m = 10, 5

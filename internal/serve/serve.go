@@ -55,8 +55,8 @@ var ErrQuarantined = errors.New("serve: shard quarantined")
 // Options configures a Server.
 type Options struct {
 	// Config is the tuning problem: cache geometry, function family,
-	// search knobs. Workers parallelises the background search;
-	// Config's checkpoint fields are ignored (the serve layer has its
+	// search knobs. Workers is unused: a re-tune only searches, and
+	// the search is sequential. Config's checkpoint fields are ignored (the serve layer has its
 	// own checkpoint, see CheckpointPath below). Config.SampleK /
 	// SampleSeed opt the shard windows into sampled profiling
 	// (classification stays exact, only every K-th conflict candidate
