@@ -199,7 +199,7 @@ func BenchmarkTable3OptimalBitSelect(b *testing.B) {
 	var removed float64
 	base := float64(0)
 	for i := 0; i < b.N; i++ {
-		res, err := optimal.ExactBitSelect(blocks, 16, 10)
+		res, err := optimal.ExactBitSelectCtx(context.Background(), blocks, 16, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func optimalConvMisses(blocks []uint64) uint64 {
 func BenchmarkTable3Row(b *testing.B) {
 	var row experiments.Table3Row
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3ForCtx(context.Background(), experiments.Options{}, []string{"engine"}, 1)
+		rows, err := experiments.Table3Ctx(context.Background(), experiments.Options{}, []string{"engine"}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -300,10 +300,9 @@ func BenchmarkAblationRestarts(b *testing.B) {
 }
 
 // BenchmarkCacheSimulator measures raw simulation throughput: one
-// cache.Cache.Run over susan's data trace, configured the way the
+// cache.Simulate over susan's data trace, configured the way the
 // pipeline's validation stage simulates — 4 KB direct-mapped, 4-byte
-// blocks, modulo indexing over 16 address bits, miss classification
-// off.
+// blocks, modulo indexing over 16 address bits.
 func BenchmarkCacheSimulator(b *testing.B) {
 	tr := mustWorkload(b, "susan").Data(1)
 	cfg := cache.Config{SizeBytes: 4096, BlockBytes: 4, Ways: 1}
@@ -311,12 +310,11 @@ func BenchmarkCacheSimulator(b *testing.B) {
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := cache.New(cfg)
+		st, err := cache.Simulate(context.Background(), cfg, tr)
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.DisableClassification()
-		if st := c.Run(tr); st.Accesses != uint64(tr.Len()) {
+		if st.Accesses != uint64(tr.Len()) {
 			b.Fatalf("simulated %d of %d accesses", st.Accesses, tr.Len())
 		}
 	}
@@ -419,7 +417,7 @@ func BenchmarkExtensionOptimalXOR(b *testing.B) {
 	p := profile.Build(blocks, 9, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := optimal.ExhaustiveXOR(p, 5); err != nil {
+		if _, err := optimal.ExhaustiveXORCtx(context.Background(), p, 5); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,6 +37,7 @@ import (
 
 	"xoridx/internal/cliutil"
 	"xoridx/internal/experiments"
+	"xoridx/internal/workloads"
 )
 
 func main() {
@@ -95,7 +96,7 @@ func main() {
 	if want("2d") {
 		any = true
 		run("table 2 (data)", func() error {
-			rows, err := experiments.Table2Ctx(ctx, opt, false, *scale)
+			rows, err := experiments.Table2Ctx(ctx, opt, workloads.MediaSuite(), nil, false, *scale)
 			if err != nil {
 				return err
 			}
@@ -106,7 +107,7 @@ func main() {
 	if want("2i") {
 		any = true
 		run("table 2 (instruction)", func() error {
-			rows, err := experiments.Table2Ctx(ctx, opt, true, *scale)
+			rows, err := experiments.Table2Ctx(ctx, opt, workloads.MediaSuite(), nil, true, *scale)
 			if err != nil {
 				return err
 			}
@@ -118,7 +119,7 @@ func main() {
 		any = true
 		run("table 2 (extra suite)", func() error {
 			for _, instr := range []bool{false, true} {
-				rows, err := experiments.Table2ExtraCtx(ctx, opt, instr, *scale)
+				rows, err := experiments.Table2Ctx(ctx, opt, workloads.ExtraSuite(), nil, instr, *scale)
 				if err != nil {
 					return err
 				}
@@ -131,7 +132,7 @@ func main() {
 	if want("3") {
 		any = true
 		run("table 3", func() error {
-			rows, err := experiments.Table3Ctx(ctx, opt, *scale)
+			rows, err := experiments.Table3Ctx(ctx, opt, nil, *scale)
 			if err != nil {
 				return err
 			}

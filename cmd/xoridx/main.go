@@ -182,7 +182,7 @@ func main() {
 		fatal(err)
 	}
 	if *loadFn != "" {
-		if err := applyMatrixFile(tr, *loadFn, *cacheBytes, *blockBytes); err != nil {
+		if err := applyMatrixFile(ctx, tr, *loadFn, *cacheBytes, *blockBytes); err != nil {
 			fatal(err)
 		}
 		return
@@ -387,7 +387,7 @@ func tuneWith(ctx context.Context, tr *trace.Trace, cfg core.Config, algo string
 
 // applyMatrixFile evaluates a previously saved index function on a
 // trace without re-running the search.
-func applyMatrixFile(tr *trace.Trace, path string, cacheBytes, blockBytes int) error {
+func applyMatrixFile(ctx context.Context, tr *trace.Trace, path string, cacheBytes, blockBytes int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -400,18 +400,17 @@ func applyMatrixFile(tr *trace.Trace, path string, cacheBytes, blockBytes int) e
 	if err != nil {
 		return err
 	}
-	sets := cacheBytes / blockBytes
-	if 1<<uint(f.SetBits()) != sets {
-		return fmt.Errorf("matrix has %d set bits; cache of %d sets needs %d",
-			f.SetBits(), sets, log2i(sets))
+	cfg := cache.Config{SizeBytes: cacheBytes, BlockBytes: blockBytes, Ways: 1,
+		Index: hash.Modulo(f.AddrBits(), f.SetBits())}
+	base, err := cache.Simulate(ctx, cfg, tr)
+	if err != nil {
+		return err
 	}
-	conv := cache.MustNew(cache.Config{SizeBytes: cacheBytes, BlockBytes: blockBytes, Ways: 1,
-		Index: hash.Modulo(f.AddrBits(), f.SetBits())})
-	conv.DisableClassification()
-	base := conv.Run(tr)
-	xc := cache.MustNew(cache.Config{SizeBytes: cacheBytes, BlockBytes: blockBytes, Ways: 1, Index: f})
-	xc.DisableClassification()
-	opt := xc.Run(tr)
+	cfg.Index = f
+	opt, err := cache.Simulate(ctx, cfg, tr)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("applied %s\n", f)
 	fmt.Printf("baseline (modulo) misses: %8d\n", base.Misses)
 	fmt.Printf("applied-function misses:  %8d\n", opt.Misses)
@@ -419,14 +418,6 @@ func applyMatrixFile(tr *trace.Trace, path string, cacheBytes, blockBytes int) e
 		fmt.Printf("misses removed:           %8.1f%%\n", 100*(1-float64(opt.Misses)/float64(base.Misses)))
 	}
 	return nil
-}
-
-func log2i(v int) int {
-	n := 0
-	for s := 1; s < v; s <<= 1 {
-		n++
-	}
-	return n
 }
 
 // emitBitstream programs the Fig. 2b permutation-based selector network

@@ -48,10 +48,11 @@ func dspLoop(padBytes uint64) *trace.Trace {
 }
 
 func misses(tr *trace.Trace, f hash.Func) uint64 {
-	cfg := cache.Config{SizeBytes: 4096, BlockBytes: 4, Ways: 1, Index: f}
-	c := cache.MustNew(cfg)
-	c.DisableClassification()
-	return c.Run(tr).Misses
+	st, err := cache.Simulate(context.Background(), cache.Config{SizeBytes: 4096, BlockBytes: 4, Ways: 1, Index: f}, tr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return st.Misses
 }
 
 func main() {

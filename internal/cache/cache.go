@@ -6,8 +6,8 @@
 // application-specific XOR function. This simulator supports those
 // configurations plus set-associative, fully-associative and
 // skewed-associative organisations used by the baselines and related
-// work, and classifies misses into compulsory / capacity / conflict via
-// an auxiliary fully-associative LRU shadow directory.
+// work. Simulate runs a whole trace; New builds a stateful cache for
+// callers that drive accesses one at a time.
 package cache
 
 import (
@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"math/bits"
 
+	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
-	"xoridx/internal/lru"
 	"xoridx/internal/trace"
 	"xoridx/internal/xerr"
 )
@@ -83,9 +83,6 @@ func (c Config) validate() error {
 type Stats struct {
 	Accesses   uint64
 	Misses     uint64
-	Compulsory uint64 // first-ever touch of the block
-	Capacity   uint64 // non-compulsory miss that an FA-LRU cache of equal capacity would also incur
-	Conflict   uint64 // remaining misses
 	Writes     uint64 // store accesses
 	Writebacks uint64 // dirty lines evicted (write-back policy)
 }
@@ -122,27 +119,27 @@ type line struct {
 
 // Cache is a trace-driven simulator instance.
 type Cache struct {
-	cfg     Config
-	idx     hash.Func
-	sets    [][]line
-	clock   uint64
-	stats   Stats
-	shadow  *lru.Stack // FA shadow directory: classifies every miss
-	classif bool
-	rng     uint64 // xorshift state for Random replacement
+	cfg   Config
+	idx   hash.Func
+	sets  [][]line
+	clock uint64
+	stats Stats
+	rng   uint64 // xorshift state for Random replacement
 }
 
 // New builds a cache from the configuration. When cfg.Index is nil, a
 // conventional modulo function over 16 block-address bits is used.
-// Classification of misses (compulsory/capacity/conflict) is enabled by
-// default; disable with DisableClassification for speed.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	idx := cfg.Index
 	if idx == nil {
-		idx = hash.Modulo(16, cfg.SetBits())
+		f, err := hash.NewXOR(gf2.Identity(16, cfg.SetBits()))
+		if err != nil {
+			return nil, fmt.Errorf("cache: default modulo index: %w", err)
+		}
+		idx = f
 	}
 	if idx.SetBits() != cfg.SetBits() {
 		return nil, fmt.Errorf("cache: index function has %d set bits, geometry needs %d: %w", idx.SetBits(), cfg.SetBits(), xerr.ErrInvalidGeometry)
@@ -153,31 +150,37 @@ func New(cfg Config) (*Cache, error) {
 		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
 	}
 	return &Cache{
-		cfg:     cfg,
-		idx:     idx,
-		sets:    sets,
-		shadow:  lru.NewStack(),
-		classif: true,
-		rng:     0x243F6A8885A308D3, // pi digits: fixed, reproducible
+		cfg:  cfg,
+		idx:  idx,
+		sets: sets,
+		rng:  0x243F6A8885A308D3, // pi digits: fixed, reproducible
 	}, nil
 }
 
-// MustNew is New panicking on error — the regexp.MustCompile
-// convention, for configurations known valid by construction (fixed
-// geometries in tests and experiment tables). Library code handling
-// caller-supplied configurations should use New and propagate the
-// wrapped xerr.ErrInvalidGeometry instead.
-func MustNew(cfg Config) *Cache {
+// ctxCheckEvery is the cancellation-check granularity of Simulate, in
+// accesses: one channel poll amortised over 8 K set lookups.
+const ctxCheckEvery = 8192
+
+// Simulate builds a cache from cfg and runs the whole trace through it,
+// honouring read/write kinds. It checks ctx every ctxCheckEvery
+// accesses; when ctx is done it returns the statistics accumulated so
+// far alongside a wrapped xerr.ErrCanceled.
+func Simulate(ctx context.Context, cfg Config, tr *trace.Trace) (Stats, error) {
 	c, err := New(cfg)
 	if err != nil {
-		panic(err)
+		return Stats{}, err
 	}
-	return c
+	block := uint64(cfg.BlockBytes)
+	for start := 0; start < len(tr.Accesses); start += ctxCheckEvery {
+		if err := xerr.Check(ctx); err != nil {
+			return c.stats, err
+		}
+		for _, a := range tr.Accesses[start:min(start+ctxCheckEvery, len(tr.Accesses))] {
+			c.access(a.Addr/block, a.Kind == trace.Write)
+		}
+	}
+	return c.stats, nil
 }
-
-// DisableClassification turns off the FA shadow directory; Stats will
-// then report only Accesses and Misses.
-func (c *Cache) DisableClassification() { c.classif = false }
 
 // Access simulates one read access by byte address and reports whether
 // it missed.
@@ -221,9 +224,6 @@ func (c *Cache) access(block uint64, isWrite bool) bool {
 			if isWrite {
 				lines[i].dirty = true
 			}
-			if c.classif {
-				c.shadow.Record(block)
-			}
 			return false
 		}
 		if !lines[i].valid && !haveFree {
@@ -240,84 +240,13 @@ func (c *Cache) access(block uint64, isWrite bool) bool {
 		victim = int(c.rng % uint64(len(lines)))
 	}
 
-	// Miss: classify, account the writeback, then fill (write-allocate).
+	// Miss: account the writeback, then fill (write-allocate).
 	c.stats.Misses++
 	if lines[victim].valid && lines[victim].dirty {
 		c.stats.Writebacks++
 	}
-	if c.classif {
-		// The shadow sees every access, and (index, tag) identifies the
-		// block, so a block's first access always misses: cold in the
-		// shadow is exactly compulsory.
-		switch _, g := c.shadow.Touch(block, c.cfg.Blocks()-1); g {
-		case lru.GateCold:
-			c.stats.Compulsory++
-		case lru.GateBeyond:
-			c.stats.Capacity++
-		default:
-			c.stats.Conflict++
-		}
-	}
 	lines[victim] = line{tag: tag, block: block, valid: true, dirty: isWrite, used: c.clock}
 	return true
-}
-
-// Run simulates an entire trace (honouring read/write kinds) and
-// returns the statistics.
-func (c *Cache) Run(t *trace.Trace) Stats {
-	for _, a := range t.Accesses {
-		c.access(a.Addr/uint64(c.cfg.BlockBytes), a.Kind == trace.Write)
-	}
-	return c.stats
-}
-
-// ctxCheckEvery is the cancellation-check granularity of the simulation
-// loops, in accesses: one channel poll amortised over 8 K set lookups.
-const ctxCheckEvery = 8192
-
-// RunCtx is Run with cooperative cancellation: the loop checks ctx
-// every ctxCheckEvery accesses and returns the statistics accumulated
-// so far alongside a wrapped xerr.ErrCanceled when the context is done.
-func (c *Cache) RunCtx(ctx context.Context, t *trace.Trace) (Stats, error) {
-	for start := 0; start < len(t.Accesses); start += ctxCheckEvery {
-		if err := xerr.Check(ctx); err != nil {
-			return c.stats, err
-		}
-		end := start + ctxCheckEvery
-		if end > len(t.Accesses) {
-			end = len(t.Accesses)
-		}
-		for _, a := range t.Accesses[start:end] {
-			c.access(a.Addr/uint64(c.cfg.BlockBytes), a.Kind == trace.Write)
-		}
-	}
-	return c.stats, nil
-}
-
-// RunBlocks simulates a block-address read sequence.
-func (c *Cache) RunBlocks(blocks []uint64) Stats {
-	for _, b := range blocks {
-		c.AccessBlock(b)
-	}
-	return c.stats
-}
-
-// RunBlocksCtx is RunBlocks with cooperative cancellation on the same
-// terms as RunCtx.
-func (c *Cache) RunBlocksCtx(ctx context.Context, blocks []uint64) (Stats, error) {
-	for start := 0; start < len(blocks); start += ctxCheckEvery {
-		if err := xerr.Check(ctx); err != nil {
-			return c.stats, err
-		}
-		end := start + ctxCheckEvery
-		if end > len(blocks) {
-			end = len(blocks)
-		}
-		for _, b := range blocks[start:end] {
-			c.AccessBlock(b)
-		}
-	}
-	return c.stats, nil
 }
 
 // MemoryTraffic returns the number of block transfers to/from memory:
@@ -330,35 +259,10 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// SimulateBlocks is a convenience helper: build a direct-mapped cache
-// with the given geometry and index function, run the block sequence,
-// return total misses. Classification is disabled for speed.
-func SimulateBlocks(blocks []uint64, sizeBytes, blockBytes int, idx hash.Func) uint64 {
-	c := MustNew(Config{SizeBytes: sizeBytes, BlockBytes: blockBytes, Ways: 1, Index: idx})
-	c.DisableClassification()
-	// RunBlocks interprets values as block addresses already.
-	c.RunBlocks(blocks)
-	return c.stats.Misses
-}
-
-// SimulateBlocksCtx is SimulateBlocks with cooperative cancellation.
-func SimulateBlocksCtx(ctx context.Context, blocks []uint64, sizeBytes, blockBytes int, idx hash.Func) (uint64, error) {
-	c, err := New(Config{SizeBytes: sizeBytes, BlockBytes: blockBytes, Ways: 1, Index: idx})
-	if err != nil {
-		return 0, err
-	}
-	c.DisableClassification()
-	if _, err := c.RunBlocksCtx(ctx, blocks); err != nil {
-		return 0, err
-	}
-	return c.stats.Misses, nil
-}
-
 // Flush invalidates every line, as a reconfiguration of the index
 // function requires in real hardware (set indices change, so resident
-// lines become unreachable). Statistics and the compulsory-miss shadow
-// state are preserved: re-fetching a flushed block counts as a miss but
-// not as a compulsory one.
+// lines become unreachable). Statistics are preserved: re-fetching a
+// flushed block counts as a miss.
 func (c *Cache) Flush() {
 	for _, set := range c.sets {
 		for i := range set {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,6 +13,26 @@ import (
 
 func dmConfig(size int) Config {
 	return Config{SizeBytes: size, BlockBytes: 4, Ways: 1}
+}
+
+func mustNew(t testing.TB, cfg Config) *Cache {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// runBlocks reads each block in turn and returns the statistics so far.
+func runBlocks(c interface {
+	AccessBlock(uint64) bool
+	Stats() Stats
+}, blocks []uint64) Stats {
+	for _, b := range blocks {
+		c.AccessBlock(b)
+	}
+	return c.Stats()
 }
 
 func TestConfigGeometry(t *testing.T) {
@@ -46,7 +67,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDirectMappedHitMiss(t *testing.T) {
-	c := MustNew(dmConfig(1024)) // 256 sets of 4 bytes
+	c := mustNew(t, dmConfig(1024)) // 256 sets of 4 bytes
 	if !c.Access(0x1000) {
 		t.Fatal("cold access must miss")
 	}
@@ -68,52 +89,11 @@ func TestDirectMappedHitMiss(t *testing.T) {
 	if s.Accesses != 5 || s.Misses != 3 {
 		t.Fatalf("stats: %+v", s)
 	}
-	if s.Conflict != 1 {
-		t.Fatalf("conflict misses = %d, want 1", s.Conflict)
-	}
-}
-
-func TestMissClassification(t *testing.T) {
-	// 16-block direct-mapped cache (64 B).
-	c := MustNew(dmConfig(64))
-	// Two blocks aliasing to set 0: 0 and 16 (block addresses).
-	seq := []uint64{0, 16, 0, 16, 0, 16}
-	c.RunBlocks(seq)
-	s := c.Stats()
-	if s.Compulsory != 2 {
-		t.Fatalf("compulsory = %d, want 2", s.Compulsory)
-	}
-	if s.Conflict != 4 {
-		t.Fatalf("conflict = %d, want 4", s.Conflict)
-	}
-	if s.Capacity != 0 {
-		t.Fatalf("capacity = %d, want 0", s.Capacity)
-	}
-
-	// Cyclic sweep over 32 blocks in a 16-block cache: pure capacity.
-	c2 := MustNew(dmConfig(64))
-	var sweep []uint64
-	for r := 0; r < 3; r++ {
-		for b := uint64(0); b < 32; b++ {
-			sweep = append(sweep, b)
-		}
-	}
-	c2.RunBlocks(sweep)
-	s2 := c2.Stats()
-	if s2.Compulsory != 32 {
-		t.Fatalf("compulsory = %d, want 32", s2.Compulsory)
-	}
-	if s2.Conflict != 0 {
-		t.Fatalf("conflict = %d, want 0 (got capacity %d)", s2.Conflict, s2.Capacity)
-	}
-	if s2.Capacity != uint64(len(sweep))-32 {
-		t.Fatalf("capacity = %d, want %d", s2.Capacity, len(sweep)-32)
-	}
 }
 
 func TestSetAssociativeLRU(t *testing.T) {
 	// 2-way, 2 sets, block 4 B => 16 B cache.
-	c := MustNew(Config{SizeBytes: 16, BlockBytes: 4, Ways: 2,
+	c := mustNew(t, Config{SizeBytes: 16, BlockBytes: 4, Ways: 2,
 		Index: hash.Modulo(16, 1)})
 	// Three blocks mapping to set 0: 0, 2, 4 (even block addresses).
 	c.AccessBlock(0) // miss
@@ -141,9 +121,9 @@ func TestFullyAssociativeMatchesDistanceTree(t *testing.T) {
 		blocks[i] = uint64(rng.Intn(100))
 	}
 	capacity := 32
-	c := MustNew(Config{SizeBytes: capacity * 4, BlockBytes: 4, Ways: capacity,
+	c := mustNew(t, Config{SizeBytes: capacity * 4, BlockBytes: 4, Ways: capacity,
 		Index: hash.Modulo(16, 0)})
-	got := c.RunBlocks(blocks).Misses
+	got := runBlocks(c, blocks).Misses
 	want := lru.FAMisses(blocks, capacity)
 	if got != want {
 		t.Fatalf("FA misses %d, distance-tree model %d", got, want)
@@ -161,8 +141,8 @@ func TestXORIndexingRemovesStrideConflicts(t *testing.T) {
 			blocks = append(blocks, i*sets) // all map to set 0 under modulo
 		}
 	}
-	conv := MustNew(Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1})
-	convMisses := conv.RunBlocks(blocks).Misses
+	conv := mustNew(t, Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1})
+	convMisses := runBlocks(conv, blocks).Misses
 	if convMisses != uint64(len(blocks)) {
 		t.Fatalf("modulo cache should always miss, got %d/%d", convMisses, len(blocks))
 	}
@@ -175,8 +155,8 @@ func TestXORIndexingRemovesStrideConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := MustNew(Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: f})
-	xorMisses := x.RunBlocks(blocks).Misses
+	x := mustNew(t, Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: f})
+	xorMisses := runBlocks(x, blocks).Misses
 	if xorMisses != 64 {
 		t.Fatalf("XOR cache should only take 64 compulsory misses, got %d", xorMisses)
 	}
@@ -187,8 +167,10 @@ func TestRunTrace(t *testing.T) {
 	tr.Append(0x100, trace.Read)
 	tr.Append(0x100, trace.Read)
 	tr.Append(0x200, trace.Write)
-	c := MustNew(dmConfig(1024))
-	s := c.Run(tr)
+	s, err := Simulate(context.Background(), dmConfig(1024), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Accesses != 3 || s.Misses != 2 {
 		t.Fatalf("stats %+v", s)
 	}
@@ -213,33 +195,13 @@ func TestStatsEdgeCases(t *testing.T) {
 func TestTagDisambiguatesHighBits(t *testing.T) {
 	// Blocks identical in the low 16 bits but different above must not
 	// alias even though the index function only hashes 16 bits.
-	c := MustNew(dmConfig(1024))
+	c := mustNew(t, dmConfig(1024))
 	c.AccessBlock(0x0_1234)
 	if !c.AccessBlock(0x1_1234) {
 		t.Fatal("blocks differing above bit 16 must not alias")
 	}
 	if c.AccessBlock(0x1_1234) {
 		t.Fatal("re-access should hit")
-	}
-}
-
-func TestDisableClassification(t *testing.T) {
-	c := MustNew(dmConfig(64))
-	c.DisableClassification()
-	c.RunBlocks([]uint64{0, 16, 0, 16})
-	s := c.Stats()
-	if s.Misses != 4 {
-		t.Fatalf("misses = %d", s.Misses)
-	}
-	if s.Compulsory != 0 && s.Conflict != 0 {
-		t.Fatal("classification should be off")
-	}
-}
-
-func TestSimulateBlocksHelper(t *testing.T) {
-	blocks := []uint64{0, 16, 0, 16}
-	if got := SimulateBlocks(blocks, 64, 4, nil); got != 4 {
-		t.Fatalf("SimulateBlocks = %d", got)
 	}
 }
 
@@ -250,8 +212,8 @@ func TestSkewedBeatsDirectMappedOnAliases(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		blocks = append(blocks, 0, 256)
 	}
-	dm := MustNew(Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1})
-	dmMisses := dm.RunBlocks(blocks).Misses
+	dm := mustNew(t, Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1})
+	dmMisses := runBlocks(dm, blocks).Misses
 
 	f0 := hash.Modulo(16, 8)
 	h := gf2.Identity(16, 8)
@@ -261,7 +223,7 @@ func TestSkewedBeatsDirectMappedOnAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skMisses := sk.RunBlocks(blocks).Misses
+	skMisses := runBlocks(sk, blocks).Misses
 	if skMisses != 2 {
 		t.Fatalf("skewed cache should take 2 compulsory misses, got %d", skMisses)
 	}
@@ -300,7 +262,7 @@ func TestSkewedHitPath(t *testing.T) {
 }
 
 func TestFlushInvalidatesLines(t *testing.T) {
-	c := MustNew(dmConfig(1024))
+	c := mustNew(t, dmConfig(1024))
 	c.AccessBlock(5)
 	if c.AccessBlock(5) {
 		t.Fatal("should hit before flush")
@@ -309,15 +271,10 @@ func TestFlushInvalidatesLines(t *testing.T) {
 	if !c.AccessBlock(5) {
 		t.Fatal("should miss after flush")
 	}
-	// Re-fetch after flush is NOT compulsory (block seen before).
-	s := c.Stats()
-	if s.Compulsory != 1 {
-		t.Fatalf("compulsory = %d, want 1", s.Compulsory)
-	}
 }
 
 func TestSetIndexReconfigures(t *testing.T) {
-	c := MustNew(dmConfig(1024)) // 256 sets
+	c := mustNew(t, dmConfig(1024)) // 256 sets
 	c.AccessBlock(0)
 	c.AccessBlock(256) // evicts block 0 under modulo
 	f, err := hash.PermutationBased(16, 8, [][]int{{8}, {}, {}, {}, {}, {}, {}, {}})
@@ -341,7 +298,7 @@ func TestSetIndexReconfigures(t *testing.T) {
 }
 
 func TestWritebackAccounting(t *testing.T) {
-	c := MustNew(dmConfig(64)) // 16 sets
+	c := mustNew(t, dmConfig(64)) // 16 sets
 	// Write block 0 (miss, allocates dirty), then read its alias 16:
 	// evicts the dirty line -> one writeback.
 	if !c.WriteBlock(0) {
@@ -368,7 +325,7 @@ func TestWritebackAccounting(t *testing.T) {
 }
 
 func TestWriteHitSetsDirty(t *testing.T) {
-	c := MustNew(dmConfig(64))
+	c := mustNew(t, dmConfig(64))
 	c.AccessBlock(5)     // clean fill
 	if c.WriteBlock(5) { // write hit
 		t.Fatal("write to resident block must hit")
@@ -383,8 +340,10 @@ func TestRunHonoursWriteKind(t *testing.T) {
 	tr := &trace.Trace{}
 	tr.Append(0x10, trace.Write)
 	tr.Append(0x10, trace.Read)
-	c := MustNew(dmConfig(64))
-	s := c.Run(tr)
+	s, err := Simulate(context.Background(), dmConfig(64), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Writes != 1 {
 		t.Fatalf("writes = %d", s.Writes)
 	}
@@ -399,16 +358,20 @@ func TestXORIndexingReducesWriteTraffic(t *testing.T) {
 		tr.Append(0, trace.Write)
 		tr.Append(64*4, trace.Write) // alias in 16-set cache
 	}
-	conv := MustNew(dmConfig(64))
-	base := conv.Run(&tr)
+	base, err := Simulate(context.Background(), dmConfig(64), &tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := hash.PermutationBased(16, 4, [][]int{{6}, {}, {}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := dmConfig(64)
 	cfg.Index = f
-	x := MustNew(cfg)
-	opt := x.Run(&tr)
+	opt, err := Simulate(context.Background(), cfg, &tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if base.Writebacks < 190 {
 		t.Fatalf("baseline writebacks = %d, want ~198", base.Writebacks)
 	}
@@ -433,12 +396,10 @@ func TestRandomReplacementEscapesLRUCycle(t *testing.T) {
 		return Config{SizeBytes: 16, BlockBytes: 4, Ways: 4,
 			Index: hash.Modulo(16, 0), Repl: r}
 	}
-	lruC := MustNew(faCfg(LRU))
-	lruC.DisableClassification()
-	lruMisses := lruC.RunBlocks(blocks).Misses
-	rndC := MustNew(faCfg(Random))
-	rndC.DisableClassification()
-	rndMisses := rndC.RunBlocks(blocks).Misses
+	lruC := mustNew(t, faCfg(LRU))
+	lruMisses := runBlocks(lruC, blocks).Misses
+	rndC := mustNew(t, faCfg(Random))
+	rndMisses := runBlocks(rndC, blocks).Misses
 	if lruMisses != uint64(len(blocks)) {
 		t.Fatalf("LRU on a 5-block cycle in 4 ways must always miss: %d/%d", lruMisses, len(blocks))
 	}
@@ -452,10 +413,9 @@ func TestFIFOIgnoresReuse(t *testing.T) {
 	// LRU evicts B (least recent); FIFO evicts A (oldest fill).
 	seq := []uint64{0, 2, 0, 4}
 	run := func(r Replacement) *Cache {
-		c := MustNew(Config{SizeBytes: 16, BlockBytes: 4, Ways: 2,
+		c := mustNew(t, Config{SizeBytes: 16, BlockBytes: 4, Ways: 2,
 			Index: hash.Modulo(16, 1), Repl: r})
-		c.DisableClassification()
-		c.RunBlocks(seq)
+		runBlocks(c, seq)
 		return c
 	}
 	lruC := run(LRU)
@@ -475,10 +435,9 @@ func TestReplacementDeterministic(t *testing.T) {
 		blocks[i] = uint64(rng.Intn(64))
 	}
 	run := func() uint64 {
-		c := MustNew(Config{SizeBytes: 64, BlockBytes: 4, Ways: 4,
+		c := mustNew(t, Config{SizeBytes: 64, BlockBytes: 4, Ways: 4,
 			Index: hash.Modulo(16, 2), Repl: Random})
-		c.DisableClassification()
-		return c.RunBlocks(blocks).Misses
+		return runBlocks(c, blocks).Misses
 	}
 	if run() != run() {
 		t.Fatal("random replacement must be deterministic across runs")

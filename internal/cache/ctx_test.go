@@ -10,49 +10,60 @@ import (
 	"xoridx/internal/xerr"
 )
 
-func ctxTestTrace(n int) *trace.Trace {
+// checksCtx reports done from its (k+1)-th Done call on, so Simulate
+// runs exactly k chunks of ctxCheckEvery accesses before it stops.
+type checksCtx struct {
+	context.Context // already canceled: supplies Err and the cause
+	k               int
+}
+
+func (c *checksCtx) Done() <-chan struct{} {
+	if c.k > 0 {
+		c.k--
+		return nil // a nil channel is never ready: the check passes
+	}
+	return c.Context.Done()
+}
+
+func TestSimulateCanceled(t *testing.T) {
 	tr := &trace.Trace{Name: "ctx"}
-	for i := 0; i < n; i++ {
-		tr.Append(uint64(i*64)&0xffff, trace.Read)
+	for i := 0; i < 20000; i++ {
+		kind := trace.Read
+		if i%3 == 0 {
+			kind = trace.Write
+		}
+		tr.Append(uint64(i*64)&0xffff, kind)
 	}
-	return tr
-}
-
-func TestRunCtxMatchesRun(t *testing.T) {
-	tr := ctxTestTrace(20000)
 	cfg := Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: hash.Modulo(16, 8)}
-	want := MustNew(cfg).Run(tr)
-	got, err := MustNew(cfg).RunCtx(context.Background(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("RunCtx stats %+v differ from Run %+v", got, want)
-	}
-}
-
-func TestRunCtxCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := MustNew(Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: hash.Modulo(16, 8)})
-	_, err := c.RunCtx(ctx, ctxTestTrace(10))
-	if !errors.Is(err, xerr.ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v must wrap ErrCanceled and context.Canceled", err)
-	}
-}
-
-func TestSimulateBlocksCtxCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := SimulateBlocksCtx(ctx, []uint64{1, 2, 3}, 256, 4, hash.Modulo(12, 6))
-	if !errors.Is(err, xerr.ErrCanceled) {
-		t.Fatalf("error %v must wrap ErrCanceled", err)
-	}
-	// An uncanceled run must agree with the plain helper.
-	want := SimulateBlocks([]uint64{1, 2, 3, 1, 2, 3}, 256, 4, hash.Modulo(12, 6))
-	got, err := SimulateBlocksCtx(context.Background(), []uint64{1, 2, 3, 1, 2, 3}, 256, 4, hash.Modulo(12, 6))
-	if err != nil || got != want {
-		t.Fatalf("SimulateBlocksCtx = %d, %v; want %d", got, err, want)
+	for _, tc := range []struct {
+		name   string
+		ctx    context.Context
+		prefix int // accesses simulated before the run stops
+	}{
+		{"uncanceled", context.Background(), tr.Len()},
+		{"canceled before the first access", canceled, 0},
+		{"canceled after two chunks", &checksCtx{Context: canceled, k: 2}, 2 * ctxCheckEvery},
+	} {
+		// The reference drives the stateful cache access by access.
+		ref := mustNew(t, cfg)
+		for _, a := range tr.Accesses[:tc.prefix] {
+			if a.Kind == trace.Write {
+				ref.Write(a.Addr)
+			} else {
+				ref.Access(a.Addr)
+			}
+		}
+		got, err := Simulate(tc.ctx, cfg, tr)
+		if got != ref.Stats() {
+			t.Errorf("%s: stats %+v, want %+v", tc.name, got, ref.Stats())
+		}
+		if wantErr := tc.prefix < tr.Len(); wantErr != (err != nil) {
+			t.Errorf("%s: error %v, want one: %v", tc.name, err, wantErr)
+		} else if err != nil && (!errors.Is(err, xerr.ErrCanceled) || !errors.Is(err, context.Canceled)) {
+			t.Errorf("%s: error %v must wrap ErrCanceled and context.Canceled", tc.name, err)
+		}
 	}
 }
 
@@ -61,10 +72,15 @@ func TestInvalidGeometryTyped(t *testing.T) {
 		{SizeBytes: 0, BlockBytes: 4, Ways: 1},
 		{SizeBytes: 1000, BlockBytes: 3, Ways: 1},
 		{SizeBytes: 1024, BlockBytes: 4, Ways: 3},
+		// 2^18 sets: the default modulo index hashes only 16 bits.
+		{SizeBytes: 1 << 20, BlockBytes: 4, Ways: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); !errors.Is(err, xerr.ErrInvalidGeometry) {
 			t.Errorf("config %d: error %v must wrap ErrInvalidGeometry", i, err)
+		}
+		if _, err := Simulate(context.Background(), cfg, &trace.Trace{}); !errors.Is(err, xerr.ErrInvalidGeometry) {
+			t.Errorf("config %d: Simulate error %v must wrap ErrInvalidGeometry", i, err)
 		}
 	}
 }

@@ -1,40 +1,33 @@
 package cache_test
 
 import (
+	"context"
 	"fmt"
 
 	"xoridx/internal/cache"
 	"xoridx/internal/hash"
+	"xoridx/internal/trace"
 )
 
 // Example_xorIndexing contrasts modulo and XOR indexing on the classic
 // cache-size-stride pattern.
 func Example_xorIndexing() {
-	var blocks []uint64
+	var tr trace.Trace
 	for rep := 0; rep < 5; rep++ {
 		for i := uint64(0); i < 32; i++ {
-			blocks = append(blocks, i*256) // all map to set 0 under modulo
+			tr.Append(i*1024, trace.Read) // all map to set 0 under modulo
 		}
 	}
-	conv := cache.MustNew(cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1})
-	fmt.Println("modulo misses:", conv.RunBlocks(blocks).Misses)
+	ctx := context.Background()
+	conv, _ := cache.Simulate(ctx, cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1}, &tr)
+	fmt.Println("modulo misses:", conv.Misses)
 
 	f, _ := hash.PermutationBased(16, 8, [][]int{
 		{8}, {9}, {10}, {11}, {12}, {}, {}, {},
 	})
-	xc := cache.MustNew(cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: f})
-	fmt.Println("XOR misses:   ", xc.RunBlocks(blocks).Misses)
+	xc, _ := cache.Simulate(ctx, cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: f}, &tr)
+	fmt.Println("XOR misses:   ", xc.Misses)
 	// Output:
 	// modulo misses: 160
 	// XOR misses:    32
-}
-
-// Example_classification shows the three-C miss breakdown.
-func Example_classification() {
-	c := cache.MustNew(cache.Config{SizeBytes: 64, BlockBytes: 4, Ways: 1})
-	c.RunBlocks([]uint64{0, 16, 0, 16, 0, 16}) // 16 sets: 0 and 16 alias
-	s := c.Stats()
-	fmt.Printf("compulsory=%d capacity=%d conflict=%d\n", s.Compulsory, s.Capacity, s.Conflict)
-	// Output:
-	// compulsory=2 capacity=0 conflict=4
 }

@@ -28,8 +28,6 @@ func NewHierarchy(l1, l2 Config) (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cache: L2: %w", err)
 	}
-	c1.DisableClassification()
-	c2.DisableClassification()
 	return &Hierarchy{L1: c1, L2: c2}, nil
 }
 

@@ -77,13 +77,5 @@ func (s *Skewed) AccessBlock(block uint64) bool {
 	return true
 }
 
-// RunBlocks simulates a block-address sequence and returns statistics.
-func (s *Skewed) RunBlocks(blocks []uint64) Stats {
-	for _, b := range blocks {
-		s.AccessBlock(b)
-	}
-	return s.stats
-}
-
 // Stats returns accumulated statistics.
 func (s *Skewed) Stats() Stats { return s.stats }

@@ -39,7 +39,6 @@ func NewVictim(cfg Config, victimLines int) (*VictimCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	main.DisableClassification()
 	return &VictimCache{main: main, victims: make([]victimLine, victimLines)}, nil
 }
 
@@ -100,14 +99,6 @@ func (v *VictimCache) blockOf(set uint64) uint64 {
 
 func (v *VictimCache) fill(set uint64, tag, block uint64) {
 	v.main.sets[set][0] = line{tag: tag, valid: true, used: v.clock, block: block}
-}
-
-// RunBlocks simulates a block sequence.
-func (v *VictimCache) RunBlocks(blocks []uint64) Stats {
-	for _, b := range blocks {
-		v.AccessBlock(b)
-	}
-	return v.stats
 }
 
 // Stats returns accumulated statistics (misses = memory accesses).

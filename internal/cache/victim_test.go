@@ -31,7 +31,7 @@ func TestVictimAbsorbsPingPong(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		blocks = append(blocks, 0, 16)
 	}
-	s := v.RunBlocks(blocks)
+	s := runBlocks(v, blocks)
 	if s.Misses != 2 {
 		t.Fatalf("memory misses = %d, want 2 (cold only)", s.Misses)
 	}
@@ -39,8 +39,8 @@ func TestVictimAbsorbsPingPong(t *testing.T) {
 		t.Fatal("victim buffer should have absorbed the conflicts")
 	}
 	// Compare with the plain direct-mapped cache: total thrash.
-	plain := MustNew(dmConfig(64))
-	if got := plain.RunBlocks(blocks).Misses; got != 100 {
+	plain := mustNew(t, dmConfig(64))
+	if got := runBlocks(plain, blocks).Misses; got != 100 {
 		t.Fatalf("plain cache misses = %d, want 100", got)
 	}
 }
@@ -58,7 +58,7 @@ func TestVictimOverflow(t *testing.T) {
 	for r := 0; r < 20; r++ {
 		blocks = append(blocks, 0, 16, 32, 48)
 	}
-	s := v.RunBlocks(blocks)
+	s := runBlocks(v, blocks)
 	// 4 cyclically-accessed blocks into 3 slots (1 main + 2 victims)
 	// under LRU: the next block is always the one evicted longest ago,
 	// so every access misses — the classic LRU pathology that the
@@ -75,13 +75,13 @@ func TestVictimNeverWorseThanPlain(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(rng.Intn(512)) * uint64(1+rng.Intn(4))
 	}
-	plain := MustNew(dmConfig(1024))
-	plainMisses := plain.RunBlocks(blocks).Misses
+	plain := mustNew(t, dmConfig(1024))
+	plainMisses := runBlocks(plain, blocks).Misses
 	v, err := NewVictim(dmConfig(1024), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := v.RunBlocks(blocks).Misses; got > plainMisses {
+	if got := runBlocks(v, blocks).Misses; got > plainMisses {
 		t.Fatalf("victim cache (%d) worse than plain (%d)", got, plainMisses)
 	}
 }
@@ -103,7 +103,7 @@ func TestVictimWithXORIndex(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		blocks = append(blocks, 0, 16) // no longer alias under f
 	}
-	if got := v.RunBlocks(blocks).Misses; got != 2 {
+	if got := runBlocks(v, blocks).Misses; got != 2 {
 		t.Fatalf("misses = %d, want 2", got)
 	}
 }

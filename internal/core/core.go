@@ -270,15 +270,6 @@ func applyFallback(res *Result, cfg Config, m int) {
 	}
 }
 
-func cacheConfig(cfg Config, f hash.Func) cache.Config {
-	return cache.Config{
-		SizeBytes:  cfg.CacheBytes,
-		BlockBytes: cfg.BlockBytes,
-		Ways:       cfg.Ways,
-		Index:      f,
-	}
-}
-
 // profileOptions maps the config onto the profile layer's options:
 // engine, sampling, backend and checkpointing.
 func (c Config) profileOptions() profile.Options {

@@ -228,7 +228,8 @@ func (pl *Pipeline) Validate(ctx context.Context, tr *trace.Trace, p *profile.Pr
 	}
 	pl.emit(Event{Kind: StageStarted, Stage: StageValidate})
 	res := &Result{Search: sres, Profile: p, Func: optFunc}
-	if res.Baseline, err = simulateCtx(ctx, tr, cfg, hash.Modulo(cfg.AddrBits, m)); err != nil {
+	sim := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.Ways, Index: hash.Modulo(cfg.AddrBits, m)}
+	if res.Baseline, err = cache.Simulate(ctx, sim, tr); err != nil {
 		// The searched function is intact — only its exact validation
 		// (and the §6 fallback guard) is missing. Hand it back Degraded
 		// with zeroed simulation stats rather than dropping it.
@@ -236,7 +237,8 @@ func (pl *Pipeline) Validate(ctx context.Context, tr *trace.Trace, p *profile.Pr
 		res.Degraded = true
 		return res, err
 	}
-	if res.Optimized, err = simulateCtx(ctx, tr, cfg, optFunc); err != nil {
+	sim.Index = optFunc
+	if res.Optimized, err = cache.Simulate(ctx, sim, tr); err != nil {
 		res.Baseline, res.Optimized = cache.Stats{}, cache.Stats{}
 		res.Degraded = true
 		return res, err
@@ -300,15 +302,6 @@ func TuneProfiledCtx(ctx context.Context, tr *trace.Trace, p *profile.Profile, c
 func BuildProfileCtx(ctx context.Context, tr *trace.Trace, cfg Config) (*profile.Profile, error) {
 	pl := Pipeline{Config: cfg}
 	return pl.Profile(ctx, tr)
-}
-
-func simulateCtx(ctx context.Context, tr *trace.Trace, cfg Config, f hash.Func) (cache.Stats, error) {
-	c, err := cache.New(cacheConfig(cfg, f))
-	if err != nil {
-		return cache.Stats{}, err
-	}
-	c.DisableClassification()
-	return c.RunCtx(ctx, tr)
 }
 
 // Check returns a wrapped ErrCanceled when ctx is done and nil

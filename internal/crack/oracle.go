@@ -148,9 +148,6 @@ func NewSimOracle(h gf2.Matrix, style Style) (*SimOracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The oracle replays millions of probe accesses; the miss-class
-	// shadow directory is an attacker-invisible bookkeeping cost.
-	c.DisableClassification()
 	return &SimOracle{c: c, n: h.N, style: style}, nil
 }
 

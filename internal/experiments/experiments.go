@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"xoridx/internal/core"
@@ -80,79 +81,66 @@ type Table2Row struct {
 	Cells [3]Table2Cell
 }
 
-// Table2Ctx reproduces paper Table 2 for data caches (kind =
-// trace.Read) or instruction caches (kind = trace.Fetch): baseline
-// misses/K-op and the percentage of misses removed by optimized
-// permutation-based XOR-functions with 2, 4 and unlimited inputs. The
-// final row returned by Average is the paper's "average" row.
-func Table2Ctx(ctx context.Context, opt Options, instruction bool, scale int) ([]Table2Row, error) {
-	return Table2ForCtx(ctx, opt, nil, instruction, scale)
-}
-
-// Table2ForCtx runs Table 2 for a subset of benchmark names (nil =
-// all), used by the fast test and bench paths.
-func Table2ForCtx(ctx context.Context, opt Options, names []string, instruction bool, scale int) ([]Table2Row, error) {
-	return Table2SuiteCtx(ctx, opt, workloads.MediaSuite(), names, instruction, scale)
-}
-
-// Table2ExtraCtx runs the Table 2 protocol over the extra benchmark
-// suite (gsm, g721, epic, pegwit) — benchmarks from the same families
-// the paper's evaluation drew on but did not have table space for.
-func Table2ExtraCtx(ctx context.Context, opt Options, instruction bool, scale int) ([]Table2Row, error) {
-	return Table2SuiteCtx(ctx, opt, workloads.ExtraSuite(), nil, instruction, scale)
-}
-
-// Table2SuiteCtx is the generic driver behind
-// Table2Ctx/Table2ForCtx/Table2ExtraCtx. Benchmarks are processed in
-// parallel (each row is independent); the returned order matches the
-// suite order. A canceled context aborts every in-flight
-// per-benchmark pipeline and returns a wrapped core.ErrCanceled.
-func Table2SuiteCtx(ctx context.Context, opt Options, suite []workloads.Workload, names []string, instruction bool, scale int) ([]Table2Row, error) {
-	var selected []workloads.Workload
-	for _, w := range suite {
-		if nameSelected(names, w.Name) {
-			selected = append(selected, w)
-		}
-	}
+// Table2Ctx reproduces paper Table 2 over the benchmarks of suite
+// whose names are selected (nil = all): for data caches, or for
+// instruction caches when instruction is set, baseline misses/K-op and
+// the percentage of misses removed by optimized permutation-based
+// XOR-functions with 2, 4 and unlimited inputs. The paper's table uses
+// workloads.MediaSuite; workloads.ExtraSuite runs the same protocol on
+// benchmarks the paper's evaluation had no table space for. Rows follow
+// the suite order, and Table2Average gives the paper's "average" row.
+func Table2Ctx(ctx context.Context, opt Options, suite []workloads.Workload, names []string, instruction bool, scale int) ([]Table2Row, error) {
+	selected := selectWorkloads(suite, names)
 	rows := make([]Table2Row, len(selected))
-	errs := make([]error, len(selected))
+	err := opt.forEach(ctx, len(selected), func(i int) error {
+		w := selected[i]
+		gen := w.Data
+		if instruction {
+			gen = w.Instr
+		}
+		tr := gen(scale)
+		rows[i].Bench = w.Name
+		for si, kb := range cacheSizesKB() {
+			cell, err := tuneCell(ctx, opt, tr, kb*1024)
+			if err != nil {
+				return fmt.Errorf("%s %dKB: %w", w.Name, kb, err)
+			}
+			rows[i].Cells[si] = cell
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// forEach runs fn(0) … fn(n-1) concurrently, at most maxParallel at a
+// time; a call that starts after ctx is done fails with a wrapped
+// core.ErrCanceled instead. It returns the error of the lowest index
+// that failed.
+func (o Options) forEach(ctx context.Context, n int, fn func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, opt.maxParallel())
-	for i, w := range selected {
+	sem := make(chan struct{}, o.maxParallel())
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int, w workloads.Workload) {
+		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if err := core.Check(ctx); err != nil {
-				errs[i] = err
-				return
+			if errs[i] = core.Check(ctx); errs[i] == nil {
+				errs[i] = fn(i)
 			}
-			var tr *trace.Trace
-			if instruction {
-				tr = w.Instr(scale)
-			} else {
-				tr = w.Data(scale)
-			}
-			row := Table2Row{Bench: w.Name}
-			for si, kb := range cacheSizesKB() {
-				cell, err := tuneCell(ctx, opt, tr, kb*1024)
-				if err != nil {
-					errs[i] = fmt.Errorf("%s %dKB: %w", w.Name, kb, err)
-					return
-				}
-				row.Cells[si] = cell
-			}
-			rows[i] = row
-		}(i, w)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 // tuneCell runs the 2-in/4-in/16-in sweep for one trace and cache size.
@@ -281,39 +269,17 @@ type Table3Row struct {
 const Table3MaxTrace = 60000
 
 // Table3Ctx reproduces paper Table 3 on the 4 KB direct-mapped data
-// cache.
-func Table3Ctx(ctx context.Context, opt Options, scale int) ([]Table3Row, error) {
-	return Table3ForCtx(ctx, opt, nil, scale)
-}
-
-// Table3ForCtx runs Table 3 for a subset of benchmark names (nil =
+// cache for the PowerStone benchmarks whose names are selected (nil =
 // all). Rows are computed in parallel; order matches the suite.
-func Table3ForCtx(ctx context.Context, opt Options, names []string, scale int) ([]Table3Row, error) {
-	var selected []workloads.Workload
-	for _, w := range workloads.PowerStoneSuite() {
-		if nameSelected(names, w.Name) {
-			selected = append(selected, w)
-		}
-	}
+func Table3Ctx(ctx context.Context, opt Options, names []string, scale int) ([]Table3Row, error) {
+	selected := selectWorkloads(workloads.PowerStoneSuite(), names)
 	rows := make([]Table3Row, len(selected))
-	errs := make([]error, len(selected))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opt.maxParallel())
-	for i, w := range selected {
-		wg.Add(1)
-		go func(i int, w workloads.Workload) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			row, err := table3Row(ctx, opt, w, scale)
-			rows[i], errs[i] = row, err
-		}(i, w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := opt.forEach(ctx, len(selected), func(i int) (err error) {
+		rows[i], err = table3Row(ctx, opt, selected[i], scale)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -385,16 +351,19 @@ func table3Row(ctx context.Context, opt Options, w workloads.Workload, scale int
 	}
 }
 
-func nameSelected(names []string, name string) bool {
+// selectWorkloads returns the workloads of suite named in names, in
+// suite order; nil names selects them all.
+func selectWorkloads(suite []workloads.Workload, names []string) []workloads.Workload {
 	if len(names) == 0 {
-		return true
+		return suite
 	}
-	for _, n := range names {
-		if n == name {
-			return true
+	var selected []workloads.Workload
+	for _, w := range suite {
+		if slices.Contains(names, w.Name) {
+			selected = append(selected, w)
 		}
 	}
-	return false
+	return selected
 }
 
 func withFamily(cfg core.Config, f hash.Family, maxIn int) core.Config {

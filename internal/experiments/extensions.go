@@ -82,13 +82,14 @@ func CrossApplicationCtx(ctx context.Context, opt Options, names []string, cache
 	out := &CrossApplicationResult{Benchmarks: names}
 	for i, name := range names {
 		row := CrossRow{TunedFor: name, RemovedPct: make([]float64, len(names))}
+		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: funcs[i]}
 		for j := range names {
-			misses, err := simulateWithCtx(ctx, traces[j], cfg, funcs[i])
+			st, err := cache.Simulate(ctx, dm, traces[j])
 			if err != nil {
 				return nil, err
 			}
 			if baselines[j] > 0 {
-				row.RemovedPct[j] = 100 * (1 - float64(misses)/float64(baselines[j]))
+				row.RemovedPct[j] = 100 * (1 - float64(st.Misses)/float64(baselines[j]))
 			}
 		}
 		out.Rows = append(out.Rows, row)
@@ -118,35 +119,6 @@ func (r *CrossApplicationResult) MatchedMinusMismatched() float64 {
 		return 0
 	}
 	return diag/float64(nDiag) - off/float64(nOff)
-}
-
-func simulateWith(tr *trace.Trace, cfg core.Config, f hash.Func) uint64 {
-	c := cache.MustNew(cache.Config{
-		SizeBytes:  cfg.CacheBytes,
-		BlockBytes: cfg.BlockBytes,
-		Ways:       1,
-		Index:      f,
-	})
-	c.DisableClassification()
-	return c.Run(tr).Misses
-}
-
-func simulateWithCtx(ctx context.Context, tr *trace.Trace, cfg core.Config, f hash.Func) (uint64, error) {
-	c, err := cache.New(cache.Config{
-		SizeBytes:  cfg.CacheBytes,
-		BlockBytes: cfg.BlockBytes,
-		Ways:       1,
-		Index:      f,
-	})
-	if err != nil {
-		return 0, err
-	}
-	c.DisableClassification()
-	st, err := c.RunCtx(ctx, tr)
-	if err != nil {
-		return 0, err
-	}
-	return st.Misses, nil
 }
 
 // AssocRow compares organisations of equal capacity on one benchmark.
@@ -198,14 +170,12 @@ func AssociativityComparisonCtx(ctx context.Context, opt Options, names []string
 
 		// 2-way set associative, conventional indexing.
 		m2 := cfg.SetBits() - 1
-		twoWay := cache.MustNew(cache.Config{
+		twoStats, err := cache.Simulate(ctx, cache.Config{
 			SizeBytes:  cacheBytes,
 			BlockBytes: BlockBytes,
 			Ways:       2,
 			Index:      hash.Modulo(AddrBits, m2),
-		})
-		twoWay.DisableClassification()
-		twoStats, err := twoWay.RunCtx(ctx, tr)
+		}, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +193,11 @@ func AssociativityComparisonCtx(ctx context.Context, opt Options, names []string
 		if err != nil {
 			return nil, err
 		}
-		row.Skewed = sk.RunBlocks(tr.Blocks(BlockBytes, AddrBits)).Misses
+		blocks := tr.Blocks(BlockBytes, AddrBits)
+		for _, b := range blocks {
+			sk.AccessBlock(b)
+		}
+		row.Skewed = sk.Stats().Misses
 
 		// Direct mapped + 4-entry victim buffer (Jouppi's mitigation).
 		vc, err := cache.NewVictim(cache.Config{
@@ -234,17 +208,18 @@ func AssociativityComparisonCtx(ctx context.Context, opt Options, names []string
 		if err != nil {
 			return nil, err
 		}
-		row.Victim = vc.RunBlocks(tr.Blocks(BlockBytes, AddrBits)).Misses
+		for _, b := range blocks {
+			vc.AccessBlock(b)
+		}
+		row.Victim = vc.Stats().Misses
 
 		// Fully associative LRU.
-		fa := cache.MustNew(cache.Config{
+		faStats, err := cache.Simulate(ctx, cache.Config{
 			SizeBytes:  cacheBytes,
 			BlockBytes: BlockBytes,
 			Ways:       cacheBytes / BlockBytes,
 			Index:      hash.Modulo(AddrBits, 0),
-		})
-		fa.DisableClassification()
-		faStats, err := fa.RunCtx(ctx, tr)
+		}, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -308,9 +283,12 @@ func PhaseReconfigurationCtx(ctx context.Context, opt Options, benchA, benchB st
 		row := PhaseRow{Quantum: q, Switches: len(switches)}
 
 		// (a) modulo throughout.
-		if row.Modulo, err = simulateWithCtx(ctx, merged, cfg, hash.Modulo(AddrBits, cfg.SetBits())); err != nil {
+		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: hash.Modulo(AddrBits, cfg.SetBits())}
+		mod, err := cache.Simulate(ctx, dm, merged)
+		if err != nil {
 			return nil, err
 		}
+		row.Modulo = mod.Misses
 
 		// (b) one compromise function tuned on the merged trace.
 		comp, err := core.TuneCtx(ctx, merged, cfg, opt.Events)
@@ -320,13 +298,11 @@ func PhaseReconfigurationCtx(ctx context.Context, opt Options, benchA, benchB st
 		row.Compromise = comp.Optimized.Misses
 
 		// (c) per-application reconfiguration with flush at switches.
-		c := cache.MustNew(cache.Config{
-			SizeBytes:  cfg.CacheBytes,
-			BlockBytes: cfg.BlockBytes,
-			Ways:       1,
-			Index:      perApp[0],
-		})
-		c.DisableClassification()
+		dm.Index = perApp[0]
+		c, err := cache.New(dm)
+		if err != nil {
+			return nil, err
+		}
 		cur := 0
 		bounds := append(append([]int{}, switches...), merged.Len())
 		app := 0
@@ -412,9 +388,7 @@ func SizeSweepCtx(ctx context.Context, opt Options, bench string, sizes []int, s
 		if err != nil {
 			return nil, err
 		}
-		c2 := cache.MustNew(cache.Config{SizeBytes: size, BlockBytes: BlockBytes, Ways: 2, Index: f2})
-		c2.DisableClassification()
-		twoXOR, err := c2.RunCtx(ctx, tr)
+		twoXOR, err := cache.Simulate(ctx, cache.Config{SizeBytes: size, BlockBytes: BlockBytes, Ways: 2, Index: f2}, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -473,19 +447,19 @@ func FixedVsTunedCtx(ctx context.Context, opt Options, names []string, cacheKB, 
 		if err != nil {
 			return nil, err
 		}
-		foldedMisses, err := simulateWithCtx(ctx, tr, cfg, folded)
+		foldedStats, err := cache.Simulate(ctx, cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: folded}, tr)
 		if err != nil {
 			return nil, err
 		}
-		polyMisses, err := simulateWithCtx(ctx, tr, cfg, poly)
+		polyStats, err := cache.Simulate(ctx, cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: poly}, tr)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, FixedRow{
 			Bench:    name,
 			Modulo:   res.Baseline.Misses,
-			Folded:   foldedMisses,
-			Poly:     polyMisses,
+			Folded:   foldedStats.Misses,
+			Poly:     polyStats.Misses,
 			Tuned:    res.Optimized.Misses,
 			Accesses: res.Baseline.Accesses,
 		})
@@ -535,11 +509,9 @@ func EnergyComparisonCtx(ctx context.Context, opt Options, names []string, cache
 		}
 		m := cfg.SetBits()
 
-		// Re-run with full stats (Run tracks writes/writebacks).
+		// Re-run with full stats (Simulate tracks writes/writebacks).
 		runWith := func(ways int, f hash.Func) (cache.Stats, error) {
-			c := cache.MustNew(cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: ways, Index: f})
-			c.DisableClassification()
-			return c.RunCtx(ctx, tr)
+			return cache.Simulate(ctx, cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: ways, Index: f}, tr)
 		}
 		sMod, err := runWith(1, hash.Modulo(AddrBits, m))
 		if err != nil {
@@ -602,12 +574,10 @@ func ReplacementAblationCtx(ctx context.Context, opt Options, names []string, ca
 			m2++
 		}
 		run := func(repl cache.Replacement, f hash.Func, ways int) (uint64, error) {
-			c := cache.MustNew(cache.Config{
+			st, err := cache.Simulate(ctx, cache.Config{
 				SizeBytes: cacheBytes, BlockBytes: BlockBytes,
 				Ways: ways, Index: f, Repl: repl,
-			})
-			c.DisableClassification()
-			st, err := c.RunCtx(ctx, tr)
+			}, tr)
 			return st.Misses, err
 		}
 		// Tune for the 2-way geometry.
@@ -684,11 +654,13 @@ func ASLRRobustnessCtx(ctx context.Context, opt Options, bench string, cacheKB, 
 	var rows []ASLRRow
 	for _, delta := range deltas {
 		moved := base.Rebase(delta)
-		baselineMisses, err := simulateWithCtx(ctx, moved, cfg, hash.Modulo(AddrBits, cfg.SetBits()))
+		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: hash.Modulo(AddrBits, cfg.SetBits())}
+		baseline, err := cache.Simulate(ctx, dm, moved)
 		if err != nil {
 			return nil, err
 		}
-		staleMisses, err := simulateWithCtx(ctx, moved, cfg, tuned.Func)
+		dm.Index = tuned.Func
+		stale, err := cache.Simulate(ctx, dm, moved)
 		if err != nil {
 			return nil, err
 		}
@@ -697,15 +669,15 @@ func ASLRRobustnessCtx(ctx context.Context, opt Options, bench string, cacheKB, 
 			return nil, err
 		}
 		pct := func(m uint64) float64 {
-			if baselineMisses == 0 {
+			if baseline.Misses == 0 {
 				return 0
 			}
-			return 100 * (1 - float64(m)/float64(baselineMisses))
+			return 100 * (1 - float64(m)/float64(baseline.Misses))
 		}
 		rows = append(rows, ASLRRow{
 			Bench:      bench,
 			Delta:      delta,
-			TunedPct:   pct(staleMisses),
+			TunedPct:   pct(stale.Misses),
 			RetunedPct: pct(re.Optimized.Misses),
 		})
 	}

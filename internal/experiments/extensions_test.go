@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"xoridx/internal/workloads"
 )
 
 func TestCrossApplicationMotivatesReconfigurability(t *testing.T) {
@@ -311,7 +313,7 @@ func TestScaleTwoSmoke(t *testing.T) {
 		t.Skip("scale-2 smoke in short mode")
 	}
 	// Larger inputs must flow through the whole pipeline unchanged.
-	rows, err := Table2ForCtx(context.Background(), Options{}, []string{"adpcm_dec"}, false, 2)
+	rows, err := Table2Ctx(context.Background(), Options{}, workloads.MediaSuite(), []string{"adpcm_dec"}, false, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

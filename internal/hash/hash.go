@@ -59,6 +59,16 @@ type XOR struct {
 // full rank n, making (index, tag) bijective. For permutation-based H
 // the constructed tag is exactly the conventional high-order selection.
 func NewXOR(h gf2.Matrix) (*XOR, error) {
+	if h.N < 0 || h.N > gf2.MaxBits || h.M > h.N {
+		return nil, fmt.Errorf("hash: %d×%d index matrix outside 0 <= m <= n <= %d: %w",
+			h.N, h.M, gf2.MaxBits, xerr.ErrInvalidGeometry)
+	}
+	for c, col := range h.Cols {
+		if col&^gf2.Mask(h.N) != 0 {
+			return nil, fmt.Errorf("hash: index column %d (%#x) has bits at or above n=%d: %w",
+				c, uint64(col), h.N, xerr.ErrInvalidGeometry)
+		}
+	}
 	if h.Rank() != h.M {
 		return nil, fmt.Errorf("hash: index matrix rank %d < %d; some sets would be unreachable: %w",
 			h.Rank(), h.M, xerr.ErrInvalidGeometry)

@@ -47,11 +47,11 @@ func TestExhaustiveXORCtxCanceled(t *testing.T) {
 }
 
 func TestOptimalTypedOptionErrors(t *testing.T) {
-	if _, err := ExactBitSelect(nil, 12, 0); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := ExactBitSelectCtx(context.Background(), nil, 12, 0); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("m=0 error %v must wrap ErrInvalidOptions", err)
 	}
 	p := profile.Build([]uint64{1, 2, 3}, 10, 32)
-	if _, err := ProfileBestBitSelect(p, 10); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := ProfileBestBitSelectCtx(context.Background(), p, 10); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("m=n error %v must wrap ErrInvalidOptions", err)
 	}
 }

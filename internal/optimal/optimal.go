@@ -58,15 +58,10 @@ func (r BitSelectResult) Matrix(n int) gf2.Matrix {
 // the working set per candidate (tag array + two 256-entry tables)
 // stays L1-resident; total time is C(n,m) passes over the trace —
 // honest about the cost the paper reports ("the optimal algorithm is
-// very slow").
-func ExactBitSelect(blocks []uint64, n, m int) (BitSelectResult, error) {
-	return ExactBitSelectCtx(context.Background(), blocks, n, m)
-}
-
-// ExactBitSelectCtx is ExactBitSelect with cooperative cancellation:
-// ctx is checked once per candidate mask (each candidate is a full pass
-// over the trace, so per-candidate granularity bounds cancellation
-// latency to one simulation pass while costing nothing measurable).
+// very slow"). ctx is checked once per candidate mask (each candidate
+// is a full pass over the trace, so per-candidate granularity bounds
+// cancellation latency to one simulation pass while costing nothing
+// measurable).
 func ExactBitSelectCtx(ctx context.Context, blocks []uint64, n, m int) (BitSelectResult, error) {
 	if m <= 0 || m >= n || n > 16 {
 		return BitSelectResult{}, fmt.Errorf("optimal: unsupported dimensions n=%d m=%d: %w", n, m, xerr.ErrInvalidOptions)
@@ -113,14 +108,8 @@ func ExactBitSelectCtx(ctx context.Context, blocks []uint64, n, m int) (BitSelec
 
 // ProfileBestBitSelect returns the bit-selecting function minimising
 // the Eq. 4 estimate, scoring all C(n,m) candidates through a single
-// sum-over-subsets transform of the conflict table.
-func ProfileBestBitSelect(p *profile.Profile, m int) (BitSelectResult, error) {
-	return ProfileBestBitSelectCtx(context.Background(), p, m)
-}
-
-// ProfileBestBitSelectCtx is ProfileBestBitSelect with cooperative
-// cancellation, checked once per zeta-transform layer and once per
-// 8 K candidate masks.
+// sum-over-subsets transform of the conflict table. ctx is checked
+// once per zeta-transform layer and once per 8 K candidate masks.
 func ProfileBestBitSelectCtx(ctx context.Context, p *profile.Profile, m int) (BitSelectResult, error) {
 	n := p.N
 	if m <= 0 || m >= n {

@@ -1,6 +1,7 @@
 package optimal
 
 import (
+	"context"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -64,7 +65,7 @@ func bruteBestBitSelect(t *testing.T, blocks []uint64, n, m int) (uint64, uint64
 		if err != nil {
 			t.Fatal(err)
 		}
-		misses := cache.SimulateBlocks(blocks, (1<<uint(m))*4, 4, f)
+		misses := dmMisses(t, blocks, f)
 		if misses < bestMisses {
 			bestMisses = misses
 			bestMask = mask
@@ -85,7 +86,7 @@ func TestExactBitSelectMatchesBruteForce(t *testing.T) {
 		}
 	}
 	n, m := 8, 4
-	res, err := ExactBitSelect(blocks, n, m)
+	res, err := ExactBitSelectCtx(context.Background(), blocks, n, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestExactBitSelectMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cache.SimulateBlocks(blocks, (1<<uint(m))*4, 4, f); got != res.Misses {
+	if got := dmMisses(t, blocks, f); got != res.Misses {
 		t.Fatalf("winning mask resimulates to %d, reported %d", got, res.Misses)
 	}
 	if res.Evaluated != 70 { // C(8,4)
@@ -115,7 +116,7 @@ func TestExactBitSelectStride(t *testing.T) {
 			blocks = append(blocks, i*16)
 		}
 	}
-	res, err := ExactBitSelect(blocks, 8, 4)
+	res, err := ExactBitSelectCtx(context.Background(), blocks, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,16 +129,16 @@ func TestExactBitSelectStride(t *testing.T) {
 }
 
 func TestExactBitSelectValidation(t *testing.T) {
-	if _, err := ExactBitSelect(nil, 8, 0); err == nil {
+	if _, err := ExactBitSelectCtx(context.Background(), nil, 8, 0); err == nil {
 		t.Error("m=0 should fail")
 	}
-	if _, err := ExactBitSelect(nil, 8, 8); err == nil {
+	if _, err := ExactBitSelectCtx(context.Background(), nil, 8, 8); err == nil {
 		t.Error("m=n should fail")
 	}
-	if _, err := ExactBitSelect([]uint64{1 << 10}, 8, 4); err == nil {
+	if _, err := ExactBitSelectCtx(context.Background(), []uint64{1 << 10}, 8, 4); err == nil {
 		t.Error("oversized block should fail")
 	}
-	if _, err := ExactBitSelect(nil, 30, 4); err == nil {
+	if _, err := ExactBitSelectCtx(context.Background(), nil, 30, 4); err == nil {
 		t.Error("oversized n should fail")
 	}
 }
@@ -150,7 +151,7 @@ func TestProfileBestBitSelectMatchesExhaustiveEstimate(t *testing.T) {
 	}
 	n, m := 10, 5
 	p := profile.Build(blocks, n, 1<<uint(m))
-	res, err := ProfileBestBitSelect(p, m)
+	res, err := ProfileBestBitSelectCtx(context.Background(), p, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +180,10 @@ func TestProfileBestBitSelectMatchesExhaustiveEstimate(t *testing.T) {
 
 func TestProfileBestBitSelectValidation(t *testing.T) {
 	p := profile.Build([]uint64{1, 2}, 8, 16)
-	if _, err := ProfileBestBitSelect(p, 0); err == nil {
+	if _, err := ProfileBestBitSelectCtx(context.Background(), p, 0); err == nil {
 		t.Error("m=0 should fail")
 	}
-	if _, err := ProfileBestBitSelect(p, 8); err == nil {
+	if _, err := ProfileBestBitSelectCtx(context.Background(), p, 8); err == nil {
 		t.Error("m=n should fail")
 	}
 }
@@ -203,4 +204,18 @@ func TestPositionsAndMatrix(t *testing.T) {
 	if !h.IsBitSelecting() || h.M != 3 {
 		t.Fatal("matrix wrong")
 	}
+}
+
+// dmMisses is the exact reference: the misses of a direct-mapped cache
+// of 4-byte lines, one per set of f, reading blocks in order.
+func dmMisses(t testing.TB, blocks []uint64, f hash.Func) uint64 {
+	t.Helper()
+	c, err := cache.New(cache.Config{SizeBytes: 4 << f.SetBits(), BlockBytes: 4, Ways: 1, Index: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
+		c.AccessBlock(b)
+	}
+	return c.Stats().Misses
 }

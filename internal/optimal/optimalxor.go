@@ -125,14 +125,9 @@ type XORResult struct {
 // binomial — e.g. ~109 K for n=10, m=5, ~2.7 M for n=12, m=6); this is
 // the "optimal XOR algorithm" the paper notes does not exist for
 // realistic sizes, provided here as a calibration tool for the
-// heuristic search.
-func ExhaustiveXOR(p *profile.Profile, m int) (XORResult, error) {
-	return ExhaustiveXORCtx(context.Background(), p, m)
-}
-
-// ExhaustiveXORCtx is ExhaustiveXOR with cooperative cancellation,
-// checked every 8 K subspaces (each evaluation walks the full conflict
-// table, so the check overhead is noise).
+// heuristic search. ctx is checked every 8 K subspaces (each
+// evaluation walks the full conflict table, so the check overhead is
+// noise).
 func ExhaustiveXORCtx(ctx context.Context, p *profile.Profile, m int) (XORResult, error) {
 	n := p.N
 	d := n - m

@@ -100,7 +100,7 @@ func TestExhaustiveXORBeatsOrMatchesEverything(t *testing.T) {
 	}
 	n, m := 9, 5
 	p := profile.Build(blocks, n, 1<<uint(m))
-	opt, err := ExhaustiveXOR(p, m)
+	opt, err := ExhaustiveXORCtx(context.Background(), p, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestHillClimbingNearOptimal(t *testing.T) {
 		}
 	}
 	p := profile.Build(blocks, 9, 32)
-	opt, err := ExhaustiveXOR(p, 5)
+	opt, err := ExhaustiveXORCtx(context.Background(), p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +147,10 @@ func TestHillClimbingNearOptimal(t *testing.T) {
 
 func TestExhaustiveXORValidation(t *testing.T) {
 	p := profile.Build([]uint64{1, 2, 3}, 14, 16)
-	if _, err := ExhaustiveXOR(p, 0); err == nil {
+	if _, err := ExhaustiveXORCtx(context.Background(), p, 0); err == nil {
 		t.Error("m=0 should fail")
 	}
-	if _, err := ExhaustiveXOR(p, 5); err == nil {
+	if _, err := ExhaustiveXORCtx(context.Background(), p, 5); err == nil {
 		t.Error("d=9 design space (~2^40 subspaces) should be refused")
 	}
 }

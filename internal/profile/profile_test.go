@@ -88,7 +88,7 @@ func TestEstimateMatchesExactForSimpleThrash(t *testing.T) {
 	// Conventional modulo with 8 set bits: 0 and 256 collide.
 	conv := hash.Modulo(16, 8)
 	est := p.EstimateMatrix(conv.Matrix())
-	exact := cache.SimulateBlocks(blocks, 1024, 4, conv)
+	exact := dmMisses(t, blocks, conv)
 	// exact includes 2 compulsory misses the estimator excludes.
 	if est != exact-2 {
 		t.Fatalf("estimate %d, exact conflicts %d", est, exact-2)
@@ -102,7 +102,7 @@ func TestEstimateMatchesExactForSimpleThrash(t *testing.T) {
 	if est := p.EstimateMatrix(f.Matrix()); est != 0 {
 		t.Fatalf("XOR estimate = %d, want 0", est)
 	}
-	if exact := cache.SimulateBlocks(blocks, 1024, 4, f); exact != 2 {
+	if exact := dmMisses(t, blocks, f); exact != 2 {
 		t.Fatalf("XOR exact = %d, want 2 compulsory", exact)
 	}
 }
@@ -184,8 +184,8 @@ func TestEstimateTracksExactRanking(t *testing.T) {
 	if estXOR >= estConv {
 		t.Fatalf("estimator ranking wrong: conv %d, xor %d", estConv, estXOR)
 	}
-	exactConv := cache.SimulateBlocks(blocks, sets*4, 4, conv)
-	exactXOR := cache.SimulateBlocks(blocks, sets*4, 4, xor)
+	exactConv := dmMisses(t, blocks, conv)
+	exactXOR := dmMisses(t, blocks, xor)
 	if exactXOR >= exactConv {
 		t.Fatalf("exact ranking wrong: conv %d, xor %d", exactConv, exactXOR)
 	}
@@ -352,4 +352,18 @@ func TestWideAddressSpace(t *testing.T) {
 	if est := p.EstimateMatrix(h); est != 0 {
 		t.Fatalf("n=20 XOR estimate = %d, want 0", est)
 	}
+}
+
+// dmMisses is the exact reference: the misses of a direct-mapped cache
+// of 4-byte lines, one per set of f, reading blocks in order.
+func dmMisses(t testing.TB, blocks []uint64, f hash.Func) uint64 {
+	t.Helper()
+	c, err := cache.New(cache.Config{SizeBytes: 4 << f.SetBits(), BlockBytes: 4, Ways: 1, Index: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
+		c.AccessBlock(b)
+	}
+	return c.Stats().Misses
 }

@@ -61,7 +61,7 @@ func TestGeneralXORSolvesStrideThrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	misses := cache.SimulateBlocks(blocks, (1<<m)*4, 4, f)
+	misses := dmMisses(t, blocks, f)
 	if misses != 32 {
 		t.Fatalf("exact misses %d, want 32 compulsory", misses)
 	}
@@ -406,4 +406,18 @@ func TestSearchAtWiderAddressSpace(t *testing.T) {
 	if res.Estimated != 0 {
 		t.Fatalf("n=20 permutation search left %d of %d", res.Estimated, res.Baseline)
 	}
+}
+
+// dmMisses is the exact reference: the misses of a direct-mapped cache
+// of 4-byte lines, one per set of f, reading blocks in order.
+func dmMisses(t testing.TB, blocks []uint64, f hash.Func) uint64 {
+	t.Helper()
+	c, err := cache.New(cache.Config{SizeBytes: 4 << f.SetBits(), BlockBytes: 4, Ways: 1, Index: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
+		c.AccessBlock(b)
+	}
+	return c.Stats().Misses
 }
