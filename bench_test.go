@@ -99,7 +99,7 @@ func BenchmarkConstructGeneralXOR(b *testing.B) {
 	p := profile.Build(tr.Blocks(4, 16), 16, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search.ConstructCtx(context.Background(), p, 8, search.Options{Family: hash.FamilyGeneralXOR}); err != nil {
+		if _, err := search.Construct(context.Background(), p, 8, search.Options{Family: hash.FamilyGeneralXOR}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func BenchmarkConstructPermutation2(b *testing.B) {
 	p := profile.Build(tr.Blocks(4, 16), 16, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search.ConstructCtx(context.Background(), p, 8, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2}); err != nil {
+		if _, err := search.Construct(context.Background(), p, 8, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,7 +135,7 @@ func benchTable2Cell(b *testing.B, bench string, instruction bool, cacheKB int) 
 			MaxInputs:  2,
 			NoFallback: true,
 		}
-		res, err := core.TuneCtx(context.Background(), tr, cfg, nil)
+		res, err := core.Tune(context.Background(), tr, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func BenchmarkTable2Instr16KB(b *testing.B) { benchTable2Cell(b, "rijndael", tru
 func BenchmarkExp1GeneralVsPermutation(b *testing.B) {
 	tr := mustWorkload(b, "susan").Data(1)
 	cfg := core.Config{CacheBytes: 4096, NoFallback: true}
-	p, err := core.BuildProfileCtx(context.Background(), tr, cfg)
+	p, err := core.BuildProfile(context.Background(), tr, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,13 +170,13 @@ func BenchmarkExp1GeneralVsPermutation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := cfg
 		g.Family = hash.FamilyGeneralXOR
-		gres, err := core.TuneProfiledCtx(context.Background(), tr, p, g, nil)
+		gres, err := core.TuneProfiled(context.Background(), tr, p, g, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		pm := cfg
 		pm.Family = hash.FamilyPermutation
-		pres, err := core.TuneProfiledCtx(context.Background(), tr, p, pm, nil)
+		pres, err := core.TuneProfiled(context.Background(), tr, p, pm, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func BenchmarkTable3OptimalBitSelect(b *testing.B) {
 	var removed float64
 	base := float64(0)
 	for i := 0; i < b.N; i++ {
-		res, err := optimal.ExactBitSelectCtx(context.Background(), blocks, 16, 10)
+		res, err := optimal.ExactBitSelect(context.Background(), blocks, 16, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func optimalConvMisses(blocks []uint64) uint64 {
 func BenchmarkTable3Row(b *testing.B) {
 	var row experiments.Table3Row
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3Ctx(context.Background(), experiments.Options{}, []string{"engine"}, 1)
+		rows, err := experiments.Table3(context.Background(), experiments.Options{}, []string{"engine"}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func BenchmarkAblationRestarts(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var est uint64
 			for i := 0; i < b.N; i++ {
-				res, err := search.ConstructCtx(context.Background(), p, 10, search.Options{
+				res, err := search.Construct(context.Background(), p, 10, search.Options{
 					Family: hash.FamilyPermutation, MaxInputs: 2,
 					Restarts: restarts, Seed: 42,
 				})
@@ -338,7 +338,7 @@ func BenchmarkAblationAnnealVsHillClimb(b *testing.B) {
 	b.Run("hill-climb", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
-			res, err := search.ConstructCtx(context.Background(), p, 10, search.Options{Family: hash.FamilyGeneralXOR})
+			res, err := search.Construct(context.Background(), p, 10, search.Options{Family: hash.FamilyGeneralXOR})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -349,7 +349,7 @@ func BenchmarkAblationAnnealVsHillClimb(b *testing.B) {
 	b.Run("anneal-20k", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
-			res, err := search.AnnealCtx(context.Background(), p, 10, search.AnnealOptions{Steps: 20000, Seed: 1})
+			res, err := search.Anneal(context.Background(), p, 10, search.AnnealOptions{Steps: 20000, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -363,7 +363,7 @@ func BenchmarkAblationAnnealVsHillClimb(b *testing.B) {
 // without a tuned L1 index and reports the AMAT of each.
 func BenchmarkExtensionHierarchy(b *testing.B) {
 	tr := mustWorkload(b, "fft").Data(1)
-	res, err := core.TuneCtx(context.Background(), tr, core.Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
+	res, err := core.Tune(context.Background(), tr, core.Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func BenchmarkExtensionFixedHashes(b *testing.B) {
 	var rows []experiments.FixedRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.FixedVsTunedCtx(context.Background(), experiments.Options{}, []string{"susan"}, 4, 1)
+		rows, err = experiments.FixedVsTuned(context.Background(), experiments.Options{}, []string{"susan"}, 4, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -417,7 +417,7 @@ func BenchmarkExtensionOptimalXOR(b *testing.B) {
 	p := profile.Build(blocks, 9, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := optimal.ExhaustiveXORCtx(context.Background(), p, 5); err != nil {
+		if _, err := optimal.ExhaustiveXOR(context.Background(), p, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -431,7 +431,7 @@ func BenchmarkAblationConstructiveVsSearch(b *testing.B) {
 	b.Run("constructive", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
-			res, err := search.ConstructiveCtx(context.Background(), p, 10, 2, 64)
+			res, err := search.Constructive(context.Background(), p, 10, 2, 64)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -442,7 +442,7 @@ func BenchmarkAblationConstructiveVsSearch(b *testing.B) {
 	b.Run("hill-climb", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
-			res, err := search.ConstructCtx(context.Background(), p, 10, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2})
+			res, err := search.Construct(context.Background(), p, 10, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1195,7 +1195,7 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 
 // BenchmarkTune measures the end-to-end pipeline — Fig. 1 profiling,
 // §3.2 search, exact validation — on a 10M-access synthetic trace
-// through TuneCtx with a live context and no sink.
+// through Tune with a live context and no sink.
 func BenchmarkTune(b *testing.B) {
 	const accesses = 10_000_000
 	tr := &trace.Trace{Name: "pipeline-bench"}
@@ -1213,7 +1213,7 @@ func BenchmarkTune(b *testing.B) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.TuneCtx(ctx, tr, cfg, nil); err != nil {
+			if _, err := core.Tune(ctx, tr, cfg, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

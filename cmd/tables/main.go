@@ -85,7 +85,7 @@ func main() {
 	if want("exp1") {
 		any = true
 		run("experiment 1", func() error {
-			rows, err := experiments.Experiment1Ctx(ctx, opt, *scale)
+			rows, err := experiments.Experiment1(ctx, opt, *scale)
 			if err != nil {
 				return err
 			}
@@ -96,7 +96,7 @@ func main() {
 	if want("2d") {
 		any = true
 		run("table 2 (data)", func() error {
-			rows, err := experiments.Table2Ctx(ctx, opt, workloads.MediaSuite(), nil, false, *scale)
+			rows, err := experiments.Table2(ctx, opt, workloads.MediaSuite(), nil, false, *scale)
 			if err != nil {
 				return err
 			}
@@ -107,7 +107,7 @@ func main() {
 	if want("2i") {
 		any = true
 		run("table 2 (instruction)", func() error {
-			rows, err := experiments.Table2Ctx(ctx, opt, workloads.MediaSuite(), nil, true, *scale)
+			rows, err := experiments.Table2(ctx, opt, workloads.MediaSuite(), nil, true, *scale)
 			if err != nil {
 				return err
 			}
@@ -119,7 +119,7 @@ func main() {
 		any = true
 		run("table 2 (extra suite)", func() error {
 			for _, instr := range []bool{false, true} {
-				rows, err := experiments.Table2Ctx(ctx, opt, workloads.ExtraSuite(), nil, instr, *scale)
+				rows, err := experiments.Table2(ctx, opt, workloads.ExtraSuite(), nil, instr, *scale)
 				if err != nil {
 					return err
 				}
@@ -132,7 +132,7 @@ func main() {
 	if want("3") {
 		any = true
 		run("table 3", func() error {
-			rows, err := experiments.Table3Ctx(ctx, opt, nil, *scale)
+			rows, err := experiments.Table3(ctx, opt, nil, *scale)
 			if err != nil {
 				return err
 			}
@@ -143,7 +143,7 @@ func main() {
 	if want("cross") {
 		any = true
 		run("cross-application extension", func() error {
-			res, err := experiments.CrossApplicationCtx(ctx, opt, nil, 4, *scale)
+			res, err := experiments.CrossApplication(ctx, opt, nil, 4, *scale)
 			if err != nil {
 				return err
 			}
@@ -154,7 +154,7 @@ func main() {
 	if want("assoc") {
 		any = true
 		run("associativity extension", func() error {
-			rows, err := experiments.AssociativityComparisonCtx(ctx, opt, nil, 4, *scale)
+			rows, err := experiments.AssociativityComparison(ctx, opt, nil, 4, *scale)
 			if err != nil {
 				return err
 			}
@@ -165,7 +165,7 @@ func main() {
 	if want("fixed") {
 		any = true
 		run("fixed-vs-tuned extension", func() error {
-			rows, err := experiments.FixedVsTunedCtx(ctx, opt, nil, 4, *scale)
+			rows, err := experiments.FixedVsTuned(ctx, opt, nil, 4, *scale)
 			if err != nil {
 				return err
 			}
@@ -176,7 +176,7 @@ func main() {
 	if want("aslr") {
 		any = true
 		run("ASLR robustness extension", func() error {
-			rows, err := experiments.ASLRRobustnessCtx(ctx, opt, "fft", 4, *scale,
+			rows, err := experiments.ASLRRobustness(ctx, opt, "fft", 4, *scale,
 				[]uint64{0, 0x1000, 0x10000, 0x3450, 0x81230})
 			if err != nil {
 				return err
@@ -188,7 +188,7 @@ func main() {
 	if want("repl") {
 		any = true
 		run("replacement ablation", func() error {
-			rows, err := experiments.ReplacementAblationCtx(ctx, opt, nil, 4, *scale)
+			rows, err := experiments.ReplacementAblation(ctx, opt, nil, 4, *scale)
 			if err != nil {
 				return err
 			}
@@ -199,7 +199,7 @@ func main() {
 	if want("energy") {
 		any = true
 		run("energy extension", func() error {
-			rows, err := experiments.EnergyComparisonCtx(ctx, opt, nil, 4, *scale)
+			rows, err := experiments.EnergyComparison(ctx, opt, nil, 4, *scale)
 			if err != nil {
 				return err
 			}
@@ -211,7 +211,7 @@ func main() {
 		any = true
 		run("miss-curve extension", func() error {
 			for _, bench := range []string{"fft", "rijndael"} {
-				pts, err := experiments.SizeSweepCtx(ctx, opt, bench, nil, *scale)
+				pts, err := experiments.SizeSweep(ctx, opt, bench, nil, *scale)
 				if err != nil {
 					return err
 				}
@@ -224,7 +224,7 @@ func main() {
 	if want("phase") {
 		any = true
 		run("phase-reconfiguration extension", func() error {
-			rows, err := experiments.PhaseReconfigurationCtx(ctx, opt, "fft", "adpcm_dec", 4, *scale,
+			rows, err := experiments.PhaseReconfiguration(ctx, opt, "fft", "adpcm_dec", 4, *scale,
 				[]int{100, 1000, 10000, 100000})
 			if err != nil {
 				return err

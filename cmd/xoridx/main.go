@@ -359,12 +359,12 @@ func tuneWith(ctx context.Context, tr *trace.Trace, cfg core.Config, algo string
 		if cfg.Family != hash.FamilyGeneralXOR {
 			return nil, fmt.Errorf("-algo anneal searches general XOR functions; use -family general")
 		}
-		sres, err = search.AnnealCtx(ctx, p, cfg.SetBits(), search.AnnealOptions{Seed: cfg.Seed})
+		sres, err = search.Anneal(ctx, p, cfg.SetBits(), search.AnnealOptions{Seed: cfg.Seed})
 	case "constructive":
 		if cfg.Family != hash.FamilyPermutation {
 			return nil, fmt.Errorf("-algo constructive builds permutation-based functions; use -family permutation")
 		}
-		sres, err = search.ConstructiveCtx(ctx, p, cfg.SetBits(), cfg.MaxInputs, 64)
+		sres, err = search.Constructive(ctx, p, cfg.SetBits(), cfg.MaxInputs, 64)
 	default:
 		return nil, fmt.Errorf("unknown -algo %q (hillclimb, anneal, constructive)", algo)
 	}

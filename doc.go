@@ -22,7 +22,7 @@
 //	internal/core         the staged Pipeline (profile, search, validate)
 //	internal/experiments  regenerates every table and figure
 //
-// Start with internal/core.TuneCtx (see examples/quickstart), or run
+// Start with internal/core.Tune (see examples/quickstart), or run
 //
 //	go run ./cmd/tables -table all
 //

@@ -71,7 +71,7 @@ func main() {
 	sw := misses(padded, conv)
 
 	// 2b. Hardware fix: tune a XOR function, binary untouched.
-	res, err := core.TuneCtx(context.Background(), broken, core.Config{
+	res, err := core.Tune(context.Background(), broken, core.Config{
 		CacheBytes: 4096,
 		Family:     hash.FamilyPermutation,
 		MaxInputs:  2,

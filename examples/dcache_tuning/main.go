@@ -35,7 +35,7 @@ func main() {
 		}
 		tr := w.Data(1)
 		cfg := core.Config{CacheBytes: cacheBytes} // fallback guard ON
-		p, err := core.BuildProfileCtx(context.Background(), tr, cfg)
+		p, err := core.BuildProfile(context.Background(), tr, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func main() {
 			c := cfg
 			c.Family = fc.family
 			c.MaxInputs = fc.maxIn
-			res, err := core.TuneProfiledCtx(context.Background(), tr, p, c, nil)
+			res, err := core.TuneProfiled(context.Background(), tr, p, c, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -53,7 +53,7 @@ func main() {
 			tr.Append(i*1024, trace.Read)
 		}
 	}
-	res, err := core.TuneCtx(context.Background(), tr, core.Config{
+	res, err := core.Tune(context.Background(), tr, core.Config{
 		CacheBytes: 1024,
 		Family:     hash.FamilyPermutation,
 		MaxInputs:  2,

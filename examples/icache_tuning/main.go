@@ -34,7 +34,7 @@ func main() {
 
 	fmt.Printf("%8s | %12s %12s %9s\n", "cache", "base misses", "XOR misses", "removed")
 	for _, kb := range []int{1, 4, 16} {
-		res, err := core.TuneCtx(context.Background(), tr, core.Config{
+		res, err := core.Tune(context.Background(), tr, core.Config{
 			CacheBytes: kb * 1024,
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,

@@ -33,7 +33,7 @@ func main() {
 		tr.Ops += 64 * 6
 	}
 
-	res, err := core.TuneCtx(context.Background(), tr, core.Config{
+	res, err := core.Tune(context.Background(), tr, core.Config{
 		CacheBytes: cacheBytes,
 		Family:     hash.FamilyPermutation,
 		MaxInputs:  2, // cheap reconfigurable hardware (paper §5)

@@ -32,7 +32,7 @@ import (
 
 func main() {
 	const benchA, benchB = "fft", "adpcm_dec"
-	rows, err := experiments.PhaseReconfigurationCtx(context.Background(), experiments.Options{}, benchA, benchB, 4, 1,
+	rows, err := experiments.PhaseReconfiguration(context.Background(), experiments.Options{}, benchA, benchB, 4, 1,
 		[]int{100, 1000, 10000, 100000})
 	if err != nil {
 		log.Fatal(err)
@@ -57,7 +57,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.TuneCtx(context.Background(), w.Data(1), core.Config{
+		res, err := core.Tune(context.Background(), w.Data(1), core.Config{
 			CacheBytes: 4096,
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,

@@ -40,7 +40,7 @@ func goldenCells(t *testing.T, workers int) []goldenCell {
 	var cells []goldenCell
 	for _, suite := range [][]workloads.Workload{workloads.MediaSuite(), workloads.PowerStoneSuite(), workloads.ExtraSuite()} {
 		for _, w := range suite {
-			res, err := core.TuneCtx(context.Background(), w.Data(1), cfg, nil)
+			res, err := core.Tune(context.Background(), w.Data(1), cfg, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
 			}

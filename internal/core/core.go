@@ -188,7 +188,7 @@ func (c Config) SetBits() int {
 	return m
 }
 
-// Result is the outcome of a pipeline run (Pipeline.Run, TuneCtx).
+// Result is the outcome of a pipeline run (Pipeline.Run, Tune).
 type Result struct {
 	// Func is the selected index function (the optimized one, or the
 	// conventional function if the fallback fired).

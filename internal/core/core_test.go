@@ -43,7 +43,7 @@ func TestConfigValidation(t *testing.T) {
 		{CacheBytes: 1 << 40, AddrBits: 30}, // blocks not power of two? (it is; but n too small)
 	}
 	for i, cfg := range bad {
-		if _, err := TuneCtx(context.Background(), &trace.Trace{}, cfg, nil); err == nil {
+		if _, err := Tune(context.Background(), &trace.Trace{}, cfg, nil); err == nil {
 			t.Errorf("config %d (%+v) should be rejected", i, cfg)
 		}
 	}
@@ -51,7 +51,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestTuneRemovesThrash(t *testing.T) {
 	tr := thrashTrace(256, 200)
-	res, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
+	res, err := Tune(context.Background(), tr, Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestTuneRemovesThrash(t *testing.T) {
 
 func TestTuneGeneralXORFamily(t *testing.T) {
 	tr := thrashTrace(256, 100)
-	res, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Family: hash.FamilyGeneralXOR}, nil)
+	res, err := Tune(context.Background(), tr, Config{CacheBytes: 1024, Family: hash.FamilyGeneralXOR}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFallbackGuard(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		tr.Append(uint64(i*4), trace.Read)
 	}
-	res, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
+	res, err := Tune(context.Background(), tr, Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +109,14 @@ func TestFallbackGuard(t *testing.T) {
 func TestTuneProfiledReusesProfile(t *testing.T) {
 	tr := thrashTrace(256, 100)
 	cfg := Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}
-	p, err := BuildProfileCtx(context.Background(), tr, cfg)
+	p, err := BuildProfile(context.Background(), tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, maxIn := range []int{2, 4, 0} {
 		c := cfg
 		c.MaxInputs = maxIn
-		res, err := TuneProfiledCtx(context.Background(), tr, p, c, nil)
+		res, err := TuneProfiled(context.Background(), tr, p, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,13 +131,13 @@ func TestTuneProfiledReusesProfile(t *testing.T) {
 
 func TestTuneProfiledValidatesProfileShape(t *testing.T) {
 	tr := thrashTrace(256, 10)
-	p, _ := BuildProfileCtx(context.Background(), tr, Config{CacheBytes: 1024})
+	p, _ := BuildProfile(context.Background(), tr, Config{CacheBytes: 1024})
 	// Wrong cache size for this profile.
-	if _, err := TuneProfiledCtx(context.Background(), tr, p, Config{CacheBytes: 4096}, nil); err == nil {
+	if _, err := TuneProfiled(context.Background(), tr, p, Config{CacheBytes: 4096}, nil); err == nil {
 		t.Fatal("capacity mismatch must be rejected")
 	}
 	// Wrong AddrBits.
-	if _, err := TuneProfiledCtx(context.Background(), tr, p, Config{CacheBytes: 1024, AddrBits: 14}, nil); err == nil {
+	if _, err := TuneProfiled(context.Background(), tr, p, Config{CacheBytes: 1024, AddrBits: 14}, nil); err == nil {
 		t.Fatal("n mismatch must be rejected")
 	}
 }
@@ -168,7 +168,7 @@ func TestTuneSetAssociative(t *testing.T) {
 			tr.Append(b, trace.Read)
 		}
 	}
-	res, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Ways: 2, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
+	res, err := Tune(context.Background(), tr, Config{CacheBytes: 1024, Ways: 2, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +186,10 @@ func TestTuneSetAssociative(t *testing.T) {
 func TestTuneWaysValidation(t *testing.T) {
 	tr := &trace.Trace{}
 	tr.Append(0, trace.Read)
-	if _, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Ways: 3}, nil); err == nil {
+	if _, err := Tune(context.Background(), tr, Config{CacheBytes: 1024, Ways: 3}, nil); err == nil {
 		t.Error("non-power-of-two ways must fail")
 	}
-	if _, err := TuneCtx(context.Background(), tr, Config{CacheBytes: 1024, Ways: 256}, nil); err == nil {
+	if _, err := Tune(context.Background(), tr, Config{CacheBytes: 1024, Ways: 256}, nil); err == nil {
 		t.Error("fully-associative geometry must fail (nothing to tune)")
 	}
 }
@@ -201,7 +201,7 @@ func TestMicroControls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TuneCtx(context.Background(), st.Data(1), Config{CacheBytes: 4096, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
+	res, err := Tune(context.Background(), st.Data(1), Config{CacheBytes: 4096, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestMicroControls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = TuneCtx(context.Background(), rw.Data(1), Config{CacheBytes: 4096, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
+	res, err = Tune(context.Background(), rw.Data(1), Config{CacheBytes: 4096, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +234,14 @@ func TestWorkersInvariance(t *testing.T) {
 	}
 	tr := w.Data(1)
 	base := Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}
-	want, err := TuneCtx(context.Background(), tr, base, nil)
+	want, err := Tune(context.Background(), tr, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{-1, 1, 2, 4} {
 		cfg := base
 		cfg.Workers = workers
-		got, err := TuneCtx(context.Background(), tr, cfg, nil)
+		got, err := Tune(context.Background(), tr, cfg, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

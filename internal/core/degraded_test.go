@@ -32,7 +32,7 @@ func degradedConfig() Config {
 func TestRunProfiledDegradedOnCancel(t *testing.T) {
 	tr := richTrace(6)
 	cfg := degradedConfig()
-	p, err := BuildProfileCtx(context.Background(), tr, cfg)
+	p, err := BuildProfile(context.Background(), tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestProfileDegradedPartialOnCancel(t *testing.T) {
 func TestPipelineCheckpointResume(t *testing.T) {
 	tr := richTrace(6)
 	cfg := degradedConfig()
-	want, err := TuneCtx(context.Background(), tr, cfg, nil)
+	want, err := Tune(context.Background(), tr, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,15 +9,15 @@ import (
 	"xoridx/internal/trace"
 )
 
-// ExampleTuneCtx demonstrates the whole pipeline on a thrashing stride.
-func ExampleTuneCtx() {
+// ExampleTune demonstrates the whole pipeline on a thrashing stride.
+func ExampleTune() {
 	tr := &trace.Trace{Name: "stride"}
 	for rep := 0; rep < 20; rep++ {
 		for i := uint64(0); i < 16; i++ {
 			tr.Append(i*1024, trace.Read) // stride == cache size
 		}
 	}
-	res, err := core.TuneCtx(context.Background(), tr, core.Config{
+	res, err := core.Tune(context.Background(), tr, core.Config{
 		CacheBytes: 1024,
 		Family:     hash.FamilyPermutation,
 		MaxInputs:  2,
@@ -33,8 +33,8 @@ func ExampleTuneCtx() {
 	// permutation-based: true, fan-in: 2
 }
 
-// ExampleBuildProfileCtx shows profile reuse across several searches.
-func ExampleBuildProfileCtx() {
+// ExampleBuildProfile shows profile reuse across several searches.
+func ExampleBuildProfile() {
 	tr := &trace.Trace{Name: "pair"}
 	for i := 0; i < 100; i++ {
 		tr.Append(0, trace.Read)
@@ -42,7 +42,7 @@ func ExampleBuildProfileCtx() {
 	}
 	cfg := core.Config{CacheBytes: 1024}
 	ctx := context.Background()
-	p, err := core.BuildProfileCtx(ctx, tr, cfg)
+	p, err := core.BuildProfile(ctx, tr, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -50,7 +50,7 @@ func ExampleBuildProfileCtx() {
 		c := cfg
 		c.Family = hash.FamilyPermutation
 		c.MaxInputs = maxIn
-		res, err := core.TuneProfiledCtx(ctx, tr, p, c, nil)
+		res, err := core.TuneProfiled(ctx, tr, p, c, nil)
 		if err != nil {
 			panic(err)
 		}

@@ -4,7 +4,7 @@ package core
 // the paper's construction algorithm — profile (Fig. 1), search (§3.2),
 // validate (§6) — individually, threads a context through every hot
 // loop beneath them, and reports progress through an event sink.
-// TuneCtx, TuneProfiledCtx and BuildProfileCtx are the one-call
+// Tune, TuneProfiled and BuildProfile are the one-call
 // conveniences built on top of it.
 
 import (
@@ -80,7 +80,7 @@ func (f SinkFunc) Emit(e Event) { f(e) }
 //
 // The one-call helpers cover the common case:
 //
-//	res, err := core.TuneCtx(ctx, tr, cfg)
+//	res, err := core.Tune(ctx, tr, cfg)
 //
 // while the staged form lets a caller reuse a profile across several
 // searches, or interleave its own logic between stages:
@@ -159,7 +159,7 @@ func (pl *Pipeline) Search(ctx context.Context, p *profile.Profile) (search.Resu
 // interleaved progress streams.
 //
 // A non-zero warm matrix seeds the climb at that function instead of
-// the conventional start (search.ConstructWarmCtx) when the configured
+// the conventional start (search.ConstructWarm) when the configured
 // family supports it — general XOR with unlimited fan-in, no Resume.
 // Other configurations fall back to the cold search: the warm seed is
 // an optimisation hint, not a contract, and a serving loop tuning a
@@ -192,9 +192,9 @@ func (pl *Pipeline) SearchRound(ctx context.Context, p *profile.Profile, warm gf
 		err  error
 	)
 	if warm.Cols != nil && cfg.Family == hash.FamilyGeneralXOR && cfg.MaxInputs == 0 && !opt.Resume {
-		sres, err = search.ConstructWarmCtx(ctx, p, cfg.SetBits(), warm, opt)
+		sres, err = search.ConstructWarm(ctx, p, cfg.SetBits(), warm, opt)
 	} else {
-		sres, err = search.ConstructCtx(ctx, p, cfg.SetBits(), opt)
+		sres, err = search.Construct(ctx, p, cfg.SetBits(), opt)
 	}
 	if err != nil {
 		// sres may carry a Degraded best-so-far matrix; pass it up so
@@ -279,27 +279,27 @@ func (pl *Pipeline) RunProfiled(ctx context.Context, tr *trace.Trace, p *profile
 	return pl.Validate(ctx, tr, p, sres)
 }
 
-// TuneCtx runs the full pipeline on a trace with cooperative
+// Tune runs the full pipeline on a trace with cooperative
 // cancellation and optional progress events: every stage checks ctx
 // periodically (see DESIGN.md §9 for
 // the granularity per layer) and returns a wrapped ErrCanceled when it
 // is done. events may be nil.
-func TuneCtx(ctx context.Context, tr *trace.Trace, cfg Config, events Sink) (*Result, error) {
+func Tune(ctx context.Context, tr *trace.Trace, cfg Config, events Sink) (*Result, error) {
 	pl := Pipeline{Config: cfg, Events: events}
 	return pl.Run(ctx, tr)
 }
 
-// TuneProfiledCtx runs search and validation with a pre-built profile,
+// TuneProfiled runs search and validation with a pre-built profile,
 // letting callers amortise profiling across several searches (e.g. the
 // 2-in/4-in/16-in sweep of Table 2). events may be nil.
-func TuneProfiledCtx(ctx context.Context, tr *trace.Trace, p *profile.Profile, cfg Config, events Sink) (*Result, error) {
+func TuneProfiled(ctx context.Context, tr *trace.Trace, p *profile.Profile, cfg Config, events Sink) (*Result, error) {
 	pl := Pipeline{Config: cfg, Events: events}
 	return pl.RunProfiled(ctx, tr, p)
 }
 
-// BuildProfileCtx profiles a trace for the given configuration; the
-// profile can then be shared across TuneProfiledCtx calls.
-func BuildProfileCtx(ctx context.Context, tr *trace.Trace, cfg Config) (*profile.Profile, error) {
+// BuildProfile profiles a trace for the given configuration; the
+// profile can then be shared across TuneProfiled calls.
+func BuildProfile(ctx context.Context, tr *trace.Trace, cfg Config) (*profile.Profile, error) {
 	pl := Pipeline{Config: cfg}
 	return pl.Profile(ctx, tr)
 }

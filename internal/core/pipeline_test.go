@@ -20,7 +20,7 @@ func pipelineConfig() Config {
 func TestPipelineEventOrder(t *testing.T) {
 	tr := thrashTrace(64, 300)
 	var events []Event
-	res, err := TuneCtx(context.Background(), tr, pipelineConfig(), SinkFunc(func(e Event) {
+	res, err := Tune(context.Background(), tr, pipelineConfig(), SinkFunc(func(e Event) {
 		events = append(events, e)
 	}))
 	if err != nil {
@@ -70,7 +70,7 @@ func TestPipelineEventOrder(t *testing.T) {
 func TestTuneCtxCanceledMidProfile(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := BuildProfileCtx(ctx, thrashTrace(64, 100), pipelineConfig())
+	_, err := BuildProfile(ctx, thrashTrace(64, 100), pipelineConfig())
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v must wrap ErrCanceled and context.Canceled", err)
 	}
@@ -84,7 +84,7 @@ func TestTuneCtxCanceledMidSearch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sawProfile := false
-	_, err := TuneCtx(ctx, tr, pipelineConfig(), SinkFunc(func(e Event) {
+	_, err := Tune(ctx, tr, pipelineConfig(), SinkFunc(func(e Event) {
 		if e.Kind == StageFinished && e.Stage == StageProfile {
 			sawProfile = true
 		}
@@ -123,12 +123,12 @@ func TestPipelineStagedReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Family = fam
-		want, err := TuneCtx(context.Background(), tr, cfg, nil)
+		want, err := Tune(context.Background(), tr, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Optimized.Misses != want.Optimized.Misses {
-			t.Errorf("family %v: staged misses %d != TuneCtx misses %d", fam, res.Optimized.Misses, want.Optimized.Misses)
+			t.Errorf("family %v: staged misses %d != Tune misses %d", fam, res.Optimized.Misses, want.Optimized.Misses)
 		}
 	}
 }
@@ -148,7 +148,7 @@ func TestSharedSinkConcurrentPipelines(t *testing.T) {
 			defer wg.Done()
 			cfg := pipelineConfig()
 			cfg.Workers = workers
-			if _, err := TuneCtx(context.Background(), tr, cfg, sink); err != nil {
+			if _, err := Tune(context.Background(), tr, cfg, sink); err != nil {
 				t.Error(err)
 			}
 		}(i * 2) // workers 0 and 2
@@ -166,19 +166,19 @@ func TestTypedGeometryErrors(t *testing.T) {
 		{CacheBytes: 1024, AddrBits: 8},
 	}
 	for i, cfg := range bad {
-		if _, err := TuneCtx(context.Background(), thrashTrace(64, 1), cfg, nil); !errors.Is(err, ErrInvalidGeometry) {
+		if _, err := Tune(context.Background(), thrashTrace(64, 1), cfg, nil); !errors.Is(err, ErrInvalidGeometry) {
 			t.Errorf("config %d: error %v must wrap ErrInvalidGeometry", i, err)
 		}
 	}
 	// Profile mismatch: profile built for another geometry.
 	cfg := pipelineConfig()
-	p, err := BuildProfileCtx(context.Background(), thrashTrace(64, 10), cfg)
+	p, err := BuildProfile(context.Background(), thrashTrace(64, 10), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
 	other.CacheBytes = 512
-	if _, err := TuneProfiledCtx(context.Background(), thrashTrace(64, 10), p, other, nil); !errors.Is(err, ErrProfileMismatch) {
+	if _, err := TuneProfiled(context.Background(), thrashTrace(64, 10), p, other, nil); !errors.Is(err, ErrProfileMismatch) {
 		t.Errorf("error %v must wrap ErrProfileMismatch", err)
 	}
 }

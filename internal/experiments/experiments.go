@@ -81,7 +81,7 @@ type Table2Row struct {
 	Cells [3]Table2Cell
 }
 
-// Table2Ctx reproduces paper Table 2 over the benchmarks of suite
+// Table2 reproduces paper Table 2 over the benchmarks of suite
 // whose names are selected (nil = all): for data caches, or for
 // instruction caches when instruction is set, baseline misses/K-op and
 // the percentage of misses removed by optimized permutation-based
@@ -89,7 +89,7 @@ type Table2Row struct {
 // workloads.MediaSuite; workloads.ExtraSuite runs the same protocol on
 // benchmarks the paper's evaluation had no table space for. Rows follow
 // the suite order, and Table2Average gives the paper's "average" row.
-func Table2Ctx(ctx context.Context, opt Options, suite []workloads.Workload, names []string, instruction bool, scale int) ([]Table2Row, error) {
+func Table2(ctx context.Context, opt Options, suite []workloads.Workload, names []string, instruction bool, scale int) ([]Table2Row, error) {
 	selected := selectWorkloads(suite, names)
 	rows := make([]Table2Row, len(selected))
 	err := opt.forEach(ctx, len(selected), func(i int) error {
@@ -153,7 +153,7 @@ func tuneCell(ctx context.Context, opt Options, tr *trace.Trace, cacheBytes int)
 		Family:     hash.FamilyPermutation,
 		NoFallback: true, // report raw results like the paper's tables
 	}
-	p, err := core.BuildProfileCtx(ctx, tr, cfg)
+	p, err := core.BuildProfile(ctx, tr, cfg)
 	if err != nil {
 		return Table2Cell{}, err
 	}
@@ -161,7 +161,7 @@ func tuneCell(ctx context.Context, opt Options, tr *trace.Trace, cacheBytes int)
 	for i, maxIn := range []int{2, 4, 0} {
 		c := cfg
 		c.MaxInputs = maxIn
-		res, err := core.TuneProfiledCtx(ctx, tr, p, c, opt.Events)
+		res, err := core.TuneProfiled(ctx, tr, p, c, opt.Events)
 		if err != nil {
 			return Table2Cell{}, err
 		}
@@ -203,11 +203,11 @@ type Exp1Row struct {
 	PermPct    float64 // average % misses removed, permutation-based
 }
 
-// Experiment1Ctx reproduces the in-text comparison: the paper reports
+// Experiment1 reproduces the in-text comparison: the paper reports
 // general 34.6/44.0/26.9% vs permutation-based 32.3/43.9/26.7% for
 // 1/4/16 KB data caches — i.e. restricting the family costs almost
 // nothing.
-func Experiment1Ctx(ctx context.Context, opt Options, scale int) ([]Exp1Row, error) {
+func Experiment1(ctx context.Context, opt Options, scale int) ([]Exp1Row, error) {
 	suite := workloads.MediaSuite()
 	traces := make([]*trace.Trace, len(suite))
 	for i, w := range suite {
@@ -224,19 +224,19 @@ func Experiment1Ctx(ctx context.Context, opt Options, scale int) ([]Exp1Row, err
 				Workers:    opt.Workers,
 				NoFallback: true,
 			}
-			p, err := core.BuildProfileCtx(ctx, traces[i], cfg)
+			p, err := core.BuildProfile(ctx, traces[i], cfg)
 			if err != nil {
 				return nil, err
 			}
 			gen := cfg
 			gen.Family = hash.FamilyGeneralXOR
-			gres, err := core.TuneProfiledCtx(ctx, traces[i], p, gen, opt.Events)
+			gres, err := core.TuneProfiled(ctx, traces[i], p, gen, opt.Events)
 			if err != nil {
 				return nil, err
 			}
 			perm := cfg
 			perm.Family = hash.FamilyPermutation
-			pres, err := core.TuneProfiledCtx(ctx, traces[i], p, perm, opt.Events)
+			pres, err := core.TuneProfiled(ctx, traces[i], p, perm, opt.Events)
 			if err != nil {
 				return nil, err
 			}
@@ -268,10 +268,10 @@ type Table3Row struct {
 // ("Because the optimal algorithm is very slow...").
 const Table3MaxTrace = 60000
 
-// Table3Ctx reproduces paper Table 3 on the 4 KB direct-mapped data
+// Table3 reproduces paper Table 3 on the 4 KB direct-mapped data
 // cache for the PowerStone benchmarks whose names are selected (nil =
 // all). Rows are computed in parallel; order matches the suite.
-func Table3Ctx(ctx context.Context, opt Options, names []string, scale int) ([]Table3Row, error) {
+func Table3(ctx context.Context, opt Options, names []string, scale int) ([]Table3Row, error) {
 	selected := selectWorkloads(workloads.PowerStoneSuite(), names)
 	rows := make([]Table3Row, len(selected))
 	err := opt.forEach(ctx, len(selected), func(i int) (err error) {
@@ -303,12 +303,12 @@ func table3Row(ctx context.Context, opt Options, w workloads.Workload, scale int
 			Workers:    opt.Workers,
 			NoFallback: true,
 		}
-		p, err := core.BuildProfileCtx(ctx, tr, cfg)
+		p, err := core.BuildProfile(ctx, tr, cfg)
 		if err != nil {
 			return Table3Row{}, err
 		}
 		// Baseline for all percentages: conventional modulo indexing.
-		base, err := core.TuneProfiledCtx(ctx, tr, p, withFamily(cfg, hash.FamilyPermutation, 1), opt.Events)
+		base, err := core.TuneProfiled(ctx, tr, p, withFamily(cfg, hash.FamilyPermutation, 1), opt.Events)
 		if err != nil {
 			return Table3Row{}, err
 		}
@@ -321,7 +321,7 @@ func table3Row(ctx context.Context, opt Options, w workloads.Workload, scale int
 		}
 
 		// Optimal bit-selecting: exact exhaustive simulation.
-		optRes, err := optimal.ExactBitSelectCtx(ctx, blocks, AddrBits, m)
+		optRes, err := optimal.ExactBitSelect(ctx, blocks, AddrBits, m)
 		if err != nil {
 			return Table3Row{}, err
 		}
@@ -338,7 +338,7 @@ func table3Row(ctx context.Context, opt Options, w workloads.Workload, scale int
 			{hash.FamilyPermutation, 4, &row.In4Pct},
 			{hash.FamilyPermutation, 0, &row.In16},
 		} {
-			res, err := core.TuneProfiledCtx(ctx, tr, p, withFamily(cfg, fc.family, fc.maxIn), opt.Events)
+			res, err := core.TuneProfiled(ctx, tr, p, withFamily(cfg, fc.family, fc.maxIn), opt.Events)
 			if err != nil {
 				return Table3Row{}, err
 			}

@@ -49,7 +49,7 @@ func TestRenderEq3(t *testing.T) {
 func TestTable2SubsetShape(t *testing.T) {
 	// fft is the canonical stride-conflict benchmark: XOR indexing must
 	// remove a large fraction of its 1 KB and 4 KB data-cache misses.
-	rows, err := Table2Ctx(context.Background(), Options{}, workloads.MediaSuite(), []string{"fft", "adpcm_dec"}, false, 1)
+	rows, err := Table2(context.Background(), Options{}, workloads.MediaSuite(), []string{"fft", "adpcm_dec"}, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTable2SubsetShape(t *testing.T) {
 func TestTable2InstructionSubset(t *testing.T) {
 	// rijndael instruction trace: the paper's signature result — nearly
 	// all 16 KB misses removed, nearly nothing at 1/4 KB (capacity).
-	rows, err := Table2Ctx(context.Background(), Options{}, workloads.MediaSuite(), []string{"rijndael"}, true, 1)
+	rows, err := Table2(context.Background(), Options{}, workloads.MediaSuite(), []string{"rijndael"}, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestTable2AverageRow(t *testing.T) {
 }
 
 func TestTable3Subset(t *testing.T) {
-	rows, err := Table3Ctx(context.Background(), Options{}, []string{"crc", "pocsag", "engine"}, 1)
+	rows, err := Table3(context.Background(), Options{}, []string{"crc", "pocsag", "engine"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestExperiment1SingleSizeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment 1 full sweep in short mode")
 	}
-	rows, err := Experiment1Ctx(context.Background(), Options{}, 1)
+	rows, err := Experiment1(context.Background(), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

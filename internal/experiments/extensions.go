@@ -46,11 +46,11 @@ type CrossApplicationResult struct {
 	Rows       []CrossRow
 }
 
-// CrossApplicationCtx tunes a permutation-based 2-input function for
+// CrossApplication tunes a permutation-based 2-input function for
 // each named benchmark's data trace on the given cache size, then
 // evaluates every function on every benchmark (nil names = a
 // representative four-benchmark subset).
-func CrossApplicationCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) (*CrossApplicationResult, error) {
+func CrossApplication(ctx context.Context, opt Options, names []string, cacheKB, scale int) (*CrossApplicationResult, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "rijndael"}
 	}
@@ -72,7 +72,7 @@ func CrossApplicationCtx(ctx context.Context, opt Options, names []string, cache
 			return nil, err
 		}
 		traces[i] = w.Data(scale)
-		res, err := core.TuneCtx(ctx, traces[i], cfg, opt.Events)
+		res, err := core.Tune(ctx, traces[i], cfg, opt.Events)
 		if err != nil {
 			return nil, fmt.Errorf("tuning for %s: %w", name, err)
 		}
@@ -134,9 +134,9 @@ type AssocRow struct {
 	OpsThousands float64
 }
 
-// AssociativityComparisonCtx runs the named benchmarks (nil = default
+// AssociativityComparison runs the named benchmarks (nil = default
 // subset) on a cacheKB-sized cache under five organisations.
-func AssociativityComparisonCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]AssocRow, error) {
+func AssociativityComparison(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]AssocRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "mpeg2_dec"}
 	}
@@ -156,7 +156,7 @@ func AssociativityComparisonCtx(ctx context.Context, opt Options, names []string
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,
 		}
-		res, err := core.TuneCtx(ctx, tr, cfg, opt.Events)
+		res, err := core.Tune(ctx, tr, cfg, opt.Events)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +239,7 @@ type PhaseRow struct {
 	Reconfig   uint64 // per-application functions, swap (and flush) at each switch
 }
 
-// PhaseReconfigurationCtx models two applications time-sharing one
+// PhaseReconfiguration models two applications time-sharing one
 // cache: their data traces are interleaved with the given quantum and
 // run under (a) modulo indexing, (b) a single compromise XOR function
 // tuned on the merged trace, and (c) per-application reconfiguration,
@@ -248,7 +248,7 @@ type PhaseRow struct {
 // per-application story to the multiprogrammed setting its
 // introduction alludes to: the reconfiguration win must pay for the
 // flushes, so it grows with the quantum.
-func PhaseReconfigurationCtx(ctx context.Context, opt Options, benchA, benchB string, cacheKB, scale int, quanta []int) ([]PhaseRow, error) {
+func PhaseReconfiguration(ctx context.Context, opt Options, benchA, benchB string, cacheKB, scale int, quanta []int) ([]PhaseRow, error) {
 	wa, err := workloads.ByName(benchA)
 	if err != nil {
 		return nil, err
@@ -267,11 +267,11 @@ func PhaseReconfigurationCtx(ctx context.Context, opt Options, benchA, benchB st
 		MaxInputs:  2,
 		NoFallback: true,
 	}
-	resA, err := core.TuneCtx(ctx, ta, cfg, opt.Events)
+	resA, err := core.Tune(ctx, ta, cfg, opt.Events)
 	if err != nil {
 		return nil, err
 	}
-	resB, err := core.TuneCtx(ctx, tb, cfg, opt.Events)
+	resB, err := core.Tune(ctx, tb, cfg, opt.Events)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +291,7 @@ func PhaseReconfigurationCtx(ctx context.Context, opt Options, benchA, benchB st
 		row.Modulo = mod.Misses
 
 		// (b) one compromise function tuned on the merged trace.
-		comp, err := core.TuneCtx(ctx, merged, cfg, opt.Events)
+		comp, err := core.Tune(ctx, merged, cfg, opt.Events)
 		if err != nil {
 			return nil, err
 		}
@@ -336,13 +336,13 @@ type SweepPoint struct {
 	FullAssoc  uint64 // fully-associative LRU bound
 }
 
-// SizeSweepCtx traces one benchmark's miss counts across cache sizes,
+// SizeSweep traces one benchmark's miss counts across cache sizes,
 // comparing conventional indexing, the tuned XOR function (re-tuned
 // per size, as a reconfigurable deployment would), the tuned function
 // on a 2-way cache (hashing and associativity compose), and the
 // FA-LRU reference. It generalises the paper's three-size tables into
 // a curve.
-func SizeSweepCtx(ctx context.Context, opt Options, bench string, sizes []int, scale int) ([]SweepPoint, error) {
+func SizeSweep(ctx context.Context, opt Options, bench string, sizes []int, scale int) ([]SweepPoint, error) {
 	w, err := workloads.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -361,7 +361,7 @@ func SizeSweepCtx(ctx context.Context, opt Options, bench string, sizes []int, s
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,
 		}
-		res, err := core.TuneCtx(ctx, tr, cfg, opt.Events)
+		res, err := core.Tune(ctx, tr, cfg, opt.Events)
 		if err != nil {
 			return nil, fmt.Errorf("%s @ %dB: %w", bench, size, err)
 		}
@@ -375,12 +375,12 @@ func SizeSweepCtx(ctx context.Context, opt Options, bench string, sizes []int, s
 		// a fresh function for the 2-way geometry (one fewer set bit).
 		cfg2 := cfg
 		cfg2.CacheBytes = size // same capacity, half the sets
-		p2, err := core.BuildProfileCtx(ctx, tr, cfg2)
+		p2, err := core.BuildProfile(ctx, tr, cfg2)
 		if err != nil {
 			return nil, err
 		}
 		m2 := cfg2.SetBits() - 1
-		res2, err := search.ConstructCtx(ctx, p2, m2, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2})
+		res2, err := search.Construct(ctx, p2, m2, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2})
 		if err != nil {
 			return nil, err
 		}
@@ -412,9 +412,9 @@ type FixedRow struct {
 	Accesses uint64
 }
 
-// FixedVsTunedCtx runs the named benchmarks (nil = representative
+// FixedVsTuned runs the named benchmarks (nil = representative
 // subset) on a direct-mapped cache under the four index functions.
-func FixedVsTunedCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]FixedRow, error) {
+func FixedVsTuned(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]FixedRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "rijndael", "mpeg2_dec"}
 	}
@@ -434,7 +434,7 @@ func FixedVsTunedCtx(ctx context.Context, opt Options, names []string, cacheKB, 
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,
 		}
-		res, err := core.TuneCtx(ctx, tr, cfg, opt.Events)
+		res, err := core.Tune(ctx, tr, cfg, opt.Events)
 		if err != nil {
 			return nil, err
 		}
@@ -478,11 +478,11 @@ type EnergyRow struct {
 	XORvs2Way float64 // % energy XOR saves over 2-way
 }
 
-// EnergyComparisonCtx combines the exact simulations (miss +
+// EnergyComparison combines the exact simulations (miss +
 // writeback traffic) with the hwcost energy model — the quantitative
 // form of the paper's §1 power motivation. Per-access energy uses the
 // Fig. 2b permutation network for the XOR column.
-func EnergyComparisonCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]EnergyRow, error) {
+func EnergyComparison(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]EnergyRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "mpeg2_dec"}
 	}
@@ -503,7 +503,7 @@ func EnergyComparisonCtx(ctx context.Context, opt Options, names []string, cache
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,
 		}
-		res, err := core.TuneCtx(ctx, tr, cfg, opt.Events)
+		res, err := core.Tune(ctx, tr, cfg, opt.Events)
 		if err != nil {
 			return nil, err
 		}
@@ -553,11 +553,11 @@ type ReplRow struct {
 	DMXOR                    uint64 // direct-mapped tuned XOR (no policy at all)
 }
 
-// ReplacementAblationCtx crosses replacement policy with indexing on
+// ReplacementAblation crosses replacement policy with indexing on
 // 2-way caches of the given size: application-specific hashing
 // attacks the same misses replacement policies do, from the indexing
 // side.
-func ReplacementAblationCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]ReplRow, error) {
+func ReplacementAblation(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]ReplRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "susan", "mpeg2_dec"}
 	}
@@ -581,7 +581,7 @@ func ReplacementAblationCtx(ctx context.Context, opt Options, names []string, ca
 			return st.Misses, err
 		}
 		// Tune for the 2-way geometry.
-		res2, err := core.TuneCtx(ctx, tr, core.Config{
+		res2, err := core.Tune(ctx, tr, core.Config{
 			CacheBytes: cacheBytes, BlockBytes: BlockBytes, AddrBits: AddrBits,
 			Ways: 2, Family: hash.FamilyPermutation, MaxInputs: 2, Workers: opt.Workers,
 		}, opt.Events)
@@ -589,7 +589,7 @@ func ReplacementAblationCtx(ctx context.Context, opt Options, names []string, ca
 			return nil, err
 		}
 		// And for the direct-mapped geometry.
-		res1, err := core.TuneCtx(ctx, tr, core.Config{
+		res1, err := core.Tune(ctx, tr, core.Config{
 			CacheBytes: cacheBytes, BlockBytes: BlockBytes, AddrBits: AddrBits,
 			Family: hash.FamilyPermutation, MaxInputs: 2, Workers: opt.Workers,
 		}, opt.Events)
@@ -625,14 +625,14 @@ type ASLRRow struct {
 	RetunedPct float64 // % removed after re-profiling at the new base
 }
 
-// ASLRRobustnessCtx tunes a function for each benchmark at its
+// ASLRRobustness tunes a function for each benchmark at its
 // original load address, then evaluates it after the whole image
 // moves by each delta — the situation a deployed per-application
 // function meets under address-space layout randomisation.
 // Page-multiple shifts preserve the intra-page conflict structure, so
 // the tuned function should hold up; re-tuning at the new base is the
 // upper bound.
-func ASLRRobustnessCtx(ctx context.Context, opt Options, bench string, cacheKB, scale int, deltas []uint64) ([]ASLRRow, error) {
+func ASLRRobustness(ctx context.Context, opt Options, bench string, cacheKB, scale int, deltas []uint64) ([]ASLRRow, error) {
 	w, err := workloads.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -647,7 +647,7 @@ func ASLRRobustnessCtx(ctx context.Context, opt Options, bench string, cacheKB, 
 		MaxInputs:  2,
 		NoFallback: true,
 	}
-	tuned, err := core.TuneCtx(ctx, base, cfg, opt.Events)
+	tuned, err := core.Tune(ctx, base, cfg, opt.Events)
 	if err != nil {
 		return nil, err
 	}
@@ -664,7 +664,7 @@ func ASLRRobustnessCtx(ctx context.Context, opt Options, bench string, cacheKB, 
 		if err != nil {
 			return nil, err
 		}
-		re, err := core.TuneCtx(ctx, moved, cfg, opt.Events)
+		re, err := core.Tune(ctx, moved, cfg, opt.Events)
 		if err != nil {
 			return nil, err
 		}

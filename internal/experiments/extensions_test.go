@@ -11,7 +11,7 @@ import (
 
 func TestCrossApplicationMotivatesReconfigurability(t *testing.T) {
 	// §1's premise: matched functions beat mismatched ones on average.
-	res, err := CrossApplicationCtx(context.Background(), Options{}, []string{"fft", "adpcm_dec", "susan"}, 4, 1)
+	res, err := CrossApplication(context.Background(), Options{}, []string{"fft", "adpcm_dec", "susan"}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +36,13 @@ func TestCrossApplicationMotivatesReconfigurability(t *testing.T) {
 }
 
 func TestCrossApplicationUnknownBench(t *testing.T) {
-	if _, err := CrossApplicationCtx(context.Background(), Options{}, []string{"nope"}, 4, 1); err == nil {
+	if _, err := CrossApplication(context.Background(), Options{}, []string{"nope"}, 4, 1); err == nil {
 		t.Fatal("unknown benchmark must fail")
 	}
 }
 
 func TestAssociativityComparison(t *testing.T) {
-	rows, err := AssociativityComparisonCtx(context.Background(), Options{}, []string{"fft", "adpcm_dec"}, 4, 1)
+	rows, err := AssociativityComparison(context.Background(), Options{}, []string{"fft", "adpcm_dec"}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestAssociativityComparison(t *testing.T) {
 }
 
 func TestAssociativityComparisonUnknownBench(t *testing.T) {
-	if _, err := AssociativityComparisonCtx(context.Background(), Options{}, []string{"nope"}, 4, 1); err == nil {
+	if _, err := AssociativityComparison(context.Background(), Options{}, []string{"nope"}, 4, 1); err == nil {
 		t.Fatal("unknown benchmark must fail")
 	}
 }
@@ -84,7 +84,7 @@ func TestMatchedMinusMismatchedEmpty(t *testing.T) {
 }
 
 func TestPhaseReconfiguration(t *testing.T) {
-	rows, err := PhaseReconfigurationCtx(context.Background(), Options{}, "fft", "adpcm_dec", 4, 1, []int{1000, 10000})
+	rows, err := PhaseReconfiguration(context.Background(), Options{}, "fft", "adpcm_dec", 4, 1, []int{1000, 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,16 +113,16 @@ func TestPhaseReconfiguration(t *testing.T) {
 }
 
 func TestPhaseReconfigurationUnknownBench(t *testing.T) {
-	if _, err := PhaseReconfigurationCtx(context.Background(), Options{}, "nope", "fft", 4, 1, []int{100}); err == nil {
+	if _, err := PhaseReconfiguration(context.Background(), Options{}, "nope", "fft", 4, 1, []int{100}); err == nil {
 		t.Fatal("unknown benchmark must fail")
 	}
-	if _, err := PhaseReconfigurationCtx(context.Background(), Options{}, "fft", "nope", 4, 1, []int{100}); err == nil {
+	if _, err := PhaseReconfiguration(context.Background(), Options{}, "fft", "nope", 4, 1, []int{100}); err == nil {
 		t.Fatal("unknown benchmark must fail")
 	}
 }
 
 func TestSizeSweep(t *testing.T) {
-	pts, err := SizeSweepCtx(context.Background(), Options{}, "fft", []int{1024, 4096, 16384}, 1)
+	pts, err := SizeSweep(context.Background(), Options{}, "fft", []int{1024, 4096, 16384}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +151,13 @@ func TestSizeSweep(t *testing.T) {
 }
 
 func TestSizeSweepDefaultsAndErrors(t *testing.T) {
-	if _, err := SizeSweepCtx(context.Background(), Options{}, "nope", nil, 1); err == nil {
+	if _, err := SizeSweep(context.Background(), Options{}, "nope", nil, 1); err == nil {
 		t.Fatal("unknown benchmark must fail")
 	}
 }
 
 func TestFixedVsTuned(t *testing.T) {
-	rows, err := FixedVsTunedCtx(context.Background(), Options{}, []string{"fft", "adpcm_dec"}, 4, 1)
+	rows, err := FixedVsTuned(context.Background(), Options{}, []string{"fft", "adpcm_dec"}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +178,13 @@ func TestFixedVsTuned(t *testing.T) {
 }
 
 func TestFixedVsTunedUnknownBench(t *testing.T) {
-	if _, err := FixedVsTunedCtx(context.Background(), Options{}, []string{"nope"}, 4, 1); err == nil {
+	if _, err := FixedVsTuned(context.Background(), Options{}, []string{"nope"}, 4, 1); err == nil {
 		t.Fatal("unknown benchmark must fail")
 	}
 }
 
 func TestEnergyComparison(t *testing.T) {
-	rows, err := EnergyComparisonCtx(context.Background(), Options{}, []string{"fft", "susan"}, 4, 1)
+	rows, err := EnergyComparison(context.Background(), Options{}, []string{"fft", "susan"}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +201,13 @@ func TestEnergyComparison(t *testing.T) {
 }
 
 func TestEnergyComparisonUnknownBench(t *testing.T) {
-	if _, err := EnergyComparisonCtx(context.Background(), Options{}, []string{"nope"}, 4, 1); err == nil {
+	if _, err := EnergyComparison(context.Background(), Options{}, []string{"nope"}, 4, 1); err == nil {
 		t.Fatal("unknown benchmark must fail")
 	}
 }
 
 func TestReplacementAblation(t *testing.T) {
-	rows, err := ReplacementAblationCtx(context.Background(), Options{}, []string{"fft"}, 4, 1)
+	rows, err := ReplacementAblation(context.Background(), Options{}, []string{"fft"}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +225,13 @@ func TestReplacementAblation(t *testing.T) {
 }
 
 func TestReplacementAblationUnknown(t *testing.T) {
-	if _, err := ReplacementAblationCtx(context.Background(), Options{}, []string{"nope"}, 4, 1); err == nil {
+	if _, err := ReplacementAblation(context.Background(), Options{}, []string{"nope"}, 4, 1); err == nil {
 		t.Fatal("unknown benchmark must fail")
 	}
 }
 
 func TestASLRRobustness(t *testing.T) {
-	rows, err := ASLRRobustnessCtx(context.Background(), Options{}, "fft", 4, 1, []uint64{0, 0x10000, 0x12340})
+	rows, err := ASLRRobustness(context.Background(), Options{}, "fft", 4, 1, []uint64{0, 0x10000, 0x12340})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestASLRRobustness(t *testing.T) {
 }
 
 func TestASLRUnknownBench(t *testing.T) {
-	if _, err := ASLRRobustnessCtx(context.Background(), Options{}, "nope", 4, 1, []uint64{0}); err == nil {
+	if _, err := ASLRRobustness(context.Background(), Options{}, "nope", 4, 1, []uint64{0}); err == nil {
 		t.Fatal("unknown benchmark must fail")
 	}
 }
@@ -313,7 +313,7 @@ func TestScaleTwoSmoke(t *testing.T) {
 		t.Skip("scale-2 smoke in short mode")
 	}
 	// Larger inputs must flow through the whole pipeline unchanged.
-	rows, err := Table2Ctx(context.Background(), Options{}, workloads.MediaSuite(), []string{"adpcm_dec"}, false, 2)
+	rows, err := Table2(context.Background(), Options{}, workloads.MediaSuite(), []string{"adpcm_dec"}, false, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // carries its own setting and both must reproduce the sequential rows.
 func TestConcurrentDriversDifferentWorkerCounts(t *testing.T) {
 	names := []string{"fft"}
-	want, err := Table2Ctx(context.Background(), Options{}, workloads.MediaSuite(), names, false, 1)
+	want, err := Table2(context.Background(), Options{}, workloads.MediaSuite(), names, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestConcurrentDriversDifferentWorkerCounts(t *testing.T) {
 		wg.Add(1)
 		go func(i, workers int) {
 			defer wg.Done()
-			results[i], errs[i] = Table2Ctx(context.Background(),
+			results[i], errs[i] = Table2(context.Background(),
 				Options{Workers: workers}, workloads.MediaSuite(), names, false, 1)
 		}(i, workers)
 	}
@@ -52,11 +52,11 @@ func TestConcurrentDriversDifferentWorkerCounts(t *testing.T) {
 func TestDriverCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Table2Ctx(ctx, Options{}, workloads.MediaSuite(), []string{"fft"}, false, 1); !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("Table2Ctx error %v must wrap core.ErrCanceled", err)
+	if _, err := Table2(ctx, Options{}, workloads.MediaSuite(), []string{"fft"}, false, 1); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("Table2 error %v must wrap core.ErrCanceled", err)
 	}
-	if _, err := SizeSweepCtx(ctx, Options{}, "fft", []int{1024}, 1); !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("SizeSweepCtx error %v must wrap core.ErrCanceled", err)
+	if _, err := SizeSweep(ctx, Options{}, "fft", []int{1024}, 1); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("SizeSweep error %v must wrap core.ErrCanceled", err)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestDriverEventsPlumbed(t *testing.T) {
 			mu.Unlock()
 		}
 	})}
-	if _, err := Table2Ctx(context.Background(), opt, workloads.MediaSuite(), []string{"fft"}, false, 1); err != nil {
+	if _, err := Table2(context.Background(), opt, workloads.MediaSuite(), []string{"fft"}, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range []core.Stage{core.StageSearch, core.StageValidate} {

@@ -41,7 +41,7 @@ func TestProfileBestBitSelectRejectsSparse(t *testing.T) {
 	for _, b := range []uint64{1, 2, 1, 2} {
 		sb.Add(b)
 	}
-	_, err := ProfileBestBitSelectCtx(context.Background(), sb.Finish(), 4)
+	_, err := ProfileBestBitSelect(context.Background(), sb.Finish(), 4)
 	if !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Fatalf("sparse profile: err = %v, want ErrInvalidOptions", err)
 	}

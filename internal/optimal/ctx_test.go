@@ -20,7 +20,7 @@ func optCtxBlocks() []uint64 {
 func TestExactBitSelectCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ExactBitSelectCtx(ctx, optCtxBlocks(), 12, 6)
+	_, err := ExactBitSelect(ctx, optCtxBlocks(), 12, 6)
 	if !errors.Is(err, xerr.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v must wrap ErrCanceled and context.Canceled", err)
 	}
@@ -30,7 +30,7 @@ func TestProfileBestBitSelectCtxCanceled(t *testing.T) {
 	p := profile.Build(optCtxBlocks(), 12, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ProfileBestBitSelectCtx(ctx, p, 6)
+	_, err := ProfileBestBitSelect(ctx, p, 6)
 	if !errors.Is(err, xerr.ErrCanceled) {
 		t.Fatalf("error %v must wrap ErrCanceled", err)
 	}
@@ -40,18 +40,18 @@ func TestExhaustiveXORCtxCanceled(t *testing.T) {
 	p := profile.Build(optCtxBlocks(), 10, 32)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ExhaustiveXORCtx(ctx, p, 5)
+	_, err := ExhaustiveXOR(ctx, p, 5)
 	if !errors.Is(err, xerr.ErrCanceled) {
 		t.Fatalf("error %v must wrap ErrCanceled", err)
 	}
 }
 
 func TestOptimalTypedOptionErrors(t *testing.T) {
-	if _, err := ExactBitSelectCtx(context.Background(), nil, 12, 0); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := ExactBitSelect(context.Background(), nil, 12, 0); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("m=0 error %v must wrap ErrInvalidOptions", err)
 	}
 	p := profile.Build([]uint64{1, 2, 3}, 10, 32)
-	if _, err := ProfileBestBitSelectCtx(context.Background(), p, 10); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := ProfileBestBitSelect(context.Background(), p, 10); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("m=n error %v must wrap ErrInvalidOptions", err)
 	}
 }

@@ -17,7 +17,7 @@ func Example_exactBitSelect() {
 			blocks = append(blocks, i*16) // bits 4..7 carry everything
 		}
 	}
-	res, err := optimal.ExactBitSelectCtx(context.Background(), blocks, 8, 4)
+	res, err := optimal.ExactBitSelect(context.Background(), blocks, 8, 4)
 	if err != nil {
 		panic(err)
 	}
@@ -36,7 +36,7 @@ func Example_exhaustiveXOR() {
 		}
 	}
 	p := profile.Build(blocks, 8, 16)
-	res, err := optimal.ExhaustiveXORCtx(context.Background(), p, 4)
+	res, err := optimal.ExhaustiveXOR(context.Background(), p, 4)
 	if err != nil {
 		panic(err)
 	}

@@ -62,7 +62,7 @@ func (r BitSelectResult) Matrix(n int) gf2.Matrix {
 // is a full pass over the trace, so per-candidate granularity bounds
 // cancellation latency to one simulation pass while costing nothing
 // measurable).
-func ExactBitSelectCtx(ctx context.Context, blocks []uint64, n, m int) (BitSelectResult, error) {
+func ExactBitSelect(ctx context.Context, blocks []uint64, n, m int) (BitSelectResult, error) {
 	if m <= 0 || m >= n || n > 16 {
 		return BitSelectResult{}, fmt.Errorf("optimal: unsupported dimensions n=%d m=%d: %w", n, m, xerr.ErrInvalidOptions)
 	}
@@ -110,7 +110,7 @@ func ExactBitSelectCtx(ctx context.Context, blocks []uint64, n, m int) (BitSelec
 // the Eq. 4 estimate, scoring all C(n,m) candidates through a single
 // sum-over-subsets transform of the conflict table. ctx is checked
 // once per zeta-transform layer and once per 8 K candidate masks.
-func ProfileBestBitSelectCtx(ctx context.Context, p *profile.Profile, m int) (BitSelectResult, error) {
+func ProfileBestBitSelect(ctx context.Context, p *profile.Profile, m int) (BitSelectResult, error) {
 	n := p.N
 	if m <= 0 || m >= n {
 		return BitSelectResult{}, fmt.Errorf("optimal: m=%d out of range: %w", m, xerr.ErrInvalidOptions)

@@ -86,7 +86,7 @@ func TestExactBitSelectMatchesBruteForce(t *testing.T) {
 		}
 	}
 	n, m := 8, 4
-	res, err := ExactBitSelectCtx(context.Background(), blocks, n, m)
+	res, err := ExactBitSelect(context.Background(), blocks, n, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestExactBitSelectStride(t *testing.T) {
 			blocks = append(blocks, i*16)
 		}
 	}
-	res, err := ExactBitSelectCtx(context.Background(), blocks, 8, 4)
+	res, err := ExactBitSelect(context.Background(), blocks, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,16 +129,16 @@ func TestExactBitSelectStride(t *testing.T) {
 }
 
 func TestExactBitSelectValidation(t *testing.T) {
-	if _, err := ExactBitSelectCtx(context.Background(), nil, 8, 0); err == nil {
+	if _, err := ExactBitSelect(context.Background(), nil, 8, 0); err == nil {
 		t.Error("m=0 should fail")
 	}
-	if _, err := ExactBitSelectCtx(context.Background(), nil, 8, 8); err == nil {
+	if _, err := ExactBitSelect(context.Background(), nil, 8, 8); err == nil {
 		t.Error("m=n should fail")
 	}
-	if _, err := ExactBitSelectCtx(context.Background(), []uint64{1 << 10}, 8, 4); err == nil {
+	if _, err := ExactBitSelect(context.Background(), []uint64{1 << 10}, 8, 4); err == nil {
 		t.Error("oversized block should fail")
 	}
-	if _, err := ExactBitSelectCtx(context.Background(), nil, 30, 4); err == nil {
+	if _, err := ExactBitSelect(context.Background(), nil, 30, 4); err == nil {
 		t.Error("oversized n should fail")
 	}
 }
@@ -151,7 +151,7 @@ func TestProfileBestBitSelectMatchesExhaustiveEstimate(t *testing.T) {
 	}
 	n, m := 10, 5
 	p := profile.Build(blocks, n, 1<<uint(m))
-	res, err := ProfileBestBitSelectCtx(context.Background(), p, m)
+	res, err := ProfileBestBitSelect(context.Background(), p, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +180,10 @@ func TestProfileBestBitSelectMatchesExhaustiveEstimate(t *testing.T) {
 
 func TestProfileBestBitSelectValidation(t *testing.T) {
 	p := profile.Build([]uint64{1, 2}, 8, 16)
-	if _, err := ProfileBestBitSelectCtx(context.Background(), p, 0); err == nil {
+	if _, err := ProfileBestBitSelect(context.Background(), p, 0); err == nil {
 		t.Error("m=0 should fail")
 	}
-	if _, err := ProfileBestBitSelectCtx(context.Background(), p, 8); err == nil {
+	if _, err := ProfileBestBitSelect(context.Background(), p, 8); err == nil {
 		t.Error("m=n should fail")
 	}
 }

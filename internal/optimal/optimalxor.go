@@ -128,7 +128,7 @@ type XORResult struct {
 // heuristic search. ctx is checked every 8 K subspaces (each
 // evaluation walks the full conflict table, so the check overhead is
 // noise).
-func ExhaustiveXORCtx(ctx context.Context, p *profile.Profile, m int) (XORResult, error) {
+func ExhaustiveXOR(ctx context.Context, p *profile.Profile, m int) (XORResult, error) {
 	n := p.N
 	d := n - m
 	if m <= 0 || m >= n {

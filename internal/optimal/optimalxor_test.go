@@ -100,7 +100,7 @@ func TestExhaustiveXORBeatsOrMatchesEverything(t *testing.T) {
 	}
 	n, m := 9, 5
 	p := profile.Build(blocks, n, 1<<uint(m))
-	opt, err := ExhaustiveXORCtx(context.Background(), p, m)
+	opt, err := ExhaustiveXOR(context.Background(), p, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestExhaustiveXORBeatsOrMatchesEverything(t *testing.T) {
 		t.Fatalf("returned matrix estimates to %d, reported %d", got, opt.Estimated)
 	}
 	for _, fam := range []hash.Family{hash.FamilyBitSelect, hash.FamilyPermutation, hash.FamilyGeneralXOR} {
-		res, err := search.ConstructCtx(context.Background(), p, m, search.Options{Family: fam})
+		res, err := search.Construct(context.Background(), p, m, search.Options{Family: fam})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +132,11 @@ func TestHillClimbingNearOptimal(t *testing.T) {
 		}
 	}
 	p := profile.Build(blocks, 9, 32)
-	opt, err := ExhaustiveXORCtx(context.Background(), p, 5)
+	opt, err := ExhaustiveXOR(context.Background(), p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := search.ConstructCtx(context.Background(), p, 5, search.Options{Family: hash.FamilyGeneralXOR})
+	res, err := search.Construct(context.Background(), p, 5, search.Options{Family: hash.FamilyGeneralXOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +147,10 @@ func TestHillClimbingNearOptimal(t *testing.T) {
 
 func TestExhaustiveXORValidation(t *testing.T) {
 	p := profile.Build([]uint64{1, 2, 3}, 14, 16)
-	if _, err := ExhaustiveXORCtx(context.Background(), p, 0); err == nil {
+	if _, err := ExhaustiveXOR(context.Background(), p, 0); err == nil {
 		t.Error("m=0 should fail")
 	}
-	if _, err := ExhaustiveXORCtx(context.Background(), p, 5); err == nil {
+	if _, err := ExhaustiveXOR(context.Background(), p, 5); err == nil {
 		t.Error("d=9 design space (~2^40 subspaces) should be refused")
 	}
 }

@@ -18,7 +18,7 @@ import (
 // worsening moves with probability exp(-Δ/T), escaping the local
 // optima that stop the hill climber.
 
-// AnnealOptions configures AnnealCtx.
+// AnnealOptions configures Anneal.
 type AnnealOptions struct {
 	// Steps is the number of proposal steps (default 20000).
 	Steps int
@@ -29,12 +29,12 @@ type AnnealOptions struct {
 	Seed int64
 }
 
-// AnnealCtx searches general XOR functions by simulated annealing and
-// returns the best function found. Like ConstructCtx it starts from the
-// conventional null space; unlike ConstructCtx the result is
+// Anneal searches general XOR functions by simulated annealing and
+// returns the best function found. Like Construct it starts from the
+// conventional null space; unlike Construct the result is
 // stochastic — run it with several seeds and keep the best.
 // Cancellation is checked every ctxCheckEvery proposal steps.
-func AnnealCtx(ctx context.Context, p *profile.Profile, m int, opt AnnealOptions) (Result, error) {
+func Anneal(ctx context.Context, p *profile.Profile, m int, opt AnnealOptions) (Result, error) {
 	n := p.N
 	if m <= 0 || m >= n {
 		return Result{}, errOutOfRange(m, n)

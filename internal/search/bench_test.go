@@ -33,7 +33,7 @@ func BenchmarkClimb(b *testing.B) {
 		name  string
 		climb func() (Result, error)
 	}{
-		{"transform", func() (Result, error) { return ConstructCtx(context.Background(), p, m, opt) }},
+		{"transform", func() (Result, error) { return Construct(context.Background(), p, m, opt) }},
 		{"reference", func() (Result, error) { res, _ := referenceConstruct(p, m, opt); return res, nil }},
 	}
 	best := map[string]time.Duration{}

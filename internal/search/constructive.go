@@ -18,12 +18,12 @@ import (
 // O(hot × m × (n−m)) candidates total) and a useful baseline for how
 // much the paper's full search actually buys.
 
-// ConstructiveCtx builds a permutation-based function with at most
+// Constructive builds a permutation-based function with at most
 // maxInputs inputs per XOR (0 = unlimited) by covering the hotVectors
 // most frequent conflict vectors. Cancellation is checked once per hot
 // vector (each vector scores at most m·(n−m) candidate edits, so the
 // latency bound is a fraction of a move).
-func ConstructiveCtx(ctx context.Context, p *profile.Profile, m int, maxInputs, hotVectors int) (Result, error) {
+func Constructive(ctx context.Context, p *profile.Profile, m int, maxInputs, hotVectors int) (Result, error) {
 	n := p.N
 	if m <= 0 || m >= n {
 		return Result{}, errOutOfRange(m, n)

@@ -47,7 +47,7 @@ func TestConstructCtxCanceledEachFamily(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ConstructCtx(ctx, p, 6, tc.opt)
+			_, err := Construct(ctx, p, 6, tc.opt)
 			wantCanceled(t, err)
 		})
 	}
@@ -61,21 +61,21 @@ func TestConstructCtxCancelMidClimb(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opt := Options{Family: hash.FamilyGeneralXOR, Progress: func(Progress) { cancel() }}
-	_, err := ConstructCtx(ctx, p, 6, opt)
+	_, err := Construct(ctx, p, 6, opt)
 	wantCanceled(t, err)
 }
 
 func TestAnnealCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AnnealCtx(ctx, ctxTestProfile(), 6, AnnealOptions{})
+	_, err := Anneal(ctx, ctxTestProfile(), 6, AnnealOptions{})
 	wantCanceled(t, err)
 }
 
 func TestConstructiveCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ConstructiveCtx(ctx, ctxTestProfile(), 6, 2, 64)
+	_, err := Constructive(ctx, ctxTestProfile(), 6, 2, 64)
 	wantCanceled(t, err)
 }
 
@@ -88,7 +88,7 @@ func TestRestartTotalsCountedOnce(t *testing.T) {
 	const restarts = 3
 	lastIter := map[int]int{}
 	lastEval := map[int]int{}
-	res, err := ConstructCtx(context.Background(), p, 6, Options{
+	res, err := Construct(context.Background(), p, 6, Options{
 		Family:   hash.FamilyPermutation,
 		Restarts: restarts,
 		Seed:     7,
@@ -125,7 +125,7 @@ func TestRestartTotalsCountedOnce(t *testing.T) {
 func TestProgressSnapshots(t *testing.T) {
 	p := ctxTestProfile()
 	var got []Progress
-	res, err := ConstructCtx(context.Background(), p, 6, Options{
+	res, err := Construct(context.Background(), p, 6, Options{
 		Family:   hash.FamilyGeneralXOR,
 		Progress: func(pr Progress) { got = append(got, pr) },
 	})
@@ -157,19 +157,19 @@ func TestProgressSnapshots(t *testing.T) {
 
 func TestTypedOptionErrors(t *testing.T) {
 	p := profile.Build([]uint64{1, 2, 3}, 12, 64)
-	if _, err := ConstructCtx(context.Background(), p, 0, Options{}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := Construct(context.Background(), p, 0, Options{}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("m=0 error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := ConstructCtx(context.Background(), p, 6, Options{MaxInputs: -1}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := Construct(context.Background(), p, 6, Options{MaxInputs: -1}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("negative MaxInputs error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.Family(99)}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := Construct(context.Background(), p, 6, Options{Family: hash.Family(99)}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("unknown family error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := AnnealCtx(context.Background(), p, 0, AnnealOptions{}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := Anneal(context.Background(), p, 0, AnnealOptions{}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("anneal m=0 error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := ConstructiveCtx(context.Background(), p, 12, 2, 8); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := Constructive(context.Background(), p, 12, 2, 8); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("constructive m=n error %v must wrap ErrInvalidOptions", err)
 	}
 }

@@ -169,7 +169,7 @@ func TestIncrementalMatchesBrute(t *testing.T) {
 				var gotTrace []Progress
 				opt := v.opt
 				opt.Progress = func(pr Progress) { gotTrace = append(gotTrace, pr) }
-				got, err := ConstructCtx(context.Background(), p, w.m, opt)
+				got, err := Construct(context.Background(), p, w.m, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -238,11 +238,11 @@ func TestEvaluatorMatchesEstimateBasis(t *testing.T) {
 func TestAccountingDeterministicAcrossRestarts(t *testing.T) {
 	p := profile.Build(strideTrace(64, 32, 10), 12, 64)
 	opt := Options{Family: hash.FamilyGeneralXOR, Restarts: 3, Seed: 11}
-	first, err := ConstructCtx(context.Background(), p, 6, opt)
+	first, err := Construct(context.Background(), p, 6, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := ConstructCtx(context.Background(), p, 6, opt)
+	again, err := Construct(context.Background(), p, 6, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestQuickIncrementalEquivalence(t *testing.T) {
 			want, wantTrace := referenceConstruct(p, m, opt)
 			var gotTrace []Progress
 			opt.Progress = func(pr Progress) { gotTrace = append(gotTrace, pr) }
-			got, err := ConstructCtx(context.Background(), p, m, opt)
+			got, err := Construct(context.Background(), p, m, opt)
 			if err != nil {
 				t.Log(err)
 				return false

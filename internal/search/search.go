@@ -21,10 +21,10 @@
 //   - Bit-selecting functions ("1-in") are searched over m-subsets of
 //     the address bits with single-position swap neighbors.
 //
-// Every search has a context-aware variant (ConstructCtx, AnnealCtx,
-// ConstructiveCtx) that checks for cancellation between candidate
-// evaluations and returns a wrapped xerr.ErrCanceled within one
-// hill-climbing move of the context being canceled.
+// Every search (Construct, ConstructWarm, Anneal, Constructive) takes a
+// context, checks it between candidate evaluations and returns a
+// wrapped xerr.ErrCanceled within one hill-climbing move of the context
+// being canceled.
 package search
 
 import (
@@ -125,20 +125,20 @@ func (r Result) Improvement() float64 {
 	return 1 - float64(r.Estimated)/float64(r.Baseline)
 }
 
-// ConstructCtx searches for an m-set-bit index function minimising the
+// Construct searches for an m-set-bit index function minimising the
 // profile's miss estimate. The climbs check ctx between candidate
 // evaluations (every ctxCheckEvery of them), so a canceled context
 // aborts the search within one hill-climbing move and the call returns
 // a wrapped xerr.ErrCanceled.
-func ConstructCtx(ctx context.Context, p *profile.Profile, m int, opt Options) (Result, error) {
-	return constructCtx(ctx, p, m, opt, nil)
+func Construct(ctx context.Context, p *profile.Profile, m int, opt Options) (Result, error) {
+	return construct(ctx, p, m, opt, nil)
 }
 
-// constructCtx is the shared implementation behind ConstructCtx and
-// ConstructWarmCtx. A non-nil warm snapshot seeds the first climb's
+// construct is the shared implementation behind Construct and
+// ConstructWarm. A non-nil warm snapshot seeds the first climb's
 // mid-climb state (basis + score) exactly as a checkpoint resume
-// would; ConstructWarmCtx synthesises it from a starting matrix.
-func constructCtx(ctx context.Context, p *profile.Profile, m int, opt Options, warm *Snapshot) (Result, error) {
+// would; ConstructWarm synthesises it from a starting matrix.
+func construct(ctx context.Context, p *profile.Profile, m int, opt Options, warm *Snapshot) (Result, error) {
 	n := p.N
 	if m <= 0 || m >= n {
 		return Result{}, errOutOfRange(m, n)

@@ -26,16 +26,16 @@ func strideTrace(stride, count, reps int) []uint64 {
 
 func TestConstructValidation(t *testing.T) {
 	p := profile.Build([]uint64{1, 2, 3}, 12, 64)
-	if _, err := ConstructCtx(context.Background(), p, 0, Options{}); err == nil {
+	if _, err := Construct(context.Background(), p, 0, Options{}); err == nil {
 		t.Error("m=0 should fail")
 	}
-	if _, err := ConstructCtx(context.Background(), p, 12, Options{}); err == nil {
+	if _, err := Construct(context.Background(), p, 12, Options{}); err == nil {
 		t.Error("m=n should fail")
 	}
-	if _, err := ConstructCtx(context.Background(), p, 6, Options{MaxInputs: -1}); err == nil {
+	if _, err := Construct(context.Background(), p, 6, Options{MaxInputs: -1}); err == nil {
 		t.Error("negative MaxInputs should fail")
 	}
-	if _, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.Family(99)}); err == nil {
+	if _, err := Construct(context.Background(), p, 6, Options{Family: hash.Family(99)}); err == nil {
 		t.Error("unknown family should fail")
 	}
 }
@@ -46,7 +46,7 @@ func TestGeneralXORSolvesStrideThrash(t *testing.T) {
 	const m, n = 6, 12
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, n, 1<<m)
-	res, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyGeneralXOR})
+	res, err := Construct(context.Background(), p, m, Options{Family: hash.FamilyGeneralXOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPermutationSolvesStrideThrash(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, n, 1<<m)
 	for _, maxIn := range []int{2, 4, 0} {
-		res, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyPermutation, MaxInputs: maxIn})
+		res, err := Construct(context.Background(), p, m, Options{Family: hash.FamilyPermutation, MaxInputs: maxIn})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestPermutationSolvesStrideThrash(t *testing.T) {
 
 func TestPermutationOneInputIsModulo(t *testing.T) {
 	p := profile.Build(strideTrace(64, 16, 4), 12, 64)
-	res, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 1})
+	res, err := Construct(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestBitSelectFindsHighBits(t *testing.T) {
 	const m, n = 6, 12
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, n, 1<<m)
-	res, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyBitSelect})
+	res, err := Construct(context.Background(), p, m, Options{Family: hash.FamilyBitSelect})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestXORBeatsBitSelectOnXorPattern(t *testing.T) {
 		}
 	}
 	p := profile.Build(blocks, n, 1<<m)
-	bs, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyBitSelect})
+	bs, err := Construct(context.Background(), p, m, Options{Family: hash.FamilyBitSelect})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gx, err := ConstructCtx(context.Background(), p, m, Options{Family: hash.FamilyGeneralXOR})
+	gx, err := Construct(context.Background(), p, m, Options{Family: hash.FamilyGeneralXOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSearchNeverWorseThanBaselineEstimate(t *testing.T) {
 		}
 		p := profile.Build(blocks, 12, 64)
 		for _, fam := range []hash.Family{hash.FamilyBitSelect, hash.FamilyPermutation, hash.FamilyGeneralXOR} {
-			res, err := ConstructCtx(context.Background(), p, 6, Options{Family: fam, MaxInputs: 2})
+			res, err := Construct(context.Background(), p, 6, Options{Family: fam, MaxInputs: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,11 +181,11 @@ func TestSearchNeverWorseThanBaselineEstimate(t *testing.T) {
 func TestRestartsOnlyImprove(t *testing.T) {
 	blocks := strideTrace(16, 64, 5)
 	p := profile.Build(blocks, 12, 64)
-	base, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
+	base, err := Construct(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2, Restarts: 3, Seed: 1})
+	re, err := Construct(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2, Restarts: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestRestartsOnlyImprove(t *testing.T) {
 func TestMaxIterationsCap(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)
-	res, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR, MaxIterations: 1})
+	res, err := Construct(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR, MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestMaxIterationsCap(t *testing.T) {
 func TestGeneralXORWithInputLimitRespectsBound(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)
-	res, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR, MaxInputs: 2})
+	res, err := Construct(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR, MaxInputs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestResultMatrixAlwaysFullRank(t *testing.T) {
 			if fam == hash.FamilyBitSelect && maxIn != 0 {
 				continue
 			}
-			res, err := ConstructCtx(context.Background(), p, 8, Options{Family: fam, MaxInputs: maxIn})
+			res, err := Construct(context.Background(), p, 8, Options{Family: fam, MaxInputs: maxIn})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestImprovementZeroBaseline(t *testing.T) {
 func TestAnnealFindsStrideSolution(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)
-	res, err := AnnealCtx(context.Background(), p, 6, AnnealOptions{Steps: 5000, Seed: 7})
+	res, err := Anneal(context.Background(), p, 6, AnnealOptions{Steps: 5000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestAnnealNeverReportsWorseThanVisited(t *testing.T) {
 		blocks[i] = uint64(rng.Intn(2048))
 	}
 	p := profile.Build(blocks, 12, 64)
-	res, err := AnnealCtx(context.Background(), p, 6, AnnealOptions{Steps: 3000, Seed: 5})
+	res, err := Anneal(context.Background(), p, 6, AnnealOptions{Steps: 3000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +301,10 @@ func TestAnnealNeverReportsWorseThanVisited(t *testing.T) {
 
 func TestAnnealValidation(t *testing.T) {
 	p := profile.Build([]uint64{1, 2}, 10, 8)
-	if _, err := AnnealCtx(context.Background(), p, 0, AnnealOptions{}); err == nil {
+	if _, err := Anneal(context.Background(), p, 0, AnnealOptions{}); err == nil {
 		t.Fatal("m=0 must fail")
 	}
-	if _, err := AnnealCtx(context.Background(), p, 10, AnnealOptions{}); err == nil {
+	if _, err := Anneal(context.Background(), p, 10, AnnealOptions{}); err == nil {
 		t.Fatal("m=n must fail")
 	}
 }
@@ -312,11 +312,11 @@ func TestAnnealValidation(t *testing.T) {
 func TestAnnealDeterministicPerSeed(t *testing.T) {
 	blocks := strideTrace(32, 16, 5)
 	p := profile.Build(blocks, 12, 64)
-	a, err := AnnealCtx(context.Background(), p, 6, AnnealOptions{Steps: 1000, Seed: 11})
+	a, err := Anneal(context.Background(), p, 6, AnnealOptions{Steps: 1000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AnnealCtx(context.Background(), p, 6, AnnealOptions{Steps: 1000, Seed: 11})
+	b, err := Anneal(context.Background(), p, 6, AnnealOptions{Steps: 1000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestAnnealDeterministicPerSeed(t *testing.T) {
 func TestConstructiveCoversStride(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)
-	res, err := ConstructiveCtx(context.Background(), p, 6, 2, 64)
+	res, err := Constructive(context.Background(), p, 6, 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +356,11 @@ func TestConstructiveVsHillClimb(t *testing.T) {
 			blocks[i] = uint64(i%64)*64 + uint64(rng.Intn(4))
 		}
 		p := profile.Build(blocks, 12, 64)
-		cons, err := ConstructiveCtx(context.Background(), p, 6, 2, 64)
+		cons, err := Constructive(context.Background(), p, 6, 2, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hill, err := ConstructCtx(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
+		hill, err := Construct(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,10 +378,10 @@ func TestConstructiveVsHillClimb(t *testing.T) {
 
 func TestConstructiveValidation(t *testing.T) {
 	p := profile.Build([]uint64{1}, 10, 8)
-	if _, err := ConstructiveCtx(context.Background(), p, 0, 2, 8); err == nil {
+	if _, err := Constructive(context.Background(), p, 0, 2, 8); err == nil {
 		t.Fatal("m=0 must fail")
 	}
-	if _, err := ConstructiveCtx(context.Background(), p, 10, 2, 8); err == nil {
+	if _, err := Constructive(context.Background(), p, 10, 2, 8); err == nil {
 		t.Fatal("m=n must fail")
 	}
 }
@@ -396,7 +396,7 @@ func TestSearchAtWiderAddressSpace(t *testing.T) {
 		}
 	}
 	p := profile.Build(blocks, 20, 1<<10)
-	res, err := ConstructCtx(context.Background(), p, 10, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
+	res, err := Construct(context.Background(), p, 10, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

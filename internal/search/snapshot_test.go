@@ -143,7 +143,7 @@ func runResumable(t *testing.T, p *profile.Profile, m int, base Options, path st
 			cancel()
 		}
 	}
-	return ConstructCtx(ctx, p, m, opt)
+	return Construct(ctx, p, m, opt)
 }
 
 // resumeMatches kills a search at each point in kills, resuming from
@@ -154,7 +154,7 @@ func runResumable(t *testing.T, p *profile.Profile, m int, base Options, path st
 // legitimately differs).
 func resumeMatches(t *testing.T, p *profile.Profile, m int, base Options, kills []int) {
 	t.Helper()
-	want, err := ConstructCtx(context.Background(), p, m, base)
+	want, err := Construct(context.Background(), p, m, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestResumeRejectsMismatchedSearch(t *testing.T) {
 
 func TestResumeWithoutPathRejected(t *testing.T) {
 	p := conflictProfile(12, 6)
-	if _, err := ConstructCtx(context.Background(), p, 6, Options{Resume: true}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := Construct(context.Background(), p, 6, Options{Resume: true}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Fatalf("Resume without CheckpointPath: err = %v, want wrapped ErrInvalidOptions", err)
 	}
 }
@@ -285,7 +285,7 @@ func TestDegradedResultIsValidFunction(t *testing.T) {
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		res, err := ConstructCtx(ctx, p, 6, opt)
+		res, err := Construct(ctx, p, 6, opt)
 		if !errors.Is(err, xerr.ErrCanceled) {
 			t.Fatalf("%v: err = %v, want wrapped ErrCanceled", opt.Family, err)
 		}
@@ -302,12 +302,12 @@ func TestAnnealAndConstructiveDegrade(t *testing.T) {
 	p := conflictProfile(12, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := AnnealCtx(ctx, p, 6, AnnealOptions{Steps: 5000})
+	res, err := Anneal(ctx, p, 6, AnnealOptions{Steps: 5000})
 	if !errors.Is(err, xerr.ErrCanceled) || !res.Degraded || res.Matrix.Cols == nil {
-		t.Fatalf("AnnealCtx: res=%+v err=%v, want degraded best-so-far + ErrCanceled", res, err)
+		t.Fatalf("Anneal: res=%+v err=%v, want degraded best-so-far + ErrCanceled", res, err)
 	}
-	res, err = ConstructiveCtx(ctx, p, 6, 4, 32)
+	res, err = Constructive(ctx, p, 6, 4, 32)
 	if !errors.Is(err, xerr.ErrCanceled) || !res.Degraded || res.Matrix.Cols == nil {
-		t.Fatalf("ConstructiveCtx: res=%+v err=%v, want degraded best-so-far + ErrCanceled", res, err)
+		t.Fatalf("Constructive: res=%+v err=%v, want degraded best-so-far + ErrCanceled", res, err)
 	}
 }

@@ -12,7 +12,7 @@ package search
 // Eq. 4 score as a mid-climb Snapshot at iteration 0, and the ordinary
 // resume path does the rest. The interop is exact — persisting the
 // synthesised snapshot with SaveSnapshot and resuming it through
-// ConstructCtx yields the same trajectory as ConstructWarmCtx
+// Construct yields the same trajectory as ConstructWarm
 // (warmstart_test.go compares the two move for move).
 
 import (
@@ -25,26 +25,26 @@ import (
 	"xoridx/internal/xerr"
 )
 
-// ConstructWarmCtx is ConstructCtx with the first climb warm-started
+// ConstructWarm is Construct with the first climb warm-started
 // from an existing matrix. Only the general-XOR null-space search can
 // resume mid-climb state, so opt.Family must be FamilyGeneralXOR with
 // MaxInputs 0, and opt.Resume must be off (a disk snapshot and a warm
 // seed would splice two different trajectories). Restarts beyond the
 // first climb draw their random starting points exactly as in the
 // cold search.
-func ConstructWarmCtx(ctx context.Context, p *profile.Profile, m int, from gf2.Matrix, opt Options) (Result, error) {
+func ConstructWarm(ctx context.Context, p *profile.Profile, m int, from gf2.Matrix, opt Options) (Result, error) {
 	sn, err := WarmSnapshot(p, m, from, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	return constructCtx(ctx, p, m, opt, sn)
+	return construct(ctx, p, m, opt, sn)
 }
 
 // WarmSnapshot synthesises the mid-climb snapshot a warm start resumes
 // from: the null space of `from` as the current basis, its Eq. 4
 // estimate as the current score, zero moves taken. The result is a
-// valid Snapshot — SaveSnapshot + Resume through ConstructCtx is
-// equivalent to ConstructWarmCtx.
+// valid Snapshot — SaveSnapshot + Resume through Construct is
+// equivalent to ConstructWarm.
 func WarmSnapshot(p *profile.Profile, m int, from gf2.Matrix, opt Options) (*Snapshot, error) {
 	n := p.N
 	if m <= 0 || m >= n {

@@ -53,11 +53,11 @@ func TestWarmStartFromConventionalEqualsCold(t *testing.T) {
 	p := warmTestProfile(3, n, m)
 	for _, restarts := range []int{0, 2} {
 		opt := Options{Family: hash.FamilyGeneralXOR, Restarts: restarts, Seed: 77}
-		cold, err := ConstructCtx(context.Background(), p, m, opt)
+		cold, err := Construct(context.Background(), p, m, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := ConstructWarmCtx(context.Background(), p, m, gf2.Identity(n, m), opt)
+		warm, err := ConstructWarm(context.Background(), p, m, gf2.Identity(n, m), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestWarmStartNeverWorse(t *testing.T) {
 		p := warmTestProfile(int64(trial), n, m)
 		from := randomFullRank(rng, n, m)
 		startEst := p.EstimateMatrix(from)
-		res, err := ConstructWarmCtx(context.Background(), p, m,
+		res, err := ConstructWarm(context.Background(), p, m,
 			from, Options{Family: hash.FamilyGeneralXOR})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -96,7 +96,7 @@ func TestWarmStartNeverWorse(t *testing.T) {
 
 // TestWarmSnapshotInterop proves the snapshot interop contract:
 // persisting WarmSnapshot's output and resuming it through the
-// ordinary checkpoint path is the same search as ConstructWarmCtx —
+// ordinary checkpoint path is the same search as ConstructWarm —
 // matrix, estimate and work counters all identical.
 func TestWarmSnapshotInterop(t *testing.T) {
 	const n, m = 12, 6
@@ -106,7 +106,7 @@ func TestWarmSnapshotInterop(t *testing.T) {
 		from := randomFullRank(rng, n, m)
 		opt := Options{Family: hash.FamilyGeneralXOR, Restarts: 1, Seed: int64(trial)}
 
-		direct, err := ConstructWarmCtx(context.Background(), p, m, from, opt)
+		direct, err := ConstructWarm(context.Background(), p, m, from, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,14 +122,14 @@ func TestWarmSnapshotInterop(t *testing.T) {
 		viaResume := opt
 		viaResume.CheckpointPath = path
 		viaResume.Resume = true
-		resumed, err := ConstructCtx(context.Background(), p, m, viaResume)
+		resumed, err := Construct(context.Background(), p, m, viaResume)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		if !resumed.Matrix.Equal(direct.Matrix) || resumed.Estimated != direct.Estimated ||
 			resumed.Iterations != direct.Iterations || resumed.Evaluated != direct.Evaluated {
-			t.Fatalf("trial %d: resume-of-warm-snapshot diverged from ConstructWarmCtx: "+
+			t.Fatalf("trial %d: resume-of-warm-snapshot diverged from ConstructWarm: "+
 				"est %d/%d iters %d/%d evals %d/%d", trial,
 				resumed.Estimated, direct.Estimated, resumed.Iterations, direct.Iterations,
 				resumed.Evaluated, direct.Evaluated)
@@ -154,7 +154,7 @@ func TestWarmStartValidation(t *testing.T) {
 		{"rank deficient", gf2.Matrix{N: n, M: m, Cols: make([]gf2.Vec, m)}, Options{Family: hash.FamilyGeneralXOR}},
 	}
 	for _, tc := range cases {
-		if _, err := ConstructWarmCtx(context.Background(), p, m, tc.from, tc.opt); !errors.Is(err, xerr.ErrInvalidOptions) {
+		if _, err := ConstructWarm(context.Background(), p, m, tc.from, tc.opt); !errors.Is(err, xerr.ErrInvalidOptions) {
 			t.Errorf("%s: err = %v, want ErrInvalidOptions", tc.name, err)
 		}
 	}
