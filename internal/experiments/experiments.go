@@ -87,8 +87,9 @@ type Table2Row struct {
 // the percentage of misses removed by optimized permutation-based
 // XOR-functions with 2, 4 and unlimited inputs. The paper's table uses
 // workloads.MediaSuite; workloads.ExtraSuite runs the same protocol on
-// benchmarks the paper's evaluation had no table space for. Rows follow
-// the suite order, and Table2Average gives the paper's "average" row.
+// benchmarks the paper's evaluation had no table space for. Rows are
+// computed in parallel and follow the suite order; Table2Average gives
+// the paper's "average" row.
 func Table2(ctx context.Context, opt Options, suite []workloads.Workload, names []string, instruction bool, scale int) ([]Table2Row, error) {
 	selected := selectWorkloads(suite, names)
 	rows := make([]Table2Row, len(selected))

@@ -25,12 +25,18 @@ func TestModulo(t *testing.T) {
 	}
 }
 
-func TestNewXORRejectsInvalidMatrix(t *testing.T) {
+func TestNewXORRejectsRankDeficient(t *testing.T) {
+	h := gf2.MatrixFromCols(8, []gf2.Vec{0b11, 0b11})
+	if _, err := NewXOR(h); !errors.Is(err, xerr.ErrInvalidGeometry) {
+		t.Fatalf("rank-deficient matrix: err = %v, want wrapped ErrInvalidGeometry", err)
+	}
+}
+
+func TestNewXORRejectsInvalidGeometry(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		h    gf2.Matrix
 	}{
-		{"rank deficient", gf2.MatrixFromCols(8, []gf2.Vec{0b11, 0b11})},
 		{"m above n", gf2.Matrix{N: 2, M: 3, Cols: []gf2.Vec{1, 2, 3}}},
 		{"identity wider than n", gf2.Identity(16, 18)},
 		{"n above MaxBits", gf2.Matrix{N: gf2.MaxBits + 1, M: 1, Cols: []gf2.Vec{1}}},
