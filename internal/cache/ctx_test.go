@@ -25,7 +25,9 @@ func (c *checksCtx) Done() <-chan struct{} {
 	return c.Context.Done()
 }
 
-func TestSimulateCanceled(t *testing.T) {
+// ctxTestTrace mixes reads and writes over 20000 accesses: enough for
+// several ctxCheckEvery chunks.
+func ctxTestTrace() *trace.Trace {
 	tr := &trace.Trace{Name: "ctx"}
 	for i := 0; i < 20000; i++ {
 		kind := trace.Read
@@ -34,37 +36,60 @@ func TestSimulateCanceled(t *testing.T) {
 		}
 		tr.Append(uint64(i*64)&0xffff, kind)
 	}
+	return tr
+}
+
+// checkSimulate runs Simulate under ctx and checks that it returns the
+// stats of the first prefix accesses, driven access by access through
+// the stateful cache, and an ErrCanceled error exactly when the run
+// stopped short.
+func checkSimulate(t *testing.T, ctx context.Context, prefix int) {
+	t.Helper()
+	tr := ctxTestTrace()
 	cfg := Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: hash.Modulo(16, 8)}
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, tc := range []struct {
-		name   string
-		ctx    context.Context
-		prefix int // accesses simulated before the run stops
-	}{
-		{"uncanceled", context.Background(), tr.Len()},
-		{"canceled before the first access", canceled, 0},
-		{"canceled after two chunks", &checksCtx{Context: canceled, k: 2}, 2 * ctxCheckEvery},
-	} {
-		// The reference drives the stateful cache access by access.
-		ref := mustNew(t, cfg)
-		for _, a := range tr.Accesses[:tc.prefix] {
-			if a.Kind == trace.Write {
-				ref.Write(a.Addr)
-			} else {
-				ref.Access(a.Addr)
-			}
-		}
-		got, err := Simulate(tc.ctx, cfg, tr)
-		if got != ref.Stats() {
-			t.Errorf("%s: stats %+v, want %+v", tc.name, got, ref.Stats())
-		}
-		if wantErr := tc.prefix < tr.Len(); wantErr != (err != nil) {
-			t.Errorf("%s: error %v, want one: %v", tc.name, err, wantErr)
-		} else if err != nil && (!errors.Is(err, xerr.ErrCanceled) || !errors.Is(err, context.Canceled)) {
-			t.Errorf("%s: error %v must wrap ErrCanceled and context.Canceled", tc.name, err)
+	ref := mustNew(t, cfg)
+	for _, a := range tr.Accesses[:prefix] {
+		if a.Kind == trace.Write {
+			ref.Write(a.Addr)
+		} else {
+			ref.Access(a.Addr)
 		}
 	}
+	got, err := Simulate(ctx, cfg, tr)
+	if got != ref.Stats() {
+		t.Errorf("stats %+v, want %+v", got, ref.Stats())
+	}
+	if wantErr := prefix < tr.Len(); wantErr != (err != nil) {
+		t.Errorf("error %v, want one: %v", err, wantErr)
+	} else if err != nil && (!errors.Is(err, xerr.ErrCanceled) || !errors.Is(err, context.Canceled)) {
+		t.Errorf("error %v must wrap ErrCanceled and context.Canceled", err)
+	}
+}
+
+func canceledCtx() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+// The three tests below keep the names they had when Cache.RunCtx and
+// SimulateBlocksCtx were separate entry points; Simulate now covers both.
+
+// TestRunCtxMatchesRun: an uncanceled Simulate runs the whole trace.
+func TestRunCtxMatchesRun(t *testing.T) {
+	checkSimulate(t, context.Background(), ctxTestTrace().Len())
+}
+
+// TestRunCtxCanceled: a context canceled up front stops Simulate before
+// the first access.
+func TestRunCtxCanceled(t *testing.T) {
+	checkSimulate(t, canceledCtx(), 0)
+}
+
+// TestSimulateBlocksCtxCanceled: a cancellation seen at the third check
+// stops Simulate after exactly two chunks, with their stats intact.
+func TestSimulateBlocksCtxCanceled(t *testing.T) {
+	checkSimulate(t, &checksCtx{Context: canceledCtx(), k: 2}, 2*ctxCheckEvery)
 }
 
 func TestInvalidGeometryTyped(t *testing.T) {
