@@ -160,6 +160,42 @@ func TestCLIXoridxErrors(t *testing.T) {
 	}
 	runExpectFail(t, "xoridx", "-trace", bad)
 	runExpectFail(t, "xoridx", "-trace", filepath.Join(dir, "missing.xtr"))
+
+	// A negative restart count is a typed option error, not a panic in
+	// validation of the empty matrix the search used to return.
+	tr := filepath.Join(dir, "fft.xtr")
+	run(t, "tracegen", "-bench", "fft", "-out", tr)
+	out := runExpectFail(t, "xoridx", "-trace", tr, "-family", "general", "-restarts", "-1")
+	if strings.Contains(out, "panic:") || !strings.Contains(out, "invalid options") {
+		t.Errorf("-restarts -1 output:\n%s", out)
+	}
+}
+
+// TestCLICheckpointResume runs a checkpointed tune, then resumes it: the
+// resumed run restores the profile, re-runs the search, and prints the
+// same report byte for byte. The profile snapshot is the only file.
+func TestCLICheckpointResume(t *testing.T) {
+	tr := filepath.Join(t.TempDir(), "fft.xtr")
+	run(t, "tracegen", "-bench", "fft", "-out", tr)
+	dir := t.TempDir()
+	args := []string{"-trace", tr, "-family", "general", "-maxinputs", "0", "-verbose",
+		"-checkpoint", filepath.Join(dir, "run")}
+	first, _ := run(t, "xoridx", args...)
+	resumed, _ := run(t, "xoridx", append(args, "-resume")...)
+	if resumed != first {
+		t.Fatalf("resumed stdout differs:\n--- first\n%s\n--- resumed\n%s", first, resumed)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != "run.profile.ckpt" {
+		t.Fatalf("checkpoint dir holds %v, want only run.profile.ckpt", names)
+	}
 }
 
 func TestCLIDineroInterop(t *testing.T) {

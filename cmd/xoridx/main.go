@@ -15,7 +15,7 @@
 //	xoridx -trace fft.xtr -family general -algo anneal       # alternative search
 //	xoridx -trace fft.xtr -cache 4096 -workers -1            # sharded parallel profiling + search
 //	xoridx -trace fft.xtr -cache 4096 -progress              # stage/search progress on stderr
-//	xoridx -trace fft.xtr -checkpoint run                    # crash snapshots -> run.{profile,search}.ckpt
+//	xoridx -trace fft.xtr -checkpoint run                    # profiling crash snapshots -> run.profile.ckpt
 //	xoridx -trace fft.xtr -checkpoint run -resume            # continue a killed run, bit-identically
 //	xoridx -trace fft.xtr -cpuprofile cpu.pb -memprofile mem.pb  # pprof the pipeline
 //	xoridx -trace huge.xtr -mmap                             # stream the profile off a mapped file
@@ -34,7 +34,8 @@
 // Ctrl-C (SIGINT) cancels the pipeline cooperatively: the run aborts
 // within one hill-climbing move, prints the best-so-far function marked
 // degraded, and exits with the cancellation error; with -checkpoint the
-// interrupted state is on disk and -resume continues it.
+// profiling state is on disk and -resume restores it, then re-runs the
+// (deterministic, fast) search and validation.
 //
 // Trace files may be in the binary, text or Dinero III format
 // (autodetected).
@@ -91,8 +92,8 @@ func main() {
 	loadFn := flag.String("apply", "", "skip the search: load a matrix from this file and evaluate it on the trace")
 	analyze := flag.Bool("analyze", false, "diagnose the trace's conflicts (hot vectors + concrete address pairs) instead of constructing a function")
 	progress := flag.Bool("progress", false, "report pipeline stages and search progress on stderr")
-	checkpoint := flag.String("checkpoint", "", "base path for crash snapshots: profiling state goes to <path>.profile.ckpt and search state to <path>.search.ckpt, written atomically; restart a killed run with -resume")
-	resume := flag.Bool("resume", false, "continue from the checkpoint files under -checkpoint (missing files mean a cold start); the resumed run is bit-identical to an uninterrupted one")
+	checkpoint := flag.String("checkpoint", "", "base path for crash snapshots: profiling state goes to <path>.profile.ckpt, written atomically; restart a killed run with -resume")
+	resume := flag.Bool("resume", false, "restore the profile from <path>.profile.ckpt under -checkpoint (a missing file means a cold start) and re-run the search; the resumed run is bit-identical to an uninterrupted one")
 	retries := flag.Int("retries", 0, "retry budget for transient trace I/O failures, with capped exponential backoff")
 	useMmap := flag.Bool("mmap", false, "profile the trace as a stream over a read-only memory mapping instead of loading it; skips exact validation")
 	sampleK := flag.Uint64("sample", 0, "profile every k-th conflict candidate instead of all of them; estimates gain a 95% confidence interval (0 or 1 = exact)")

@@ -3,13 +3,16 @@ package xoridx
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"xoridx/internal/core"
 	"xoridx/internal/hash"
+	"xoridx/internal/profile"
 	"xoridx/internal/workloads"
 )
 
@@ -31,36 +34,135 @@ type goldenCell struct {
 	Optimized uint64 `json:"optimized_misses"`
 }
 
-// goldenCells tunes the 28 Media, PowerStone and Extra data kernels at
-// scale 1 with a 4 KB direct-mapped cache, n = 16 and general XOR.
-func goldenCells(t *testing.T, workers int) []goldenCell {
-	t.Helper()
-	cfg := core.Config{CacheBytes: 4096, BlockBytes: 4, AddrBits: 16,
+// goldenConfig is the tuning problem every cell solves: a 4 KB
+// direct-mapped cache, n = 16 and general XOR.
+func goldenConfig(workers int) core.Config {
+	return core.Config{CacheBytes: 4096, BlockBytes: 4, AddrBits: 16,
 		Family: hash.FamilyGeneralXOR, Workers: workers}
-	var cells []goldenCell
+}
+
+// goldenKernels lists the 28 Media, PowerStone and Extra data kernels
+// in golden.json order.
+func goldenKernels() []workloads.Workload {
+	var ws []workloads.Workload
 	for _, suite := range [][]workloads.Workload{workloads.MediaSuite(), workloads.PowerStoneSuite(), workloads.ExtraSuite()} {
-		for _, w := range suite {
-			res, err := core.Tune(context.Background(), w.Data(1), cfg, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", w.Name, err)
-			}
-			cells = append(cells, goldenCell{
-				Kernel:    w.Name,
-				NullSpace: res.Search.Matrix.NullSpace().Key(),
-				Estimated: res.Search.Estimated,
-				Baseline:  res.Baseline.Misses,
-				Optimized: res.Optimized.Misses,
-			})
-		}
+		ws = append(ws, suite...)
 	}
+	return ws
+}
+
+func cellOf(name string, res *core.Result) goldenCell {
+	return goldenCell{
+		Kernel:    name,
+		NullSpace: res.Search.Matrix.NullSpace().Key(),
+		Estimated: res.Search.Estimated,
+		Baseline:  res.Baseline.Misses,
+		Optimized: res.Optimized.Misses,
+	}
+}
+
+// goldenCells tunes every kernel at scale 1 with the given worker
+// count. moves[i] is kernel i's number of hill-climbing moves.
+func goldenCells(t *testing.T, workers int) (cells []goldenCell, moves []int) {
+	t.Helper()
+	for _, w := range goldenKernels() {
+		res, err := core.Tune(context.Background(), w.Data(1), goldenConfig(workers), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		cells = append(cells, cellOf(w.Name, res))
+		moves = append(moves, res.Search.Iterations)
+	}
+	return cells, moves
+}
+
+// killResumeCells rebuilds every cell through a checkpointed run that
+// is killed at a seeded point and then resumed. A mid-profile kill
+// cancels once the block source has handed out a seeded number of
+// accesses; a mid-search kill cancels on a seeded SearchProgress event,
+// so it needs the kernel's move count. Every kill must land, and both
+// kinds must occur.
+func killResumeCells(t *testing.T, moves []int) []goldenCell {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	var cells []goldenCell
+	kinds := map[string]int{}
+	for i, w := range goldenKernels() {
+		tr := w.Data(1)
+		cfg := goldenConfig(1)
+		cfg.CheckpointPath = filepath.Join(t.TempDir(), "run")
+		cfg.Resume = true
+		blocks := tr.Blocks(cfg.BlockBytes, cfg.AddrBits)
+		killAccess, killMove := 0, 0
+		if moves[i] > 0 && rng.Intn(2) == 0 {
+			killMove = 1 + rng.Intn(moves[i])
+			kinds["search"]++
+		} else {
+			killAccess = 1 + rng.Intn(len(blocks))
+			kinds["profile"]++
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		src := profile.Blocks(blocks)
+		counted := func(dst []uint64) (int, error) {
+			k, err := src(dst)
+			if seen += k; killAccess > 0 && seen >= killAccess {
+				cancel()
+			}
+			return k, err
+		}
+		done := 0
+		pl := core.Pipeline{Config: cfg, Events: core.SinkFunc(func(e core.Event) {
+			if e.Kind == core.SearchProgress {
+				if done++; done == killMove {
+					cancel()
+				}
+			}
+		})}
+		p, err := pl.ProfileSource(ctx, counted)
+		if err == nil {
+			_, err = pl.RunProfiled(ctx, tr, p)
+		}
+		cancel()
+		if !errors.Is(err, core.ErrCanceled) {
+			t.Fatalf("%s: kill at access %d / move %d did not land: %v", w.Name, killAccess, killMove, err)
+		}
+
+		res, err := core.Tune(context.Background(), tr, cfg, nil)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", w.Name, err)
+		}
+		cells = append(cells, cellOf(w.Name, res))
+	}
+	if kinds["profile"] == 0 || kinds["search"] == 0 {
+		t.Fatalf("kills landed %d times mid-profile and %d times mid-search; want both kinds",
+			kinds["profile"], kinds["search"])
+	}
+	t.Logf("kill/resume: %d kills mid-profile, %d mid-search", kinds["profile"], kinds["search"])
 	return cells
 }
 
+// checkCells compares one execution path's cells against golden.json.
+func checkCells(t *testing.T, path string, got, want []goldenCell) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d cells, golden has %d", path, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: cell %d drifted:\n got %+v\nwant %+v", path, i, got[i], want[i])
+		}
+	}
+}
+
 // TestGoldenFingerprint pins the reproduced general-XOR results end to
-// end: every worker count must rebuild testdata/golden.json exactly.
+// end: every worker count, and a run killed and resumed from its
+// checkpoint, must rebuild testdata/golden.json exactly.
 func TestGoldenFingerprint(t *testing.T) {
 	if *updateGolden {
-		data, err := json.MarshalIndent(goldenCells(t, 1), "", "  ")
+		cells, _ := goldenCells(t, 1)
+		data, err := json.MarshalIndent(cells, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,15 +181,9 @@ func TestGoldenFingerprint(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		got := goldenCells(t, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d cells, golden has %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d: cell %d drifted:\n got %+v\nwant %+v", workers, i, got[i], want[i])
-			}
-		}
-	}
+	got, moves := goldenCells(t, 1)
+	checkCells(t, "workers=1", got, want)
+	got, _ = goldenCells(t, 2)
+	checkCells(t, "workers=2", got, want)
+	checkCells(t, "kill/resume", killResumeCells(t, moves), want)
 }

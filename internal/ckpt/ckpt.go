@@ -6,9 +6,9 @@
 // The envelope makes corruption detectable before any payload byte is
 // interpreted: a snapshot either round-trips bit-identically or fails
 // with a wrapped xerr.ErrFormat — never a panic, never a silently
-// half-read state. The profiling and search layers define their own
-// payload formats (see profile.Checkpoint and search.Snapshot) on top
-// of this envelope.
+// half-read state. The profiling and serving layers define their own
+// payload formats (profile.Builder.Checkpoint, serve's XSV1 service
+// state) on top of this envelope.
 //
 // Wire layout:
 //

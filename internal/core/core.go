@@ -76,17 +76,19 @@ type Config struct {
 	// core.
 	Workers int
 	// CheckpointPath, when non-empty, is the base path for crash
-	// snapshots: the profiling stage writes <path>.profile.ckpt and the
-	// search stage <path>.search.ckpt, both atomically, so a killed run
-	// restarted with Resume continues where it stopped (bit-identical
-	// to an uninterrupted run).
+	// snapshots of the profiling pass: it writes <path>.profile.ckpt
+	// atomically, periodically and once more when the pass ends. A
+	// killed run restarted with Resume restores the profile from it and
+	// re-runs the search and validation, which are deterministic given
+	// the profile, so the result is bit-identical to an uninterrupted
+	// run.
 	CheckpointPath string
 	// CheckpointEvery is the profiling snapshot cadence in trace
-	// accesses (0 selects the profile layer's default, ~1M). The search
-	// stage snapshots after every hill-climbing move.
+	// accesses (0 selects the profile layer's default, ~1M; negative is
+	// invalid).
 	CheckpointEvery int
-	// Resume restores existing checkpoint files under CheckpointPath
-	// before each stage runs; missing files mean a cold start.
+	// Resume restores an existing <path>.profile.ckpt before profiling;
+	// a missing file means a cold start.
 	Resume bool
 	// SampleK enables sampled profiling (DESIGN.md §17): every access
 	// is still classified exactly against the full LRU state, but only
@@ -149,6 +151,9 @@ func (c Config) validate() error {
 	if c.Backend == "flat" && c.AddrBits > profile.MaxFlatBits {
 		return fmt.Errorf("core: flat backend caps at %d address bits, config has %d: %w",
 			profile.MaxFlatBits, c.AddrBits, xerr.ErrInvalidOptions)
+	}
+	if c.CheckpointEvery < 0 {
+		return fmt.Errorf("core: negative CheckpointEvery %d: %w", c.CheckpointEvery, xerr.ErrInvalidOptions)
 	}
 	if c.CheckpointPath != "" {
 		if c.SampleK > 1 {
@@ -237,23 +242,14 @@ func checkProfile(p *profile.Profile, cfg Config) error {
 
 // searchOptions maps the config onto the search layer's options.
 func (c Config) searchOptions() search.Options {
-	opt := search.Options{
+	return search.Options{
 		Family:        c.Family,
 		MaxInputs:     c.MaxInputs,
 		MaxIterations: c.MaxIterations,
 		Restarts:      c.Restarts,
 		Seed:          c.Seed,
 	}
-	if c.CheckpointPath != "" {
-		opt.CheckpointPath = c.searchCheckpointPath()
-		opt.Resume = c.Resume
-	}
-	return opt
 }
-
-// Stage checkpoint files under the configured base path.
-func (c Config) profileCheckpointPath() string { return c.CheckpointPath + ".profile.ckpt" }
-func (c Config) searchCheckpointPath() string  { return c.CheckpointPath + ".search.ckpt" }
 
 func errInvalidMatrix(err error) error {
 	return fmt.Errorf("core: search produced invalid matrix: %w", err)
@@ -284,7 +280,7 @@ func (c Config) profileOptions() profile.Options {
 		opt.Sketch = &profile.SketchOptions{Seed: c.SampleSeed}
 	}
 	if c.CheckpointPath != "" {
-		opt.CheckpointPath = c.profileCheckpointPath()
+		opt.CheckpointPath = c.CheckpointPath + ".profile.ckpt"
 		opt.CheckpointEvery = uint64(c.CheckpointEvery)
 		opt.Resume = c.Resume
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -46,6 +47,16 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Tune(context.Background(), &trace.Trace{}, cfg, nil); err == nil {
 			t.Errorf("config %d (%+v) should be rejected", i, cfg)
 		}
+	}
+}
+
+// TestNegativeCheckpointEveryRejected: a negative cadence must not wrap
+// round to 2^64−1 in the profile layer and silently stop the periodic
+// snapshots.
+func TestNegativeCheckpointEveryRejected(t *testing.T) {
+	cfg := Config{CacheBytes: 1024, CheckpointPath: filepath.Join(t.TempDir(), "run"), CheckpointEvery: -1}
+	if _, err := Tune(context.Background(), &trace.Trace{}, cfg, nil); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("CheckpointEvery -1: err = %v, want wrapped ErrInvalidOptions", err)
 	}
 }
 

@@ -160,7 +160,7 @@ func (pl *Pipeline) Search(ctx context.Context, p *profile.Profile) (search.Resu
 //
 // A non-zero warm matrix seeds the climb at that function instead of
 // the conventional start (search.ConstructWarm) when the configured
-// family supports it — general XOR with unlimited fan-in, no Resume.
+// family supports it — general XOR with unlimited fan-in.
 // Other configurations fall back to the cold search: the warm seed is
 // an optimisation hint, not a contract, and a serving loop tuning a
 // permutation-family function must still make progress.
@@ -191,7 +191,7 @@ func (pl *Pipeline) SearchRound(ctx context.Context, p *profile.Profile, warm gf
 		sres search.Result
 		err  error
 	)
-	if warm.Cols != nil && cfg.Family == hash.FamilyGeneralXOR && cfg.MaxInputs == 0 && !opt.Resume {
+	if warm.Cols != nil && cfg.Family == hash.FamilyGeneralXOR && cfg.MaxInputs == 0 {
 		sres, err = search.ConstructWarm(ctx, p, cfg.SetBits(), warm, opt)
 	} else {
 		sres, err = search.Construct(ctx, p, cfg.SetBits(), opt)

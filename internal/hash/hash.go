@@ -59,8 +59,8 @@ type XOR struct {
 // full rank n, making (index, tag) bijective. For permutation-based H
 // the constructed tag is exactly the conventional high-order selection.
 func NewXOR(h gf2.Matrix) (*XOR, error) {
-	if h.N < 0 || h.N > gf2.MaxBits || h.M > h.N {
-		return nil, fmt.Errorf("hash: %d×%d index matrix outside 0 <= m <= n <= %d: %w",
+	if h.N < 1 || h.N > gf2.MaxBits || h.M < 0 || h.M > h.N {
+		return nil, fmt.Errorf("hash: %d×%d index matrix outside 0 <= m <= n, 1 <= n <= %d: %w",
 			h.N, h.M, gf2.MaxBits, xerr.ErrInvalidGeometry)
 	}
 	for c, col := range h.Cols {

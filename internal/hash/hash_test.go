@@ -40,6 +40,9 @@ func TestNewXORRejectsInvalidGeometry(t *testing.T) {
 		{"m above n", gf2.Matrix{N: 2, M: 3, Cols: []gf2.Vec{1, 2, 3}}},
 		{"identity wider than n", gf2.Identity(16, 18)},
 		{"n above MaxBits", gf2.Matrix{N: gf2.MaxBits + 1, M: 1, Cols: []gf2.Vec{1}}},
+		{"zero matrix", gf2.Matrix{}},
+		{"n below 1", gf2.Matrix{N: -1}},
+		{"negative m", gf2.Matrix{N: 4, M: -1}},
 		{"columns above n", gf2.Matrix{N: 4, M: 2, Cols: []gf2.Vec{1 << 5, 1 << 6}}},
 		{"one column bit at n", gf2.Matrix{N: 4, M: 2, Cols: []gf2.Vec{1, 1<<4 | 2}}},
 	} {

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"fmt"
 
 	"xoridx/internal/gf2"
 	"xoridx/internal/profile"
@@ -27,6 +28,9 @@ func Constructive(ctx context.Context, p *profile.Profile, m int, maxInputs, hot
 	n := p.N
 	if m <= 0 || m >= n {
 		return Result{}, errOutOfRange(m, n)
+	}
+	if maxInputs < 0 {
+		return Result{}, fmt.Errorf("search: negative maxInputs: %w", xerr.ErrInvalidOptions)
 	}
 	if hotVectors <= 0 {
 		hotVectors = 64

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
 	"xoridx/internal/xerr"
@@ -163,6 +164,13 @@ func TestTypedOptionErrors(t *testing.T) {
 	if _, err := Construct(context.Background(), p, 6, Options{MaxInputs: -1}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("negative MaxInputs error %v must wrap ErrInvalidOptions", err)
 	}
+	if _, err := Construct(context.Background(), p, 6, Options{Restarts: -1}); !errors.Is(err, xerr.ErrInvalidOptions) {
+		t.Errorf("negative Restarts error %v must wrap ErrInvalidOptions", err)
+	}
+	if _, err := ConstructWarm(context.Background(), p, 6, gf2.Identity(12, 6),
+		Options{Family: hash.FamilyGeneralXOR, Restarts: -1}); !errors.Is(err, xerr.ErrInvalidOptions) {
+		t.Errorf("warm negative Restarts error %v must wrap ErrInvalidOptions", err)
+	}
 	if _, err := Construct(context.Background(), p, 6, Options{Family: hash.Family(99)}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("unknown family error %v must wrap ErrInvalidOptions", err)
 	}
@@ -171,5 +179,64 @@ func TestTypedOptionErrors(t *testing.T) {
 	}
 	if _, err := Constructive(context.Background(), p, 12, 2, 8); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("constructive m=n error %v must wrap ErrInvalidOptions", err)
+	}
+	if _, err := Constructive(context.Background(), p, 6, -1, 8); !errors.Is(err, xerr.ErrInvalidOptions) {
+		t.Errorf("constructive negative maxInputs error %v must wrap ErrInvalidOptions", err)
+	}
+}
+
+// conflictProfile builds a profile with enough structure that the
+// general-XOR climb takes several moves (strides at two granularities
+// plus an interleaved offset stream).
+func conflictProfile(n, m int) *profile.Profile {
+	mask := uint64(1)<<uint(n) - 1
+	var blocks []uint64
+	for r := 0; r < 6; r++ {
+		for i := 0; i < 48; i++ {
+			blocks = append(blocks, uint64(i*64)&mask)
+			if i%3 == 0 {
+				blocks = append(blocks, uint64(i*192+7)&mask)
+			}
+		}
+	}
+	return profile.Build(blocks, n, 1<<m)
+}
+
+func TestDegradedResultIsValidFunction(t *testing.T) {
+	p := conflictProfile(12, 6)
+	// The matrix families poll the context once per ctxCheckEvery
+	// evaluations, so they get enough restarts that the cumulative
+	// evaluation count is guaranteed to cross the threshold.
+	for _, opt := range []Options{
+		{Family: hash.FamilyGeneralXOR},
+		{Family: hash.FamilyPermutation, MaxInputs: 4, Restarts: 100, Seed: 1},
+		{Family: hash.FamilyBitSelect, Restarts: 100, Seed: 1},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		res, err := Construct(ctx, p, 6, opt)
+		if !errors.Is(err, xerr.ErrCanceled) {
+			t.Fatalf("%v: err = %v, want wrapped ErrCanceled", opt.Family, err)
+		}
+		if !res.Degraded {
+			t.Fatalf("%v: canceled search result not tagged Degraded", opt.Family)
+		}
+		if res.Matrix.Cols == nil || res.Matrix.Rank() != 6 {
+			t.Fatalf("%v: degraded result is not a valid index function: %+v", opt.Family, res.Matrix)
+		}
+	}
+}
+
+func TestAnnealAndConstructiveDegrade(t *testing.T) {
+	p := conflictProfile(12, 6)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Anneal(ctx, p, 6, AnnealOptions{Steps: 5000})
+	if !errors.Is(err, xerr.ErrCanceled) || !res.Degraded || res.Matrix.Cols == nil {
+		t.Fatalf("Anneal: res=%+v err=%v, want degraded best-so-far + ErrCanceled", res, err)
+	}
+	res, err = Constructive(ctx, p, 6, 4, 32)
+	if !errors.Is(err, xerr.ErrCanceled) || !res.Degraded || res.Matrix.Cols == nil {
+		t.Fatalf("Constructive: res=%+v err=%v, want degraded best-so-far + ErrCanceled", res, err)
 	}
 }

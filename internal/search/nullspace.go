@@ -13,10 +13,10 @@ import (
 // climbNullSpace performs steepest-descent hill climbing over null
 // spaces of dimension n−m, the paper's search for general XOR
 // functions. start==0 begins at the conventional null space
-// span(e_m..e_{n−1}); start>0 begins at a random subspace of the same
-// dimension. Each move scores every neighbour of the current null
-// space from one Walsh–Hadamard transform per residue (DESIGN.md §10)
-// and takes the first strict minimum in (hyperplane index,
+// span(e_m..e_{n−1}), or at the warm null space when one is set;
+// start>0 begins at a random subspace of the same dimension. Each move
+// scores every neighbour of the current null space from one
+// Walsh–Hadamard transform per residue (DESIGN.md §10) and takes the first strict minimum in (hyperplane index,
 // representative) order, so the trajectory is the one a per-candidate
 // scan of the neighbourhood walks.
 func (s *state) climbNullSpace(start int) (Result, error) {
@@ -24,23 +24,19 @@ func (s *state) climbNullSpace(start int) (Result, error) {
 	d := n - m
 	var res Result
 	var cur gf2.Subspace
-	var curEst uint64
-	if sn := s.takeResume(); sn != nil {
-		// Continue the checkpointed climb from its recorded state: the
-		// score is in the snapshot, so nothing is re-estimated, and
-		// steepest descent from here is the uninterrupted trajectory.
-		cur = gf2.Span(n, sn.Basis...)
-		curEst = sn.CurEst
-		res.Iterations = sn.ClimbIterations
-		res.Evaluated = sn.ClimbEvaluated
-	} else {
+	switch {
+	case start > 0:
+		cur = s.randomSubspace(d)
+		res.Lookups = uint64(1) << uint(d)
+	case s.warm != nil:
+		// Warm start (ConstructWarm). Like the baseline estimate, its
+		// start estimate is left out of Lookups.
+		cur = *s.warm
+	default:
 		cur = gf2.SpanUnits(n, m, n)
-		if start > 0 {
-			cur = s.randomSubspace(d)
-		}
-		curEst = s.p.EstimateSubspace(cur)
 		res.Lookups = uint64(1) << uint(d)
 	}
+	curEst := s.p.EstimateSubspace(cur)
 	// degraded tags the best-so-far state for an interrupted return:
 	// the caller still gets a valid matrix.
 	degraded := func() Result {
@@ -71,9 +67,6 @@ func (s *state) climbNullSpace(start int) (Result, error) {
 		curEst = est
 		res.Iterations++
 		s.emit(res.Iterations, res.Evaluated, curEst)
-		if err := s.maybeCheckpoint(cur, curEst, &res); err != nil {
-			return degraded(), err
-		}
 	}
 	res.Matrix = gf2.MatrixWithNullSpace(cur)
 	res.Estimated = curEst

@@ -31,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 
 	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
@@ -58,23 +57,6 @@ type Options struct {
 	// hill-climbing move (and at the end of each climb). It is called
 	// synchronously from the search goroutine; keep it fast.
 	Progress func(Progress)
-	// CheckpointPath, when non-empty, makes the search write its state
-	// to this file atomically — after every CheckpointEvery moves for
-	// the general-XOR null-space climbs, and at every restart boundary
-	// for all families — so a killed run can continue with Resume.
-	CheckpointPath string
-	// CheckpointEvery is the mid-climb snapshot cadence in
-	// hill-climbing moves; 0 selects every move. Ignored without
-	// CheckpointPath.
-	CheckpointEvery int
-	// Resume loads CheckpointPath (if it exists) and continues the
-	// search from the recorded state. The resumed run is bit-identical
-	// to an uninterrupted one: restart randomisation is derived per
-	// restart index, and steepest descent is deterministic from any
-	// snapshot state. The snapshot must match the search's geometry,
-	// family, MaxInputs and Seed (wrapped xerr.ErrProfileMismatch
-	// otherwise).
-	Resume bool
 }
 
 // Progress is one search progress snapshot, delivered through
@@ -135,10 +117,10 @@ func Construct(ctx context.Context, p *profile.Profile, m int, opt Options) (Res
 }
 
 // construct is the shared implementation behind Construct and
-// ConstructWarm. A non-nil warm snapshot seeds the first climb's
-// mid-climb state (basis + score) exactly as a checkpoint resume
-// would; ConstructWarm synthesises it from a starting matrix.
-func construct(ctx context.Context, p *profile.Profile, m int, opt Options, warm *Snapshot) (Result, error) {
+// ConstructWarm. A non-nil warm null space replaces the conventional
+// start of the first climb; ConstructWarm derives it from a starting
+// matrix.
+func construct(ctx context.Context, p *profile.Profile, m int, opt Options, warm *gf2.Subspace) (Result, error) {
 	n := p.N
 	if m <= 0 || m >= n {
 		return Result{}, errOutOfRange(m, n)
@@ -146,11 +128,8 @@ func construct(ctx context.Context, p *profile.Profile, m int, opt Options, warm
 	if opt.MaxInputs < 0 {
 		return Result{}, fmt.Errorf("search: negative MaxInputs: %w", xerr.ErrInvalidOptions)
 	}
-	if opt.CheckpointEvery < 0 {
-		return Result{}, fmt.Errorf("search: negative CheckpointEvery: %w", xerr.ErrInvalidOptions)
-	}
-	if opt.Resume && opt.CheckpointPath == "" {
-		return Result{}, fmt.Errorf("search: Resume needs a CheckpointPath: %w", xerr.ErrInvalidOptions)
+	if opt.Restarts < 0 {
+		return Result{}, fmt.Errorf("search: negative Restarts: %w", xerr.ErrInvalidOptions)
 	}
 	if opt.Family == hash.FamilyPermutation && opt.MaxInputs == 1 {
 		// A 1-input permutation-based function is exactly modulo indexing.
@@ -181,89 +160,29 @@ func construct(ctx context.Context, p *profile.Profile, m int, opt Options, warm
 	default:
 		return Result{}, fmt.Errorf("search: unknown family %v: %w", opt.Family, xerr.ErrInvalidOptions)
 	}
-	s := &state{ctx: ctx, p: p, n: n, m: m, opt: opt}
+	s := &state{ctx: ctx, p: p, n: n, m: m, opt: opt, warm: warm}
 	if opt.Family == hash.FamilyGeneralXOR && opt.MaxInputs == 0 {
 		// Every null-space climb sweeps the same support once per move.
 		s.support = p.Support()
 	}
-	startRestart := 0
-	if opt.Resume {
-		sn, err := LoadSnapshot(opt.CheckpointPath)
-		switch {
-		case err == nil:
-			if sn.N != n || sn.M != m || sn.Family != opt.Family ||
-				sn.MaxInputs != opt.MaxInputs || sn.Seed != opt.Seed {
-				return Result{}, fmt.Errorf("search: snapshot is for n=%d m=%d family=%v maxInputs=%d seed=%d, "+
-					"not this search: %w", sn.N, sn.M, sn.Family, sn.MaxInputs, sn.Seed, xerr.ErrProfileMismatch)
-			}
-			if sn.HaveClimb && climbResumable(opt) != nil {
-				return Result{}, climbResumable(opt)
-			}
-			startRestart = sn.Restart
-			s.haveBest = sn.HaveBest
-			if sn.HaveBest {
-				s.best = Result{Matrix: sn.Best, Estimated: sn.BestEst}
-			}
-			s.totIters, s.totEvals = sn.Iterations, sn.Evaluated
-			s.totLookups, s.totHits = sn.Lookups, sn.MemoHits
-			if sn.HaveClimb {
-				s.resume = sn
-			}
-		case os.IsNotExist(err):
-			// Cold start: no snapshot yet.
-		default:
-			return Result{}, err
-		}
-	}
-	if warm != nil && s.resume == nil && startRestart == 0 {
-		// Warm start: the first climb continues from the synthesised
-		// snapshot instead of the conventional null space. An on-disk
-		// snapshot (Resume) always wins over the warm seed — it encodes
-		// strictly more completed work.
-		s.resume = warm
-	}
 	// Run every climb, keep the best result, and accumulate the
 	// iteration/evaluation totals exactly once per climb. Each restart
-	// derives its own RNG from (Seed, restart index), so restart r is
-	// reproducible without replaying restarts 0..r-1 — the property
-	// checkpoint resume depends on.
-	for r := startRestart; r <= opt.Restarts; r++ {
+	// derives its own RNG from (Seed, restart index).
+	for r := 0; r <= opt.Restarts; r++ {
 		s.restart = r
 		s.rng = rand.New(rand.NewSource(restartSeed(opt.Seed, r)))
 		cand, err := climb(s, r)
+		s.fold(cand)
 		if err != nil {
 			// The climb's best-so-far (Degraded) still folds into the
 			// final answer: the caller gets a usable matrix plus the
 			// cancellation error, not just the error.
-			s.fold(cand)
 			out := s.finalize(p, m)
 			out.Degraded = true
 			return out, err
 		}
-		s.fold(cand)
-		if opt.CheckpointPath != "" {
-			// Restart boundary: the next run skips this climb entirely.
-			if err := SaveSnapshot(opt.CheckpointPath, s.boundarySnapshot(r+1)); err != nil {
-				out := s.finalize(p, m)
-				out.Degraded = true
-				return out, err
-			}
-		}
 	}
 	return s.finalize(p, m), nil
-}
-
-// climbResumable reports (as an error) why mid-climb resume is not
-// available for the configured climb: only the general-XOR null-space
-// searches carry their whole state in a basis. Matrix-family snapshots
-// are written at restart boundaries only, so a mid-climb snapshot for
-// one means the file is corrupt or hand-edited.
-func climbResumable(opt Options) error {
-	if opt.Family == hash.FamilyGeneralXOR && opt.MaxInputs == 0 {
-		return nil
-	}
-	return fmt.Errorf("search: snapshot carries mid-climb state but family %v checkpoints at restart boundaries only: %w",
-		opt.Family, xerr.ErrFormat)
 }
 
 // restartSeed derives restart r's private RNG seed (splitmix64 over
@@ -298,19 +217,15 @@ type state struct {
 	restart int                   // current restart index, for Progress snapshots
 	tick    int                   // evaluations since the last ctx check
 
-	// Accumulators over completed climbs (plus, on a resumed run, the
-	// completed work recorded in the snapshot).
+	// warm, when non-nil, is the first climb's starting null space.
+	warm *gf2.Subspace
+
+	// Accumulators over completed climbs.
 	best       Result
-	haveBest   bool
 	totIters   int
 	totEvals   int
 	totLookups uint64
 	totHits    uint64
-
-	// resume holds mid-climb state loaded from a snapshot; the first
-	// null-space climb consumes it (takeResume) instead of starting
-	// from scratch.
-	resume *Snapshot
 }
 
 // fold accumulates one climb's outcome into the cross-restart state.
@@ -322,9 +237,8 @@ func (s *state) fold(cand Result) {
 	if cand.Matrix.Cols == nil {
 		return // climb aborted before producing any state
 	}
-	if !s.haveBest || cand.Estimated < s.best.Estimated {
+	if s.best.Matrix.Cols == nil || cand.Estimated < s.best.Estimated {
 		s.best = cand
-		s.haveBest = true
 	}
 }
 
@@ -341,48 +255,6 @@ func (s *state) finalize(p *profile.Profile, m int) Result {
 		out.Confidence = p.ConfidenceFor(out.Estimated)
 	}
 	return out
-}
-
-// takeResume hands the pending mid-climb snapshot to the climb that
-// consumes it (exactly once).
-func (s *state) takeResume() *Snapshot {
-	sn := s.resume
-	s.resume = nil
-	return sn
-}
-
-// boundarySnapshot captures the state at a restart boundary:
-// nextRestart is the first climb a resumed run still has to do.
-func (s *state) boundarySnapshot(nextRestart int) *Snapshot {
-	return &Snapshot{
-		N: s.n, M: s.m, Family: s.opt.Family, MaxInputs: s.opt.MaxInputs, Seed: s.opt.Seed,
-		Restart:  nextRestart,
-		HaveBest: s.haveBest, Best: s.best.Matrix, BestEst: s.best.Estimated,
-		Iterations: s.totIters, Evaluated: s.totEvals,
-		Lookups: s.totLookups, MemoHits: s.totHits,
-	}
-}
-
-// maybeCheckpoint persists mid-climb state after a hill-climbing move
-// of the null-space climbs, at the configured cadence.
-func (s *state) maybeCheckpoint(cur gf2.Subspace, curEst uint64, res *Result) error {
-	if s.opt.CheckpointPath == "" {
-		return nil
-	}
-	every := s.opt.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-	if res.Iterations%every != 0 {
-		return nil
-	}
-	sn := s.boundarySnapshot(s.restart)
-	sn.HaveClimb = true
-	sn.Basis = append([]gf2.Vec(nil), cur.Basis...)
-	sn.CurEst = curEst
-	sn.ClimbIterations = res.Iterations
-	sn.ClimbEvaluated = res.Evaluated
-	return SaveSnapshot(s.opt.CheckpointPath, sn)
 }
 
 func (s *state) capIterations(iter int) bool {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"xoridx/internal/gf2"
@@ -94,49 +93,6 @@ func TestWarmStartNeverWorse(t *testing.T) {
 	}
 }
 
-// TestWarmSnapshotInterop proves the snapshot interop contract:
-// persisting WarmSnapshot's output and resuming it through the
-// ordinary checkpoint path is the same search as ConstructWarm —
-// matrix, estimate and work counters all identical.
-func TestWarmSnapshotInterop(t *testing.T) {
-	const n, m = 12, 6
-	rng := rand.New(rand.NewSource(31))
-	p := warmTestProfile(13, n, m)
-	for trial := 0; trial < 8; trial++ {
-		from := randomFullRank(rng, n, m)
-		opt := Options{Family: hash.FamilyGeneralXOR, Restarts: 1, Seed: int64(trial)}
-
-		direct, err := ConstructWarm(context.Background(), p, m, from, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		sn, err := WarmSnapshot(p, m, from, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "warm.ckpt")
-		if err := SaveSnapshot(path, sn); err != nil {
-			t.Fatal(err)
-		}
-		viaResume := opt
-		viaResume.CheckpointPath = path
-		viaResume.Resume = true
-		resumed, err := Construct(context.Background(), p, m, viaResume)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if !resumed.Matrix.Equal(direct.Matrix) || resumed.Estimated != direct.Estimated ||
-			resumed.Iterations != direct.Iterations || resumed.Evaluated != direct.Evaluated {
-			t.Fatalf("trial %d: resume-of-warm-snapshot diverged from ConstructWarm: "+
-				"est %d/%d iters %d/%d evals %d/%d", trial,
-				resumed.Estimated, direct.Estimated, resumed.Iterations, direct.Iterations,
-				resumed.Evaluated, direct.Evaluated)
-		}
-	}
-}
-
 // TestWarmStartValidation pins the option domain.
 func TestWarmStartValidation(t *testing.T) {
 	const n, m = 10, 5
@@ -149,7 +105,6 @@ func TestWarmStartValidation(t *testing.T) {
 	}{
 		{"permutation family", good, Options{Family: hash.FamilyPermutation}},
 		{"fan-in bound", good, Options{Family: hash.FamilyGeneralXOR, MaxInputs: 2}},
-		{"resume set", good, Options{Family: hash.FamilyGeneralXOR, Resume: true, CheckpointPath: "x"}},
 		{"wrong geometry", gf2.Identity(n, m-1), Options{Family: hash.FamilyGeneralXOR}},
 		{"rank deficient", gf2.Matrix{N: n, M: m, Cols: make([]gf2.Vec, m)}, Options{Family: hash.FamilyGeneralXOR}},
 	}
