@@ -11,10 +11,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -506,19 +504,6 @@ type benchSequentialResult struct {
 	SpeedupVsRef float64 `json:"speedup_vs_ref"`
 }
 
-// benchMmapResult is the mmap section of BENCH_profile.json: decode
-// throughput of the memory-mapped trace reader against the buffered
-// one on the same on-disk trace. Mapped records whether the recording
-// host actually mapped the file — a buffered-fallback recording cannot
-// witness the mmap contract and is rejected by benchcheck.
-type benchMmapResult struct {
-	Accesses          int     `json:"accesses"`
-	Mapped            bool    `json:"mapped"`
-	MmapPerMs         float64 `json:"mmap_accesses_per_ms"`
-	BufferedPerMs     float64 `json:"buffered_accesses_per_ms"`
-	SpeedupVsBuffered float64 `json:"speedup_vs_buffered"`
-}
-
 // benchSampledResult is one sampled-section row: the every-k-th-
 // candidate build against the exact build on the same walk-heavy
 // workload, plus the accuracy ledger — the scaled Eq. 4 estimate for
@@ -556,7 +541,7 @@ type benchSketchResult struct {
 // cmd/benchcheck and rendered into README's perf table). Three
 // benchmarks contribute to it — BenchmarkBuild fills the sequential
 // section, BenchmarkBuildParallel the parallel one, and
-// BenchmarkBuildOutOfCore the mmap/sampled/sketch sections — so each
+// BenchmarkBuildOutOfCore the sampled/sketch sections — so each
 // performs a read-modify-write of its own section.
 type benchProfileFile struct {
 	Benchmark   string                  `json:"benchmark"`
@@ -566,7 +551,6 @@ type benchProfileFile struct {
 	NumCPU      int                     `json:"num_cpu"`
 	Sequential  []benchSequentialResult `json:"sequential"`
 	Parallel    []benchParallelResult   `json:"parallel"`
-	Mmap        *benchMmapResult        `json:"mmap"`
 	Sampled     []benchSampledResult    `json:"sampled"`
 	Sketch      *benchSketchResult      `json:"sketch"`
 }
@@ -942,116 +926,17 @@ func scatteredLoopBlocks(length, set, phases int, n uint) []uint64 {
 	return blocks
 }
 
-// BenchmarkBuildOutOfCore measures the three out-of-core profiling
-// paths (DESIGN.md §17) and records the mmap, sampled and sketch
+// BenchmarkBuildOutOfCore measures the approximate out-of-core
+// profiling paths (DESIGN.md §17) and records the sampled and sketch
 // sections of BENCH_profile.json, which cmd/benchcheck -perf holds to
-// the §17 contracts: mmap at least matches the buffered reader, the
-// k=16 sampled build is >= 4x the exact build with the exact estimate
+// the §17 contracts: the k=16 sampled build is >= 4x the exact build with the exact estimate
 // inside the reported margin, and the sketch spends >= 10x less
 // histogram memory than the sparse map while honoring its (ε,δ) bound.
 func BenchmarkBuildOutOfCore(b *testing.B) {
-	var mres *benchMmapResult
 	// Keyed by k: the testing package may re-enter a sub-benchmark
 	// closure, and appending would then record duplicate rows.
 	sampledByK := map[uint64]benchSampledResult{}
 	var kres *benchSketchResult
-
-	b.Run("mmap", func(b *testing.B) {
-		tr := &trace.Trace{Name: "mmap-bench"}
-		for _, blk := range synthProfileBlocks(2_000_000) {
-			tr.Append(blk*4, trace.Read)
-		}
-		path := filepath.Join(b.TempDir(), "bench.xtr")
-		f, err := os.Create(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := trace.Encode(f, tr); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		// Decode-only timing: the window is the variable under test, so
-		// the profiling pass (identical either way) stays out of the
-		// denominator.
-		timeDecode := func(src *trace.Reader) time.Duration {
-			read := src.BlockSource(4, benchProfileN)
-			buf := make([]uint64, 1<<14)
-			total := 0
-			start := time.Now()
-			for {
-				k, err := read(buf)
-				total += k
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			elapsed := time.Since(start)
-			if total != tr.Len() {
-				b.Fatalf("decoded %d of %d accesses", total, tr.Len())
-			}
-			return elapsed
-		}
-		// The mapped arm is trace.Open; the buffered arm streams the
-		// opened file through trace.NewReader. Both run the same decoder,
-		// so they differ only by the copy a refill window makes, a few
-		// percent of the decode: each iteration keeps the best of ten
-		// rounds per arm, alternating which goes first, so that one
-		// -benchtime=1x iteration resolves that gap.
-		var bestM, bestB time.Duration
-		mapped := false
-		runMapped := func() {
-			rd, err := trace.Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if d := timeDecode(rd); bestM == 0 || d < bestM {
-				bestM = d
-			}
-			mapped = rd.Mapped()
-			rd.Close()
-		}
-		runBuffered := func() {
-			f, err := os.Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			rd, err := trace.NewReader(f)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if d := timeDecode(rd); bestB == 0 || d < bestB {
-				bestB = d
-			}
-		}
-		for i := 0; i < b.N; i++ {
-			for round := 0; round < 10; round++ {
-				if round%2 == 0 {
-					runMapped()
-					runBuffered()
-				} else {
-					runBuffered()
-					runMapped()
-				}
-			}
-		}
-		perMs := func(d time.Duration) float64 {
-			return float64(tr.Len()) / (float64(d.Microseconds())/1000 + 1e-9)
-		}
-		mres = &benchMmapResult{
-			Accesses:          tr.Len(),
-			Mapped:            mapped,
-			MmapPerMs:         perMs(bestM),
-			BufferedPerMs:     perMs(bestB),
-			SpeedupVsBuffered: float64(bestB) / float64(bestM),
-		}
-		b.ReportMetric(mres.SpeedupVsBuffered, "mmap-speedup")
-	})
 
 	b.Run("sampled", func(b *testing.B) {
 		// Walk-heavy workload: nearly every access is a conflict
@@ -1176,8 +1061,8 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 	})
 
 	b.Run("emit-baseline", func(b *testing.B) {
-		if mres == nil || len(sampledByK) == 0 || kres == nil {
-			b.Skip("run the mmap, sampled and sketch sub-benchmarks first")
+		if len(sampledByK) == 0 || kres == nil {
+			b.Skip("run the sampled and sketch sub-benchmarks first")
 		}
 		var sampled []benchSampledResult
 		for _, k := range []uint64{4, 16, 64} {
@@ -1186,7 +1071,6 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 			}
 		}
 		updateBenchProfile(b, func(f *benchProfileFile) {
-			f.Mmap = mres
 			f.Sampled = sampled
 			f.Sketch = kres
 		})

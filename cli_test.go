@@ -5,9 +5,12 @@ package xoridx
 // the tables regenerator. The binaries are built once into a temp dir.
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -195,6 +198,40 @@ func TestCLICheckpointResume(t *testing.T) {
 	}
 	if len(names) != 1 || names[0] != "run.profile.ckpt" {
 		t.Fatalf("checkpoint dir holds %v, want only run.profile.ckpt", names)
+	}
+}
+
+// TestCLIStream drives the streamed, validation-free pipeline with
+// sampled profiling: it reports both Eq. 4 estimates with their 95%
+// confidence intervals, and refuses -apply, which needs the whole trace.
+func TestCLIStream(t *testing.T) {
+	tr := filepath.Join(t.TempDir(), "fft.xtr")
+	run(t, "tracegen", "-bench", "fft", "-out", tr)
+	stdout, _ := run(t, "xoridx", "-trace", tr, "-stream", "-sample", "4", "-verbose")
+	for _, frag := range []string{"[stream]", "sampled profiling: k=4"} {
+		if !strings.Contains(stdout, frag) {
+			t.Errorf("-stream output missing %q:\n%s", frag, stdout)
+		}
+	}
+	estimate := func(label string) uint64 {
+		m := regexp.MustCompile(regexp.QuoteMeta(label) + `\s+(\d+) ± \d+ \(95% CI, k=4\)`).FindStringSubmatch(stdout)
+		if m == nil {
+			t.Fatalf("-stream output has no %q confidence line:\n%s", label, stdout)
+		}
+		v, err := strconv.ParseUint(m[1], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if base, opt := estimate("baseline (modulo):"), estimate("optimized:"); opt > base {
+		t.Errorf("optimized estimate %d above baseline %d", opt, base)
+	}
+
+	err := exec.Command(filepath.Join(binDir, "xoridx"), "-trace", tr, "-stream", "-apply", "x").Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-stream -apply: %v, want exit status 2", err)
 	}
 }
 

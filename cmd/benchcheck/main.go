@@ -38,9 +38,8 @@
 //     (3% tolerance for measurement noise), and the capacity-heavy
 //     workload must reach at least 1.6x at 4 workers when the runner
 //     has 4 or more CPUs.
-//   - Out-of-core (PR 10, DESIGN.md §17): the mmap reader must at least
-//     match the buffered reader, every sampled row must keep the exact
-//     Eq. 4 value inside its confidence margin with the k=16 build at
+//   - Out-of-core (PR 10, DESIGN.md §17): every sampled row must keep
+//     the exact Eq. 4 value inside its confidence margin with the k=16 build at
 //     >= 4x the exact build, and the count-min sketch must spend at
 //     least 10x less histogram memory than the sparse map while
 //     honoring its (ε,δ) bound.
@@ -66,7 +65,6 @@ type benchFile struct {
 	NumCPU      int           `json:"num_cpu"`
 	Sequential  []seqResult   `json:"sequential"`
 	Parallel    []paraResult  `json:"parallel"`
-	Mmap        *mmapResult   `json:"mmap"`
 	Sampled     []sampledRow  `json:"sampled"`
 	Sketch      *sketchResult `json:"sketch"`
 }
@@ -84,14 +82,6 @@ type paraResult struct {
 	Workers     int     `json:"workers"`
 	AccessPerMs float64 `json:"accesses_per_ms"`
 	SpeedupVs1  float64 `json:"speedup_vs_1"`
-}
-
-type mmapResult struct {
-	Accesses          int     `json:"accesses"`
-	Mapped            bool    `json:"mapped"`
-	MmapPerMs         float64 `json:"mmap_accesses_per_ms"`
-	BufferedPerMs     float64 `json:"buffered_accesses_per_ms"`
-	SpeedupVsBuffered float64 `json:"speedup_vs_buffered"`
 }
 
 type sampledRow struct {
@@ -243,8 +233,8 @@ func main() {
 	if err := validate(&f, *perf); err != nil {
 		fail("%s: %v", path, err)
 	}
-	fmt.Printf("benchcheck: %s OK (%d sequential workloads, %d parallel points, mmap %.2fx, %d sampled rows, sketch %.1fx smaller)\n",
-		path, len(f.Sequential), len(f.Parallel), f.Mmap.SpeedupVsBuffered, len(f.Sampled), f.Sketch.MemoryRatio)
+	fmt.Printf("benchcheck: %s OK (%d sequential workloads, %d parallel points, %d sampled rows, sketch %.1fx smaller)\n",
+		path, len(f.Sequential), len(f.Parallel), len(f.Sampled), f.Sketch.MemoryRatio)
 }
 
 // validateCrack holds a BENCH_crack.json to its invariants: sane
@@ -536,31 +526,12 @@ func validate(f *benchFile, perf bool) error {
 	return validateOutOfCorePerf(f)
 }
 
-// validateOutOfCore holds the §17 sections (mmap reader, sampled
-// profiling, count-min sketch) to structural sanity: every section
-// present, positive rates and sizes, ratios that match their own
-// inputs, a mapped recording (a buffered-fallback run cannot witness
-// the mmap contract), and a within_bound flag consistent with the
-// recorded estimate, exact value and margin.
+// validateOutOfCore holds the §17 sections (sampled profiling,
+// count-min sketch) to structural sanity: every section present,
+// positive rates and sizes, ratios that match their own inputs, and a
+// within_bound flag consistent with the recorded estimate, exact value
+// and margin.
 func validateOutOfCore(f *benchFile) error {
-	if f.Mmap == nil {
-		return fmt.Errorf("no mmap section — run BenchmarkBuildOutOfCore with -benchtime=1x first")
-	}
-	m := f.Mmap
-	if m.Accesses <= 0 {
-		return fmt.Errorf("mmap: accesses = %d out of range", m.Accesses)
-	}
-	if !m.Mapped {
-		return fmt.Errorf("mmap: recorded with the buffered fallback — it cannot witness the mmap contract; rerecord where mmap works")
-	}
-	if m.MmapPerMs <= 0 || m.BufferedPerMs <= 0 {
-		return fmt.Errorf("mmap: non-positive throughput (mmap %.3f, buffered %.3f)", m.MmapPerMs, m.BufferedPerMs)
-	}
-	wantSpeed := m.MmapPerMs / m.BufferedPerMs
-	if m.SpeedupVsBuffered < wantSpeed*0.99 || m.SpeedupVsBuffered > wantSpeed*1.01 {
-		return fmt.Errorf("mmap: speedup_vs_buffered = %.3f does not match its rates (%.3f)",
-			m.SpeedupVsBuffered, wantSpeed)
-	}
 	if len(f.Sampled) == 0 {
 		return fmt.Errorf("no sampled section — run BenchmarkBuildOutOfCore with -benchtime=1x first")
 	}
@@ -628,15 +599,10 @@ func validateOutOfCore(f *benchFile) error {
 }
 
 // validateOutOfCorePerf enforces the §17 half of the -perf contract:
-// the mmap reader at least matches the buffered one, every sampled row
-// keeps the exact value inside its margin with k=16 at >= 4x the exact
-// build, and the sketch spends >= 10x less histogram memory than the
-// sparse map while honoring its (ε,δ) bound.
+// every sampled row keeps the exact value inside its margin with k=16
+// at >= 4x the exact build, and the sketch spends >= 10x less histogram
+// memory than the sparse map while honoring its (ε,δ) bound.
 func validateOutOfCorePerf(f *benchFile) error {
-	if f.Mmap.SpeedupVsBuffered < 1.0 {
-		return fmt.Errorf("perf contract: mmap reader at %.3fx of the buffered reader (< 1.0x)",
-			f.Mmap.SpeedupVsBuffered)
-	}
 	k16 := false
 	for _, s := range f.Sampled {
 		if !s.WithinBound {

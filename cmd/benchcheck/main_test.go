@@ -28,10 +28,6 @@ func goodFile() *benchFile {
 			{Workload: "mixed", Workers: 4, AccessPerMs: 21000, SpeedupVs1: 2.63},
 			{Workload: "mixed", Workers: 8, AccessPerMs: 30000, SpeedupVs1: 3.75},
 		},
-		Mmap: &mmapResult{
-			Accesses: 2000000, Mapped: true,
-			MmapPerMs: 66000, BufferedPerMs: 55000, SpeedupVsBuffered: 1.2,
-		},
 		Sampled: []sampledRow{
 			{K: 4, Accesses: 600000, ExactPerMs: 700, SampledPerMs: 2100, SpeedupVsExact: 3.0,
 				Estimate: 301200, Exact: 300000, Margin: 2200, WithinBound: true},
@@ -195,40 +191,6 @@ func TestValidateRejections(t *testing.T) {
 				f.Sequential[0].SpeedupVsRef = 1.5
 			},
 			wantSub: "< 2x",
-		},
-		{
-			name:    "missing mmap section",
-			mutate:  func(f *benchFile) { f.Mmap = nil },
-			wantSub: "no mmap section",
-		},
-		{
-			name:    "buffered-fallback mmap recording",
-			mutate:  func(f *benchFile) { f.Mmap.Mapped = false },
-			wantSub: "buffered fallback",
-		},
-		{
-			name: "mmap speedup contradicts its rates",
-			mutate: func(f *benchFile) {
-				f.Mmap.SpeedupVsBuffered = 2.0 // rates say 1.2
-			},
-			wantSub: "does not match its rates",
-		},
-		{
-			name: "mmap slower than buffered fails -perf only",
-			perf: true,
-			mutate: func(f *benchFile) {
-				f.Mmap.MmapPerMs = 49500
-				f.Mmap.SpeedupVsBuffered = 0.9
-			},
-			wantSub: "< 1.0x",
-		},
-		{
-			name: "mmap slower than buffered passes without -perf",
-			mutate: func(f *benchFile) {
-				f.Mmap.MmapPerMs = 49500
-				f.Mmap.SpeedupVsBuffered = 0.9
-			},
-			wantSub: "",
 		},
 		{
 			name:    "missing sampled section",

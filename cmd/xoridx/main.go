@@ -18,18 +18,16 @@
 //	xoridx -trace fft.xtr -checkpoint run                    # profiling crash snapshots -> run.profile.ckpt
 //	xoridx -trace fft.xtr -checkpoint run -resume            # continue a killed run, bit-identically
 //	xoridx -trace fft.xtr -cpuprofile cpu.pb -memprofile mem.pb  # pprof the pipeline
-//	xoridx -trace huge.xtr -mmap                             # stream the profile off a mapped file
-//	xoridx -trace huge.xtr -mmap -sample 16                  # sampled profiling with confidence bounds
-//	xoridx -trace huge.xtr -mmap -backend sketch             # bounded-memory count-min histogram
+//	xoridx -trace huge.xtr -stream                           # stream the profile off the file
+//	xoridx -trace huge.xtr -stream -sample 16                # sampled profiling with confidence bounds
+//	xoridx -trace huge.xtr -stream -backend sketch           # bounded-memory count-min histogram
 //
-// -mmap profiles the trace as a stream over a read-only memory
-// mapping (falling back to buffered reads where mmap is unavailable)
-// without ever materializing it, so traces far larger than RAM
-// profile in bounded memory. The streamed pipeline reports Eq. 4
-// estimates — with "X ± ε" confidence intervals under -sample —
-// instead of the exact simulation and §6 fallback, which need the
-// whole trace; re-run without -mmap (or -apply the saved matrix) to
-// validate exactly.
+// -stream profiles the binary trace as it is read, without ever
+// materializing it, so traces far larger than RAM profile in bounded
+// memory. The streamed pipeline reports Eq. 4 estimates — with
+// "X ± ε" confidence intervals under -sample — instead of the exact
+// simulation and §6 fallback, which need the whole trace; re-run
+// without -stream (or -apply the saved matrix) to validate exactly.
 //
 // Ctrl-C (SIGINT) cancels the pipeline cooperatively: the run aborts
 // within one hill-climbing move, prints the best-so-far function marked
@@ -95,7 +93,7 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "base path for crash snapshots: profiling state goes to <path>.profile.ckpt, written atomically; restart a killed run with -resume")
 	resume := flag.Bool("resume", false, "restore the profile from <path>.profile.ckpt under -checkpoint (a missing file means a cold start) and re-run the search; the resumed run is bit-identical to an uninterrupted one")
 	retries := flag.Int("retries", 0, "retry budget for transient trace I/O failures, with capped exponential backoff")
-	useMmap := flag.Bool("mmap", false, "profile the trace as a stream over a read-only memory mapping instead of loading it; skips exact validation")
+	stream := flag.Bool("stream", false, "profile the binary trace as it is read instead of loading it; skips exact validation")
 	sampleK := flag.Uint64("sample", 0, "profile every k-th conflict candidate instead of all of them; estimates gain a 95% confidence interval (0 or 1 = exact)")
 	sampleSeed := flag.Uint64("sample-seed", 0, "deterministic phase seed for -sample (and the sketch backend's hashes)")
 	backend := flag.String("backend", "auto", "histogram backend: auto, flat, sparse, or sketch (bounded memory, (ε,δ)-bounded estimates)")
@@ -164,13 +162,13 @@ func main() {
 	if *progress {
 		events = cliutil.ProgressSink(os.Stderr)
 	}
-	if *useMmap {
+	if *stream {
 		if *loadFn != "" || *analyze {
-			fmt.Fprintln(os.Stderr, "xoridx: -mmap streams the profile and cannot -apply or -analyze (they need the whole trace)")
+			fmt.Fprintln(os.Stderr, "xoridx: -stream profiles the trace as it is read and cannot -apply or -analyze (they need the whole trace)")
 			os.Exit(2)
 		}
 		if *algo != "hillclimb" {
-			fmt.Fprintln(os.Stderr, "xoridx: -mmap supports -algo hillclimb only")
+			fmt.Fprintln(os.Stderr, "xoridx: -stream supports -algo hillclimb only")
 			os.Exit(2)
 		}
 		if err := runStream(ctx, *traceFile, cfg, events, *verbose, *saveFn); err != nil {
@@ -277,8 +275,7 @@ func main() {
 	}
 }
 
-// runStream is the -mmap pipeline: profile the trace as a stream over
-// a memory mapping (or buffered reads where mmap is unavailable),
+// runStream is the -stream pipeline: profile the trace as it is read,
 // search on the resulting profile, and report Eq. 4 estimates — with
 // confidence intervals when sampling — in place of the exact
 // simulation stage, which would need the whole trace in memory.
@@ -288,11 +285,7 @@ func runStream(ctx context.Context, path string, cfg core.Config, events core.Si
 		return err
 	}
 	defer src.Close()
-	mode := "buffered"
-	if src.Mapped() {
-		mode = "mmap"
-	}
-	fmt.Printf("trace: %s (%d accesses, %d ops) [%s stream]\n", src.Name(), src.Len(), src.Ops(), mode)
+	fmt.Printf("trace: %s (%d accesses, %d ops) [stream]\n", src.Name(), src.Len(), src.Ops())
 	fmt.Printf("cache: %d B, %d-way, %d B blocks (%d sets)\n\n",
 		cfg.CacheBytes, cfg.Ways, cfg.BlockBytes, cfg.CacheBytes/cfg.BlockBytes/cfg.Ways)
 

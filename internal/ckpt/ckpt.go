@@ -8,7 +8,7 @@
 // with a wrapped xerr.ErrFormat — never a panic, never a silently
 // half-read state. The profiling and serving layers define their own
 // payload formats (profile.Builder.Checkpoint, serve's XSV1 service
-// state) on top of this envelope.
+// state) on top of this envelope, and read them back with Decoder.
 //
 // Wire layout:
 //

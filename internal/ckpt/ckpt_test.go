@@ -141,3 +141,20 @@ func TestWriteFileAtomic(t *testing.T) {
 		}
 	}
 }
+
+// TestDecoderLatchesFirstFailure: the first short read names its field
+// under the caller's prefix, and every later read returns zero without
+// replacing that error.
+func TestDecoderLatchesFirstFailure(t *testing.T) {
+	d := NewDecoder([]byte{0x05, 0x07, 0x80}, "test: snapshot")
+	if v, b := d.Uvarint("a"), d.Byte("b"); v != 5 || b != 7 || d.Err() != nil {
+		t.Fatalf("Uvarint, Byte = %d, %d, err %v; want 5, 7, nil", v, b, d.Err())
+	}
+	if f := d.Float64("c"); f != 0 || d.Rem() != 1 {
+		t.Fatalf("short Float64 = %v with %d bytes left, want 0 with 1", f, d.Rem())
+	}
+	want := "test: snapshot c: truncated: " + xerr.ErrFormat.Error()
+	if d.Uvarint("d"); d.Err() == nil || d.Err().Error() != want || !errors.Is(d.Err(), xerr.ErrFormat) {
+		t.Fatalf("err = %v, want %q", d.Err(), want)
+	}
+}

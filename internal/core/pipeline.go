@@ -116,9 +116,8 @@ func (pl *Pipeline) Profile(ctx context.Context, tr *trace.Trace) (*profile.Prof
 }
 
 // ProfileSource runs the Fig. 1 profiling stage over a block-source
-// stream — the entry point for streamed and mmap-backed trace readers
-// (trace.Open + Reader.BlockSource) and any trace too large to
-// materialise.
+// stream — the entry point for streamed trace files (trace.Open +
+// Reader.BlockSource) and any trace too large to materialise.
 // The source must yield block addresses already truncated to
 // Config.AddrBits. The pass is sharded across Config.Workers when > 1
 // (bit-identical to the sequential pass) and follows the Config's

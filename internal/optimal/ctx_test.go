@@ -55,3 +55,14 @@ func TestOptimalTypedOptionErrors(t *testing.T) {
 		t.Errorf("m=n error %v must wrap ErrInvalidOptions", err)
 	}
 }
+
+func TestProfileBestBitSelectRejectsSparse(t *testing.T) {
+	sb := profile.NewBuilder(30, 8) // n > MaxFlatBits: sparse backend
+	for _, b := range []uint64{1, 2, 1, 2} {
+		sb.Add(b)
+	}
+	_, err := ProfileBestBitSelect(context.Background(), sb.Finish(), 4)
+	if !errors.Is(err, xerr.ErrInvalidOptions) {
+		t.Fatalf("sparse profile: err = %v, want ErrInvalidOptions", err)
+	}
+}

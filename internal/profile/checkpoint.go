@@ -89,11 +89,11 @@ func Restore(r io.Reader) (*Builder, error) {
 		return nil, fmt.Errorf("profile: snapshot version %d, this build reads %d: %w",
 			version, checkpointVersion, xerr.ErrFormat)
 	}
-	d := &payloadReader{b: payload}
-	n := int(d.uvarint("n"))
-	cacheBlocks := int(d.uvarint("cacheBlocks"))
-	sparse := d.byte("backend") == 1
-	if d.err == nil {
+	d := ckpt.NewDecoder(payload, "profile: snapshot")
+	n := int(d.Uvarint("n"))
+	cacheBlocks := int(d.Uvarint("cacheBlocks"))
+	sparse := d.Byte("backend") == 1
+	if d.Err() == nil {
 		if err := ValidateGeometry(n, cacheBlocks); err != nil {
 			return nil, fmt.Errorf("profile: snapshot geometry: %w: %w", xerr.ErrFormat, err)
 		}
@@ -101,13 +101,13 @@ func Restore(r io.Reader) (*Builder, error) {
 			return nil, fmt.Errorf("profile: snapshot claims a flat table at n=%d > MaxFlatBits: %w", n, xerr.ErrFormat)
 		}
 	}
-	accesses := d.uvarint("accesses")
-	compulsory := d.uvarint("compulsory")
-	capacity := d.uvarint("capacity")
-	candidates := d.uvarint("candidates")
-	totalPairs := d.uvarint("totalPairs")
-	if d.err != nil {
-		return nil, d.err
+	accesses := d.Uvarint("accesses")
+	compulsory := d.Uvarint("compulsory")
+	capacity := d.Uvarint("capacity")
+	candidates := d.Uvarint("candidates")
+	totalPairs := d.Uvarint("totalPairs")
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	if compulsory+capacity+candidates != accesses {
 		return nil, fmt.Errorf("profile: snapshot counters disagree (%d+%d+%d != %d accesses): %w",
@@ -131,8 +131,8 @@ func Restore(r io.Reader) (*Builder, error) {
 	if err := readSupport(d, p, "snapshot histogram"); err != nil {
 		return nil, err
 	}
-	if d.rem() != 0 {
-		return nil, fmt.Errorf("profile: %d trailing bytes after snapshot payload: %w", d.rem(), xerr.ErrFormat)
+	if d.Rem() != 0 {
+		return nil, fmt.Errorf("profile: %d trailing bytes after snapshot payload: %w", d.Rem(), xerr.ErrFormat)
 	}
 	if err := bd.restoreStack(stack, "snapshot stack"); err != nil {
 		return nil, err
@@ -151,23 +151,23 @@ func putStack(put func(uint64), stack []uint64) {
 
 // readStack decodes a listing written by putStack. The listing may
 // hold at most limit blocks of n bits each; what names it in errors.
-func readStack(d *payloadReader, limit uint64, n int, what string) ([]uint64, error) {
-	stackLen := d.uvarint("stack length")
-	if d.err != nil {
-		return nil, d.err
+func readStack(d *ckpt.Decoder, limit uint64, n int, what string) ([]uint64, error) {
+	stackLen := d.Uvarint("stack length")
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	if stackLen > limit || uint64(d.rem()) < stackLen {
+	if stackLen > limit || uint64(d.Rem()) < stackLen {
 		return nil, fmt.Errorf("profile: %s length %d implausible: %w", what, stackLen, xerr.ErrFormat)
 	}
 	mask := uint64(gf2.Mask(n))
 	stack := make([]uint64, stackLen)
 	for i := range stack {
-		stack[i] = d.uvarint("stack block")
-		if d.err == nil && stack[i] > mask {
+		stack[i] = d.Uvarint("stack block")
+		if d.Err() == nil && stack[i] > mask {
 			return nil, fmt.Errorf("profile: %s block %#x exceeds %d bits: %w", what, stack[i], n, xerr.ErrFormat)
 		}
 	}
-	return stack, d.err
+	return stack, d.Err()
 }
 
 // restoreStack installs a listing decoded by readStack as the builder's
@@ -204,21 +204,21 @@ func putSupport(put func(uint64), p *Profile) {
 // vectors must ascend strictly within p.N bits, every count must be
 // nonzero, and the counts must sum to p.TotalPairs. what names the
 // histogram in errors.
-func readSupport(d *payloadReader, p *Profile, what string) error {
-	supportLen := d.uvarint("support length")
-	if d.err != nil {
-		return d.err
+func readSupport(d *ckpt.Decoder, p *Profile, what string) error {
+	supportLen := d.Uvarint("support length")
+	if d.Err() != nil {
+		return d.Err()
 	}
-	if uint64(d.rem()) < supportLen {
+	if uint64(d.Rem()) < supportLen {
 		return fmt.Errorf("profile: %s support length %d implausible: %w", what, supportLen, xerr.ErrFormat)
 	}
 	mask := uint64(gf2.Mask(p.N))
 	var vec, sum uint64
 	for i := uint64(0); i < supportLen; i++ {
-		dv := d.uvarint("vector delta")
-		count := d.uvarint("vector count")
-		if d.err != nil {
-			return d.err
+		dv := d.Uvarint("vector delta")
+		count := d.Uvarint("vector count")
+		if d.Err() != nil {
+			return d.Err()
 		}
 		if i > 0 && dv == 0 {
 			return fmt.Errorf("profile: %s vectors not strictly ascending: %w", what, xerr.ErrFormat)
@@ -243,41 +243,6 @@ func readSupport(d *payloadReader, p *Profile, what string) error {
 	}
 	return nil
 }
-
-// payloadReader decodes snapshot payload primitives, latching the
-// first failure as a wrapped xerr.ErrFormat.
-type payloadReader struct {
-	b   []byte
-	err error
-}
-
-func (d *payloadReader) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, k := binary.Uvarint(d.b)
-	if k <= 0 {
-		d.err = fmt.Errorf("profile: snapshot %s: truncated or overlong varint: %w", what, xerr.ErrFormat)
-		return 0
-	}
-	d.b = d.b[k:]
-	return v
-}
-
-func (d *payloadReader) byte(what string) byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) == 0 {
-		d.err = fmt.Errorf("profile: snapshot %s: truncated: %w", what, xerr.ErrFormat)
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *payloadReader) rem() int { return len(d.b) }
 
 // CheckpointFile writes the builder's snapshot to path atomically
 // (temp file + rename): a crash mid-write leaves the previous

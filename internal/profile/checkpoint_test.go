@@ -3,10 +3,12 @@ package profile
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -235,15 +237,51 @@ func TestRestoreRejectsEveryBitFlip(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsUnknownVersion: an envelope whose version this
+// build does not write is a format error, however well its payload
+// would decode. The XWP1 version-1 row is a complete exact v1 payload
+// (empty windows, no sampling fields), which an older build restored.
 func TestRestoreRejectsUnknownVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := ckpt.Write(&buf, checkpointMagic, checkpointVersion+1, func(b *bytes.Buffer) error {
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	put := func(b *bytes.Buffer, vs ...uint64) {
+		for _, v := range vs {
+			b.Write(binary.AppendUvarint(nil, v))
+		}
 	}
-	if _, err := Restore(&buf); !errors.Is(err, xerr.ErrFormat) {
-		t.Fatalf("future version: err = %v, want wrapped ErrFormat", err)
+	v1 := func(b *bytes.Buffer) error {
+		put(b, 6, 4)
+		b.WriteByte(0) // flat backend
+		put(b, math.Float64bits(0.5), 0, 0)
+		for range 2 { // aggregate and window: five counters and an empty support
+			put(b, 0, 0, 0, 0, 0, 0)
+		}
+		put(b, 0) // empty stack
+		return nil
+	}
+	empty := func(*bytes.Buffer) error { return nil }
+	cases := []struct {
+		name    string
+		magic   string
+		version uint64
+		payload func(*bytes.Buffer) error
+		restore func(io.Reader) error
+	}{
+		{"XPC1 future version", checkpointMagic, checkpointVersion + 1, empty, func(r io.Reader) error {
+			_, err := Restore(r)
+			return err
+		}},
+		{"XWP1 version 1", windowMagic, 1, v1, func(r io.Reader) error {
+			_, err := RestoreWindowed(r)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := ckpt.Write(&buf, c.magic, c.version, c.payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.restore(&buf); !errors.Is(err, xerr.ErrFormat) || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("%s: err = %v, want a wrapped ErrFormat naming the version", c.name, err)
+		}
 	}
 }
 
@@ -443,80 +481,6 @@ func TestBuildCheckpointedGeometryMismatch(t *testing.T) {
 	}
 }
 
-// transientSource fails every other call with a transient error,
-// consuming nothing on failure.
-func transientSource(blocks []uint64, faults *int) BlockSource {
-	inner := Blocks(blocks)
-	fail := false
-	return func(dst []uint64) (int, error) {
-		fail = !fail
-		if fail {
-			*faults++
-			return 0, xerr.ErrIO
-		}
-		return inner(dst)
-	}
-}
-
-func TestBuildCheckpointedRetriesTransientSource(t *testing.T) {
-	blocks := syntheticBlocks(20000)
-	want := Build(blocks, 12, 64)
-	faults := 0
-	got, err := BuildStream(context.Background(), transientSource(blocks, &faults), 12, 64, Options{
-		Retry: faultio.Policy{MaxRetries: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faults == 0 {
-		t.Fatal("fault source never fired")
-	}
-	if d := diffProfiles(got, want); d != "" {
-		t.Fatalf("profile differs across transient retries: %s", d)
-	}
-}
-
-func TestRetrySourceExhaustionFailsBuild(t *testing.T) {
-	src := func(dst []uint64) (int, error) { return 0, xerr.ErrIO }
-	_, err := BuildStream(context.Background(), src, 12, 64, Options{
-		Retry: faultio.Policy{MaxRetries: 3},
-	})
-	if !errors.Is(err, xerr.ErrIO) {
-		t.Fatalf("exhausted retries: err = %v, want wrapped ErrIO", err)
-	}
-}
-
-func TestRetrySourceDeliversPartialChunkBeforeRetrying(t *testing.T) {
-	// A source that hands out data *and* a transient error in the same
-	// call: the wrapper must deliver the data now and let the fault
-	// resurface on the next call (where it is then retried).
-	calls := 0
-	src := func(dst []uint64) (int, error) {
-		calls++
-		switch calls {
-		case 1:
-			dst[0], dst[1] = 7, 8
-			return 2, xerr.ErrIO
-		case 2:
-			return 0, xerr.ErrIO // transient, consumed by retry
-		case 3:
-			dst[0] = 9
-			return 1, io.EOF
-		}
-		return 0, io.EOF
-	}
-	wrapped := RetrySource(context.Background(), src, faultio.Policy{MaxRetries: 2})
-	buf := make([]uint64, 4)
-	k, err := wrapped(buf)
-	if k != 2 || err != nil {
-		t.Fatalf("first call: k=%d err=%v, want 2 blocks and no error", k, err)
-	}
-	k, err = wrapped(buf)
-	if k != 1 || err != io.EOF {
-		t.Fatalf("second call: k=%d err=%v, want the retried read to reach EOF with 1 block", k, err)
-	}
-}
-
 func TestBuildCtxReturnsDegradedPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -663,47 +627,27 @@ func TestBuildStreamCheckpointedGeometryMismatch(t *testing.T) {
 }
 
 // TestStreamShardTransientFaultIsolated injects faultio-style transient
-// failures only while one shard's chunk range is being read: with a
-// retry policy the build must succeed bit-identically (the fault never
-// reaches the shard builders), and without one it must fail with the
-// classified ErrIO — not a secondary cancellation — and a nil profile.
+// failures only while one shard's chunk range is being read, with no
+// retry beneath the source: the build must fail with the classified
+// ErrIO — not a secondary cancellation — and a nil profile. Retried
+// transient faults are TestStreamFaultMatrix's.
 func TestStreamShardTransientFaultIsolated(t *testing.T) {
 	blocks := syntheticBlocks(8192)
-	want := Build(blocks, 12, 64)
 	const chunk = 1024 // faults land inside shard 2's range [2048, 3072)
-	mkSrc := func(maxFaults int, faults *int) BlockSource {
-		pos := 0
-		return func(dst []uint64) (int, error) {
-			if pos >= len(blocks) {
-				return 0, io.EOF
-			}
-			if pos >= 2*chunk && pos < 3*chunk && *faults < maxFaults {
-				*faults++
-				return 0, xerr.ErrIO
-			}
-			k := copy(dst, blocks[pos:])
-			pos += k
-			return k, nil
+	pos := 0
+	src := func(dst []uint64) (int, error) {
+		if pos >= len(blocks) {
+			return 0, io.EOF
 		}
+		if pos >= 2*chunk && pos < 3*chunk {
+			return 0, xerr.ErrIO
+		}
+		k := copy(dst, blocks[pos:])
+		pos += k
+		return k, nil
 	}
 	baseline := runtime.NumGoroutine()
-	faults := 0
-	p, err := BuildStream(context.Background(), mkSrc(3, &faults), 12, 64,
-		Options{Workers: 4, ChunkSize: chunk, Retry: faultio.Policy{MaxRetries: 5}})
-	if err != nil {
-		t.Fatalf("retried transient shard fault failed the build: %v", err)
-	}
-	if faults == 0 {
-		t.Fatal("fault injection never fired")
-	}
-	if d := diffProfiles(p, want); d != "" {
-		t.Fatalf("profile differs across an isolated shard fault: %s", d)
-	}
-	waitGoroutines(t, baseline)
-
-	faults = 0
-	p, err = BuildStream(context.Background(), mkSrc(100, &faults), 12, 64,
-		Options{Workers: 4, ChunkSize: chunk})
+	p, err := BuildStream(context.Background(), src, 12, 64, Options{Workers: 4, ChunkSize: chunk})
 	if p != nil {
 		t.Fatal("failed build must not return a profile")
 	}
@@ -772,7 +716,7 @@ func TestStreamFaultMatrix(t *testing.T) {
 				}
 				src := func(dst []uint64) (int, error) { return rd.ReadBlocks(dst, 64, 12) }
 				p, err := BuildStream(context.Background(), src, 12, 64,
-					Options{Workers: workers, ChunkSize: 256, Retry: faultio.Policy{MaxRetries: 4}})
+					Options{Workers: workers, ChunkSize: 256})
 				waitGoroutines(t, baseline)
 				if sc.transient {
 					if err != nil {

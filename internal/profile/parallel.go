@@ -127,7 +127,7 @@ func buildSharded(ctx context.Context, src BlockSource, start *Builder, opt Opti
 	// the secondary cancellations never mask it.
 	inner, cancelInner := context.WithCancel(ctx)
 	defer cancelInner()
-	src, err := opt.source(inner, src, start.Pos())
+	src, err := opt.source(src, start.Pos())
 	if err != nil {
 		return nil, err
 	}

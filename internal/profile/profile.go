@@ -476,34 +476,6 @@ func (p *Profile) estimateSupport(basis []gf2.Vec) uint64 {
 	return sum
 }
 
-// EstimateDelta returns Σ misses(v) over the coset span(w) ⊕ rep — the
-// incremental term of DESIGN.md §10: a neighbour span(W, rep) of a null
-// space splits into span(W) ∪ (span(W) ⊕ rep), so its Eq. 4 estimate is
-// the hyperplane's partial sum plus this delta. Cost: 2^len(w) reads,
-// half of re-walking the full neighbour (falling back to a support scan
-// when w itself is too large to enumerate).
-func (p *Profile) EstimateDelta(w []gf2.Vec, rep gf2.Vec) uint64 {
-	rep &= gf2.Mask(p.N)
-	if len(w) > maxWalkDim {
-		sp := gf2.Span(p.N, w...)
-		want := gf2.Reduce(rep, sp.Basis)
-		var sum uint64
-		p.ForEachNonZero(func(v gf2.Vec, c uint64) {
-			if gf2.Reduce(v, sp.Basis) == want {
-				sum += c
-			}
-		})
-		return sum
-	}
-	sum := p.At(rep)
-	cur := rep
-	for i := uint64(1); i < uint64(1)<<uint(len(w)); i++ {
-		cur ^= w[bits.TrailingZeros64(i)]
-		sum += p.At(cur)
-	}
-	return sum
-}
-
 // EstimateMatrix is EstimateSubspace on the null space of H.
 func (p *Profile) EstimateMatrix(h gf2.Matrix) uint64 {
 	return p.EstimateSubspace(h.NullSpace())

@@ -14,9 +14,8 @@ package profile
 // per point query — the classic (ε, δ) count-min bound with
 // ε = e/width and δ = e^−depth, and conservative update keeps actual
 // error well under it (sketch_test.go cross-checks against the exact
-// sparse backend). Keys are conflict vectors, i.e. null-space coset
-// representatives: EstimateDelta's Gray-walk over span(w) ⊕ rep is a
-// sequence of point queries, so the incremental search engine works
+// sparse backend). Keys are conflict vectors, so EstimateSubspace's
+// Gray walk over a null space is a sequence of point queries and runs
 // unchanged on a sketch profile.
 //
 // Support enumeration — what the engine's per-hyperplane sweep and

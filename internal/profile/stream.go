@@ -3,9 +3,9 @@ package profile
 // BuildStream: the one configurable profiling pass. Two engines sit
 // behind it — a sequential loop (Workers <= 1, and every sampled build)
 // and the sharded gate-summary pipeline of parallel.go (Workers > 1) —
-// sharing option validation, checkpoint restore, prefix skip, retry
-// and the snapshot-on-cancellation path. Build is the six-line
-// reference both are tested against.
+// sharing option validation, checkpoint restore, prefix skip and the
+// snapshot-on-cancellation path. Build is the six-line reference both
+// are tested against.
 
 import (
 	"context"
@@ -13,7 +13,6 @@ import (
 	"io"
 	"os"
 
-	"xoridx/internal/faultio"
 	"xoridx/internal/xerr"
 )
 
@@ -71,12 +70,6 @@ type Options struct {
 	// cannot know, so a sampled build always runs sequentially.
 	Sample SampleOptions
 
-	// Retry, when MaxRetries > 0, retries transient source failures
-	// (errors wrapping xerr.ErrIO) in place under the policy instead
-	// of failing the build (see RetrySource). The zero value disables
-	// retrying.
-	Retry faultio.Policy
-
 	// Stats, when non-nil, receives the hot-path probe counters on
 	// success. For a sharded build they are the sum of every shard's
 	// BuildStats plus the reconciler's own boundary walks; the
@@ -116,9 +109,6 @@ func (o Options) withDefaults() Options {
 
 // validate rejects out-of-domain options before any work starts.
 func (o Options) validate() error {
-	if err := o.Retry.Validate(); err != nil {
-		return err
-	}
 	if o.CheckpointPath != "" && (o.Sample.enabled() || o.Sketch != nil) {
 		// The snapshot codec is exact flat/sparse state; a resumed
 		// sampled pass would also lose its global candidate ordinal.
@@ -237,12 +227,8 @@ func (o Options) start(n, cacheBlocks int) (*Builder, error) {
 	return bd, nil
 }
 
-// source wraps src with the retry policy and discards the skip blocks
-// a restored snapshot already profiled.
-func (o Options) source(ctx context.Context, src BlockSource, skip uint64) (BlockSource, error) {
-	if o.Retry.MaxRetries > 0 {
-		src = RetrySource(ctx, src, o.Retry)
-	}
+// source discards the skip blocks a restored snapshot already profiled.
+func (o Options) source(src BlockSource, skip uint64) (BlockSource, error) {
 	if skip == 0 {
 		return src, nil
 	}
@@ -286,7 +272,7 @@ func (o Options) degraded(bd *Builder, cause error) (*Profile, error) {
 // source ctxCheckEvery blocks per read, polling ctx once per read and
 // snapshotting every CheckpointEvery accesses.
 func buildSequential(ctx context.Context, src BlockSource, bd *Builder, opt Options) (*Profile, error) {
-	src, err := opt.source(ctx, src, bd.Pos())
+	src, err := opt.source(src, bd.Pos())
 	if err != nil {
 		return nil, err
 	}
@@ -324,28 +310,4 @@ func buildSequential(ctx context.Context, src BlockSource, bd *Builder, opt Opti
 		*opt.Stats = bd.stats
 	}
 	return bd.Finish(), nil
-}
-
-// RetrySource wraps a BlockSource so transient failures (errors
-// wrapping xerr.ErrIO) are retried in place under the policy. Blocks
-// delivered alongside a transient error are passed through first —
-// nothing is re-read, because the trace reader consumes no bytes on a
-// failed record decode — and the fault is retried on the next call.
-func RetrySource(ctx context.Context, src BlockSource, policy faultio.Policy) BlockSource {
-	return func(dst []uint64) (int, error) {
-		var n int
-		err := policy.Do(ctx, func() error {
-			k, err := src(dst)
-			if k > 0 {
-				n = k
-				if faultio.IsTransient(err) {
-					// Deliver the partial chunk; the fault will
-					// resurface on the next call if it persists.
-					return nil
-				}
-			}
-			return err
-		})
-		return n, err
-	}
 }

@@ -219,7 +219,7 @@ func (w *Windowed) Total() uint64 { return w.total }
 
 const (
 	windowMagic   = "XWP1"
-	windowVersion = 2 // v2 appends the sampling gate state; v1 (exact-only) still restores
+	windowVersion = 2
 )
 
 // Checkpoint serialises the complete windowed state — decayed
@@ -243,7 +243,7 @@ func (w *Windowed) Checkpoint(out io.Writer) error {
 		put(math.Float64bits(w.decay))
 		put(w.rotations)
 		put(w.total)
-		// v2 sampling gate state: the factor, the phase seed, and the
+		// Sampling gate state: the factor, the phase seed, and the
 		// stream-global candidate ordinal the gate has counted to (the
 		// next trigger is recomputed from these on restore).
 		put(w.bd.sampleK)
@@ -277,17 +277,16 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version < 1 || version > windowVersion {
-		return nil, fmt.Errorf("profile: windowed snapshot version %d, this build reads up to %d: %w",
+	if version != windowVersion {
+		return nil, fmt.Errorf("profile: windowed snapshot version %d, this build reads %d: %w",
 			version, windowVersion, xerr.ErrFormat)
 	}
-	sampled := version >= 2 // v1 snapshots predate sampling and are exact
-	d := &payloadReader{b: payload}
-	n := int(d.uvarint("n"))
-	cacheBlocks := int(d.uvarint("cacheBlocks"))
-	sparse := d.byte("backend") == 1
-	decay := math.Float64frombits(d.uvarint("decay"))
-	if d.err == nil {
+	d := ckpt.NewDecoder(payload, "profile: snapshot")
+	n := int(d.Uvarint("n"))
+	cacheBlocks := int(d.Uvarint("cacheBlocks"))
+	sparse := d.Byte("backend") == 1
+	decay := math.Float64frombits(d.Uvarint("decay"))
+	if d.Err() == nil {
 		if err := ValidateGeometry(n, cacheBlocks); err != nil {
 			return nil, fmt.Errorf("profile: windowed snapshot geometry: %w: %w", xerr.ErrFormat, err)
 		}
@@ -298,16 +297,13 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 			return nil, fmt.Errorf("profile: windowed snapshot decay: %w: %w", xerr.ErrFormat, err)
 		}
 	}
-	rotations := d.uvarint("rotations")
-	total := d.uvarint("total")
-	var sampleK, sampleSeed, sampleCount uint64
-	if sampled {
-		sampleK = d.uvarint("sampleK")
-		sampleSeed = d.uvarint("sampleSeed")
-		sampleCount = d.uvarint("sampleCount")
-	}
-	if d.err != nil {
-		return nil, d.err
+	rotations := d.Uvarint("rotations")
+	total := d.Uvarint("total")
+	sampleK := d.Uvarint("sampleK")
+	sampleSeed := d.Uvarint("sampleSeed")
+	sampleCount := d.Uvarint("sampleCount")
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	w, err := newWindowed(n, cacheBlocks, decay, sparse, SampleOptions{K: sampleK, Seed: sampleSeed})
 	if err != nil {
@@ -327,10 +323,10 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 		}
 		w.bd.sampleNext = next
 	}
-	if err := readProfileBody(d, w.agg, sampled, "windowed snapshot aggregate histogram"); err != nil {
+	if err := readProfileBody(d, w.agg, "windowed snapshot aggregate histogram"); err != nil {
 		return nil, err
 	}
-	if err := readProfileBody(d, w.bd.p, sampled, "windowed snapshot window histogram"); err != nil {
+	if err := readProfileBody(d, w.bd.p, "windowed snapshot window histogram"); err != nil {
 		return nil, err
 	}
 	win := w.bd.p
@@ -350,8 +346,8 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.rem() != 0 {
-		return nil, fmt.Errorf("profile: %d trailing bytes after windowed snapshot payload: %w", d.rem(), xerr.ErrFormat)
+	if d.Rem() != 0 {
+		return nil, fmt.Errorf("profile: %d trailing bytes after windowed snapshot payload: %w", d.Rem(), xerr.ErrFormat)
 	}
 	if err := w.bd.restoreStack(stack, "windowed snapshot stack"); err != nil {
 		return nil, err
@@ -362,14 +358,12 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 // readProfileBody decodes one histogram/counter set written by
 // putProfileBody into p (allocated empty with the right backend) and
 // checks the histogram-sum invariant.
-func readProfileBody(d *payloadReader, p *Profile, sampled bool, what string) error {
-	p.Accesses = d.uvarint("accesses")
-	p.Compulsory = d.uvarint("compulsory")
-	p.Capacity = d.uvarint("capacity")
-	p.Candidates = d.uvarint("candidates")
-	p.TotalPairs = d.uvarint("totalPairs")
-	if sampled {
-		p.SampledCandidates = d.uvarint("sampledCandidates")
-	}
+func readProfileBody(d *ckpt.Decoder, p *Profile, what string) error {
+	p.Accesses = d.Uvarint("accesses")
+	p.Compulsory = d.Uvarint("compulsory")
+	p.Capacity = d.Uvarint("capacity")
+	p.Candidates = d.Uvarint("candidates")
+	p.TotalPairs = d.Uvarint("totalPairs")
+	p.SampledCandidates = d.Uvarint("sampledCandidates")
 	return readSupport(d, p, what)
 }

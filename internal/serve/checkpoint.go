@@ -240,15 +240,15 @@ func readServiceState(r io.Reader, n, cacheBlocks, m int, decay float64, sample 
 		return nil, fmt.Errorf("serve: checkpoint version %d, this build reads %d: %w",
 			version, serviceVersion, xerr.ErrFormat)
 	}
-	d := &svcReader{b: payload}
-	ckN := int(d.uvarint("n"))
-	ckBlocks := int(d.uvarint("cacheBlocks"))
-	ckM := int(d.uvarint("m"))
-	ckDecay := d.float("decay")
-	ckShards := int(d.uvarint("shards"))
-	rotations := d.uvarint("rotations")
-	if d.err != nil {
-		return nil, d.err
+	d := ckpt.NewDecoder(payload, "serve: checkpoint")
+	ckN := int(d.Uvarint("n"))
+	ckBlocks := int(d.Uvarint("cacheBlocks"))
+	ckM := int(d.Uvarint("m"))
+	ckDecay := d.Float64("decay")
+	ckShards := int(d.Uvarint("shards"))
+	rotations := d.Uvarint("rotations")
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	if ckN != n || ckBlocks != cacheBlocks || ckM != m {
 		return nil, fmt.Errorf("serve: checkpoint geometry (n=%d, %d blocks, m=%d) does not match config (n=%d, %d blocks, m=%d): %w",
@@ -263,23 +263,23 @@ func readServiceState(r io.Reader, n, cacheBlocks, m int, decay float64, sample 
 			ckShards, shards, xerr.ErrProfileMismatch)
 	}
 	ep := &Epoch{
-		Seq:           d.uvarint("epoch seq"),
-		Window:        d.uvarint("epoch window"),
-		Estimated:     d.uvarint("epoch estimated"),
-		PrevEstimated: d.uvarint("epoch prevEstimated"),
-		Baseline:      d.uvarint("epoch baseline"),
+		Seq:           d.Uvarint("epoch seq"),
+		Window:        d.Uvarint("epoch window"),
+		Estimated:     d.Uvarint("epoch estimated"),
+		PrevEstimated: d.Uvarint("epoch prevEstimated"),
+		Baseline:      d.Uvarint("epoch baseline"),
 	}
-	flags := d.byte("epoch flags")
+	flags := d.Byte("epoch flags")
 	ep.Changed = flags&epochFlagChanged != 0
 	ep.Degraded = flags&epochFlagDegraded != 0
-	if d.err == nil && flags&^byte(epochFlagChanged|epochFlagDegraded) != 0 {
+	if d.Err() == nil && flags&^byte(epochFlagChanged|epochFlagDegraded) != 0 {
 		return nil, fmt.Errorf("serve: checkpoint epoch flags %#x unknown: %w", flags, xerr.ErrFormat)
 	}
 	h := gf2.NewMatrix(n, m)
 	mask := gf2.Mask(n)
 	for c := 0; c < m; c++ {
-		col := gf2.Vec(d.uvarint("matrix column"))
-		if d.err == nil && col&^mask != 0 {
+		col := gf2.Vec(d.Uvarint("matrix column"))
+		if d.Err() == nil && col&^mask != 0 {
 			return nil, fmt.Errorf("serve: checkpoint matrix column %#x exceeds %d bits: %w", uint64(col), n, xerr.ErrFormat)
 		}
 		h.Cols[c] = col
@@ -287,18 +287,18 @@ func readServiceState(r io.Reader, n, cacheBlocks, m int, decay float64, sample 
 	blobLens := make([]uint64, ckShards)
 	var totalBlob uint64
 	for i := range blobLens {
-		blobLens[i] = d.uvarint("shard blob length")
+		blobLens[i] = d.Uvarint("shard blob length")
 		if blobLens[i] > ckpt.MaxPayload {
 			return nil, fmt.Errorf("serve: checkpoint shard %d blob length %d exceeds limit: %w",
 				i, blobLens[i], xerr.ErrFormat)
 		}
 		totalBlob += blobLens[i]
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	if d.rem() != 0 {
-		return nil, fmt.Errorf("serve: %d trailing bytes after checkpoint header: %w", d.rem(), xerr.ErrFormat)
+	if d.Rem() != 0 {
+		return nil, fmt.Errorf("serve: %d trailing bytes after checkpoint header: %w", d.Rem(), xerr.ErrFormat)
 	}
 	if ep.Seq == 0 {
 		return nil, fmt.Errorf("serve: checkpoint epoch sequence 0: %w", xerr.ErrFormat)
@@ -382,52 +382,3 @@ func readServiceState(r io.Reader, n, cacheBlocks, m int, decay float64, sample 
 	}
 	return st, nil
 }
-
-// svcReader decodes checkpoint payload primitives, latching the first
-// failure as a wrapped xerr.ErrFormat (same idiom as the profile and
-// search codecs).
-type svcReader struct {
-	b   []byte
-	err error
-}
-
-func (d *svcReader) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, k := binary.Uvarint(d.b)
-	if k <= 0 {
-		d.err = fmt.Errorf("serve: checkpoint %s: truncated or overlong varint: %w", what, xerr.ErrFormat)
-		return 0
-	}
-	d.b = d.b[k:]
-	return v
-}
-
-func (d *svcReader) byte(what string) byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) == 0 {
-		d.err = fmt.Errorf("serve: checkpoint %s: truncated: %w", what, xerr.ErrFormat)
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *svcReader) float(what string) float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.err = fmt.Errorf("serve: checkpoint %s: truncated: %w", what, xerr.ErrFormat)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[:8])
-	d.b = d.b[8:]
-	return math.Float64frombits(v)
-}
-
-func (d *svcReader) rem() int { return len(d.b) }

@@ -1,12 +1,13 @@
 package trace
 
-// Differential matrix pinning the byte-window Reader (NewReaderBytes,
-// the mapped path) to the streamed one (NewReader, which refills its
-// window): same records, same header, same error classification at the
-// same offsets, on valid traces and on every truncation and corruption
-// of them. The streamed side runs over several sources (see
-// streamedSources), so a record resumed mid-varint or delivered
-// alongside io.EOF is covered too.
+// Differential matrix pinning the refilling Reader to a whole-buffer
+// reference (wholeReader, whose window holds the entire encoding): same
+// records, same header, same error classification at the same offsets,
+// on valid traces and on every truncation and corruption of them. The
+// refilling side runs over several sources (see streamedSources), so a
+// record resumed mid-varint, cut by a refill, or delivered alongside
+// io.EOF is covered too. The TestMmapReader* and FuzzMmapReader names
+// are kept from when the reference was a memory-mapped window.
 
 import (
 	"bytes"
@@ -24,8 +25,8 @@ import (
 	"xoridx/internal/xerr"
 )
 
-// mmapTraces is the valid-trace half of the differential matrix.
-func mmapTraces() map[string]*Trace {
+// diffTraces is the valid-trace half of the differential matrix.
+func diffTraces() map[string]*Trace {
 	one := &Trace{Name: "one"}
 	one.Append(0x40, Write)
 
@@ -55,21 +56,32 @@ type streamedSource struct {
 	wrap func([]byte) io.Reader
 }
 
-// streamedSources are the streamed sides the byte window is held
-// against: the whole encoding per Read, one byte per Read (every record
-// resumes mid-varint), and the last bytes delivered alongside io.EOF.
+// streamedSources are the refilling sides the whole-buffer reference
+// is held against: the whole encoding per Read, one byte per Read
+// (every record resumes mid-varint), and the last bytes delivered
+// alongside io.EOF.
 var streamedSources = []streamedSource{
 	{"whole", func(b []byte) io.Reader { return bytes.NewReader(b) }},
 	{"onebyte", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
 	{"dataerr", func(b []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) }},
 }
 
+// wholeReader is the reference side: a Reader whose window holds the
+// whole encoding after its first fill, so it never refills mid-record.
+func wholeReader(data []byte) (*Reader, error) {
+	rd := &Reader{src: bytes.NewReader(data), buf: make([]byte, 0, len(data)+maxRecordLen)}
+	if err := rd.readHeader(); err != nil {
+		return nil, err
+	}
+	return rd, nil
+}
+
 func TestMmapReaderMatchesReaderOnValidTraces(t *testing.T) {
-	for name, tr := range mmapTraces() {
+	for name, tr := range diffTraces() {
 		t.Run(name, func(t *testing.T) {
 			data := encode(t, tr)
 			for _, src := range streamedSources {
-				mr, err := NewReaderBytes(data)
+				wr, err := wholeReader(data)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,25 +89,25 @@ func TestMmapReaderMatchesReaderOnValidTraces(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mr.Name() != rd.Name() || mr.Ops() != rd.Ops() || mr.Len() != rd.Len() {
-					t.Fatalf("%s: headers disagree: bytes %q/%d/%d, streamed %q/%d/%d", src.name,
-						mr.Name(), mr.Ops(), mr.Len(), rd.Name(), rd.Ops(), rd.Len())
+				if wr.Name() != rd.Name() || wr.Ops() != rd.Ops() || wr.Len() != rd.Len() {
+					t.Fatalf("%s: headers disagree: whole %q/%d/%d, streamed %q/%d/%d", src.name,
+						wr.Name(), wr.Ops(), wr.Len(), rd.Name(), rd.Ops(), rd.Len())
 				}
 				for i := 0; ; i++ {
-					ma, merr := mr.Next()
+					wa, werr := wr.Next()
 					ra, rerr := rd.Next()
-					if ma != ra || !errorsEquivalent(merr, rerr) {
-						t.Fatalf("%s access %d: bytes (%+v, %v), streamed (%+v, %v)", src.name, i, ma, merr, ra, rerr)
+					if wa != ra || !errorsEquivalent(werr, rerr) {
+						t.Fatalf("%s access %d: whole (%+v, %v), streamed (%+v, %v)", src.name, i, wa, werr, ra, rerr)
 					}
-					if mr.Pos() != rd.Pos() || mr.Offset() != rd.Offset() {
-						t.Fatalf("%s access %d: position bytes %d@%d, streamed %d@%d",
-							src.name, i, mr.Pos(), mr.Offset(), rd.Pos(), rd.Offset())
+					if wr.Pos() != rd.Pos() || wr.Offset() != rd.Offset() {
+						t.Fatalf("%s access %d: position whole %d@%d, streamed %d@%d",
+							src.name, i, wr.Pos(), wr.Offset(), rd.Pos(), rd.Offset())
 					}
-					if merr == io.EOF {
+					if werr == io.EOF {
 						break
 					}
-					if merr != nil {
-						t.Fatalf("%s access %d: unexpected decode error %v on a valid trace", src.name, i, merr)
+					if werr != nil {
+						t.Fatalf("%s access %d: unexpected decode error %v on a valid trace", src.name, i, werr)
 					}
 				}
 			}
@@ -104,10 +116,10 @@ func TestMmapReaderMatchesReaderOnValidTraces(t *testing.T) {
 }
 
 func TestMmapReaderReadBlocksChunkedMatchesReader(t *testing.T) {
-	data := encode(t, mmapTraces()["kinds"])
+	data := encode(t, diffTraces()["kinds"])
 	for _, src := range streamedSources {
 		for _, chunk := range []int{1, 3, 7, 64, 1000} {
-			mr, err := NewReaderBytes(data)
+			wr, err := wholeReader(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,19 +127,19 @@ func TestMmapReaderReadBlocksChunkedMatchesReader(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mbuf, rbuf := make([]uint64, chunk), make([]uint64, chunk)
+			wbuf, rbuf := make([]uint64, chunk), make([]uint64, chunk)
 			for {
-				mn, merr := mr.ReadBlocks(mbuf, 4, 16)
+				wn, werr := wr.ReadBlocks(wbuf, 4, 16)
 				rn, rerr := rd.ReadBlocks(rbuf, 4, 16)
-				if mn != rn || !errorsEquivalent(merr, rerr) {
-					t.Fatalf("%s chunk=%d: bytes (%d, %v), streamed (%d, %v)", src.name, chunk, mn, merr, rn, rerr)
+				if wn != rn || !errorsEquivalent(werr, rerr) {
+					t.Fatalf("%s chunk=%d: whole (%d, %v), streamed (%d, %v)", src.name, chunk, wn, werr, rn, rerr)
 				}
-				for i := 0; i < mn; i++ {
-					if mbuf[i] != rbuf[i] {
-						t.Fatalf("%s chunk=%d: block %d: %#x vs %#x", src.name, chunk, i, mbuf[i], rbuf[i])
+				for i := 0; i < wn; i++ {
+					if wbuf[i] != rbuf[i] {
+						t.Fatalf("%s chunk=%d: block %d: %#x vs %#x", src.name, chunk, i, wbuf[i], rbuf[i])
 					}
 				}
-				if merr == io.EOF {
+				if werr == io.EOF {
 					break
 				}
 			}
@@ -150,35 +162,35 @@ func TestMmapReaderTruncationMatrix(t *testing.T) {
 	}
 }
 
-// diffReaders decodes data through NewReaderBytes and through NewReader
+// diffReaders decodes data through wholeReader and through NewReader
 // over src, and describes the first difference in header acceptance,
 // decoded access, position or failure ("" when there is none).
 func diffReaders(data []byte, src streamedSource) string {
-	mr, merr := NewReaderBytes(data)
+	wr, werr := wholeReader(data)
 	rd, rerr := NewReader(src.wrap(data))
-	if (merr == nil) != (rerr == nil) {
-		return fmt.Sprintf("header: bytes err %v, streamed err %v", merr, rerr)
+	if (werr == nil) != (rerr == nil) {
+		return fmt.Sprintf("header: whole err %v, streamed err %v", werr, rerr)
 	}
-	if merr != nil {
-		if !formatErrorsEquivalent(merr, rerr) {
-			return fmt.Sprintf("header errors diverge: %v vs %v", merr, rerr)
+	if werr != nil {
+		if !formatErrorsEquivalent(werr, rerr) {
+			return fmt.Sprintf("header errors diverge: %v vs %v", werr, rerr)
 		}
 		return ""
 	}
-	if mr.Name() != rd.Name() || mr.Ops() != rd.Ops() || mr.Len() != rd.Len() {
+	if wr.Name() != rd.Name() || wr.Ops() != rd.Ops() || wr.Len() != rd.Len() {
 		return fmt.Sprintf("headers disagree: %q/%d/%d vs %q/%d/%d",
-			mr.Name(), mr.Ops(), mr.Len(), rd.Name(), rd.Ops(), rd.Len())
+			wr.Name(), wr.Ops(), wr.Len(), rd.Name(), rd.Ops(), rd.Len())
 	}
 	for i := 0; i < 1<<20; i++ {
-		ma, me := mr.Next()
+		wa, we := wr.Next()
 		ra, re := rd.Next()
-		if ma != ra || !errorsEquivalent(me, re) {
-			return fmt.Sprintf("access %d: bytes (%+v, %v), streamed (%+v, %v)", i, ma, me, ra, re)
+		if wa != ra || !errorsEquivalent(we, re) {
+			return fmt.Sprintf("access %d: whole (%+v, %v), streamed (%+v, %v)", i, wa, we, ra, re)
 		}
-		if mr.Offset() != rd.Offset() {
-			return fmt.Sprintf("access %d: offset bytes %d, streamed %d", i, mr.Offset(), rd.Offset())
+		if wr.Offset() != rd.Offset() {
+			return fmt.Sprintf("access %d: offset whole %d, streamed %d", i, wr.Offset(), rd.Offset())
 		}
-		if me != nil {
+		if we != nil {
 			break
 		}
 	}
@@ -190,7 +202,7 @@ func diffReaders(data []byte, src streamedSource) string {
 // bulk run after one record; 1000 lets a run reach the end of a refill
 // window or of the encoding, where Next takes over.
 func diffBlocks(data []byte, src streamedSource) string {
-	ref, err := NewReaderBytes(data)
+	ref, err := wholeReader(data)
 	if err != nil {
 		return "" // header failures are compared by diffReaders
 	}
@@ -199,7 +211,7 @@ func diffBlocks(data []byte, src streamedSource) string {
 		name string
 		open func() (*Reader, error)
 	}{
-		{"bytes", func() (*Reader, error) { return NewReaderBytes(data) }},
+		{"whole-buffer", func() (*Reader, error) { return wholeReader(data) }},
 		{src.name, func() (*Reader, error) { return NewReader(src.wrap(data)) }},
 	}
 	for _, w := range windows {
@@ -271,12 +283,12 @@ func TestMmapReaderCorruptKindMatrix(t *testing.T) {
 				t.Fatalf("record %d corrupted, %s: %s", rec, src.name, msg)
 			}
 		}
-		mr, err := NewReaderBytes(mut)
+		wr, err := wholeReader(mut)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for {
-			if _, err := mr.Next(); err != nil {
+			if _, err := wr.Next(); err != nil {
 				var fe *FormatError
 				if !errors.As(err, &fe) || fe.Offset != start || fe.Record != uint64(rec) {
 					t.Fatalf("record %d: error %v not anchored at record %d offset %d", rec, err, rec, start)
@@ -310,7 +322,7 @@ func TestOverlongDeltaClassifiesAlike(t *testing.T) {
 // TestReaderRefillBoundaries decodes traces several windows long whose
 // records all have one length L, shifting the header by 0..L-1 bytes so
 // that the streamed window's refills cut a record at every byte phase.
-// The streamed Reader must match the byte window access for access and
+// The streamed Reader must match the whole buffer access for access and
 // offset for offset, and report a cut in the last record identically.
 func TestReaderRefillBoundaries(t *testing.T) {
 	for l := 2; l <= maxRecordLen; l++ {
@@ -326,7 +338,7 @@ func TestReaderRefillBoundaries(t *testing.T) {
 				tr.Append(hi*uint64(1-i%2), Fetch)
 			}
 			data := encode(t, tr)
-			head, err := NewReaderBytes(data)
+			head, err := wholeReader(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,11 +414,11 @@ func TestMmapReaderHugeDeclaredCount(t *testing.T) {
 			t.Fatalf("%s: error %v does not wrap xerr.ErrFormat", name, err)
 		}
 	}
-	mr, err := NewReaderBytes(buf.Bytes())
+	wr, err := wholeReader(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("bytes", mr)
+	check("whole-buffer", wr)
 	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +438,7 @@ func TestEncodeGoldenBytes(t *testing.T) {
 		"jumps": "58545231056a756d707300040080808080804000ffffffffff3f02ffffffffffffffffff010154",
 	}
 	for name, want := range golden {
-		tr := mmapTraces()[name]
+		tr := diffTraces()[name]
 		data := encode(t, tr)
 		if got := hex.EncodeToString(data); got != want {
 			t.Fatalf("%s: encoding\n%s\nwant\n%s", name, got, want)
@@ -469,56 +481,6 @@ func TestWriterEnforcesDeclaredCount(t *testing.T) {
 	}
 }
 
-// TestOpenMappedAndBufferedAgree exercises the production entry point
-// end to end on a real file: Open (mapped where the platform can) must
-// hand back the same records as a Reader streaming the same file, and
-// report which path it took.
-func TestOpenMappedAndBufferedAgree(t *testing.T) {
-	tr := mmapTraces()["kinds"]
-	path := filepath.Join(t.TempDir(), "t.xtr")
-	data := encode(t, tr)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	readAll := func(rd *Reader) *Trace {
-		out, err := rd.ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rd, err := NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Mapped() {
-		t.Fatal("a Reader over an io.Reader reported a mapping")
-	}
-	buffered := readAll(rd)
-	src, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	viaOpen := readAll(src)
-	if len(buffered.Accesses) != len(viaOpen.Accesses) || len(buffered.Accesses) != tr.Len() {
-		t.Fatalf("access counts: buffered %d, Open %d, want %d", len(buffered.Accesses), len(viaOpen.Accesses), tr.Len())
-	}
-	for i := range buffered.Accesses {
-		if buffered.Accesses[i] != viaOpen.Accesses[i] {
-			t.Fatalf("access %d differs between paths", i)
-		}
-	}
-	if !src.Mapped() {
-		t.Skip("mmap unavailable on this platform; the streamed path was checked")
-	}
-}
-
 // TestOpenFallsBackOnUnparsableHeader: a corrupt file must fail through
 // Open with the same format error the streamed Reader reports.
 func TestOpenFallsBackOnUnparsableHeader(t *testing.T) {
@@ -539,12 +501,53 @@ func TestOpenFallsBackOnUnparsableHeader(t *testing.T) {
 	}
 }
 
-// FuzzMmapReader feeds arbitrary bytes to the byte window and to the
-// streamed window, whole and one byte per Read, and requires identical
+// TestOpenTruncatedWhileReading truncates a trace file under an open
+// Reader: decoding must deliver the records it already holds, then stop
+// with a *FormatError anchored at the record the refill could not
+// complete, not fault on vanished file pages.
+func TestOpenTruncatedWhileReading(t *testing.T) {
+	tr := &Trace{Name: "shrinking"}
+	for i := uint64(0); i < 200_000; i++ {
+		tr.Append(i*64, Read)
+	}
+	path := filepath.Join(t.TempDir(), "t.xtr")
+	if err := os.WriteFile(path, encode(t, tr), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if err := os.Truncate(path, 4096); err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	buf := make([]uint64, 1000)
+	for err == nil {
+		var k int
+		k, err = rd.ReadBlocks(buf, 4, 16)
+		got = append(got, buf[:k]...)
+	}
+	if want := tr.Blocks(4, 16)[:len(got)]; !slices.Equal(got, want) {
+		t.Fatal("blocks decoded before the cut differ from the trace")
+	}
+	var fe *FormatError
+	if !errors.As(err, &fe) || !errors.Is(err, xerr.ErrFormat) {
+		t.Fatalf("truncated file: %v, want a *FormatError wrapping xerr.ErrFormat", err)
+	}
+	if !fe.HaveRecord || fe.Record != rd.Pos() || fe.Offset != rd.Offset() || fe.Offset >= windowSize {
+		t.Fatalf("error %v anchored at record %d offset %d, reader stopped at %d@%d", err,
+			fe.Record, fe.Offset, rd.Pos(), rd.Offset())
+	}
+}
+
+// FuzzMmapReader feeds arbitrary bytes to the whole-buffer reference
+// and to the refilling window, whole and one byte per Read, and requires identical
 // behavior: header acceptance, every decoded access, and the
 // classification and anchoring of the first failure.
 func FuzzMmapReader(f *testing.F) {
-	for _, tr := range mmapTraces() {
+	for _, tr := range diffTraces() {
 		var buf bytes.Buffer
 		if err := Encode(&buf, tr); err != nil {
 			f.Fatal(err)

@@ -16,17 +16,9 @@ import (
 // trace is decoded in fixed-size block chunks that are handed to the
 // sharded profile builders as they arrive.
 //
-// Every record is decoded from one byte window, buf[pos:]. Only the
-// source of the window differs:
-//
-//   - NewReader reads an io.Reader into a fixed-size buffer that the
-//     Reader refills itself whenever fewer than maxRecordLen bytes are
-//     left.
-//   - NewReaderBytes, and Open's memory-mapped path, make the window
-//     the whole encoding. Nothing is copied or refilled: ReadBlocks
-//     writes block addresses straight from the mapped pages into the
-//     caller's chunk, which is how profile.BuildStream shards directly
-//     over the mapping (DESIGN.md §17).
+// Records are decoded from a fixed-size window, buf[pos:], that the
+// Reader refills from its source whenever fewer than maxRecordLen bytes
+// are left.
 //
 // The header (name, ops, access count) is parsed eagerly by the
 // constructor; records are decoded lazily by Next / ReadBlocks. A
@@ -38,26 +30,24 @@ import (
 //     an overlong varint, a mid-record EOF — returns a *FormatError
 //     wrapping xerr.ErrFormat and carrying the byte offset of the
 //     failure.
-//   - Any other failure of a streamed source (e.g. a transient EIO
-//     from faulty media) passes through unclassified, so callers can
-//     test it with faultio.IsTransient and retry. Bytes delivered
-//     alongside the error stay in the window. A byte window has no
-//     such failures.
+//   - Any other failure of the source (e.g. a transient EIO from
+//     faulty media) passes through unclassified, so callers can test
+//     it with faultio.IsTransient and retry. Bytes delivered alongside
+//     the error stay in the window.
 //   - Record decoding is atomic: Next consumes no bytes unless the
 //     whole record parses, so after a transient failure the very same
 //     Next call can simply be repeated.
 type Reader struct {
-	src    io.Reader // refills buf; nil when buf is the whole encoding
-	buf    []byte    // buf[pos:] is the undecoded window
-	pos    int
-	base   int64 // stream offset of buf[0]
-	name   string
-	ops    uint64
-	count  uint64 // total accesses declared in the header
-	read   uint64 // accesses decoded so far
-	prev   [3]uint64
-	mapped bool
-	close  func() error
+	src   io.Reader // refills buf
+	buf   []byte    // buf[pos:] is the undecoded window
+	pos   int
+	base  int64 // stream offset of buf[0]
+	name  string
+	ops   uint64
+	count uint64 // total accesses declared in the header
+	read  uint64 // accesses decoded so far
+	prev  [3]uint64
+	close func() error
 }
 
 // maxRecordLen is the longest possible access record: one kind byte
@@ -66,8 +56,8 @@ type Reader struct {
 // classifies the same wherever the window happens to end.
 const maxRecordLen = 1 + binary.MaxVarintLen64
 
-// windowSize is the refill buffer of a streamed Reader and the flush
-// buffer of a Writer. Neither size is a tuning knob: on a 2-CPU x86-64
+// windowSize is the refill buffer of a Reader and the flush buffer of
+// a Writer. Neither size is a tuning knob: on a 2-CPU x86-64
 // Linux VM, decoding a 2M-access (4.4 MB) trace through ReadBlocks took
 // the same time within run-to-run noise with windows from 4 KiB to
 // 1 MiB (medians 13-16 ms, 40 decodes each), and so did writing a
@@ -77,9 +67,8 @@ const maxRecordLen = 1 + binary.MaxVarintLen64
 // small next to the profiler's working set.
 const windowSize = 64 << 10
 
-// maxEmptyReads bounds how often a streamed source may return no bytes
-// and no error before the Reader reports io.ErrNoProgress, as bufio
-// does.
+// maxEmptyReads bounds how often the source may return no bytes and
+// no error before the Reader reports io.ErrNoProgress, as bufio does.
 const maxEmptyReads = 100
 
 // NewReader parses the header of a binary-format trace read from r
@@ -93,40 +82,12 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return rd, nil
 }
 
-// NewReaderBytes parses the header of an encoded trace held in a byte
-// slice and returns a reader positioned at the first access record.
-// The slice is aliased, not copied; the caller must keep it immutable
-// and alive for the reader's lifetime.
-func NewReaderBytes(data []byte) (*Reader, error) {
-	rd := &Reader{buf: data}
-	if err := rd.readHeader(); err != nil {
-		return nil, err
-	}
-	return rd, nil
-}
-
-// Open opens a binary trace file for streaming. Where the platform can
-// map files, it maps the file read-only (advising the kernel of the
-// sequential scan) and decodes in place; without mmap support, for an
-// empty file, or when the mapping fails, it streams the file through
-// the refill window instead. Both paths run the same decoder, so they
-// yield the same records and the same errors. Mapped reports which
-// path was taken; Close releases the mapping or the file.
+// Open opens a binary trace file and streams it through NewReader;
+// Close closes the file.
 func Open(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
-	}
-	if data, ok := mapFile(f); ok {
-		f.Close() // the mapping outlives the descriptor
-		rd, err := NewReaderBytes(data)
-		if err != nil {
-			munmapFile(data)
-			return nil, err
-		}
-		rd.mapped = true
-		rd.close = func() error { return munmapFile(data) }
-		return rd, nil
 	}
 	rd, err := NewReader(f)
 	if err != nil {
@@ -137,23 +98,9 @@ func Open(path string) (*Reader, error) {
 	return rd, nil
 }
 
-// mapFile maps f whole; ok is false when Open should stream it instead.
-func mapFile(f *os.File) (data []byte, ok bool) {
-	fi, err := f.Stat()
-	if err != nil || fi.Size() <= 0 || int64(int(fi.Size())) != fi.Size() {
-		return nil, false
-	}
-	data, err = mmapFile(f, int(fi.Size()))
-	return data, err == nil
-}
-
-// Mapped reports whether the reader decodes a memory mapping (only
-// Open maps).
-func (r *Reader) Mapped() bool { return r.mapped }
-
-// Close releases whatever Open acquired: the mapping or the file
-// handle. It does not close the io.Reader given to NewReader. Safe to
-// call more than once; no other method may be used afterwards.
+// Close closes the file Open opened. It does not close the io.Reader
+// given to NewReader. Safe to call more than once; no other method may
+// be used afterwards.
 func (r *Reader) Close() error {
 	c := r.close
 	r.close, r.src, r.buf = nil, nil, nil
@@ -165,14 +112,11 @@ func (r *Reader) Close() error {
 
 // fill makes the window hold at least n undecoded bytes. It returns
 // nil once they are there and otherwise why not: io.EOF at the end of
-// the encoding, or a streamed source's own error. Bytes read alongside
-// an error stay in the window.
+// the encoding, or the source's own error. Bytes read alongside an
+// error stay in the window.
 func (r *Reader) fill(n int) error {
 	if len(r.buf)-r.pos >= n {
 		return nil
-	}
-	if r.src == nil {
-		return io.EOF
 	}
 	// Slide the undecoded tail to the front (growing the buffer only
 	// for a header name longer than the window) and read behind it.
@@ -321,8 +265,7 @@ func (r *Reader) Next() (Access, error) {
 
 // truncated classifies a record the window ended inside: either the
 // encoding is truncated (or the varint is overlong) mid-record, or a
-// streamed refill failed transiently. Nothing has been consumed either
-// way.
+// refill failed transiently. Nothing has been consumed either way.
 func (r *Reader) truncated(what string, fillErr error) error {
 	if fillErr == nil || isEOFish(fillErr) {
 		return &FormatError{Offset: r.Offset(), Record: r.read, HaveRecord: true,

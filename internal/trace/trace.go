@@ -111,10 +111,10 @@ func (t *Trace) Blocks(blockBytes, n int) []uint64 {
 }
 
 // Stats summarises a trace. Counters are int64, not int: the streaming
-// paths (Reader, over a stream or a mapping, and Writer) handle traces
-// past 2^31 accesses, and per-run bookkeeping derived from them must
-// not truncate on 32-bit builds (the >2^31 boundary test in
-// mmap_test.go pins the header side of this).
+// paths (Reader and Writer) handle traces past 2^31 accesses, and
+// per-run bookkeeping derived from them must not truncate on 32-bit
+// builds (the >2^31 boundary test in reader_diff_test.go pins the
+// header side of this).
 type Stats struct {
 	Accesses     int64
 	Reads        int64
