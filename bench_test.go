@@ -1003,8 +1003,10 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 	})
 
 	b.Run("sketch", func(b *testing.B) {
-		// 24-bit block space: far past MaxFlatBits, with a support wide
-		// enough that the sparse map costs real memory.
+		// 24-bit block space: the widest a flat table stores, with a
+		// support wide enough that the sparse map costs real memory. The
+		// exact reference builds the same blocks at MaxFlatBits+1, the
+		// narrowest width the sparse map holds.
 		const n = 24
 		blocks := scatteredLoopBlocks(160_000, 360, 4, n)
 		skOpt := profile.SketchOptions{Width: 1 << 14}
@@ -1013,8 +1015,8 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 			b.SetBytes(int64(len(blocks)) * 8)
 			for i := 0; i < b.N; i++ {
 				var err error
-				sparseP, err = profile.BuildStream(context.Background(), profile.Blocks(blocks), n, benchProfileCacheBlocks,
-					profile.Options{ForceSparse: true})
+				sparseP, err = profile.BuildStream(context.Background(), profile.Blocks(blocks), profile.MaxFlatBits+1,
+					benchProfileCacheBlocks, profile.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

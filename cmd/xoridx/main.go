@@ -96,7 +96,7 @@ func main() {
 	stream := flag.Bool("stream", false, "profile the binary trace as it is read instead of loading it; skips exact validation")
 	sampleK := flag.Uint64("sample", 0, "profile every k-th conflict candidate instead of all of them; estimates gain a 95% confidence interval (0 or 1 = exact)")
 	sampleSeed := flag.Uint64("sample-seed", 0, "deterministic phase seed for -sample (and the sketch backend's hashes)")
-	backend := flag.String("backend", "auto", "histogram backend: auto, flat, sparse, or sketch (bounded memory, (ε,δ)-bounded estimates)")
+	backend := flag.String("backend", "auto", "histogram backend: auto (the address width picks a flat table or a sparse map) or sketch (bounded memory, (ε,δ)-bounded estimates)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
 	flag.Parse()

@@ -66,8 +66,6 @@ type Config struct {
 	// the paper's single conventional start.
 	Restarts int
 	Seed     int64
-	// MaxIterations caps hill-climbing moves; 0 = until local optimum.
-	MaxIterations int
 	// NoFallback disables the revert-to-conventional guard of §6.
 	NoFallback bool
 	// Workers shards the profiling pass across goroutines
@@ -100,11 +98,12 @@ type Config struct {
 	// SampleSeed picks the deterministic sampling phase (and the sketch
 	// backend's row hashes); runs with the same seed are reproducible.
 	SampleSeed uint64
-	// Backend selects the histogram backend: "" or "auto" (flat table
-	// up to profile.MaxFlatBits address bits, sparse map beyond),
-	// "flat", "sparse", or "sketch" (count-min: memory bounded at any
-	// width, estimates become (ε, δ)-bounded upper bounds). Only the
-	// auto backend composes with CheckpointPath.
+	// Backend selects the histogram backend: "" or "auto" (exact; the
+	// address width picks the store, a flat table up to
+	// profile.MaxFlatBits address bits and a sparse map beyond) or
+	// "sketch" (count-min: memory bounded at any width, estimates
+	// become (ε, δ)-bounded upper bounds). Only the auto backend
+	// composes with CheckpointPath.
 	Backend string
 }
 
@@ -143,14 +142,10 @@ func (c Config) validate() error {
 			c.AddrBits, c.SetBits(), profile.MaxBits, xerr.ErrInvalidGeometry)
 	}
 	switch c.Backend {
-	case "", "auto", "flat", "sparse", "sketch":
+	case "", "auto", "sketch":
 	default:
-		return fmt.Errorf("core: unknown histogram backend %q (want auto, flat, sparse or sketch): %w",
+		return fmt.Errorf("core: unknown histogram backend %q (want auto or sketch): %w",
 			c.Backend, xerr.ErrInvalidOptions)
-	}
-	if c.Backend == "flat" && c.AddrBits > profile.MaxFlatBits {
-		return fmt.Errorf("core: flat backend caps at %d address bits, config has %d: %w",
-			profile.MaxFlatBits, c.AddrBits, xerr.ErrInvalidOptions)
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("core: negative CheckpointEvery %d: %w", c.CheckpointEvery, xerr.ErrInvalidOptions)
@@ -159,7 +154,7 @@ func (c Config) validate() error {
 		if c.SampleK > 1 {
 			return fmt.Errorf("core: sampled profiling cannot be checkpointed: %w", xerr.ErrInvalidOptions)
 		}
-		if c.Backend != "" && c.Backend != "auto" {
+		if c.Backend == "sketch" {
 			return fmt.Errorf("core: checkpointed profiling supports only the auto backend, not %q: %w",
 				c.Backend, xerr.ErrInvalidOptions)
 		}
@@ -243,11 +238,10 @@ func checkProfile(p *profile.Profile, cfg Config) error {
 // searchOptions maps the config onto the search layer's options.
 func (c Config) searchOptions() search.Options {
 	return search.Options{
-		Family:        c.Family,
-		MaxInputs:     c.MaxInputs,
-		MaxIterations: c.MaxIterations,
-		Restarts:      c.Restarts,
-		Seed:          c.Seed,
+		Family:    c.Family,
+		MaxInputs: c.MaxInputs,
+		Restarts:  c.Restarts,
+		Seed:      c.Seed,
 	}
 }
 
@@ -273,10 +267,7 @@ func (c Config) profileOptions() profile.Options {
 		Workers: c.profileWorkers(),
 		Sample:  profile.SampleOptions{K: c.SampleK, Seed: c.SampleSeed},
 	}
-	switch c.Backend {
-	case "sparse":
-		opt.ForceSparse = true
-	case "sketch":
+	if c.Backend == "sketch" {
 		opt.Sketch = &profile.SketchOptions{Seed: c.SampleSeed}
 	}
 	if c.CheckpointPath != "" {

@@ -50,6 +50,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigBackendDomain pins the histogram backends a Config accepts:
+// the address width alone picks the flat table or the sparse map, so
+// only "", "auto" and "sketch" are valid, and the sketch cannot be
+// checkpointed.
+func TestConfigBackendDomain(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run")
+	cases := []struct {
+		backend, path string
+		ok            bool
+	}{
+		{"", "", true},
+		{"auto", "", true},
+		{"sketch", "", true},
+		{"auto", path, true},
+		{"flat", "", false},
+		{"sparse", "", false},
+		{"cms", "", false},
+		{"sketch", path, false},
+	}
+	for _, c := range cases {
+		_, err := Config{CacheBytes: 1024, Backend: c.backend, CheckpointPath: c.path}.Normalized()
+		if c.ok && err != nil || !c.ok && !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("Backend %q CheckpointPath %q: err = %v, want ok=%v or a wrapped ErrInvalidOptions",
+				c.backend, c.path, err, c.ok)
+		}
+	}
+}
+
 // TestNegativeCheckpointEveryRejected: a negative cadence must not wrap
 // round to 2^64−1 in the profile layer and silently stop the periodic
 // snapshots.

@@ -26,9 +26,6 @@ import (
 // the package free of mutable globals.
 func cacheSizesKB() [3]int { return [3]int{1, 4, 16} }
 
-// CacheSizes returns the paper's three direct-mapped cache sizes in KB.
-func CacheSizes() [3]int { return cacheSizesKB() }
-
 // AddrBits is the paper's n = 16 hashed address bits.
 const AddrBits = 16
 
@@ -47,26 +44,11 @@ type Options struct {
 	// sequential; cmd/tables -workers raises it when few benchmarks are
 	// selected.
 	Workers int
-	// MaxParallel bounds the per-driver benchmark fan-out; <= 0 selects
-	// GOMAXPROCS.
-	MaxParallel int
 	// Events receives pipeline progress events from every tuning run
 	// the driver performs; nil disables them. Shared across concurrent
 	// per-benchmark pipelines, so implementations must be
 	// goroutine-safe.
 	Events core.Sink
-}
-
-// maxParallel resolves the benchmark fan-out bound.
-func (o Options) maxParallel() int {
-	if o.MaxParallel > 0 {
-		return o.MaxParallel
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // Table2Cell is one benchmark × cache-size entry of Table 2.
@@ -93,7 +75,7 @@ type Table2Row struct {
 func Table2(ctx context.Context, opt Options, suite []workloads.Workload, names []string, instruction bool, scale int) ([]Table2Row, error) {
 	selected := selectWorkloads(suite, names)
 	rows := make([]Table2Row, len(selected))
-	err := opt.forEach(ctx, len(selected), func(i int) error {
+	err := forEach(ctx, len(selected), func(i int) error {
 		w := selected[i]
 		gen := w.Data
 		if instruction {
@@ -116,14 +98,14 @@ func Table2(ctx context.Context, opt Options, suite []workloads.Workload, names 
 	return rows, nil
 }
 
-// forEach runs fn(0) … fn(n-1) concurrently, at most maxParallel at a
+// forEach runs fn(0) … fn(n-1) concurrently, at most GOMAXPROCS at a
 // time; a call that starts after ctx is done fails with a wrapped
 // core.ErrCanceled instead. It returns the error of the lowest index
 // that failed.
-func (o Options) forEach(ctx context.Context, n int, fn func(i int) error) error {
+func forEach(ctx context.Context, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.maxParallel())
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -275,7 +257,7 @@ const Table3MaxTrace = 60000
 func Table3(ctx context.Context, opt Options, names []string, scale int) ([]Table3Row, error) {
 	selected := selectWorkloads(workloads.PowerStoneSuite(), names)
 	rows := make([]Table3Row, len(selected))
-	err := opt.forEach(ctx, len(selected), func(i int) (err error) {
+	err := forEach(ctx, len(selected), func(i int) (err error) {
 		rows[i], err = table3Row(ctx, opt, selected[i], scale)
 		return err
 	})

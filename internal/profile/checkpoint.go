@@ -60,11 +60,7 @@ func (bd *Builder) Checkpoint(w io.Writer) error {
 		put := func(v uint64) { b.Write(buf[:binary.PutUvarint(buf[:], v)]) }
 		put(uint64(p.N))
 		put(uint64(p.CacheBlocks))
-		if p.Sparse != nil {
-			b.WriteByte(1)
-		} else {
-			b.WriteByte(0)
-		}
+		b.WriteByte(backendByte(p.N))
 		put(p.Accesses)
 		put(p.Compulsory)
 		put(p.Capacity)
@@ -92,13 +88,13 @@ func Restore(r io.Reader) (*Builder, error) {
 	d := ckpt.NewDecoder(payload, "profile: snapshot")
 	n := int(d.Uvarint("n"))
 	cacheBlocks := int(d.Uvarint("cacheBlocks"))
-	sparse := d.Byte("backend") == 1
+	backend := d.Byte("backend")
 	if d.Err() == nil {
 		if err := ValidateGeometry(n, cacheBlocks); err != nil {
 			return nil, fmt.Errorf("profile: snapshot geometry: %w: %w", xerr.ErrFormat, err)
 		}
-		if !sparse && n > MaxFlatBits {
-			return nil, fmt.Errorf("profile: snapshot claims a flat table at n=%d > MaxFlatBits: %w", n, xerr.ErrFormat)
+		if err := checkBackendByte(backend, n, "snapshot"); err != nil {
+			return nil, err
 		}
 	}
 	accesses := d.Uvarint("accesses")
@@ -121,7 +117,7 @@ func Restore(r io.Reader) (*Builder, error) {
 		return nil, fmt.Errorf("profile: snapshot stack holds %d blocks, compulsory counter says %d: %w",
 			len(stack), compulsory, xerr.ErrFormat)
 	}
-	bd := newBuilder(n, cacheBlocks, sparse)
+	bd := newBuilder(n, cacheBlocks, nil)
 	p := bd.p
 	p.Accesses = accesses
 	p.Compulsory = compulsory
@@ -138,6 +134,26 @@ func Restore(r io.Reader) (*Builder, error) {
 		return nil, err
 	}
 	return bd, nil
+}
+
+// backendByte is the snapshot byte naming the exact histogram store at
+// width n: 1 for the sparse map, 0 for the flat table.
+func backendByte(n int) byte {
+	if n > MaxFlatBits {
+		return 1
+	}
+	return 0
+}
+
+// checkBackendByte rejects a snapshot backend byte other than the one
+// the width selects: the store is a function of n alone, so any other
+// byte is corruption. what names the snapshot in the error.
+func checkBackendByte(b byte, n int, what string) error {
+	if b != backendByte(n) {
+		return fmt.Errorf("profile: %s backend byte %d, but n=%d selects %d: %w",
+			what, b, n, backendByte(n), xerr.ErrFormat)
+	}
+	return nil
 }
 
 // putStack writes an LRU stack listing: its length, then each block

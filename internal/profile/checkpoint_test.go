@@ -183,7 +183,7 @@ func TestCheckpointRestoreMidBuild(t *testing.T) {
 
 func TestCheckpointSparseBackendRoundTrip(t *testing.T) {
 	blocks := syntheticBlocks(5000)
-	bd := newBuilder(32, 64, true)
+	bd := NewBuilder(32, 64)
 	for _, b := range blocks {
 		bd.Add(b)
 	}
@@ -281,6 +281,65 @@ func TestRestoreRejectsUnknownVersion(t *testing.T) {
 		}
 		if err := c.restore(&buf); !errors.Is(err, xerr.ErrFormat) || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("%s: err = %v, want a wrapped ErrFormat naming the version", c.name, err)
+		}
+	}
+}
+
+// TestRestoreRejectsOffWidthBackend takes flat n <= MaxFlatBits
+// snapshots, sets their backend byte to 1 — the sparse map's — and
+// re-wraps them under a valid CRC. The width alone selects the store,
+// so both restores must refuse the byte as a format error.
+func TestRestoreRejectsOffWidthBackend(t *testing.T) {
+	bd := NewBuilder(12, 16)
+	w, err := NewWindowed(12, 16, 0.5, SampleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range syntheticBlocks(2000) {
+		bd.Add(b)
+		w.Add(b)
+	}
+	var wb bytes.Buffer
+	if err := w.Checkpoint(&wb); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		magic   string
+		blob    []byte
+		restore func(io.Reader) error
+	}{
+		{"XPC1", checkpointMagic, snapshotBytes(t, bd), func(r io.Reader) error {
+			_, err := Restore(r)
+			return err
+		}},
+		{"XWP1", windowMagic, wb.Bytes(), func(r io.Reader) error {
+			_, err := RestoreWindowed(r)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		version, payload, err := ckpt.Read(bytes.NewReader(c.blob), c.magic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := ckpt.NewDecoder(payload, c.name)
+		d.Uvarint("n")
+		d.Uvarint("cacheBlocks")
+		off := len(payload) - d.Rem()
+		if d.Err() != nil || payload[off] != 0 {
+			t.Fatalf("%s: no flat backend byte after the geometry (%v)", c.name, d.Err())
+		}
+		payload[off] = 1
+		var forged bytes.Buffer
+		if err := ckpt.Write(&forged, c.magic, version, func(b *bytes.Buffer) error {
+			b.Write(payload)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.restore(&forged); !errors.Is(err, xerr.ErrFormat) {
+			t.Errorf("%s with a sparse backend byte at n=12: err = %v, want wrapped ErrFormat", c.name, err)
 		}
 	}
 }
@@ -528,7 +587,7 @@ func TestBuildStreamCheckpointedKillResume(t *testing.T) {
 		if attempt < len(kills) {
 			src = cancelAfterSource(blocks, kills[attempt], cancel)
 		}
-		p, err := BuildStream(ctx, src, 12, 64, Options{Workers: 1 + attempt, ChunkSize: 300 + 170*attempt,
+		p, err := BuildStream(ctx, src, 12, 64, Options{Workers: 1 + attempt, chunkSize: 300 + 170*attempt,
 			CheckpointPath: path, CheckpointEvery: 1500, Resume: true})
 		if attempt < len(kills) {
 			wantCanceled(t, err)
@@ -550,7 +609,7 @@ func TestBuildStreamCheckpointedMatchesBuildWithoutPath(t *testing.T) {
 	blocks := syntheticBlocks(20000)
 	want := Build(blocks, 12, 64)
 	got, err := BuildStream(context.Background(), Blocks(blocks), 12, 64,
-		Options{Workers: 3, ChunkSize: 640})
+		Options{Workers: 3, chunkSize: 640})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +630,7 @@ func TestParallelSequentialSnapshotInterop(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p2s.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	p, err := BuildStream(ctx, cancelAfterSource(blocks, 12000, cancel), 12, 64,
-		Options{Workers: 4, ChunkSize: 512, CheckpointPath: path, CheckpointEvery: 2000, Resume: true})
+		Options{Workers: 4, chunkSize: 512, CheckpointPath: path, CheckpointEvery: 2000, Resume: true})
 	cancel()
 	wantCanceled(t, err)
 	if p == nil || !p.Degraded {
@@ -597,7 +656,7 @@ func TestParallelSequentialSnapshotInterop(t *testing.T) {
 		t.Fatalf("killed sequential run returned p=%v err=%v, want a degraded partial", p2, err)
 	}
 	got2, err := BuildStream(context.Background(), Blocks(blocks), 12, 64,
-		Options{Workers: 3, ChunkSize: 777, CheckpointPath: path2, Resume: true})
+		Options{Workers: 3, chunkSize: 777, CheckpointPath: path2, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,12 +676,6 @@ func TestBuildStreamCheckpointedGeometryMismatch(t *testing.T) {
 		Options{Workers: 2, CheckpointPath: path, Resume: true})
 	if !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("geometry mismatch: err = %v, want wrapped ErrProfileMismatch", err)
-	}
-	// Same geometry, different backend: also a mismatch, not corruption.
-	_, err = BuildStream(context.Background(), Blocks([]uint64{1}), 12, 64,
-		Options{Workers: 2, ForceSparse: true, CheckpointPath: path, Resume: true})
-	if !errors.Is(err, xerr.ErrProfileMismatch) {
-		t.Fatalf("backend mismatch: err = %v, want wrapped ErrProfileMismatch", err)
 	}
 }
 
@@ -647,7 +700,7 @@ func TestStreamShardTransientFaultIsolated(t *testing.T) {
 		return k, nil
 	}
 	baseline := runtime.NumGoroutine()
-	p, err := BuildStream(context.Background(), src, 12, 64, Options{Workers: 4, ChunkSize: chunk})
+	p, err := BuildStream(context.Background(), src, 12, 64, Options{Workers: 4, chunkSize: chunk})
 	if p != nil {
 		t.Fatal("failed build must not return a profile")
 	}
@@ -716,7 +769,7 @@ func TestStreamFaultMatrix(t *testing.T) {
 				}
 				src := func(dst []uint64) (int, error) { return rd.ReadBlocks(dst, 64, 12) }
 				p, err := BuildStream(context.Background(), src, 12, 64,
-					Options{Workers: workers, ChunkSize: 256})
+					Options{Workers: workers, chunkSize: 256})
 				waitGoroutines(t, baseline)
 				if sc.transient {
 					if err != nil {

@@ -72,7 +72,7 @@ func TestBuildParallelCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// 2 workers x 10000 accesses: each shard crosses the periodic check.
-	_, err := BuildStream(ctx, Blocks(syntheticBlocks(20000)), 12, 64, Options{Workers: 2, ChunkSize: 10000})
+	_, err := BuildStream(ctx, Blocks(syntheticBlocks(20000)), 12, 64, Options{Workers: 2, chunkSize: 10000})
 	wantCanceled(t, err)
 	waitGoroutines(t, baseline)
 }
@@ -106,7 +106,7 @@ func TestBuildParallelCtxCancelDuringExchange(t *testing.T) {
 	}
 	defer func() { testShardHook = nil }()
 	// 4 shards x 30000 accesses: every shard crosses the periodic check.
-	p, err := BuildStream(ctx, Blocks(syntheticBlocks(120000)), 12, 64, Options{Workers: 4, ChunkSize: 30000})
+	p, err := BuildStream(ctx, Blocks(syntheticBlocks(120000)), 12, 64, Options{Workers: 4, chunkSize: 30000})
 	wantCanceled(t, err)
 	if p != nil {
 		t.Fatal("canceled parallel build must not return a profile")
@@ -129,7 +129,7 @@ func TestBuildStreamCtxCancelDuringMerge(t *testing.T) {
 	}
 	defer func() { testShardHook = nil }()
 	p, err := BuildStream(ctx, Blocks(syntheticBlocks(100000)), 12, 64,
-		Options{Workers: 3, ChunkSize: 8192})
+		Options{Workers: 3, chunkSize: 8192})
 	wantCanceled(t, err)
 	if p != nil {
 		t.Fatal("canceled stream build without a checkpoint must not return a profile")
@@ -151,7 +151,7 @@ func TestBuildStreamCtxCanceledMidStream(t *testing.T) {
 		k := copy(dst, blocks)
 		return k, nil
 	}
-	_, err := BuildStream(ctx, src, 12, 64, Options{Workers: 2, ChunkSize: len(blocks)})
+	_, err := BuildStream(ctx, src, 12, 64, Options{Workers: 2, chunkSize: len(blocks)})
 	wantCanceled(t, err)
 	if reads > 3 {
 		t.Errorf("dispatcher kept reading after cancellation: %d reads", reads)

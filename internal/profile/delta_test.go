@@ -23,9 +23,9 @@ func randomSubspaceDim(r *rand.Rand, n, d int) gf2.Subspace {
 	}
 }
 
-// TestSparseFlatDifferential builds the same trace through both
-// backends and demands identical counters, histogram entries and
-// estimates.
+// TestSparseFlatDifferential builds the same n-bit trace through both
+// backends — flat at n, sparse at wideN — and demands identical
+// counters, histogram entries and estimates.
 func TestSparseFlatDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
@@ -36,18 +36,12 @@ func TestSparseFlatDifferential(t *testing.T) {
 			blocks[i] = uint64(r.Intn(1 << uint(n)))
 		}
 		flat := Build(blocks, n, cacheBlocks)
-		sb := newBuilder(n, cacheBlocks, true)
-		for _, b := range blocks {
-			sb.Add(b)
-		}
-		sparse := sb.Finish()
+		sparse := Build(blocks, wideN, cacheBlocks)
 		if flat.Sparse != nil || sparse.Table != nil {
 			t.Fatal("backend selection wrong")
 		}
-		if flat.Accesses != sparse.Accesses || flat.Compulsory != sparse.Compulsory ||
-			flat.Capacity != sparse.Capacity || flat.Candidates != sparse.Candidates ||
-			flat.TotalPairs != sparse.TotalPairs {
-			t.Fatalf("trial %d: counters differ: %+v vs %+v", trial, flat, sparse)
+		if d := diffWidened(sparse, flat); d != "" {
+			t.Fatalf("trial %d: %s", trial, d)
 		}
 		for v := gf2.Vec(0); v < gf2.Vec(1)<<uint(n); v++ {
 			if flat.At(v) != sparse.At(v) {
@@ -56,7 +50,7 @@ func TestSparseFlatDifferential(t *testing.T) {
 		}
 		for k := 0; k < 4; k++ {
 			sp := randomSubspaceDim(r, n, r.Intn(n+1))
-			if flat.EstimateSubspace(sp) != sparse.EstimateSubspace(sp) {
+			if flat.EstimateSubspace(sp) != sparse.EstimateSubspace(gf2.Span(wideN, sp.Basis...)) {
 				t.Fatalf("trial %d: EstimateSubspace differs on %v", trial, sp.Basis)
 			}
 		}
@@ -114,14 +108,14 @@ func TestSparseWideAddressSmoke(t *testing.T) {
 	}
 }
 
-// TestMergeBackendMismatch pins the flat-vs-sparse merge error.
+// TestMergeBackendMismatch pins the flat-vs-sparse merge error. The
+// builders never store a sparse map at n <= MaxFlatBits, but Profile's
+// fields are exported, so a caller can assemble one.
 func TestMergeBackendMismatch(t *testing.T) {
 	flat := Build([]uint64{1, 2, 1, 2}, 8, 4)
-	sb := newBuilder(8, 4, true)
-	for _, b := range []uint64{1, 2, 1, 2} {
-		sb.Add(b)
-	}
-	if err := flat.Merge(sb.Finish()); !errors.Is(err, xerr.ErrProfileMismatch) {
+	sparse := &Profile{N: 8, CacheBlocks: 4, Sparse: map[uint64]uint64{3: 2},
+		Accesses: 4, Compulsory: 2, Candidates: 2, TotalPairs: 2}
+	if err := flat.Merge(sparse); !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("merging sparse into flat: err = %v, want ErrProfileMismatch", err)
 	}
 }

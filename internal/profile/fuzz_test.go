@@ -44,21 +44,25 @@ func FuzzBuildParallelWorkers(f *testing.F) {
 		cacheBlocks := 1 + int(capRaw)%64 // 1..64
 		blocks := fuzzBlocks(data)
 		want := Build(blocks, n, cacheBlocks)
-		wantSparse := newBuilder(n, cacheBlocks, true).finishBlocks(blocks)
+		masked := maskBlocks(blocks, n)
+		wantSparse := Build(masked, wideN, cacheBlocks)
+		if d := diffWidened(wantSparse, want); d != "" {
+			t.Fatalf("sparse at wideN vs flat n=%d cap=%d len=%d: %s", n, cacheBlocks, len(blocks), d)
+		}
 		for workers := 1; workers <= 16; workers++ {
 			got := mustParallel(t, blocks, n, cacheBlocks, workers)
 			if d := diffProfiles(got, want); d != "" {
 				t.Fatalf("workers=%d n=%d cap=%d len=%d: %s",
 					workers, n, cacheBlocks, len(blocks), d)
 			}
-			got = mustParallelOpts(t, blocks, n, cacheBlocks, Options{Workers: workers, ForceSparse: true})
+			got = mustParallel(t, masked, wideN, cacheBlocks, workers)
 			if d := diffProfiles(got, wantSparse); d != "" {
 				t.Fatalf("sparse workers=%d n=%d cap=%d len=%d: %s",
 					workers, n, cacheBlocks, len(blocks), d)
 			}
 		}
 		got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
-			Options{Workers: 3, ChunkSize: 17})
+			Options{Workers: 3, chunkSize: 17})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +74,7 @@ func FuzzBuildParallelWorkers(f *testing.F) {
 
 // FuzzShardMerge drives the reconciler directly with fuzz-chosen shard
 // boundaries — including empty shards, single-access shards, and cut
-// points nowhere near a ChunkSize multiple, which the public builders
+// points nowhere near a chunkSize multiple, which the public builders
 // can never produce — and asserts the gate-summary exchange still
 // reconciles to the exact sequential profile with exact walk stats.
 func FuzzShardMerge(f *testing.F) {
@@ -95,7 +99,7 @@ func FuzzShardMerge(f *testing.F) {
 		sort.Ints(points)
 		points = append(points, len(blocks))
 
-		rc := newReconciler(newBuilder(n, cacheBlocks, false))
+		rc := newReconciler(NewBuilder(n, cacheBlocks))
 		prev := 0
 		for idx, cut := range points {
 			s := &shardState{idx: idx, blocks: blocks[prev:cut]}
@@ -146,12 +150,12 @@ func FuzzParallelCheckpointResume(f *testing.F) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		BuildStream(ctx, cancelAfterSource(blocks, kill, cancel), n, cacheBlocks,
-			Options{Workers: 1 + int(wRaw)%4, ChunkSize: 1 + int(chunkRaw)%64,
+			Options{Workers: 1 + int(wRaw)%4, chunkSize: 1 + int(chunkRaw)%64,
 				CheckpointPath: path, CheckpointEvery: 1 + uint64(killRaw)%97, Resume: true})
 		cancel()
 
 		got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
-			Options{Workers: 1 + int(chunkRaw)%5, ChunkSize: 1 + int(wRaw)%77,
+			Options{Workers: 1 + int(chunkRaw)%5, chunkSize: 1 + int(wRaw)%77,
 				CheckpointPath: path, Resume: true})
 		if err != nil {
 			t.Fatal(err)

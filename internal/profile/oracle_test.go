@@ -20,6 +20,7 @@ package profile
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xoridx/internal/gf2"
@@ -68,7 +69,7 @@ func oracleBuild(blocks []uint64, n, cacheBlocks int) *Profile {
 // diffProfiles returns a description of the first field where two
 // profiles differ, or "" when they are bit-identical. Both backends are
 // compared exactly; mixing a flat and a sparse profile is itself a
-// difference (use diffProfilesAny for cross-backend comparisons).
+// difference (use diffWidened for flat-vs-sparse comparisons).
 func diffProfiles(got, want *Profile) string {
 	if d := diffCounters(got, want); d != "" {
 		return d
@@ -95,25 +96,45 @@ func diffProfiles(got, want *Profile) string {
 	return ""
 }
 
-// diffProfilesAny compares two profiles that may use different
-// histogram backends: counters exactly, then every histogram entry via
-// the backend-agnostic accessors.
-func diffProfilesAny(got, want *Profile) string {
-	if d := diffCounters(got, want); d != "" {
+// wideN is the narrowest width NewBuilder stores sparse. A flat/sparse
+// differential builds its sparse side at wideN over blocks already
+// masked to the flat side's n, so both passes see the same accesses
+// and the same conflict vectors.
+const wideN = MaxFlatBits + 1
+
+// maskBlocks returns a copy of blocks truncated to n bits.
+func maskBlocks(blocks []uint64, n int) []uint64 {
+	mask := uint64(gf2.Mask(n))
+	out := make([]uint64, len(blocks))
+	for i, b := range blocks {
+		out[i] = b & mask
+	}
+	return out
+}
+
+// diffWidened compares a sparse profile built at wideN with the flat
+// profile of the same masked blocks: every counter but N must match,
+// and so must the histogram support, entry for entry.
+func diffWidened(sparse, flat *Profile) string {
+	if sparse.N != wideN || sparse.Sparse == nil || flat.Table == nil {
+		return "not a sparse profile at wideN against a flat one"
+	}
+	if d := diffCounters(withN(sparse, flat.N), flat); d != "" {
 		return d
 	}
-	mismatch := ""
-	want.ForEachNonZero(func(v gf2.Vec, c uint64) {
-		if mismatch == "" && got.At(v) != c {
-			mismatch = "histogram differs"
-		}
-	})
-	got.ForEachNonZero(func(v gf2.Vec, c uint64) {
-		if mismatch == "" && want.At(v) != c {
-			mismatch = "histogram differs"
-		}
-	})
-	return mismatch
+	if !slices.Equal(sparse.Support(), flat.Support()) {
+		return "histogram support differs"
+	}
+	return ""
+}
+
+// withN returns a shallow copy of p relabelled to width n, so a sparse
+// profile built at wideN compares with an n-bit profile of the same
+// masked blocks.
+func withN(p *Profile, n int) *Profile {
+	q := *p
+	q.N = n
+	return &q
 }
 
 func diffCounters(got, want *Profile) string {
@@ -220,7 +241,7 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 		}
 		chunk := 1 + r.Intn(40)
 		got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
-			Options{Workers: 1 + r.Intn(4), ChunkSize: chunk})
+			Options{Workers: 1 + r.Intn(4), chunkSize: chunk})
 		if err != nil {
 			t.Fatalf("trial %d: BuildStream: %v", trial, err)
 		}
@@ -237,9 +258,11 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 // sequential Build, the pre-overhaul sequential reference (refBuild),
 // the retained warmup/overlap parallel reference (refBuildParallel),
 // BuildStream at a random worker count in {1..16} with one chunk per
-// worker, and BuildStream at a random chunk size — across all three histogram
-// backends (flat, forced-sparse, wide-n sparse) — and every result must
-// be bit-identical, counters and BuildStats walk-count probes included.
+// worker, and BuildStream at a random chunk size — on all three exact
+// stores (flat, sparse at wideN over n-bit blocks, wide-n sparse) —
+// and every result must be bit-identical, counters and BuildStats
+// walk-count probes included. The wideN sparse profile must also match
+// the flat profile of the same blocks entry for entry.
 func TestDifferentialShardedMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	trials := 520
@@ -247,12 +270,11 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 		trials = 100
 	}
 	for trial := 0; trial < trials; trial++ {
-		backend := trial % 3 // 0: flat, 1: forced sparse, 2: wide-n sparse
+		backend := trial % 3 // 0: flat, 1: sparse at wideN, 2: wide-n sparse
 		n := 4 + r.Intn(7)
 		if backend == 2 {
 			n = MaxFlatBits + 4 + r.Intn(8)
 		}
-		sparse := backend != 0
 		cacheBlocks := 1 << uint(r.Intn(6))
 		var blocks []uint64
 		if trial%2 == 0 {
@@ -268,32 +290,38 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 				blocks[i] |= blocks[i] << 13
 			}
 		}
-
-		var want *Profile
-		if sparse {
-			want = newBuilder(n, cacheBlocks, true).finishBlocks(blocks)
-		} else {
-			want = Build(blocks, n, cacheBlocks)
+		var flat *Profile
+		if backend == 1 {
+			blocks = maskBlocks(blocks, n)
+			flat = Build(blocks, n, cacheBlocks)
+			n = wideN
 		}
-		if d := diffProfiles(refBuild(blocks, n, cacheBlocks, sparse), want); d != "" {
-			t.Fatalf("trial %d (n=%d cap=%d sparse=%v): refBuild vs sequential: %s",
-				trial, n, cacheBlocks, sparse, d)
+
+		want := Build(blocks, n, cacheBlocks)
+		if flat != nil {
+			if d := diffWidened(want, flat); d != "" {
+				t.Fatalf("trial %d (cap=%d): sparse at wideN vs flat: %s", trial, cacheBlocks, d)
+			}
+		}
+		if d := diffProfiles(refBuild(blocks, n, cacheBlocks), want); d != "" {
+			t.Fatalf("trial %d (n=%d cap=%d): refBuild vs sequential: %s",
+				trial, n, cacheBlocks, d)
 		}
 
 		workers := 1 + r.Intn(16)
 		var st BuildStats
 		got := mustParallelOpts(t, blocks, n, cacheBlocks,
-			Options{Workers: workers, ForceSparse: sparse, Stats: &st})
+			Options{Workers: workers, Stats: &st})
 		if d := diffProfiles(got, want); d != "" {
-			t.Fatalf("trial %d (n=%d cap=%d sparse=%v len=%d) workers=%d: sharded vs sequential: %s",
-				trial, n, cacheBlocks, sparse, len(blocks), workers, d)
+			t.Fatalf("trial %d (n=%d cap=%d len=%d) workers=%d: sharded vs sequential: %s",
+				trial, n, cacheBlocks, len(blocks), workers, d)
 		}
 		if st.CandidateWalks != got.Candidates || st.WalkSteps != got.TotalPairs ||
 			st.GatedCapacityMisses != got.Capacity {
 			t.Fatalf("trial %d workers=%d: stats probes broken: %+v vs candidates=%d pairs=%d capacity=%d",
 				trial, workers, st, got.Candidates, got.TotalPairs, got.Capacity)
 		}
-		refPar := refBuildParallel(blocks, n, cacheBlocks, sparse, 1+r.Intn(8))
+		refPar := refBuildParallel(blocks, n, cacheBlocks, 1+r.Intn(8))
 		if d := diffProfiles(got, refPar); d != "" {
 			t.Fatalf("trial %d workers=%d: sharded vs retained warmup reference: %s",
 				trial, workers, d)
@@ -301,13 +329,13 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 
 		chunk := 1 + r.Intn(48)
 		gs, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
-			Options{Workers: 1 + r.Intn(5), ChunkSize: chunk, ForceSparse: sparse})
+			Options{Workers: 1 + r.Intn(5), chunkSize: chunk})
 		if err != nil {
 			t.Fatalf("trial %d: BuildStream: %v", trial, err)
 		}
 		if d := diffProfiles(gs, want); d != "" {
-			t.Fatalf("trial %d (n=%d cap=%d sparse=%v len=%d) chunk=%d: stream vs sequential: %s",
-				trial, n, cacheBlocks, sparse, len(blocks), chunk, d)
+			t.Fatalf("trial %d (n=%d cap=%d len=%d) chunk=%d: stream vs sequential: %s",
+				trial, n, cacheBlocks, len(blocks), chunk, d)
 		}
 
 		if backend == 0 {

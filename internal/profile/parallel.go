@@ -92,7 +92,7 @@ func (s *shardState) run(ctx context.Context, n, cacheBlocks int, opt Options) {
 	if testShardHook != nil {
 		testShardHook(s.idx)
 	}
-	bd := opt.newBuilder(n, cacheBlocks)
+	bd := newBuilder(n, cacheBlocks, opt.Sketch)
 	tick := 0
 	for _, b := range s.blocks {
 		if tick++; tick >= ctxCheckEvery {
@@ -212,7 +212,7 @@ func buildSharded(ctx context.Context, src BlockSource, start *Builder, opt Opti
 			srcErr = err
 			break
 		}
-		buf := make([]uint64, opt.ChunkSize)
+		buf := make([]uint64, opt.chunkSize)
 		filled, ferr := fillChunk(src, buf)
 		if filled > 0 && ferr == nil || ferr == io.EOF {
 			if filled > 0 {

@@ -22,12 +22,12 @@ func mustParallel(t testing.TB, blocks []uint64, n, cacheBlocks, workers int) *P
 }
 
 // mustParallelOpts is mustParallel with explicit options. A zero
-// ChunkSize is replaced by one chunk per worker, so even short test
+// chunkSize is replaced by one chunk per worker, so even short test
 // traces cross shard boundaries.
 func mustParallelOpts(t testing.TB, blocks []uint64, n, cacheBlocks int, opt Options) *Profile {
 	t.Helper()
-	if opt.ChunkSize == 0 && opt.Workers > 1 {
-		opt.ChunkSize = max(1, (len(blocks)+opt.Workers-1)/opt.Workers)
+	if opt.chunkSize == 0 && opt.Workers > 1 {
+		opt.chunkSize = max(1, (len(blocks)+opt.Workers-1)/opt.Workers)
 	}
 	p, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks, opt)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestBuildParallelBoundaryAdversarial(t *testing.T) {
 		}
 		for _, chunk := range []int{period - 1, period, period + 1} {
 			got, err := BuildStream(context.Background(), Blocks(blocks), 8, cacheBlocks,
-				Options{Workers: 4, ChunkSize: chunk})
+				Options{Workers: 4, chunkSize: chunk})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,24 +148,6 @@ func TestBuildParallelStatsInvariants(t *testing.T) {
 	}
 }
 
-// TestBuildParallelForceSparse checks the forced sparse backend against
-// the sequential sparse builder at a width that would default to flat.
-func TestBuildParallelForceSparse(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		blocks := randomOracleTrace(r)
-		want := newBuilder(8, 8, true).finishBlocks(blocks)
-		got := mustParallelOpts(t, blocks, 8, 8,
-			Options{Workers: 2 + r.Intn(6), ForceSparse: true})
-		if got.Sparse == nil {
-			t.Fatal("ForceSparse did not select the sparse backend")
-		}
-		if d := diffProfilesAny(got, want); d != "" {
-			t.Fatalf("trial %d: %s", trial, d)
-		}
-	}
-}
-
 // TestBuildParallelShardPanicNamesShard pins the failure contract: a
 // worker panic surfaces as a wrapped xerr.ErrPanic naming the shard —
 // never a bare crash, never a masked secondary cancellation.
@@ -180,7 +162,7 @@ func TestBuildParallelShardPanicNamesShard(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(i % 97)
 	}
-	_, err := BuildStream(context.Background(), Blocks(blocks), 8, 4, Options{Workers: 4, ChunkSize: 1024})
+	_, err := BuildStream(context.Background(), Blocks(blocks), 8, 4, Options{Workers: 4, chunkSize: 1024})
 	if !errors.Is(err, xerr.ErrPanic) {
 		t.Fatalf("err = %v, want wrapped ErrPanic", err)
 	}
@@ -209,7 +191,7 @@ func TestBuildStreamShardPanicNotMaskedByCancellation(t *testing.T) {
 		blocks[i] = uint64(i % 131)
 	}
 	p, err := BuildStream(context.Background(), Blocks(blocks), 8, 4,
-		Options{Workers: 4, ChunkSize: 64})
+		Options{Workers: 4, chunkSize: 64})
 	if p != nil {
 		t.Fatal("failed stream build must not return a profile")
 	}
@@ -224,9 +206,9 @@ func TestBuildStreamShardPanicNotMaskedByCancellation(t *testing.T) {
 
 // TestBuildStreamFillsShortReads pins the chunk-boundary alignment: a
 // source that dribbles a few blocks per call still yields shards of
-// exactly ChunkSize (the dispatcher tops chunks up), so shard
+// exactly chunkSize (the dispatcher tops chunks up), so shard
 // boundaries — and the gate summaries exchanged at them — are a
-// function of ChunkSize alone, not of the source's read granularity.
+// function of chunkSize alone, not of the source's read granularity.
 func TestBuildStreamFillsShortReads(t *testing.T) {
 	var shards atomic.Int32
 	testShardHook = func(int) { shards.Add(1) }
@@ -245,7 +227,7 @@ func TestBuildStreamFillsShortReads(t *testing.T) {
 		pos += k
 		return k, nil
 	}
-	got, err := BuildStream(context.Background(), src, 8, 4, Options{Workers: 2, ChunkSize: 25})
+	got, err := BuildStream(context.Background(), src, 8, 4, Options{Workers: 2, chunkSize: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +235,7 @@ func TestBuildStreamFillsShortReads(t *testing.T) {
 		t.Fatal(d)
 	}
 	if n := shards.Load(); n != 4 {
-		t.Fatalf("dispatched %d shards for 100 accesses at ChunkSize 25, want 4", n)
+		t.Fatalf("dispatched %d shards for 100 accesses at chunkSize 25, want 4", n)
 	}
 }
 
@@ -270,7 +252,7 @@ func TestBuildStreamPropagatesSourceError(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		calls = 0
-		if _, err := BuildStream(context.Background(), src, 8, 4, Options{Workers: workers, ChunkSize: 2}); !errors.Is(err, boom) {
+		if _, err := BuildStream(context.Background(), src, 8, 4, Options{Workers: workers, chunkSize: 2}); !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom)
 		}
 	}
@@ -299,7 +281,7 @@ func TestBuildStreamFinalChunkWithEOF(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		pos = 0
-		got, err := BuildStream(context.Background(), src, 6, 4, Options{Workers: workers, ChunkSize: 4})
+		got, err := BuildStream(context.Background(), src, 6, 4, Options{Workers: workers, chunkSize: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,8 +296,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Workers != 0 {
 		t.Fatalf("Workers = %d, want the sequential engine's 0", o.Workers)
 	}
-	if o.ChunkSize != DefaultChunkSize {
-		t.Fatalf("ChunkSize = %d", o.ChunkSize)
+	if o.chunkSize != defaultChunkSize {
+		t.Fatalf("chunkSize = %d", o.chunkSize)
 	}
 	if o.CheckpointEvery != DefaultCheckpointEvery {
 		t.Fatalf("CheckpointEvery = %d", o.CheckpointEvery)

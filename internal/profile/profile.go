@@ -154,7 +154,7 @@ func NewBuilder(n, cacheBlocks int) *Builder {
 	if err := ValidateGeometry(n, cacheBlocks); err != nil {
 		panic(err)
 	}
-	return newBuilder(n, cacheBlocks, n > MaxFlatBits)
+	return newBuilder(n, cacheBlocks, nil)
 }
 
 // ValidateGeometry checks a (n, cacheBlocks) profiling geometry,
@@ -169,11 +169,18 @@ func ValidateGeometry(n, cacheBlocks int) error {
 	return nil
 }
 
-func newBuilder(n, cacheBlocks int, sparse bool) *Builder {
+// newBuilder constructs a cold builder on the one histogram store its
+// inputs allow: the count-min sketch when sketch is non-nil (never a
+// flat table, whatever n), otherwise a flat table for n <= MaxFlatBits
+// and a sparse map beyond. The sketch options must be valid.
+func newBuilder(n, cacheBlocks int, sketch *SketchOptions) *Builder {
 	p := &Profile{N: n, CacheBlocks: cacheBlocks}
-	if sparse {
+	switch {
+	case sketch != nil:
+		p.Sketch = NewSketch(*sketch)
+	case n > MaxFlatBits:
 		p.Sparse = make(map[uint64]uint64)
-	} else {
+	default:
 		p.Table = make([]uint64, 1<<uint(n))
 	}
 	return &Builder{

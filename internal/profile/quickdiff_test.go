@@ -80,7 +80,7 @@ func checkAllBuilders(t *testing.T, blocks []uint64) bool {
 				return false
 			}
 			got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
-				Options{Workers: 3, ChunkSize: 33})
+				Options{Workers: 3, chunkSize: 33})
 			if err != nil {
 				t.Logf("n=%d cap=%d: BuildStream: %v", n, cacheBlocks, err)
 				return false

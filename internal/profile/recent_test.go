@@ -28,9 +28,9 @@ func TestBuilderWindowMirrorsStack(t *testing.T) {
 	const n, cacheBlocks = 16, 64
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(14)), 12_000)
 	builders := map[string]*Builder{
-		"flat":   newBuilder(n, cacheBlocks, false),
-		"sparse": newBuilder(n, cacheBlocks, true),
-		"sketch": newSketchBuilder(n, cacheBlocks, SketchOptions{Width: 1 << 8}.withDefaults()),
+		"flat":   NewBuilder(n, cacheBlocks),
+		"sparse": NewBuilder(wideN, cacheBlocks),
+		"sketch": newBuilder(n, cacheBlocks, &SketchOptions{Width: 1 << 8}),
 	}
 	for name, bd := range builders {
 		for i, b := range blocks {

@@ -74,10 +74,11 @@ func (s *refStack) walkAbove(b uint64, limit int, fn func(y uint64)) (reached bo
 }
 
 // refBuild is the old Build: walk-with-increments, then a rollback
-// re-walk on every capacity miss.
-func refBuild(blocks []uint64, n, cacheBlocks int, sparse bool) *Profile {
+// re-walk on every capacity miss. It stores the histogram where
+// NewBuilder does: flat up to MaxFlatBits, sparse beyond.
+func refBuild(blocks []uint64, n, cacheBlocks int) *Profile {
 	p := &Profile{N: n, CacheBlocks: cacheBlocks}
-	if sparse {
+	if n > MaxFlatBits {
 		p.Sparse = make(map[uint64]uint64)
 	} else {
 		p.Table = make([]uint64, 1<<uint(n))
@@ -160,7 +161,9 @@ func diffTrace(rng *rand.Rand) []uint64 {
 // TestBuildDifferentialVsReference runs 1000 randomized trials of the
 // production builder against the pre-overhaul reference, alternating
 // flat and sparse backends, and requires identical classification
-// counters and an identical histogram every time.
+// counters and an identical histogram every time. A sparse trial
+// builds at wideN over the blocks masked to n, so it must also match
+// the flat build at n entry for entry.
 func TestBuildDifferentialVsReference(t *testing.T) {
 	const trials = 1000
 	for trial := 0; trial < trials; trial++ {
@@ -169,16 +172,22 @@ func TestBuildDifferentialVsReference(t *testing.T) {
 		cacheBlocks := 1 + rng.Intn(96) // 1..96
 		sparse := trial%2 == 1          // alternate backends
 		blocks := diffTrace(rng)
-		var got *Profile
+		width := n
 		if sparse {
-			got = newBuilder(n, cacheBlocks, true).finishBlocks(blocks)
-		} else {
-			got = Build(blocks, n, cacheBlocks)
+			blocks = maskBlocks(blocks, n)
+			width = wideN
 		}
-		want := refBuild(blocks, n, cacheBlocks, sparse)
+		got := Build(blocks, width, cacheBlocks)
+		want := refBuild(blocks, width, cacheBlocks)
 		if d := diffProfiles(got, want); d != "" {
 			t.Fatalf("trial %d (n=%d cap=%d sparse=%v len=%d): %s",
-				trial, n, cacheBlocks, sparse, len(blocks), d)
+				trial, width, cacheBlocks, sparse, len(blocks), d)
+		}
+		if sparse {
+			if d := diffWidened(got, Build(blocks, n, cacheBlocks)); d != "" {
+				t.Fatalf("trial %d (n=%d cap=%d len=%d): sparse at wideN vs flat: %s",
+					trial, n, cacheBlocks, len(blocks), d)
+			}
 		}
 	}
 }

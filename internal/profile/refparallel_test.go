@@ -31,7 +31,7 @@ func refWarmStart(blocks []uint64, start, distinct int, mask uint64) int {
 
 // refBuildParallel is the old BuildParallel at its exact (default)
 // overlap of cacheBlocks+1 distinct blocks, run shard by shard.
-func refBuildParallel(blocks []uint64, n, cacheBlocks int, sparse bool, workers int) *Profile {
+func refBuildParallel(blocks []uint64, n, cacheBlocks, workers int) *Profile {
 	if workers > len(blocks) {
 		workers = len(blocks)
 	}
@@ -39,13 +39,13 @@ func refBuildParallel(blocks []uint64, n, cacheBlocks int, sparse bool, workers 
 		workers = 1
 	}
 	mask := uint64(1)<<uint(n) - 1
-	out := newBuilder(n, cacheBlocks, sparse).Finish()
+	out := NewBuilder(n, cacheBlocks).Finish()
 	seen := make(map[uint64]struct{})
 	for w := 0; w < workers; w++ {
 		start := w * len(blocks) / workers
 		end := (w + 1) * len(blocks) / workers
 		ws := refWarmStart(blocks, start, cacheBlocks+1, mask)
-		bd := newBuilder(n, cacheBlocks, sparse)
+		bd := NewBuilder(n, cacheBlocks)
 		for _, b := range blocks[ws:start] {
 			bd.Warm(b)
 		}
@@ -91,7 +91,7 @@ func TestRefParallelMatchesSequential(t *testing.T) {
 		cacheBlocks := 1 << uint(r.Intn(6))
 		want := Build(blocks, n, cacheBlocks)
 		for _, workers := range []int{1, 3, 7} {
-			got := refBuildParallel(blocks, n, cacheBlocks, false, workers)
+			got := refBuildParallel(blocks, n, cacheBlocks, workers)
 			if d := diffProfiles(got, want); d != "" {
 				t.Fatalf("trial %d (n=%d cap=%d) workers=%d: %s",
 					trial, n, cacheBlocks, workers, d)

@@ -18,7 +18,7 @@ import (
 // buildSampled is the sampled reference pass: one Builder with the
 // sampling gate armed, fed the whole trace.
 func buildSampled(blocks []uint64, n, cacheBlocks int, opt SampleOptions) *Profile {
-	bd := newBuilder(n, cacheBlocks, n > MaxFlatBits)
+	bd := NewBuilder(n, cacheBlocks)
 	bd.setSampling(opt)
 	return bd.finishBlocks(blocks)
 }
@@ -149,7 +149,7 @@ func TestBuildStreamSampledMatchesSequential(t *testing.T) {
 		pos += k
 		return k, nil
 	}
-	got, err := BuildStream(context.Background(), src, 16, 64, Options{Workers: 4, ChunkSize: 999, Sample: opt})
+	got, err := BuildStream(context.Background(), src, 16, 64, Options{Workers: 4, chunkSize: 999, Sample: opt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,13 +328,6 @@ func (h *hhHeap) down(i int) {
 	}
 }
 
-func newSketchBuilder(n, cacheBlocks int, opt SketchOptions) *Builder {
-	b := newBuilder(n, cacheBlocks, true)
-	b.p.Sparse = nil
-	b.p.Sketch = NewSketch(opt)
-	return b
-}
-
 // sketchSupport returns the heavy hitters in ascending vector order —
 // the sketch's stand-in for exact support enumeration.
 func (s *Sketch) support() []VectorCount {

@@ -38,11 +38,11 @@ func wideSupportBlocks(rng *rand.Rand, length int) []uint64 {
 // tighter half.
 func TestSketchDifferentialAgainstSparse(t *testing.T) {
 	blocks := wideSupportBlocks(rand.New(rand.NewSource(71)), 40_000)
-	sparse := mustParallelOpts(t, blocks, 24, 64, Options{Workers: 1, ForceSparse: true})
+	sparse := Build(blocks, wideN, 64)
 	sk := mustParallelOpts(t, blocks, 24, 64, Options{
 		Workers: 1, Sketch: &SketchOptions{Width: 1 << 8, TopK: 64},
 	})
-	if d := diffCounters(sk, sparse); d != "" {
+	if d := diffCounters(sk, withN(sparse, 24)); d != "" {
 		t.Fatal(d)
 	}
 	if sk.Sketch == nil || sk.Backend() != "sketch" {
@@ -82,11 +82,11 @@ func TestSketchDifferentialAgainstSparse(t *testing.T) {
 // dependent) but every merged counter must remain an upper bound.
 func TestSketchShardedMergeStaysBounded(t *testing.T) {
 	blocks := wideSupportBlocks(rand.New(rand.NewSource(72)), 20_000)
-	sparse := mustParallelOpts(t, blocks, 24, 64, Options{Workers: 1, ForceSparse: true})
+	sparse := Build(blocks, wideN, 64)
 	sk := mustParallelOpts(t, blocks, 24, 64, Options{
 		Workers: 4, Sketch: &SketchOptions{Width: 1 << 10},
 	})
-	if d := diffCounters(sk, sparse); d != "" {
+	if d := diffCounters(sk, withN(sparse, 24)); d != "" {
 		t.Fatal(d)
 	}
 	sparse.ForEachNonZero(func(v gf2.Vec, c uint64) {
@@ -204,11 +204,11 @@ func FuzzSketchBackend(f *testing.F) {
 			// low-bit aliasing, so conflicts actually occur.
 			blocks[i] = uint64(b) | uint64(b&0xF0)<<8
 		}
-		sparse := mustParallelOpts(t, blocks, 16, 4, Options{Workers: 1, ForceSparse: true})
+		sparse := Build(blocks, wideN, 4)
 		sk := mustParallelOpts(t, blocks, 16, 4, Options{
 			Workers: 1, Sketch: &SketchOptions{Width: 1 << (4 + seed%4), Depth: int(seed%3) + 1},
 		})
-		if d := diffCounters(sk, sparse); d != "" {
+		if d := diffCounters(sk, withN(sparse, 16)); d != "" {
 			t.Fatal(d)
 		}
 		if sk.Sketch.Total != sparse.TotalPairs {

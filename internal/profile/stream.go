@@ -24,9 +24,8 @@ import (
 // to well under a millisecond of work.
 const ctxCheckEvery = 8192
 
-// DefaultChunkSize is the sharded engine's shard length when
-// Options.ChunkSize is zero.
-const DefaultChunkSize = 1 << 16
+// defaultChunkSize is the sharded engine's shard length in accesses.
+const defaultChunkSize = 1 << 16
 
 // DefaultCheckpointEvery is the snapshot cadence when
 // Options.CheckpointEvery is zero: one snapshot per 2^20 profiled
@@ -43,24 +42,12 @@ type Options struct {
 	// Sampling forces the sequential engine.
 	Workers int
 
-	// ChunkSize is the sharded engine's shard length in accesses; 0
-	// selects DefaultChunkSize. The dispatcher fills every chunk to
-	// exactly this length (short source reads are topped up), so shard
-	// boundaries — and therefore gate-summary exchange points — land at
-	// fixed multiples of ChunkSize regardless of the source's read
-	// granularity. Only the final chunk may be short.
-	ChunkSize int
-
-	// ForceSparse selects the sparse histogram backend at any width —
-	// for tests and for memory-constrained callers whose histogram
-	// support is known to be small.
-	ForceSparse bool
-
 	// Sketch, when non-nil, selects the count-min-sketch histogram
-	// backend (see sketch.go) instead of flat/sparse. Shard sketches
-	// merge entrywise, so sharded sketch builds keep the (ε, δ) error
-	// bound but are not bit-identical to a sequential sketch build.
-	// Overrides ForceSparse.
+	// backend (see sketch.go). Otherwise the width alone picks the
+	// exact store: a flat table for n <= MaxFlatBits, a sparse map
+	// beyond. Shard sketches merge entrywise, so sharded sketch builds
+	// keep the (ε, δ) error bound but are not bit-identical to a
+	// sequential sketch build.
 	Sketch *SketchOptions
 
 	// Sample enables sampled conflict walks (see sample.go): every
@@ -92,14 +79,23 @@ type Options struct {
 	// the result is bit-identical to an uninterrupted run, for any
 	// worker count and chunk size on either side of the restart.
 	Resume bool
+
+	// chunkSize is the sharded engine's shard length in accesses; 0
+	// selects defaultChunkSize. The dispatcher fills every chunk to
+	// exactly this length (short source reads are topped up), so shard
+	// boundaries — and therefore gate-summary exchange points — land at
+	// fixed multiples of it regardless of the source's read
+	// granularity. Only the final chunk may be short. Tests shrink it
+	// to force many shard boundaries over short traces.
+	chunkSize int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Sample.enabled() {
 		o.Workers = 1
 	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = DefaultChunkSize
+	if o.chunkSize <= 0 {
+		o.chunkSize = defaultChunkSize
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = DefaultCheckpointEvery
@@ -119,22 +115,6 @@ func (o Options) validate() error {
 		return o.Sketch.Validate()
 	}
 	return nil
-}
-
-// sparse reports which exact histogram backend the options select at
-// width n.
-func (o Options) sparse(n int) bool {
-	return o.ForceSparse || n > MaxFlatBits
-}
-
-// newBuilder constructs a cold builder with the histogram backend the
-// options select. Sampling is armed separately (see start) — shard
-// builders never sample.
-func (o Options) newBuilder(n, cacheBlocks int) *Builder {
-	if o.Sketch != nil {
-		return newSketchBuilder(n, cacheBlocks, o.Sketch.withDefaults())
-	}
-	return newBuilder(n, cacheBlocks, o.sparse(n))
 }
 
 // BlockSource yields successive chunks of block addresses already
@@ -163,15 +143,15 @@ var errStuckSource = fmt.Errorf("profile: block source returned no data and no e
 // BuildStream runs the Fig. 1 profiling pass over a block stream
 // without materialising it. With Workers <= 1 (or sampling) one
 // sequential builder consumes the source; with Workers > 1 the sharded
-// pipeline fans ChunkSize-block chunks out to that many shard builders
+// pipeline fans fixed-length chunks out to that many shard builders
 // and reconciles them in order (DESIGN.md §13). Exact builds are
 // bit-identical to Build of the same sequence on either engine, for
 // every worker count and chunk size.
 //
 // Errors carry wrapped xerr sentinels: ErrInvalidOptions for an
 // out-of-domain geometry or option set (checked before any goroutine
-// starts), ErrProfileMismatch for a snapshot of another geometry or
-// backend, ErrFormat for a malformed source or snapshot, and
+// starts), ErrProfileMismatch for a snapshot of another geometry,
+// ErrFormat for a malformed source or snapshot, and
 // ErrPanic naming the shard for a panic inside a shard builder.
 //
 // Cancellation is checked every ctxCheckEvery accesses per builder and
@@ -203,7 +183,8 @@ func BuildStream(ctx context.Context, src BlockSource, n, cacheBlocks int, opt O
 // start returns the builder state a pass continues from: the snapshot
 // at CheckpointPath when resuming from one, a cold builder otherwise
 // (including when the file does not exist yet). A snapshot of another
-// geometry or backend is rejected.
+// geometry is rejected; Restore already holds its backend to the one
+// its width selects.
 func (o Options) start(n, cacheBlocks int) (*Builder, error) {
 	if o.Resume && o.CheckpointPath != "" {
 		bd, err := RestoreFile(o.CheckpointPath)
@@ -214,15 +195,12 @@ func (o Options) start(n, cacheBlocks int) (*Builder, error) {
 				return nil, fmt.Errorf("profile: snapshot geometry (n=%d, %d blocks) does not match build (n=%d, %d blocks): %w",
 					p.N, p.CacheBlocks, n, cacheBlocks, xerr.ErrProfileMismatch)
 			}
-			if (p.Sparse != nil) != o.sparse(n) {
-				return nil, fmt.Errorf("profile: snapshot histogram backend does not match build options: %w", xerr.ErrProfileMismatch)
-			}
 			return bd, nil
 		case !os.IsNotExist(err):
 			return nil, err
 		}
 	}
-	bd := o.newBuilder(n, cacheBlocks)
+	bd := newBuilder(n, cacheBlocks, o.Sketch)
 	bd.setSampling(o.Sample)
 	return bd, nil
 }

@@ -69,17 +69,13 @@ func ValidateDecay(decay float64) error {
 // classification and the stream-spanning LRU state stay exact, only
 // every K-th conflict candidate is walked into the window histogram.
 func NewWindowed(n, cacheBlocks int, decay float64, sample SampleOptions) (*Windowed, error) {
-	return newWindowed(n, cacheBlocks, decay, n > MaxFlatBits, sample)
-}
-
-func newWindowed(n, cacheBlocks int, decay float64, sparse bool, sample SampleOptions) (*Windowed, error) {
 	if err := ValidateGeometry(n, cacheBlocks); err != nil {
 		return nil, err
 	}
 	if err := ValidateDecay(decay); err != nil {
 		return nil, err
 	}
-	w := &Windowed{bd: newBuilder(n, cacheBlocks, sparse), decay: decay}
+	w := &Windowed{bd: newBuilder(n, cacheBlocks, nil), decay: decay}
 	w.bd.setSampling(sample)
 	w.agg = emptyLike(w.bd.p)
 	return w, nil
@@ -235,11 +231,7 @@ func (w *Windowed) Checkpoint(out io.Writer) error {
 		put := func(v uint64) { b.Write(buf[:binary.PutUvarint(buf[:], v)]) }
 		put(uint64(win.N))
 		put(uint64(win.CacheBlocks))
-		if win.Sparse != nil {
-			b.WriteByte(1)
-		} else {
-			b.WriteByte(0)
-		}
+		b.WriteByte(backendByte(win.N))
 		put(math.Float64bits(w.decay))
 		put(w.rotations)
 		put(w.total)
@@ -284,14 +276,14 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 	d := ckpt.NewDecoder(payload, "profile: snapshot")
 	n := int(d.Uvarint("n"))
 	cacheBlocks := int(d.Uvarint("cacheBlocks"))
-	sparse := d.Byte("backend") == 1
+	backend := d.Byte("backend")
 	decay := math.Float64frombits(d.Uvarint("decay"))
 	if d.Err() == nil {
 		if err := ValidateGeometry(n, cacheBlocks); err != nil {
 			return nil, fmt.Errorf("profile: windowed snapshot geometry: %w: %w", xerr.ErrFormat, err)
 		}
-		if !sparse && n > MaxFlatBits {
-			return nil, fmt.Errorf("profile: windowed snapshot claims a flat table at n=%d > MaxFlatBits: %w", n, xerr.ErrFormat)
+		if err := checkBackendByte(backend, n, "windowed snapshot"); err != nil {
+			return nil, err
 		}
 		if err := ValidateDecay(decay); err != nil {
 			return nil, fmt.Errorf("profile: windowed snapshot decay: %w: %w", xerr.ErrFormat, err)
@@ -305,7 +297,7 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	w, err := newWindowed(n, cacheBlocks, decay, sparse, SampleOptions{K: sampleK, Seed: sampleSeed})
+	w, err := NewWindowed(n, cacheBlocks, decay, SampleOptions{K: sampleK, Seed: sampleSeed})
 	if err != nil {
 		return nil, err
 	}

@@ -31,37 +31,16 @@ func windowedTrace(rng *rand.Rand, length, n int) []uint64 {
 	return blocks
 }
 
-// newWindowedBackend builds a Windowed on the requested backend,
-// failing the test on constructor errors.
-func newWindowedBackend(t *testing.T, n, cacheBlocks int, decay float64, sparse bool) *Windowed {
+// mustWindowed builds a Windowed, failing the test on constructor
+// errors. The width picks its store: flat up to MaxFlatBits, sparse at
+// wideN.
+func mustWindowed(t *testing.T, n, cacheBlocks int, decay float64) *Windowed {
 	t.Helper()
-	var (
-		w   *Windowed
-		err error
-	)
-	if sparse {
-		w, err = newWindowed(n, cacheBlocks, decay, true, SampleOptions{})
-	} else {
-		w, err = NewWindowed(n, cacheBlocks, decay, SampleOptions{})
-	}
+	w, err := NewWindowed(n, cacheBlocks, decay, SampleOptions{})
 	if err != nil {
 		t.Fatalf("NewWindowed: %v", err)
 	}
 	return w
-}
-
-// buildBackend runs the batch reference on the matching backend.
-func buildBackend(blocks []uint64, n, cacheBlocks int, sparse bool) *Profile {
-	var bd *Builder
-	if sparse {
-		bd = newBuilder(n, cacheBlocks, true)
-	} else {
-		bd = NewBuilder(n, cacheBlocks)
-	}
-	for _, b := range blocks {
-		bd.Add(b)
-	}
-	return bd.Finish()
 }
 
 // TestWindowedDecayZeroSingleWindow is the tentpole equivalence in its
@@ -74,9 +53,10 @@ func TestWindowedDecayZeroSingleWindow(t *testing.T) {
 		n := 8 + rng.Intn(6)
 		cacheBlocks := 1 << uint(2+rng.Intn(5))
 		blocks := windowedTrace(rng, 200+rng.Intn(2000), n)
-		for _, sparse := range []bool{false, true} {
-			want := buildBackend(blocks, n, cacheBlocks, sparse)
-			w := newWindowedBackend(t, n, cacheBlocks, 0, sparse)
+		for _, width := range []int{n, wideN} {
+			sparse := width == wideN
+			want := Build(blocks, width, cacheBlocks)
+			w := mustWindowed(t, width, cacheBlocks, 0)
 			for _, b := range blocks {
 				w.Add(b)
 			}
@@ -101,9 +81,10 @@ func TestWindowedDecayZeroMultiWindow(t *testing.T) {
 		n := 8 + rng.Intn(6)
 		cacheBlocks := 1 << uint(2+rng.Intn(5))
 		blocks := windowedTrace(rng, 500+rng.Intn(3000), n)
-		for _, sparse := range []bool{false, true} {
-			want := buildBackend(blocks, n, cacheBlocks, sparse)
-			w := newWindowedBackend(t, n, cacheBlocks, 0, sparse)
+		for _, width := range []int{n, wideN} {
+			sparse := width == wideN
+			want := Build(blocks, width, cacheBlocks)
+			w := mustWindowed(t, width, cacheBlocks, 0)
 			for _, b := range blocks {
 				w.Add(b)
 				if rng.Intn(97) == 0 {
@@ -130,7 +111,7 @@ func TestWindowedDecayFold(t *testing.T) {
 	const n, cacheBlocks, decay = 10, 16, 0.25
 	a := windowedTrace(rng, 1500, n)
 	b := windowedTrace(rng, 1500, n)
-	w := newWindowedBackend(t, n, cacheBlocks, decay, false)
+	w := mustWindowed(t, n, cacheBlocks, decay)
 	for _, blk := range a {
 		w.Add(blk)
 	}
@@ -167,7 +148,7 @@ func TestWindowedDecayFold(t *testing.T) {
 // carries across Rotate: a block touched in window 1 and re-touched in
 // window 2 is not compulsory again.
 func TestWindowedClassificationSpansWindows(t *testing.T) {
-	w := newWindowedBackend(t, 8, 8, 0, false)
+	w := mustWindowed(t, 8, 8, 0)
 	w.Add(3)
 	w.Rotate()
 	w.Add(3)
@@ -191,8 +172,11 @@ func TestWindowedCheckpointRoundTrip(t *testing.T) {
 		sparse := trial%2 == 1
 		blocks := windowedTrace(rng, 1000+rng.Intn(2000), n)
 		cut := rng.Intn(len(blocks))
+		if sparse {
+			n = wideN
+		}
 
-		w := newWindowedBackend(t, n, cacheBlocks, decay, sparse)
+		w := mustWindowed(t, n, cacheBlocks, decay)
 		for i, b := range blocks[:cut] {
 			w.Add(b)
 			if i%251 == 250 {
@@ -230,7 +214,7 @@ func TestWindowedCheckpointRoundTrip(t *testing.T) {
 // never return a poisoned instance) with a wrapped xerr.ErrFormat.
 func TestWindowedCheckpointCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	w := newWindowedBackend(t, 8, 8, 0.5, false)
+	w := mustWindowed(t, 8, 8, 0.5)
 	for _, b := range windowedTrace(rng, 600, 8) {
 		w.Add(b)
 	}

@@ -145,9 +145,6 @@ func (s *state) climbMatrix(cur gf2.Matrix, neighbors func(h gf2.Matrix, emit fu
 	// enumeration unwinds — still well within one hill-climbing move.
 	var ctxErr error
 	for {
-		if s.capIterations(res.Iterations) {
-			break
-		}
 		bestEst := curEst
 		var best *gf2.Matrix
 		curKey := cur.NullSpace().Key()

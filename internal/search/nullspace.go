@@ -50,9 +50,6 @@ func (s *state) climbNullSpace(start int) (Result, error) {
 	perMove := int((uint64(1)<<uint(d) - 1) * (uint64(1)<<uint(m+1) - 2))
 	nb := newNeighbourhood(s.support, n, d)
 	for {
-		if s.capIterations(res.Iterations) {
-			break
-		}
 		if err := xerr.Check(s.ctx); err != nil {
 			return degraded(), err
 		}

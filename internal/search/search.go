@@ -45,8 +45,6 @@ type Options struct {
 	// MaxInputs bounds the inputs per XOR gate for FamilyPermutation
 	// and FamilyGeneralXOR; 0 means unlimited. FamilyBitSelect implies 1.
 	MaxInputs int
-	// MaxIterations caps the number of hill-climbing moves (0 = no cap).
-	MaxIterations int
 	// Restarts adds this many extra climbs from random starting points,
 	// keeping the best overall result. 0 reproduces the paper, which
 	// starts once from the conventional function.
@@ -255,10 +253,6 @@ func (s *state) finalize(p *profile.Profile, m int) Result {
 		out.Confidence = p.ConfidenceFor(out.Estimated)
 	}
 	return out
-}
-
-func (s *state) capIterations(iter int) bool {
-	return s.opt.MaxIterations > 0 && iter >= s.opt.MaxIterations
 }
 
 // checkEvery polls the context once per ctxCheckEvery calls. Call it

@@ -197,18 +197,6 @@ func TestRestartsOnlyImprove(t *testing.T) {
 	}
 }
 
-func TestMaxIterationsCap(t *testing.T) {
-	blocks := strideTrace(64, 32, 10)
-	p := profile.Build(blocks, 12, 64)
-	res, err := Construct(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR, MaxIterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations > 1 {
-		t.Fatalf("iterations %d exceeds cap", res.Iterations)
-	}
-}
-
 func TestGeneralXORWithInputLimitRespectsBound(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)

@@ -131,7 +131,7 @@ func (s *Server) SaveCheckpoint() error {
 }
 
 // collectShardSnapshots asks every shard goroutine to serialize its
-// Windowed, pipelined like rotateAndMerge: all requests enqueue before
+// Windowed, pipelined like mergeShards: all requests enqueue before
 // any reply is awaited. Shards that cannot answer — quarantined up
 // front, quarantined by a race (the drainer replies ErrQuarantined),
 // or lost to a panic mid-request (the supervisor replies ErrPanic) —

@@ -108,16 +108,10 @@ type Options struct {
 
 	// MaxShardRestarts is each shard's circuit-breaker budget: a shard
 	// goroutine that panics is restarted from its last recovery
-	// snapshot (cold when none) up to this many times inside the
-	// RestartWindow; one more failure quarantines the shard. 0 selects
+	// snapshot (cold when none) up to this many times over the
+	// server's life; one more failure quarantines the shard. 0 selects
 	// DefaultMaxShardRestarts; a negative value is rejected.
 	MaxShardRestarts int
-
-	// RestartWindow, in accesses processed by the shard, bounds the
-	// circuit breaker's memory: a shard that has processed this many
-	// accesses since its last failure earns its restart budget back.
-	// 0 means failures never expire.
-	RestartWindow uint64
 
 	// RestartBackoff paces shard restarts with capped exponential
 	// backoff and deterministic jitter, so a hot-looping fault cannot
@@ -905,50 +899,17 @@ func (s *Server) newWindowed() (*profile.Windowed, error) {
 	return profile.NewWindowed(s.n, s.cfg.CacheBytes/s.cfg.BlockBytes, s.opt.Decay, s.sampling())
 }
 
-// rotateAndMerge rotates every healthy shard's window (pipelined: all
-// rotate commands enqueue before any reply is awaited) and merges the
+// rotateAndMerge rotates every healthy shard's window and merges the
 // decayed per-shard aggregates into one profile for the search. A
 // shard that fails mid-rotation (nil reply from its supervisor's
 // recovery path) is skipped for this round. Fairness accounting resets
 // with the rotation.
 func (s *Server) rotateAndMerge() (*profile.Profile, error) {
-	replies := make([]chan *profile.Profile, len(s.shards))
-	for i, sh := range s.shards {
-		if sh.quarantined.Load() {
-			continue
-		}
-		rc := make(chan *profile.Profile, 1)
-		replies[i] = rc
-		select {
-		case sh.ch <- shardCmd{rotate: rc}:
-		case <-s.ctx.Done():
-			return nil, xerr.Canceled(s.ctx)
-		}
-	}
-	var merged *profile.Profile
-	for i, rc := range replies {
-		if rc == nil {
-			continue
-		}
-		select {
-		case agg := <-rc:
-			s.shards[i].resetAcct()
-			if agg == nil {
-				continue // shard failed mid-rotation; its supervisor is on it
-			}
-			if merged == nil {
-				merged = agg
-			} else if err := merged.Merge(agg); err != nil {
-				return nil, err
-			}
-		case <-s.ctx.Done():
-			return nil, xerr.Canceled(s.ctx)
-		}
-	}
-	if merged == nil {
-		return nil, fmt.Errorf("serve: no healthy shard contributed to the rotation: %w", ErrQuarantined)
-	}
-	return merged, nil
+	return s.mergeShards(
+		func(rc chan *profile.Profile) shardCmd { return shardCmd{rotate: rc} },
+		(*shard).resetAcct,
+		func() error { return xerr.Canceled(s.ctx) },
+		"serve: no healthy shard contributed to the rotation")
 }
 
 // Profile returns the merged live aggregate across all healthy shards
@@ -960,6 +921,22 @@ func (s *Server) Profile() (*profile.Profile, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
+	return s.mergeShards(
+		func(rc chan *profile.Profile) shardCmd { return shardCmd{agg: rc} },
+		nil,
+		func() error { return ErrClosed },
+		"serve: no healthy shard to snapshot")
+}
+
+// mergeShards sends the command cmd builds around a fresh reply
+// channel to every healthy shard — pipelined: all commands enqueue
+// before any reply is awaited — and merges the non-nil replies. A nil
+// reply comes from a shard that failed mid-command; its supervisor is
+// on it. replied, when non-nil, runs for every shard that replied. A
+// server shutdown returns stopped(); a round with no reply to merge
+// fails with the none message wrapping ErrQuarantined.
+func (s *Server) mergeShards(cmd func(chan *profile.Profile) shardCmd, replied func(*shard),
+	stopped func() error, none string) (*profile.Profile, error) {
 	replies := make([]chan *profile.Profile, len(s.shards))
 	for i, sh := range s.shards {
 		if sh.quarantined.Load() {
@@ -968,32 +945,35 @@ func (s *Server) Profile() (*profile.Profile, error) {
 		rc := make(chan *profile.Profile, 1)
 		replies[i] = rc
 		select {
-		case sh.ch <- shardCmd{agg: rc}:
+		case sh.ch <- cmd(rc):
 		case <-s.ctx.Done():
-			return nil, ErrClosed
+			return nil, stopped()
 		}
 	}
 	var merged *profile.Profile
-	for _, rc := range replies {
+	for i, rc := range replies {
 		if rc == nil {
 			continue
 		}
 		select {
-		case snap := <-rc:
-			if snap == nil {
+		case p := <-rc:
+			if replied != nil {
+				replied(s.shards[i])
+			}
+			if p == nil {
 				continue
 			}
 			if merged == nil {
-				merged = snap
-			} else if err := merged.Merge(snap); err != nil {
+				merged = p
+			} else if err := merged.Merge(p); err != nil {
 				return nil, err
 			}
 		case <-s.ctx.Done():
-			return nil, ErrClosed
+			return nil, stopped()
 		}
 	}
 	if merged == nil {
-		return nil, fmt.Errorf("serve: no healthy shard to snapshot: %w", ErrQuarantined)
+		return nil, fmt.Errorf("%s: %w", none, ErrQuarantined)
 	}
 	return merged, nil
 }

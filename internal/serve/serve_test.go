@@ -541,6 +541,7 @@ func TestServeOptionsValidation(t *testing.T) {
 		{"negative queue depth", func(o *Options) { o.QueueDepth = -1 }, xerr.ErrInvalidOptions},
 		{"bad geometry", func(o *Options) { o.Config.CacheBytes = 300 }, xerr.ErrInvalidGeometry},
 		{"bad retry policy", func(o *Options) { o.Retry = faultio.Policy{MaxRetries: -2} }, xerr.ErrInvalidOptions},
+		{"sketch backend", func(o *Options) { o.Config.Backend = "sketch" }, xerr.ErrInvalidOptions},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

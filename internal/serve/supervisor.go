@@ -28,20 +28,13 @@ func (s *Server) superviseShard(i int, sh *shard) {
 	// back in phase, and a fixed seed reproduces the schedule.
 	rng := rand.New(rand.NewSource(s.opt.RestartBackoff.JitterSeed ^ int64(i+1)*0x9e3779b9))
 	failures := 0
-	var lastFailAt uint64
 	for {
 		err := s.runShardOnce(sh)
 		if err == nil {
 			return // server shutdown
 		}
 		s.fail(err)
-		// A shard that processed RestartWindow accesses since its last
-		// failure has earned its restart budget back.
-		if w := s.opt.RestartWindow; w > 0 && failures > 0 && sh.processed.Load()-lastFailAt >= w {
-			failures = 0
-		}
 		failures++
-		lastFailAt = sh.processed.Load()
 		if failures > s.opt.MaxShardRestarts {
 			s.quarantineShard(i, sh, err)
 			if s.ctx.Err() == nil {
@@ -143,8 +136,7 @@ func (s *Server) refreshShardSnap(sh *shard, processed uint64) {
 // snapshot itself fails to decode). Accesses processed after the
 // snapshot are lost — the bounded-loss window CheckpointEvery pins.
 // sh.processed stays monotone across restarts: it counts accesses ever
-// applied by this shard, which is what the circuit breaker's
-// RestartWindow arithmetic needs.
+// applied by this shard.
 func (s *Server) restoreShard(sh *shard) {
 	if snap := sh.snap.Load(); snap != nil {
 		wb, err := profile.RestoreWindowed(bytes.NewReader(snap.data))

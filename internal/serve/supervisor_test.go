@@ -653,6 +653,105 @@ func TestServePartialCheckpointCorruption(t *testing.T) {
 	}
 }
 
+// TestServeResumeHealsOffWidthBackend splices into a two-shard
+// checkpoint a CRC-valid shard 0 blob whose backend byte says sparse
+// at n = 12, where the width selects the flat table. Restore must
+// treat the blob as damage: the default resume cold-starts shard 0,
+// reports it once and still re-tunes over shard 1's data; Strict
+// refuses naming shard 0.
+func TestServeResumeHealsOffWidthBackend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.ckpt")
+	opts := func(p string, strict bool) Options {
+		return Options{Config: serveConfig(), Shards: 2, WindowAccesses: 1 << 40,
+			CheckpointPath: p, Resume: true, Strict: strict}
+	}
+	s, err := New(opts(path, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients := shardClients(t, s, 2)
+	pos := 0
+	if err := s.IngestBlocks(clients[0], phaseBlocks(0, 300, &pos)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.IngestBlocks(clients[1], phaseBlocks(0, 200, &pos)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bytes.NewReader(raw)
+	if _, _, err := ckpt.Read(br, "XSV1"); err != nil {
+		t.Fatal(err)
+	}
+	start := len(raw) - br.Len()
+	version, payload, err := ckpt.Read(br, "XWP1") // shard 0's blob
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(raw) - br.Len()
+	d := ckpt.NewDecoder(payload, "shard 0 blob")
+	d.Uvarint("n")
+	d.Uvarint("cacheBlocks")
+	if d.Err() != nil || payload[len(payload)-d.Rem()] != 0 {
+		t.Fatalf("shard 0 blob does not hold a flat backend byte after its geometry (%v)", d.Err())
+	}
+	payload[len(payload)-d.Rem()] = 1
+	var forged bytes.Buffer
+	if err := ckpt.Write(&forged, "XWP1", version, func(b *bytes.Buffer) error {
+		b.Write(payload)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if forged.Len() != end-start {
+		t.Fatalf("forged blob is %d bytes, the original %d", forged.Len(), end-start)
+	}
+	spliced := append(append(raw[:start:start], forged.Bytes()...), raw[end:]...)
+	// Each resume gets its own copy: a healed server's Close rewrites
+	// its checkpoint whole.
+	bad := func() string {
+		p := filepath.Join(t.TempDir(), "bad.ckpt")
+		if err := os.WriteFile(p, spliced, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	s2, err := New(opts(bad(), false))
+	if err != nil {
+		t.Fatalf("healing resume = %v", err)
+	}
+	if _, err := s2.Retune(context.Background()); err != nil {
+		t.Fatalf("Retune after healing resume = %v", err)
+	}
+	damage := s2.RestoreErrors()
+	if len(damage) != 1 || !strings.Contains(damage[0].Error(), "shard 0") || !errors.Is(damage[0], xerr.ErrFormat) {
+		t.Fatalf("RestoreErrors = %v, want one wrapped ErrFormat naming shard 0", damage)
+	}
+	if got := s2.Stats().ColdShards; got != 1 {
+		t.Fatalf("ColdShards = %d, want 1", got)
+	}
+	p, err := s2.Profile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Accesses != 200 {
+		t.Fatalf("healed restore holds %d accesses, want shard 1's 200", p.Accesses)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(opts(bad(), true)); err == nil || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("strict resume = %v, want refusal naming shard 0", err)
+	}
+}
+
 // FuzzServiceCheckpointRestore throws arbitrary bytes at the service
 // checkpoint reader: it must return an error or a consistent state,
 // never panic or heal structural damage silently into a wrong epoch.

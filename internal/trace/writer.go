@@ -84,9 +84,6 @@ func (w *Writer) putVarint(v int64) error {
 	return err
 }
 
-// Written returns how many accesses have been encoded so far.
-func (w *Writer) Written() uint64 { return w.written }
-
 // Close flushes the stream after verifying that exactly the declared
 // number of accesses was written — a mismatched count would make the
 // trace undecodable past the shortfall.
