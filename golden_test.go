@@ -13,6 +13,7 @@ import (
 	"xoridx/internal/core"
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
+	"xoridx/internal/serve"
 	"xoridx/internal/workloads"
 )
 
@@ -25,20 +26,31 @@ const goldenPath = "testdata/golden.json"
 
 // goldenCell is the end-to-end fingerprint of one tuned kernel: the
 // null space the search chose, its Eq. 4 estimate, and the exact miss
-// counts of conventional and tuned indexing.
+// counts of conventional and tuned indexing. Family is empty for the
+// general-XOR section and names the function family otherwise.
 type goldenCell struct {
 	Kernel    string `json:"kernel"`
+	Family    string `json:"family,omitempty"`
 	NullSpace string `json:"null_space"`
 	Estimated uint64 `json:"estimated"`
 	Baseline  uint64 `json:"baseline_misses"`
 	Optimized uint64 `json:"optimized_misses"`
 }
 
+// goldenFamilies lists golden.json's sections in file order: general
+// XOR, then permutation-based functions with at most two XOR inputs
+// per set bit, the paper's proposed hardware.
+var goldenFamilies = []string{"", "permutation"}
+
 // goldenConfig is the tuning problem every cell solves: a 4 KB
-// direct-mapped cache, n = 16 and general XOR.
-func goldenConfig(workers int) core.Config {
-	return core.Config{CacheBytes: 4096, BlockBytes: 4, AddrBits: 16,
+// direct-mapped cache and n = 16, with the section's function family.
+func goldenConfig(family string, workers int) core.Config {
+	cfg := core.Config{CacheBytes: 4096, BlockBytes: 4, AddrBits: 16,
 		Family: hash.FamilyGeneralXOR, Workers: workers}
+	if family == "permutation" {
+		cfg.Family, cfg.MaxInputs = hash.FamilyPermutation, 2
+	}
+	return cfg
 }
 
 // goldenKernels lists the 28 Media, PowerStone and Extra data kernels
@@ -51,9 +63,10 @@ func goldenKernels() []workloads.Workload {
 	return ws
 }
 
-func cellOf(name string, res *core.Result) goldenCell {
+func cellOf(name, family string, res *core.Result) goldenCell {
 	return goldenCell{
 		Kernel:    name,
+		Family:    family,
 		NullSpace: res.Search.Matrix.NullSpace().Key(),
 		Estimated: res.Search.Estimated,
 		Baseline:  res.Baseline.Misses,
@@ -61,17 +74,20 @@ func cellOf(name string, res *core.Result) goldenCell {
 	}
 }
 
-// goldenCells tunes every kernel at scale 1 with the given worker
-// count. moves[i] is kernel i's number of hill-climbing moves.
+// goldenCells tunes every kernel at scale 1 in every section with the
+// given worker count. moves[i] is cell i's number of hill-climbing
+// moves.
 func goldenCells(t *testing.T, workers int) (cells []goldenCell, moves []int) {
 	t.Helper()
-	for _, w := range goldenKernels() {
-		res, err := core.Tune(context.Background(), w.Data(1), goldenConfig(workers), nil)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
+	for _, family := range goldenFamilies {
+		for _, w := range goldenKernels() {
+			res, err := core.Tune(context.Background(), w.Data(1), goldenConfig(family, workers), nil)
+			if err != nil {
+				t.Fatalf("%s %s: %v", family, w.Name, err)
+			}
+			cells = append(cells, cellOf(w.Name, family, res))
+			moves = append(moves, res.Search.Iterations)
 		}
-		cells = append(cells, cellOf(w.Name, res))
-		moves = append(moves, res.Search.Iterations)
 	}
 	return cells, moves
 }
@@ -87,9 +103,11 @@ func killResumeCells(t *testing.T, moves []int) []goldenCell {
 	rng := rand.New(rand.NewSource(1))
 	var cells []goldenCell
 	kinds := map[string]int{}
-	for i, w := range goldenKernels() {
+	kernels := goldenKernels()
+	for i := range moves {
+		family, w := goldenFamilies[i/len(kernels)], kernels[i%len(kernels)]
 		tr := w.Data(1)
-		cfg := goldenConfig(1)
+		cfg := goldenConfig(family, 1)
 		cfg.CheckpointPath = filepath.Join(t.TempDir(), "run")
 		cfg.Resume = true
 		blocks := tr.Blocks(cfg.BlockBytes, cfg.AddrBits)
@@ -133,7 +151,7 @@ func killResumeCells(t *testing.T, moves []int) []goldenCell {
 		if err != nil {
 			t.Fatalf("%s: resume: %v", w.Name, err)
 		}
-		cells = append(cells, cellOf(w.Name, res))
+		cells = append(cells, cellOf(w.Name, family, res))
 	}
 	if kinds["profile"] == 0 || kinds["search"] == 0 {
 		t.Fatalf("kills landed %d times mid-profile and %d times mid-search; want both kinds",
@@ -156,9 +174,44 @@ func checkCells(t *testing.T, path string, got, want []goldenCell) {
 	}
 }
 
-// TestGoldenFingerprint pins the reproduced general-XOR results end to
-// end: every worker count, and a run killed and resumed from its
-// checkpoint, must rebuild testdata/golden.json exactly.
+// serveCells rebuilds every general-XOR cell's null space and estimate
+// through the tuning service: a single-shard server at decay 0 ingests
+// the kernel's blocks in one window and runs one Retune, whose epoch
+// must publish what the batch tune chose.
+func serveCells(t *testing.T, want []goldenCell) []goldenCell {
+	t.Helper()
+	var cells []goldenCell
+	for i, w := range goldenKernels() {
+		cfg := goldenConfig("", 1)
+		s, err := serve.New(serve.Options{Config: cfg, Shards: 1, WindowAccesses: 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.IngestBlocks(0, w.Data(1).Blocks(cfg.BlockBytes, cfg.AddrBits))
+		var ep *serve.Epoch
+		if err == nil {
+			ep, err = s.Retune(context.Background())
+		}
+		if cerr := s.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("serve %s: %v", w.Name, err)
+		}
+		// Exact simulation is the tune path's job; serve publishes only
+		// the function and its estimate.
+		cell := want[i]
+		cell.NullSpace = ep.Func.Matrix().NullSpace().Key()
+		cell.Estimated = ep.Estimated
+		cells = append(cells, cell)
+	}
+	return cells
+}
+
+// TestGoldenFingerprint pins the reproduced results end to end: every
+// worker count, and a run killed and resumed from its checkpoint, must
+// rebuild testdata/golden.json exactly, and serve at decay 0 must
+// publish every general-XOR cell's function and estimate.
 func TestGoldenFingerprint(t *testing.T) {
 	if *updateGolden {
 		cells, _ := goldenCells(t, 1)
@@ -186,4 +239,6 @@ func TestGoldenFingerprint(t *testing.T) {
 	got, _ = goldenCells(t, 2)
 	checkCells(t, "workers=2", got, want)
 	checkCells(t, "kill/resume", killResumeCells(t, moves), want)
+	general := want[:len(goldenKernels())]
+	checkCells(t, "serve decay=0", serveCells(t, general), general)
 }
