@@ -484,7 +484,7 @@ func synthProfileBlocks(length int) []uint64 {
 }
 
 // benchParallelResult is one parallel-section row of BENCH_profile.json:
-// the gate-summary sharded build at one worker count on one workload
+// the gate-absorbing sharded build at one worker count on one workload
 // shape. SpeedupVs1 is relative to the same workload's workers=1 row.
 type benchParallelResult struct {
 	Workload      string  `json:"workload"`
@@ -683,7 +683,7 @@ func capacityHeavyBlocks(length int) []uint64 {
 // loopHeavyBlocks cycles tight loops whose working sets fit the
 // capacity filter, so almost every access is a conflict candidate that
 // must walk: the workload where the gate is pure overhead and the
-// arena stack has to earn it back.
+// window walk has to earn it back.
 func loopHeavyBlocks(length int) []uint64 {
 	r := rand.New(rand.NewSource(8765))
 	blocks := make([]uint64, 0, length)
@@ -699,9 +699,9 @@ func loopHeavyBlocks(length int) []uint64 {
 	return blocks
 }
 
-// BenchmarkBuild measures the sequential Fig. 1 pass — arena stack,
-// distance-gated walks over the top-of-stack window, backend-specialized
-// accumulation — against the pre-overhaul reference on three workload
+// BenchmarkBuild measures the sequential Fig. 1 pass — the LRU gate of
+// stamps and top-of-stack window, backend-specialized accumulation —
+// against the pre-overhaul reference on three workload
 // shapes, requiring bit-identical profiles (every counter and every
 // histogram entry) and recording the speedups in the sequential section
 // of BENCH_profile.json.
@@ -768,7 +768,7 @@ func BenchmarkBuild(b *testing.B) {
 	})
 }
 
-// BenchmarkBuildParallel measures the gate-summary sharded pipeline
+// BenchmarkBuildParallel measures the gate-absorbing sharded pipeline
 // across worker counts on the two workload shapes that bracket it:
 // capacity-heavy (shards barely interact — near-ideal scaling) and
 // mixed (locality spans boundaries — reconciliation earns its keep).

@@ -7,20 +7,15 @@ import (
 )
 
 // Example_stackDistance computes reuse distances, the quantity the
-// paper's capacity filter is built on: after Touch the blocks accessed
-// since b's previous access are the walk from just below the new top
-// down to stop.
+// paper's capacity filter is built on: a block re-touched within the
+// window comes back with the blocks accessed since its previous access.
 func Example_stackDistance() {
-	s := lru.NewStack()
+	s := lru.NewStack(8, 0)
 	for _, b := range []uint64{1, 2, 3, 1, 1, 3} {
-		stop, g := s.Touch(b, 0)
+		g, above := s.Touch(b)
 		d := -1
 		if g != lru.GateCold {
-			nodes, top := s.Raw()
-			d = 0
-			for i := nodes[top].Next; i != stop; i = nodes[i].Next {
-				d++
-			}
+			d = len(above)
 		}
 		fmt.Print(d, " ")
 	}

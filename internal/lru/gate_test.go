@@ -6,67 +6,75 @@ import (
 	"testing/quick"
 )
 
-// The distance tree is the Fenwick half of Stack: the tests below pin
-// its gate against the list half (the walk from the new top to stop)
-// and against the naive slice model.
+// The tests below pin the gate's distance classification — stamps
+// against the window's last stamp — against the naive slice model, at
+// window sizes on both sides of every distance.
 
 func TestDistanceTreeMatchesStack(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewStack()
-	for i := 0; i < 20000; i++ {
-		b := uint64(rng.Intn(300))
-		limit := rng.Intn(320)
-		stop, g := s.Touch(b, limit)
-		if g == GateCold {
-			continue
-		}
-		d := len(walkAbove(s, stop))
-		if want := d <= limit; (g == GateWithin) != want {
-			t.Fatalf("access %d block %d: gate %d at limit %d, walk distance %d", i, b, g, limit, d)
-		}
+	blocks := make([]uint64, 20000)
+	for i := range blocks {
+		blocks[i] = uint64(rng.Intn(300))
 	}
-	if s.Len() != 300 {
-		t.Fatalf("Len = %d, want 300", s.Len())
+	want := referenceDistances(blocks)
+	for _, k := range []int{1, 2, 17, 150, 299, 300, 301} {
+		s := NewStack(k, 9)
+		for i, b := range blocks {
+			g, above := s.Touch(b)
+			d := want[i]
+			switch {
+			case d < 0 && g != GateCold,
+				d >= 0 && d < k && (g != GateWithin || len(above) != d),
+				d >= k && g != GateBeyond:
+				t.Fatalf("k=%d access %d block %d: gate %d (walk %d), distance %d", k, i, b, g, len(above), d)
+			}
+		}
+		if s.Len() != 300 {
+			t.Fatalf("k=%d: Len = %d, want 300", k, s.Len())
+		}
 	}
 }
 
 func TestDistanceTreeSequential(t *testing.T) {
-	s := NewStack()
+	narrow, exact := NewStack(99, 0), NewStack(100, 0)
 	// First pass over 100 blocks: all cold.
 	for b := uint64(0); b < 100; b++ {
-		if _, g := s.Touch(b, 0); g != GateCold {
-			t.Fatalf("first access of %d: gate %d", b, g)
+		for _, s := range []*Stack{narrow, exact} {
+			if g, _ := s.Touch(b); g != GateCold {
+				t.Fatalf("first access of %d: gate %d", b, g)
+			}
 		}
 	}
-	// Second pass: every distance is 99 (all other blocks between).
-	for b := uint64(0); b < 100; b++ {
-		if _, g := s.Touch(b, 98); g != GateBeyond {
-			t.Fatalf("second pass block %d: gate %d at limit 98, want beyond", b, g)
-		}
-	}
-	for b := uint64(0); b < 100; b++ {
-		if _, g := s.Touch(b, 99); g != GateWithin {
-			t.Fatalf("third pass block %d: gate %d at limit 99, want within", b, g)
+	// Later passes: every distance is 99 (all other blocks between).
+	for pass := 0; pass < 2; pass++ {
+		for b := uint64(0); b < 100; b++ {
+			if g, _ := narrow.Touch(b); g != GateBeyond {
+				t.Fatalf("pass %d block %d: gate %d in a window of 99, want beyond", pass, b, g)
+			}
+			if g, above := exact.Touch(b); g != GateWithin || len(above) != 99 {
+				t.Fatalf("pass %d block %d: gate %d walk %d in a window of 100, want within at 99", pass, b, g, len(above))
+			}
 		}
 	}
 }
 
 func TestDistanceTreeProperty(t *testing.T) {
 	// Against the naive reference on arbitrary short traces, at a
-	// limit chosen by the trace itself.
-	f := func(raw []byte, limit uint8) bool {
+	// window size chosen by the trace itself.
+	f := func(raw []byte, kRaw uint8) bool {
 		blocks := make([]uint64, len(raw))
 		for i, r := range raw {
 			blocks[i] = uint64(r % 17)
 		}
 		want := referenceDistances(blocks)
-		s := NewStack()
+		k := int(kRaw%18) + 1
+		s := NewStack(k, 0)
 		for i, b := range blocks {
-			_, g := s.Touch(b, int(limit%18))
+			g, _ := s.Touch(b)
 			switch d := want[i]; {
 			case d < 0 && g != GateCold,
-				d >= 0 && d <= int(limit%18) && g != GateWithin,
-				d > int(limit%18) && g != GateBeyond:
+				d >= 0 && d < k && g != GateWithin,
+				d >= k && g != GateBeyond:
 				return false
 			}
 		}
@@ -104,29 +112,30 @@ func BenchmarkStackTouch(b *testing.B) {
 	for i := range blocks {
 		blocks[i] = uint64(rng.Intn(1 << 14))
 	}
-	s := NewStack()
+	s := NewStack(257, 14)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Touch(blocks[i&(len(blocks)-1)], 256)
+		s.Touch(blocks[i&(len(blocks)-1)])
 	}
 }
 
 // TestTouchSteadyStateAllocs pins the steady-state cost: once every
-// block has been touched, an access is one map lookup, a list move,
-// two Fenwick point updates and at most one prefix query over
-// preallocated storage — compactions included — so it allocates
-// nothing.
+// block has been touched, an access is a stamp read and write plus a
+// Push or Lift over preallocated storage, on either stamp store, so it
+// allocates nothing.
 func TestTouchSteadyStateAllocs(t *testing.T) {
-	s := NewStack()
-	for b := uint64(0); b < 64; b++ {
-		s.Record(b)
-	}
-	var i uint64
-	allocs := testing.AllocsPerRun(2*minTreeSlots, func() {
-		s.Touch(i%64, 16)
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Touch allocates %.1f per op", allocs)
+	for _, bits := range []int{0, 6} {
+		s := NewStack(17, bits)
+		for b := uint64(0); b < 64; b++ {
+			s.Touch(b)
+		}
+		var i uint64
+		allocs := testing.AllocsPerRun(8192, func() {
+			s.Touch(i * 7 % 64)
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("bits=%d: steady-state Touch allocates %.1f per op", bits, allocs)
+		}
 	}
 }

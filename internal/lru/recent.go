@@ -1,19 +1,15 @@
 package lru
 
 // Recent is a bounded move-to-front window: the k most recent blocks of
-// an LRU stack, most recent first, in one contiguous slice. It mirrors
-// the top of a Stack so a conflict walk reads the blocks above a
-// re-referenced one as a plain slice — independent loads — instead of
-// following the slab's Next links one dependent load at a time.
+// an LRU stack, most recent first, in one contiguous slice, so a
+// conflict walk reads the blocks above a re-referenced one as a plain
+// slice of independent loads.
 //
-// Recent never classifies: the caller drives it from Stack.Touch's
-// gate. A GateWithin access at limit k-1 has reuse distance d < k, so
-// the block sits at window position d and Lift(d) moves it to the
-// front; a GateCold or GateBeyond access is not in the window and Push
-// puts it there. Kept in step that way, the window always equals the
-// first min(k, Len) entries of Stack.Blocks. Lift takes the position
-// rather than the block because the profiler finds it in the same pass
-// that counts the blocks above it, so the window is scanned once.
+// Recent never classifies: Stack drives it from its stamps. A block
+// with reuse distance d < k sits at window position d and Lift(d) moves
+// it to the front; any other block is not in the window and Push puts
+// it there. Kept in step that way, the window always equals the first
+// min(k, Len) entries of Stack.Blocks.
 //
 // The window slides toward the front of a buffer about 4k entries
 // long: Push writes one slot below the head, and only when the head
@@ -53,11 +49,11 @@ func (r *Recent) Push(b uint64) {
 }
 
 // Lift moves the block at window position d — its reuse distance, as
-// a caller scanning Blocks for it finds — to the front and returns the
-// d blocks that were above it, most recent first. The move is one copy
-// of those blocks, and above aliases the window like Blocks. A
-// position outside the window panics: the caller's gate and the window
-// have diverged.
+// Stack's search over the window's stamps finds — to the front and
+// returns the d blocks that were above it, most recent first. The move
+// is one copy of those blocks, and above aliases the window like
+// Blocks. A position outside the window panics: the caller's gate and
+// the window have diverged.
 func (r *Recent) Lift(d int) (above []uint64) {
 	if uint(d) >= uint(r.n) {
 		panic("lru: Lift of a block outside the window")
@@ -70,7 +66,7 @@ func (r *Recent) Lift(d int) (above []uint64) {
 }
 
 // Reset replaces the window with the first k blocks of a top-to-bottom
-// stack listing, as restored by NewStackFrom.
+// stack listing; an empty listing empties it.
 func (r *Recent) Reset(topToBottom []uint64) {
 	r.settle(topToBottom[:min(len(topToBottom), r.k)])
 }

@@ -7,55 +7,27 @@ import (
 	"testing"
 )
 
-// step drives one access through a stack and the window that mirrors
-// it, the way the profiler does: the stack's gate at limit k-1 decides
-// between Lift and Push. It returns the Lift result (nil otherwise) and
-// checks it against the stack's own walk.
-func step(t *testing.T, s *Stack, r *Recent, b uint64) []uint64 {
-	t.Helper()
-	stop, g := s.Touch(b, r.k-1)
-	if g != GateWithin {
-		r.Push(b)
-		return nil
-	}
-	above := r.Lift(slices.Index(r.Blocks(), b))
-	if want := walkAbove(s, stop); !slices.Equal(above, want) {
-		t.Fatalf("Lift(%#x) = %v, stack walk %v", b, above, want)
-	}
-	return above
-}
-
-// checkMirror requires the window to equal the stack's top k blocks.
-func checkMirror(t *testing.T, s *Stack, r *Recent, i int) {
-	t.Helper()
-	want := s.Blocks()
-	want = want[:min(len(want), r.k)]
-	if got := r.Blocks(); !slices.Equal(got, want) {
-		t.Fatalf("access %d: window %v, stack top %v", i, got, want)
-	}
-}
-
 // TestRecentMatchesStack is the differential test of the window: after
-// every Push and Lift it equals the first k entries of Stack.Blocks,
-// across many Fenwick compactions and across a Reset from a stack
-// rebuilt by NewStackFrom, for capacities from 1 to past the universe.
+// every access the gate's window equals the first k entries of the
+// naive stack's listing, and every Lift returns exactly the naive
+// walk, across a Restore from the gate's own listing, for capacities
+// from 1 to past the universe.
 func TestRecentMatchesStack(t *testing.T) {
 	for _, k := range []int{1, 2, 7, 64, 257, 400} {
 		rng := rand.New(rand.NewSource(int64(k)))
-		s := NewStack()
-		r := NewRecent(k)
-		compactions, lifts := 0, 0
+		s := NewStack(k, 0)
+		ref := newListStack()
+		lifts := 0
 		const accesses = 40_000
 		for i := 0; i < accesses; i++ {
 			if i == accesses/2 {
-				// Restore mid-stream: the listing seeds both halves.
-				snapshot := s.Blocks()
-				var err error
-				if s, err = NewStackFrom(snapshot); err != nil {
+				// Restore mid-stream from the gate's own listing.
+				restored := NewStack(k, 0)
+				if err := restored.Restore(s.Blocks()); err != nil {
 					t.Fatal(err)
 				}
-				r.Reset(snapshot)
-				checkMirror(t, s, r, i)
+				s = restored
+				checkMirror(t, s, ref, i)
 			}
 			// Tight loops over a drifting base, with uniform noise, so
 			// the gate returns all three classes at every capacity.
@@ -63,21 +35,25 @@ func TestRecentMatchesStack(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				b = uint64(rng.Intn(300))
 			}
-			clock := s.clock
-			if step(t, s, r, b) != nil {
+			if checkAccess(t, "access", s, ref, b) == GateWithin {
 				lifts++
 			}
-			if s.clock <= clock {
-				compactions++
-			}
-			checkMirror(t, s, r, i)
-		}
-		if compactions < 8 {
-			t.Fatalf("k=%d: %d compactions, want at least 8", k, compactions)
+			checkMirror(t, s, ref, i)
 		}
 		if lifts == 0 {
 			t.Fatalf("k=%d: no access lifted", k)
 		}
+	}
+}
+
+// checkMirror requires the gate's window to equal the reference
+// stack's top k blocks.
+func checkMirror(t *testing.T, s *Stack, ref *listStack, i int) {
+	t.Helper()
+	want := ref.Blocks()
+	want = want[:min(len(want), s.win.k)]
+	if got := s.Window(); !slices.Equal(got, want) {
+		t.Fatalf("access %d: window %v, stack top %v", i, got, want)
 	}
 }
 
@@ -126,40 +102,40 @@ func TestRecentLiftOutsidePanics(t *testing.T) {
 }
 
 // TestRecentSteadyStateAllocs pins the window path's steady-state cost:
-// once the window is full, a Touch plus its Push or Lift reuses the
-// buffer — slides included — and allocates nothing.
+// once the window is full, a Touch and the Push or Lift it makes reuse
+// the buffer — slides included — and allocate nothing.
 func TestRecentSteadyStateAllocs(t *testing.T) {
 	const k = 32
-	s := NewStack()
-	r := NewRecent(k)
+	s := NewStack(k, 8)
 	for b := uint64(0); b < 256; b++ {
-		s.Touch(b, k-1)
-		r.Push(b)
+		s.Touch(b)
 	}
 	var i uint64
-	allocs := testing.AllocsPerRun(2*minTreeSlots, func() {
+	lifts := 0
+	allocs := testing.AllocsPerRun(8192, func() {
 		// Alternate a tight loop (Lift) with a far block (Push).
 		b := i % 24
 		if i%5 == 0 {
 			b = 24 + i%232
 		}
-		if _, g := s.Touch(b, k-1); g == GateWithin {
-			r.Lift(slices.Index(r.Blocks(), b))
-		} else {
-			r.Push(b)
+		if g, _ := s.Touch(b); g == GateWithin {
+			lifts++
 		}
 		i++
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state window path allocates %.1f per op", allocs)
 	}
+	if lifts == 0 {
+		t.Fatal("no access lifted")
+	}
 }
 
-// FuzzRecentMirror drives a stack and its window with fuzzer-chosen
-// accesses and capacity, requiring the window to mirror the stack's
-// top k after every access and every Lift to return exactly the
-// stack's walk — including after a Reset from a NewStackFrom restore
-// at a fuzzer-chosen point.
+// FuzzRecentMirror drives the gate and the naive stack with
+// fuzzer-chosen accesses and window size, requiring the window to
+// mirror the naive stack's top k after every access and every Lift to
+// return exactly the naive walk — including after the gate is restored
+// from its own listing at a fuzzer-chosen point.
 func FuzzRecentMirror(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint16(0))
 	f.Add([]byte{1, 0, 2, 0, 1, 0, 3, 0, 2, 0}, uint8(2), uint16(3))
@@ -178,19 +154,18 @@ func FuzzRecentMirror(f *testing.F) {
 		if len(blocks) > 0 {
 			cut = int(cutRaw) % len(blocks)
 		}
-		s := NewStack()
-		r := NewRecent(k)
+		s := NewStack(k, 9)
+		ref := newListStack()
 		for i, b := range blocks {
 			if i == cut {
-				snapshot := s.Blocks()
-				var err error
-				if s, err = NewStackFrom(snapshot); err != nil {
+				restored := NewStack(k, 9)
+				if err := restored.Restore(s.Blocks()); err != nil {
 					t.Fatal(err)
 				}
-				r.Reset(snapshot)
+				s = restored
 			}
-			step(t, s, r, b)
-			checkMirror(t, s, r, i)
+			checkAccess(t, "access", s, ref, b)
+			checkMirror(t, s, ref, i)
 		}
 	})
 }

@@ -1,18 +1,19 @@
 package lru
 
-// listStack is the pre-arena Stack implementation — a heap-allocated
-// doubly-linked *listNode list — kept as a test-only reference. Its
-// WalkAbove is the paper's Fig. 1 traversal, with no clock and no
-// order statistics. The differential tests below drive it in lockstep
-// with the arena Stack on randomized access sequences and require the
-// same recency order, the same gate as a bounded walk would decide,
-// and the same walked blocks, so the fused slab/time/Fenwick index is
-// proven against the structure it replaced rather than against a
+// listStack is the naive LRU stack — a heap-allocated doubly-linked
+// *listNode list holding every block ever touched — kept as a
+// test-only reference. Its WalkAbove is the paper's Fig. 1 traversal,
+// with no stamps and no window. The differential tests below drive it
+// in lockstep with the gate on randomized access sequences and require
+// the same recency order, the same gate as a bounded walk would decide,
+// and the same walked blocks, so the stamp-and-window gate is proven
+// against the full stack it replaced rather than against a
 // re-derivation of the same idea.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -102,17 +103,17 @@ func (s *listStack) Blocks() []uint64 {
 	return out
 }
 
-// checkAccess touches b on both stacks at the given limit and
-// requires the arena gate to match the reference's bounded walk:
-// cold iff the reference has never seen b, within iff the walk reaches
-// b in at most limit steps, and, for a within access, the same blocks
-// walked in the same order.
-func checkAccess(t *testing.T, where string, arena *Stack, ref *listStack, b uint64, limit int) {
+// checkAccess touches b on the gate and the reference and requires the
+// gate to match the reference's walk bounded at k-1 steps, k the
+// window size: cold iff the reference has never seen b, within iff the
+// walk reaches b in at most k-1 steps, and, for a within access, the
+// same blocks above b in the same order.
+func checkAccess(t *testing.T, where string, gate *Stack, ref *listStack, b uint64) Gate {
 	t.Helper()
 	want := GateCold
 	var wantSeen []uint64
 	if ref.Contains(b) {
-		_, reached := ref.WalkAbove(b, limit, func(y uint64) bool {
+		_, reached := ref.WalkAbove(b, gate.win.k-1, func(y uint64) bool {
 			wantSeen = append(wantSeen, y)
 			return true
 		})
@@ -124,106 +125,93 @@ func checkAccess(t *testing.T, where string, arena *Stack, ref *listStack, b uin
 	} else {
 		ref.Push(b)
 	}
-	stop, got := arena.Touch(b, limit)
+	got, above := gate.Touch(b)
 	if got != want {
-		t.Fatalf("%s: Touch(%d, limit=%d) gate %d, want %d", where, b, limit, got, want)
-	}
-	gotSeen := walkAbove(arena, stop)
-	if got == GateCold && len(gotSeen) != 0 {
-		t.Fatalf("%s: cold Touch(%d) walks %v, want nothing", where, b, gotSeen)
+		t.Fatalf("%s: Touch(%d) at k=%d: gate %d, want %d", where, b, gate.win.k, got, want)
 	}
 	if got != GateWithin {
-		return
-	}
-	if len(gotSeen) != len(wantSeen) {
-		t.Fatalf("%s: walk %v, want %v", where, gotSeen, wantSeen)
-	}
-	for i := range wantSeen {
-		if gotSeen[i] != wantSeen[i] {
-			t.Fatalf("%s: walk order %v, want %v", where, gotSeen, wantSeen)
+		if above != nil {
+			t.Fatalf("%s: gate %d Touch(%d) walks %v, want nothing", where, got, b, above)
 		}
+		return got
 	}
+	if !slices.Equal(above, wantSeen) {
+		t.Fatalf("%s: walk %v, want %v", where, above, wantSeen)
+	}
+	return got
 }
 
-// walkAbove lists the blocks a candidate walk visits after Touch
-// returned stop: from just below the new top down to stop.
-func walkAbove(s *Stack, stop int32) []uint64 {
-	var out []uint64
-	nodes, top := s.Raw()
-	for i := nodes[top].Next; i != stop; i = nodes[i].Next {
-		out = append(out, nodes[i].Block)
-	}
-	return out
-}
-
-// checkSame requires identical length and top-to-bottom order.
-func checkSame(t *testing.T, where string, arena *Stack, ref *listStack) {
+// checkSame requires the gate to hold the reference's state: the same
+// population, top-to-bottom order, window and first-touch set.
+func checkSame(t *testing.T, where string, gate *Stack, ref *listStack) {
 	t.Helper()
-	if arena.Len() != ref.Len() {
-		t.Fatalf("%s: Len %d, want %d", where, arena.Len(), ref.Len())
+	if gate.Len() != ref.Len() {
+		t.Fatalf("%s: Len %d, want %d", where, gate.Len(), ref.Len())
 	}
-	got, want := arena.Blocks(), ref.Blocks()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: order %v, want %v", where, got, want)
-		}
+	want := ref.Blocks()
+	if got := gate.Blocks(); !slices.Equal(got, want) {
+		t.Fatalf("%s: order %v, want %v", where, got, want)
+	}
+	if got := gate.Window(); !slices.Equal(got, want[:min(len(want), gate.win.k)]) {
+		t.Fatalf("%s: window %v, want top %v", where, got, want[:min(len(want), gate.win.k)])
+	}
+	first := slices.Clone(gate.FirstTouched())
+	slices.Sort(first)
+	slices.Sort(want)
+	if !slices.Equal(first, want) {
+		t.Fatalf("%s: first touches %v, want the blocks %v", where, first, want)
 	}
 }
 
-// TestStackDifferentialVsList drives the arena stack and the linked-
-// list reference through identical randomized access sequences —
-// gated touches and unclassified records — and requires bit-identical
-// observable state after every step. Each touch is checked at a limit
-// drawn around its true distance (one below, at, one above) or at
-// random, so both sides of every gate boundary are exercised.
+// TestStackDifferentialVsList drives the gate and the linked-list
+// reference through identical randomized access sequences and requires
+// bit-identical observable state after every step. Each trial draws the
+// window size around the universe size, so both sides of every gate
+// boundary are exercised; half the trials direct-index their stamps,
+// half keep them in a map, and one access in 64 restores the gate from
+// its own listing before going on.
 func TestStackDifferentialVsList(t *testing.T) {
 	const trials = 200
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
 		universe := 1 + rng.Intn(80)
-		arena := NewStack()
+		k, bits := 1+rng.Intn(universe+2), 7*(trial%2)
+		gate := NewStack(k, bits)
 		ref := newListStack()
 		for step := 0; step < 400; step++ {
 			b := uint64(rng.Intn(universe))
 			where := fmt.Sprintf("trial %d step %d", trial, step)
-			if arena.Contains(b) != ref.Contains(b) {
-				t.Fatalf("%s: Contains(%d) diverges", where, b)
+			if gate.Seen(b) != ref.Contains(b) {
+				t.Fatalf("%s: Seen(%d) diverges", where, b)
 			}
-			if rng.Intn(4) == 0 { // record: recency only
-				arena.Record(b)
-				if ref.Contains(b) {
-					ref.MoveToTop(b)
-				} else {
-					ref.Push(b)
+			if rng.Intn(64) == 0 {
+				restored := NewStack(k, bits)
+				if err := restored.Restore(gate.Blocks()); err != nil {
+					t.Fatalf("%s: %v", where, err)
 				}
-			} else {
-				limit := rng.Intn(universe + 2)
-				if ref.Contains(b) && rng.Intn(2) == 0 {
-					d, _ := ref.WalkAbove(b, -1, nil)
-					limit = max(0, d-1+rng.Intn(3))
-				}
-				checkAccess(t, where, arena, ref, b, limit)
+				gate = restored
 			}
-			checkSame(t, where, arena, ref)
+			checkAccess(t, where, gate, ref, b)
+			checkSame(t, where, gate, ref)
 		}
 	}
 }
 
-// TestStackDifferentialCompaction is the long case: enough accesses to
-// cross many clock compactions, with a working set that grows and
-// shrinks by phase while fresh blocks keep arriving, so the Fenwick
-// array resizes up through several sizes. (It never resizes down: slots
-// are never freed, so the live population only grows.) Limits stay
-// small so the reference walk stays cheap.
+// TestStackDifferentialCompaction is the long case: enough accesses
+// for the clock to run far past the population, with a working set
+// that grows and shrinks by phase, from well inside the window to far
+// beyond it, while fresh blocks keep arriving. Every phase must both
+// bring in and reuse blocks, and the wide phases must reach below the
+// window.
 func TestStackDifferentialCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
-	arena := NewStack()
+	gate := NewStack(300, 16)
 	ref := newListStack()
-	var compactions, resizes int
 	next := uint64(1) // blocks below next have been handed out
 	step := 0
 	for _, ws := range []int{40, 600, 90, 3000, 200, 12000, 60} {
-		for k := 0; k < 4*minTreeSlots; k++ {
+		var classes [3]int
+		for k := 0; k < 16384; k++ {
 			// Mostly reuse among the ws newest blocks; one access in
 			// sixteen brings in a fresh block.
 			b := next - 1 - uint64(rng.Intn(min(ws, int(next))))
@@ -231,19 +219,12 @@ func TestStackDifferentialCompaction(t *testing.T) {
 				b = next
 				next++
 			}
-			clock, size := arena.clock, len(arena.fen)
-			checkAccess(t, fmt.Sprintf("step %d", step), arena, ref, b, rng.Intn(300))
-			if arena.clock <= clock {
-				compactions++
-			}
-			if size != 0 && len(arena.fen) != size {
-				resizes++
-			}
+			classes[checkAccess(t, fmt.Sprintf("step %d", step), gate, ref, b)]++
 			step++
 		}
-		checkSame(t, fmt.Sprintf("after phase ws=%d", ws), arena, ref)
-	}
-	if compactions < 8 || resizes < 3 {
-		t.Fatalf("%d compactions, %d resizes: the case no longer exercises compaction", compactions, resizes)
+		if classes[GateCold] == 0 || classes[GateWithin] == 0 || ws > 1000 && classes[GateBeyond] == 0 {
+			t.Fatalf("phase ws=%d: gate classes %v", ws, classes)
+		}
+		checkSame(t, fmt.Sprintf("after phase ws=%d", ws), gate, ref)
 	}
 }

@@ -2,7 +2,6 @@ package profile
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -41,21 +40,17 @@ func AnalyzeConflicts(blocks []uint64, n, cacheBlocks, topVectors, topPairs int)
 	for _, vc := range hot {
 		hotSet[uint64(vc.Vec)] = true
 	}
-	// Second pass: same distance-gated walk over the same top-of-stack
-	// window as Build, but counting pairs for hot vectors. The Olken
-	// gate classifies each access before any block is visited, so
-	// capacity misses contribute nothing and cost no walk at all.
+	// Second pass: the same gate as Build, but counting pairs for hot
+	// vectors. The gate classifies each access before any block is
+	// visited, so capacity misses contribute nothing and cost no walk
+	// at all.
 	pairs := make(map[[2]uint64]uint64)
 	mask := p.maskValue()
-	stack := lru.NewStack()
-	win := lru.NewRecent(cacheBlocks + 1)
+	stack := lru.NewStack(cacheBlocks+1, p.stampBits())
 	for _, raw := range blocks {
 		b := raw & mask
-		if _, g := stack.Touch(b, cacheBlocks); g != lru.GateWithin {
-			win.Push(b)
-			continue
-		}
-		for _, y := range win.Lift(slices.Index(win.Blocks(), b)) {
+		_, above := stack.Touch(b)
+		for _, y := range above {
 			if hotSet[b^y] {
 				key := [2]uint64{b, y}
 				if key[0] > key[1] {

@@ -25,7 +25,6 @@ import (
 
 	"xoridx/internal/ckpt"
 	"xoridx/internal/gf2"
-	"xoridx/internal/lru"
 	"xoridx/internal/xerr"
 )
 
@@ -157,7 +156,8 @@ func checkBackendByte(b byte, n int, what string) error {
 }
 
 // putStack writes an LRU stack listing: its length, then each block
-// from top to bottom.
+// from top to bottom (most recent first, as lru.Stack.Blocks sorts the
+// stamps).
 func putStack(put func(uint64), stack []uint64) {
 	put(uint64(len(stack)))
 	for _, blk := range stack {
@@ -186,17 +186,12 @@ func readStack(d *ckpt.Decoder, limit uint64, n int, what string) ([]uint64, err
 	return stack, d.Err()
 }
 
-// restoreStack installs a listing decoded by readStack as the builder's
-// LRU stack and reseeds the window from it; sampled builds keep none.
-// what names the listing in errors.
+// restoreStack replays a listing decoded by readStack into the
+// builder's empty LRU gate; a duplicate block is corruption. what names
+// the listing in errors.
 func (bd *Builder) restoreStack(topToBottom []uint64, what string) error {
-	st, err := lru.NewStackFrom(topToBottom)
-	if err != nil {
+	if err := bd.stack.Restore(topToBottom); err != nil {
 		return fmt.Errorf("profile: %s: %w: %w", what, xerr.ErrFormat, err)
-	}
-	bd.stack = st
-	if bd.win != nil {
-		bd.win.Reset(topToBottom)
 	}
 	return nil
 }

@@ -75,7 +75,7 @@ func FuzzBuildParallelWorkers(f *testing.F) {
 // FuzzShardMerge drives the reconciler directly with fuzz-chosen shard
 // boundaries — including empty shards, single-access shards, and cut
 // points nowhere near a chunkSize multiple, which the public builders
-// can never produce — and asserts the gate-summary exchange still
+// can never produce — and asserts gate absorption still
 // reconciles to the exact sequential profile with exact walk stats.
 func FuzzShardMerge(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 0, 1, 0, 2, 0, 1, 0}, []byte{1, 3}, uint8(6), uint8(2))

@@ -253,7 +253,7 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 }
 
 // TestDifferentialShardedMatrix is the full cross-implementation race
-// for the gate-summary scheme: on every trial one randomized trace
+// for the gate-absorbing scheme: on every trial one randomized trace
 // (locality-mixed or shard-boundary-adversarial) is profiled by the
 // sequential Build, the pre-overhaul sequential reference (refBuild),
 // the retained warmup/overlap parallel reference (refBuildParallel),

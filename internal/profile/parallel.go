@@ -1,47 +1,50 @@
 package profile
 
-// Parallel sharded profiling via gate-summary exchange (DESIGN.md §13).
+// Parallel sharded profiling by gate absorption (DESIGN.md §13).
 //
-// The Fig. 1 pass is sequential on its face — the LRU stack is global
+// The Fig. 1 pass is sequential on its face — the LRU gate is global
 // state — but almost none of that state matters across a shard
-// boundary. Each shard runs the plain arena-stack Builder from cold,
-// with zero per-access overhead over the sequential pass, and exports
-// two things the sequential pass would have needed from it:
-//
-//   - its distinct blocks in first-touch order (the arena slab order),
-//   - its distinct blocks in final recency order (its exit LRU stack).
-//
-// That pair is a lru.GateSummary. A single in-order reconciliation
-// pass over the summaries repairs the only classifications a cold
-// shard can get wrong — its apparent first touches:
+// boundary. Each shard runs the plain Builder from cold, with zero
+// per-access overhead over the sequential pass. A single in-order
+// reconciliation pass then reads the shard's gate — its distinct
+// blocks in first-touch order, its stamps and its window — and repairs
+// the only classifications a cold shard can get wrong, its apparent
+// first touches:
 //
 //   - Every non-first-touch access has its previous access inside the
-//     shard, so the blocks above it on the shard stack are exactly the
-//     blocks the sequential stack holds above it. Intra-shard
+//     shard, so the blocks above it in the shard's window are exactly
+//     the blocks the sequential window holds above it. Intra-shard
 //     classifications and histogram contributions are bit-identical to
 //     the sequential pass.
 //   - A shard's j-th first touch of block b that an earlier shard
 //     already accessed is really a re-reference. Its sequential reuse
 //     distance is |prefix_j ∪ above(b)|, where prefix_j is the shard's
 //     j first-touched blocks before it (all accessed since b's previous
-//     access) and above(b) the blocks above b on the reconciler's
-//     boundary stack — the sequential LRU stack at the shard's start.
-//     With j > cacheBlocks the distance already exceeds the filter, so
-//     the miss flips compulsory→capacity with no walk at all; otherwise
-//     a bounded boundary-stack walk (skipping prefix_j members, early
-//     exiting once the union exceeds the filter) either flips it to
-//     capacity or counts the conflict pairs b⊕y the cold shard omitted.
-//   - Replaying the shard's recency order bottom-up over the boundary
-//     stack then yields the sequential LRU stack at the shard's end,
-//     because an LRU stack depends only on the order of last accesses.
+//     access) and above(b) the blocks above b in the boundary gate —
+//     the sequential gate at the shard's start. With j > cacheBlocks,
+//     or b below the boundary window, the distance already exceeds the
+//     filter, so the miss flips compulsory→capacity with no walk at
+//     all; otherwise the boundary window above b, less the prefix
+//     members, either flips it to capacity or supplies the conflict
+//     pairs b⊕y the cold shard omitted.
+//   - The boundary gate then absorbs the shard's: the shard's stamps
+//     move past the boundary clock, so every block the shard touched
+//     is more recent than every block it did not, and the shard's
+//     window, topped up from the boundary window when the shard saw
+//     fewer than cacheBlocks+1 blocks, becomes the boundary window.
+//     That is the sequential gate at the shard's end, because an LRU
+//     stack depends only on the order of last accesses.
 //
 // At most cacheBlocks+1 first touches per shard can reach the walk, and
-// each walk visits at most ~2·cacheBlocks entries, so reconciliation is
-// O(cacheBlocks²) per boundary — independent of shard length. Histogram
-// increments commute, so the merged profile is bit-identical to the
-// sequential Build — histogram, every counter, and the BuildStats
-// probes — for every worker count and chunk size. This replaces the
-// PR 1 warmup-replay scheme (retained verbatim in refparallel_test.go
+// each reads at most cacheBlocks+1 window entries, so the repair is
+// O(cacheBlocks²) per boundary and the absorb O(1) per distinct shard
+// block — independent of shard length. Histogram increments commute,
+// so the merged profile is bit-identical to the sequential Build —
+// histogram, every counter, and the BuildStats probes — for every
+// worker count and chunk size. An absorbed shard's builder, histogram
+// and stamps included, is emptied and handed to the next shard, so a
+// pass allocates only as many builders as it has in flight. This
+// replaces an earlier warmup-replay scheme (kept in refparallel_test.go
 // as a differential reference), which paid a per-access map write in
 // every shard and re-profiled an overlap window per boundary.
 
@@ -63,25 +66,25 @@ var testShardHook func(idx int)
 
 // shardState is the fixed-size per-shard slot of a sharded build: the
 // input half (idx, blocks) is filled by the dispatcher, the output half
-// (p, sum, stats, err) by the one worker goroutine that runs the shard.
-// Nothing in it is shared until the shard is handed back for
-// reconciliation.
+// (bd, p, err) by the one worker goroutine that runs the shard. Nothing
+// in it is shared until the shard is handed back for reconciliation,
+// and once absorbed the whole slot — chunk buffer and builder — is
+// recycled for a later shard.
 type shardState struct {
 	idx    int
 	blocks []uint64
+	bd     *Builder // the previous shard's builder when recycled, else nil
 
-	p     *Profile
-	sum   lru.GateSummary
-	stats BuildStats
-	err   error
+	p   *Profile
+	err error
 }
 
-// run profiles the shard from a cold builder, checking ctx every
-// ctxCheckEvery accesses, and exports the gate summary the reconciler
-// needs. A panic anywhere in the pass is converted into a wrapped
-// xerr.ErrPanic naming the shard instead of crashing the process, so
-// the fan-out drains normally and the caller sees an ordinary error it
-// can match with errors.Is.
+// run profiles the shard on a cold builder — a new one, or the recycled
+// one emptied — checking ctx every ctxCheckEvery accesses. A panic
+// anywhere in the pass is converted into a wrapped xerr.ErrPanic naming
+// the shard instead of crashing the process, so the fan-out drains
+// normally and the caller sees an ordinary error it can match with
+// errors.Is.
 func (s *shardState) run(ctx context.Context, n, cacheBlocks int, opt Options) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -92,7 +95,11 @@ func (s *shardState) run(ctx context.Context, n, cacheBlocks int, opt Options) {
 	if testShardHook != nil {
 		testShardHook(s.idx)
 	}
-	bd := newBuilder(n, cacheBlocks, opt.Sketch)
+	if s.bd == nil {
+		s.bd = newBuilder(n, cacheBlocks, opt.Sketch)
+	} else {
+		s.bd.reset()
+	}
 	tick := 0
 	for _, b := range s.blocks {
 		if tick++; tick >= ctxCheckEvery {
@@ -102,20 +109,36 @@ func (s *shardState) run(ctx context.Context, n, cacheBlocks int, opt Options) {
 				return
 			}
 		}
-		bd.Add(b)
+		s.bd.Add(b)
 	}
-	s.sum = bd.GateSummary()
-	s.stats = bd.Stats()
-	s.p = bd.Finish()
+	s.p = s.bd.p
+}
+
+// reset empties an absorbed shard's builder for the next shard, keeping
+// its flat table or sparse map and its stamps: clearing costs one pass
+// over the table and one write per block the shard saw.
+func (bd *Builder) reset() {
+	p := bd.p
+	clear(p.Table)
+	clear(p.Sparse)
+	fresh := &Profile{N: p.N, CacheBlocks: p.CacheBlocks, Table: p.Table, Sparse: p.Sparse}
+	if sk := p.Sketch; sk != nil {
+		fresh.Sketch = NewSketch(SketchOptions{Width: sk.Width, Depth: sk.Depth, TopK: sk.topK, Seed: sk.Seed})
+	}
+	bd.p = fresh
+	bd.stack.Reset()
+	bd.stats = BuildStats{}
 }
 
 // buildSharded is the Workers > 1 engine: a chunk dispatcher, a
 // worker pool of cold shard builders, and an in-order collector that
-// reconciles gate summaries as shards complete (and snapshots the
-// reconciled prefix when checkpointing). Reconciliation is incremental,
-// so at most ~Workers shard histograms are alive at once. start is the
-// state the pass continues from — cold, or a restored snapshot whose
-// (profile, stack) pair seeds the reconciler. A failed shard (panic,
+// absorbs shards as they complete (and snapshots the reconciled prefix
+// when checkpointing). Reconciliation is incremental, and absorbed
+// shard slots return to a free list the dispatcher draws from, so a
+// pass allocates chunk buffers, histograms and stamps only for the
+// shards it has in flight at once. start is the state the pass
+// continues from — cold, or a restored snapshot whose (profile, gate)
+// pair seeds the reconciler. A failed shard (panic,
 // injected fault) cancels the rest of the fan-out internally, and its
 // error — not the secondary cancellation — is what the call returns.
 func buildSharded(ctx context.Context, src BlockSource, start *Builder, opt Options) (*Profile, error) {
@@ -134,6 +157,11 @@ func buildSharded(ctx context.Context, src BlockSource, start *Builder, opt Opti
 
 	jobs := make(chan *shardState, opt.Workers)
 	done := make(chan *shardState, opt.Workers)
+	// free holds absorbed slots for reuse. It has room for about as
+	// many slots as can be in flight (queued, running, done, and the
+	// collector's and dispatcher's own), so a recycled slot is rarely
+	// dropped and reallocated.
+	free := make(chan *shardState, 4*opt.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < opt.Workers; w++ {
 		wg.Add(1)
@@ -192,6 +220,10 @@ func buildSharded(ctx context.Context, src BlockSource, start *Builder, opt Opti
 					fail(err)
 					continue
 				}
+				select {
+				case free <- ns:
+				default:
+				}
 				if opt.CheckpointPath != "" {
 					if sinceCkpt += added; sinceCkpt >= opt.CheckpointEvery {
 						if err := opt.snapshot(rc.builder()); err != nil {
@@ -212,11 +244,17 @@ func buildSharded(ctx context.Context, src BlockSource, start *Builder, opt Opti
 			srcErr = err
 			break
 		}
-		buf := make([]uint64, opt.chunkSize)
-		filled, ferr := fillChunk(src, buf)
+		var s *shardState
+		select {
+		case s = <-free:
+		default:
+			s = &shardState{blocks: make([]uint64, opt.chunkSize)}
+		}
+		filled, ferr := fillChunk(src, s.blocks[:cap(s.blocks)])
 		if filled > 0 && ferr == nil || ferr == io.EOF {
 			if filled > 0 {
-				jobs <- &shardState{idx: idx, blocks: buf[:filled]}
+				s.idx, s.blocks = idx, s.blocks[:filled]
+				jobs <- s
 				idx++
 			}
 		}
@@ -280,10 +318,10 @@ func fillChunk(src BlockSource, buf []uint64) (int, error) {
 }
 
 // reconciler folds shard results into the merged profile in trace
-// order. bound is the sequential LRU stack at the boundary between the
+// order. bound is the sequential LRU gate at the boundary between the
 // shards already absorbed and the next one — the only cross-shard state
 // the scheme needs. Its (out, bound) pair is at every shard boundary
-// exactly the (profile, stack) state of a sequential Builder at that
+// exactly the (profile, gate) state of a sequential Builder at that
 // access position, which is what makes sharded builds checkpointable
 // with the sequential snapshot codec (see rc.builder).
 type reconciler struct {
@@ -295,8 +333,8 @@ type reconciler struct {
 	scratch []uint64            // scratch: boundary blocks collected by a walk
 }
 
-// newReconciler continues from start's (profile, stack) state: cold,
-// or a restored snapshot of the prefix already profiled.
+// newReconciler continues from start's (profile, gate) state: cold, or
+// a restored snapshot of the prefix already profiled.
 func newReconciler(start *Builder) *reconciler {
 	return &reconciler{
 		out:    start.p,
@@ -307,7 +345,7 @@ func newReconciler(start *Builder) *reconciler {
 
 // builder views the reconciled prefix as a sequential Builder for the
 // snapshot codec: (out, bound) at a shard boundary carries the same
-// counters, stack and histogram a sequential Builder would hold at that
+// counters, gate and histogram a sequential Builder would hold at that
 // access position, down to the stackLen == Compulsory invariant Restore
 // re-validates.
 func (rc *reconciler) builder() *Builder {
@@ -316,75 +354,66 @@ func (rc *reconciler) builder() *Builder {
 
 // absorb folds the next shard (in trace order) into the merged profile:
 // reclassify the shard's boundary-crossing first touches against the
-// boundary stack, merge the histogram, then advance the boundary stack
-// by the shard's recency order. A merge failure (a shard built with a
-// different geometry — impossible through the exported builders,
-// reachable if the reconciler is ever reused across configurations) is
-// returned as Merge's wrapped xerr.ErrProfileMismatch rather than
-// panicking in library code.
+// boundary gate, let the boundary gate absorb the shard's, then merge
+// the histogram. A merge failure (a shard built with a different
+// geometry — impossible through the exported builders, reachable if the
+// reconciler is ever reused across configurations) is returned as
+// Merge's wrapped xerr.ErrProfileMismatch rather than panicking in
+// library code.
 func (rc *reconciler) absorb(s *shardState) error {
-	rc.stats.CandidateWalks += s.stats.CandidateWalks
-	rc.stats.WalkSteps += s.stats.WalkSteps
-	rc.stats.GatedCapacityMisses += s.stats.GatedCapacityMisses
-	cacheBlocks := rc.out.CacheBlocks
+	st := s.bd.stats
+	rc.stats.CandidateWalks += st.CandidateWalks
+	rc.stats.WalkSteps += st.WalkSteps
+	rc.stats.GatedCapacityMisses += st.GatedCapacityMisses
+	// Only first touches with at most cacheBlocks first touches before
+	// them can be conflict candidates; each is resolved against the
+	// boundary gate before it absorbs the shard's.
+	first := s.bd.stack.FirstTouched()
+	head := first[:min(len(first), rc.out.CacheBlocks+1)]
 	clear(rc.prefix)
-	for j, b := range s.sum.FirstTouch {
-		if target, ok := rc.bound.Index(b); ok {
-			rc.resolve(s.p, s.sum.FirstTouch[:j], b, target)
+	resolved := 0
+	for j, b := range head {
+		if rc.bound.Seen(b) {
+			rc.resolve(s.p, head[:j], b)
+			resolved++
 		}
-		if j <= cacheBlocks {
-			// Only candidates with at most cacheBlocks prior first
-			// touches can walk, so the prefix set stops growing once no
-			// later candidate could need it.
-			rc.prefix[b] = struct{}{}
-		}
+		rc.prefix[b] = struct{}{}
 	}
+	// Every later first touch the boundary had seen sits more than
+	// cacheBlocks blocks deep: a capacity miss, found by Absorb's count.
+	deep := uint64(rc.bound.Absorb(s.bd.stack) - resolved)
+	s.p.Compulsory -= deep
+	s.p.Capacity += deep
+	rc.stats.GatedCapacityMisses += deep
 	if err := rc.out.Merge(s.p); err != nil {
 		return fmt.Errorf("profile: shard merge: %w", err)
-	}
-	for i := len(s.sum.Recency) - 1; i >= 0; i-- {
-		rc.bound.Record(s.sum.Recency[i])
 	}
 	return nil
 }
 
 // resolve reclassifies one boundary-crossing candidate: block b looked
-// like the shard's j-th first touch (j = len(prefix)) but an earlier
-// shard accessed it. Its sequential reuse distance is the size of
-// prefix ∪ {boundary-stack blocks above b}; the prefix members are
-// distinct from each other and all accessed since b, so the walk only
-// has to add the boundary blocks not already in the prefix. The walk
-// visits at most 2·cacheBlocks+1 entries: it early-exits to a capacity
-// miss once the union exceeds the filter, having skipped at most
-// cacheBlocks+1 prefix members before that.
-func (rc *reconciler) resolve(p *Profile, prefix []uint64, b uint64, target int32) {
+// like the shard's j-th first touch (j = len(prefix) <= cacheBlocks)
+// but an earlier shard accessed it. Its sequential reuse distance is
+// the size of prefix ∪ {boundary blocks above b}; the prefix members
+// are distinct from each other and all accessed since b, so only the
+// boundary blocks not already in the prefix add to it. A b below the
+// boundary window has more than cacheBlocks boundary blocks above it.
+func (rc *reconciler) resolve(p *Profile, prefix []uint64, b uint64) {
 	p.Compulsory--
-	cacheBlocks := rc.out.CacheBlocks
-	j := len(prefix)
-	if j > cacheBlocks {
+	above, in := rc.bound.Above(b)
+	ys := rc.scratch[:0]
+	for _, y := range above {
+		if _, ok := rc.prefix[y]; !ok {
+			ys = append(ys, y)
+		}
+	}
+	rc.scratch = ys
+	if !in || len(prefix)+len(ys) > rc.out.CacheBlocks {
 		p.Capacity++
 		rc.stats.GatedCapacityMisses++
 		return
 	}
-	nodes, top := rc.bound.Raw()
-	ys := rc.scratch[:0]
-	for i := top; i != target; i = nodes[i].Next {
-		y := nodes[i].Block
-		if _, ok := rc.prefix[y]; ok {
-			continue
-		}
-		if j+len(ys)+1 > cacheBlocks {
-			rc.scratch = ys
-			p.Capacity++
-			rc.stats.GatedCapacityMisses++
-			return
-		}
-		ys = append(ys, y)
-	}
-	rc.scratch = ys
 	p.Candidates++
-	p.addPairs(b, prefix)
-	p.addPairs(b, ys)
 	rc.stats.CandidateWalks++
-	rc.stats.WalkSteps += uint64(j + len(ys))
+	rc.stats.WalkSteps += p.addPairs(b, prefix) + p.addPairs(b, ys)
 }

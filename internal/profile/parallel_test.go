@@ -91,7 +91,7 @@ func boundaryTrace(r *rand.Rand, period, length int) []uint64 {
 	return blocks[:length]
 }
 
-// TestBuildParallelBoundaryAdversarial pins the gate-summary exchange
+// TestBuildParallelBoundaryAdversarial pins gate absorption
 // where it is hardest: reuse intervals that straddle shard boundaries
 // with distances right at the capacity filter, across worker counts and
 // chunk sizes chosen to put a boundary inside almost every interval.
@@ -207,7 +207,7 @@ func TestBuildStreamShardPanicNotMaskedByCancellation(t *testing.T) {
 // TestBuildStreamFillsShortReads pins the chunk-boundary alignment: a
 // source that dribbles a few blocks per call still yields shards of
 // exactly chunkSize (the dispatcher tops chunks up), so shard
-// boundaries — and the gate summaries exchanged at them — are a
+// boundaries — and the gates absorbed at them — are a
 // function of chunkSize alone, not of the source's read granularity.
 func TestBuildStreamFillsShortReads(t *testing.T) {
 	var shards atomic.Int32

@@ -2,7 +2,7 @@
 // construction algorithm (Fig. 1) and the null-space miss estimator
 // (Eq. 4).
 //
-// One pass over the block-address trace maintains an LRU stack. For
+// One pass over the block-address trace maintains an LRU gate. For
 // every access to a block x that is neither a compulsory miss (first
 // touch) nor a capacity miss (reuse distance larger than the cache
 // capacity in blocks), each block y accessed since the previous access
@@ -24,7 +24,6 @@ package profile
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"xoridx/internal/gf2"
@@ -97,26 +96,20 @@ func Build(blocks []uint64, n, cacheBlocks int) *Profile {
 // time — the streaming form of Build for traces too large to hold in
 // memory (feed it straight from a trace decoder).
 //
-// The hot path is distance-gated (DESIGN.md §12): every access makes
-// one lru.Stack.Touch, which looks the block up once, classifies its
-// reuse distance against the capacity filter with one Olken
-// order-statistics query (or none, when the raw access gap already
-// proves the distance fits) and moves it to the top. A capacity miss
-// is classified without visiting a single stack entry, and a conflict
-// candidate visits the blocks above it exactly once, with no rollback
-// path: on an exact build as a contiguous slice of the window that
-// mirrors the stack's top CacheBlocks+1 blocks.
+// The hot path is one lru.Stack gate (DESIGN.md §12): every access
+// reads and rewrites the block's last-touch stamp, and compares the old
+// stamp with the stamp of the last block in the window of the
+// CacheBlocks+1 most recent blocks. A never-seen block is a compulsory
+// miss and a block below the window a capacity miss, both classified
+// without visiting a single window entry. A block in the window is a
+// conflict candidate, and the blocks above it — at most CacheBlocks of
+// them — come back as one contiguous slice of the window.
 type Builder struct {
 	p     *Profile
 	mask  uint64
 	stack *lru.Stack
 	stats BuildStats
 	done  bool
-
-	// win mirrors the stack's top CacheBlocks+1 blocks for builds that
-	// walk every candidate; it is nil for sampled builds, which walk
-	// the stack's list instead (see Add).
-	win *lru.Recent
 
 	// Sampling gate (see sample.go). sampleK <= 1 profiles every
 	// candidate; otherwise sampleCount is the 1-indexed ordinal of the
@@ -127,18 +120,18 @@ type Builder struct {
 	sampleNext  uint64
 }
 
-// BuildStats exposes the hot-path probes of a Builder: how many stack
-// walks it performed and how much work the distance gate skipped. The
-// invariants the tests pin are CandidateWalks == Profile.Candidates,
-// WalkSteps == Profile.TotalPairs (every visited entry contributes
-// exactly one histogram increment — a rollback scheme would visit
-// capacity-miss prefixes twice on top of that), and
-// GatedCapacityMisses == Profile.Capacity (no capacity miss ever
-// touches the stack). Counters restart at zero on a checkpoint
-// restore; they probe the live pass, not the snapshot.
+// BuildStats exposes the hot-path probes of a Builder: how many
+// conflict walks it performed and how much work the distance gate
+// skipped. The invariants the tests pin are CandidateWalks ==
+// Profile.Candidates, WalkSteps == Profile.TotalPairs (every visited
+// entry contributes exactly one histogram increment — a rollback
+// scheme would visit capacity-miss prefixes twice on top of that), and
+// GatedCapacityMisses == Profile.Capacity (no capacity miss ever walks
+// the window). Counters restart at zero on a checkpoint restore; they
+// probe the live pass, not the snapshot.
 type BuildStats struct {
-	CandidateWalks      uint64 // stack walks performed: exactly one per conflict candidate
-	WalkSteps           uint64 // stack entries visited across all walks
+	CandidateWalks      uint64 // conflict walks performed: exactly one per walked candidate
+	WalkSteps           uint64 // window entries visited across all walks
 	GatedCapacityMisses uint64 // capacity misses resolved by the gate alone
 }
 
@@ -172,7 +165,10 @@ func ValidateGeometry(n, cacheBlocks int) error {
 // newBuilder constructs a cold builder on the one histogram store its
 // inputs allow: the count-min sketch when sketch is non-nil (never a
 // flat table, whatever n), otherwise a flat table for n <= MaxFlatBits
-// and a sparse map beyond. The sketch options must be valid.
+// and a sparse map beyond. The gate's stamps follow the same rule —
+// direct-indexed exactly when the histogram is a flat table — so a
+// sketch or sparse build never allocates 2^n of anything. The sketch
+// options must be valid.
 func newBuilder(n, cacheBlocks int, sketch *SketchOptions) *Builder {
 	p := &Profile{N: n, CacheBlocks: cacheBlocks}
 	switch {
@@ -186,9 +182,17 @@ func newBuilder(n, cacheBlocks int, sketch *SketchOptions) *Builder {
 	return &Builder{
 		p:     p,
 		mask:  uint64(gf2.Mask(n)),
-		stack: lru.NewStack(),
-		win:   lru.NewRecent(cacheBlocks + 1),
+		stack: lru.NewStack(cacheBlocks+1, p.stampBits()),
 	}
+}
+
+// stampBits is the width at which an LRU gate over p's blocks
+// direct-indexes its stamps: N for a flat table, 0 (a map) otherwise.
+func (p *Profile) stampBits() int {
+	if p.Table != nil {
+		return p.N
+	}
+	return 0
 }
 
 // Add records one block access (truncated to n bits internally).
@@ -199,153 +203,78 @@ func (bd *Builder) Add(block uint64) {
 	p := bd.p
 	b := block & bd.mask
 	p.Accesses++
-	// Distance gate: the access is classified, and b moved to the top,
-	// before any stack entry is visited. A capacity miss costs no walk
-	// at all.
-	stop, g := bd.stack.Touch(b, p.CacheBlocks)
-	if g != lru.GateWithin {
-		if bd.win != nil {
-			bd.win.Push(b)
-		}
-		if g == lru.GateCold {
-			// Compulsory miss: no conflict information.
-			p.Compulsory++
-		} else {
-			p.Capacity++
-			bd.stats.GatedCapacityMisses++
-		}
+	// Distance gate: the access is classified, and b moved to the top
+	// of the window, before any window entry is counted. A capacity
+	// miss costs no walk at all.
+	g, above := bd.stack.Touch(b)
+	switch g {
+	case lru.GateCold:
+		// Compulsory miss: no conflict information.
+		p.Compulsory++
+		return
+	case lru.GateBeyond:
+		p.Capacity++
+		bd.stats.GatedCapacityMisses++
 		return
 	}
 	// Conflict candidate: the blocks accessed since b's previous access
 	// — at most CacheBlocks of them, by the gate — each contribute one
-	// conflict vector. An exact build reads them off the window as one
-	// contiguous slice. A sampled build keeps no window: keeping it in
-	// step would cost every skipped candidate an O(d) scan and shift,
-	// while the list moves b in O(1), so the few candidates it does
-	// walk follow the stack's links from just below b down to stop.
+	// conflict vector.
 	p.Candidates++
-	var d uint64
 	if k := bd.sampleK; k > 1 {
 		// Sampling gate (sample.go): only every k-th candidate walks;
-		// a skipped one has already refreshed its recency, so the LRU
-		// state — and every later classification — stays exact.
+		// a skipped one has already moved to the front of the window,
+		// so the LRU state — and every later classification — stays
+		// exact.
 		if bd.sampleCount++; bd.sampleCount != bd.sampleNext {
 			return
 		}
 		bd.sampleNext += k
 		p.SampledCandidates++
-		d = bd.walkList(b, stop)
-	} else {
-		// b sits at window position d: count the blocks above it in
-		// the same pass that finds it, then move it to the front.
-		d = p.addPairs(b, bd.win.Blocks())
-		bd.win.Lift(int(d))
 	}
 	bd.stats.CandidateWalks++
-	bd.stats.WalkSteps += d
+	bd.stats.WalkSteps += p.addPairs(b, above)
 }
 
 // addPairs counts the conflict vector b⊕y into the active histogram
-// backend for every block y of ys that precedes b — all of them when b
-// is absent — and returns how many it counted.
+// backend for every block y of ys, none of which is b, and returns how
+// many it counted.
 func (p *Profile) addPairs(b uint64, ys []uint64) uint64 {
-	d := 0
 	if tbl := p.Table; tbl != nil {
 		for _, y := range ys {
-			if y == b {
-				break
-			}
 			tbl[b^y]++
-			d++
 		}
 	} else if sk := p.Sketch; sk != nil {
 		for _, y := range ys {
-			if y == b {
-				break
-			}
 			sk.Inc(b ^ y)
-			d++
 		}
 	} else {
 		sp := p.Sparse
 		for _, y := range ys {
-			if y == b {
-				break
-			}
 			sp[b^y]++
-			d++
 		}
 	}
-	p.TotalPairs += uint64(d)
-	return uint64(d)
+	p.TotalPairs += uint64(len(ys))
+	return uint64(len(ys))
 }
 
-// walkList is a sampled build's conflict walk: it follows the stack's
-// links from just below b, now on top, down to stop, counting each
-// conflict vector straight into the active backend, and returns the
-// number of blocks visited.
-func (bd *Builder) walkList(b uint64, stop int32) uint64 {
-	p := bd.p
-	nodes, top := bd.stack.Raw()
-	d := uint64(0)
-	if tbl := p.Table; tbl != nil {
-		for i := nodes[top].Next; i != stop; i = nodes[i].Next {
-			tbl[b^nodes[i].Block]++
-			d++
-		}
-	} else if sk := p.Sketch; sk != nil {
-		for i := nodes[top].Next; i != stop; i = nodes[i].Next {
-			sk.Inc(b ^ nodes[i].Block)
-			d++
-		}
-	} else {
-		sp := p.Sparse
-		for i := nodes[top].Next; i != stop; i = nodes[i].Next {
-			sp[b^nodes[i].Block]++
-			d++
-		}
-	}
-	p.TotalPairs += d
-	return d
-}
-
-// Warm replays one block access into the LRU stack without counting
+// Warm replays one block access into the LRU gate without counting
 // anything: no conflict vectors, no bookkeeping. It reconstructs the
-// stack context at a shard boundary so a chunked builder classifies the
+// gate at a shard boundary so a chunked builder classifies the
 // accesses of its own shard exactly as a sequential pass would (see
-// DESIGN.md §8). The window, when kept, follows the stack's gate.
+// DESIGN.md §8).
 func (bd *Builder) Warm(block uint64) {
 	if bd.done {
 		panic("profile: Warm after Finish")
 	}
-	b := block & bd.mask
-	if bd.win == nil {
-		bd.stack.Record(b)
-		return
-	}
-	if _, g := bd.stack.Touch(b, bd.p.CacheBlocks); g == lru.GateWithin {
-		bd.win.Lift(slices.Index(bd.win.Blocks(), b))
-	} else {
-		bd.win.Push(b)
-	}
+	bd.stack.Touch(block & bd.mask)
 }
 
-// Seen reports whether the block is on the builder's LRU stack, i.e.
-// has been passed to Add or Warm before. The next Add of an unseen
-// block will be classified as a compulsory miss.
+// Seen reports whether the block has been passed to Add or Warm
+// before. The next Add of an unseen block will be classified as a
+// compulsory miss.
 func (bd *Builder) Seen(block uint64) bool {
-	return bd.stack.Contains(block & bd.mask)
-}
-
-// GateSummary exports the builder's boundary state for the sharded
-// merge (DESIGN.md §13): its distinct blocks in first-touch order and
-// in final recency order, read straight off the arena stack with no
-// per-access bookkeeping during the pass. Only meaningful for a builder
-// that ran its accesses from cold (the first-touch order of a
-// checkpoint-restored builder is the snapshot's recency order, not the
-// original trace's).
-func (bd *Builder) GateSummary() lru.GateSummary {
-	return bd.stack.Summary()
+	return bd.stack.Seen(block & bd.mask)
 }
 
 // Finish returns the accumulated profile; the builder must not be used

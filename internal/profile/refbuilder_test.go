@@ -5,7 +5,7 @@ package profile
 // counting walk on every re-reference, and a full rollback re-walk when
 // the walk fails to reach the block within the capacity filter. The
 // differential tests below run it in lockstep with the production
-// builder (arena stack + Olken distance gate + backend-specialized
+// builder (stamp-and-window LRU gate + backend-specialized
 // accumulation) and require bit-identical classification and histogram
 // on randomized traces — the proof that the hot-path overhaul changed
 // the cost of the pass, not its meaning.
@@ -230,9 +230,9 @@ func TestWalkCountProbe(t *testing.T) {
 
 // TestCheckpointRoundTripsArenaStack cuts a trace at an arbitrary
 // point, round-trips the builder through the checkpoint codec, and
-// requires the restored arena stack to list the same blocks in the
-// same recency order and the continued run to match an uninterrupted
-// one bit for bit — the profile-side half of the arena round-trip
+// requires the restored gate to list the same blocks in the same
+// recency order and the continued run to match an uninterrupted one
+// bit for bit — the profile-side half of the listing round-trip
 // contract (lru's FuzzStackRoundTrip is the other half).
 func TestCheckpointRoundTripsArenaStack(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))

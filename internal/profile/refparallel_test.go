@@ -5,8 +5,8 @@ package profile
 // preceding it (stack state only, no counting), tracks per-access
 // first-touch and seen sets, and a map-based merge pass repairs the
 // compulsory/capacity split at boundaries. It was proven exact by the
-// PR 1–5 differential batteries, which makes it a trustworthy third
-// implementation to race against the gate-summary scheme that replaced
+// earlier differential batteries, which makes it a trustworthy third
+// implementation to race against the gate-absorbing scheme that replaced
 // it (the two share the reconciliation *problem* but no reconciliation
 // code). Kept synchronous — the goroutine fan-out is the production
 // builder's concern, not the reference's.

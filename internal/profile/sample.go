@@ -1,15 +1,16 @@
 package profile
 
-// Sampled profiling (DESIGN.md §17). A full Fig. 1 pass walks the LRU
-// stack once per conflict candidate; on billion-access traces those
-// walks dominate the build. Sampling keeps the classification machinery
-// exact — every access still runs through the distance gate, so the LRU
-// stack, its access times and the Compulsory/Capacity/Candidates
-// counters are bit-identical to an exact pass — but only every k-th
-// conflict candidate's reuse interval is walked into the histogram.
-// Skipped candidates still refresh their stack position (the gate's
-// Touch moves them to the top), so later reuse distances are
-// unaffected by the skipping.
+// Sampled profiling (DESIGN.md §17). A full Fig. 1 pass walks the
+// window above every conflict candidate into the histogram; on
+// billion-access traces those walks dominate the build. Sampling keeps
+// the classification machinery exact — every access still runs through
+// the distance gate, so the stamps, the window and the
+// Compulsory/Capacity/Candidates counters are bit-identical to an exact
+// pass — but only every k-th conflict candidate's reuse interval is
+// counted into the histogram. A skipped candidate is still lifted to
+// the front of the window (the gate's Touch does that before the
+// sampling gate looks at it), so later reuse distances are unaffected
+// by the skipping; it just skips the counting.
 //
 // The histogram therefore holds a deterministic ~1/k subsample of the
 // conflict pairs, and every Eq. 4 estimate read from it is a raw count
@@ -58,7 +59,6 @@ func (bd *Builder) setSampling(opt SampleOptions) {
 		return
 	}
 	bd.sampleK = opt.K
-	bd.win = nil // sampled builds walk the stack's list (see Builder.Add)
 	bd.p.SampleK = opt.K
 	bd.p.SampleSeed = opt.Seed
 	// First profiled candidate ordinal (1-indexed): a deterministic

@@ -2,7 +2,7 @@ package profile
 
 // BuildStream: the one configurable profiling pass. Two engines sit
 // behind it — a sequential loop (Workers <= 1, and every sampled build)
-// and the sharded gate-summary pipeline of parallel.go (Workers > 1) —
+// and the sharded gate-absorbing pipeline of parallel.go (Workers > 1) —
 // sharing option validation, checkpoint restore, prefix skip and the
 // snapshot-on-cancellation path. Build is the six-line reference both
 // are tested against.
@@ -83,7 +83,8 @@ type Options struct {
 	// chunkSize is the sharded engine's shard length in accesses; 0
 	// selects defaultChunkSize. The dispatcher fills every chunk to
 	// exactly this length (short source reads are topped up), so shard
-	// boundaries — and therefore gate-summary exchange points — land at
+	// boundaries — and therefore the points where the reconciler
+	// absorbs a shard's gate — land at
 	// fixed multiples of it regardless of the source's read
 	// granularity. Only the final chunk may be short. Tests shrink it
 	// to force many shard boundaries over short traces.

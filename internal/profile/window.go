@@ -4,8 +4,8 @@ package profile
 // answers "which conflict vectors did this trace generate"; a serving
 // system needs "which conflict vectors is this workload generating
 // *now*". Windowed keeps the Fig. 1 pass incremental over an infinite
-// stream by splitting it into windows: the LRU stack and the distance
-// gate persist across the whole stream (reuse distances do not care
+// stream by splitting it into windows: the LRU gate persists across
+// the whole stream (reuse distances do not care
 // about window boundaries), while the histogram and its bookkeeping
 // counters are per-window. Rotate folds the finished window into an
 // exponentially decayed aggregate:
@@ -47,7 +47,7 @@ import (
 // unbounded block-access stream. Not safe for concurrent use; the
 // serve layer gives each shard its own instance.
 type Windowed struct {
-	bd        *Builder // current window; its LRU stack spans the whole stream
+	bd        *Builder // current window; its LRU gate spans the whole stream
 	agg       *Profile // decayed fold of all rotated windows
 	decay     float64
 	rotations uint64
@@ -124,9 +124,9 @@ func (w *Windowed) Add(block uint64) {
 
 // Rotate closes the current window and folds it into the aggregate:
 // the aggregate decays by (1−decay), the window adds in undecayed, and
-// a fresh window begins. The LRU stack, which is the distance gate,
-// carries over untouched. Rotating an empty window still decays the aggregate —
-// silence is information under exponential decay.
+// a fresh window begins. The LRU gate carries over untouched. Rotating
+// an empty window still decays the aggregate — silence is information
+// under exponential decay.
 func (w *Windowed) Rotate() {
 	win := w.bd.p
 	if w.decay != 0 {
