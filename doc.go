@@ -11,7 +11,7 @@
 //	internal/gf2          GF(2) linear algebra (vectors, matrices, null
 //	                      spaces, subspace counting)
 //	internal/trace        memory-access traces and codecs
-//	internal/lru          LRU stack + order-statistics stack distances
+//	internal/lru          LRU gate: last-touch stamps + top-of-stack window
 //	internal/profile      conflict-vector profiling and the Eq. 4 estimator
 //	internal/search       hill-climbing construction for every family
 //	internal/optimal      exhaustive optimal bit-selecting baseline
