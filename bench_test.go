@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -365,22 +366,22 @@ func BenchmarkExtensionHierarchy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	amat := func(l1, l2 cache.Config) float64 {
+		h, err := cache.NewHierarchy(l1, l2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, a := range tr.Accesses {
+			h.Access(a.Addr, a.Kind == trace.Write)
+		}
+		return h.AMAT(1, 8, 60)
+	}
 	var amatConv, amatXOR float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l2 := cache.Config{SizeBytes: 16384, BlockBytes: 16, Ways: 4, Index: hash.Modulo(16, 8)}
-		conv, err := cache.NewHierarchy(cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1}, l2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		conv.Run(tr)
-		amatConv = conv.AMAT(1, 8, 60)
-		tuned, err := cache.NewHierarchy(cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: res.Func}, l2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tuned.Run(tr)
-		amatXOR = tuned.AMAT(1, 8, 60)
+		amatConv = amat(cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1}, l2)
+		amatXOR = amat(cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: res.Func}, l2)
 	}
 	b.ReportMetric(amatConv, "AMAT-conv")
 	b.ReportMetric(amatXOR, "AMAT-xor")
@@ -834,8 +835,9 @@ func BenchmarkBuildParallel(b *testing.B) {
 }
 
 // BenchmarkBuildStream measures the end-to-end streaming pipeline —
-// binary decode through sharded profiling — against the materialize-
-// then-profile path on the same encoded trace.
+// a profiling pass over the trace file, binary decode through sharded
+// profiling — against the materialize-then-profile path on the same
+// encoded trace.
 func BenchmarkBuildStream(b *testing.B) {
 	tr := &trace.Trace{Name: "stream-bench"}
 	for _, blk := range synthProfileBlocks(1_000_000) {
@@ -846,6 +848,14 @@ func BenchmarkBuildStream(b *testing.B) {
 		b.Fatal(err)
 	}
 	encoded := buf.Bytes()
+	path := filepath.Join(b.TempDir(), "stream-bench.xtr")
+	if err := os.WriteFile(path, encoded, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	file, err := trace.OpenFile(context.Background(), path, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	const n, cacheBlocks = 16, 1024
 	b.Run("materialize+build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -859,13 +869,8 @@ func BenchmarkBuildStream(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("stream-workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rd, err := trace.NewReader(bytes.NewReader(encoded))
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, err = profile.BuildStream(context.Background(), rd.BlockSource(4, n), n, cacheBlocks,
-					profile.Options{Workers: workers})
-				if err != nil {
+				pl := core.Pipeline{Config: core.Config{CacheBytes: 4 * cacheBlocks, AddrBits: n, Workers: workers}}
+				if _, err := pl.Profile(context.Background(), file); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,7 +5,6 @@ package xoridx
 // the tables regenerator. The binaries are built once into a temp dir.
 
 import (
-	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -204,19 +203,35 @@ func TestCLICheckpointResume(t *testing.T) {
 // TestCLIStream drives the streamed, validation-free pipeline with
 // sampled profiling: it reports both Eq. 4 estimates with their 95%
 // confidence intervals, and refuses -apply, which needs the whole trace.
+// TestCLIStream: a binary trace is streamed off the file by profiling
+// and by exact validation, and must report the same function and the
+// same misses as the same trace decoded into memory from the text
+// format. An approximate profile adds the Eq. 4 confidence lines to the
+// exact ones.
 func TestCLIStream(t *testing.T) {
-	tr := filepath.Join(t.TempDir(), "fft.xtr")
-	run(t, "tracegen", "-bench", "fft", "-out", tr)
-	stdout, _ := run(t, "xoridx", "-trace", tr, "-stream", "-sample", "4", "-verbose")
-	for _, frag := range []string{"[stream]", "sampled profiling: k=4"} {
+	dir := t.TempDir()
+	bin, txt := filepath.Join(dir, "fft.xtr"), filepath.Join(dir, "fft.txt")
+	run(t, "tracegen", "-bench", "fft", "-out", bin)
+	run(t, "tracegen", "-bench", "fft", "-format", "text", "-out", txt)
+	streamed, _ := run(t, "xoridx", "-trace", bin, "-cache", "1024")
+	loaded, _ := run(t, "xoridx", "-trace", txt, "-cache", "1024")
+	if streamed != loaded {
+		t.Fatalf("streamed binary trace:\n%s\nin-memory text trace:\n%s", streamed, loaded)
+	}
+	if !strings.Contains(streamed, "optimized misses:") {
+		t.Fatalf("output has no exact miss lines:\n%s", streamed)
+	}
+
+	stdout, _ := run(t, "xoridx", "-trace", bin, "-sample", "4", "-verbose")
+	for _, frag := range []string{"sampled profiling: k=4", "flat backend", "optimized misses:", "baseline (modulo) misses:"} {
 		if !strings.Contains(stdout, frag) {
-			t.Errorf("-stream output missing %q:\n%s", frag, stdout)
+			t.Errorf("-sample output missing %q:\n%s", frag, stdout)
 		}
 	}
 	estimate := func(label string) uint64 {
 		m := regexp.MustCompile(regexp.QuoteMeta(label) + `\s+(\d+) ± \d+ \(95% CI, k=4\)`).FindStringSubmatch(stdout)
 		if m == nil {
-			t.Fatalf("-stream output has no %q confidence line:\n%s", label, stdout)
+			t.Fatalf("-sample output has no %q confidence line:\n%s", label, stdout)
 		}
 		v, err := strconv.ParseUint(m[1], 10, 64)
 		if err != nil {
@@ -226,12 +241,6 @@ func TestCLIStream(t *testing.T) {
 	}
 	if base, opt := estimate("baseline (modulo):"), estimate("optimized:"); opt > base {
 		t.Errorf("optimized estimate %d above baseline %d", opt, base)
-	}
-
-	err := exec.Command(filepath.Join(binDir, "xoridx"), "-trace", tr, "-stream", "-apply", "x").Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("-stream -apply: %v, want exit status 2", err)
 	}
 }
 
@@ -308,4 +317,15 @@ func TestCLISetAssociative(t *testing.T) {
 		t.Fatalf("2-way output:\n%s", out)
 	}
 	runExpectFail(t, "xoridx", "-trace", tr, "-cache", "2048", "-ways", "3")
+
+	// A matrix saved from a 2-way run applies to the same geometry and
+	// reproduces the run's optimized misses.
+	fn := filepath.Join(dir, "f2.mat")
+	out, _ = run(t, "xoridx", "-trace", tr, "-cache", "2048", "-ways", "2", "-save", fn)
+	applied, _ := run(t, "xoridx", "-trace", tr, "-cache", "2048", "-ways", "2", "-apply", fn)
+	tuned := regexp.MustCompile(`optimized misses:\s+(\d+)`).FindStringSubmatch(out)
+	got := regexp.MustCompile(`applied-function misses:\s+(\d+)`).FindStringSubmatch(applied)
+	if tuned == nil || got == nil || tuned[1] != got[1] {
+		t.Fatalf("-apply of the saved 2-way matrix:\n%s\ntuning run:\n%s", applied, out)
+	}
 }

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -179,7 +180,7 @@ func crackMain(args []string) {
 // report how much of the hidden null space the trace's reuse structure
 // gives away.
 func crackTraceMode(h gf2.Matrix, traceFile string, blockBytes int, verbose bool) {
-	tr, err := cliutil.ReadTrace(traceFile)
+	tr, err := cliutil.ReadTrace(context.Background(), traceFile, 0)
 	if err != nil {
 		cliutil.Fatal("xoridx crack", err)
 	}

@@ -18,16 +18,14 @@
 //	xoridx -trace fft.xtr -checkpoint run                    # profiling crash snapshots -> run.profile.ckpt
 //	xoridx -trace fft.xtr -checkpoint run -resume            # continue a killed run, bit-identically
 //	xoridx -trace fft.xtr -cpuprofile cpu.pb -memprofile mem.pb  # pprof the pipeline
-//	xoridx -trace huge.xtr -stream                           # stream the profile off the file
-//	xoridx -trace huge.xtr -stream -sample 16                # sampled profiling with confidence bounds
-//	xoridx -trace huge.xtr -stream -backend sketch           # bounded-memory count-min histogram
+//	xoridx -trace huge.xtr -sample 16                        # sampled profiling with confidence bounds
+//	xoridx -trace huge.xtr -backend sketch                   # bounded-memory count-min histogram
 //
-// -stream profiles the binary trace as it is read, without ever
-// materializing it, so traces far larger than RAM profile in bounded
-// memory. The streamed pipeline reports Eq. 4 estimates — with
-// "X ± ε" confidence intervals under -sample — instead of the exact
-// simulation and §6 fallback, which need the whole trace; re-run
-// without -stream (or -apply the saved matrix) to validate exactly.
+// A binary trace is never loaded: profiling and each exact simulation
+// (-apply too) stream it off the file in a pass of their own, so traces
+// far larger than RAM are tuned and validated in bounded memory. An
+// approximate profile (-sample > 1 or -backend sketch) adds the Eq. 4
+// estimates with their "X ± ε" confidence intervals to the report.
 //
 // Ctrl-C (SIGINT) cancels the pipeline cooperatively: the run aborts
 // within one hill-climbing move, prints the best-so-far function marked
@@ -48,7 +46,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"xoridx/internal/cache"
 	"xoridx/internal/cliutil"
 	"xoridx/internal/core"
 	"xoridx/internal/gf2"
@@ -93,7 +90,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "base path for crash snapshots: profiling state goes to <path>.profile.ckpt, written atomically; restart a killed run with -resume")
 	resume := flag.Bool("resume", false, "restore the profile from <path>.profile.ckpt under -checkpoint (a missing file means a cold start) and re-run the search; the resumed run is bit-identical to an uninterrupted one")
 	retries := flag.Int("retries", 0, "retry budget for transient trace I/O failures, with capped exponential backoff")
-	stream := flag.Bool("stream", false, "profile the binary trace as it is read instead of loading it; skips exact validation")
 	sampleK := flag.Uint64("sample", 0, "profile every k-th conflict candidate instead of all of them; estimates gain a 95% confidence interval (0 or 1 = exact)")
 	sampleSeed := flag.Uint64("sample-seed", 0, "deterministic phase seed for -sample (and the sketch backend's hashes)")
 	backend := flag.String("backend", "auto", "histogram backend: auto (the address width picks a flat table or a sparse map) or sketch (bounded memory, (ε,δ)-bounded estimates)")
@@ -162,34 +158,24 @@ func main() {
 	if *progress {
 		events = cliutil.ProgressSink(os.Stderr)
 	}
-	if *stream {
-		if *loadFn != "" || *analyze {
-			fmt.Fprintln(os.Stderr, "xoridx: -stream profiles the trace as it is read and cannot -apply or -analyze (they need the whole trace)")
-			os.Exit(2)
-		}
-		if *algo != "hillclimb" {
-			fmt.Fprintln(os.Stderr, "xoridx: -stream supports -algo hillclimb only")
-			os.Exit(2)
-		}
-		if err := runStream(ctx, *traceFile, cfg, events, *verbose, *saveFn); err != nil {
+	if *analyze && *loadFn == "" { // -apply takes precedence over -analyze
+		tr, err := cliutil.ReadTrace(ctx, *traceFile, *retries)
+		if err != nil {
 			fatal(err)
 		}
+		a := profile.AnalyzeConflicts(tr.Blocks(*blockBytes, *addrBits),
+			*addrBits, *cacheBytes / *blockBytes, 8, 12)
+		fmt.Print(a.Report(*blockBytes))
 		return
 	}
-	tr, err := cliutil.ReadTraceRetry(ctx, *traceFile, *retries)
+	tr, err := cliutil.OpenTrace(ctx, *traceFile, *retries)
 	if err != nil {
 		fatal(err)
 	}
 	if *loadFn != "" {
-		if err := applyMatrixFile(ctx, tr, *loadFn, *cacheBytes, *blockBytes); err != nil {
+		if err := applyMatrixFile(ctx, tr, *loadFn, cfg); err != nil {
 			fatal(err)
 		}
-		return
-	}
-	if *analyze {
-		a := profile.AnalyzeConflicts(tr.Blocks(*blockBytes, *addrBits),
-			*addrBits, *cacheBytes / *blockBytes, 8, 12)
-		fmt.Print(a.Report(*blockBytes))
 		return
 	}
 	res, err := tuneWith(ctx, tr, cfg, *algo, events)
@@ -208,14 +194,22 @@ func main() {
 		}
 		fatal(err)
 	}
-	stats := tr.ComputeStats()
-	fmt.Printf("trace: %s (%d accesses, %d ops)\n", tr.Name, stats.Accesses, stats.Ops)
+	head := tr.Header()
+	if head.Ops == 0 {
+		head.Ops = head.Len
+	}
+	fmt.Printf("trace: %s (%d accesses, %d ops)\n", head.Name, head.Len, head.Ops)
 	fmt.Printf("cache: %d B, %d-way, %d B blocks (%d sets)\n\n",
 		*cacheBytes, *ways, *blockBytes, *cacheBytes / *blockBytes / *ways)
+	p := res.Profile
+	approx := p.SampleK > 1 || p.Sketch != nil
 	if *verbose {
-		p := res.Profile
-		fmt.Printf("profile: %d accesses = %d compulsory + %d capacity + %d conflict candidates (%d conflict pairs)\n",
-			p.Accesses, p.Compulsory, p.Capacity, p.Candidates, p.TotalPairs)
+		label := "profile"
+		if approx {
+			label = fmt.Sprintf("profile [%s backend, %d histogram bytes]", p.Backend(), p.HistogramBytes())
+		}
+		fmt.Printf("%s: %d accesses = %d compulsory + %d capacity + %d conflict candidates (%d conflict pairs)\n",
+			label, p.Accesses, p.Compulsory, p.Capacity, p.Candidates, p.TotalPairs)
 		if p.SampleK > 1 {
 			fmt.Printf("sampled profiling: k=%d, walked %d of %d candidates; optimized estimate %s\n",
 				p.SampleK, p.SampledCandidates, p.Candidates, res.Search.Confidence)
@@ -232,12 +226,17 @@ func main() {
 	fmt.Println(core.DescribeFunction(res.Func))
 	fmt.Println()
 	fmt.Printf("baseline (modulo) misses:  %8d (%.2f per K-op)\n",
-		res.Baseline.Misses, res.Baseline.MissesPerKOp(tr.OpsOrLen()))
+		res.Baseline.Misses, res.Baseline.MissesPerKOp(head.Ops))
 	fmt.Printf("optimized misses:          %8d (%.2f per K-op)\n",
-		res.Optimized.Misses, res.Optimized.MissesPerKOp(tr.OpsOrLen()))
+		res.Optimized.Misses, res.Optimized.MissesPerKOp(head.Ops))
 	fmt.Printf("misses removed:            %8.1f%%\n", 100*res.MissesRemoved())
 	if res.UsedFallback {
 		fmt.Println("note: optimized function added misses; reverted to conventional indexing (paper §6)")
+	}
+	if approx {
+		fmt.Println("estimated conflict misses (Eq. 4):")
+		fmt.Printf("  baseline (modulo):  %s\n", p.ConfidenceFor(res.Search.Baseline))
+		fmt.Printf("  optimized:          %s\n", p.ConfidenceFor(res.Search.Estimated))
 	}
 	if *bitstream {
 		if err := emitBitstream(res.Func, *addrBits, cfg.SetBits()); err != nil {
@@ -275,73 +274,14 @@ func main() {
 	}
 }
 
-// runStream is the -stream pipeline: profile the trace as it is read,
-// search on the resulting profile, and report Eq. 4 estimates — with
-// confidence intervals when sampling — in place of the exact
-// simulation stage, which would need the whole trace in memory.
-func runStream(ctx context.Context, path string, cfg core.Config, events core.Sink, verbose bool, saveFn string) error {
-	src, err := trace.Open(path)
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	fmt.Printf("trace: %s (%d accesses, %d ops) [stream]\n", src.Name(), src.Len(), src.Ops())
-	fmt.Printf("cache: %d B, %d-way, %d B blocks (%d sets)\n\n",
-		cfg.CacheBytes, cfg.Ways, cfg.BlockBytes, cfg.CacheBytes/cfg.BlockBytes/cfg.Ways)
-
-	pl := core.Pipeline{Config: cfg, Events: events}
-	p, err := pl.ProfileSource(ctx, src.BlockSource(cfg.BlockBytes, cfg.AddrBits))
-	if err != nil {
-		return err
-	}
-	sres, err := pl.Search(ctx, p)
-	if err != nil {
-		if sres.Degraded && sres.Matrix.Cols != nil {
-			fmt.Printf("search interrupted after %d moves; best-so-far estimate %d (baseline %d)\n",
-				sres.Iterations, sres.Estimated, sres.Baseline)
-		}
-		return err
-	}
-	f, err := hash.NewXOR(sres.Matrix)
-	if err != nil {
-		return err
-	}
-	if verbose {
-		fmt.Printf("profile [%s backend, %d histogram bytes]: %d accesses = %d compulsory + %d capacity + %d conflict candidates (%d conflict pairs)\n",
-			p.Backend(), p.HistogramBytes(), p.Accesses, p.Compulsory, p.Capacity, p.Candidates, p.TotalPairs)
-		if p.SampleK > 1 {
-			fmt.Printf("sampled profiling: k=%d, walked %d of %d candidates\n",
-				p.SampleK, p.SampledCandidates, p.Candidates)
-		}
-		fmt.Printf("search: %d moves, %d candidates evaluated\n\n", sres.Iterations, sres.Evaluated)
-	}
-	fmt.Println(core.DescribeFunction(f))
-	fmt.Println()
-	fmt.Printf("estimated conflict misses (Eq. 4):\n")
-	fmt.Printf("  baseline (modulo):  %s\n", p.ConfidenceFor(sres.Baseline))
-	fmt.Printf("  optimized:          %s\n", p.ConfidenceFor(sres.Estimated))
-	fmt.Println("note: streamed profile — exact simulation and the §6 fallback were skipped; validate with -apply on a machine that fits the trace")
-	if saveFn != "" {
-		data, err := f.Matrix().MarshalText()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(saveFn, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nmatrix written to %s (re-evaluate with -apply)\n", saveFn)
-	}
-	return nil
-}
-
 // tuneWith runs the selected search algorithm through the core
 // pipeline. The alternative algorithms (extensions; see DESIGN.md §7)
 // produce a matrix that is then validated — and guarded — exactly like
 // the paper's hill climber.
-func tuneWith(ctx context.Context, tr *trace.Trace, cfg core.Config, algo string, events core.Sink) (*core.Result, error) {
+func tuneWith(ctx context.Context, tr trace.Source, cfg core.Config, algo string, events core.Sink) (*core.Result, error) {
 	pl := core.Pipeline{Config: cfg, Events: events}
 	if algo == "hillclimb" {
-		return pl.Run(ctx, tr)
+		return core.Tune(ctx, tr, cfg, events)
 	}
 	p, err := pl.Profile(ctx, tr)
 	if err != nil {
@@ -363,25 +303,18 @@ func tuneWith(ctx context.Context, tr *trace.Trace, cfg core.Config, algo string
 		return nil, fmt.Errorf("unknown -algo %q (hillclimb, anneal, constructive)", algo)
 	}
 	if err != nil {
-		if sres.Degraded && sres.Matrix.Cols != nil {
-			// The alternative searches honour the same anytime contract
-			// as the hill climber: surface their best-so-far function.
-			res := &core.Result{Search: sres, Profile: p, Degraded: true}
-			if f, ferr := hash.NewXOR(sres.Matrix); ferr == nil {
-				res.Func = f
-			}
-			return res, err
-		}
-		return nil, err
+		// The same anytime contract as the hill climber's.
+		return core.Interrupted(p, sres), err
 	}
-	// Hand the found matrix to the exact-simulation stage, which also
-	// applies the §6 fallback guard.
+	// The exact-simulation stage also applies the §6 fallback guard.
 	return pl.Validate(ctx, tr, p, sres)
 }
 
 // applyMatrixFile evaluates a previously saved index function on a
-// trace without re-running the search.
-func applyMatrixFile(ctx context.Context, tr *trace.Trace, path string, cacheBytes, blockBytes int) error {
+// trace without re-running the search: the validation stage with the
+// §6 fallback off, so the applied function's misses are reported as
+// they are.
+func applyMatrixFile(ctx context.Context, tr trace.Source, path string, cfg core.Config) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -390,26 +323,17 @@ func applyMatrixFile(ctx context.Context, tr *trace.Trace, path string, cacheByt
 	if err := h.UnmarshalText(data); err != nil {
 		return err
 	}
-	f, err := hash.NewXOR(h)
+	cfg.AddrBits, cfg.NoFallback = h.N, true
+	pl := core.Pipeline{Config: cfg}
+	res, err := pl.Validate(ctx, tr, nil, search.Result{Matrix: h})
 	if err != nil {
 		return err
 	}
-	cfg := cache.Config{SizeBytes: cacheBytes, BlockBytes: blockBytes, Ways: 1,
-		Index: hash.Modulo(f.AddrBits(), f.SetBits())}
-	base, err := cache.Simulate(ctx, cfg, tr)
-	if err != nil {
-		return err
-	}
-	cfg.Index = f
-	opt, err := cache.Simulate(ctx, cfg, tr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("applied %s\n", f)
-	fmt.Printf("baseline (modulo) misses: %8d\n", base.Misses)
-	fmt.Printf("applied-function misses:  %8d\n", opt.Misses)
-	if base.Misses > 0 {
-		fmt.Printf("misses removed:           %8.1f%%\n", 100*(1-float64(opt.Misses)/float64(base.Misses)))
+	fmt.Printf("applied %s\n", res.Func)
+	fmt.Printf("baseline (modulo) misses: %8d\n", res.Baseline.Misses)
+	fmt.Printf("applied-function misses:  %8d\n", res.Optimized.Misses)
+	if res.Baseline.Misses > 0 {
+		fmt.Printf("misses removed:           %8.1f%%\n", 100*res.MissesRemoved())
 	}
 	return nil
 }

@@ -12,8 +12,8 @@ import (
 
 	"xoridx/internal/core"
 	"xoridx/internal/hash"
-	"xoridx/internal/profile"
 	"xoridx/internal/serve"
+	"xoridx/internal/trace"
 	"xoridx/internal/workloads"
 )
 
@@ -94,7 +94,7 @@ func goldenCells(t *testing.T, workers int) (cells []goldenCell, moves []int) {
 
 // killResumeCells rebuilds every cell through a checkpointed run that
 // is killed at a seeded point and then resumed. A mid-profile kill
-// cancels once the block source has handed out a seeded number of
+// cancels once the profiling pass has handed out a seeded number of
 // accesses; a mid-search kill cancels on a seeded SearchProgress event,
 // so it needs the kernel's move count. Every kill must land, and both
 // kinds must occur.
@@ -110,26 +110,16 @@ func killResumeCells(t *testing.T, moves []int) []goldenCell {
 		cfg := goldenConfig(family, 1)
 		cfg.CheckpointPath = filepath.Join(t.TempDir(), "run")
 		cfg.Resume = true
-		blocks := tr.Blocks(cfg.BlockBytes, cfg.AddrBits)
 		killAccess, killMove := 0, 0
 		if moves[i] > 0 && rng.Intn(2) == 0 {
 			killMove = 1 + rng.Intn(moves[i])
 			kinds["search"]++
 		} else {
-			killAccess = 1 + rng.Intn(len(blocks))
+			killAccess = 1 + rng.Intn(tr.Len())
 			kinds["profile"]++
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
-		seen := 0
-		src := profile.Blocks(blocks)
-		counted := func(dst []uint64) (int, error) {
-			k, err := src(dst)
-			if seen += k; killAccess > 0 && seen >= killAccess {
-				cancel()
-			}
-			return k, err
-		}
 		done := 0
 		pl := core.Pipeline{Config: cfg, Events: core.SinkFunc(func(e core.Event) {
 			if e.Kind == core.SearchProgress {
@@ -138,9 +128,9 @@ func killResumeCells(t *testing.T, moves []int) []goldenCell {
 				}
 			}
 		})}
-		p, err := pl.ProfileSource(ctx, counted)
+		p, err := pl.Profile(ctx, &killSource{Trace: tr, at: killAccess, cancel: cancel})
 		if err == nil {
-			_, err = pl.RunProfiled(ctx, tr, p)
+			_, err = core.TuneProfiled(ctx, tr, p, cfg, pl.Events)
 		}
 		cancel()
 		if !errors.Is(err, core.ErrCanceled) {
@@ -159,6 +149,33 @@ func killResumeCells(t *testing.T, moves []int) []goldenCell {
 	}
 	t.Logf("kill/resume: %d kills mid-profile, %d mid-search", kinds["profile"], kinds["search"])
 	return cells
+}
+
+// killSource is a trace whose passes cancel once they have handed out
+// at least `at` accesses (never when at is 0).
+type killSource struct {
+	*trace.Trace
+	at     int
+	cancel context.CancelFunc
+}
+
+func (s *killSource) Pass(ctx context.Context) (trace.Pass, error) {
+	p, err := s.Trace.Pass(ctx)
+	return &killPass{Pass: p, src: s}, err
+}
+
+type killPass struct {
+	trace.Pass
+	src  *killSource
+	seen int
+}
+
+func (p *killPass) Chunk() ([]trace.Access, error) {
+	chunk, err := p.Pass.Chunk()
+	if p.seen += len(chunk); p.src.at > 0 && p.seen >= p.src.at {
+		p.src.cancel()
+	}
+	return chunk, err
 }
 
 // checkCells compares one execution path's cells against golden.json.

@@ -13,6 +13,7 @@ package cache
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/bits"
 
 	"xoridx/internal/gf2"
@@ -87,9 +88,6 @@ type Stats struct {
 	Writebacks uint64 // dirty lines evicted (write-back policy)
 }
 
-// Hits returns Accesses - Misses.
-func (s Stats) Hits() uint64 { return s.Accesses - s.Misses }
-
 // MissRate returns Misses/Accesses (0 for an empty run).
 func (s Stats) MissRate() float64 {
 	if s.Accesses == 0 {
@@ -157,29 +155,37 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-// ctxCheckEvery is the cancellation-check granularity of Simulate, in
-// accesses: one channel poll amortised over 8 K set lookups.
-const ctxCheckEvery = 8192
-
-// Simulate builds a cache from cfg and runs the whole trace through it,
-// honouring read/write kinds. It checks ctx every ctxCheckEvery
-// accesses; when ctx is done it returns the statistics accumulated so
-// far alongside a wrapped xerr.ErrCanceled.
-func Simulate(ctx context.Context, cfg Config, tr *trace.Trace) (Stats, error) {
+// Simulate builds a cache from cfg and runs one pass of the trace
+// through it, honouring read/write kinds. It checks ctx before each
+// chunk of the pass (at most trace.ChunkLen accesses); when ctx is done
+// it returns the statistics accumulated so far alongside a wrapped
+// xerr.ErrCanceled.
+func Simulate(ctx context.Context, cfg Config, src trace.Source) (Stats, error) {
 	c, err := New(cfg)
 	if err != nil {
 		return Stats{}, err
 	}
+	pass, err := src.Pass(ctx)
+	if err != nil {
+		return Stats{}, err
+	}
+	defer pass.Close()
 	block := uint64(cfg.BlockBytes)
-	for start := 0; start < len(tr.Accesses); start += ctxCheckEvery {
+	for {
 		if err := xerr.Check(ctx); err != nil {
 			return c.stats, err
 		}
-		for _, a := range tr.Accesses[start:min(start+ctxCheckEvery, len(tr.Accesses))] {
+		chunk, err := pass.Chunk()
+		if err == io.EOF {
+			return c.stats, nil
+		}
+		if err != nil {
+			return c.stats, err
+		}
+		for _, a := range chunk {
 			c.access(a.Addr/block, a.Kind == trace.Write)
 		}
 	}
-	return c.stats, nil
 }
 
 // Access simulates one read access by byte address and reports whether
@@ -197,11 +203,6 @@ func (c *Cache) Write(addr uint64) bool {
 // AccessBlock simulates one read access by block address.
 func (c *Cache) AccessBlock(block uint64) bool {
 	return c.access(block, false)
-}
-
-// WriteBlock simulates one store by block address.
-func (c *Cache) WriteBlock(block uint64) bool {
-	return c.access(block, true)
 }
 
 func (c *Cache) access(block uint64, isWrite bool) bool {

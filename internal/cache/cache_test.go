@@ -180,8 +180,8 @@ func TestRunTrace(t *testing.T) {
 	if s.MissRate() != 2.0/3.0 {
 		t.Fatalf("miss rate = %v", s.MissRate())
 	}
-	if s.Hits() != 1 {
-		t.Fatalf("hits = %d", s.Hits())
+	if hits := s.Accesses - s.Misses; hits != 1 {
+		t.Fatalf("hits = %d", hits)
 	}
 }
 
@@ -301,7 +301,7 @@ func TestWritebackAccounting(t *testing.T) {
 	c := mustNew(t, dmConfig(64)) // 16 sets
 	// Write block 0 (miss, allocates dirty), then read its alias 16:
 	// evicts the dirty line -> one writeback.
-	if !c.WriteBlock(0) {
+	if !c.Write(0) {
 		t.Fatal("cold write must miss")
 	}
 	if !c.AccessBlock(16) {
@@ -326,8 +326,8 @@ func TestWritebackAccounting(t *testing.T) {
 
 func TestWriteHitSetsDirty(t *testing.T) {
 	c := mustNew(t, dmConfig(64))
-	c.AccessBlock(5)     // clean fill
-	if c.WriteBlock(5) { // write hit
+	c.AccessBlock(5)    // clean fill
+	if c.Write(5 * 4) { // write hit
 		t.Fatal("write to resident block must hit")
 	}
 	c.AccessBlock(5 + 16) // evict -> writeback

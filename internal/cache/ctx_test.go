@@ -11,7 +11,7 @@ import (
 )
 
 // checksCtx reports done from its (k+1)-th Done call on, so Simulate
-// runs exactly k chunks of ctxCheckEvery accesses before it stops.
+// runs exactly k chunks of trace.ChunkLen accesses before it stops.
 type checksCtx struct {
 	context.Context // already canceled: supplies Err and the cause
 	k               int
@@ -26,7 +26,7 @@ func (c *checksCtx) Done() <-chan struct{} {
 }
 
 // ctxTestTrace mixes reads and writes over 20000 accesses: enough for
-// several ctxCheckEvery chunks.
+// several trace.ChunkLen chunks.
 func ctxTestTrace() *trace.Trace {
 	tr := &trace.Trace{Name: "ctx"}
 	for i := 0; i < 20000; i++ {
@@ -89,7 +89,7 @@ func TestRunCtxCanceled(t *testing.T) {
 // TestSimulateBlocksCtxCanceled: a cancellation seen at the third check
 // stops Simulate after exactly two chunks, with their stats intact.
 func TestSimulateBlocksCtxCanceled(t *testing.T) {
-	checkSimulate(t, &checksCtx{Context: canceledCtx(), k: 2}, 2*ctxCheckEvery)
+	checkSimulate(t, &checksCtx{Context: canceledCtx(), k: 2}, 2*trace.ChunkLen)
 }
 
 func TestInvalidGeometryTyped(t *testing.T) {

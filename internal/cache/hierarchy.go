@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"xoridx/internal/trace"
-)
+import "fmt"
 
 // Hierarchy composes two cache levels: every L1 miss probes L2, every
 // L2 miss goes to memory. It answers a question the single-level paper
@@ -40,14 +36,6 @@ func (h *Hierarchy) Access(addr uint64, isWrite bool) (l1Miss, l2Miss bool) {
 	}
 	block2 := addr / uint64(h.L2.cfg.BlockBytes)
 	return true, h.L2.access(block2, false)
-}
-
-// Run simulates a trace through both levels.
-func (h *Hierarchy) Run(t *trace.Trace) (l1, l2 Stats) {
-	for _, a := range t.Accesses {
-		h.Access(a.Addr, a.Kind == trace.Write)
-	}
-	return h.L1.Stats(), h.L2.Stats()
 }
 
 // AMAT returns the average memory access time in cycles for the given

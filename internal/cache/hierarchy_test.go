@@ -54,14 +54,20 @@ func TestHierarchyXORL1StillPays(t *testing.T) {
 		tr.Append(0, trace.Read)
 		tr.Append(256*4, trace.Read)
 	}
+	run := func(h *Hierarchy) (l1, l2 Stats) {
+		for _, a := range tr.Accesses {
+			h.Access(a.Addr, a.Kind == trace.Write)
+		}
+		return h.L1.Stats(), h.L2.Stats()
+	}
 	conv := twoLevel(t, nil)
-	s1c, s2c := conv.Run(&tr)
+	s1c, s2c := run(conv)
 	f, err := hash.PermutationBased(16, 8, [][]int{{8}, {}, {}, {}, {}, {}, {}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := twoLevel(t, f)
-	s1x, s2x := x.Run(&tr)
+	s1x, s2x := run(x)
 	if s1c.Misses < 390 {
 		t.Fatalf("conventional L1 should thrash, got %d misses", s1c.Misses)
 	}

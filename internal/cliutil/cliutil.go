@@ -10,6 +10,7 @@ package cliutil
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -84,39 +85,49 @@ func ProgressSink(w io.Writer) core.Sink {
 	})
 }
 
-// ReadTrace loads any of the three trace formats, sniffing the first
-// bytes: the binary magic, a din label digit, or the text format.
-func ReadTrace(path string) (*trace.Trace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case bytes.HasPrefix(data, []byte("XTR1")):
-		return trace.Decode(bytes.NewReader(data))
-	case len(data) > 0 && data[0] >= '0' && data[0] <= '9':
-		return trace.DecodeDinero(bytes.NewReader(data))
-	default:
-		return trace.DecodeText(bytes.NewReader(data))
-	}
-}
-
-// ReadTraceRetry loads the trace under a retry budget: transient I/O
-// failures (errors wrapping xerr.ErrIO, e.g. from a flaky network
-// filesystem surfaced by a fault-aware reader) are retried with capped
-// exponential backoff; decode errors and missing files fail at once.
-// retries <= 0 reads once.
-func ReadTraceRetry(ctx context.Context, path string, retries int) (*trace.Trace, error) {
-	if retries <= 0 {
-		return ReadTrace(path)
-	}
+// ReadTrace loads any of the three trace formats into memory, sniffing
+// the first bytes: the binary magic, a din label digit, or the text
+// format. Transient I/O failures (errors wrapping xerr.ErrIO, e.g. from
+// a flaky network filesystem surfaced by a fault-aware reader) are
+// retried up to retries times with capped exponential backoff; decode
+// errors and missing files fail at once.
+func ReadTrace(ctx context.Context, path string, retries int) (*trace.Trace, error) {
 	policy := faultio.DefaultPolicy
-	policy.MaxRetries = retries
+	policy.MaxRetries = max(retries, 0)
 	var tr *trace.Trace
 	err := policy.Do(ctx, func() error {
-		var err error
-		tr, err = ReadTrace(path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		switch {
+		case bytes.HasPrefix(data, []byte("XTR1")):
+			tr, err = trace.Decode(bytes.NewReader(data))
+		case len(data) > 0 && data[0] >= '0' && data[0] <= '9':
+			tr, err = trace.DecodeDinero(bytes.NewReader(data))
+		default:
+			tr, err = trace.DecodeText(bytes.NewReader(data))
+		}
 		return err
 	})
 	return tr, err
+}
+
+// OpenTrace opens a trace file as a pipeline source: a binary trace as
+// a trace.File, streamed from disk on every pass; a file without the
+// binary magic (a format error at byte 0) as a din or text trace that
+// ReadTrace decodes into memory.
+func OpenTrace(ctx context.Context, path string, retries int) (trace.Source, error) {
+	tf, err := trace.OpenFile(ctx, path, retries)
+	if err == nil {
+		return tf, nil
+	}
+	if fe := (*trace.FormatError)(nil); !errors.As(err, &fe) || fe.Offset != 0 {
+		return nil, err
+	}
+	tr, err := ReadTrace(ctx, path, retries)
+	if err != nil {
+		return nil, err
+	}
+	return tr, nil
 }

@@ -47,7 +47,8 @@ func TestValidateScale(t *testing.T) {
 
 // TestReadTraceSniffsFormats writes the same trace in all three
 // encodings and expects ReadTrace to load each without being told the
-// format.
+// format, and OpenTrace to open each as a source: a streamed
+// trace.File for the binary encoding, the decoded trace otherwise.
 func TestReadTraceSniffsFormats(t *testing.T) {
 	tr := &trace.Trace{Name: "t"}
 	for i := 0; i < 64; i++ {
@@ -69,9 +70,19 @@ func TestReadTraceSniffsFormats(t *testing.T) {
 			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadTrace(path)
+			got, err := ReadTrace(context.Background(), path, 0)
 			if err != nil {
 				t.Fatal(err)
+			}
+			src, err := OpenTrace(context.Background(), path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, streamed := src.(*trace.File); streamed != (name == "binary") {
+				t.Fatalf("OpenTrace gave a %T", src)
+			}
+			if h := src.Header(); h.Len != uint64(tr.Len()) {
+				t.Fatalf("OpenTrace header %+v, want %d accesses", h, tr.Len())
 			}
 			if got.Len() != tr.Len() {
 				t.Fatalf("decoded %d accesses, want %d", got.Len(), tr.Len())
@@ -83,11 +94,19 @@ func TestReadTraceSniffsFormats(t *testing.T) {
 			}
 		})
 	}
-	if _, err := ReadTrace(filepath.Join(dir, "missing")); err == nil {
+	if _, err := ReadTrace(context.Background(), filepath.Join(dir, "missing"), 0); err == nil {
 		t.Fatal("missing file must fail")
 	}
-	if _, err := ReadTraceRetry(context.Background(), filepath.Join(dir, "binary"), 3); err != nil {
-		t.Fatalf("retry path on a clean file: %v", err)
+	if _, err := OpenTrace(context.Background(), filepath.Join(dir, "missing"), 0); err == nil {
+		t.Fatal("OpenTrace of a missing file must fail")
+	}
+	for _, name := range []string{"binary", "text"} {
+		if _, err := ReadTrace(context.Background(), filepath.Join(dir, name), 3); err != nil {
+			t.Fatalf("retry path on a clean %s file: %v", name, err)
+		}
+		if _, err := OpenTrace(context.Background(), filepath.Join(dir, name), 3); err != nil {
+			t.Fatalf("retry path on a clean %s file: %v", name, err)
+		}
 	}
 }
 

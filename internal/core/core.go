@@ -188,7 +188,7 @@ func (c Config) SetBits() int {
 	return m
 }
 
-// Result is the outcome of a pipeline run (Pipeline.Run, Tune).
+// Result is the outcome of a pipeline run (Tune, TuneProfiled).
 type Result struct {
 	// Func is the selected index function (the optimized one, or the
 	// conventional function if the fallback fired).
@@ -243,10 +243,6 @@ func (c Config) searchOptions() search.Options {
 		Restarts:  c.Restarts,
 		Seed:      c.Seed,
 	}
-}
-
-func errInvalidMatrix(err error) error {
-	return fmt.Errorf("core: search produced invalid matrix: %w", err)
 }
 
 // applyFallback reverts to the conventional function when the searched

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -295,8 +297,10 @@ func TestWorkersInvariance(t *testing.T) {
 			t.Fatalf("workers=%d: profile differs: %s", workers, d)
 		}
 	}
-	// Profile is ProfileSource over the in-memory trace: both entry
-	// points must agree for either engine, with and without checkpoints.
+	// A trace file streamed pass by pass is the same input as the
+	// in-memory trace: the same profile for either engine, with and
+	// without checkpoints, and the same validated result.
+	file := openFile(t, tr)
 	for _, workers := range []int{1, 4} {
 		for _, ckpt := range []bool{false, true} {
 			cfg := base
@@ -310,17 +314,50 @@ func TestWorkersInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromSource, err := pl.ProfileSource(context.Background(), profile.Blocks(tr.Blocks(4, 16)))
+			fromFile, err := pl.Profile(context.Background(), file)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d := profileDiff(fromTrace, want.Profile); d != "" {
 				t.Fatalf("workers=%d checkpoint=%v: Profile differs: %s", workers, ckpt, d)
 			}
-			if d := profileDiff(fromSource, fromTrace); d != "" {
-				t.Fatalf("workers=%d checkpoint=%v: ProfileSource differs from Profile: %s", workers, ckpt, d)
+			if d := profileDiff(fromFile, fromTrace); d != "" {
+				t.Fatalf("workers=%d checkpoint=%v: file Profile differs from in-memory Profile: %s", workers, ckpt, d)
 			}
 		}
+	}
+	got, err := Tune(context.Background(), file, base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Baseline != want.Baseline || got.Optimized != want.Optimized ||
+		got.Func.Matrix().String() != want.Func.Matrix().String() {
+		t.Fatalf("file source changed the result: %+v/%+v vs %+v/%+v",
+			got.Baseline, got.Optimized, want.Baseline, want.Optimized)
+	}
+}
+
+// openFile writes tr to a binary trace file and opens it as a Source.
+func openFile(t testing.TB, tr *trace.Trace) *trace.File {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.xtr")
+	writeTrace(t, path, tr)
+	f, err := trace.OpenFile(context.Background(), path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// writeTrace encodes tr into the binary file at path.
+func writeTrace(t testing.TB, path string, tr *trace.Trace) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -29,6 +29,9 @@ func degradedConfig() Config {
 	return Config{CacheBytes: 256, BlockBytes: 4, AddrBits: 12, Family: hash.FamilyGeneralXOR}
 }
 
+// TestRunProfiledDegradedOnCancel keeps the name it had when
+// Pipeline.RunProfiled was the search-then-validate entry point;
+// TuneProfiled is that entry point now.
 func TestRunProfiledDegradedOnCancel(t *testing.T) {
 	tr := richTrace(6)
 	cfg := degradedConfig()
@@ -38,12 +41,11 @@ func TestRunProfiledDegradedOnCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	pl := Pipeline{Config: cfg, Events: SinkFunc(func(e Event) {
+	res, err := TuneProfiled(ctx, tr, p, cfg, SinkFunc(func(e Event) {
 		if e.Kind == SearchProgress {
 			cancel() // kill the pipeline after the first move
 		}
-	})}
-	res, err := pl.RunProfiled(ctx, tr, p)
+	}))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want wrapped ErrCanceled", err)
 	}
@@ -122,14 +124,13 @@ func TestPipelineCheckpointResume(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		moves := 0
-		pl := Pipeline{Config: cfg, Events: SinkFunc(func(e Event) {
+		return Tune(ctx, tr, cfg, SinkFunc(func(e Event) {
 			if e.Kind == SearchProgress {
 				if moves++; after > 0 && moves >= after {
 					cancel()
 				}
 			}
-		})}
-		return pl.Run(ctx, tr)
+		}))
 	}
 	res, err := kill(1)
 	if err == nil {

@@ -4,11 +4,13 @@ package core
 // the paper's construction algorithm — profile (Fig. 1), search (§3.2),
 // validate (§6) — individually, threads a context through every hot
 // loop beneath them, and reports progress through an event sink.
-// Tune, TuneProfiled and BuildProfile are the one-call
-// conveniences built on top of it.
+// Profile and Validate read the trace as a trace.Source. Tune,
+// TuneProfiled and BuildProfile are the one-call conveniences on top.
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
 
 	"xoridx/internal/cache"
 	"xoridx/internal/gf2"
@@ -104,24 +106,11 @@ func (pl *Pipeline) emit(e Event) {
 	}
 }
 
-// Profile runs the Fig. 1 profiling stage: it extracts the block
-// sequence and builds the conflict-vector histogram — ProfileSource
-// over the in-memory trace.
-func (pl *Pipeline) Profile(ctx context.Context, tr *trace.Trace) (*profile.Profile, error) {
-	cfg, err := pl.Config.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	return pl.ProfileSource(ctx, profile.Blocks(tr.Blocks(cfg.BlockBytes, cfg.AddrBits)))
-}
-
-// ProfileSource runs the Fig. 1 profiling stage over a block-source
-// stream — the entry point for streamed trace files (trace.Open +
-// Reader.BlockSource) and any trace too large to materialise.
-// The source must yield block addresses already truncated to
-// Config.AddrBits. The pass is sharded across Config.Workers when > 1
-// (bit-identical to the sequential pass) and follows the Config's
-// sampling and backend knobs.
+// Profile runs the Fig. 1 profiling stage over one pass of the trace,
+// turning each chunk into block addresses inside the profile builder's
+// own buffer, so no block slice of the whole trace is built. The pass
+// is sharded across Config.Workers when > 1 (bit-identical to the
+// sequential pass) and follows the Config's sampling and backend knobs.
 //
 // With Config.CheckpointPath set the pass snapshots every
 // CheckpointEvery accesses; Resume continues from an existing snapshot,
@@ -129,18 +118,47 @@ func (pl *Pipeline) Profile(ctx context.Context, tr *trace.Trace) (*profile.Prof
 // and a checkpointed sharded pass, return the partial profile so far —
 // marked Degraded and exact for the prefix it covers — alongside the
 // error.
-func (pl *Pipeline) ProfileSource(ctx context.Context, src profile.BlockSource) (*profile.Profile, error) {
+func (pl *Pipeline) Profile(ctx context.Context, src trace.Source) (*profile.Profile, error) {
 	cfg, err := pl.Config.Normalized()
 	if err != nil {
 		return nil, err
 	}
+	pass, err := src.Pass(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer pass.Close()
 	pl.emit(Event{Kind: StageStarted, Stage: StageProfile})
-	p, err := profile.BuildStream(ctx, src, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes, cfg.profileOptions())
+	p, err := profile.BuildStream(ctx, blockSource(pass, cfg.BlockBytes, cfg.AddrBits),
+		cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes, cfg.profileOptions())
 	if err != nil {
 		return p, err
 	}
 	pl.emit(Event{Kind: StageFinished, Stage: StageProfile})
 	return p, nil
+}
+
+// blockSource adapts a trace pass to the profile layer's block source:
+// each call turns as many accesses of the current chunk as dst holds
+// into block addresses (shift, then mask to n bits), as Trace.Blocks.
+func blockSource(pass trace.Pass, blockBytes, n int) profile.BlockSource {
+	shift := uint(bits.TrailingZeros(uint(blockBytes)))
+	mask := uint64(gf2.Mask(n))
+	var chunk []trace.Access
+	return func(dst []uint64) (int, error) {
+		for len(chunk) == 0 {
+			var err error
+			if chunk, err = pass.Chunk(); err != nil {
+				return 0, err
+			}
+		}
+		k := min(len(dst), len(chunk))
+		for i, a := range chunk[:k] {
+			dst[i] = a.Addr >> shift & mask
+		}
+		chunk = chunk[k:]
+		return k, nil
+	}
 }
 
 // Search runs the §3.2 design-space search stage against a profile
@@ -212,10 +230,10 @@ func (pl *Pipeline) SearchRound(ctx context.Context, p *profile.Profile, warm gf
 	return sres, nil
 }
 
-// Validate runs the exact-simulation stage: it simulates the searched
-// function and the conventional baseline over the trace and applies the
-// §6 fallback guard, producing the final Result.
-func (pl *Pipeline) Validate(ctx context.Context, tr *trace.Trace, p *profile.Profile, sres search.Result) (*Result, error) {
+// Validate runs the exact-simulation stage: it simulates the conventional
+// baseline and the searched function over one pass of the trace each,
+// and applies the §6 fallback guard, producing the final Result.
+func (pl *Pipeline) Validate(ctx context.Context, src trace.Source, p *profile.Profile, sres search.Result) (*Result, error) {
 	cfg := pl.Config.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -223,12 +241,12 @@ func (pl *Pipeline) Validate(ctx context.Context, tr *trace.Trace, p *profile.Pr
 	m := cfg.SetBits()
 	optFunc, err := hash.NewXOR(sres.Matrix)
 	if err != nil {
-		return nil, errInvalidMatrix(err)
+		return nil, fmt.Errorf("core: invalid index matrix: %w", err)
 	}
 	pl.emit(Event{Kind: StageStarted, Stage: StageValidate})
 	res := &Result{Search: sres, Profile: p, Func: optFunc}
 	sim := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.Ways, Index: hash.Modulo(cfg.AddrBits, m)}
-	if res.Baseline, err = cache.Simulate(ctx, sim, tr); err != nil {
+	if res.Baseline, err = cache.Simulate(ctx, sim, src); err != nil {
 		// The searched function is intact — only its exact validation
 		// (and the §6 fallback guard) is missing. Hand it back Degraded
 		// with zeroed simulation stats rather than dropping it.
@@ -237,7 +255,7 @@ func (pl *Pipeline) Validate(ctx context.Context, tr *trace.Trace, p *profile.Pr
 		return res, err
 	}
 	sim.Index = optFunc
-	if res.Optimized, err = cache.Simulate(ctx, sim, tr); err != nil {
+	if res.Optimized, err = cache.Simulate(ctx, sim, src); err != nil {
 		res.Baseline, res.Optimized = cache.Stats{}, cache.Stats{}
 		res.Degraded = true
 		return res, err
@@ -247,60 +265,53 @@ func (pl *Pipeline) Validate(ctx context.Context, tr *trace.Trace, p *profile.Pr
 	return res, nil
 }
 
-// Run executes all three stages in order.
-func (pl *Pipeline) Run(ctx context.Context, tr *trace.Trace) (*Result, error) {
-	p, err := pl.Profile(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
-	return pl.RunProfiled(ctx, tr, p)
-}
-
-// RunProfiled executes the search and validation stages with a
-// pre-built profile.
-//
-// On cancellation the returned *Result is non-nil whenever the search
-// produced a usable best-so-far matrix: it is tagged Degraded, its
-// Search field tells how many moves and evaluations completed, and it
-// is returned alongside the wrapped ErrCanceled.
-func (pl *Pipeline) RunProfiled(ctx context.Context, tr *trace.Trace, p *profile.Profile) (*Result, error) {
-	sres, err := pl.Search(ctx, p)
-	if err != nil {
-		if sres.Degraded && sres.Matrix.Cols != nil {
-			res := &Result{Search: sres, Profile: p, Degraded: true}
-			if f, ferr := hash.NewXOR(sres.Matrix); ferr == nil {
-				res.Func = f
-			}
-			return res, err
-		}
-		return nil, err
-	}
-	return pl.Validate(ctx, tr, p, sres)
-}
-
-// Tune runs the full pipeline on a trace with cooperative
+// Tune runs all three stages in order on a trace, with cooperative
 // cancellation and optional progress events: every stage checks ctx
 // periodically (see DESIGN.md §9 for
 // the granularity per layer) and returns a wrapped ErrCanceled when it
 // is done. events may be nil.
-func Tune(ctx context.Context, tr *trace.Trace, cfg Config, events Sink) (*Result, error) {
+func Tune(ctx context.Context, src trace.Source, cfg Config, events Sink) (*Result, error) {
 	pl := Pipeline{Config: cfg, Events: events}
-	return pl.Run(ctx, tr)
+	p, err := pl.Profile(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	return TuneProfiled(ctx, src, p, cfg, events)
 }
 
-// TuneProfiled runs search and validation with a pre-built profile,
-// letting callers amortise profiling across several searches (e.g. the
-// 2-in/4-in/16-in sweep of Table 2). events may be nil.
-func TuneProfiled(ctx context.Context, tr *trace.Trace, p *profile.Profile, cfg Config, events Sink) (*Result, error) {
+// TuneProfiled runs search and then validation with a pre-built
+// profile, letting callers amortise profiling across several searches
+// (e.g. the 2-in/4-in/16-in sweep of Table 2). events may be nil. On
+// cancellation it returns Interrupted's result alongside the wrapped
+// ErrCanceled.
+func TuneProfiled(ctx context.Context, src trace.Source, p *profile.Profile, cfg Config, events Sink) (*Result, error) {
 	pl := Pipeline{Config: cfg, Events: events}
-	return pl.RunProfiled(ctx, tr, p)
+	sres, err := pl.Search(ctx, p)
+	if err != nil {
+		return Interrupted(p, sres), err
+	}
+	return pl.Validate(ctx, src, p, sres)
+}
+
+// Interrupted wraps the best-so-far matrix of a search that stopped
+// early as a Degraded Result, whose Search field tells how many moves
+// and evaluations completed; nil when the search left no usable matrix.
+func Interrupted(p *profile.Profile, sres search.Result) *Result {
+	if !sres.Degraded || sres.Matrix.Cols == nil {
+		return nil
+	}
+	res := &Result{Search: sres, Profile: p, Degraded: true}
+	if f, err := hash.NewXOR(sres.Matrix); err == nil {
+		res.Func = f
+	}
+	return res
 }
 
 // BuildProfile profiles a trace for the given configuration; the
 // profile can then be shared across TuneProfiled calls.
-func BuildProfile(ctx context.Context, tr *trace.Trace, cfg Config) (*profile.Profile, error) {
+func BuildProfile(ctx context.Context, src trace.Source, cfg Config) (*profile.Profile, error) {
 	pl := Pipeline{Config: cfg}
-	return pl.Profile(ctx, tr)
+	return pl.Profile(ctx, src)
 }
 
 // Check returns a wrapped ErrCanceled when ctx is done and nil

@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
 	"xoridx/internal/hash"
+	"xoridx/internal/trace"
 )
 
 func pipelineConfig() Config {
@@ -181,4 +185,81 @@ func TestTypedGeometryErrors(t *testing.T) {
 	if _, err := TuneProfiled(context.Background(), thrashTrace(64, 10), p, other, nil); !errors.Is(err, ErrProfileMismatch) {
 		t.Errorf("error %v must wrap ErrProfileMismatch", err)
 	}
+}
+
+// TestFileChangedBetweenPasses: validation reads the trace file again,
+// so a file rewritten with another trace, or truncated, after the
+// profiling pass must fail validation with a wrapped ErrFormat instead
+// of validating a different trace.
+func TestFileChangedBetweenPasses(t *testing.T) {
+	ctx := context.Background()
+	changes := map[string]func(t *testing.T, path string){
+		// Same name and ops, two accesses fewer: only the count differs.
+		"rewritten": func(t *testing.T, path string) {
+			other := thrashTrace(64, 299)
+			other.Ops = thrashTrace(64, 300).Ops
+			writeTrace(t, path, other)
+		},
+		"renamed": func(t *testing.T, path string) {
+			other := thrashTrace(64, 300)
+			other.Name = "other"
+			writeTrace(t, path, other)
+		},
+		"truncated": func(t *testing.T, path string) {
+			if err := os.Truncate(path, 64); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, change := range changes {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "t.xtr")
+			writeTrace(t, path, thrashTrace(64, 300))
+			f, err := trace.OpenFile(ctx, path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl := Pipeline{Config: pipelineConfig()}
+			p, err := pl.Profile(ctx, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sres, err := pl.Search(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			change(t, path)
+			res, err := pl.Validate(ctx, f, p, sres)
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("validation after the file changed: %v, want a wrapped ErrFormat", err)
+			}
+			if res == nil || !res.Degraded || res.Baseline.Misses != 0 {
+				t.Fatalf("want a Degraded result without simulation stats, got %+v", res)
+			}
+		})
+	}
+}
+
+// TestProfileAllocationsPerAccess: Profile turns each chunk of the pass
+// into blocks inside the builder's own buffer, so profiling an
+// in-memory trace never allocates the 8 bytes per access a block slice
+// of the whole trace would take.
+func TestProfileAllocationsPerAccess(t *testing.T) {
+	const accesses = 1 << 20
+	tr := &trace.Trace{Name: "alloc", Accesses: make([]trace.Access, accesses)}
+	for i := range tr.Accesses {
+		tr.Accesses[i].Addr = uint64(i*7%5000) * 4
+	}
+	pl := Pipeline{Config: Config{CacheBytes: 4096}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := pl.Profile(context.Background(), tr); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / accesses
+	if per >= 8 {
+		t.Fatalf("Profile allocated %.2f bytes per access, want < 8", per)
+	}
+	t.Logf("Profile allocated %.2f bytes per access", per)
 }

@@ -713,6 +713,22 @@ func TestStreamShardTransientFaultIsolated(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
+// readerBlocks adapts a trace reader to a BlockSource of block
+// addresses (shift, then mask to n bits) decoded in dst-sized reads.
+func readerBlocks(rd *trace.Reader, shift, n int) BlockSource {
+	var acc []trace.Access
+	return func(dst []uint64) (int, error) {
+		if len(acc) < len(dst) {
+			acc = make([]trace.Access, len(dst))
+		}
+		k, err := rd.Read(acc[:len(dst)])
+		for i, a := range acc[:k] {
+			dst[i] = a.Addr >> shift & (1<<n - 1)
+		}
+		return k, err
+	}
+}
+
 // TestStreamFaultMatrix drives the full streaming pipeline (faulty
 // bytes -> retrying reader -> trace decoder -> sharded builders) under
 // every fault schedule and worker count. The invariants: transient
@@ -767,7 +783,7 @@ func TestStreamFaultMatrix(t *testing.T) {
 					waitGoroutines(t, baseline)
 					return
 				}
-				src := func(dst []uint64) (int, error) { return rd.ReadBlocks(dst, 64, 12) }
+				src := readerBlocks(rd, 6, 12)
 				p, err := BuildStream(context.Background(), src, 12, 64,
 					Options{Workers: workers, chunkSize: 256})
 				waitGoroutines(t, baseline)

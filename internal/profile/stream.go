@@ -122,8 +122,8 @@ func (o Options) validate() error {
 // truncated to n bits, filling dst and returning how many it wrote.
 // It follows io.Reader conventions: (k, nil) with k > 0 while data
 // remains, then (0, io.EOF); (k > 0, io.EOF) is also accepted. Short
-// reads are fine. trace.Reader.BlockSource adapts the streaming
-// decoder to this shape; Blocks adapts an in-memory slice.
+// reads are fine. core.Pipeline.Profile adapts a pass over a
+// trace.Source to this shape; Blocks adapts an in-memory slice.
 type BlockSource func(dst []uint64) (int, error)
 
 // Blocks adapts an in-memory block sequence to a BlockSource.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 	"testing/iotest"
 )
@@ -69,10 +70,11 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzReaderChunked holds the streaming Reader to the Decode standard
 // on arbitrary bytes: both must accept the same inputs, and on
-// acceptance the Reader — driven with a fuzzer-chosen block-buffer size
-// over a one-byte-at-a-time underlying stream, so it resumes mid-record
-// constantly — must yield exactly the blocks Trace.Blocks computes from
-// the decoded trace.
+// acceptance the Reader — driven through Read with a fuzzer-chosen
+// buffer size over a one-byte-at-a-time underlying stream, so it
+// resumes mid-record constantly — must yield exactly the accesses
+// Decode does, and so exactly the blocks Trace.Blocks computes from
+// them.
 func FuzzReaderChunked(f *testing.F) {
 	valid := &Trace{Name: "chunk", Ops: 11}
 	valid.Append(0x1000, Read)
@@ -98,12 +100,12 @@ func FuzzReaderChunked(f *testing.F) {
 			return
 		}
 		chunk := 1 + int(chunkRaw)%16
-		var got []uint64
+		got := &Trace{}
 		var readErr error
-		bufBlocks := make([]uint64, chunk)
+		bufAcc := make([]Access, chunk)
 		for {
-			k, err := rd.ReadBlocks(bufBlocks, 4, 16)
-			got = append(got, bufBlocks[:k]...)
+			k, err := rd.Read(bufAcc)
+			got.Accesses = append(got.Accesses, bufAcc[:k]...)
 			if err == io.EOF {
 				break
 			}
@@ -118,16 +120,13 @@ func FuzzReaderChunked(f *testing.F) {
 		if wantErr != nil {
 			return
 		}
-		wantBlocks := want.Blocks(4, 16)
-		if len(got) != len(wantBlocks) {
-			t.Fatalf("Reader yielded %d blocks, Decode %d", len(got), len(wantBlocks))
+		if !slices.Equal(got.Accesses, want.Accesses) {
+			t.Fatalf("Reader yielded %v, Decode %v", got.Accesses, want.Accesses)
 		}
-		for i := range got {
-			if got[i] != wantBlocks[i] {
-				t.Fatalf("block %d: reader %#x, decode %#x", i, got[i], wantBlocks[i])
-			}
+		if !slices.Equal(got.Blocks(4, 16), want.Blocks(4, 16)) {
+			t.Fatal("Reader blocks differ from Decode blocks")
 		}
-		if rd.Name() != want.Name || rd.Ops() != want.Ops || rd.Len() != uint64(len(want.Accesses)) {
+		if rd.Header() != want.Header() {
 			t.Fatal("reader header disagrees with decoded trace")
 		}
 	})

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -89,9 +90,8 @@ func TestMmapReaderMatchesReaderOnValidTraces(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if wr.Name() != rd.Name() || wr.Ops() != rd.Ops() || wr.Len() != rd.Len() {
-					t.Fatalf("%s: headers disagree: whole %q/%d/%d, streamed %q/%d/%d", src.name,
-						wr.Name(), wr.Ops(), wr.Len(), rd.Name(), rd.Ops(), rd.Len())
+				if wr.Header() != rd.Header() {
+					t.Fatalf("%s: headers disagree: whole %+v, streamed %+v", src.name, wr.Header(), rd.Header())
 				}
 				for i := 0; ; i++ {
 					wa, werr := wr.Next()
@@ -115,7 +115,7 @@ func TestMmapReaderMatchesReaderOnValidTraces(t *testing.T) {
 	}
 }
 
-func TestMmapReaderReadBlocksChunkedMatchesReader(t *testing.T) {
+func TestMmapReaderReadChunkedMatchesReader(t *testing.T) {
 	data := encode(t, diffTraces()["kinds"])
 	for _, src := range streamedSources {
 		for _, chunk := range []int{1, 3, 7, 64, 1000} {
@@ -127,16 +127,16 @@ func TestMmapReaderReadBlocksChunkedMatchesReader(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wbuf, rbuf := make([]uint64, chunk), make([]uint64, chunk)
+			wbuf, rbuf := make([]Access, chunk), make([]Access, chunk)
 			for {
-				wn, werr := wr.ReadBlocks(wbuf, 4, 16)
-				rn, rerr := rd.ReadBlocks(rbuf, 4, 16)
+				wn, werr := wr.Read(wbuf)
+				rn, rerr := rd.Read(rbuf)
 				if wn != rn || !errorsEquivalent(werr, rerr) {
 					t.Fatalf("%s chunk=%d: whole (%d, %v), streamed (%d, %v)", src.name, chunk, wn, werr, rn, rerr)
 				}
 				for i := 0; i < wn; i++ {
 					if wbuf[i] != rbuf[i] {
-						t.Fatalf("%s chunk=%d: block %d: %#x vs %#x", src.name, chunk, i, wbuf[i], rbuf[i])
+						t.Fatalf("%s chunk=%d: access %d: %+v vs %+v", src.name, chunk, i, wbuf[i], rbuf[i])
 					}
 				}
 				if werr == io.EOF {
@@ -177,9 +177,8 @@ func diffReaders(data []byte, src streamedSource) string {
 		}
 		return ""
 	}
-	if wr.Name() != rd.Name() || wr.Ops() != rd.Ops() || wr.Len() != rd.Len() {
-		return fmt.Sprintf("headers disagree: %q/%d/%d vs %q/%d/%d",
-			wr.Name(), wr.Ops(), wr.Len(), rd.Name(), rd.Ops(), rd.Len())
+	if wr.Header() != rd.Header() {
+		return fmt.Sprintf("headers disagree: %+v vs %+v", wr.Header(), rd.Header())
 	}
 	for i := 0; i < 1<<20; i++ {
 		wa, we := wr.Next()
@@ -194,19 +193,19 @@ func diffReaders(data []byte, src streamedSource) string {
 			break
 		}
 	}
-	return diffBlocks(data, src)
+	return diffChunks(data, src)
 }
 
-// diffBlocks holds ReadBlocks to Next on both windows: the same blocks,
+// diffChunks holds Read to Next on both windows: the same accesses,
 // then the same failure at the same position. A chunk of 1 stops each
 // bulk run after one record; 1000 lets a run reach the end of a refill
 // window or of the encoding, where Next takes over.
-func diffBlocks(data []byte, src streamedSource) string {
+func diffChunks(data []byte, src streamedSource) string {
 	ref, err := wholeReader(data)
 	if err != nil {
 		return "" // header failures are compared by diffReaders
 	}
-	want, wantErr := blocksVia(ref, 0)
+	want, wantErr := accessesVia(ref, 0)
 	windows := []struct {
 		name string
 		open func() (*Reader, error)
@@ -218,15 +217,15 @@ func diffBlocks(data []byte, src streamedSource) string {
 		for _, chunk := range []int{1, 1000} {
 			rd, err := w.open()
 			if err != nil {
-				return fmt.Sprintf("ReadBlocks %s: header %v", w.name, err)
+				return fmt.Sprintf("Read %s: header %v", w.name, err)
 			}
-			got, gotErr := blocksVia(rd, chunk)
+			got, gotErr := accessesVia(rd, chunk)
 			if !slices.Equal(got, want) || !errorsEquivalent(gotErr, wantErr) {
-				return fmt.Sprintf("ReadBlocks %s chunk=%d: %d blocks then %v, Next %d blocks then %v",
+				return fmt.Sprintf("Read %s chunk=%d: %d accesses then %v, Next %d accesses then %v",
 					w.name, chunk, len(got), gotErr, len(want), wantErr)
 			}
 			if rd.Pos() != ref.Pos() || rd.Offset() != ref.Offset() {
-				return fmt.Sprintf("ReadBlocks %s chunk=%d: stopped at %d@%d, Next at %d@%d",
+				return fmt.Sprintf("Read %s chunk=%d: stopped at %d@%d, Next at %d@%d",
 					w.name, chunk, rd.Pos(), rd.Offset(), ref.Pos(), ref.Offset())
 			}
 		}
@@ -234,26 +233,25 @@ func diffBlocks(data []byte, src streamedSource) string {
 	return ""
 }
 
-// blocksVia decodes rd to its first error as 16-bit block numbers of
-// 4-byte blocks: through ReadBlocks with the given chunk, or through
-// Next when chunk is 0.
-func blocksVia(rd *Reader, chunk int) ([]uint64, error) {
-	var blocks []uint64
+// accessesVia decodes rd to its first error: through Read with the
+// given chunk, or through Next when chunk is 0.
+func accessesVia(rd *Reader, chunk int) ([]Access, error) {
+	var out []Access
 	if chunk == 0 {
 		for {
 			a, err := rd.Next()
 			if err != nil {
-				return blocks, err
+				return out, err
 			}
-			blocks = append(blocks, a.Addr>>2&0xffff)
+			out = append(out, a)
 		}
 	}
-	buf := make([]uint64, chunk)
+	buf := make([]Access, chunk)
 	for {
-		k, err := rd.ReadBlocks(buf, 4, 16)
-		blocks = append(blocks, buf[:k]...)
+		k, err := rd.Read(buf)
+		out = append(out, buf[:k]...)
 		if err != nil {
-			return blocks, err
+			return out, err
 		}
 	}
 }
@@ -400,8 +398,8 @@ func TestMmapReaderHugeDeclaredCount(t *testing.T) {
 	buf.Write(tmp[:binary.PutVarint(tmp[:], 16)])
 
 	check := func(name string, r *Reader) {
-		if r.Len() != 1<<33 {
-			t.Fatalf("%s: Len() = %d, want %d", name, r.Len(), uint64(1)<<33)
+		if r.Header().Len != 1<<33 {
+			t.Fatalf("%s: Header().Len = %d, want %d", name, r.Header().Len, uint64(1)<<33)
 		}
 		if _, err := r.Next(); err != nil {
 			t.Fatalf("%s: first record: %v", name, err)
@@ -482,27 +480,27 @@ func TestWriterEnforcesDeclaredCount(t *testing.T) {
 }
 
 // TestOpenFallsBackOnUnparsableHeader: a corrupt file must fail through
-// Open with the same format error the streamed Reader reports.
+// OpenFile with the same format error the streamed Reader reports.
 func TestOpenFallsBackOnUnparsableHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.xtr")
 	if err := os.WriteFile(path, []byte("NOPE...."), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Open(path)
+	_, err := OpenFile(context.Background(), path, 0)
 	if err == nil {
-		rd.Close()
 		t.Fatal("corrupt header accepted")
 	}
 	if !errors.Is(err, xerr.ErrFormat) {
 		t.Fatalf("error %v does not wrap xerr.ErrFormat", err)
 	}
 	if _, want := NewReader(bytes.NewReader([]byte("NOPE...."))); !formatErrorsEquivalent(err, want) {
-		t.Fatalf("Open error %v, streamed Reader error %v", err, want)
+		t.Fatalf("OpenFile error %v, streamed Reader error %v", err, want)
 	}
 }
 
-// TestOpenTruncatedWhileReading truncates a trace file under an open
-// Reader: decoding must deliver the records it already holds, then stop
+// TestOpenTruncatedWhileReading truncates a trace file under the Reader
+// of an open File pass: decoding must deliver the records it already
+// holds, then stop
 // with a *FormatError anchored at the record the refill could not
 // complete, not fault on vanished file pages.
 func TestOpenTruncatedWhileReading(t *testing.T) {
@@ -514,7 +512,7 @@ func TestOpenTruncatedWhileReading(t *testing.T) {
 	if err := os.WriteFile(path, encode(t, tr), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Open(path)
+	rd, err := (&File{path: path}).open(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,15 +520,15 @@ func TestOpenTruncatedWhileReading(t *testing.T) {
 	if err := os.Truncate(path, 4096); err != nil {
 		t.Fatal(err)
 	}
-	var got []uint64
-	buf := make([]uint64, 1000)
+	var got []Access
+	buf := make([]Access, 1000)
 	for err == nil {
 		var k int
-		k, err = rd.ReadBlocks(buf, 4, 16)
+		k, err = rd.Read(buf)
 		got = append(got, buf[:k]...)
 	}
-	if want := tr.Blocks(4, 16)[:len(got)]; !slices.Equal(got, want) {
-		t.Fatal("blocks decoded before the cut differ from the trace")
+	if want := tr.Accesses[:len(got)]; !slices.Equal(got, want) {
+		t.Fatal("accesses decoded before the cut differ from the trace")
 	}
 	var fe *FormatError
 	if !errors.As(err, &fe) || !errors.Is(err, xerr.ErrFormat) {

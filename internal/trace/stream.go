@@ -5,23 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-
-	"xoridx/internal/gf2"
+	"slices"
 )
 
-// Reader streams accesses out of the binary format one record at a
-// time, without materializing the whole trace. It is the input side of
-// the chunked profiling pipeline (profile.BuildStream): a ROADMAP-scale
-// trace is decoded in fixed-size block chunks that are handed to the
-// sharded profile builders as they arrive.
+// Reader streams accesses out of the binary format, one record (Next)
+// or one chunk (Read, Chunk) at a time, without materializing the
+// whole trace. It is each pass of a File, the Source that profiling
+// and exact validation read a trace file through.
 //
 // Records are decoded from a fixed-size window, buf[pos:], that the
 // Reader refills from its source whenever fewer than maxRecordLen bytes
 // are left.
 //
 // The header (name, ops, access count) is parsed eagerly by the
-// constructor; records are decoded lazily by Next / ReadBlocks. A
+// constructor; records are decoded lazily by Next / Read. A
 // Reader must not be shared between goroutines.
 //
 // Error contract (the resilience layer depends on all three):
@@ -47,6 +44,7 @@ type Reader struct {
 	count uint64 // total accesses declared in the header
 	read  uint64 // accesses decoded so far
 	prev  [3]uint64
+	chunk []Access // Chunk's buffer
 	close func() error
 }
 
@@ -58,7 +56,7 @@ const maxRecordLen = 1 + binary.MaxVarintLen64
 
 // windowSize is the refill buffer of a Reader and the flush buffer of
 // a Writer. Neither size is a tuning knob: on a 2-CPU x86-64
-// Linux VM, decoding a 2M-access (4.4 MB) trace through ReadBlocks took
+// Linux VM, decoding a 2M-access (4.4 MB) trace in bulk took
 // the same time within run-to-run noise with windows from 4 KiB to
 // 1 MiB (medians 13-16 ms, 40 decodes each), and so did writing a
 // 40M-access (115 MB) trace with cmd/tracegen -stream through 4 KiB,
@@ -82,25 +80,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return rd, nil
 }
 
-// Open opens a binary trace file and streams it through NewReader;
-// Close closes the file.
-func Open(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	rd, err := NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	rd.close = f.Close
-	return rd, nil
-}
-
-// Close closes the file Open opened. It does not close the io.Reader
-// given to NewReader. Safe to call more than once; no other method may
-// be used afterwards.
+// Close closes the file a File pass opened. It does not close the
+// io.Reader given to NewReader. Safe to call more than once; no other
+// method may be used afterwards.
 func (r *Reader) Close() error {
 	c := r.close
 	r.close, r.src, r.buf = nil, nil, nil
@@ -206,14 +188,8 @@ func isEOFish(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// Name returns the trace name from the header.
-func (r *Reader) Name() string { return r.name }
-
-// Ops returns the operation count from the header.
-func (r *Reader) Ops() uint64 { return r.ops }
-
-// Len returns the total number of accesses declared in the header.
-func (r *Reader) Len() uint64 { return r.count }
+// Header returns the header the constructor parsed.
+func (r *Reader) Header() Header { return Header{Name: r.name, Ops: r.ops, Len: r.count} }
 
 // Pos returns the number of accesses decoded so far.
 func (r *Reader) Pos() uint64 { return r.read }
@@ -274,23 +250,18 @@ func (r *Reader) truncated(what string, fillErr error) error {
 	return fmt.Errorf("trace: access %d read at byte offset %d: %w", r.read, r.Offset(), fillErr)
 }
 
-// ReadBlocks fills dst with the next block addresses truncated to n
-// bits — the form the profiling algorithm consumes (see Trace.Blocks) —
-// and returns how many it decoded. It returns (k, nil) with 0 < k <=
-// len(dst) while records remain, then (0, io.EOF) at the end of the
-// trace. Decoding can stop and resume mid-chunk at any record boundary,
-// so callers may use any buffer size, including 1. After a transient
-// read failure (an error that is neither io.EOF nor a *FormatError),
-// calling ReadBlocks again resumes exactly where it stopped.
-func (r *Reader) ReadBlocks(dst []uint64, blockBytes, n int) (int, error) {
+// Read decodes the next accesses into dst: (k, nil) with 0 < k <=
+// len(dst) while records remain, then (0, io.EOF). Any buffer size
+// works, including 1. After a transient read failure (neither io.EOF
+// nor a *FormatError) dst[:k] holds what was decoded before it, and
+// calling Read again resumes exactly where it stopped.
+func (r *Reader) Read(dst []Access) (int, error) {
 	if len(dst) == 0 {
-		return 0, errors.New("trace: ReadBlocks needs a non-empty buffer")
+		return 0, errors.New("trace: Read needs a non-empty buffer")
 	}
-	mask := uint64(gf2.Mask(n))
-	shift := uint(log2(blockBytes))
 	i := 0
 	for {
-		if i += r.decodeRun(dst[i:], shift, mask); i == len(dst) {
+		if i += r.decodeRun(dst[i:]); i == len(dst) {
 			return i, nil
 		}
 		// The run stopped short: Next takes the record it left, refilling
@@ -305,18 +276,29 @@ func (r *Reader) ReadBlocks(dst []uint64, blockBytes, n int) (int, error) {
 		if err != nil {
 			return i, err
 		}
-		dst[i] = a.Addr >> shift & mask
+		dst[i] = a
 		i++
 	}
 }
 
-// decodeRun is the bulk loop of ReadBlocks: it decodes records straight
-// out of the window into dst, keeping the cursor and the per-kind bases
-// in locals, for as long as a maximal record fits in the window. It
-// stops before the first record it cannot take on sight — one a refill
-// must complete, one past the declared count, or a malformed one — and
-// leaves that record to Next, which owns every refill and every error.
-func (r *Reader) decodeRun(dst []uint64, shift uint, mask uint64) int {
+// Chunk is Read into a ChunkLen buffer the Reader keeps: a Reader is
+// the Pass of a File.
+func (r *Reader) Chunk() ([]Access, error) {
+	if r.chunk == nil {
+		r.chunk = make([]Access, ChunkLen)
+	}
+	k, err := r.Read(r.chunk)
+	return r.chunk[:k], err
+}
+
+// decodeRun is the one bulk decode loop, under Read: it decodes records
+// straight out of the window into dst, keeping the cursor and the
+// per-kind bases in locals, for as long as a maximal record fits in the
+// window. It stops before the first record it cannot take on sight —
+// one a refill must complete, one past the declared count, or a
+// malformed one — and leaves that record to Next, which owns every
+// refill and every error.
+func (r *Reader) decodeRun(dst []Access) int {
 	if left := r.count - r.read; uint64(len(dst)) > left {
 		dst = dst[:left]
 	}
@@ -341,7 +323,7 @@ func (r *Reader) decodeRun(dst []uint64, shift uint, mask uint64) int {
 		}
 		addr := prev[kb] + uint64(delta)
 		prev[kb] = addr
-		dst[i] = addr >> shift & mask
+		dst[i] = Access{Addr: addr, Kind: Kind(kb)}
 		pos += 1 + k
 	}
 	r.pos, r.prev = pos, prev
@@ -349,33 +331,22 @@ func (r *Reader) decodeRun(dst []uint64, shift uint, mask uint64) int {
 	return i
 }
 
-// BlockSource adapts the reader to the chunked pull shape the sharded
-// profile builders consume (profile.BlockSource): each call decodes up
-// to len(dst) block addresses truncated to n bits and returns io.EOF
-// after the last record. The builder side tops up short deliveries
-// itself, so chunk boundaries are the consumer's choice, not the
-// decoder's — the returned closure may be handed any buffer size.
-func (r *Reader) BlockSource(blockBytes, n int) func(dst []uint64) (int, error) {
-	return func(dst []uint64) (int, error) {
-		return r.ReadBlocks(dst, blockBytes, n)
-	}
-}
-
 // ReadAll decodes every remaining access into an in-memory Trace —
-// Decode is NewReader + ReadAll.
+// Decode is NewReader + ReadAll. It preallocates only below 2^24
+// remaining accesses, so a lying header count cannot force the claim.
 func (r *Reader) ReadAll() (*Trace, error) {
 	t := &Trace{Name: r.name, Ops: r.ops}
 	if remaining := r.count - r.read; remaining < 1<<24 {
 		t.Accesses = make([]Access, 0, remaining)
 	}
-	for {
-		a, err := r.Next()
-		if err == io.EOF {
-			return t, nil
-		}
+	for left := r.count - r.read; left > 0; left = r.count - r.read {
+		t.Accesses = slices.Grow(t.Accesses, int(min(left, ChunkLen)))
+		n := len(t.Accesses)
+		k, err := r.Read(t.Accesses[n:cap(t.Accesses)])
+		t.Accesses = t.Accesses[:n+k]
 		if err != nil {
 			return nil, err
 		}
-		t.Accesses = append(t.Accesses, a)
 	}
+	return t, nil
 }

@@ -38,8 +38,8 @@ func TestReaderHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd.Name() != "sample" || rd.Ops() != 999 || rd.Len() != 6 || rd.Pos() != 0 {
-		t.Fatalf("header: name=%q ops=%d len=%d pos=%d", rd.Name(), rd.Ops(), rd.Len(), rd.Pos())
+	if h := rd.Header(); h != (Header{Name: "sample", Ops: 999, Len: 6}) || rd.Pos() != 0 {
+		t.Fatalf("header: %+v pos=%d", h, rd.Pos())
 	}
 }
 
@@ -68,19 +68,18 @@ func TestReaderNextMatchesDecode(t *testing.T) {
 	}
 }
 
-func TestReaderReadBlocksChunked(t *testing.T) {
+func TestReaderReadChunked(t *testing.T) {
 	tr := streamTrace()
 	data := encode(t, tr)
-	want := tr.Blocks(4, 16)
 	for _, chunk := range []int{1, 2, 3, 5, 100} {
 		rd, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []uint64
-		buf := make([]uint64, chunk)
+		var got []Access
+		buf := make([]Access, chunk)
 		for {
-			k, err := rd.ReadBlocks(buf, 4, 16)
+			k, err := rd.Read(buf)
 			got = append(got, buf[:k]...)
 			if err == io.EOF {
 				break
@@ -89,12 +88,12 @@ func TestReaderReadBlocksChunked(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("chunk=%d: %d blocks, want %d", chunk, len(got), len(want))
+		if len(got) != len(tr.Accesses) {
+			t.Fatalf("chunk=%d: %d accesses, want %d", chunk, len(got), len(tr.Accesses))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("chunk=%d block %d: %#x, want %#x", chunk, i, got[i], want[i])
+		for i, want := range tr.Accesses {
+			if got[i] != want {
+				t.Fatalf("chunk=%d access %d: %+v, want %+v", chunk, i, got[i], want)
 			}
 		}
 	}
@@ -146,7 +145,7 @@ func TestReaderEmptyBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.ReadBlocks(nil, 4, 16); err == nil {
+	if _, err := rd.Read(nil); err == nil {
 		t.Fatal("empty buffer accepted")
 	}
 }

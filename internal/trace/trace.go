@@ -45,12 +45,6 @@ type Access struct {
 	Kind Kind
 }
 
-// Block returns the cache-block address for a given block size in bytes
-// (must be a power of two).
-func (a Access) Block(blockBytes int) uint64 {
-	return a.Addr >> uint(log2(blockBytes))
-}
-
 // Trace is an in-memory access trace. Ops is the number of executed
 // operations (uops in the paper) the trace corresponds to; it is at
 // least the number of accesses but is usually larger because most
@@ -76,23 +70,6 @@ func (t *Trace) OpsOrLen() uint64 {
 		return t.Ops
 	}
 	return uint64(len(t.Accesses))
-}
-
-// Filter returns a new trace with only the accesses of the given kinds.
-// Ops is preserved: the filtered trace still represents the same amount
-// of executed work (e.g. a data-only view of a full trace).
-func (t *Trace) Filter(kinds ...Kind) *Trace {
-	keep := map[Kind]bool{}
-	for _, k := range kinds {
-		keep[k] = true
-	}
-	out := &Trace{Name: t.Name, Ops: t.Ops}
-	for _, a := range t.Accesses {
-		if keep[a.Kind] {
-			out.Accesses = append(out.Accesses, a)
-		}
-	}
-	return out
 }
 
 // Blocks returns the sequence of block addresses (for the given block
@@ -170,17 +147,6 @@ func log2(v int) int {
 		n++
 	}
 	return n
-}
-
-// Concat joins traces back to back into one trace (a phased execution:
-// workload A runs to completion, then workload B, ...). Ops accumulate.
-func Concat(name string, traces ...*Trace) *Trace {
-	out := &Trace{Name: name}
-	for _, t := range traces {
-		out.Accesses = append(out.Accesses, t.Accesses...)
-		out.Ops += t.OpsOrLen()
-	}
-	return out
 }
 
 // Interleave merges traces in round-robin slices of quantum accesses,

@@ -18,12 +18,13 @@ func sampleTrace() *Trace {
 }
 
 func TestBlockExtraction(t *testing.T) {
-	a := Access{Addr: 0x1237}
-	if a.Block(4) != 0x48d {
-		t.Errorf("Block(4) = %#x", a.Block(4))
+	tr := &Trace{}
+	tr.Append(0x1237, Read)
+	if b := tr.Blocks(4, 64)[0]; b != 0x48d {
+		t.Errorf("Blocks(4) = %#x", b)
 	}
-	if a.Block(32) != 0x91 {
-		t.Errorf("Block(32) = %#x", a.Block(32))
+	if b := tr.Blocks(32, 64)[0]; b != 0x91 {
+		t.Errorf("Blocks(32) = %#x", b)
 	}
 }
 
@@ -33,7 +34,7 @@ func TestBlockPanicsOnNonPowerOfTwo(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Access{Addr: 1}.Block(24)
+	(&Trace{}).Blocks(24, 16)
 }
 
 func TestBlocksTruncation(t *testing.T) {
@@ -43,21 +44,6 @@ func TestBlocksTruncation(t *testing.T) {
 	// 0xABCD1234 >> 2 = 0x2AF3448D; truncated to 16 bits = 0x448D.
 	if blocks[0] != 0x448D {
 		t.Errorf("truncated block = %#x", blocks[0])
-	}
-}
-
-func TestFilter(t *testing.T) {
-	tr := sampleTrace()
-	d := tr.Filter(Read, Write)
-	if d.Len() != 3 {
-		t.Fatalf("data accesses = %d", d.Len())
-	}
-	if d.Ops != tr.Ops {
-		t.Error("Filter must preserve Ops")
-	}
-	f := tr.Filter(Fetch)
-	if f.Len() != 1 || f.Accesses[0].Addr != 0x8000 {
-		t.Fatal("fetch filter wrong")
 	}
 }
 
@@ -237,21 +223,6 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := &Trace{Name: "a", Ops: 10}
-	a.Append(1, Read)
-	b := &Trace{Name: "b", Ops: 20}
-	b.Append(2, Write)
-	b.Append(3, Fetch)
-	c := Concat("ab", a, b)
-	if c.Name != "ab" || c.Len() != 3 || c.Ops != 30 {
-		t.Fatalf("concat wrong: %+v", c)
-	}
-	if c.Accesses[0].Addr != 1 || c.Accesses[2].Addr != 3 {
-		t.Fatal("order wrong")
 	}
 }
 
