@@ -298,24 +298,45 @@ func BenchmarkAblationRestarts(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheSimulator measures raw simulation throughput: one
-// cache.Simulate over susan's data trace, configured the way the
-// pipeline's validation stage simulates — 4 KB direct-mapped, 4-byte
-// blocks, modulo indexing over 16 address bits.
+// BenchmarkCacheSimulator measures raw simulation throughput over
+// susan's data trace, configured the way the pipeline's validation stage
+// simulates: 4 KB direct-mapped, 4-byte blocks, 16 address bits. The
+// modulo case runs one cache; the pair case runs modulo and a general
+// XOR function (address folding) in one cache.Simulate pass, as
+// Pipeline.Validate does. Both report ns per simulated access.
 func BenchmarkCacheSimulator(b *testing.B) {
 	tr := mustWorkload(b, "susan").Data(1)
 	cfg := cache.Config{SizeBytes: 4096, BlockBytes: 4, Ways: 1}
 	cfg.Index = hash.Modulo(16, cfg.SetBits())
-	b.SetBytes(int64(tr.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := cache.Simulate(context.Background(), cfg, tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Accesses != uint64(tr.Len()) {
-			b.Fatalf("simulated %d of %d accesses", st.Accesses, tr.Len())
-		}
+	folded, err := hash.FoldedXOR(16, cfg.SetBits())
+	if err != nil {
+		b.Fatal(err)
+	}
+	xor := cfg
+	xor.Index = folded
+	for _, bc := range []struct {
+		name string
+		cfgs []cache.Config
+	}{
+		{"modulo", []cache.Config{cfg}},
+		{"pair", []cache.Config{cfg, xor}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			simulated := int64(tr.Len() * len(bc.cfgs))
+			b.SetBytes(simulated)
+			for i := 0; i < b.N; i++ {
+				st, err := cache.Simulate(context.Background(), tr, bc.cfgs...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range st {
+					if s.Accesses != uint64(tr.Len()) {
+						b.Fatalf("simulated %d of %d accesses", s.Accesses, tr.Len())
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*simulated), "ns/access")
+		})
 	}
 }
 

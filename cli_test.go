@@ -5,6 +5,7 @@ package xoridx
 // the tables regenerator. The binaries are built once into a temp dir.
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -306,6 +307,37 @@ func TestCLIAlternativeAlgorithms(t *testing.T) {
 	// Mismatched family/algo pairs are rejected.
 	runExpectFail(t, "xoridx", "-trace", tr, "-algo", "anneal") // default family: permutation
 	runExpectFail(t, "xoridx", "-trace", tr, "-algo", "bogus")
+}
+
+// TestCLIAlgoCheckedBeforeProfiling: an unknown -algo, or a family the
+// algorithm cannot search, is reported before the profile pass reads
+// the trace. The trace here has a valid XTR1 header and a corrupt first
+// record, so reading it would fail with a format error instead.
+func TestCLIAlgoCheckedBeforeProfiling(t *testing.T) {
+	const name = "bad"
+	body := append([]byte("XTR1"), byte(len(name)))
+	body = append(body, name...)
+	body = append(body, 0, 100) // ops 0, 100 accesses
+	body = append(body, bytes.Repeat([]byte{0xff}, 64)...)
+	tr := filepath.Join(t.TempDir(), "bad.xtr")
+	if err := os.WriteFile(tr, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := runExpectFail(t, "xoridx", "-trace", tr); !strings.Contains(out, "trace:") {
+		t.Fatalf("the default tune must fail on the corrupt record:\n%s", out)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-algo", "typo"}, `unknown -algo "typo"`},
+		{[]string{"-algo", "anneal", "-family", "permutation"}, "-algo anneal searches general XOR functions"},
+	} {
+		out := runExpectFail(t, "xoridx", append([]string{"-trace", tr}, c.args...)...)
+		if !strings.Contains(out, c.want) || strings.Contains(out, "trace:") {
+			t.Errorf("xoridx %v: want the usage error %q, not a format error:\n%s", c.args, c.want, out)
+		}
+	}
 }
 
 func TestCLISetAssociative(t *testing.T) {

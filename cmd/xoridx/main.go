@@ -21,9 +21,10 @@
 //	xoridx -trace huge.xtr -sample 16                        # sampled profiling with confidence bounds
 //	xoridx -trace huge.xtr -backend sketch                   # bounded-memory count-min histogram
 //
-// A binary trace is never loaded: profiling and each exact simulation
-// (-apply too) stream it off the file in a pass of their own, so traces
-// far larger than RAM are tuned and validated in bounded memory. An
+// A binary trace is never loaded: profiling and exact validation (-apply
+// too), which simulates both caches at once, stream it off the file in a
+// pass each, so traces far larger than RAM are tuned and validated in
+// bounded memory. An
 // approximate profile (-sample > 1 or -backend sketch) adds the Eq. 4
 // estimates with their "X ± ε" confidence intervals to the report.
 //
@@ -279,29 +280,35 @@ func main() {
 // produce a matrix that is then validated — and guarded — exactly like
 // the paper's hill climber.
 func tuneWith(ctx context.Context, tr trace.Source, cfg core.Config, algo string, events core.Sink) (*core.Result, error) {
-	pl := core.Pipeline{Config: cfg, Events: events}
-	if algo == "hillclimb" {
-		return core.Tune(ctx, tr, cfg, events)
-	}
-	p, err := pl.Profile(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
-	var sres search.Result
+	// Check the algorithm and its family before the profile pass reads
+	// the trace.
+	var find func(p *profile.Profile) (search.Result, error)
 	switch algo {
+	case "hillclimb":
+		return core.Tune(ctx, tr, cfg, events)
 	case "anneal":
 		if cfg.Family != hash.FamilyGeneralXOR {
 			return nil, fmt.Errorf("-algo anneal searches general XOR functions; use -family general")
 		}
-		sres, err = search.Anneal(ctx, p, cfg.SetBits(), search.AnnealOptions{Seed: cfg.Seed})
+		find = func(p *profile.Profile) (search.Result, error) {
+			return search.Anneal(ctx, p, cfg.SetBits(), search.AnnealOptions{Seed: cfg.Seed})
+		}
 	case "constructive":
 		if cfg.Family != hash.FamilyPermutation {
 			return nil, fmt.Errorf("-algo constructive builds permutation-based functions; use -family permutation")
 		}
-		sres, err = search.Constructive(ctx, p, cfg.SetBits(), cfg.MaxInputs, 64)
+		find = func(p *profile.Profile) (search.Result, error) {
+			return search.Constructive(ctx, p, cfg.SetBits(), cfg.MaxInputs, 64)
+		}
 	default:
 		return nil, fmt.Errorf("unknown -algo %q (hillclimb, anneal, constructive)", algo)
 	}
+	pl := core.Pipeline{Config: cfg, Events: events}
+	p, err := pl.Profile(ctx, tr)
+	if err != nil {
+		return nil, err
+	}
+	sres, err := find(p)
 	if err != nil {
 		// The same anytime contract as the hill climber's.
 		return core.Interrupted(p, sres), err

@@ -48,11 +48,11 @@ func dspLoop(padBytes uint64) *trace.Trace {
 }
 
 func misses(tr *trace.Trace, f hash.Func) uint64 {
-	st, err := cache.Simulate(context.Background(), cache.Config{SizeBytes: 4096, BlockBytes: 4, Ways: 1, Index: f}, tr)
+	st, err := cache.Simulate(context.Background(), tr, cache.Config{SizeBytes: 4096, BlockBytes: 4, Ways: 1, Index: f})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return st.Misses
+	return st[0].Misses
 }
 
 func main() {

@@ -104,26 +104,30 @@ func (s Stats) MissesPerKOp(ops uint64) float64 {
 	return float64(s.Misses) * 1000 / float64(ops)
 }
 
-// line is one cache line; valid distinguishes cold lines. The block
-// address is redundant with (tag, index) but kept so victim buffers and
-// reconfiguration models can recover it without inverting the hash.
-type line struct {
-	tag   uint64
-	block uint64
-	valid bool
-	dirty bool   // written since fill (write-back policy)
-	used  uint64 // LRU timestamp within the set
+// Cache is a trace-driven simulator instance. Its lines live in flat
+// slices indexed set*Ways + way: the resident block address, a state
+// byte (valid, dirty) and, for LRU and FIFO sets of more than one way,
+// a stamp (the access count at the last touch or at the fill). A line
+// keeps its block address where hardware keeps a tag: hash.Func's
+// (Index, Tag) pair identifies a block, so within one set two blocks
+// compare equal exactly when their tags do, and no tag is computed.
+type Cache struct {
+	cfg    Config
+	idx    gf2.LinearMap // the index function, tabulated
+	ways   int
+	shift  uint // log2(BlockBytes)
+	blocks []uint64
+	state  []uint8
+	stamps []uint64 // nil when Ways == 1 or Repl == Random
+	stats  Stats
+	rng    uint64 // xorshift state for Random replacement
 }
 
-// Cache is a trace-driven simulator instance.
-type Cache struct {
-	cfg   Config
-	idx   hash.Func
-	sets  [][]line
-	clock uint64
-	stats Stats
-	rng   uint64 // xorshift state for Random replacement
-}
+// Line state bits. A dirty line is always valid.
+const (
+	valid uint8 = 1 << iota
+	dirty       // written since fill (write-back policy)
+)
 
 // New builds a cache from the configuration. When cfg.Index is nil, a
 // conventional modulo function over 16 block-address bits is used.
@@ -142,62 +146,115 @@ func New(cfg Config) (*Cache, error) {
 	if idx.SetBits() != cfg.SetBits() {
 		return nil, fmt.Errorf("cache: index function has %d set bits, geometry needs %d: %w", idx.SetBits(), cfg.SetBits(), xerr.ErrInvalidGeometry)
 	}
-	sets := make([][]line, cfg.Sets())
-	backing := make([]line, cfg.Sets()*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
+	lines := cfg.Sets() * cfg.Ways
+	c := &Cache{
+		cfg:    cfg,
+		idx:    gf2.NewLinearMap(idx.Matrix()),
+		ways:   cfg.Ways,
+		shift:  uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
+		blocks: make([]uint64, lines),
+		state:  make([]uint8, lines),
+		rng:    0x243F6A8885A308D3, // pi digits: fixed, reproducible
 	}
-	return &Cache{
-		cfg:  cfg,
-		idx:  idx,
-		sets: sets,
-		rng:  0x243F6A8885A308D3, // pi digits: fixed, reproducible
-	}, nil
+	if cfg.Ways > 1 && cfg.Repl != Random {
+		c.stamps = make([]uint64, lines)
+	}
+	return c, nil
 }
 
-// Simulate builds a cache from cfg and runs one pass of the trace
-// through it, honouring read/write kinds. It checks ctx before each
-// chunk of the pass (at most trace.ChunkLen accesses); when ctx is done
-// it returns the statistics accumulated so far alongside a wrapped
-// xerr.ErrCanceled.
-func Simulate(ctx context.Context, cfg Config, src trace.Source) (Stats, error) {
-	c, err := New(cfg)
-	if err != nil {
-		return Stats{}, err
+// Simulate runs one pass of src through a fresh cache for each of cfgs,
+// honouring read/write kinds, and returns their statistics in cfgs'
+// order. Each chunk of the pass (at most trace.ChunkLen accesses) runs
+// through every cache in turn, so a trace is read once however many
+// organisations it is compared under. Simulate checks ctx before each
+// chunk; when ctx is done, or the pass fails, it returns every cache's
+// statistics so far alongside the error (a wrapped xerr.ErrCanceled on
+// cancellation). An invalid cfg fails before the pass starts.
+func Simulate(ctx context.Context, src trace.Source, cfgs ...Config) ([]Stats, error) {
+	caches := make([]*Cache, len(cfgs))
+	for i, cfg := range cfgs {
+		c, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		caches[i] = c
+	}
+	stats := func() []Stats {
+		out := make([]Stats, len(caches))
+		for i, c := range caches {
+			out[i] = c.stats
+		}
+		return out
 	}
 	pass, err := src.Pass(ctx)
 	if err != nil {
-		return Stats{}, err
+		return stats(), err
 	}
 	defer pass.Close()
-	block := uint64(cfg.BlockBytes)
 	for {
 		if err := xerr.Check(ctx); err != nil {
-			return c.stats, err
+			return stats(), err
 		}
 		chunk, err := pass.Chunk()
 		if err == io.EOF {
-			return c.stats, nil
+			return stats(), nil
 		}
 		if err != nil {
-			return c.stats, err
+			return stats(), err
 		}
-		for _, a := range chunk {
-			c.access(a.Addr/block, a.Kind == trace.Write)
+		for _, c := range caches {
+			c.run(chunk)
 		}
 	}
+}
+
+// run simulates one chunk of accesses.
+func (c *Cache) run(chunk []trace.Access) {
+	if c.ways > 1 {
+		for _, a := range chunk {
+			c.access(a.Addr>>c.shift, a.Kind == trace.Write)
+		}
+		return
+	}
+	// Direct mapped: one table lookup per address byte, one line probe.
+	idx, blocks, state, shift := c.idx, c.blocks, c.state, c.shift
+	var misses, writes, writebacks uint64
+	for _, a := range chunk {
+		b := a.Addr >> shift
+		set := idx.Apply(gf2.Vec(b))
+		var w uint8
+		if a.Kind == trace.Write {
+			w = dirty
+			writes++
+		}
+		st := state[set]
+		if st&valid != 0 && blocks[set] == b {
+			state[set] = st | w
+			continue
+		}
+		misses++
+		if st&dirty != 0 {
+			writebacks++
+		}
+		blocks[set] = b
+		state[set] = valid | w
+	}
+	c.stats.Accesses += uint64(len(chunk))
+	c.stats.Misses += misses
+	c.stats.Writes += writes
+	c.stats.Writebacks += writebacks
 }
 
 // Access simulates one read access by byte address and reports whether
 // it missed.
 func (c *Cache) Access(addr uint64) bool {
-	return c.access(addr/uint64(c.cfg.BlockBytes), false)
+	return c.access(addr>>c.shift, false)
 }
 
 // Write simulates one store by byte address (write-allocate,
 // write-back) and reports whether it missed.
 func (c *Cache) Write(addr uint64) bool {
-	return c.access(addr/uint64(c.cfg.BlockBytes), true)
+	return c.access(addr>>c.shift, true)
 }
 
 // AccessBlock simulates one read access by block address.
@@ -205,48 +262,60 @@ func (c *Cache) AccessBlock(block uint64) bool {
 	return c.access(block, false)
 }
 
+// access simulates one access by block address. The victim is the
+// first invalid way of the set, else the way with the oldest stamp (LRU
+// and FIFO) or a pseudo-random way (Random).
 func (c *Cache) access(block uint64, isWrite bool) bool {
-	c.clock++
 	c.stats.Accesses++
+	clock := c.stats.Accesses
+	var w uint8
 	if isWrite {
 		c.stats.Writes++
+		w = dirty
 	}
-	set := c.idx.Index(block)
-	tag := hash.TagWithHighBits(c.idx, block)
-
-	lines := c.sets[set]
-	victim := 0
-	haveFree := false
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			if c.cfg.Repl != FIFO { // FIFO keeps fill time as the stamp
-				lines[i].used = c.clock
+	base := int(c.idx.Apply(gf2.Vec(block))) * c.ways
+	blocks := c.blocks[base : base+c.ways]
+	state := c.state[base : base+c.ways]
+	var stamps []uint64
+	if c.stamps != nil {
+		stamps = c.stamps[base : base+c.ways]
+	}
+	victim, free := 0, false
+	for i := range blocks {
+		if state[i]&valid == 0 {
+			if !free {
+				victim, free = i, true
 			}
-			if isWrite {
-				lines[i].dirty = true
+			continue
+		}
+		if blocks[i] == block {
+			state[i] |= w
+			if c.cfg.Repl == LRU && stamps != nil { // FIFO keeps the fill time
+				stamps[i] = clock
 			}
 			return false
 		}
-		if !lines[i].valid && !haveFree {
-			victim = i
-			haveFree = true
-		} else if !haveFree && lines[i].used < lines[victim].used {
+		if !free && stamps != nil && stamps[i] < stamps[victim] {
 			victim = i
 		}
 	}
-	if !haveFree && c.cfg.Repl == Random && len(lines) > 1 {
+	if !free && c.cfg.Repl == Random && c.ways > 1 {
 		c.rng ^= c.rng << 13
 		c.rng ^= c.rng >> 7
 		c.rng ^= c.rng << 17
-		victim = int(c.rng % uint64(len(lines)))
+		victim = int(c.rng % uint64(c.ways))
 	}
 
 	// Miss: account the writeback, then fill (write-allocate).
 	c.stats.Misses++
-	if lines[victim].valid && lines[victim].dirty {
+	if state[victim]&dirty != 0 {
 		c.stats.Writebacks++
 	}
-	lines[victim] = line{tag: tag, block: block, valid: true, dirty: isWrite, used: c.clock}
+	blocks[victim] = block
+	state[victim] = valid | w
+	if stamps != nil {
+		stamps[victim] = clock
+	}
 	return true
 }
 
@@ -265,11 +334,7 @@ func (c *Cache) Config() Config { return c.cfg }
 // lines become unreachable). Statistics are preserved: re-fetching a
 // flushed block counts as a miss.
 func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.state)
 }
 
 // SetIndex reconfigures the index function and flushes the cache (the
@@ -280,7 +345,7 @@ func (c *Cache) SetIndex(f hash.Func) error {
 		return fmt.Errorf("cache: new index function has %d set bits, geometry needs %d: %w",
 			f.SetBits(), c.cfg.SetBits(), xerr.ErrInvalidGeometry)
 	}
-	c.idx = f
+	c.idx = gf2.NewLinearMap(f.Matrix())
 	c.Flush()
 	return nil
 }

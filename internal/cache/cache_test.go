@@ -167,10 +167,11 @@ func TestRunTrace(t *testing.T) {
 	tr.Append(0x100, trace.Read)
 	tr.Append(0x100, trace.Read)
 	tr.Append(0x200, trace.Write)
-	s, err := Simulate(context.Background(), dmConfig(1024), tr)
+	st, err := Simulate(context.Background(), tr, dmConfig(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := st[0]
 	if s.Accesses != 3 || s.Misses != 2 {
 		t.Fatalf("stats %+v", s)
 	}
@@ -340,12 +341,12 @@ func TestRunHonoursWriteKind(t *testing.T) {
 	tr := &trace.Trace{}
 	tr.Append(0x10, trace.Write)
 	tr.Append(0x10, trace.Read)
-	s, err := Simulate(context.Background(), dmConfig(64), tr)
+	st, err := Simulate(context.Background(), tr, dmConfig(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Writes != 1 {
-		t.Fatalf("writes = %d", s.Writes)
+	if st[0].Writes != 1 {
+		t.Fatalf("writes = %d", st[0].Writes)
 	}
 }
 
@@ -358,20 +359,17 @@ func TestXORIndexingReducesWriteTraffic(t *testing.T) {
 		tr.Append(0, trace.Write)
 		tr.Append(64*4, trace.Write) // alias in 16-set cache
 	}
-	base, err := Simulate(context.Background(), dmConfig(64), &tr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f, err := hash.PermutationBased(16, 4, [][]int{{6}, {}, {}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := dmConfig(64)
 	cfg.Index = f
-	opt, err := Simulate(context.Background(), cfg, &tr)
+	st, err := Simulate(context.Background(), &tr, dmConfig(64), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base, opt := st[0], st[1]
 	if base.Writebacks < 190 {
 		t.Fatalf("baseline writebacks = %d, want ~198", base.Writebacks)
 	}

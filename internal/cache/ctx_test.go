@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"xoridx/internal/hash"
@@ -55,9 +56,9 @@ func checkSimulate(t *testing.T, ctx context.Context, prefix int) {
 			ref.Access(a.Addr)
 		}
 	}
-	got, err := Simulate(ctx, cfg, tr)
-	if got != ref.Stats() {
-		t.Errorf("stats %+v, want %+v", got, ref.Stats())
+	got, err := Simulate(ctx, tr, cfg)
+	if len(got) != 1 || got[0] != ref.Stats() {
+		t.Errorf("stats %+v, want [%+v]", got, ref.Stats())
 	}
 	if wantErr := prefix < tr.Len(); wantErr != (err != nil) {
 		t.Errorf("error %v, want one: %v", err, wantErr)
@@ -104,8 +105,75 @@ func TestInvalidGeometryTyped(t *testing.T) {
 		if _, err := New(cfg); !errors.Is(err, xerr.ErrInvalidGeometry) {
 			t.Errorf("config %d: error %v must wrap ErrInvalidGeometry", i, err)
 		}
-		if _, err := Simulate(context.Background(), cfg, &trace.Trace{}); !errors.Is(err, xerr.ErrInvalidGeometry) {
+		if _, err := Simulate(context.Background(), &trace.Trace{}, cfg); !errors.Is(err, xerr.ErrInvalidGeometry) {
 			t.Errorf("config %d: Simulate error %v must wrap ErrInvalidGeometry", i, err)
+		}
+	}
+}
+
+// onePassConfigs are four organisations of one trace: direct mapped
+// under modulo and under an XOR function, 2-way FIFO and 4-way Random.
+func onePassConfigs(t *testing.T) []Config {
+	t.Helper()
+	f, err := hash.PermutationBased(16, 8, [][]int{{8}, {9}, {10}, {}, {}, {}, {}, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []Config{
+		{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: hash.Modulo(16, 8)},
+		{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: f},
+		{SizeBytes: 1024, BlockBytes: 4, Ways: 2, Index: hash.Modulo(16, 7), Repl: FIFO},
+		{SizeBytes: 1024, BlockBytes: 4, Ways: 4, Index: hash.Modulo(16, 6), Repl: Random},
+	}
+}
+
+// TestSimulateManyEqualsOneAtATime: a pass through several caches gives
+// each the statistics it gets from a pass of its own.
+func TestSimulateManyEqualsOneAtATime(t *testing.T) {
+	tr := refTrace(rand.New(rand.NewSource(1)), 256, 20000)
+	cfgs := onePassConfigs(t)
+	got, err := Simulate(context.Background(), tr, cfgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(cfgs) {
+		t.Fatalf("%d stats for %d configs", len(got), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		one, err := Simulate(context.Background(), tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != one[0] {
+			t.Errorf("config %d: one pass for all %+v, alone %+v", i, got[i], one[0])
+		}
+		if i > 0 && got[i].Misses == got[0].Misses {
+			t.Errorf("config %d: same stats as config 0; the test needs distinct organisations", i)
+		}
+	}
+}
+
+// TestSimulateManyCanceledMidPass: a cancellation seen at the third
+// check returns, for every config, the stats of exactly the first two
+// chunks, with a wrapped ErrCanceled.
+func TestSimulateManyCanceledMidPass(t *testing.T) {
+	tr := refTrace(rand.New(rand.NewSource(2)), 256, 20000)
+	cfgs := onePassConfigs(t)
+	prefix := &trace.Trace{Accesses: tr.Accesses[:2*trace.ChunkLen]}
+	want, err := Simulate(context.Background(), prefix, cfgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Simulate(&checksCtx{Context: canceledCtx(), k: 2}, tr, cfgs...)
+	if !errors.Is(err, xerr.ErrCanceled) {
+		t.Fatalf("error %v, want a wrapped ErrCanceled", err)
+	}
+	if len(got) != len(cfgs) {
+		t.Fatalf("%d partial stats for %d configs", len(got), len(cfgs))
+	}
+	for i := range cfgs {
+		if got[i] != want[i] || got[i].Accesses != 2*trace.ChunkLen {
+			t.Errorf("config %d: partial stats %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -18,15 +18,15 @@ func Example_xorIndexing() {
 			tr.Append(i*1024, trace.Read) // all map to set 0 under modulo
 		}
 	}
-	ctx := context.Background()
-	conv, _ := cache.Simulate(ctx, cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1}, &tr)
-	fmt.Println("modulo misses:", conv.Misses)
-
 	f, _ := hash.PermutationBased(16, 8, [][]int{
 		{8}, {9}, {10}, {11}, {12}, {}, {}, {},
 	})
-	xc, _ := cache.Simulate(ctx, cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: f}, &tr)
-	fmt.Println("XOR misses:   ", xc.Misses)
+	// One pass of the trace through both caches.
+	st, _ := cache.Simulate(context.Background(), &tr,
+		cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1},
+		cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: f})
+	fmt.Println("modulo misses:", st[0].Misses)
+	fmt.Println("XOR misses:   ", st[1].Misses)
 	// Output:
 	// modulo misses: 160
 	// XOR misses:    32

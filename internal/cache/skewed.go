@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
 )
 
@@ -14,10 +15,11 @@ import (
 // Replacement: LRU across the candidate lines (one per bank), which is
 // a common approximation for 2-way skewed caches.
 type Skewed struct {
-	banks      [][]line // banks[w][set]
-	idx        []hash.Func
+	idx        []gf2.LinearMap // one tabulated index function per bank
+	sets       int
+	blocks     []uint64 // bank w's set s at w*sets + s
+	used       []uint64 // LRU stamp (access count); 0 = empty line
 	blockBytes int
-	clock      uint64
 	stats      Stats
 }
 
@@ -29,16 +31,21 @@ func NewSkewed(blockBytes int, idx []hash.Func) (*Skewed, error) {
 		return nil, fmt.Errorf("cache: skewed cache needs >= 2 banks, got %d", len(idx))
 	}
 	m := idx[0].SetBits()
-	for _, f := range idx {
+	maps := make([]gf2.LinearMap, len(idx))
+	for w, f := range idx {
 		if f.SetBits() != m {
 			return nil, fmt.Errorf("cache: skewed banks disagree on set bits (%d vs %d)", f.SetBits(), m)
 		}
+		maps[w] = gf2.NewLinearMap(f.Matrix())
 	}
-	banks := make([][]line, len(idx))
-	for w := range banks {
-		banks[w] = make([]line, 1<<uint(m))
-	}
-	return &Skewed{banks: banks, idx: idx, blockBytes: blockBytes}, nil
+	sets := 1 << uint(m)
+	return &Skewed{
+		idx:        maps,
+		sets:       sets,
+		blocks:     make([]uint64, len(idx)*sets),
+		used:       make([]uint64, len(idx)*sets),
+		blockBytes: blockBytes,
+	}, nil
 }
 
 // Access simulates one access by byte address; reports a miss.
@@ -48,32 +55,23 @@ func (s *Skewed) Access(addr uint64) bool {
 
 // AccessBlock simulates one access by block address.
 func (s *Skewed) AccessBlock(block uint64) bool {
-	s.clock++
 	s.stats.Accesses++
-	// In a skewed cache the full block address must be stored (or an
-	// equivalently unambiguous tag), because set indices differ per
-	// bank; we store the block address itself as the tag.
-	victimBank := 0
-	var victimAge uint64 = ^uint64(0)
+	// Set indices differ per bank, so a line must hold the block
+	// address itself (or an equally unambiguous tag).
+	victim := 0
+	victimAge := ^uint64(0)
 	for w, f := range s.idx {
-		set := f.Index(block)
-		ln := &s.banks[w][set]
-		if ln.valid && ln.tag == block {
-			ln.used = s.clock
+		i := w*s.sets + int(f.Apply(gf2.Vec(block)))
+		if s.used[i] != 0 && s.blocks[i] == block {
+			s.used[i] = s.stats.Accesses
 			return false
 		}
-		age := uint64(0)
-		if ln.valid {
-			age = ln.used
-		}
-		if age < victimAge {
-			victimAge = age
-			victimBank = w
+		if s.used[i] < victimAge {
+			victimAge, victim = s.used[i], i
 		}
 	}
 	s.stats.Misses++
-	set := s.idx[victimBank].Index(block)
-	s.banks[victimBank][set] = line{tag: block, valid: true, used: s.clock}
+	s.blocks[victim], s.used[victim] = block, s.stats.Accesses
 	return true
 }
 

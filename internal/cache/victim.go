@@ -3,7 +3,7 @@ package cache
 import (
 	"fmt"
 
-	"xoridx/internal/hash"
+	"xoridx/internal/gf2"
 )
 
 // VictimCache is a direct-mapped cache backed by a small
@@ -47,20 +47,15 @@ func NewVictim(cfg Config, victimLines int) (*VictimCache, error) {
 func (v *VictimCache) AccessBlock(block uint64) bool {
 	v.clock++
 	v.stats.Accesses++
-	set := v.main.idx.Index(block)
-	tag := hash.TagWithHighBits(v.main.idx, block)
-	ln := &v.main.sets[set][0]
-	if ln.valid && ln.tag == tag {
-		ln.used = v.clock
+	m := v.main
+	set := m.idx.Apply(gf2.Vec(block))
+	evictedBlock, evictedValid := m.blocks[set], m.state[set]&valid != 0
+	if evictedValid && evictedBlock == block {
 		return false
 	}
-	// Main miss: probe the victim buffer.
-	// The buffer is keyed by block address; the main line remembers its
-	// block so eviction does not need to invert the hash function.
-	evictedBlock, evictedValid := uint64(0), ln.valid
-	if ln.valid {
-		evictedBlock = v.blockOf(set)
-	}
+	// Main miss: the block takes the main line (clean), and the victim
+	// buffer, keyed by block address like the main lines, is probed.
+	m.blocks[set], m.state[set] = block, valid
 	for i := range v.victims {
 		if v.victims[i].valid && v.victims[i].block == block {
 			// Victim hit: swap with the main line.
@@ -70,11 +65,10 @@ func (v *VictimCache) AccessBlock(block uint64) bool {
 			} else {
 				v.victims[i].valid = false
 			}
-			v.fill(set, tag, block)
 			return false
 		}
 	}
-	// Full miss: fill main, push the evicted line into the buffer (LRU).
+	// Full miss: push the evicted line into the buffer (LRU).
 	v.stats.Misses++
 	if evictedValid {
 		lru := 0
@@ -89,16 +83,7 @@ func (v *VictimCache) AccessBlock(block uint64) bool {
 		}
 		v.victims[lru] = victimLine{block: evictedBlock, valid: true, used: v.clock}
 	}
-	v.fill(set, tag, block)
 	return true
-}
-
-func (v *VictimCache) blockOf(set uint64) uint64 {
-	return v.main.sets[set][0].block
-}
-
-func (v *VictimCache) fill(set uint64, tag, block uint64) {
-	v.main.sets[set][0] = line{tag: tag, valid: true, used: v.clock, block: block}
 }
 
 // Stats returns accumulated statistics (misses = memory accesses).

@@ -231,8 +231,8 @@ func (pl *Pipeline) SearchRound(ctx context.Context, p *profile.Profile, warm gf
 }
 
 // Validate runs the exact-simulation stage: it simulates the conventional
-// baseline and the searched function over one pass of the trace each,
-// and applies the §6 fallback guard, producing the final Result.
+// baseline and the searched function together in one pass of the
+// trace, and applies the §6 fallback guard, producing the final Result.
 func (pl *Pipeline) Validate(ctx context.Context, src trace.Source, p *profile.Profile, sres search.Result) (*Result, error) {
 	cfg := pl.Config.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -245,21 +245,18 @@ func (pl *Pipeline) Validate(ctx context.Context, src trace.Source, p *profile.P
 	}
 	pl.emit(Event{Kind: StageStarted, Stage: StageValidate})
 	res := &Result{Search: sres, Profile: p, Func: optFunc}
-	sim := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.Ways, Index: hash.Modulo(cfg.AddrBits, m)}
-	if res.Baseline, err = cache.Simulate(ctx, sim, src); err != nil {
+	base := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.Ways, Index: hash.Modulo(cfg.AddrBits, m)}
+	opt := base
+	opt.Index = optFunc
+	st, err := cache.Simulate(ctx, src, base, opt)
+	if err != nil {
 		// The searched function is intact — only its exact validation
 		// (and the §6 fallback guard) is missing. Hand it back Degraded
 		// with zeroed simulation stats rather than dropping it.
-		res.Baseline = cache.Stats{}
 		res.Degraded = true
 		return res, err
 	}
-	sim.Index = optFunc
-	if res.Optimized, err = cache.Simulate(ctx, sim, src); err != nil {
-		res.Baseline, res.Optimized = cache.Stats{}, cache.Stats{}
-		res.Degraded = true
-		return res, err
-	}
+	res.Baseline, res.Optimized = st[0], st[1]
 	applyFallback(res, cfg, m)
 	pl.emit(Event{Kind: StageFinished, Stage: StageValidate})
 	return res, nil

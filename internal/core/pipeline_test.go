@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"xoridx/internal/cache"
 	"xoridx/internal/hash"
 	"xoridx/internal/trace"
 )
@@ -237,6 +238,71 @@ func TestFileChangedBetweenPasses(t *testing.T) {
 				t.Fatalf("want a Degraded result without simulation stats, got %+v", res)
 			}
 		})
+	}
+}
+
+// countingSource counts the passes opened on the trace it wraps.
+type countingSource struct {
+	trace.Source
+	passes int
+}
+
+func (c *countingSource) Pass(ctx context.Context) (trace.Pass, error) {
+	c.passes++
+	return c.Source.Pass(ctx)
+}
+
+// TestValidateOnePass: validation simulates the modulo baseline and the
+// searched function in one pass of the trace, and a whole Tune reads
+// the trace twice, once to profile and once to validate. The results
+// equal those of separate simulations of each function.
+func TestValidateOnePass(t *testing.T) {
+	ctx := context.Background()
+	tr := thrashTrace(64, 300)
+	pl := Pipeline{Config: pipelineConfig()}
+	p, err := pl.Profile(ctx, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sres, err := pl.Search(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{Source: tr}
+	res, err := pl.Validate(ctx, src, p, sres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.passes != 1 {
+		t.Errorf("Validate opened %d passes, want 1", src.passes)
+	}
+	cfg := pl.Config.withDefaults()
+	for _, c := range []struct {
+		name string
+		f    hash.Func
+		got  cache.Stats
+	}{
+		{"baseline", hash.Modulo(cfg.AddrBits, cfg.SetBits()), res.Baseline},
+		{"optimized", res.Func, res.Optimized},
+	} {
+		st, err := cache.Simulate(ctx, tr, cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.Ways, Index: c.f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.got != st[0] {
+			t.Errorf("%s stats %+v, simulated alone %+v", c.name, c.got, st[0])
+		}
+	}
+	if res.Optimized.Misses >= res.Baseline.Misses {
+		t.Errorf("optimized misses %d, baseline %d: the test needs a function that removes misses", res.Optimized.Misses, res.Baseline.Misses)
+	}
+
+	src = &countingSource{Source: tr}
+	if _, err := Tune(ctx, src, pipelineConfig(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if src.passes != 2 {
+		t.Errorf("Tune opened %d passes, want 2", src.passes)
 	}
 }
 

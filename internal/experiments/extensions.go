@@ -84,12 +84,12 @@ func CrossApplication(ctx context.Context, opt Options, names []string, cacheKB,
 		row := CrossRow{TunedFor: name, RemovedPct: make([]float64, len(names))}
 		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: funcs[i]}
 		for j := range names {
-			st, err := cache.Simulate(ctx, dm, traces[j])
+			st, err := cache.Simulate(ctx, traces[j], dm)
 			if err != nil {
 				return nil, err
 			}
 			if baselines[j] > 0 {
-				row.RemovedPct[j] = 100 * (1 - float64(st.Misses)/float64(baselines[j]))
+				row.RemovedPct[j] = 100 * (1 - float64(st[0].Misses)/float64(baselines[j]))
 			}
 		}
 		out.Rows = append(out.Rows, row)
@@ -168,18 +168,24 @@ func AssociativityComparison(ctx context.Context, opt Options, names []string, c
 			OpsThousands: float64(tr.OpsOrLen()) / 1000,
 		}
 
-		// 2-way set associative, conventional indexing.
+		// 2-way set associative with conventional indexing, and fully
+		// associative LRU, in one pass.
 		m2 := cfg.SetBits() - 1
-		twoStats, err := cache.Simulate(ctx, cache.Config{
+		st, err := cache.Simulate(ctx, tr, cache.Config{
 			SizeBytes:  cacheBytes,
 			BlockBytes: BlockBytes,
 			Ways:       2,
 			Index:      hash.Modulo(AddrBits, m2),
-		}, tr)
+		}, cache.Config{
+			SizeBytes:  cacheBytes,
+			BlockBytes: BlockBytes,
+			Ways:       cacheBytes / BlockBytes,
+			Index:      hash.Modulo(AddrBits, 0),
+		})
 		if err != nil {
 			return nil, err
 		}
-		row.TwoWay = twoStats.Misses
+		row.TwoWay, row.FullyAssoc = st[0].Misses, st[1].Misses
 
 		// 2-way skewed associative with the fixed inter-bank hashes of
 		// Seznec & Bodin: bank 0 conventional, bank 1 XORs high bits in.
@@ -212,18 +218,6 @@ func AssociativityComparison(ctx context.Context, opt Options, names []string, c
 			vc.AccessBlock(b)
 		}
 		row.Victim = vc.Stats().Misses
-
-		// Fully associative LRU.
-		faStats, err := cache.Simulate(ctx, cache.Config{
-			SizeBytes:  cacheBytes,
-			BlockBytes: BlockBytes,
-			Ways:       cacheBytes / BlockBytes,
-			Index:      hash.Modulo(AddrBits, 0),
-		}, tr)
-		if err != nil {
-			return nil, err
-		}
-		row.FullyAssoc = faStats.Misses
 
 		rows = append(rows, row)
 	}
@@ -284,11 +278,11 @@ func PhaseReconfiguration(ctx context.Context, opt Options, benchA, benchB strin
 
 		// (a) modulo throughout.
 		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: hash.Modulo(AddrBits, cfg.SetBits())}
-		mod, err := cache.Simulate(ctx, dm, merged)
+		mod, err := cache.Simulate(ctx, merged, dm)
 		if err != nil {
 			return nil, err
 		}
-		row.Modulo = mod.Misses
+		row.Modulo = mod[0].Misses
 
 		// (b) one compromise function tuned on the merged trace.
 		comp, err := core.Tune(ctx, merged, cfg, opt.Events)
@@ -388,11 +382,11 @@ func SizeSweep(ctx context.Context, opt Options, bench string, sizes []int, scal
 		if err != nil {
 			return nil, err
 		}
-		twoXOR, err := cache.Simulate(ctx, cache.Config{SizeBytes: size, BlockBytes: BlockBytes, Ways: 2, Index: f2}, tr)
+		twoXOR, err := cache.Simulate(ctx, tr, cache.Config{SizeBytes: size, BlockBytes: BlockBytes, Ways: 2, Index: f2})
 		if err != nil {
 			return nil, err
 		}
-		pt.TwoWayXOR = twoXOR.Misses
+		pt.TwoWayXOR = twoXOR[0].Misses
 
 		pt.FullAssoc = lru.FAMisses(tr.Blocks(BlockBytes, AddrBits), size/BlockBytes)
 		out = append(out, pt)
@@ -447,19 +441,17 @@ func FixedVsTuned(ctx context.Context, opt Options, names []string, cacheKB, sca
 		if err != nil {
 			return nil, err
 		}
-		foldedStats, err := cache.Simulate(ctx, cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: folded}, tr)
-		if err != nil {
-			return nil, err
-		}
-		polyStats, err := cache.Simulate(ctx, cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: poly}, tr)
+		st, err := cache.Simulate(ctx, tr,
+			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: folded},
+			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: poly})
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, FixedRow{
 			Bench:    name,
 			Modulo:   res.Baseline.Misses,
-			Folded:   foldedStats.Misses,
-			Poly:     polyStats.Misses,
+			Folded:   st[0].Misses,
+			Poly:     st[1].Misses,
 			Tuned:    res.Optimized.Misses,
 			Accesses: res.Baseline.Accesses,
 		})
@@ -510,21 +502,14 @@ func EnergyComparison(ctx context.Context, opt Options, names []string, cacheKB,
 		m := cfg.SetBits()
 
 		// Re-run with full stats (Simulate tracks writes/writebacks).
-		runWith := func(ways int, f hash.Func) (cache.Stats, error) {
-			return cache.Simulate(ctx, cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: ways, Index: f}, tr)
-		}
-		sMod, err := runWith(1, hash.Modulo(AddrBits, m))
+		st, err := cache.Simulate(ctx, tr,
+			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: hash.Modulo(AddrBits, m)},
+			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: res.Func},
+			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 2, Index: hash.Modulo(AddrBits, m-1)})
 		if err != nil {
 			return nil, err
 		}
-		sXOR, err := runWith(1, res.Func)
-		if err != nil {
-			return nil, err
-		}
-		sTwo, err := runWith(2, hash.Modulo(AddrBits, m-1))
-		if err != nil {
-			return nil, err
-		}
+		sMod, sXOR, sTwo := st[0], st[1], st[2]
 
 		toMicro := 1e-6
 		eMod := em.TotalEnergy(sMod.Accesses, sMod.MemoryTraffic(),
@@ -573,13 +558,6 @@ func ReplacementAblation(ctx context.Context, opt Options, names []string, cache
 		for v := 1; v < cacheBytes/BlockBytes/2; v <<= 1 {
 			m2++
 		}
-		run := func(repl cache.Replacement, f hash.Func, ways int) (uint64, error) {
-			st, err := cache.Simulate(ctx, cache.Config{
-				SizeBytes: cacheBytes, BlockBytes: BlockBytes,
-				Ways: ways, Index: f, Repl: repl,
-			}, tr)
-			return st.Misses, err
-		}
 		// Tune for the 2-way geometry.
 		res2, err := core.Tune(ctx, tr, core.Config{
 			CacheBytes: cacheBytes, BlockBytes: BlockBytes, AddrBits: AddrBits,
@@ -596,22 +574,23 @@ func ReplacementAblation(ctx context.Context, opt Options, names []string, cache
 		if err != nil {
 			return nil, err
 		}
-		row := ReplRow{Bench: name, DMXOR: res1.Optimized.Misses}
-		for _, rc := range []struct {
-			repl cache.Replacement
-			f    hash.Func
-			dst  *uint64
-		}{
-			{cache.LRU, hash.Modulo(AddrBits, m2), &row.LRUMod},
-			{cache.FIFO, hash.Modulo(AddrBits, m2), &row.FIFOMod},
-			{cache.Random, hash.Modulo(AddrBits, m2), &row.RandMod},
-			{cache.LRU, res2.Func, &row.LRUXOR},
-		} {
-			if *rc.dst, err = run(rc.repl, rc.f, 2); err != nil {
-				return nil, err
-			}
+		twoWay := func(repl cache.Replacement, f hash.Func) cache.Config {
+			return cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 2, Index: f, Repl: repl}
 		}
-		rows = append(rows, row)
+		mod := hash.Modulo(AddrBits, m2)
+		st, err := cache.Simulate(ctx, tr,
+			twoWay(cache.LRU, mod), twoWay(cache.FIFO, mod), twoWay(cache.Random, mod), twoWay(cache.LRU, res2.Func))
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, ReplRow{
+			Bench:   name,
+			LRUMod:  st[0].Misses,
+			FIFOMod: st[1].Misses,
+			RandMod: st[2].Misses,
+			LRUXOR:  st[3].Misses,
+			DMXOR:   res1.Optimized.Misses,
+		})
 	}
 	return rows, nil
 }
@@ -655,15 +634,13 @@ func ASLRRobustness(ctx context.Context, opt Options, bench string, cacheKB, sca
 	for _, delta := range deltas {
 		moved := base.Rebase(delta)
 		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: hash.Modulo(AddrBits, cfg.SetBits())}
-		baseline, err := cache.Simulate(ctx, dm, moved)
+		staleCfg := dm
+		staleCfg.Index = tuned.Func
+		st, err := cache.Simulate(ctx, moved, dm, staleCfg)
 		if err != nil {
 			return nil, err
 		}
-		dm.Index = tuned.Func
-		stale, err := cache.Simulate(ctx, dm, moved)
-		if err != nil {
-			return nil, err
-		}
+		baseline, stale := st[0], st[1]
 		re, err := core.Tune(ctx, moved, cfg, opt.Events)
 		if err != nil {
 			return nil, err

@@ -21,15 +21,25 @@ import (
 )
 
 // Func is a cache index/tag function pair over n-bit block addresses.
+//
+// Every implementation meets two contracts the cache simulator relies
+// on. Index is the GF(2)-linear map of Matrix on the low n address bits:
+// Index(b) == Matrix().Apply(b mod 2^n), so the simulator evaluates it
+// from a tabulated gf2.LinearMap. And (Index, Tag), with the address
+// bits above n appended to the tag, is injective on block addresses, so
+// two blocks in one set have equal tags exactly when they are the same
+// block: a simulated line stores its block address and computes no tag.
 type Func interface {
 	// Index returns the set index (m bits) for a block address.
 	Index(block uint64) uint64
-	// Tag returns the tag for a block address. Together with Index it
-	// uniquely identifies the block.
+	// Tag returns the tag for a block address. Together with Index and
+	// the block-address bits above AddrBits it uniquely identifies the
+	// block.
 	Tag(block uint64) uint64
 	// AddrBits returns n, the number of hashed block-address bits.
-	// Address bits above n never enter Index; callers must fold them
-	// into the tag (see TagWithHighBits).
+	// Address bits above n never enter Index or Tag; they belong to the
+	// tag (paper §5: the N−n high-order address bits are only used to
+	// compute the tag).
 	AddrBits() int
 	// SetBits returns m, the number of set-index bits.
 	SetBits() int
@@ -37,14 +47,6 @@ type Func interface {
 	Matrix() gf2.Matrix
 	// String describes the function.
 	String() string
-}
-
-// TagWithHighBits combines a Func's tag with the block-address bits
-// above AddrBits, which always belong in the tag (paper §5: the N−n
-// high-order address bits are only used to compute the tag).
-func TagWithHighBits(f Func, block uint64) uint64 {
-	n := uint(f.AddrBits())
-	return block>>n<<n | f.Tag(block)
 }
 
 // XOR is a general XOR index function with an explicit bit-selecting

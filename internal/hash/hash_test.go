@@ -159,21 +159,6 @@ func TestBitSelecting(t *testing.T) {
 	}
 }
 
-func TestTagWithHighBits(t *testing.T) {
-	f := Modulo(16, 8)
-	// Block with bits above n=16: high bits must be preserved in the tag.
-	block := uint64(0x5_4321)
-	got := TagWithHighBits(f, block)
-	want := block>>16<<16 | f.Tag(block)
-	if got != want {
-		t.Fatalf("TagWithHighBits = %#x, want %#x", got, want)
-	}
-	// Two blocks differing only above bit 16 must get different tags.
-	if TagWithHighBits(f, 0x1_0000) == TagWithHighBits(f, 0x2_0000) {
-		t.Fatal("high bits lost")
-	}
-}
-
 func TestXORString(t *testing.T) {
 	f := MustXOR(gf2.Identity(16, 4))
 	s := f.String()

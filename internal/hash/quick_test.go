@@ -123,16 +123,15 @@ func TestQuickFamilyPredicatesConsistent(t *testing.T) {
 	}
 }
 
-func TestQuickTagWithHighBitsInjective(t *testing.T) {
-	// Addresses differing only above AddrBits get distinct full tags.
-	f := func(qf quickFunc, low uint16, hiA, hiB uint8) bool {
+// TestQuickIndexMatchesLinearMap checks the contract the simulator
+// relies on: Index(b) == Matrix().Apply(b mod 2^n) for any 64-bit block
+// address, so the tabulated matrix indexes exactly as the function does.
+func TestQuickIndexMatchesLinearMap(t *testing.T) {
+	f := func(qf quickFunc, block uint64) bool {
 		fn := qf.F
-		x := uint64(hiA)<<12 | uint64(low)&0xFFF
-		y := uint64(hiB)<<12 | uint64(low)&0xFFF
-		if hiA == hiB {
-			return true
-		}
-		return TagWithHighBits(fn, x) != TagWithHighBits(fn, y)
+		h := fn.Matrix()
+		return fn.Index(block) == uint64(gf2.NewLinearMap(h).Apply(gf2.Vec(block))) &&
+			fn.Index(block) == uint64(h.Apply(gf2.Vec(block)&gf2.Mask(fn.AddrBits())))
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)

@@ -12,8 +12,9 @@ import (
 
 // Source is a trace that can be read from its first access, in chunks,
 // as many times as a caller needs: the pipeline profiles it in one pass
-// and validates it in one pass per simulated cache. *Trace is the
-// in-memory Source; File streams a binary trace file on every pass.
+// and validates it, simulating every cache together, in another. *Trace
+// is the in-memory Source; File streams a binary trace file on every
+// pass.
 type Source interface {
 	Header() Header
 	// Pass starts a read at the first access; the caller closes it.
