@@ -813,6 +813,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 	var results []benchParallelResult
 	for _, w := range workloads {
 		want := profile.Build(w.blocks, n, cacheBlocks)
+		src := blockTrace(w.blocks)
 		perMs := make(map[int]float64)
 		for _, workers := range workerCounts {
 			b.Run(fmt.Sprintf("%s/workers=%d", w.name, workers), func(b *testing.B) {
@@ -820,7 +821,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 				var best time.Duration
 				for i := 0; i < b.N; i++ {
 					start := time.Now()
-					got, err := profile.BuildStream(context.Background(), profile.Blocks(w.blocks), n, cacheBlocks,
+					got, err := profile.BuildStream(context.Background(), src, 1, n, cacheBlocks,
 						profile.Options{Workers: workers})
 					if err != nil {
 						b.Fatal(err)
@@ -853,6 +854,16 @@ func BenchmarkBuildParallel(b *testing.B) {
 		}
 		updateBenchProfile(b, func(f *benchProfileFile) { f.Parallel = results })
 	})
+}
+
+// blockTrace is an in-memory trace whose access addresses are the given
+// block addresses, for profiling at a block size of 1 byte.
+func blockTrace(blocks []uint64) *trace.Trace {
+	tr := &trace.Trace{Accesses: make([]trace.Access, len(blocks))}
+	for i, b := range blocks {
+		tr.Accesses[i].Addr = b
+	}
+	return tr
 }
 
 // BenchmarkBuildStream measures the end-to-end streaming pipeline —
@@ -969,6 +980,7 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 		// candidate with a long stack walk, so the sampling gate has the
 		// most work to skip — the shape sampling exists for.
 		blocks := walkHeavyBlocks(600_000)
+		src := blockTrace(blocks)
 		const n, m = 20, 10
 		exact := profile.Build(blocks, n, benchProfileCacheBlocks)
 		exactEst := exact.EstimateConventional(m)
@@ -994,7 +1006,7 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					start := time.Now()
 					var err error
-					p, err = profile.BuildStream(context.Background(), profile.Blocks(blocks), n, benchProfileCacheBlocks,
+					p, err = profile.BuildStream(context.Background(), src, 1, n, benchProfileCacheBlocks,
 						profile.Options{Sample: profile.SampleOptions{K: k, Seed: 7}})
 					if err != nil {
 						b.Fatal(err)
@@ -1035,13 +1047,14 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 		// narrowest width the sparse map holds.
 		const n = 24
 		blocks := scatteredLoopBlocks(160_000, 360, 4, n)
+		src := blockTrace(blocks)
 		skOpt := profile.SketchOptions{Width: 1 << 14}
 		var sparseP, sketchP *profile.Profile
 		b.Run("sparse", func(b *testing.B) {
 			b.SetBytes(int64(len(blocks)) * 8)
 			for i := 0; i < b.N; i++ {
 				var err error
-				sparseP, err = profile.BuildStream(context.Background(), profile.Blocks(blocks), profile.MaxFlatBits+1,
+				sparseP, err = profile.BuildStream(context.Background(), src, 1, profile.MaxFlatBits+1,
 					benchProfileCacheBlocks, profile.Options{})
 				if err != nil {
 					b.Fatal(err)
@@ -1053,7 +1066,7 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				opt := skOpt
-				sketchP, err = profile.BuildStream(context.Background(), profile.Blocks(blocks), n, benchProfileCacheBlocks,
+				sketchP, err = profile.BuildStream(context.Background(), src, 1, n, benchProfileCacheBlocks,
 					profile.Options{Sketch: &opt})
 				if err != nil {
 					b.Fatal(err)

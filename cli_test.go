@@ -176,28 +176,38 @@ func TestCLIXoridxErrors(t *testing.T) {
 
 // TestCLICheckpointResume runs a checkpointed tune, then resumes it: the
 // resumed run restores the profile, re-runs the search, and prints the
-// same report byte for byte. The profile snapshot is the only file.
+// same report byte for byte, exact or sampled. The profile snapshot is
+// the only file, and a sampled snapshot refuses a resume under another
+// sampling seed.
 func TestCLICheckpointResume(t *testing.T) {
 	tr := filepath.Join(t.TempDir(), "fft.xtr")
 	run(t, "tracegen", "-bench", "fft", "-out", tr)
-	dir := t.TempDir()
-	args := []string{"-trace", tr, "-family", "general", "-maxinputs", "0", "-verbose",
-		"-checkpoint", filepath.Join(dir, "run")}
-	first, _ := run(t, "xoridx", args...)
-	resumed, _ := run(t, "xoridx", append(args, "-resume")...)
-	if resumed != first {
-		t.Fatalf("resumed stdout differs:\n--- first\n%s\n--- resumed\n%s", first, resumed)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	if len(names) != 1 || names[0] != "run.profile.ckpt" {
-		t.Fatalf("checkpoint dir holds %v, want only run.profile.ckpt", names)
+	for _, sample := range []string{"0", "16"} {
+		dir := t.TempDir()
+		args := []string{"-trace", tr, "-family", "general", "-maxinputs", "0", "-verbose",
+			"-sample", sample, "-checkpoint", filepath.Join(dir, "run")}
+		first, _ := run(t, "xoridx", args...)
+		resumed, _ := run(t, "xoridx", append(args, "-resume")...)
+		if resumed != first {
+			t.Fatalf("-sample %s: resumed stdout differs:\n--- first\n%s\n--- resumed\n%s", sample, first, resumed)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if len(names) != 1 || names[0] != "run.profile.ckpt" {
+			t.Fatalf("-sample %s: checkpoint dir holds %v, want only run.profile.ckpt", sample, names)
+		}
+		if sample != "0" {
+			out := runExpectFail(t, "xoridx", append(args, "-resume", "-sample-seed", "3")...)
+			if !strings.Contains(out, "does not match build") {
+				t.Errorf("resume under another -sample-seed:\n%s", out)
+			}
+		}
 	}
 }
 

@@ -19,14 +19,16 @@
 //	xoridx -trace fft.xtr -checkpoint run -resume            # continue a killed run, bit-identically
 //	xoridx -trace fft.xtr -cpuprofile cpu.pb -memprofile mem.pb  # pprof the pipeline
 //	xoridx -trace huge.xtr -sample 16                        # sampled profiling with confidence bounds
+//	xoridx -trace huge.xtr -sample 16 -checkpoint run        # ... with crash snapshots; -resume continues it
 //	xoridx -trace huge.xtr -backend sketch                   # bounded-memory count-min histogram
 //
 // A binary trace is never loaded: profiling and exact validation (-apply
 // too), which simulates both caches at once, stream it off the file in a
-// pass each, so traces far larger than RAM are tuned and validated in
-// bounded memory. An
-// approximate profile (-sample > 1 or -backend sketch) adds the Eq. 4
-// estimates with their "X ± ε" confidence intervals to the report.
+// pass each, and -analyze streams its profile and pair-attribution
+// passes the same way, so traces far larger than RAM are tuned,
+// validated and diagnosed in bounded memory. An approximate profile
+// (-sample > 1 or -backend sketch) adds the Eq. 4 estimates with their
+// "X ± ε" confidence intervals to the report.
 //
 // Ctrl-C (SIGINT) cancels the pipeline cooperatively: the run aborts
 // within one hill-climbing move, prints the best-so-far function marked
@@ -88,10 +90,10 @@ func main() {
 	loadFn := flag.String("apply", "", "skip the search: load a matrix from this file and evaluate it on the trace")
 	analyze := flag.Bool("analyze", false, "diagnose the trace's conflicts (hot vectors + concrete address pairs) instead of constructing a function")
 	progress := flag.Bool("progress", false, "report pipeline stages and search progress on stderr")
-	checkpoint := flag.String("checkpoint", "", "base path for crash snapshots: profiling state goes to <path>.profile.ckpt, written atomically; restart a killed run with -resume")
-	resume := flag.Bool("resume", false, "restore the profile from <path>.profile.ckpt under -checkpoint (a missing file means a cold start) and re-run the search; the resumed run is bit-identical to an uninterrupted one")
+	checkpoint := flag.String("checkpoint", "", "base path for crash snapshots: profiling state, -sample's included, goes to <path>.profile.ckpt, written atomically; restart a killed run with -resume (not with -backend sketch)")
+	resume := flag.Bool("resume", false, "restore the profile from <path>.profile.ckpt under -checkpoint (a missing file means a cold start) and re-run the search; the resumed run is bit-identical to an uninterrupted one, and a snapshot taken under another -sample or -sample-seed is refused")
 	retries := flag.Int("retries", 0, "retry budget for transient trace I/O failures, with capped exponential backoff")
-	sampleK := flag.Uint64("sample", 0, "profile every k-th conflict candidate instead of all of them; estimates gain a 95% confidence interval (0 or 1 = exact)")
+	sampleK := flag.Uint64("sample", 0, "profile every k-th conflict candidate instead of all of them; estimates gain a 95% confidence interval (0 or 1 = exact); composes with -checkpoint")
 	sampleSeed := flag.Uint64("sample-seed", 0, "deterministic phase seed for -sample (and the sketch backend's hashes)")
 	backend := flag.String("backend", "auto", "histogram backend: auto (the address width picks a flat table or a sparse map) or sketch (bounded memory, (ε,δ)-bounded estimates)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -159,19 +161,17 @@ func main() {
 	if *progress {
 		events = cliutil.ProgressSink(os.Stderr)
 	}
-	if *analyze && *loadFn == "" { // -apply takes precedence over -analyze
-		tr, err := cliutil.ReadTrace(ctx, *traceFile, *retries)
-		if err != nil {
-			fatal(err)
-		}
-		a := profile.AnalyzeConflicts(tr.Blocks(*blockBytes, *addrBits),
-			*addrBits, *cacheBytes / *blockBytes, 8, 12)
-		fmt.Print(a.Report(*blockBytes))
-		return
-	}
 	tr, err := cliutil.OpenTrace(ctx, *traceFile, *retries)
 	if err != nil {
 		fatal(err)
+	}
+	if *analyze && *loadFn == "" { // -apply takes precedence over -analyze
+		a, err := profile.AnalyzeConflicts(ctx, tr, *blockBytes, *addrBits, *cacheBytes / *blockBytes, 8, 12)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Print(a.Report(*blockBytes))
+		return
 	}
 	if *loadFn != "" {
 		if err := applyMatrixFile(ctx, tr, *loadFn, cfg); err != nil {

@@ -60,7 +60,10 @@ func main() {
 
 	// 1. Diagnose.
 	fmt.Println("=== diagnosis ===")
-	a := profile.AnalyzeConflicts(broken.Blocks(4, 16), 16, 1024, 4, 3)
+	a, err := profile.AnalyzeConflicts(context.Background(), broken, 4, 16, 1024, 4, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Print(a.Report(4))
 
 	conv := hash.Modulo(16, 10)

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"xoridx/internal/hash"
 	"xoridx/internal/lru"
 	"xoridx/internal/trace"
+	"xoridx/internal/xerr"
 )
 
 func dmConfig(size int) Config {
@@ -239,6 +241,22 @@ func TestSkewedValidation(t *testing.T) {
 	}
 	if _, err := NewSkewed(4, []hash.Func{hash.Modulo(16, 8), hash.Modulo(16, 9)}); err == nil {
 		t.Error("mismatched set bits should be rejected")
+	}
+}
+
+// TestSkewedRejectsBadBlockSize: NewSkewed holds the block size to
+// the rule New applies, so a zero block size can no longer reach the
+// divide in Access.
+func TestSkewedRejectsBadBlockSize(t *testing.T) {
+	banks := []hash.Func{hash.Modulo(16, 4), hash.Modulo(16, 4)}
+	for _, bb := range []int{0, -4, 3, 12} {
+		sk, err := NewSkewed(bb, banks)
+		if err == nil {
+			sk.Access(12)
+		}
+		if !errors.Is(err, xerr.ErrInvalidGeometry) {
+			t.Errorf("NewSkewed(%d, ...): err = %v, want wrapped ErrInvalidGeometry", bb, err)
+		}
 	}
 }
 

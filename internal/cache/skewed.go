@@ -5,6 +5,7 @@ import (
 
 	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
+	"xoridx/internal/xerr"
 )
 
 // Skewed is a skewed-associative cache (Seznec & Bodin, cited as [2] in
@@ -25,8 +26,13 @@ type Skewed struct {
 
 // NewSkewed builds a skewed cache with one bank per index function.
 // Every function must produce the same number of set bits; total
-// capacity is len(idx) * 2^setBits * blockBytes.
+// capacity is len(idx) * 2^setBits * blockBytes. A block size that is
+// not a positive power of two is a wrapped xerr.ErrInvalidGeometry, as
+// in New.
 func NewSkewed(blockBytes int, idx []hash.Func) (*Skewed, error) {
+	if blockBytes <= 0 || blockBytes&(blockBytes-1) != 0 {
+		return nil, fmt.Errorf("cache: block size %d not a positive power of two: %w", blockBytes, xerr.ErrInvalidGeometry)
+	}
 	if len(idx) < 2 {
 		return nil, fmt.Errorf("cache: skewed cache needs >= 2 banks, got %d", len(idx))
 	}

@@ -81,10 +81,6 @@ type Config struct {
 	// the profile, so the result is bit-identical to an uninterrupted
 	// run.
 	CheckpointPath string
-	// CheckpointEvery is the profiling snapshot cadence in trace
-	// accesses (0 selects the profile layer's default, ~1M; negative is
-	// invalid).
-	CheckpointEvery int
 	// Resume restores an existing <path>.profile.ckpt before profiling;
 	// a missing file means a cold start.
 	Resume bool
@@ -93,7 +89,8 @@ type Config struct {
 	// every SampleK-th conflict candidate is walked into the histogram,
 	// so Eq. 4 estimates carry a confidence interval instead of being
 	// exact. <= 1 profiles exactly. Sampling forces the profiling stage
-	// sequential and is incompatible with CheckpointPath.
+	// sequential; a checkpoint records the sampling, and Resume refuses
+	// a snapshot taken under another SampleK or SampleSeed.
 	SampleK uint64
 	// SampleSeed picks the deterministic sampling phase (and the sketch
 	// backend's row hashes); runs with the same seed are reproducible.
@@ -147,17 +144,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: unknown histogram backend %q (want auto or sketch): %w",
 			c.Backend, xerr.ErrInvalidOptions)
 	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("core: negative CheckpointEvery %d: %w", c.CheckpointEvery, xerr.ErrInvalidOptions)
-	}
-	if c.CheckpointPath != "" {
-		if c.SampleK > 1 {
-			return fmt.Errorf("core: sampled profiling cannot be checkpointed: %w", xerr.ErrInvalidOptions)
-		}
-		if c.Backend == "sketch" {
-			return fmt.Errorf("core: checkpointed profiling supports only the auto backend, not %q: %w",
-				c.Backend, xerr.ErrInvalidOptions)
-		}
+	if c.CheckpointPath != "" && c.Backend == "sketch" {
+		return fmt.Errorf("core: checkpointed profiling supports only the auto backend, not %q: %w",
+			c.Backend, xerr.ErrInvalidOptions)
 	}
 	return nil
 }
@@ -268,7 +257,6 @@ func (c Config) profileOptions() profile.Options {
 	}
 	if c.CheckpointPath != "" {
 		opt.CheckpointPath = c.CheckpointPath + ".profile.ckpt"
-		opt.CheckpointEvery = uint64(c.CheckpointEvery)
 		opt.Resume = c.Resume
 	}
 	return opt

@@ -80,16 +80,6 @@ func TestConfigBackendDomain(t *testing.T) {
 	}
 }
 
-// TestNegativeCheckpointEveryRejected: a negative cadence must not wrap
-// round to 2^64−1 in the profile layer and silently stop the periodic
-// snapshots.
-func TestNegativeCheckpointEveryRejected(t *testing.T) {
-	cfg := Config{CacheBytes: 1024, CheckpointPath: filepath.Join(t.TempDir(), "run"), CheckpointEvery: -1}
-	if _, err := Tune(context.Background(), &trace.Trace{}, cfg, nil); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("CheckpointEvery -1: err = %v, want wrapped ErrInvalidOptions", err)
-	}
-}
-
 func TestTuneRemovesThrash(t *testing.T) {
 	tr := thrashTrace(256, 200)
 	res, err := Tune(context.Background(), tr, Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
@@ -307,7 +297,6 @@ func TestWorkersInvariance(t *testing.T) {
 			cfg.Workers = workers
 			if ckpt {
 				cfg.CheckpointPath = filepath.Join(t.TempDir(), "run")
-				cfg.CheckpointEvery = 1000
 			}
 			pl := Pipeline{Config: cfg}
 			fromTrace, err := pl.Profile(context.Background(), tr)

@@ -10,7 +10,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"xoridx/internal/cache"
 	"xoridx/internal/gf2"
@@ -106,59 +105,31 @@ func (pl *Pipeline) emit(e Event) {
 	}
 }
 
-// Profile runs the Fig. 1 profiling stage over one pass of the trace,
-// turning each chunk into block addresses inside the profile builder's
-// own buffer, so no block slice of the whole trace is built. The pass
-// is sharded across Config.Workers when > 1 (bit-identical to the
-// sequential pass) and follows the Config's sampling and backend knobs.
+// Profile runs the Fig. 1 profiling stage over one pass of the trace:
+// profile.BuildStream reads the pass chunk by chunk, so no block slice
+// of the whole trace is built. The pass is sharded across
+// Config.Workers when > 1 (bit-identical to the sequential pass) and
+// follows the Config's sampling and backend knobs.
 //
-// With Config.CheckpointPath set the pass snapshots every
-// CheckpointEvery accesses; Resume continues from an existing snapshot,
-// whichever worker count wrote it. On cancellation the sequential pass,
-// and a checkpointed sharded pass, return the partial profile so far —
-// marked Degraded and exact for the prefix it covers — alongside the
-// error.
+// With Config.CheckpointPath set the pass snapshots periodically;
+// Resume continues from an existing snapshot, whichever worker count
+// wrote it, provided it was taken under the same sampling. On
+// cancellation the sequential pass, and a checkpointed sharded pass,
+// return the partial profile so far — marked Degraded and exact for the
+// prefix it covers — alongside the error.
 func (pl *Pipeline) Profile(ctx context.Context, src trace.Source) (*profile.Profile, error) {
 	cfg, err := pl.Config.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	pass, err := src.Pass(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer pass.Close()
 	pl.emit(Event{Kind: StageStarted, Stage: StageProfile})
-	p, err := profile.BuildStream(ctx, blockSource(pass, cfg.BlockBytes, cfg.AddrBits),
-		cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes, cfg.profileOptions())
+	p, err := profile.BuildStream(ctx, src, cfg.BlockBytes, cfg.AddrBits,
+		cfg.CacheBytes/cfg.BlockBytes, cfg.profileOptions())
 	if err != nil {
 		return p, err
 	}
 	pl.emit(Event{Kind: StageFinished, Stage: StageProfile})
 	return p, nil
-}
-
-// blockSource adapts a trace pass to the profile layer's block source:
-// each call turns as many accesses of the current chunk as dst holds
-// into block addresses (shift, then mask to n bits), as Trace.Blocks.
-func blockSource(pass trace.Pass, blockBytes, n int) profile.BlockSource {
-	shift := uint(bits.TrailingZeros(uint(blockBytes)))
-	mask := uint64(gf2.Mask(n))
-	var chunk []trace.Access
-	return func(dst []uint64) (int, error) {
-		for len(chunk) == 0 {
-			var err error
-			if chunk, err = pass.Chunk(); err != nil {
-				return 0, err
-			}
-		}
-		k := min(len(dst), len(chunk))
-		for i, a := range chunk[:k] {
-			dst[i] = a.Addr >> shift & mask
-		}
-		chunk = chunk[k:]
-		return k, nil
-	}
 }
 
 // Search runs the §3.2 design-space search stage against a profile

@@ -1,11 +1,17 @@
 package profile
 
 import (
+	"context"
 	"fmt"
+	"io"
+	"math/bits"
 	"sort"
 	"strings"
 
+	"xoridx/internal/gf2"
 	"xoridx/internal/lru"
+	"xoridx/internal/trace"
+	"xoridx/internal/xerr"
 )
 
 // Conflict analysis: the profile's histogram says WHICH conflict
@@ -28,35 +34,59 @@ type Analysis struct {
 	HotPairs []PairCount // descending by count
 }
 
-// AnalyzeConflicts profiles the block stream (exactly like Build) and
-// additionally records the top conflicting block pairs whose XOR falls
-// among the topVectors hottest conflict vectors. Memory is bounded by
-// the number of distinct hot pairs, which the hot-vector filter keeps
-// small.
-func AnalyzeConflicts(blocks []uint64, n, cacheBlocks, topVectors, topPairs int) *Analysis {
-	p := Build(blocks, n, cacheBlocks)
+// AnalyzeConflicts profiles one pass of src (exactly like BuildStream's
+// sequential engine, with the same block size and geometry arguments)
+// and then, in a second pass, records the top conflicting block pairs
+// whose XOR falls among the topVectors hottest conflict vectors.
+// Neither pass holds the trace in memory; memory is bounded by the
+// histogram and by the number of distinct hot pairs, which the
+// hot-vector filter keeps small. Cancellation is checked once per
+// trace chunk and returns a wrapped xerr.ErrCanceled.
+func AnalyzeConflicts(ctx context.Context, src trace.Source, blockBytes, n, cacheBlocks, topVectors, topPairs int) (*Analysis, error) {
+	p, err := BuildStream(ctx, src, blockBytes, n, cacheBlocks, Options{})
+	if err != nil {
+		return nil, err
+	}
 	hot := p.HotVectors(topVectors)
 	hotSet := make(map[uint64]bool, len(hot))
 	for _, vc := range hot {
 		hotSet[uint64(vc.Vec)] = true
 	}
-	// Second pass: the same gate as Build, but counting pairs for hot
-	// vectors. The gate classifies each access before any block is
+	pass, err := src.Pass(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer pass.Close()
+	// Second pass: the same gate as the profile, but counting pairs for
+	// hot vectors. The gate classifies each access before any block is
 	// visited, so capacity misses contribute nothing and cost no walk
 	// at all.
 	pairs := make(map[[2]uint64]uint64)
-	mask := p.maskValue()
+	shift := uint(bits.TrailingZeros(uint(blockBytes)))
+	mask := uint64(gf2.Mask(n))
 	stack := lru.NewStack(cacheBlocks+1, p.stampBits())
-	for _, raw := range blocks {
-		b := raw & mask
-		_, above := stack.Touch(b)
-		for _, y := range above {
-			if hotSet[b^y] {
-				key := [2]uint64{b, y}
-				if key[0] > key[1] {
-					key[0], key[1] = key[1], key[0]
+	for {
+		if err := xerr.Check(ctx); err != nil {
+			return nil, err
+		}
+		chunk, err := pass.Chunk()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, a := range chunk {
+			b := a.Addr >> shift & mask
+			_, above := stack.Touch(b)
+			for _, y := range above {
+				if hotSet[b^y] {
+					key := [2]uint64{b, y}
+					if key[0] > key[1] {
+						key[0], key[1] = key[1], key[0]
+					}
+					pairs[key]++
 				}
-				pairs[key]++
 			}
 		}
 	}
@@ -78,12 +108,7 @@ func AnalyzeConflicts(blocks []uint64, n, cacheBlocks, topVectors, topPairs int)
 	if len(out.HotPairs) > topPairs {
 		out.HotPairs = out.HotPairs[:topPairs]
 	}
-	return out
-}
-
-// maskValue exposes the n-bit mask for the analysis pass.
-func (p *Profile) maskValue() uint64 {
-	return uint64(1)<<uint(p.N) - 1
+	return out, nil
 }
 
 // Report renders a human-readable diagnosis: the hottest conflict

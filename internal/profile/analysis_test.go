@@ -1,9 +1,26 @@
 package profile
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"xoridx/internal/xerr"
 )
+
+// analyze runs AnalyzeConflicts over the blocks at block size 1.
+func analyze(t *testing.T, blocks []uint64, n, cacheBlocks, topVectors, topPairs int) *Analysis {
+	t.Helper()
+	a, err := AnalyzeConflicts(context.Background(), blockTrace(blocks), 1, n, cacheBlocks, topVectors, topPairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffProfiles(a.Profile, Build(blocks, n, cacheBlocks)); d != "" {
+		t.Fatalf("analysis profile differs from Build: %s", d)
+	}
+	return a
+}
 
 func TestAnalyzeConflictsFindsThePair(t *testing.T) {
 	// Two structures at 0x0 and 0x4000 bytes thrash; a third stream is
@@ -13,7 +30,7 @@ func TestAnalyzeConflictsFindsThePair(t *testing.T) {
 		blocks = append(blocks, 0x10, 0x10^0x400) // hot pair
 		blocks = append(blocks, uint64(0x2000+i)) // streaming noise
 	}
-	a := AnalyzeConflicts(blocks, 16, 1024, 4, 10)
+	a := analyze(t, blocks, 16, 1024, 4, 10)
 	if len(a.HotPairs) == 0 {
 		t.Fatal("no hot pairs found")
 	}
@@ -42,7 +59,7 @@ func TestAnalyzeRollsBackCapacityPairs(t *testing.T) {
 			blocks = append(blocks, b)
 		}
 	}
-	a := AnalyzeConflicts(blocks, 12, 16, 8, 10)
+	a := analyze(t, blocks, 12, 16, 8, 10)
 	if len(a.HotPairs) != 0 {
 		t.Fatalf("capacity-only trace produced pairs: %+v", a.HotPairs)
 	}
@@ -53,7 +70,7 @@ func TestAnalysisReport(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		blocks = append(blocks, 0, 0x100)
 	}
-	a := AnalyzeConflicts(blocks, 16, 256, 4, 5)
+	a := analyze(t, blocks, 16, 256, 4, 5)
 	rep := a.Report(4)
 	for _, frag := range []string{
 		"hottest conflict vectors",
@@ -74,8 +91,17 @@ func TestAnalyzeTopPairsTruncates(t *testing.T) {
 			blocks = append(blocks, i, i^0x40)
 		}
 	}
-	a := AnalyzeConflicts(blocks, 12, 64, 2, 3)
+	a := analyze(t, blocks, 12, 64, 2, 3)
 	if len(a.HotPairs) > 3 {
 		t.Fatalf("topPairs not honoured: %d", len(a.HotPairs))
+	}
+}
+
+func TestAnalyzeConflictsCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a, err := AnalyzeConflicts(ctx, blockTrace(syntheticBlocks(100)), 1, 12, 64, 4, 4)
+	if a != nil || !errors.Is(err, xerr.ErrCanceled) {
+		t.Fatalf("canceled analysis returned %v, %v; want nil and a wrapped ErrCanceled", a, err)
 	}
 }

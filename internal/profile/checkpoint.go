@@ -1,20 +1,22 @@
 package profile
 
-// Checkpoint/resume for the profiling pass. A snapshot captures the
-// complete state of a sequential Builder mid-trace — the LRU stack,
-// the conflict-vector histogram and the bookkeeping counters — inside
-// the versioned, CRC-checked ckpt envelope, so a run killed at any
-// checkpoint boundary resumes bit-identically to an uninterrupted one
-// (the differential tests in checkpoint_test.go prove it). The stream
+// Checkpoint/resume for the profiling pass. One codec serialises a
+// Builder — geometry, backend, sampling gate, counters, histogram
+// support and LRU gate — and both snapshot formats are built on it:
+// XPC1 is a Builder alone, XWP1 a Windowed's live-window Builder
+// followed by its decay, rotations, stream total and decayed aggregate
+// (window.go). Each sits inside the versioned, CRC-checked ckpt
+// envelope, so a run killed at any checkpoint boundary resumes
+// bit-identically to an uninterrupted one, sampled or exact (the
+// differential tests in checkpoint_test.go prove it). The stream
 // position is the Accesses counter: a resumed build skips that many
-// block accesses of its source and continues.
+// accesses of its source and continues.
 //
-// Restore never trusts the payload: geometry, counter arithmetic
-// (Accesses = Compulsory + Capacity + Candidates), the histogram/
-// TotalPairs equality, histogram ordering and the stack/Compulsory
-// equality are all re-validated, so a corrupted-but-CRC-colliding
-// snapshot still fails with a wrapped xerr.ErrFormat instead of
-// poisoning the profile (see FuzzCheckpointCodec).
+// The decoder never trusts the payload: readBuilder re-validates every
+// invariant a Builder holds, and each format adds its rule for the gate
+// listing, so a corrupted-but-CRC-colliding snapshot still fails with a
+// wrapped xerr.ErrFormat instead of poisoning the profile (see
+// FuzzCheckpointCodec).
 
 import (
 	"bytes"
@@ -30,113 +32,156 @@ import (
 
 const (
 	checkpointMagic   = "XPC1"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 // Pos returns the number of accesses the builder has consumed — the
 // stream position a resumed build must skip to.
 func (bd *Builder) Pos() uint64 { return bd.p.Accesses }
 
-// Checkpoint serialises the builder's full profiling state. The
-// builder remains usable; snapshots may be taken at any access
-// boundary.
+// Checkpoint serialises the builder's full profiling state, its
+// sampling gate included. The builder remains usable; snapshots may be
+// taken at any access boundary. A sketch-backed builder cannot be
+// checkpointed.
 func (bd *Builder) Checkpoint(w io.Writer) error {
 	if bd.done {
 		return fmt.Errorf("profile: Checkpoint after Finish: %w", xerr.ErrInvalidOptions)
 	}
-	if bd.sampleK > 1 {
-		// The XPC1 snapshot does not carry the sampling gate's position
-		// in the global candidate stream, so a resume would silently
-		// sample a different subset than the uninterrupted pass.
-		return fmt.Errorf("profile: Checkpoint of a sampled builder: %w", xerr.ErrInvalidOptions)
-	}
 	if bd.p.Sketch != nil {
 		return fmt.Errorf("profile: Checkpoint of a sketch-backed builder: %w", xerr.ErrInvalidOptions)
 	}
-	p := bd.p
 	return ckpt.Write(w, checkpointMagic, checkpointVersion, func(b *bytes.Buffer) error {
-		var buf [binary.MaxVarintLen64]byte
-		put := func(v uint64) { b.Write(buf[:binary.PutUvarint(buf[:], v)]) }
-		put(uint64(p.N))
-		put(uint64(p.CacheBlocks))
-		b.WriteByte(backendByte(p.N))
-		put(p.Accesses)
-		put(p.Compulsory)
-		put(p.Capacity)
-		put(p.Candidates)
-		put(p.TotalPairs)
-		putStack(put, bd.stack.Blocks())
-		putSupport(put, p)
+		bd.encode(encoder{b})
 		return nil
 	})
 }
 
 // Restore rebuilds a Builder from a Checkpoint snapshot. Corruption at
-// any layer — envelope, counters, histogram, stack — returns a wrapped
+// any layer — envelope, counters, histogram, gate — returns a wrapped
 // xerr.ErrFormat; a successful restore is bit-identical to the builder
-// that was checkpointed.
+// that was checkpointed. On top of readBuilder's checks, the gate must
+// list exactly Compulsory blocks: a builder's gate holds every block
+// it has seen, and each was seen first by a compulsory miss.
 func Restore(r io.Reader) (*Builder, error) {
-	version, payload, err := ckpt.Read(r, checkpointMagic)
+	d, err := openSnapshot(r, checkpointMagic, checkpointVersion, "snapshot")
 	if err != nil {
 		return nil, err
 	}
-	if version != checkpointVersion {
-		return nil, fmt.Errorf("profile: snapshot version %d, this build reads %d: %w",
-			version, checkpointVersion, xerr.ErrFormat)
-	}
-	d := ckpt.NewDecoder(payload, "profile: snapshot")
-	n := int(d.Uvarint("n"))
-	cacheBlocks := int(d.Uvarint("cacheBlocks"))
-	backend := d.Byte("backend")
-	if d.Err() == nil {
-		if err := ValidateGeometry(n, cacheBlocks); err != nil {
-			return nil, fmt.Errorf("profile: snapshot geometry: %w: %w", xerr.ErrFormat, err)
-		}
-		if err := checkBackendByte(backend, n, "snapshot"); err != nil {
-			return nil, err
-		}
-	}
-	accesses := d.Uvarint("accesses")
-	compulsory := d.Uvarint("compulsory")
-	capacity := d.Uvarint("capacity")
-	candidates := d.Uvarint("candidates")
-	totalPairs := d.Uvarint("totalPairs")
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if compulsory+capacity+candidates != accesses {
-		return nil, fmt.Errorf("profile: snapshot counters disagree (%d+%d+%d != %d accesses): %w",
-			compulsory, capacity, candidates, accesses, xerr.ErrFormat)
-	}
-	stack, err := readStack(d, accesses, n, "snapshot stack")
+	bd, err := readBuilder(d, "snapshot")
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(stack)) != compulsory {
+	if gate := uint64(bd.stack.Len()); gate != bd.p.Compulsory {
 		return nil, fmt.Errorf("profile: snapshot stack holds %d blocks, compulsory counter says %d: %w",
-			len(stack), compulsory, xerr.ErrFormat)
-	}
-	bd := newBuilder(n, cacheBlocks, nil)
-	p := bd.p
-	p.Accesses = accesses
-	p.Compulsory = compulsory
-	p.Capacity = capacity
-	p.Candidates = candidates
-	p.TotalPairs = totalPairs
-	if err := readSupport(d, p, "snapshot histogram"); err != nil {
-		return nil, err
+			gate, bd.p.Compulsory, xerr.ErrFormat)
 	}
 	if d.Rem() != 0 {
 		return nil, fmt.Errorf("profile: %d trailing bytes after snapshot payload: %w", d.Rem(), xerr.ErrFormat)
 	}
-	if err := bd.restoreStack(stack, "snapshot stack"); err != nil {
+	return bd, nil
+}
+
+// openSnapshot unwraps an envelope of the given magic, refusing every
+// version but the one this build writes, and returns a decoder over its
+// payload. what names the snapshot in errors.
+func openSnapshot(r io.Reader, magic string, version uint64, what string) (*ckpt.Decoder, error) {
+	v, payload, err := ckpt.Read(r, magic)
+	if err != nil {
 		return nil, err
+	}
+	if v != version {
+		return nil, fmt.Errorf("profile: %s version %d, this build reads %d: %w", what, v, version, xerr.ErrFormat)
+	}
+	return ckpt.NewDecoder(payload, "profile: "+what), nil
+}
+
+// encoder appends uvarints to a snapshot payload.
+type encoder struct{ *bytes.Buffer }
+
+func (e encoder) put(vs ...uint64) {
+	for _, v := range vs {
+		e.Write(binary.AppendUvarint(e.AvailableBuffer(), v))
+	}
+}
+
+// encode writes the builder: geometry and backend byte, the sampling
+// gate (K, seed and the candidate ordinal it has counted to, all zero
+// when exact), the counters and histogram support (putBody), and the
+// LRU gate from the most to the least recent block.
+func (bd *Builder) encode(e encoder) {
+	p := bd.p
+	e.put(uint64(p.N), uint64(p.CacheBlocks))
+	e.WriteByte(backendByte(p.N))
+	e.put(bd.sampleK, p.SampleSeed, bd.sampleCount)
+	putBody(e, p)
+	gate := bd.stack.Blocks()
+	e.put(uint64(len(gate)))
+	e.put(gate...)
+}
+
+// readBuilder decodes a builder written by encode and checks every
+// invariant it holds on its own:
+//
+//   - the geometry is valid and the backend byte is the one n selects;
+//   - an exact builder carries no sampling state;
+//   - Compulsory + Capacity + Candidates == Accesses;
+//   - SampledCandidates <= Candidates, and a sampled gate has counted
+//     at least Candidates candidates;
+//   - the support (readBody) ascends strictly within Mask(n), with
+//     nonzero counts summing to TotalPairs;
+//   - the gate lists distinct blocks within Mask(n).
+//
+// The caller checks the gate's length, whose rule differs between a
+// Builder and a Windowed, and that the payload ends. what names the
+// snapshot in errors.
+func readBuilder(d *ckpt.Decoder, what string) (*Builder, error) {
+	n := int(d.Uvarint("n"))
+	cacheBlocks := int(d.Uvarint("cacheBlocks"))
+	backend := d.Byte("backend")
+	sample := SampleOptions{K: d.Uvarint("sampleK"), Seed: d.Uvarint("sampleSeed")}
+	ordinal := d.Uvarint("sampleCount")
+	if d.Err() != nil {
+		return nil, d.Err()
+	}
+	if err := ValidateGeometry(n, cacheBlocks); err != nil {
+		return nil, fmt.Errorf("profile: %s geometry: %w: %w", what, xerr.ErrFormat, err)
+	}
+	if backend != backendByte(n) {
+		return nil, fmt.Errorf("profile: %s backend byte %d, but n=%d selects %d: %w",
+			what, backend, n, backendByte(n), xerr.ErrFormat)
+	}
+	if !sample.enabled() && (sample != SampleOptions{} || ordinal != 0) {
+		return nil, fmt.Errorf("profile: %s sampling state %+v at ordinal %d without sampling: %w",
+			what, sample, ordinal, xerr.ErrFormat)
+	}
+	bd := newBuilder(n, cacheBlocks, nil)
+	p := bd.p
+	if err := readBody(d, p, what+" histogram"); err != nil {
+		return nil, err
+	}
+	if p.Compulsory+p.Capacity+p.Candidates != p.Accesses {
+		return nil, fmt.Errorf("profile: %s counters disagree (%d+%d+%d != %d accesses): %w",
+			what, p.Compulsory, p.Capacity, p.Candidates, p.Accesses, xerr.ErrFormat)
+	}
+	if p.SampledCandidates > p.Candidates || sample.enabled() && ordinal < p.Candidates {
+		return nil, fmt.Errorf("profile: %s sampled %d of %d candidates at gate ordinal %d: %w",
+			what, p.SampledCandidates, p.Candidates, ordinal, xerr.ErrFormat)
+	}
+	bd.sampleCount = ordinal
+	bd.setSampling(sample)
+	gate, err := readGate(d, n, what+" stack")
+	if err != nil {
+		return nil, err
+	}
+	if err := bd.stack.Restore(gate); err != nil {
+		return nil, fmt.Errorf("profile: %s stack: %w: %w", what, xerr.ErrFormat, err)
 	}
 	return bd, nil
 }
 
 // backendByte is the snapshot byte naming the exact histogram store at
-// width n: 1 for the sparse map, 0 for the flat table.
+// width n: 1 for the sparse map, 0 for the flat table. The store is a
+// function of n alone, so any other byte is corruption.
 func backendByte(n int) byte {
 	if n > MaxFlatBits {
 		return 1
@@ -144,88 +189,63 @@ func backendByte(n int) byte {
 	return 0
 }
 
-// checkBackendByte rejects a snapshot backend byte other than the one
-// the width selects: the store is a function of n alone, so any other
-// byte is corruption. what names the snapshot in the error.
-func checkBackendByte(b byte, n int, what string) error {
-	if b != backendByte(n) {
-		return fmt.Errorf("profile: %s backend byte %d, but n=%d selects %d: %w",
-			what, b, n, backendByte(n), xerr.ErrFormat)
-	}
-	return nil
-}
-
-// putStack writes an LRU stack listing: its length, then each block
-// from top to bottom (most recent first, as lru.Stack.Blocks sorts the
-// stamps).
-func putStack(put func(uint64), stack []uint64) {
-	put(uint64(len(stack)))
-	for _, blk := range stack {
-		put(blk)
-	}
-}
-
-// readStack decodes a listing written by putStack. The listing may
-// hold at most limit blocks of n bits each; what names it in errors.
-func readStack(d *ckpt.Decoder, limit uint64, n int, what string) ([]uint64, error) {
-	stackLen := d.Uvarint("stack length")
+// readGate decodes a gate listing written by encode: its length, then
+// blocks of n bits each. what names it in errors.
+func readGate(d *ckpt.Decoder, n int, what string) ([]uint64, error) {
+	size := d.Uvarint("stack length")
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if stackLen > limit || uint64(d.Rem()) < stackLen {
-		return nil, fmt.Errorf("profile: %s length %d implausible: %w", what, stackLen, xerr.ErrFormat)
+	if uint64(d.Rem()) < size {
+		return nil, fmt.Errorf("profile: %s length %d implausible: %w", what, size, xerr.ErrFormat)
 	}
 	mask := uint64(gf2.Mask(n))
-	stack := make([]uint64, stackLen)
-	for i := range stack {
-		stack[i] = d.Uvarint("stack block")
-		if d.Err() == nil && stack[i] > mask {
-			return nil, fmt.Errorf("profile: %s block %#x exceeds %d bits: %w", what, stack[i], n, xerr.ErrFormat)
+	gate := make([]uint64, size)
+	for i := range gate {
+		gate[i] = d.Uvarint("stack block")
+		if d.Err() == nil && gate[i] > mask {
+			return nil, fmt.Errorf("profile: %s block %#x exceeds %d bits: %w", what, gate[i], n, xerr.ErrFormat)
 		}
 	}
-	return stack, d.Err()
+	return gate, d.Err()
 }
 
-// restoreStack replays a listing decoded by readStack into the
-// builder's empty LRU gate; a duplicate block is corruption. what names
-// the listing in errors.
-func (bd *Builder) restoreStack(topToBottom []uint64, what string) error {
-	if err := bd.stack.Restore(topToBottom); err != nil {
-		return fmt.Errorf("profile: %s: %w: %w", what, xerr.ErrFormat, err)
-	}
-	return nil
-}
-
-// putSupport writes p's histogram support: its length, then each
-// vector as the delta from the previous one, and its count. Vectors are
-// strictly ascending, so delta coding keeps dense histograms compact.
-func putSupport(put func(uint64), p *Profile) {
+// putBody writes one counter set and histogram: the counters, then the
+// support's length and each vector as the delta from the previous one,
+// with its count. Vectors are strictly ascending, so delta coding keeps
+// dense histograms compact.
+func putBody(e encoder, p *Profile) {
+	e.put(p.Accesses, p.Compulsory, p.Capacity, p.Candidates, p.TotalPairs, p.SampledCandidates)
 	support := p.Support()
-	put(uint64(len(support)))
+	e.put(uint64(len(support)))
 	prev := uint64(0)
 	for _, vc := range support {
-		put(uint64(vc.Vec) - prev)
-		put(vc.Count)
+		e.put(uint64(vc.Vec)-prev, vc.Count)
 		prev = uint64(vc.Vec)
 	}
 }
 
-// readSupport decodes a support written by putSupport into p (allocated
-// empty with the right backend, its TotalPairs already set). The
-// vectors must ascend strictly within p.N bits, every count must be
-// nonzero, and the counts must sum to p.TotalPairs. what names the
-// histogram in errors.
-func readSupport(d *ckpt.Decoder, p *Profile, what string) error {
-	supportLen := d.Uvarint("support length")
+// readBody decodes a body written by putBody into p (allocated empty
+// with the right backend). The vectors must ascend strictly within p.N
+// bits, every count must be nonzero, and the counts must sum to
+// TotalPairs. what names the histogram in errors.
+func readBody(d *ckpt.Decoder, p *Profile, what string) error {
+	p.Accesses = d.Uvarint("accesses")
+	p.Compulsory = d.Uvarint("compulsory")
+	p.Capacity = d.Uvarint("capacity")
+	p.Candidates = d.Uvarint("candidates")
+	p.TotalPairs = d.Uvarint("totalPairs")
+	p.SampledCandidates = d.Uvarint("sampledCandidates")
+	size := d.Uvarint("support length")
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if uint64(d.Rem()) < supportLen {
-		return fmt.Errorf("profile: %s support length %d implausible: %w", what, supportLen, xerr.ErrFormat)
+	if uint64(d.Rem()) < size {
+		return fmt.Errorf("profile: %s support length %d implausible: %w", what, size, xerr.ErrFormat)
 	}
 	mask := uint64(gf2.Mask(p.N))
 	var vec, sum uint64
-	for i := uint64(0); i < supportLen; i++ {
+	for i := uint64(0); i < size; i++ {
 		dv := d.Uvarint("vector delta")
 		count := d.Uvarint("vector count")
 		if d.Err() != nil {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -30,11 +31,16 @@ func snapshotBytes(t *testing.T, bd *Builder) []byte {
 	return buf.Bytes()
 }
 
-// Golden snapshots of TestSnapshotGoldenBytes, recorded before XPC1 and
-// XWP1 shared their stack and support codecs.
+// Golden snapshots of TestSnapshotGoldenBytes: the current XPC1 and
+// XWP1 formats, and the XPC1 version 1 and XWP1 version 2 bytes the
+// same builders wrote before both formats shared one Builder codec.
 const (
-	xpc1 = "58504331011a060400280400243d041b12002406090a090a090a090b120a090a5fc9b8ee"
-	xwp1 = "58575031023c06040080808080808080f03f013c020138280400241e12060905090509060905120409" +
+	xpc1 = "58504331021e060400000000280400243d0006090a090a090a090b120a090a041b120024146d3d98"
+	xwp1 = "58575031033c06040002013814000014120a06090309030902090312040903041200241b80808080808080f03f013c" +
+		"280400241e1206090509050906090512040905a0fc234a"
+
+	xpc1v1 = "58504331011a060400280400243d041b12002406090a090a090a090b120a090a5fc9b8ee"
+	xwp1v2 = "58575031023c06040080808080808080f03f013c020138280400241e12060905090509060905120409" +
 		"0514000014120a06090309030902090312040903041200241b596d6a17"
 )
 
@@ -53,7 +59,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 		bd.Add(b)
 	}
 	if got := hex.EncodeToString(snapshotBytes(t, bd)); got != xpc1 {
-		t.Fatalf("XPC1 snapshot\n%s\nwant\n%s", got, xpc1)
+		t.Errorf("XPC1 snapshot\n%s\nwant\n%s", got, xpc1)
 	}
 	raw, _ := hex.DecodeString(xpc1)
 	back, err := Restore(bytes.NewReader(raw))
@@ -83,7 +89,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 		return hex.EncodeToString(buf.Bytes())
 	}
 	if got := windowedBytes(w); got != xwp1 {
-		t.Fatalf("XWP1 snapshot\n%s\nwant\n%s", got, xwp1)
+		t.Errorf("XWP1 snapshot\n%s\nwant\n%s", got, xwp1)
 	}
 	raw, _ = hex.DecodeString(xwp1)
 	wback, err := RestoreWindowed(bytes.NewReader(raw))
@@ -240,7 +246,8 @@ func TestRestoreRejectsEveryBitFlip(t *testing.T) {
 // TestRestoreRejectsUnknownVersion: an envelope whose version this
 // build does not write is a format error, however well its payload
 // would decode. The XWP1 version-1 row is a complete exact v1 payload
-// (empty windows, no sampling fields), which an older build restored.
+// (empty windows, no sampling fields), and xpc1v1 and xwp1v2 are
+// complete snapshots, all of which older builds restored.
 func TestRestoreRejectsUnknownVersion(t *testing.T) {
 	put := func(b *bytes.Buffer, vs ...uint64) {
 		for _, v := range vs {
@@ -282,6 +289,16 @@ func TestRestoreRejectsUnknownVersion(t *testing.T) {
 		if err := c.restore(&buf); !errors.Is(err, xerr.ErrFormat) || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("%s: err = %v, want a wrapped ErrFormat naming the version", c.name, err)
 		}
+	}
+	// The formats before the shared Builder codec are refused too: no
+	// reader for them is kept.
+	raw, _ := hex.DecodeString(xpc1v1)
+	if _, err := Restore(bytes.NewReader(raw)); !errors.Is(err, xerr.ErrFormat) || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("XPC1 version 1: err = %v, want a wrapped ErrFormat naming the version", err)
+	}
+	raw, _ = hex.DecodeString(xwp1v2)
+	if _, err := RestoreWindowed(bytes.NewReader(raw)); !errors.Is(err, xerr.ErrFormat) || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("XWP1 version 2: err = %v, want a wrapped ErrFormat naming the version", err)
 	}
 }
 
@@ -345,35 +362,25 @@ func TestRestoreRejectsOffWidthBackend(t *testing.T) {
 }
 
 // TestRestoreRejectsConsistentLies: payloads that decode cleanly but
-// violate the profiling invariants (counter arithmetic, histogram sum,
-// stack/compulsory equality) must be rejected even though the CRC is
-// valid — this is what protects against a logically corrupt snapshot,
-// not just a bit-rotted one.
+// violate the profiling invariants (counter arithmetic, sampling state,
+// histogram sum, stack/compulsory equality) must be rejected even
+// though the CRC is valid — this is what protects against a logically
+// corrupt snapshot, not just a bit-rotted one. A consistent control
+// payload must restore, so each lie is refused for its own reason.
 func TestRestoreRejectsConsistentLies(t *testing.T) {
-	write := func(fields []uint64, tail func(b *bytes.Buffer)) []byte {
+	// write forges an XPC1 payload: the header fields (n, cacheBlocks,
+	// backend byte, sampleK, sampleSeed, sample ordinal, accesses,
+	// compulsory, capacity, candidates, totalPairs, sampledCandidates),
+	// then raw uvarints for the support and the stack listing.
+	write := func(head [12]uint64, tail []uint64) []byte {
 		var buf bytes.Buffer
 		err := ckpt.Write(&buf, checkpointMagic, checkpointVersion, func(b *bytes.Buffer) error {
-			var tmp [16]byte
-			for i, v := range fields {
-				if i == 2 { // backend flag position
+			for i, v := range append(head[:], tail...) {
+				if i == 2 {
 					b.WriteByte(byte(v))
-					continue
+				} else {
+					b.Write(binary.AppendUvarint(nil, v))
 				}
-				k := 0
-				for x := v; ; {
-					if x < 0x80 {
-						tmp[k] = byte(x)
-						k++
-						break
-					}
-					tmp[k] = byte(x) | 0x80
-					k++
-					x >>= 7
-				}
-				b.Write(tmp[:k])
-			}
-			if tail != nil {
-				tail(b)
 			}
 			return nil
 		})
@@ -382,59 +389,55 @@ func TestRestoreRejectsConsistentLies(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
+	// One candidate with one pair (vector 3) and one block (5) on the
+	// stack: support length, delta, count, stack length, block.
+	onePair := []uint64{1, 3, 1, 1, 5}
 	cases := []struct {
-		name   string
-		fields []uint64 // n, cacheBlocks, backend, accesses, compulsory, capacity, candidates, totalPairs, stackLen
+		name string
+		head [12]uint64
+		tail []uint64
+		want string // in the error; "" for the control
 	}{
-		{"counters disagree", []uint64{8, 16, 0, 10, 1, 1, 1, 0, 1}},
-		{"stack/compulsory mismatch", []uint64{8, 16, 0, 2, 2, 0, 0, 0, 1}},
-		{"flat backend too wide", []uint64{40, 16, 0, 0, 0, 0, 0, 0, 0}},
-		{"zero geometry", []uint64{0, 16, 0, 0, 0, 0, 0, 0, 0}},
+		{"control", [12]uint64{8, 16, 0, 4, 0, 1, 2, 1, 0, 1, 1, 1}, onePair, ""},
+		{"counters disagree", [12]uint64{8, 16, 0, 0, 0, 0, 10, 1, 1, 1, 0, 0}, []uint64{0, 1, 1}, "counters disagree"},
+		{"stack/compulsory mismatch", [12]uint64{8, 16, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0}, []uint64{0, 1, 1}, "compulsory counter"},
+		{"flat backend too wide", [12]uint64{40, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []uint64{0, 0}, "backend byte"},
+		{"zero geometry", [12]uint64{0, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []uint64{0, 0}, "geometry"},
+		{"histogram sum", [12]uint64{8, 16, 0, 0, 0, 0, 2, 1, 0, 1, 1, 0}, []uint64{1, 3, 2, 1, 5}, "sums to 2 pairs"},
+		{"sampled beyond candidates", [12]uint64{8, 16, 0, 4, 0, 1, 2, 1, 0, 1, 1, 2}, onePair, "sampled 2 of 1"},
+		{"exact with sampling state", [12]uint64{8, 16, 0, 1, 7, 0, 1, 1, 0, 0, 0, 0}, []uint64{0, 1, 5}, "without sampling"},
+		{"gate ordinal behind candidates", [12]uint64{8, 16, 0, 4, 0, 0, 2, 1, 0, 1, 1, 0}, onePair, "gate ordinal 0"},
 	}
 	for _, tc := range cases {
-		data := write(tc.fields, func(b *bytes.Buffer) {
-			// Enough stack blocks + an empty support to satisfy the
-			// declared lengths where they are plausible.
-			for i := uint64(0); i < tc.fields[8]; i++ {
-				b.WriteByte(byte(i + 1))
-			}
-			b.WriteByte(0) // support length 0
-		})
-		if _, err := Restore(bytes.NewReader(data)); !errors.Is(err, xerr.ErrFormat) {
-			t.Errorf("%s: err = %v, want wrapped ErrFormat", tc.name, err)
+		_, err := Restore(bytes.NewReader(write(tc.head, tc.tail)))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (!errors.Is(err, xerr.ErrFormat) || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want a wrapped ErrFormat containing %q", tc.name, err, tc.want)
 		}
-	}
-	// Histogram sum vs TotalPairs: one entry of count 2 against a
-	// TotalPairs of 1. Needs a real stack (1 compulsory of 2 accesses).
-	data := write([]uint64{8, 16, 0, 2, 1, 0, 1, 1, 1}, func(b *bytes.Buffer) {
-		b.WriteByte(5) // stack block
-		b.WriteByte(1) // support length
-		b.WriteByte(3) // vector delta
-		b.WriteByte(2) // count (sums to 2 != TotalPairs 1)
-	})
-	if _, err := Restore(bytes.NewReader(data)); !errors.Is(err, xerr.ErrFormat) {
-		t.Errorf("histogram sum lie: err = %v, want wrapped ErrFormat", err)
 	}
 }
 
 // cancelAfterSource delivers blocks and cancels the context once limit
 // blocks have been handed out — the deterministic stand-in for a kill
-// signal landing mid-profile. It delivers at most 512 blocks per read,
-// so the sequential engine's per-read ctx poll stops a run within 512
-// accesses of the kill.
-func cancelAfterSource(blocks []uint64, limit int, cancel context.CancelFunc) BlockSource {
-	i := 0
-	return func(dst []uint64) (int, error) {
-		if i >= len(blocks) {
-			return 0, io.EOF
+// signal landing mid-profile. It delivers at most 512 accesses per
+// chunk, so the sequential engine's per-chunk ctx poll stops a run
+// within 512 accesses of the kill.
+func cancelAfterSource(blocks []uint64, limit int, cancel context.CancelFunc) passFunc {
+	rest, i := blockTrace(blocks).Accesses, 0
+	return func() ([]trace.Access, error) {
+		if len(rest) == 0 {
+			return nil, io.EOF
 		}
 		if i >= limit {
 			cancel()
 			// Keep delivering; the builder's ctx check stops the run.
 		}
-		k := copy(dst[:min(len(dst), 512)], blocks[i:])
-		i += k
-		return k, nil
+		k := min(512, len(rest))
+		chunk := rest[:k]
+		rest, i = rest[k:], i+k
+		return chunk, nil
 	}
 }
 
@@ -454,12 +457,12 @@ func TestBuildCheckpointedKillResume(t *testing.T) {
 			t.Fatal("resume did not converge")
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		src := Blocks(blocks)
+		var src trace.Source = blockTrace(blocks)
 		if attempt < len(kills) {
 			src = cancelAfterSource(blocks, kills[attempt], cancel)
 		}
-		p, err := BuildStream(ctx, src, 12, 64, Options{
-			CheckpointPath: path, CheckpointEvery: 1000, Resume: true,
+		p, err := BuildStream(ctx, src, 1, 12, 64, Options{
+			CheckpointPath: path, checkpointEvery: 1000, Resume: true,
 		})
 		runs++
 		if attempt < len(kills) {
@@ -484,7 +487,7 @@ func TestBuildCheckpointedKillResume(t *testing.T) {
 	}
 	// Resuming a completed run replays nothing and returns the same
 	// profile again.
-	again, err := BuildStream(context.Background(), Blocks(blocks), 12, 64, Options{
+	again, err := BuildStream(context.Background(), blockTrace(blocks), 1, 12, 64, Options{
 		CheckpointPath: path, Resume: true,
 	})
 	if err != nil {
@@ -498,7 +501,7 @@ func TestBuildCheckpointedKillResume(t *testing.T) {
 func TestBuildCheckpointedMatchesBuildWithoutPath(t *testing.T) {
 	blocks := syntheticBlocks(20000)
 	want := Build(blocks, 12, 64)
-	got, err := BuildStream(context.Background(), Blocks(blocks), 12, 64, Options{})
+	got, err := BuildStream(context.Background(), blockTrace(blocks), 1, 12, 64, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +520,7 @@ func TestBuildCheckpointedSourceShorterThanSnapshot(t *testing.T) {
 	if err := CheckpointFile(path, bd); err != nil {
 		t.Fatal(err)
 	}
-	_, err := BuildStream(context.Background(), Blocks(blocks[:100]), 12, 64, Options{
+	_, err := BuildStream(context.Background(), blockTrace(blocks[:100]), 1, 12, 64, Options{
 		CheckpointPath: path, Resume: true,
 	})
 	if !errors.Is(err, xerr.ErrFormat) {
@@ -532,7 +535,7 @@ func TestBuildCheckpointedGeometryMismatch(t *testing.T) {
 	if err := CheckpointFile(path, bd); err != nil {
 		t.Fatal(err)
 	}
-	_, err := BuildStream(context.Background(), Blocks([]uint64{1}), 10, 64, Options{
+	_, err := BuildStream(context.Background(), blockTrace([]uint64{1}), 1, 10, 64, Options{
 		CheckpointPath: path, Resume: true,
 	})
 	if !errors.Is(err, xerr.ErrProfileMismatch) {
@@ -540,10 +543,91 @@ func TestBuildCheckpointedGeometryMismatch(t *testing.T) {
 	}
 }
 
+// TestBuildCheckpointedSampledKillResume is the sampled (K = 16) form
+// of TestBuildCheckpointedKillResume: a pass killed at seeded points and
+// resumed from its snapshot converges to a profile bit-identical to an
+// uninterrupted sampled pass, SampledCandidates included, because the
+// snapshot carries the gate's candidate ordinal. Workers 4 runs the
+// sequential engine too, since sampling forces it.
+func TestBuildCheckpointedSampledKillResume(t *testing.T) {
+	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(67)), 40_000)
+	sample := SampleOptions{K: 16, Seed: 9}
+	want := buildSampled(blocks, 16, 64, sample)
+	rng := rand.New(rand.NewSource(68))
+	for _, workers := range []int{1, 4} {
+		path := filepath.Join(t.TempDir(), "sampled.ckpt")
+		kills := []int{1 + rng.Intn(12_000)}
+		for len(kills) < 3 {
+			kills = append(kills, kills[len(kills)-1]+1_000+rng.Intn(12_000))
+		}
+		var got *Profile
+		for attempt := 0; got == nil || got.Degraded; attempt++ {
+			if attempt > len(kills) {
+				t.Fatalf("workers=%d: resume did not converge", workers)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			var src trace.Source = blockTrace(blocks)
+			if attempt < len(kills) {
+				src = cancelAfterSource(blocks, kills[attempt], cancel)
+			}
+			p, err := BuildStream(ctx, src, 1, 16, 64, Options{Workers: workers, Sample: sample,
+				CheckpointPath: path, checkpointEvery: 1000, Resume: true})
+			cancel()
+			if attempt < len(kills) {
+				wantCanceled(t, err)
+				if p == nil || !p.Degraded || p.Accesses < uint64(kills[attempt]) {
+					t.Fatalf("workers=%d kill %d at %d: partial p=%v err=%v", workers, attempt, kills[attempt], p, err)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			got = p
+		}
+		if d := diffProfiles(got, want); d != "" {
+			t.Fatalf("workers=%d kills %v: resumed sampled profile differs: %s", workers, kills, d)
+		}
+	}
+}
+
+// TestBuildCheckpointedSamplingMismatch: a snapshot resumes only a pass
+// that samples the same subset — another K, another seed, or exact
+// against sampled either way is a wrapped ErrProfileMismatch, while an
+// exact snapshot resumes under any seed of an exact pass.
+func TestBuildCheckpointedSamplingMismatch(t *testing.T) {
+	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(70)), 2_000)
+	for _, c := range []struct {
+		wrote, resume SampleOptions
+		ok            bool
+	}{
+		{SampleOptions{K: 16, Seed: 1}, SampleOptions{K: 8, Seed: 1}, false},
+		{SampleOptions{K: 16, Seed: 1}, SampleOptions{K: 16, Seed: 2}, false},
+		{SampleOptions{K: 16, Seed: 1}, SampleOptions{}, false},
+		{SampleOptions{}, SampleOptions{K: 16}, false},
+		{SampleOptions{K: 16, Seed: 1}, SampleOptions{K: 16, Seed: 1}, true},
+		{SampleOptions{}, SampleOptions{K: 1, Seed: 5}, true},
+	} {
+		path := filepath.Join(t.TempDir(), "profile.ckpt")
+		bd := NewBuilder(16, 64)
+		bd.setSampling(c.wrote)
+		for _, b := range blocks[:1000] {
+			bd.Add(b)
+		}
+		if err := CheckpointFile(path, bd); err != nil {
+			t.Fatal(err)
+		}
+		_, err := BuildStream(context.Background(), blockTrace(blocks), 1, 16, 64,
+			Options{Sample: c.resume, CheckpointPath: path, Resume: true})
+		if c.ok && err != nil || !c.ok && !errors.Is(err, xerr.ErrProfileMismatch) {
+			t.Errorf("wrote %+v, resumed %+v: err = %v, want ok=%v or a wrapped ErrProfileMismatch",
+				c.wrote, c.resume, err, c.ok)
+		}
+	}
+}
+
 func TestBuildCtxReturnsDegradedPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p, err := BuildStream(ctx, Blocks(syntheticBlocks(100)), 12, 64, Options{})
+	p, err := BuildStream(ctx, blockTrace(syntheticBlocks(100)), 1, 12, 64, Options{})
 	wantCanceled(t, err)
 	if p == nil || !p.Degraded {
 		t.Fatalf("canceled sequential build returned p=%v, want a Degraded partial profile", p)
@@ -583,12 +667,12 @@ func TestBuildStreamCheckpointedKillResume(t *testing.T) {
 			t.Fatal("resume did not converge")
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		src := Blocks(blocks)
+		var src trace.Source = blockTrace(blocks)
 		if attempt < len(kills) {
 			src = cancelAfterSource(blocks, kills[attempt], cancel)
 		}
-		p, err := BuildStream(ctx, src, 12, 64, Options{Workers: 1 + attempt, chunkSize: 300 + 170*attempt,
-			CheckpointPath: path, CheckpointEvery: 1500, Resume: true})
+		p, err := BuildStream(ctx, src, 1, 12, 64, Options{Workers: 1 + attempt, chunkSize: 300 + 170*attempt,
+			CheckpointPath: path, checkpointEvery: 1500, Resume: true})
 		if attempt < len(kills) {
 			wantCanceled(t, err)
 			if p == nil || !p.Degraded {
@@ -608,7 +692,7 @@ func TestBuildStreamCheckpointedKillResume(t *testing.T) {
 func TestBuildStreamCheckpointedMatchesBuildWithoutPath(t *testing.T) {
 	blocks := syntheticBlocks(20000)
 	want := Build(blocks, 12, 64)
-	got, err := BuildStream(context.Background(), Blocks(blocks), 12, 64,
+	got, err := BuildStream(context.Background(), blockTrace(blocks), 1, 12, 64,
 		Options{Workers: 3, chunkSize: 640})
 	if err != nil {
 		t.Fatal(err)
@@ -629,14 +713,14 @@ func TestParallelSequentialSnapshotInterop(t *testing.T) {
 	// Parallel partial → sequential finish.
 	path := filepath.Join(t.TempDir(), "p2s.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
-	p, err := BuildStream(ctx, cancelAfterSource(blocks, 12000, cancel), 12, 64,
-		Options{Workers: 4, chunkSize: 512, CheckpointPath: path, CheckpointEvery: 2000, Resume: true})
+	p, err := BuildStream(ctx, cancelAfterSource(blocks, 12000, cancel), 1, 12, 64,
+		Options{Workers: 4, chunkSize: 512, CheckpointPath: path, checkpointEvery: 2000, Resume: true})
 	cancel()
 	wantCanceled(t, err)
 	if p == nil || !p.Degraded {
 		t.Fatalf("killed parallel run returned p=%v err=%v, want a degraded partial", p, err)
 	}
-	got, err := BuildStream(context.Background(), Blocks(blocks), 12, 64,
+	got, err := BuildStream(context.Background(), blockTrace(blocks), 1, 12, 64,
 		Options{CheckpointPath: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
@@ -648,14 +732,14 @@ func TestParallelSequentialSnapshotInterop(t *testing.T) {
 	// Sequential partial → parallel finish.
 	path2 := filepath.Join(t.TempDir(), "s2p.ckpt")
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	p2, err := BuildStream(ctx2, cancelAfterSource(blocks, 9000, cancel2), 12, 64,
-		Options{CheckpointPath: path2, CheckpointEvery: 1000, Resume: true})
+	p2, err := BuildStream(ctx2, cancelAfterSource(blocks, 9000, cancel2), 1, 12, 64,
+		Options{CheckpointPath: path2, checkpointEvery: 1000, Resume: true})
 	cancel2()
 	wantCanceled(t, err)
 	if p2 == nil || !p2.Degraded {
 		t.Fatalf("killed sequential run returned p=%v err=%v, want a degraded partial", p2, err)
 	}
-	got2, err := BuildStream(context.Background(), Blocks(blocks), 12, 64,
+	got2, err := BuildStream(context.Background(), blockTrace(blocks), 1, 12, 64,
 		Options{Workers: 3, chunkSize: 777, CheckpointPath: path2, Resume: true})
 	if err != nil {
 		t.Fatal(err)
@@ -672,7 +756,7 @@ func TestBuildStreamCheckpointedGeometryMismatch(t *testing.T) {
 	if err := CheckpointFile(path, bd); err != nil {
 		t.Fatal(err)
 	}
-	_, err := BuildStream(context.Background(), Blocks([]uint64{1}), 10, 64,
+	_, err := BuildStream(context.Background(), blockTrace([]uint64{1}), 1, 10, 64,
 		Options{Workers: 2, CheckpointPath: path, Resume: true})
 	if !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("geometry mismatch: err = %v, want wrapped ErrProfileMismatch", err)
@@ -687,20 +771,20 @@ func TestBuildStreamCheckpointedGeometryMismatch(t *testing.T) {
 func TestStreamShardTransientFaultIsolated(t *testing.T) {
 	blocks := syntheticBlocks(8192)
 	const chunk = 1024 // faults land inside shard 2's range [2048, 3072)
-	pos := 0
-	src := func(dst []uint64) (int, error) {
+	rest, pos := blockTrace(blocks).Accesses, 0
+	src := passFunc(func() ([]trace.Access, error) {
 		if pos >= len(blocks) {
-			return 0, io.EOF
+			return nil, io.EOF
 		}
 		if pos >= 2*chunk && pos < 3*chunk {
-			return 0, xerr.ErrIO
+			return nil, xerr.ErrIO
 		}
-		k := copy(dst, blocks[pos:])
-		pos += k
-		return k, nil
-	}
+		c := rest[pos : pos+chunk]
+		pos += chunk
+		return c, nil
+	})
 	baseline := runtime.NumGoroutine()
-	p, err := BuildStream(context.Background(), src, 12, 64, Options{Workers: 4, chunkSize: chunk})
+	p, err := BuildStream(context.Background(), src, 1, 12, 64, Options{Workers: 4, chunkSize: chunk})
 	if p != nil {
 		t.Fatal("failed build must not return a profile")
 	}
@@ -711,22 +795,6 @@ func TestStreamShardTransientFaultIsolated(t *testing.T) {
 		t.Fatalf("err = %v, the I/O failure must not be reported as a cancellation", err)
 	}
 	waitGoroutines(t, baseline)
-}
-
-// readerBlocks adapts a trace reader to a BlockSource of block
-// addresses (shift, then mask to n bits) decoded in dst-sized reads.
-func readerBlocks(rd *trace.Reader, shift, n int) BlockSource {
-	var acc []trace.Access
-	return func(dst []uint64) (int, error) {
-		if len(acc) < len(dst) {
-			acc = make([]trace.Access, len(dst))
-		}
-		k, err := rd.Read(acc[:len(dst)])
-		for i, a := range acc[:k] {
-			dst[i] = a.Addr >> shift & (1<<n - 1)
-		}
-		return k, err
-	}
 }
 
 // TestStreamFaultMatrix drives the full streaming pipeline (faulty
@@ -783,8 +851,7 @@ func TestStreamFaultMatrix(t *testing.T) {
 					waitGoroutines(t, baseline)
 					return
 				}
-				src := readerBlocks(rd, 6, 12)
-				p, err := BuildStream(context.Background(), src, 12, 64,
+				p, err := BuildStream(context.Background(), passFunc(rd.Chunk), 64, 12, 64,
 					Options{Workers: workers, chunkSize: 256})
 				waitGoroutines(t, baseline)
 				if sc.transient {
@@ -817,44 +884,76 @@ func TestStreamFaultMatrix(t *testing.T) {
 }
 
 // FuzzCheckpointCodec: arbitrary snapshot bytes either restore to a
-// self-consistent builder that round-trips bit-identically, or fail
-// with a wrapped xerr.ErrFormat. No input may panic the decoder.
+// self-consistent builder or windowed profile that round-trips
+// bit-identically, or fail with a wrapped xerr.ErrFormat. No input may
+// panic either decoder. The seeds cover exact and sampled builders and
+// exact and sampled windowed profiles, which share the Builder codec.
 func FuzzCheckpointCodec(f *testing.F) {
 	for _, size := range []int{0, 100, 2000} {
-		bd := NewBuilder(10, 16)
-		for _, b := range syntheticBlocks(size) {
-			bd.Add(b)
+		for _, sample := range []SampleOptions{{}, {K: 4, Seed: 3}} {
+			bd := NewBuilder(10, 16)
+			bd.setSampling(sample)
+			w, err := NewWindowed(10, 16, 0.25, sample)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for i, b := range syntheticBlocks(size) {
+				bd.Add(b)
+				if w.Add(b); i%700 == 699 {
+					w.Rotate()
+				}
+			}
+			var buf, wbuf bytes.Buffer
+			if err := bd.Checkpoint(&buf); err != nil {
+				f.Fatal(err)
+			}
+			if err := w.Checkpoint(&wbuf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+			f.Add(wbuf.Bytes())
 		}
-		var buf bytes.Buffer
-		if err := bd.Checkpoint(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
 	}
 	f.Add([]byte{})
 	f.Add([]byte("XPC1 not a snapshot"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bd, err := Restore(bytes.NewReader(data))
-		if err != nil {
+		if bd, err := Restore(bytes.NewReader(data)); err != nil {
 			if !errors.Is(err, xerr.ErrFormat) {
 				t.Fatalf("Restore error %v does not wrap xerr.ErrFormat", err)
 			}
+		} else {
+			// Accepted: the snapshot must round-trip bit-identically.
+			bd2, err := Restore(bytes.NewReader(snapshotBytes(t, bd)))
+			if err != nil {
+				t.Fatalf("re-restore of accepted snapshot: %v", err)
+			}
+			if bd2.Pos() != bd.Pos() {
+				t.Fatalf("positions diverge: %d vs %d", bd2.Pos(), bd.Pos())
+			}
+			if d := diffProfiles(bd2.Finish(), bd.Finish()); d != "" {
+				t.Fatalf("accepted snapshot does not round-trip: %s", d)
+			}
+		}
+		w, err := RestoreWindowed(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, xerr.ErrFormat) {
+				t.Fatalf("RestoreWindowed error %v does not wrap xerr.ErrFormat", err)
+			}
 			return
 		}
-		// Accepted: the snapshot must round-trip bit-identically.
 		var buf bytes.Buffer
-		if err := bd.Checkpoint(&buf); err != nil {
-			t.Fatalf("re-checkpoint of accepted snapshot: %v", err)
+		if err := w.Checkpoint(&buf); err != nil {
+			t.Fatalf("re-checkpoint of accepted windowed snapshot: %v", err)
 		}
-		bd2, err := Restore(bytes.NewReader(buf.Bytes()))
+		w2, err := RestoreWindowed(&buf)
 		if err != nil {
-			t.Fatalf("re-restore of accepted snapshot: %v", err)
+			t.Fatalf("re-restore of accepted windowed snapshot: %v", err)
 		}
-		if bd2.Pos() != bd.Pos() {
-			t.Fatalf("positions diverge: %d vs %d", bd2.Pos(), bd.Pos())
+		if w2.Total() != w.Total() || w2.Rotations() != w.Rotations() || w2.Decay() != w.Decay() {
+			t.Fatalf("windowed stream state diverges")
 		}
-		if d := diffProfiles(bd2.Finish(), bd.Finish()); d != "" {
-			t.Fatalf("accepted snapshot does not round-trip: %s", d)
+		if d := diffProfiles(w2.Snapshot(), w.Snapshot()); d != "" {
+			t.Fatalf("accepted windowed snapshot does not round-trip: %s", d)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"xoridx/internal/trace"
 	"xoridx/internal/xerr"
 )
 
@@ -51,7 +52,7 @@ func wantCanceled(t *testing.T, err error) {
 func TestBuildCtxMatchesBuild(t *testing.T) {
 	blocks := syntheticBlocks(20000)
 	want := Build(blocks, 12, 64)
-	got, err := BuildStream(context.Background(), Blocks(blocks), 12, 64, Options{})
+	got, err := BuildStream(context.Background(), blockTrace(blocks), 1, 12, 64, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestBuildCtxMatchesBuild(t *testing.T) {
 func TestBuildCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := BuildStream(ctx, Blocks(syntheticBlocks(100)), 12, 64, Options{})
+	_, err := BuildStream(ctx, blockTrace(syntheticBlocks(100)), 1, 12, 64, Options{})
 	wantCanceled(t, err)
 }
 
@@ -72,7 +73,7 @@ func TestBuildParallelCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// 2 workers x 10000 accesses: each shard crosses the periodic check.
-	_, err := BuildStream(ctx, Blocks(syntheticBlocks(20000)), 12, 64, Options{Workers: 2, chunkSize: 10000})
+	_, err := BuildStream(ctx, blockTrace(syntheticBlocks(20000)), 1, 12, 64, Options{Workers: 2, chunkSize: 10000})
 	wantCanceled(t, err)
 	waitGoroutines(t, baseline)
 }
@@ -81,11 +82,11 @@ func TestBuildStreamCtxCanceledBeforeRead(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	src := func(dst []uint64) (int, error) {
+	src := passFunc(func() ([]trace.Access, error) {
 		t.Error("source must not be read under a canceled context")
-		return 0, io.EOF
-	}
-	_, err := BuildStream(ctx, src, 12, 64, Options{Workers: 2})
+		return nil, io.EOF
+	})
+	_, err := BuildStream(ctx, src, 1, 12, 64, Options{Workers: 2})
 	wantCanceled(t, err)
 	waitGoroutines(t, baseline)
 }
@@ -106,7 +107,7 @@ func TestBuildParallelCtxCancelDuringExchange(t *testing.T) {
 	}
 	defer func() { testShardHook = nil }()
 	// 4 shards x 30000 accesses: every shard crosses the periodic check.
-	p, err := BuildStream(ctx, Blocks(syntheticBlocks(120000)), 12, 64, Options{Workers: 4, chunkSize: 30000})
+	p, err := BuildStream(ctx, blockTrace(syntheticBlocks(120000)), 1, 12, 64, Options{Workers: 4, chunkSize: 30000})
 	wantCanceled(t, err)
 	if p != nil {
 		t.Fatal("canceled parallel build must not return a profile")
@@ -128,7 +129,7 @@ func TestBuildStreamCtxCancelDuringMerge(t *testing.T) {
 		}
 	}
 	defer func() { testShardHook = nil }()
-	p, err := BuildStream(ctx, Blocks(syntheticBlocks(100000)), 12, 64,
+	p, err := BuildStream(ctx, blockTrace(syntheticBlocks(100000)), 1, 12, 64,
 		Options{Workers: 3, chunkSize: 8192})
 	wantCanceled(t, err)
 	if p != nil {
@@ -141,17 +142,16 @@ func TestBuildStreamCtxCanceledMidStream(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	blocks := syntheticBlocks(1 << 14)
+	chunk := blockTrace(syntheticBlocks(1 << 14)).Accesses
 	reads := 0
-	src := func(dst []uint64) (int, error) {
+	src := passFunc(func() ([]trace.Access, error) {
 		reads++
 		if reads == 2 {
 			cancel() // the dispatcher must notice before the next read
 		}
-		k := copy(dst, blocks)
-		return k, nil
-	}
-	_, err := BuildStream(ctx, src, 12, 64, Options{Workers: 2, chunkSize: len(blocks)})
+		return chunk, nil
+	})
+	_, err := BuildStream(ctx, src, 1, 12, 64, Options{Workers: 2, chunkSize: len(chunk)})
 	wantCanceled(t, err)
 	if reads > 3 {
 		t.Errorf("dispatcher kept reading after cancellation: %d reads", reads)

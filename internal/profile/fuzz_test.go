@@ -61,7 +61,7 @@ func FuzzBuildParallelWorkers(f *testing.F) {
 					workers, n, cacheBlocks, len(blocks), d)
 			}
 		}
-		got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
+		got, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks,
 			Options{Workers: 3, chunkSize: 17})
 		if err != nil {
 			t.Fatal(err)
@@ -149,12 +149,12 @@ func FuzzParallelCheckpointResume(f *testing.F) {
 			kill = int(killRaw) % len(blocks)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		BuildStream(ctx, cancelAfterSource(blocks, kill, cancel), n, cacheBlocks,
+		BuildStream(ctx, cancelAfterSource(blocks, kill, cancel), 1, n, cacheBlocks,
 			Options{Workers: 1 + int(wRaw)%4, chunkSize: 1 + int(chunkRaw)%64,
-				CheckpointPath: path, CheckpointEvery: 1 + uint64(killRaw)%97, Resume: true})
+				CheckpointPath: path, checkpointEvery: 1 + uint64(killRaw)%97, Resume: true})
 		cancel()
 
-		got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
+		got, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks,
 			Options{Workers: 1 + int(chunkRaw)%5, chunkSize: 1 + int(wRaw)%77,
 				CheckpointPath: path, Resume: true})
 		if err != nil {

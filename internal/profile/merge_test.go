@@ -1,6 +1,6 @@
 package profile
 
-// Error-path tests for Builder.Add/Warm and Profile.Merge: the merge
+// Error-path tests for Builder.Add and Profile.Merge: the merge
 // preconditions guard the sharded pipeline (every shard must share n
 // and the capacity filter), so their rejections are load-bearing.
 
@@ -64,35 +64,28 @@ func TestMergeIntoEmptyEqualsCopy(t *testing.T) {
 }
 
 func TestBuilderPanicsAfterFinish(t *testing.T) {
-	for name, use := range map[string]func(*Builder){
-		"Add":  func(bd *Builder) { bd.Add(1) },
-		"Warm": func(bd *Builder) { bd.Warm(1) },
-	} {
-		bd := NewBuilder(8, 4)
-		bd.Add(1)
-		bd.Finish()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s after Finish did not panic", name)
-				}
-			}()
-			use(bd)
-		}()
-	}
+	bd := NewBuilder(8, 4)
+	bd.Add(1)
+	bd.Finish()
+	defer func() {
+		if recover() == nil {
+			t.Error("Add after Finish did not panic")
+		}
+	}()
+	bd.Add(1)
 }
 
 func TestBuilderWarmMatchesPrefixReplay(t *testing.T) {
-	// Warming a prefix then Adding the suffix classifies the suffix
-	// accesses exactly as a full sequential pass does (the histogram
-	// contains only the suffix contributions).
+	// Replaying a prefix into the gate alone, then Adding the suffix,
+	// classifies the suffix accesses exactly as a full sequential pass
+	// does (the histogram contains only the suffix contributions).
 	blocks := []uint64{1, 2, 3, 1, 2, 3, 4, 1, 2}
 	cut := 4
 	full := Build(blocks, 8, 8)
 
 	bd := NewBuilder(8, 8)
 	for _, b := range blocks[:cut] {
-		bd.Warm(b)
+		bd.stack.Touch(b)
 	}
 	for _, b := range blocks[cut:] {
 		bd.Add(b)

@@ -153,6 +153,10 @@ func diffCounters(got, want *Profile) string {
 		return "Candidates differs"
 	case got.TotalPairs != want.TotalPairs:
 		return "TotalPairs differs"
+	case got.SampleK != want.SampleK || got.SampleSeed != want.SampleSeed:
+		return "sampling differs"
+	case got.SampledCandidates != want.SampledCandidates:
+		return "SampledCandidates differs"
 	}
 	return ""
 }
@@ -240,7 +244,7 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 			}
 		}
 		chunk := 1 + r.Intn(40)
-		got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
+		got, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks,
 			Options{Workers: 1 + r.Intn(4), chunkSize: chunk})
 		if err != nil {
 			t.Fatalf("trial %d: BuildStream: %v", trial, err)
@@ -328,7 +332,7 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 		}
 
 		chunk := 1 + r.Intn(48)
-		gs, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
+		gs, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks,
 			Options{Workers: 1 + r.Intn(5), chunkSize: chunk})
 		if err != nil {
 			t.Fatalf("trial %d: BuildStream: %v", trial, err)

@@ -141,7 +141,7 @@ func (bd *Builder) reset() {
 // pair seeds the reconciler. A failed shard (panic,
 // injected fault) cancels the rest of the fan-out internally, and its
 // error — not the secondary cancellation — is what the call returns.
-func buildSharded(ctx context.Context, src BlockSource, start *Builder, opt Options) (*Profile, error) {
+func buildSharded(ctx context.Context, rd *blockReader, start *Builder, opt Options) (*Profile, error) {
 	n, cacheBlocks := start.p.N, start.p.CacheBlocks
 	rc := newReconciler(start)
 	// inner cancels the fan-out when a shard fails, so the dispatcher
@@ -150,10 +150,6 @@ func buildSharded(ctx context.Context, src BlockSource, start *Builder, opt Opti
 	// the secondary cancellations never mask it.
 	inner, cancelInner := context.WithCancel(ctx)
 	defer cancelInner()
-	src, err := opt.source(src, start.Pos())
-	if err != nil {
-		return nil, err
-	}
 
 	jobs := make(chan *shardState, opt.Workers)
 	done := make(chan *shardState, opt.Workers)
@@ -225,7 +221,7 @@ func buildSharded(ctx context.Context, src BlockSource, start *Builder, opt Opti
 				default:
 				}
 				if opt.CheckpointPath != "" {
-					if sinceCkpt += added; sinceCkpt >= opt.CheckpointEvery {
+					if sinceCkpt += added; sinceCkpt >= opt.checkpointEvery {
 						if err := opt.snapshot(rc.builder()); err != nil {
 							fail(err)
 							continue
@@ -250,13 +246,11 @@ func buildSharded(ctx context.Context, src BlockSource, start *Builder, opt Opti
 		default:
 			s = &shardState{blocks: make([]uint64, opt.chunkSize)}
 		}
-		filled, ferr := fillChunk(src, s.blocks[:cap(s.blocks)])
-		if filled > 0 && ferr == nil || ferr == io.EOF {
-			if filled > 0 {
-				s.idx, s.blocks = idx, s.blocks[:filled]
-				jobs <- s
-				idx++
-			}
+		filled, ferr := rd.fill(s.blocks[:cap(s.blocks)])
+		if filled > 0 && (ferr == nil || ferr == io.EOF) {
+			s.idx, s.blocks = idx, s.blocks[:filled]
+			jobs <- s
+			idx++
 		}
 		if ferr == io.EOF {
 			break
@@ -294,27 +288,6 @@ func buildSharded(ctx context.Context, src BlockSource, start *Builder, opt Opti
 		*opt.Stats = rc.stats
 	}
 	return rc.out, nil
-}
-
-// fillChunk tops buf up from the source until it is full or the stream
-// ends, so chunk — and therefore shard — boundaries land at fixed
-// multiples of the chunk size regardless of the source's read
-// granularity. It returns how many blocks were filled plus io.EOF at
-// the end of the stream, any source error as-is, and a wrapped
-// xerr.ErrFormat for a source that returns no data and no error.
-func fillChunk(src BlockSource, buf []uint64) (int, error) {
-	filled := 0
-	for filled < len(buf) {
-		k, err := src(buf[filled:])
-		filled += k
-		if err != nil {
-			return filled, err
-		}
-		if k == 0 {
-			return filled, errStuckSource
-		}
-	}
-	return filled, nil
 }
 
 // reconciler folds shard results into the merged profile in trace

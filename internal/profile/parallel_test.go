@@ -10,8 +10,43 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"xoridx/internal/trace"
 	"xoridx/internal/xerr"
 )
+
+// blockTrace is an in-memory trace whose access addresses are the given
+// block addresses: BuildStream at block size 1 profiles exactly them.
+func blockTrace(blocks []uint64) *trace.Trace {
+	tr := &trace.Trace{Accesses: make([]trace.Access, len(blocks))}
+	for i, b := range blocks {
+		tr.Accesses[i].Addr = b
+	}
+	return tr
+}
+
+// passFunc is a trace source of a single pass whose chunks come from a
+// test's closure.
+type passFunc func() ([]trace.Access, error)
+
+func (f passFunc) Header() trace.Header                     { return trace.Header{} }
+func (f passFunc) Pass(context.Context) (trace.Pass, error) { return f, nil }
+func (f passFunc) Chunk() ([]trace.Access, error)           { return f() }
+func (f passFunc) Close() error                             { return nil }
+
+// chunked hands blocks out as accesses at most size per chunk, then
+// io.EOF.
+func chunked(blocks []uint64, size int) passFunc {
+	rest := blockTrace(blocks).Accesses
+	return func() ([]trace.Access, error) {
+		if len(rest) == 0 {
+			return nil, io.EOF
+		}
+		k := min(size, len(rest))
+		chunk := rest[:k]
+		rest = rest[k:]
+		return chunk, nil
+	}
+}
 
 // mustParallel runs the sharded engine over an in-memory trace split
 // into one chunk per worker, for tests where the geometry is known to
@@ -29,7 +64,7 @@ func mustParallelOpts(t testing.TB, blocks []uint64, n, cacheBlocks int, opt Opt
 	if opt.chunkSize == 0 && opt.Workers > 1 {
 		opt.chunkSize = max(1, (len(blocks)+opt.Workers-1)/opt.Workers)
 	}
-	p, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks, opt)
+	p, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks, opt)
 	if err != nil {
 		t.Fatalf("BuildStream(context.Background(), n=%d cap=%d %+v): %v", n, cacheBlocks, opt, err)
 	}
@@ -65,7 +100,7 @@ func TestBuildParallelRejectsInvalidGeometry(t *testing.T) {
 		{0, 4}, {-1, 4}, {65, 4}, {8, 0}, {8, -2},
 	} {
 		for _, workers := range []int{1, 3} {
-			_, err := BuildStream(context.Background(), Blocks([]uint64{1, 2, 3}), tc.n, tc.cacheBlocks, Options{Workers: workers})
+			_, err := BuildStream(context.Background(), blockTrace([]uint64{1, 2, 3}), 1, tc.n, tc.cacheBlocks, Options{Workers: workers})
 			if !errors.Is(err, xerr.ErrInvalidOptions) {
 				t.Errorf("BuildStream(context.Background(), n=%d cap=%d workers=%d) err = %v, want ErrInvalidOptions",
 					tc.n, tc.cacheBlocks, workers, err)
@@ -110,7 +145,7 @@ func TestBuildParallelBoundaryAdversarial(t *testing.T) {
 			}
 		}
 		for _, chunk := range []int{period - 1, period, period + 1} {
-			got, err := BuildStream(context.Background(), Blocks(blocks), 8, cacheBlocks,
+			got, err := BuildStream(context.Background(), blockTrace(blocks), 1, 8, cacheBlocks,
 				Options{Workers: 4, chunkSize: chunk})
 			if err != nil {
 				t.Fatal(err)
@@ -162,7 +197,7 @@ func TestBuildParallelShardPanicNamesShard(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(i % 97)
 	}
-	_, err := BuildStream(context.Background(), Blocks(blocks), 8, 4, Options{Workers: 4, chunkSize: 1024})
+	_, err := BuildStream(context.Background(), blockTrace(blocks), 1, 8, 4, Options{Workers: 4, chunkSize: 1024})
 	if !errors.Is(err, xerr.ErrPanic) {
 		t.Fatalf("err = %v, want wrapped ErrPanic", err)
 	}
@@ -190,7 +225,7 @@ func TestBuildStreamShardPanicNotMaskedByCancellation(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(i % 131)
 	}
-	p, err := BuildStream(context.Background(), Blocks(blocks), 8, 4,
+	p, err := BuildStream(context.Background(), blockTrace(blocks), 1, 8, 4,
 		Options{Workers: 4, chunkSize: 64})
 	if p != nil {
 		t.Fatal("failed stream build must not return a profile")
@@ -205,29 +240,16 @@ func TestBuildStreamShardPanicNotMaskedByCancellation(t *testing.T) {
 }
 
 // TestBuildStreamFillsShortReads pins the chunk-boundary alignment: a
-// source that dribbles a few blocks per call still yields shards of
+// pass that dribbles a few accesses per chunk still yields shards of
 // exactly chunkSize (the dispatcher tops chunks up), so shard
 // boundaries — and the gates absorbed at them — are a
-// function of chunkSize alone, not of the source's read granularity.
+// function of chunkSize alone, not of the pass's chunk sizes.
 func TestBuildStreamFillsShortReads(t *testing.T) {
 	var shards atomic.Int32
 	testShardHook = func(int) { shards.Add(1) }
 	defer func() { testShardHook = nil }()
 	blocks := boundaryTrace(rand.New(rand.NewSource(14)), 13, 100)
-	pos := 0
-	src := func(dst []uint64) (int, error) {
-		if pos >= len(blocks) {
-			return 0, io.EOF
-		}
-		limit := len(dst)
-		if limit > 3 {
-			limit = 3
-		}
-		k := copy(dst[:limit], blocks[pos:])
-		pos += k
-		return k, nil
-	}
-	got, err := BuildStream(context.Background(), src, 8, 4, Options{Workers: 2, chunkSize: 25})
+	got, err := BuildStream(context.Background(), chunked(blocks, 3), 1, 8, 4, Options{Workers: 2, chunkSize: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,52 +263,56 @@ func TestBuildStreamFillsShortReads(t *testing.T) {
 
 func TestBuildStreamPropagatesSourceError(t *testing.T) {
 	boom := errors.New("boom")
-	calls := 0
-	src := func(dst []uint64) (int, error) {
-		calls++
-		if calls == 1 {
-			dst[0], dst[1] = 1, 2
-			return 2, nil
-		}
-		return 0, boom
-	}
 	for _, workers := range []int{1, 2} {
-		calls = 0
-		if _, err := BuildStream(context.Background(), src, 8, 4, Options{Workers: workers, chunkSize: 2}); !errors.Is(err, boom) {
+		calls := 0
+		src := passFunc(func() ([]trace.Access, error) {
+			if calls++; calls == 1 {
+				return []trace.Access{{Addr: 1}, {Addr: 2}}, nil
+			}
+			return nil, boom
+		})
+		if _, err := BuildStream(context.Background(), src, 1, 8, 4, Options{Workers: workers, chunkSize: 2}); !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom)
 		}
 	}
 }
 
-func TestBuildStreamRejectsStuckSource(t *testing.T) {
-	src := func(dst []uint64) (int, error) { return 0, nil }
-	for _, workers := range []int{1, 2} {
-		if _, err := BuildStream(context.Background(), src, 8, 4, Options{Workers: workers}); !errors.Is(err, xerr.ErrFormat) {
-			t.Fatalf("workers=%d: err = %v, want wrapped ErrFormat for a source that makes no progress", workers, err)
-		}
-	}
-}
-
+// TestBuildStreamFinalChunkWithEOF: a pass whose last chunk is short,
+// with a shard length that divides neither the trace nor the chunks,
+// profiles every access once.
 func TestBuildStreamFinalChunkWithEOF(t *testing.T) {
-	// A source may return (k > 0, io.EOF) on the last chunk.
 	blocks := []uint64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	pos := 0
-	src := func(dst []uint64) (int, error) {
-		k := copy(dst, blocks[pos:])
-		pos += k
-		if pos >= len(blocks) {
-			return k, io.EOF
-		}
-		return k, nil
-	}
 	for _, workers := range []int{1, 3} {
-		pos = 0
-		got, err := BuildStream(context.Background(), src, 6, 4, Options{Workers: workers, chunkSize: 4})
+		got, err := BuildStream(context.Background(), chunked(blocks, 5), 1, 6, 4, Options{Workers: workers, chunkSize: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := diffProfiles(got, Build(blocks, 6, 4)); d != "" {
 			t.Fatalf("workers=%d: %s", workers, d)
+		}
+	}
+}
+
+// TestBuildStreamBlockSize: BuildStream turns addresses into blocks as
+// trace.Blocks does, and refuses a block size that is not a positive
+// power of two before reading anything.
+func TestBuildStreamBlockSize(t *testing.T) {
+	tr := &trace.Trace{}
+	for _, b := range syntheticBlocks(5000) {
+		tr.Append(b*64+b%64, trace.Read)
+	}
+	for _, workers := range []int{1, 3} {
+		got, err := BuildStream(context.Background(), tr, 64, 10, 16, Options{Workers: workers, chunkSize: 700})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffProfiles(got, Build(tr.Blocks(64, 10), 10, 16)); d != "" {
+			t.Fatalf("workers=%d: %s", workers, d)
+		}
+	}
+	for _, bb := range []int{0, -4, 3, 48} {
+		if _, err := BuildStream(context.Background(), tr, bb, 10, 16, Options{}); !errors.Is(err, xerr.ErrInvalidOptions) {
+			t.Errorf("block size %d: err = %v, want wrapped ErrInvalidOptions", bb, err)
 		}
 	}
 }
@@ -299,8 +325,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.chunkSize != defaultChunkSize {
 		t.Fatalf("chunkSize = %d", o.chunkSize)
 	}
-	if o.CheckpointEvery != DefaultCheckpointEvery {
-		t.Fatalf("CheckpointEvery = %d", o.CheckpointEvery)
+	if o.checkpointEvery != defaultCheckpointEvery {
+		t.Fatalf("checkpointEvery = %d", o.checkpointEvery)
 	}
 	if o := (Options{Workers: 8, Sample: SampleOptions{K: 4}}).withDefaults(); o.Workers != 1 {
 		t.Fatalf("sampled Workers = %d, want 1", o.Workers)

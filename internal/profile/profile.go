@@ -258,25 +258,6 @@ func (p *Profile) addPairs(b uint64, ys []uint64) uint64 {
 	return uint64(len(ys))
 }
 
-// Warm replays one block access into the LRU gate without counting
-// anything: no conflict vectors, no bookkeeping. It reconstructs the
-// gate at a shard boundary so a chunked builder classifies the
-// accesses of its own shard exactly as a sequential pass would (see
-// DESIGN.md §8).
-func (bd *Builder) Warm(block uint64) {
-	if bd.done {
-		panic("profile: Warm after Finish")
-	}
-	bd.stack.Touch(block & bd.mask)
-}
-
-// Seen reports whether the block has been passed to Add or Warm
-// before. The next Add of an unseen block will be classified as a
-// compulsory miss.
-func (bd *Builder) Seen(block uint64) bool {
-	return bd.stack.Seen(block & bd.mask)
-}
-
 // Finish returns the accumulated profile; the builder must not be used
 // afterwards.
 func (bd *Builder) Finish() *Profile {

@@ -79,7 +79,7 @@ func checkAllBuilders(t *testing.T, blocks []uint64) bool {
 				t.Logf("n=%d cap=%d: Build vs oracle: %s", n, cacheBlocks, d)
 				return false
 			}
-			got, err := BuildStream(context.Background(), Blocks(blocks), n, cacheBlocks,
+			got, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks,
 				Options{Workers: 3, chunkSize: 33})
 			if err != nil {
 				t.Logf("n=%d cap=%d: BuildStream: %v", n, cacheBlocks, err)

@@ -37,8 +37,8 @@ func checkWindow(t *testing.T, bd *Builder, ref naiveStack, where string) {
 
 // TestBuilderWindowMirrorsStack pins the window every build walks:
 // after every Add it equals the naive stack's top CacheBlocks+1, on the
-// flat, sparse and sketch backends and on a sampled build, across Warm
-// and Windowed rotations, and after a checkpoint Restore taken once
+// flat, sparse and sketch backends and on a sampled build, across
+// gate-only touches and Windowed rotations, and after a checkpoint Restore taken once
 // more than CacheBlocks+1 blocks are live — where the resumed histogram
 // must equal an uninterrupted build's bit for bit.
 func TestBuilderWindowMirrorsStack(t *testing.T) {
@@ -59,9 +59,9 @@ func TestBuilderWindowMirrorsStack(t *testing.T) {
 			ref.touch(b)
 			checkWindow(t, bd, ref, name)
 			if i%7 == 0 {
-				bd.Warm(b ^ 0x40)
+				bd.stack.Touch((b ^ 0x40) & bd.mask)
 				ref.touch(b ^ 0x40)
-				checkWindow(t, bd, ref, name+" Warm")
+				checkWindow(t, bd, ref, name+" gate touch")
 			}
 		}
 	}
@@ -151,9 +151,10 @@ func TestRestoreRejectsDuplicateStackBlock(t *testing.T) {
 			p = binary.AppendUvarint(p, v)
 		}
 		p = append(p, backendByte(8))
-		// accesses, compulsory, capacity, candidates, totalPairs, then
-		// a two-block listing naming block 5 twice and an empty support.
-		for _, v := range []uint64{2, 2, 0, 0, 0, 2, 5, 5, 0} {
+		// No sampling state; accesses, compulsory, capacity, candidates,
+		// totalPairs, sampledCandidates; an empty support; then a
+		// two-block listing naming block 5 twice.
+		for _, v := range []uint64{0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 2, 5, 5} {
 			p = binary.AppendUvarint(p, v)
 		}
 		b.Write(p)

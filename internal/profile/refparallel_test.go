@@ -47,13 +47,13 @@ func refBuildParallel(blocks []uint64, n, cacheBlocks, workers int) *Profile {
 		ws := refWarmStart(blocks, start, cacheBlocks+1, mask)
 		bd := NewBuilder(n, cacheBlocks)
 		for _, b := range blocks[ws:start] {
-			bd.Warm(b)
+			bd.stack.Touch(b & mask)
 		}
 		var firstTouch []uint64
 		shardSeen := make(map[uint64]struct{})
 		for _, raw := range blocks[start:end] {
 			b := raw & mask
-			if !bd.Seen(b) {
+			if !bd.stack.Seen(b) {
 				firstTouch = append(firstTouch, b)
 			}
 			bd.Add(b)

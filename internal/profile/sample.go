@@ -32,7 +32,9 @@ package profile
 // The candidate ordinal that decides sampling is global to the pass
 // (the j-th conflict candidate of the stream), which an isolated cold
 // shard cannot know; BuildStream therefore runs sampled builds on its
-// sequential engine whatever Options.Workers says.
+// sequential engine whatever Options.Workers says. A snapshot carries
+// the ordinal (checkpoint.go), so a resumed sampled pass walks exactly
+// the candidates the uninterrupted one would.
 
 import (
 	"fmt"
@@ -53,7 +55,21 @@ type SampleOptions struct {
 // enabled reports whether the options actually sample.
 func (o SampleOptions) enabled() bool { return o.K > 1 }
 
-// setSampling arms the builder's sampling gate. A no-op for K <= 1.
+// Same reports whether two configurations sample the same subset: both
+// exact (K <= 1, whatever the seed), or equal.
+func (o SampleOptions) Same(b SampleOptions) bool {
+	return !o.enabled() && !b.enabled() || o == b
+}
+
+// sampling returns the builder's sampling configuration, the zero value
+// when exact.
+func (bd *Builder) sampling() SampleOptions {
+	return SampleOptions{K: bd.sampleK, Seed: bd.p.SampleSeed}
+}
+
+// setSampling arms the builder's sampling gate at its candidate ordinal
+// (0 for a cold builder, the snapshot's for a restored one). A no-op
+// for K <= 1.
 func (bd *Builder) setSampling(opt SampleOptions) {
 	if !opt.enabled() {
 		return
@@ -61,9 +77,14 @@ func (bd *Builder) setSampling(opt SampleOptions) {
 	bd.sampleK = opt.K
 	bd.p.SampleK = opt.K
 	bd.p.SampleSeed = opt.Seed
-	// First profiled candidate ordinal (1-indexed): a deterministic
-	// phase in [1, K] derived from the seed, then every K-th after it.
-	bd.sampleNext = bd.sampleCount + splitmix64(opt.Seed)%opt.K + 1
+	// Profiled candidate ordinals (1-indexed) are a deterministic phase
+	// in [1, K] derived from the seed, then every K-th after it; the
+	// next one is the smallest past the ordinal already counted.
+	phase := splitmix64(opt.Seed)%opt.K + 1
+	bd.sampleNext = phase
+	if c := bd.sampleCount; c >= phase {
+		bd.sampleNext = phase + ((c-phase)/opt.K+1)*opt.K
+	}
 }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap, well-distributed

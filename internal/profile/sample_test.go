@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -140,16 +139,7 @@ func TestBuildStreamSampledMatchesSequential(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(64)), 8_000)
 	opt := SampleOptions{K: 16, Seed: 5}
 	want := buildSampled(blocks, 16, 64, opt)
-	pos := 0
-	src := func(dst []uint64) (int, error) {
-		if pos >= len(blocks) {
-			return 0, io.EOF
-		}
-		k := copy(dst, blocks[pos:])
-		pos += k
-		return k, nil
-	}
-	got, err := BuildStream(context.Background(), src, 16, 64, Options{Workers: 4, chunkSize: 999, Sample: opt})
+	got, err := BuildStream(context.Background(), blockTrace(blocks), 1, 16, 64, Options{Workers: 4, chunkSize: 999, Sample: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,15 +148,30 @@ func TestBuildStreamSampledMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSampledBuilderCheckpointRejected: a mid-pass checkpoint cannot
-// carry the sampling gate across restarts faithfully, so the builder
-// must refuse rather than silently resample a different subset.
-func TestSampledBuilderCheckpointRejected(t *testing.T) {
-	bd := NewBuilder(16, 64)
-	bd.setSampling(SampleOptions{K: 8})
-	bd.Add(0x40)
-	if err := bd.Checkpoint(io.Discard); !errors.Is(err, xerr.ErrInvalidOptions) {
-		t.Fatalf("sampled Checkpoint returned %v, want ErrInvalidOptions", err)
+// TestSampledBuilderCheckpointRoundTrip: a sampled builder
+// checkpointed at any access and restored carries its gate's candidate
+// ordinal, so it walks exactly the candidates the uninterrupted builder
+// walks, SampledCandidates included.
+func TestSampledBuilderCheckpointRoundTrip(t *testing.T) {
+	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(69)), 6_000)
+	opt := SampleOptions{K: 16, Seed: 77}
+	want := buildSampled(blocks, 16, 64, opt)
+	for _, cut := range []int{0, 1, 777, 3001, len(blocks)} {
+		bd := NewBuilder(16, 64)
+		bd.setSampling(opt)
+		for _, b := range blocks[:cut] {
+			bd.Add(b)
+		}
+		restored, err := Restore(bytes.NewReader(snapshotBytes(t, bd)))
+		if err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		if restored.sampling() != opt {
+			t.Fatalf("cut=%d: restored sampling %+v, want %+v", cut, restored.sampling(), opt)
+		}
+		if d := diffProfiles(restored.finishBlocks(blocks[cut:]), want); d != "" {
+			t.Fatalf("cut=%d: resumed sampled profile differs: %s", cut, d)
+		}
 	}
 }
 

@@ -4,33 +4,36 @@ package profile
 // behind it — a sequential loop (Workers <= 1, and every sampled build)
 // and the sharded gate-absorbing pipeline of parallel.go (Workers > 1) —
 // sharing option validation, checkpoint restore, prefix skip and the
-// snapshot-on-cancellation path. Build is the six-line reference both
-// are tested against.
+// snapshot-on-cancellation path. Both read one pass of a trace.Source
+// and turn its accesses into block addresses themselves. Build is the
+// six-line reference both are tested against.
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 
+	"xoridx/internal/trace"
 	"xoridx/internal/xerr"
 )
 
-// ctxCheckEvery is the cancellation-check granularity of the profiling
-// hot loops, in block accesses, and the sequential engine's read size:
-// one source read and one ctx poll per 8 K accesses keeps the overhead
-// unmeasurable (a single channel poll amortised over thousands of
-// LRU-stack operations) while still bounding the cancellation latency
-// to well under a millisecond of work.
+// ctxCheckEvery is the cancellation-check granularity of a shard
+// builder, in block accesses; the sequential engine polls once per
+// trace chunk (trace.ChunkLen, the same 8 K). One poll per 8 K accesses
+// keeps the overhead unmeasurable (a single channel poll amortised over
+// thousands of LRU-stack operations) while still bounding the
+// cancellation latency to well under a millisecond of work.
 const ctxCheckEvery = 8192
 
 // defaultChunkSize is the sharded engine's shard length in accesses.
 const defaultChunkSize = 1 << 16
 
-// DefaultCheckpointEvery is the snapshot cadence when
-// Options.CheckpointEvery is zero: one snapshot per 2^20 profiled
+// defaultCheckpointEvery is the snapshot cadence when
+// Options.checkpointEvery is zero: one snapshot per 2^20 profiled
 // accesses.
-const DefaultCheckpointEvery = 1 << 20
+const defaultCheckpointEvery = 1 << 20
 
 // Options configures BuildStream. The zero value is an exact
 // sequential pass on the default backend for the width.
@@ -65,30 +68,34 @@ type Options struct {
 	// them too.
 	Stats *BuildStats
 
-	// CheckpointPath, when non-empty, is the snapshot file: every
-	// CheckpointEvery accesses (0 selects DefaultCheckpointEvery) the
-	// pass writes its state there atomically, once more at the end, and
-	// once on cancellation. Both engines write the sequential snapshot
-	// format, so either resumes the other's snapshot. Incompatible with
-	// Sample and Sketch.
-	CheckpointPath  string
-	CheckpointEvery uint64
+	// CheckpointPath, when non-empty, is the snapshot file: every 2^20
+	// accesses the pass writes its state there atomically, once more at
+	// the end, and once on cancellation. Both engines write the
+	// sequential snapshot format, so either resumes the other's
+	// snapshot; a sampled snapshot carries its gate's candidate ordinal.
+	// Incompatible with Sketch.
+	CheckpointPath string
 
 	// Resume restores CheckpointPath if it exists and skips the
 	// accesses the snapshot already consumed before profiling the rest;
 	// the result is bit-identical to an uninterrupted run, for any
-	// worker count and chunk size on either side of the restart.
+	// worker count and chunk size on either side of the restart. A
+	// snapshot of another geometry or another sampling configuration is
+	// refused with a wrapped xerr.ErrProfileMismatch.
 	Resume bool
 
 	// chunkSize is the sharded engine's shard length in accesses; 0
 	// selects defaultChunkSize. The dispatcher fills every chunk to
-	// exactly this length (short source reads are topped up), so shard
-	// boundaries — and therefore the points where the reconciler
-	// absorbs a shard's gate — land at
-	// fixed multiples of it regardless of the source's read
-	// granularity. Only the final chunk may be short. Tests shrink it
-	// to force many shard boundaries over short traces.
+	// exactly this length from however many trace chunks it takes, so
+	// shard boundaries — and therefore the points where the reconciler
+	// absorbs a shard's gate — land at fixed multiples of it regardless
+	// of the pass's chunk sizes. Only the final chunk may be short.
+	// Tests shrink it to force many shard boundaries over short traces.
 	chunkSize int
+
+	// checkpointEvery is the snapshot cadence in accesses; 0 selects
+	// defaultCheckpointEvery. Tests shrink it to snapshot often.
+	checkpointEvery uint64
 }
 
 func (o Options) withDefaults() Options {
@@ -98,64 +105,42 @@ func (o Options) withDefaults() Options {
 	if o.chunkSize <= 0 {
 		o.chunkSize = defaultChunkSize
 	}
-	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = DefaultCheckpointEvery
+	if o.checkpointEvery == 0 {
+		o.checkpointEvery = defaultCheckpointEvery
 	}
 	return o
 }
 
 // validate rejects out-of-domain options before any work starts.
 func (o Options) validate() error {
-	if o.CheckpointPath != "" && (o.Sample.enabled() || o.Sketch != nil) {
-		// The snapshot codec is exact flat/sparse state; a resumed
-		// sampled pass would also lose its global candidate ordinal.
-		return fmt.Errorf("profile: sampled or sketch builds cannot be checkpointed: %w",
-			xerr.ErrInvalidOptions)
+	if o.Sketch == nil {
+		return nil
 	}
-	if o.Sketch != nil {
-		return o.Sketch.Validate()
+	if o.CheckpointPath != "" {
+		// The snapshot codec is exact flat/sparse state.
+		return fmt.Errorf("profile: sketch builds cannot be checkpointed: %w", xerr.ErrInvalidOptions)
 	}
-	return nil
+	return o.Sketch.Validate()
 }
 
-// BlockSource yields successive chunks of block addresses already
-// truncated to n bits, filling dst and returning how many it wrote.
-// It follows io.Reader conventions: (k, nil) with k > 0 while data
-// remains, then (0, io.EOF); (k > 0, io.EOF) is also accepted. Short
-// reads are fine. core.Pipeline.Profile adapts a pass over a
-// trace.Source to this shape; Blocks adapts an in-memory slice.
-type BlockSource func(dst []uint64) (int, error)
-
-// Blocks adapts an in-memory block sequence to a BlockSource.
-func Blocks(blocks []uint64) BlockSource {
-	return func(dst []uint64) (int, error) {
-		if len(blocks) == 0 {
-			return 0, io.EOF
-		}
-		k := copy(dst, blocks)
-		blocks = blocks[k:]
-		return k, nil
-	}
-}
-
-// errStuckSource reports a source that returned no data and no error.
-var errStuckSource = fmt.Errorf("profile: block source returned no data and no error: %w", xerr.ErrFormat)
-
-// BuildStream runs the Fig. 1 profiling pass over a block stream
-// without materialising it. With Workers <= 1 (or sampling) one
-// sequential builder consumes the source; with Workers > 1 the sharded
-// pipeline fans fixed-length chunks out to that many shard builders
-// and reconciles them in order (DESIGN.md §13). Exact builds are
-// bit-identical to Build of the same sequence on either engine, for
-// every worker count and chunk size.
+// BuildStream runs the Fig. 1 profiling pass over one pass of src
+// without materialising it: each access address becomes the block
+// address a.Addr / blockBytes, truncated to n bits as trace.Blocks
+// does. With Workers <= 1 (or sampling) one sequential builder consumes
+// the pass chunk by chunk; with Workers > 1 the sharded pipeline fans
+// fixed-length chunks out to that many shard builders and reconciles
+// them in order (DESIGN.md §13). Exact builds are bit-identical to
+// Build of the same block sequence on either engine, for every worker
+// count and chunk size.
 //
 // Errors carry wrapped xerr sentinels: ErrInvalidOptions for an
-// out-of-domain geometry or option set (checked before any goroutine
-// starts), ErrProfileMismatch for a snapshot of another geometry,
-// ErrFormat for a malformed source or snapshot, and
-// ErrPanic naming the shard for a panic inside a shard builder.
+// out-of-domain block size, geometry or option set (checked before any
+// goroutine starts), ErrProfileMismatch for a snapshot of another
+// geometry or sampling, ErrFormat for a malformed trace or snapshot,
+// and ErrPanic naming the shard for a panic inside a shard builder.
 //
-// Cancellation is checked every ctxCheckEvery accesses per builder and
+// Cancellation is checked once per trace chunk by the sequential
+// engine and every ctxCheckEvery accesses per shard builder, and
 // returns a wrapped xerr.ErrCanceled with every goroutine joined. The
 // sequential engine returns its partial profile alongside the error,
 // marked Degraded with Accesses telling how far it got; the sharded
@@ -163,7 +148,10 @@ var errStuckSource = fmt.Errorf("profile: block source returned no data and no e
 // reconciled chunk prefix. With CheckpointPath set either engine
 // snapshots that partial state before returning. When a shard failure
 // and a cancellation both occur, the shard's root cause wins.
-func BuildStream(ctx context.Context, src BlockSource, n, cacheBlocks int, opt Options) (*Profile, error) {
+func BuildStream(ctx context.Context, src trace.Source, blockBytes, n, cacheBlocks int, opt Options) (*Profile, error) {
+	if blockBytes <= 0 || blockBytes&(blockBytes-1) != 0 {
+		return nil, fmt.Errorf("profile: block size %d not a positive power of two: %w", blockBytes, xerr.ErrInvalidOptions)
+	}
 	if err := ValidateGeometry(n, cacheBlocks); err != nil {
 		return nil, err
 	}
@@ -175,17 +163,26 @@ func BuildStream(ctx context.Context, src BlockSource, n, cacheBlocks int, opt O
 	if err != nil {
 		return nil, err
 	}
-	if opt.Workers > 1 {
-		return buildSharded(ctx, src, bd, opt)
+	pass, err := src.Pass(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return buildSequential(ctx, src, bd, opt)
+	defer pass.Close()
+	rd := &blockReader{pass: pass, shift: uint(bits.TrailingZeros(uint(blockBytes)))}
+	if err := rd.skip(bd.Pos()); err != nil {
+		return nil, err
+	}
+	if opt.Workers > 1 {
+		return buildSharded(ctx, rd, bd, opt)
+	}
+	return buildSequential(ctx, rd, bd, opt)
 }
 
 // start returns the builder state a pass continues from: the snapshot
 // at CheckpointPath when resuming from one, a cold builder otherwise
 // (including when the file does not exist yet). A snapshot of another
-// geometry is rejected; Restore already holds its backend to the one
-// its width selects.
+// geometry or sampling configuration is rejected; Restore already holds
+// its backend to the one its width selects.
 func (o Options) start(n, cacheBlocks int) (*Builder, error) {
 	if o.Resume && o.CheckpointPath != "" {
 		bd, err := RestoreFile(o.CheckpointPath)
@@ -195,6 +192,10 @@ func (o Options) start(n, cacheBlocks int) (*Builder, error) {
 			if p.N != n || p.CacheBlocks != cacheBlocks {
 				return nil, fmt.Errorf("profile: snapshot geometry (n=%d, %d blocks) does not match build (n=%d, %d blocks): %w",
 					p.N, p.CacheBlocks, n, cacheBlocks, xerr.ErrProfileMismatch)
+			}
+			if got := bd.sampling(); !got.Same(o.Sample) {
+				return nil, fmt.Errorf("profile: snapshot sampling (k=%d, seed %d) does not match build (k=%d, seed %d): %w",
+					got.K, got.Seed, o.Sample.K, o.Sample.Seed, xerr.ErrProfileMismatch)
 			}
 			return bd, nil
 		case !os.IsNotExist(err):
@@ -206,26 +207,62 @@ func (o Options) start(n, cacheBlocks int) (*Builder, error) {
 	return bd, nil
 }
 
-// source discards the skip blocks a restored snapshot already profiled.
-func (o Options) source(src BlockSource, skip uint64) (BlockSource, error) {
-	if skip == 0 {
-		return src, nil
+// blockReader reads one trace pass as block addresses: each access
+// address shifted right by log2 of the block size. Builders truncate
+// the blocks to n bits themselves.
+type blockReader struct {
+	pass  trace.Pass
+	shift uint
+	rest  []trace.Access // unread tail of the last chunk
+}
+
+// next returns the unread tail of the last chunk if there is one, the
+// pass's next chunk otherwise.
+func (r *blockReader) next() ([]trace.Access, error) {
+	if c := r.rest; len(c) > 0 {
+		r.rest = nil
+		return c, nil
 	}
-	buf := make([]uint64, min(skip, ctxCheckEvery))
-	for skip > 0 {
-		k, err := src(buf[:min(skip, uint64(len(buf)))])
-		skip -= uint64(k)
-		switch {
-		case err == io.EOF && skip > 0:
-			return nil, fmt.Errorf("profile: source ended %d accesses before the snapshot position: %w",
-				skip, xerr.ErrFormat)
-		case err != nil && err != io.EOF:
-			return nil, err
-		case k == 0 && err == nil:
-			return nil, errStuckSource
+	return r.pass.Chunk()
+}
+
+// skip discards the first n accesses, which a restored snapshot already
+// profiled.
+func (r *blockReader) skip(n uint64) error {
+	for n > 0 {
+		c, err := r.next()
+		if err == io.EOF {
+			return fmt.Errorf("profile: source ended %d accesses before the snapshot position: %w",
+				n, xerr.ErrFormat)
 		}
+		if err != nil {
+			return err
+		}
+		k := min(n, uint64(len(c)))
+		r.rest = c[k:]
+		n -= k
 	}
-	return src, nil
+	return nil
+}
+
+// fill tops dst up with blocks until it is full or the pass ends, and
+// returns how many it wrote: io.EOF at the end of the pass, any pass
+// error as-is.
+func (r *blockReader) fill(dst []uint64) (int, error) {
+	k := 0
+	for k < len(dst) {
+		c, err := r.next()
+		if err != nil {
+			return k, err
+		}
+		m := min(len(dst)-k, len(c))
+		for i, a := range c[:m] {
+			dst[k+i] = a.Addr >> r.shift
+		}
+		r.rest = c[m:]
+		k += m
+	}
+	return k, nil
 }
 
 // snapshot writes bd's state to CheckpointPath when checkpointing.
@@ -247,38 +284,31 @@ func (o Options) degraded(bd *Builder, cause error) (*Profile, error) {
 	return p, cause
 }
 
-// buildSequential is the Workers <= 1 engine: one builder consumes the
-// source ctxCheckEvery blocks per read, polling ctx once per read and
-// snapshotting every CheckpointEvery accesses.
-func buildSequential(ctx context.Context, src BlockSource, bd *Builder, opt Options) (*Profile, error) {
-	src, err := opt.source(src, bd.Pos())
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]uint64, ctxCheckEvery)
+// buildSequential is the Workers <= 1 engine: one builder adds every
+// access of the pass straight from its chunk, polling ctx once per
+// chunk and snapshotting every checkpointEvery accesses.
+func buildSequential(ctx context.Context, rd *blockReader, bd *Builder, opt Options) (*Profile, error) {
+	shift := rd.shift
 	sinceCkpt := uint64(0)
 	for {
 		if err := xerr.Check(ctx); err != nil {
 			return opt.degraded(bd, err)
 		}
-		k, err := src(buf)
-		for _, blk := range buf[:k] {
-			bd.Add(blk)
-		}
-		if sinceCkpt += uint64(k); sinceCkpt >= opt.CheckpointEvery {
-			if err := opt.snapshot(bd); err != nil {
-				return nil, err
-			}
-			sinceCkpt = 0
-		}
+		chunk, err := rd.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if k == 0 {
-			return nil, errStuckSource
+		for _, a := range chunk {
+			bd.Add(a.Addr >> shift)
+		}
+		if sinceCkpt += uint64(len(chunk)); sinceCkpt >= opt.checkpointEvery {
+			if err := opt.snapshot(bd); err != nil {
+				return nil, err
+			}
+			sinceCkpt = 0
 		}
 	}
 	// Final snapshot: a resume of a completed run replays nothing.

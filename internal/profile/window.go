@@ -34,7 +34,6 @@ package profile
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -200,9 +199,7 @@ func (w *Windowed) Decay() float64 { return w.decay }
 
 // Sampling returns the sampled-profiling configuration (K <= 1 means
 // exact).
-func (w *Windowed) Sampling() SampleOptions {
-	return SampleOptions{K: w.bd.p.SampleK, Seed: w.bd.p.SampleSeed}
-}
+func (w *Windowed) Sampling() SampleOptions { return w.bd.sampling() }
 
 // Rotations returns how many windows have been folded so far.
 func (w *Windowed) Rotations() uint64 { return w.rotations }
@@ -215,147 +212,60 @@ func (w *Windowed) Total() uint64 { return w.total }
 
 const (
 	windowMagic   = "XWP1"
-	windowVersion = 2
+	windowVersion = 3
 )
 
-// Checkpoint serialises the complete windowed state — decayed
-// aggregate, live window, and the stream-spanning LRU stack — inside
-// the versioned, CRC-checked ckpt envelope. Unlike Builder.Checkpoint
-// this snapshot has no stack == Compulsory invariant: the stack spans
-// every window while the counters are window-local, so the codec
-// carries both histogram/counter sets explicitly.
+// Checkpoint serialises the complete windowed state inside the
+// versioned, CRC-checked ckpt envelope: the live window's Builder in
+// the codec XPC1 uses — its LRU gate spans the whole stream — then the
+// decay, the rotation count, the stream total and the decayed
+// aggregate's counters and histogram.
 func (w *Windowed) Checkpoint(out io.Writer) error {
-	win := w.bd.p
 	return ckpt.Write(out, windowMagic, windowVersion, func(b *bytes.Buffer) error {
-		var buf [binary.MaxVarintLen64]byte
-		put := func(v uint64) { b.Write(buf[:binary.PutUvarint(buf[:], v)]) }
-		put(uint64(win.N))
-		put(uint64(win.CacheBlocks))
-		b.WriteByte(backendByte(win.N))
-		put(math.Float64bits(w.decay))
-		put(w.rotations)
-		put(w.total)
-		// Sampling gate state: the factor, the phase seed, and the
-		// stream-global candidate ordinal the gate has counted to (the
-		// next trigger is recomputed from these on restore).
-		put(w.bd.sampleK)
-		put(w.bd.p.SampleSeed)
-		put(w.bd.sampleCount)
-		putProfileBody(put, w.agg)
-		putProfileBody(put, win)
-		putStack(put, w.bd.stack.Blocks())
+		e := encoder{b}
+		w.bd.encode(e)
+		e.put(math.Float64bits(w.decay), w.rotations, w.total)
+		putBody(e, w.agg)
 		return nil
 	})
-}
-
-// putProfileBody writes one histogram/counter set: the counters
-// followed by the delta-coded ascending support.
-func putProfileBody(put func(uint64), p *Profile) {
-	put(p.Accesses)
-	put(p.Compulsory)
-	put(p.Capacity)
-	put(p.Candidates)
-	put(p.TotalPairs)
-	put(p.SampledCandidates)
-	putSupport(put, p)
 }
 
 // RestoreWindowed rebuilds a Windowed from a Checkpoint snapshot.
 // Corruption at any layer returns a wrapped xerr.ErrFormat; a
 // successful restore continues the stream bit-identically to the
-// instance that was checkpointed.
+// instance that was checkpointed. On top of readBuilder's checks on the
+// window, the decay must lie in [0, 1) and neither the window's
+// accesses nor the gate, which spans windows, may exceed the stream
+// total. The aggregate's counters are decayed rates, so only its
+// histogram is checked.
 func RestoreWindowed(r io.Reader) (*Windowed, error) {
-	version, payload, err := ckpt.Read(r, windowMagic)
+	d, err := openSnapshot(r, windowMagic, windowVersion, "windowed snapshot")
 	if err != nil {
 		return nil, err
 	}
-	if version != windowVersion {
-		return nil, fmt.Errorf("profile: windowed snapshot version %d, this build reads %d: %w",
-			version, windowVersion, xerr.ErrFormat)
+	bd, err := readBuilder(d, "windowed snapshot")
+	if err != nil {
+		return nil, err
 	}
-	d := ckpt.NewDecoder(payload, "profile: snapshot")
-	n := int(d.Uvarint("n"))
-	cacheBlocks := int(d.Uvarint("cacheBlocks"))
-	backend := d.Byte("backend")
-	decay := math.Float64frombits(d.Uvarint("decay"))
-	if d.Err() == nil {
-		if err := ValidateGeometry(n, cacheBlocks); err != nil {
-			return nil, fmt.Errorf("profile: windowed snapshot geometry: %w: %w", xerr.ErrFormat, err)
-		}
-		if err := checkBackendByte(backend, n, "windowed snapshot"); err != nil {
-			return nil, err
-		}
-		if err := ValidateDecay(decay); err != nil {
-			return nil, fmt.Errorf("profile: windowed snapshot decay: %w: %w", xerr.ErrFormat, err)
-		}
-	}
-	rotations := d.Uvarint("rotations")
-	total := d.Uvarint("total")
-	sampleK := d.Uvarint("sampleK")
-	sampleSeed := d.Uvarint("sampleSeed")
-	sampleCount := d.Uvarint("sampleCount")
+	w := &Windowed{bd: bd, agg: emptyLike(bd.p)}
+	w.decay = math.Float64frombits(d.Uvarint("decay"))
+	w.rotations = d.Uvarint("rotations")
+	w.total = d.Uvarint("total")
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	w, err := NewWindowed(n, cacheBlocks, decay, SampleOptions{K: sampleK, Seed: sampleSeed})
-	if err != nil {
-		return nil, err
+	if err := ValidateDecay(w.decay); err != nil {
+		return nil, fmt.Errorf("profile: windowed snapshot decay: %w: %w", xerr.ErrFormat, err)
 	}
-	w.rotations = rotations
-	w.total = total
-	if sampleK > 1 {
-		// The gate resumes mid-stream: restore its candidate ordinal and
-		// recompute the next trigger — the smallest ordinal past it that
-		// is congruent to the seed-derived phase mod K.
-		w.bd.sampleCount = sampleCount
-		phase := splitmix64(sampleSeed)%sampleK + 1
-		next := phase
-		if sampleCount >= phase {
-			next = phase + ((sampleCount-phase)/sampleK+1)*sampleK
-		}
-		w.bd.sampleNext = next
+	if win, gate := bd.p.Accesses, uint64(bd.stack.Len()); win > w.total || gate > w.total {
+		return nil, fmt.Errorf("profile: windowed snapshot window accesses %d or stack of %d blocks exceed stream total %d: %w",
+			win, gate, w.total, xerr.ErrFormat)
 	}
-	if err := readProfileBody(d, w.agg, "windowed snapshot aggregate histogram"); err != nil {
-		return nil, err
-	}
-	if err := readProfileBody(d, w.bd.p, "windowed snapshot window histogram"); err != nil {
-		return nil, err
-	}
-	win := w.bd.p
-	if win.Compulsory+win.Capacity+win.Candidates != win.Accesses {
-		return nil, fmt.Errorf("profile: windowed snapshot window counters disagree (%d+%d+%d != %d accesses): %w",
-			win.Compulsory, win.Capacity, win.Candidates, win.Accesses, xerr.ErrFormat)
-	}
-	if win.SampledCandidates > win.Candidates {
-		return nil, fmt.Errorf("profile: windowed snapshot window sampled %d of %d candidates: %w",
-			win.SampledCandidates, win.Candidates, xerr.ErrFormat)
-	}
-	if win.Accesses > total {
-		return nil, fmt.Errorf("profile: windowed snapshot window accesses %d exceed stream total %d: %w",
-			win.Accesses, total, xerr.ErrFormat)
-	}
-	stack, err := readStack(d, total, n, "windowed snapshot stack")
-	if err != nil {
+	if err := readBody(d, w.agg, "windowed snapshot aggregate histogram"); err != nil {
 		return nil, err
 	}
 	if d.Rem() != 0 {
 		return nil, fmt.Errorf("profile: %d trailing bytes after windowed snapshot payload: %w", d.Rem(), xerr.ErrFormat)
 	}
-	if err := w.bd.restoreStack(stack, "windowed snapshot stack"); err != nil {
-		return nil, err
-	}
 	return w, nil
-}
-
-// readProfileBody decodes one histogram/counter set written by
-// putProfileBody into p (allocated empty with the right backend) and
-// checks the histogram-sum invariant.
-func readProfileBody(d *ckpt.Decoder, p *Profile, what string) error {
-	p.Accesses = d.Uvarint("accesses")
-	p.Compulsory = d.Uvarint("compulsory")
-	p.Capacity = d.Uvarint("capacity")
-	p.Candidates = d.Uvarint("candidates")
-	p.TotalPairs = d.Uvarint("totalPairs")
-	p.SampledCandidates = d.Uvarint("sampledCandidates")
-	return readSupport(d, p, what)
 }

@@ -11,6 +11,7 @@ import (
 	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
+	"xoridx/internal/trace"
 )
 
 // referenceConstruct runs the general-XOR search with referenceClimb in
@@ -104,7 +105,11 @@ func backendProfiles(t *testing.T, blocks []uint64, n, m int) map[string]*profil
 	sparse.Table = nil
 	sparse.Sparse = make(map[uint64]uint64)
 	flat.ForEachNonZero(func(v gf2.Vec, c uint64) { sparse.Sparse[uint64(v)] = c })
-	sketch, err := profile.BuildStream(context.Background(), profile.Blocks(blocks), n, 1<<uint(m),
+	tr := &trace.Trace{}
+	for _, b := range blocks {
+		tr.Append(b, trace.Read)
+	}
+	sketch, err := profile.BuildStream(context.Background(), tr, 1, n, 1<<uint(m),
 		profile.Options{Sketch: &profile.SketchOptions{Width: 64, Depth: 2, TopK: 48, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)

@@ -212,16 +212,6 @@ func loadServiceState(path string, n, cacheBlocks, m int, decay float64, sample 
 	return readServiceState(f, n, cacheBlocks, m, decay, sample, shards, strict)
 }
 
-// sameSampling compares two sampling configurations, treating every
-// K <= 1 as the one exact mode (the seed is meaningless when not
-// sampling).
-func sameSampling(a, b profile.SampleOptions) bool {
-	if a.K <= 1 && b.K <= 1 {
-		return true
-	}
-	return a == b
-}
-
 // readServiceState decodes a checkpoint stream and validates it
 // against the server's configuration: wrong geometry, decay or shard
 // count is a wrapped xerr.ErrProfileMismatch (the operator changed the
@@ -363,7 +353,7 @@ func readServiceState(r io.Reader, n, cacheBlocks, m int, decay float64, sample 
 			}
 			continue
 		}
-		if !sameSampling(wb.Sampling(), sample) {
+		if !wb.Sampling().Same(sample) {
 			// A shard profiled under a different subsample rate cannot
 			// merge with the others; heal it cold rather than poisoning
 			// every later rotation.

@@ -36,6 +36,7 @@ import (
 
 	"xoridx/internal/core"
 	"xoridx/internal/faultio"
+	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
 	"xoridx/internal/xerr"
@@ -864,15 +865,9 @@ func validateAggregate(p *profile.Profile, n, cacheBlocks int) error {
 		return fmt.Errorf("serve: re-tune aggregate counters disagree (%d+%d+%d > %d accesses): %w",
 			p.Compulsory, p.Capacity, p.Candidates, p.Accesses, xerr.ErrFormat)
 	}
-	var mask uint64
-	if n >= 64 {
-		mask = ^uint64(0)
-	} else {
-		mask = (uint64(1) << n) - 1
-	}
 	var sum uint64
 	for _, vc := range p.Support() {
-		if uint64(vc.Vec) > mask {
+		if vc.Vec > gf2.Mask(n) {
 			return fmt.Errorf("serve: re-tune aggregate vector %#x exceeds %d bits: %w", uint64(vc.Vec), n, xerr.ErrFormat)
 		}
 		if vc.Count == 0 {
