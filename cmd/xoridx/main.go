@@ -95,7 +95,7 @@ func main() {
 	retries := flag.Int("retries", 0, "retry budget for transient trace I/O failures, with capped exponential backoff")
 	sampleK := flag.Uint64("sample", 0, "profile every k-th conflict candidate instead of all of them; estimates gain a 95% confidence interval (0 or 1 = exact); composes with -checkpoint")
 	sampleSeed := flag.Uint64("sample-seed", 0, "deterministic phase seed for -sample (and the sketch backend's hashes)")
-	backend := flag.String("backend", "auto", "histogram backend: auto (the address width picks a flat table or a sparse map) or sketch (bounded memory, (ε,δ)-bounded estimates)")
+	backend := flag.String("backend", "auto", "histogram backend: auto (the address width picks a flat table or a sparse map) or sketch (bounded memory; estimates count only the tracked heavy-hitter vectors)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
 	flag.Parse()
@@ -221,8 +221,7 @@ func main() {
 		}
 		fmt.Printf("search: %d moves, %d candidates evaluated, estimate %d (baseline %d)\n",
 			res.Search.Iterations, res.Search.Evaluated, res.Search.Estimated, res.Search.Baseline)
-		fmt.Printf("search cost: %d histogram lookups, %d memo hits\n\n",
-			res.Search.Lookups, res.Search.MemoHits)
+		fmt.Printf("search cost: %d histogram lookups\n\n", res.Search.Lookups)
 	}
 	fmt.Println(core.DescribeFunction(res.Func))
 	fmt.Println()

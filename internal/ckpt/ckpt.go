@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"xoridx/internal/xerr"
 )
@@ -97,8 +98,8 @@ func Read(r io.Reader, magic string) (version uint64, payload []byte, err error)
 	if length > MaxPayload {
 		return 0, nil, fmt.Errorf("ckpt: payload length %d exceeds MaxPayload: %w", length, xerr.ErrFormat)
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err = ReadN(br, length)
+	if err != nil {
 		return 0, nil, fmt.Errorf("ckpt: reading %d-byte payload: %w: %w", length, xerr.ErrFormat, err)
 	}
 	want := br.crc
@@ -110,6 +111,28 @@ func Read(r io.Reader, magic string) (version uint64, payload []byte, err error)
 		return 0, nil, fmt.Errorf("ckpt: checksum mismatch (stored %08x, computed %08x): %w", got, want, xerr.ErrFormat)
 	}
 	return version, payload, nil
+}
+
+// ReadN reads exactly n bytes from r, the way io.ReadFull does, into a
+// buffer that doubles as the bytes arrive instead of one made at the
+// claimed length: a corrupt length field then costs memory only for
+// the bytes that are really there.
+func ReadN(r io.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 4096))
+	for uint64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, int(min(n-uint64(len(buf)), uint64(len(buf)))))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(uint64(cap(buf)), n)])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // crcReader accumulates the CRC-32C of everything read through it; the

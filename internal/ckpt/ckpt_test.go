@@ -2,10 +2,12 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"xoridx/internal/xerr"
@@ -156,5 +158,37 @@ func TestDecoderLatchesFirstFailure(t *testing.T) {
 	want := "test: snapshot c: truncated: " + xerr.ErrFormat.Error()
 	if d.Uvarint("d"); d.Err() == nil || d.Err().Error() != want || !errors.Is(d.Err(), xerr.ErrFormat) {
 		t.Fatalf("err = %v, want %q", d.Err(), want)
+	}
+}
+
+// TestReadForgedLengthAllocatesLittle: an envelope whose length field
+// claims MaxPayload but that carries 16 bytes must be refused having
+// allocated about what arrived, not the 1 GiB claimed. A payload that
+// outgrows the first read buffer still round-trips.
+func TestReadForgedLengthAllocatesLittle(t *testing.T) {
+	raw := binary.AppendUvarint([]byte("TST1"), 3)
+	raw = binary.AppendUvarint(raw, MaxPayload)
+	raw = append(raw, make([]byte, 16)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Read(bytes.NewReader(raw), "TST1")
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, xerr.ErrFormat) {
+		t.Fatalf("err = %v, want ErrFormat", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("refusal allocated %d bytes, want under 1 MiB", alloc)
+	}
+
+	payload := make([]byte, 100_003)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, "TST1", 3, func(w *bytes.Buffer) error { w.Write(payload); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := Read(&buf, "TST1"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("round trip: err %v, %d bytes back of %d", err, len(got), len(payload))
 	}
 }

@@ -98,9 +98,11 @@ type Config struct {
 	// Backend selects the histogram backend: "" or "auto" (exact; the
 	// address width picks the store, a flat table up to
 	// profile.MaxFlatBits address bits and a sparse map beyond) or
-	// "sketch" (count-min: memory bounded at any width, estimates
-	// become (ε, δ)-bounded upper bounds). Only the auto backend
-	// composes with CheckpointPath.
+	// "sketch" (count-min: memory bounded at any width). On the sketch
+	// every estimate, the search's and the baseline alike, sums the
+	// exactly tracked heavy-hitter vectors' counts, so estimates omit
+	// the untracked tail. Only the auto backend composes with
+	// CheckpointPath.
 	Backend string
 }
 

@@ -154,9 +154,11 @@ func readBuilder(d *ckpt.Decoder, what string) (*Builder, error) {
 		return nil, fmt.Errorf("profile: %s sampling state %+v at ordinal %d without sampling: %w",
 			what, sample, ordinal, xerr.ErrFormat)
 	}
-	bd := newBuilder(n, cacheBlocks, nil)
-	p := bd.p
-	if err := readBody(d, p, what+" histogram"); err != nil {
+	// Every length is checked against the payload, and every invariant
+	// held, before a flat builder's 2^n table and gate stamps are made.
+	p := &Profile{N: n, CacheBlocks: cacheBlocks}
+	support, err := readBody(d, p, what+" histogram")
+	if err != nil {
 		return nil, err
 	}
 	if p.Compulsory+p.Capacity+p.Candidates != p.Accesses {
@@ -167,12 +169,14 @@ func readBuilder(d *ckpt.Decoder, what string) (*Builder, error) {
 		return nil, fmt.Errorf("profile: %s sampled %d of %d candidates at gate ordinal %d: %w",
 			what, p.SampledCandidates, p.Candidates, ordinal, xerr.ErrFormat)
 	}
-	bd.sampleCount = ordinal
-	bd.setSampling(sample)
 	gate, err := readGate(d, n, what+" stack")
 	if err != nil {
 		return nil, err
 	}
+	p.fill(support)
+	bd := p.builder()
+	bd.sampleCount = ordinal
+	bd.setSampling(sample)
 	if err := bd.stack.Restore(gate); err != nil {
 		return nil, fmt.Errorf("profile: %s stack: %w: %w", what, xerr.ErrFormat, err)
 	}
@@ -225,11 +229,11 @@ func putBody(e encoder, p *Profile) {
 	}
 }
 
-// readBody decodes a body written by putBody into p (allocated empty
-// with the right backend). The vectors must ascend strictly within p.N
-// bits, every count must be nonzero, and the counts must sum to
-// TotalPairs. what names the histogram in errors.
-func readBody(d *ckpt.Decoder, p *Profile, what string) error {
+// readBody decodes a body written by putBody: the counters into p and
+// the support, returned in ascending order for p.fill. The vectors must
+// ascend strictly within p.N bits, every count must be nonzero, and the
+// counts must sum to TotalPairs. what names the histogram in errors.
+func readBody(d *ckpt.Decoder, p *Profile, what string) ([]VectorCount, error) {
 	p.Accesses = d.Uvarint("accesses")
 	p.Compulsory = d.Uvarint("compulsory")
 	p.Capacity = d.Uvarint("capacity")
@@ -238,41 +242,39 @@ func readBody(d *ckpt.Decoder, p *Profile, what string) error {
 	p.SampledCandidates = d.Uvarint("sampledCandidates")
 	size := d.Uvarint("support length")
 	if d.Err() != nil {
-		return d.Err()
+		return nil, d.Err()
 	}
-	if uint64(d.Rem()) < size {
-		return fmt.Errorf("profile: %s support length %d implausible: %w", what, size, xerr.ErrFormat)
+	// Each entry takes at least two bytes.
+	if uint64(d.Rem())/2 < size {
+		return nil, fmt.Errorf("profile: %s support length %d implausible: %w", what, size, xerr.ErrFormat)
 	}
 	mask := uint64(gf2.Mask(p.N))
+	support := make([]VectorCount, 0, size)
 	var vec, sum uint64
 	for i := uint64(0); i < size; i++ {
 		dv := d.Uvarint("vector delta")
 		count := d.Uvarint("vector count")
 		if d.Err() != nil {
-			return d.Err()
+			return nil, d.Err()
 		}
 		if i > 0 && dv == 0 {
-			return fmt.Errorf("profile: %s vectors not strictly ascending: %w", what, xerr.ErrFormat)
+			return nil, fmt.Errorf("profile: %s vectors not strictly ascending: %w", what, xerr.ErrFormat)
 		}
 		vec += dv
 		if vec > mask {
-			return fmt.Errorf("profile: %s vector %#x exceeds %d bits: %w", what, vec, p.N, xerr.ErrFormat)
+			return nil, fmt.Errorf("profile: %s vector %#x exceeds %d bits: %w", what, vec, p.N, xerr.ErrFormat)
 		}
 		if count == 0 {
-			return fmt.Errorf("profile: %s carries a zero count: %w", what, xerr.ErrFormat)
+			return nil, fmt.Errorf("profile: %s carries a zero count: %w", what, xerr.ErrFormat)
 		}
-		if p.Table != nil {
-			p.Table[vec] = count
-		} else {
-			p.Sparse[vec] = count
-		}
+		support = append(support, VectorCount{Vec: gf2.Vec(vec), Count: count})
 		sum += count
 	}
 	if sum != p.TotalPairs {
-		return fmt.Errorf("profile: %s sums to %d pairs, counter says %d: %w",
+		return nil, fmt.Errorf("profile: %s sums to %d pairs, counter says %d: %w",
 			what, sum, p.TotalPairs, xerr.ErrFormat)
 	}
-	return nil
+	return support, nil
 }
 
 // CheckpointFile writes the builder's snapshot to path atomically

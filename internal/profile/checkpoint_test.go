@@ -957,3 +957,56 @@ func FuzzCheckpointCodec(f *testing.F) {
 		}
 	})
 }
+
+// TestRestoreForgedLengthsAllocateLittle hands Restore and
+// RestoreWindowed payloads that claim n = 24 but whose support or gate
+// length runs past the payload's end. Each must be refused before the
+// flat builder's 2^24-entry table and gate stamps (256 MB) are made.
+func TestRestoreForgedLengthsAllocateLittle(t *testing.T) {
+	head := func(e encoder) {
+		e.put(24, 1) // n, cacheBlocks
+		e.WriteByte(backendByte(24))
+		e.put(0, 0, 0)          // exact: no sampling state
+		e.put(0, 0, 0, 0, 0, 0) // counters
+	}
+	payloads := map[string]func(encoder){
+		"support length": func(e encoder) { head(e); e.put(1000) },
+		"gate length":    func(e encoder) { head(e); e.put(0, 1000) },
+	}
+	restores := []struct {
+		magic   string
+		version uint64
+		restore func(io.Reader) error
+	}{
+		{checkpointMagic, checkpointVersion, func(r io.Reader) error { _, err := Restore(r); return err }},
+		{windowMagic, windowVersion, func(r io.Reader) error { _, err := RestoreWindowed(r); return err }},
+	}
+	for name, payload := range payloads {
+		for _, rs := range restores {
+			var raw bytes.Buffer
+			if err := ckpt.Write(&raw, rs.magic, rs.version, func(b *bytes.Buffer) error {
+				payload(encoder{b})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			alloc := allocDelta(func() { err = rs.restore(&raw) })
+			if !errors.Is(err, xerr.ErrFormat) {
+				t.Errorf("%s %s: err = %v, want ErrFormat", rs.magic, name, err)
+			}
+			if alloc > 1<<20 {
+				t.Errorf("%s %s: refusal allocated %d bytes, want under 1 MiB", rs.magic, name, alloc)
+			}
+		}
+	}
+}
+
+// allocDelta returns the bytes f allocates on the heap.
+func allocDelta(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}

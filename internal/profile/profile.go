@@ -13,12 +13,12 @@
 //
 // conflict misses, because x and y land in the same set exactly when
 // x⊕y lies in the null space N(H) (Eq. 2). For n up to MaxFlatBits the
-// histogram is stored as a flat 2^n table so a candidate null space of
-// dimension d is scored with a 2^d-step Gray-code walk — the trick that
-// makes hill climbing over the design space affordable. Wider addresses
-// switch to a sparse map backend automatically: a trace of length L
-// touches at most L·cacheBlocks distinct conflict vectors regardless of
-// n, so the histogram support stays bounded while 2^n does not.
+// histogram is stored as a flat 2^n table, so a null space of dimension
+// d is scored with a 2^d-step Gray-code walk. Wider addresses switch to
+// a sparse map backend automatically: a trace of length L touches at
+// most L·cacheBlocks distinct conflict vectors regardless of n, so the
+// histogram support stays bounded while 2^n does not. The search climbs
+// read the support (Support), not single null spaces.
 package profile
 
 import (
@@ -171,18 +171,36 @@ func ValidateGeometry(n, cacheBlocks int) error {
 // options must be valid.
 func newBuilder(n, cacheBlocks int, sketch *SketchOptions) *Builder {
 	p := &Profile{N: n, CacheBlocks: cacheBlocks}
-	switch {
-	case sketch != nil:
+	if sketch != nil {
 		p.Sketch = NewSketch(*sketch)
-	case n > MaxFlatBits:
-		p.Sparse = make(map[uint64]uint64)
-	default:
-		p.Table = make([]uint64, 1<<uint(n))
+	} else {
+		p.fill(nil)
 	}
+	return p.builder()
+}
+
+// fill makes p's exact histogram store, a flat table for N <=
+// MaxFlatBits and a sparse map beyond, holding support.
+func (p *Profile) fill(support []VectorCount) {
+	if p.N > MaxFlatBits {
+		p.Sparse = make(map[uint64]uint64, len(support))
+		for _, vc := range support {
+			p.Sparse[uint64(vc.Vec)] = vc.Count
+		}
+		return
+	}
+	p.Table = make([]uint64, 1<<uint(p.N))
+	for _, vc := range support {
+		p.Table[vc.Vec] = vc.Count
+	}
+}
+
+// builder returns a builder over p with a cold LRU gate.
+func (p *Profile) builder() *Builder {
 	return &Builder{
 		p:     p,
-		mask:  uint64(gf2.Mask(n)),
-		stack: lru.NewStack(cacheBlocks+1, p.stampBits()),
+		mask:  uint64(gf2.Mask(p.N)),
+		stack: lru.NewStack(p.CacheBlocks+1, p.stampBits()),
 	}
 }
 
@@ -338,29 +356,23 @@ func (p *Profile) Support() []VectorCount {
 }
 
 // EstimateSubspace returns misses(H) per Eq. 4 for a hash function
-// whose null space is the given subspace. Cost: 2^dim table reads via a
-// Gray-code walk (Subspace.Members order) while the dimension is
-// enumerable; for larger null spaces it scans the histogram support and
-// tests membership instead, which lifts the old dim <= 28 panic.
+// whose null space is the given subspace (see EstimateBasis).
 func (p *Profile) EstimateSubspace(ns gf2.Subspace) uint64 {
 	if ns.N != p.N {
 		panic(fmt.Sprintf("profile: subspace ambient %d != profile n %d", ns.N, p.N))
 	}
-	if ns.Dim() > maxWalkDim {
-		return p.estimateSupport(ns.Basis)
-	}
-	return p.walkSum(ns.Basis)
+	return p.EstimateBasis(ns.Basis)
 }
 
-// maxWalkDim bounds the Gray-code walk: past 2^28 entries the
-// support-scan route is both feasible and faster.
-const maxWalkDim = 28
-
 // EstimateBasis scores a null space given directly as a basis slice
-// (vectors need not be canonical, only independent). This avoids
-// constructing a Subspace in the search inner loop.
+// (vectors need not be canonical, only independent). It walks the
+// 2^dim members in Gray-code order (Subspace.Members order) or scans
+// the histogram support with one membership test per entry, whichever
+// reads less: the flat table always walks, the sparse map walks while
+// 2^dim is at most its population, and the sketch always scans its
+// heavy hitters, the support every search climb scores.
 func (p *Profile) EstimateBasis(basis []gf2.Vec) uint64 {
-	if len(basis) > maxWalkDim {
+	if p.Sketch != nil || p.Table == nil && (len(basis) >= 63 || 1<<len(basis) > len(p.Sparse)) {
 		// Membership tests need a canonical basis; build one.
 		return p.estimateSupport(gf2.Span(p.N, basis...).Basis)
 	}

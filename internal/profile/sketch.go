@@ -14,17 +14,19 @@ package profile
 // per point query — the classic (ε, δ) count-min bound with
 // ε = e/width and δ = e^−depth, and conservative update keeps actual
 // error well under it (sketch_test.go cross-checks against the exact
-// sparse backend). Keys are conflict vectors, so EstimateSubspace's
-// Gray walk over a null space is a sequence of point queries and runs
-// unchanged on a sketch profile.
+// sparse backend).
 //
-// Support enumeration — what the engine's per-hyperplane sweep and
-// estimateSupport consume — cannot be read back out of a sketch, so the
-// backend tracks the TopK heaviest vectors exactly (a min-heap over
-// sketch estimates, the standard CM-heap construction). Heavy hitters
-// are precisely the vectors that decide a climb; the untracked tail is
-// visible to point queries but not to support sweeps, making
-// support-based estimates lower bounds on the sketch's own counts.
+// Eq. 4 estimates are not made of point queries. A sketch cannot list
+// its support, so the backend tracks the TopK heaviest vectors (a
+// min-heap over sketch estimates, the standard CM-heap construction),
+// and every estimate on a sketch profile sums those heavy hitters'
+// sketch counts: EstimateSubspace at any dimension, each search
+// climb's neighbour scores, and the baseline. Heavy hitters are the
+// vectors that decide a climb, and one measure keeps a search's
+// estimate comparable with its baseline. The untracked tail is left out
+// of every estimate, so a sketch estimate is not a bound on the exact
+// Eq. 4 count either way.
+//
 // Sharded builds merge sketches entrywise (same seeds row-for-row), so
 // every per-row counter remains an upper bound of the true count after
 // the merge; conservative update makes the merged counters

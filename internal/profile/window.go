@@ -84,11 +84,7 @@ func NewWindowed(n, cacheBlocks int, decay float64, sample SampleOptions) (*Wind
 // sampling configuration.
 func emptyLike(o *Profile) *Profile {
 	p := &Profile{N: o.N, CacheBlocks: o.CacheBlocks, SampleK: o.SampleK, SampleSeed: o.SampleSeed}
-	if o.Sparse != nil {
-		p.Sparse = make(map[uint64]uint64)
-	} else {
-		p.Table = make([]uint64, len(o.Table))
-	}
+	p.fill(nil)
 	return p
 }
 
@@ -247,7 +243,7 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Windowed{bd: bd, agg: emptyLike(bd.p)}
+	w := &Windowed{bd: bd, agg: &Profile{N: bd.p.N, CacheBlocks: bd.p.CacheBlocks, SampleK: bd.p.SampleK, SampleSeed: bd.p.SampleSeed}}
 	w.decay = math.Float64frombits(d.Uvarint("decay"))
 	w.rotations = d.Uvarint("rotations")
 	w.total = d.Uvarint("total")
@@ -261,9 +257,11 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 		return nil, fmt.Errorf("profile: windowed snapshot window accesses %d or stack of %d blocks exceed stream total %d: %w",
 			win, gate, w.total, xerr.ErrFormat)
 	}
-	if err := readBody(d, w.agg, "windowed snapshot aggregate histogram"); err != nil {
+	support, err := readBody(d, w.agg, "windowed snapshot aggregate histogram")
+	if err != nil {
 		return nil, err
 	}
+	w.agg.fill(support)
 	if d.Rem() != 0 {
 		return nil, fmt.Errorf("profile: %d trailing bytes after windowed snapshot payload: %w", d.Rem(), xerr.ErrFormat)
 	}

@@ -12,6 +12,7 @@ import (
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
 	"xoridx/internal/trace"
+	"xoridx/internal/workloads"
 )
 
 // referenceConstruct runs the general-XOR search with referenceClimb in
@@ -131,12 +132,34 @@ func sameClimb(got, want Result, gotTrace, wantTrace []Progress) string {
 	return ""
 }
 
+// conventionalGroups counts the nonzero syndrome groups of p's support
+// under modulo indexing with m set bits: those present, and those with
+// at least two entries.
+func conventionalGroups(p *profile.Profile, m int) (present, full uint64) {
+	nb := &neighbourhood{support: p.Support(), n: p.N}
+	nb.load(gf2.Identity(p.N, m))
+	nb.groups(func(g []profile.VectorCount, _ []uint64) {
+		present++
+		if len(g) > 1 {
+			full++
+		}
+	})
+	return present, full
+}
+
 // hasAbsentResidue reports whether some nonzero residue modulo the
 // conventional null space has no support.
 func hasAbsentResidue(p *profile.Profile, m int) bool {
-	nb := newNeighbourhood(p.Support(), p.N, p.N-m)
-	nb.load(gf2.SpanUnits(p.N, m, p.N))
-	return uint64(len(nb.row)-1) < uint64(1)<<uint(m)-1
+	present, _ := conventionalGroups(p, m)
+	return present < uint64(1)<<uint(m)-1
+}
+
+// shortcutFires reports whether the first move of a conventional-start
+// climb skips every nonzero group's transform: some nonzero residue has
+// at most one support entry.
+func shortcutFires(p *profile.Profile, m int) bool {
+	_, full := conventionalGroups(p, m)
+	return full < uint64(1)<<uint(m)-1
 }
 
 // TestIncrementalMatchesBrute is the differential oracle of the
@@ -157,6 +180,11 @@ func TestIncrementalMatchesBrute(t *testing.T) {
 		{"stride64", strideTrace(64, 32, 10), 12, 6},
 		{"stride16", strideTrace(16, 64, 5), 12, 6},
 		{"random", randTrace, 12, 5},
+		// Suite kernels at the golden geometry: on crc some nonzero
+		// residue has at most one support entry, so every move skips the
+		// nonzero groups' transforms; on fft none does.
+		{"crc", kernelBlocks(t, "crc"), 16, 10},
+		{"fft", kernelBlocks(t, "fft"), 16, 10},
 	}
 	variants := []struct {
 		name string
@@ -165,10 +193,13 @@ func TestIncrementalMatchesBrute(t *testing.T) {
 		{"plain", Options{Family: hash.FamilyGeneralXOR}},
 		{"restarts", Options{Family: hash.FamilyGeneralXOR, Restarts: 2, Seed: 7}},
 	}
-	absent := map[bool]bool{}
+	absent, fires := map[bool]bool{}, map[string]bool{}
 	for _, w := range workloads {
 		for backend, p := range backendProfiles(t, w.blocks, w.n, w.m) {
 			absent[hasAbsentResidue(p, w.m)] = true
+			if backend == "flat" {
+				fires[w.name] = shortcutFires(p, w.m)
+			}
 			for _, v := range variants {
 				want, wantTrace := referenceConstruct(p, w.m, v.opt)
 				var gotTrace []Progress
@@ -188,6 +219,20 @@ func TestIncrementalMatchesBrute(t *testing.T) {
 	if !absent[true] || !absent[false] {
 		t.Errorf("workloads cover absent residues %v, want both with and without", absent)
 	}
+	if !fires["crc"] || fires["fft"] {
+		t.Errorf("the at-most-one-entry shortcut fires on crc: %v, on fft: %v; want true, false", fires["crc"], fires["fft"])
+	}
+}
+
+// kernelBlocks returns the named suite kernel's data trace as 4-byte
+// blocks, as the golden fingerprint profiles it.
+func kernelBlocks(t *testing.T, name string) []uint64 {
+	t.Helper()
+	w, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Data(1).Blocks(4, 16)
 }
 
 // TestEvaluatorMatchesEstimateBasis checks every neighbour score of
@@ -216,8 +261,9 @@ func TestEvaluatorMatchesEstimateBasis(t *testing.T) {
 		}
 		for _, backend := range []string{"flat", "sparse"} {
 			p := profiles[backend]
-			nb := newNeighbourhood(p.Support(), n, d)
-			nb.load(cur)
+			nb := &neighbourhood{support: p.Support(), n: n}
+			nb.load(gf2.MatrixWithNullSpace(cur))
+			nb.transform()
 			for phi := uint64(1); phi < 1<<uint(d); phi++ {
 				w := cur.Hyperplane(phi)
 				free := gf2.FreePositions(n, w.Basis)

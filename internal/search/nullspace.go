@@ -3,7 +3,7 @@ package search
 import (
 	"math"
 	"math/bits"
-	"slices"
+	"sort"
 
 	"xoridx/internal/gf2"
 	"xoridx/internal/profile"
@@ -16,9 +16,10 @@ import (
 // span(e_m..e_{n−1}), or at the warm null space when one is set;
 // start>0 begins at a random subspace of the same dimension. Each move
 // scores every neighbour of the current null space from one
-// Walsh–Hadamard transform per residue (DESIGN.md §10) and takes the first strict minimum in (hyperplane index,
-// representative) order, so the trajectory is the one a per-candidate
-// scan of the neighbourhood walks.
+// Walsh–Hadamard transform per syndrome group (DESIGN.md §10) and takes
+// the first strict minimum in (hyperplane index, representative) order,
+// so the trajectory is the one a per-candidate scan of the
+// neighbourhood walks.
 func (s *state) climbNullSpace(start int) (Result, error) {
 	n, m := s.n, s.m
 	d := n - m
@@ -27,146 +28,190 @@ func (s *state) climbNullSpace(start int) (Result, error) {
 	switch {
 	case start > 0:
 		cur = s.randomSubspace(d)
-		res.Lookups = uint64(1) << uint(d)
 	case s.warm != nil:
-		// Warm start (ConstructWarm). Like the baseline estimate, its
-		// start estimate is left out of Lookups.
-		cur = *s.warm
+		cur = *s.warm // warm start (ConstructWarm)
 	default:
 		cur = gf2.SpanUnits(n, m, n)
-		res.Lookups = uint64(1) << uint(d)
 	}
-	curEst := s.p.EstimateSubspace(cur)
-	// degraded tags the best-so-far state for an interrupted return:
-	// the caller still gets a valid matrix.
-	degraded := func() Result {
-		res.Matrix = gf2.MatrixWithNullSpace(cur)
-		res.Estimated = curEst
-		res.Degraded = true
-		return res
-	}
+	nb := s.nb
+	curEst := nb.load(gf2.MatrixWithNullSpace(cur))
+	res.Lookups = uint64(len(nb.support))
 	// Every hyperplane W of cur has 2^(m+1) cosets, two of which lie in
 	// cur (W itself and cur∖W); each other coset is one neighbour.
 	perMove := int((uint64(1)<<uint(d) - 1) * (uint64(1)<<uint(m+1) - 2))
-	nb := newNeighbourhood(s.support, n, d)
+	var err error
 	for {
-		if err := xerr.Check(s.ctx); err != nil {
-			return degraded(), err
+		if err = xerr.Check(s.ctx); err != nil {
+			// Interrupted: the best state so far is still a valid matrix.
+			res.Degraded = true
+			break
 		}
-		nb.load(cur)
-		res.Lookups += uint64(len(s.support))
+		nb.transform()
 		res.Evaluated += perMove
 		phi, est := nb.best(curEst)
 		if phi == 0 {
 			break // local optimum (paper §3.2: algorithm stops)
 		}
 		cur = nb.resolve(phi, est)
-		curEst = est
+		curEst = nb.load(gf2.MatrixWithNullSpace(cur))
+		res.Lookups += uint64(len(nb.support))
 		res.Iterations++
 		s.emit(res.Iterations, res.Evaluated, curEst)
 	}
 	res.Matrix = gf2.MatrixWithNullSpace(cur)
 	res.Estimated = curEst
-	return res, nil
+	return res, err
 }
 
-// neighbourhood scores every neighbour span(W_φ, v) of one null space N
-// (DESIGN.md §10). Each support vector v splits into its residue r
-// modulo N and its coordinates c in N's RREF basis; the misses at
-// (r, c) fill a table f_r, and rows holds each table's length-2^d
-// Walsh–Hadamard transform F̂_r. The functional φ ≠ 0 on c picks the
-// hyperplane W_φ = cur.Hyperplane(φ), and coset (r, b) of W_φ sums to
-// (F̂_r(0) + (−1)^b·F̂_r(φ)) / 2 — exact integers, so every score equals
-// the Eq. 4 estimate of the neighbour. The scratch space is sized by
-// the residues present and reused across moves.
+// neighbourhood is the one scorer of every climb (DESIGN.md §10). Once
+// per move, load groups the histogram support by its syndrome Hv under
+// the current function H; group 0 is N(H) itself. A matrix-space
+// neighbour sums two groups (kernelSum); transform prices every
+// null-space neighbour from one Walsh–Hadamard row per group.
 type neighbourhood struct {
-	support []profile.VectorCount
+	support []profile.VectorCount // grouped by ascending syndrome after load
+	keys    []uint64              // keys[i] is support[i]'s key
+	spare   []profile.VectorCount // scratch for the syndrome sort
+	spareK  []uint64
 	n, d    int
-	cur     gf2.Subspace
-	lead    []gf2.Vec       // leading bit of cur.Basis[i]: coordinate i of c
-	row     map[gf2.Vec]int // residue r → its row of rows; row 0 is r = 0
-	rows    []int64         // F̂_r, 2^d entries per present residue
-	minZ    []int64         // per φ: the least coset sum over (r ≠ 0, b)
+	cur     gf2.Subspace  // N(H)
+	key     gf2.LinearMap // v's key: syndrome Hv << d | coordinates in N's basis
+
+	// The null-space climb's 2^d-word rows: F̂_0, one streamed F̂_r,
+	// and per φ the least coset sum over the nonzero groups.
+	f0, row, minZ []int64
 }
 
-func newNeighbourhood(support []profile.VectorCount, n, d int) *neighbourhood {
-	return &neighbourhood{
-		support: support, n: n, d: d,
-		lead: make([]gf2.Vec, d),
-		row:  make(map[gf2.Vec]int),
-		minZ: make([]int64, 1<<uint(d)),
+// load groups the support under the full-rank function h and returns
+// h's estimate, the sum of group 0.
+func (nb *neighbourhood) load(h gf2.Matrix) uint64 {
+	nb.cur = h.NullSpace()
+	nb.d = nb.cur.Dim()
+	// N's basis is RREF, so coordinate i of v is v's bit at the leading
+	// bit of Basis[i].
+	cols := make([]gf2.Vec, 0, nb.n)
+	for _, b := range nb.cur.Basis {
+		cols = append(cols, gf2.Vec(1)<<uint(bits.Len64(uint64(b))-1))
 	}
+	nb.key = gf2.NewLinearMap(gf2.MatrixFromCols(nb.n, append(cols, h.Cols...)))
+	if len(nb.keys) != len(nb.support) {
+		nb.keys, nb.spareK = make([]uint64, len(nb.support)), make([]uint64, len(nb.support))
+		nb.spare = make([]profile.VectorCount, len(nb.support))
+	}
+	for i, vc := range nb.support {
+		nb.keys[i] = uint64(nb.key.Apply(vc.Vec))
+	}
+	// Stable LSD radix sort on the syndrome, one byte per pass.
+	for shift := nb.d; shift < nb.n; shift += 8 {
+		var at [257]int
+		for _, k := range nb.keys {
+			at[int(uint8(k>>uint(shift)))+1]++
+		}
+		for i := 1; i < len(at); i++ {
+			at[i] += at[i-1]
+		}
+		for i, k := range nb.keys {
+			b := uint8(k >> uint(shift))
+			nb.spare[at[b]], nb.spareK[at[b]] = nb.support[i], k
+			at[b]++
+		}
+		nb.support, nb.spare = nb.spare, nb.support
+		nb.keys, nb.spareK = nb.spareK, nb.keys
+	}
+	var est uint64
+	g, _ := nb.group(0)
+	for _, vc := range g {
+		est += vc.Count
+	}
+	return est
 }
 
-// split returns v's residue modulo cur and its coordinates in cur's
-// basis. The basis is RREF, so coordinate i is v's bit at the leading
-// bit of Basis[i], and clearing it with Basis[i] leaves the residue.
-func (nb *neighbourhood) split(v gf2.Vec) (gf2.Vec, uint64) {
-	var c uint64
-	for i, l := range nb.lead {
-		if v&l != 0 {
-			v ^= nb.cur.Basis[i]
-			c |= 1 << uint(i)
+// group returns the loaded support entries whose syndrome is syn, and
+// their keys.
+func (nb *neighbourhood) group(syn uint64) ([]profile.VectorCount, []uint64) {
+	d := uint(nb.d)
+	lo := sort.Search(len(nb.keys), func(i int) bool { return nb.keys[i]>>d >= syn })
+	hi := lo + sort.Search(len(nb.keys)-lo, func(i int) bool { return nb.keys[lo+i]>>d > syn })
+	return nb.support[lo:hi], nb.keys[lo:hi]
+}
+
+// kernelSum sums the entries of g that col maps to 0.
+func kernelSum(g []profile.VectorCount, col gf2.Vec) uint64 {
+	var sum uint64
+	for _, vc := range g {
+		if bits.OnesCount64(uint64(vc.Vec&col))&1 == 0 {
+			sum += vc.Count
 		}
 	}
-	return v, c
+	return sum
 }
 
-// load fills and transforms the tables of null space cur: one sweep of
-// the support, then d·2^d additions per residue present.
-func (nb *neighbourhood) load(cur gf2.Subspace) {
-	nb.cur = cur
-	for i, b := range cur.Basis {
-		nb.lead[i] = gf2.Vec(1) << uint(bits.Len64(uint64(b))-1)
-	}
+// transform fills F̂_0 and minZ from the loaded groups, streaming each
+// nonzero group through one reused row: fill, transform, fold, clear.
+// A nonzero group with at most one entry has a coset sum of 0 under
+// every hyperplane, and no sum is negative, so when one exists (or a
+// nonzero syndrome has no entry at all) minZ is 0 everywhere and no
+// nonzero group needs a transform.
+func (nb *neighbourhood) transform() {
 	size := 1 << uint(nb.d)
-	clear(nb.row)
-	nb.row[0] = 0
-	nb.rows = nb.grow(nb.rows[:0])
-	for _, vc := range nb.support {
-		r, c := nb.split(vc.Vec)
-		i, ok := nb.row[r]
-		if !ok {
-			i = len(nb.rows) / size
-			nb.row[r] = i
-			nb.rows = nb.grow(nb.rows)
+	if len(nb.f0) != size {
+		nb.f0, nb.row, nb.minZ = make([]int64, size), make([]int64, size), make([]int64, size)
+	}
+	mask := uint64(size - 1)
+	fill := func(row []int64, g []profile.VectorCount, keys []uint64) {
+		for i, vc := range g {
+			row[keys[i]&mask] += int64(vc.Count)
 		}
-		nb.rows[i*size+int(c)] += int64(vc.Count)
+		walshHadamard(row)
 	}
-	for off := 0; off < len(nb.rows); off += size {
-		walshHadamard(nb.rows[off : off+size])
-	}
-	// A nonzero residue with no support has coset sums 0 and no sum is
-	// negative, so then the minimum is 0 for every φ.
-	least := int64(math.MaxInt64)
-	if uint64(len(nb.row)-1) < uint64(1)<<uint(nb.n-nb.d)-1 {
-		least = 0
+	clear(nb.f0)
+	g, keys := nb.group(0)
+	fill(nb.f0, g, keys)
+	// full counts the nonzero syndromes with at least two entries.
+	full := uint64(0)
+	nb.groups(func(g []profile.VectorCount, _ []uint64) {
+		if len(g) > 1 {
+			full++
+		}
+	})
+	if full < uint64(1)<<uint(nb.n-nb.d)-1 {
+		clear(nb.minZ)
+		return
 	}
 	for phi := range nb.minZ {
-		nb.minZ[phi] = least
+		nb.minZ[phi] = math.MaxInt64
 	}
-	for off := size; off < len(nb.rows); off += size {
-		f := nb.rows[off : off+size]
+	nb.groups(func(g []profile.VectorCount, keys []uint64) {
+		fill(nb.row, g, keys)
 		for phi := 1; phi < size; phi++ {
 			// min over b of (F̂(0) ± F̂(φ)) / 2
-			if z := (f[0] - abs(f[phi])) / 2; z < nb.minZ[phi] {
+			if z := (nb.row[0] - max(nb.row[phi], -nb.row[phi])) / 2; z < nb.minZ[phi] {
 				nb.minZ[phi] = z
 			}
 		}
-	}
+		clear(nb.row)
+	})
 }
 
-// grow appends one zeroed table of 2^d entries to rows.
-func (nb *neighbourhood) grow(rows []int64) []int64 {
-	size := 1 << uint(nb.d)
-	rows = slices.Grow(rows, size)[:len(rows)+size]
-	clear(rows[len(rows)-size:])
-	return rows
+// groups calls fn on every loaded group with a nonzero syndrome.
+func (nb *neighbourhood) groups(fn func(g []profile.VectorCount, keys []uint64)) {
+	d := uint(nb.d)
+	for lo := 0; lo < len(nb.keys); {
+		syn := nb.keys[lo] >> d
+		hi := lo + 1
+		for hi < len(nb.keys) && nb.keys[hi]>>d == syn {
+			hi++
+		}
+		if syn != 0 {
+			fn(nb.support[lo:hi], nb.keys[lo:hi])
+		}
+		lo = hi
+	}
 }
 
 // inHyperplane returns the sum of W_φ's own coset (r, b) = (0, 0).
 func (nb *neighbourhood) inHyperplane(phi uint64) int64 {
-	return (nb.rows[0] + nb.rows[phi]) / 2
+	return (nb.f0[0] + nb.f0[phi]) / 2
 }
 
 // best returns the first φ, in hyperplane order, whose best neighbour
@@ -183,19 +228,18 @@ func (nb *neighbourhood) best(curEst uint64) (uint64, uint64) {
 	return bestPhi, bestEst
 }
 
-// score returns the estimate of the neighbour span(W_φ, v), v ∉ cur.
+// score returns the estimate of the neighbour span(W_φ, v), v ∉ cur:
+// W_φ's own coset plus the entries of v's group in v's coset of W_φ.
 func (nb *neighbourhood) score(phi uint64, v gf2.Vec) uint64 {
-	sum := nb.inHyperplane(phi)
-	r, c := nb.split(v)
-	if i, ok := nb.row[r]; ok {
-		f := nb.rows[i<<uint(nb.d):]
-		if bits.OnesCount64(c&phi)&1 == 0 {
-			sum += (f[0] + f[phi]) / 2
-		} else {
-			sum += (f[0] - f[phi]) / 2
+	sum := uint64(nb.inHyperplane(phi))
+	key := uint64(nb.key.Apply(v))
+	g, keys := nb.group(key >> uint(nb.d))
+	for i, vc := range g {
+		if bits.OnesCount64((keys[i]^key)&phi)&1 == 0 {
+			sum += vc.Count
 		}
 	}
-	return uint64(sum)
+	return sum
 }
 
 // resolve builds the neighbour span(W_φ, rep) scoring est with the
@@ -224,13 +268,6 @@ func walshHadamard(f []int64) {
 			}
 		}
 	}
-}
-
-func abs(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // randomSubspace returns a uniform-ish random d-dimensional subspace.

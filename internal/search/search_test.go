@@ -9,6 +9,7 @@ import (
 	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
+	"xoridx/internal/workloads"
 )
 
 // strideTrace builds the classic conflict workload: walks a matrix
@@ -408,4 +409,32 @@ func dmMisses(t testing.TB, blocks []uint64, f hash.Func) uint64 {
 		c.AccessBlock(b)
 	}
 	return c.Stats().Misses
+}
+
+// TestSketchSearchIsOneMeasure tunes the 24 Media and PowerStone
+// kernels on a default sketch profile with general XOR and permutation
+// 2-in. The climbs score the sketch's heavy-hitter support, so the
+// reported estimate must be that measure of the returned function,
+// and it can never be worse than the baseline measured the same way.
+func TestSketchSearchIsOneMeasure(t *testing.T) {
+	for _, w := range append(workloads.MediaSuite(), workloads.PowerStoneSuite()...) {
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			p, err := profile.BuildStream(context.Background(), w.Data(1), 4, 16, 1024,
+				profile.Options{Sketch: &profile.SketchOptions{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opt := range []Options{{Family: hash.FamilyGeneralXOR}, {Family: hash.FamilyPermutation, MaxInputs: 2}} {
+				res, err := Construct(context.Background(), p, 10, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if est := p.EstimateMatrix(res.Matrix); res.Estimated != est || res.Estimated > res.Baseline {
+					t.Errorf("%v: Estimated %d, EstimateMatrix %d, Baseline %d",
+						opt.Family, res.Estimated, est, res.Baseline)
+				}
+			}
+		})
+	}
 }

@@ -326,8 +326,8 @@ func readServiceState(r io.Reader, n, cacheBlocks, m int, decay float64, sample 
 			}
 			continue
 		}
-		blob := make([]byte, blobLens[i])
-		if _, err := io.ReadFull(r, blob); err != nil {
+		blob, err := ckpt.ReadN(r, blobLens[i])
+		if err != nil {
 			truncated = true
 			if err := cold(i, fmt.Errorf("blob truncated: %v: %w", err, xerr.ErrFormat)); err != nil {
 				return nil, err

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,6 +19,7 @@ import (
 	"xoridx/internal/ckpt"
 	"xoridx/internal/core"
 	"xoridx/internal/faultio"
+	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
 	"xoridx/internal/xerr"
@@ -692,5 +695,43 @@ func TestServeCheckpointCorruption(t *testing.T) {
 		if err := s2.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRestoreForgedBlobLengthAllocatesLittle: a checkpoint header that
+// claims a MaxPayload-sized shard blob with no blob behind it must be
+// refused (Strict) having allocated about what arrived, not the 1 GiB
+// the header claims.
+func TestRestoreForgedBlobLengthAllocatesLittle(t *testing.T) {
+	const n, cacheBlocks, m = 12, 64, 6
+	var raw bytes.Buffer
+	if err := ckpt.Write(&raw, serviceMagic, serviceVersion, func(b *bytes.Buffer) error {
+		put := func(vs ...uint64) {
+			for _, v := range vs {
+				b.Write(binary.AppendUvarint(nil, v))
+			}
+		}
+		put(n, cacheBlocks, m)
+		b.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(0))) // decay
+		put(1, 0)                                                           // shards, rotations
+		put(1, 0, 0, 0, 0)                                                  // epoch seq, window, estimated, previous, baseline
+		b.WriteByte(0)                                                      // epoch flags
+		for c := 0; c < m; c++ {
+			put(uint64(gf2.Unit(c)))
+		}
+		put(ckpt.MaxPayload) // shard 0's blob length
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readServiceState(&raw, n, cacheBlocks, m, 0, profile.SampleOptions{}, 1, true)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("strict restore = %v, want refusal naming shard 0", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("refusal allocated %d bytes, want under 1 MiB", alloc)
 	}
 }
