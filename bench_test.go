@@ -506,8 +506,7 @@ func synthProfileBlocks(length int) []uint64 {
 }
 
 // benchParallelResult is one parallel-section row of BENCH_profile.json:
-// the gate-absorbing sharded build at one worker count on one workload
-// shape. SpeedupVs1 is relative to the same workload's workers=1 row.
+// BuildStream at one worker count on one workload shape. SpeedupVs1 is relative to the same workload's workers=1 row.
 type benchParallelResult struct {
 	Workload      string  `json:"workload"`
 	Workers       int     `json:"workers"`
@@ -790,10 +789,11 @@ func BenchmarkBuild(b *testing.B) {
 	})
 }
 
-// BenchmarkBuildParallel measures the gate-absorbing sharded pipeline
-// across worker counts on the two workload shapes that bracket it:
-// capacity-heavy (shards barely interact — near-ideal scaling) and
-// mixed (locality spans boundaries — reconciliation earns its keep).
+// BenchmarkBuildParallel measures BuildStream across worker counts —
+// one contiguous slice of the trace per worker, joined in order — on
+// the two workload shapes that bracket it: capacity-heavy (slices
+// barely interact — near-ideal scaling) and mixed (locality spans
+// boundaries — the join earns its keep).
 // Every measured profile is checked bit-identical to the sequential
 // Build before its timing may enter the baseline. The final
 // sub-benchmark writes the workload-tagged parallel section of
@@ -830,7 +830,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 						best = d
 					}
 					if !sameFlatProfile(got, want) {
-						b.Fatalf("%s workers=%d: sharded build diverged from sequential", w.name, workers)
+						b.Fatalf("%s workers=%d: parallel build diverged from sequential", w.name, workers)
 					}
 				}
 				rate := float64(accesses) / (float64(best.Microseconds())/1000 + 1e-9)
@@ -867,7 +867,7 @@ func blockTrace(blocks []uint64) *trace.Trace {
 }
 
 // BenchmarkBuildStream measures the end-to-end streaming pipeline —
-// a profiling pass over the trace file, binary decode through sharded
+// a profiling pass over the trace file, binary decode through sliced
 // profiling — against the materialize-then-profile path on the same
 // encoded trace.
 func BenchmarkBuildStream(b *testing.B) {

@@ -45,7 +45,7 @@ func main() {
 		"which table to regenerate: 1, 2d, 2i, 2x, 3, exp1, eq3, cross, assoc, fixed, sweep, phase, energy, repl, aslr, all")
 	scale := flag.Int("scale", 1, "workload scale factor (>= 1)")
 	workers := flag.Int("workers", 0,
-		"per-trace parallel workers for profiling (0/1 = sequential, -1 = all cores); results are identical for any value")
+		"per-trace slices profiled in parallel (0/1 = one slice, -1 = all cores); results are identical for any value")
 	progress := flag.Bool("progress", false, "report pipeline stages and search progress on stderr")
 	flag.Parse()
 	if err := cliutil.ValidateScale(*scale); err != nil {

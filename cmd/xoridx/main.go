@@ -13,7 +13,7 @@
 //	xoridx -trace fft.xtr -save f.mat; xoridx -trace g.xtr -apply f.mat
 //	xoridx -trace fft.xtr -bitstream -verilog index.v        # hardware artefacts
 //	xoridx -trace fft.xtr -family general -algo anneal       # alternative search
-//	xoridx -trace fft.xtr -cache 4096 -workers -1            # sharded parallel profiling + search
+//	xoridx -trace fft.xtr -cache 4096 -workers -1            # profile slices of the trace in parallel
 //	xoridx -trace fft.xtr -cache 4096 -progress              # stage/search progress on stderr
 //	xoridx -trace fft.xtr -checkpoint run                    # profiling crash snapshots -> run.profile.ckpt
 //	xoridx -trace fft.xtr -checkpoint run -resume            # continue a killed run, bit-identically
@@ -81,7 +81,7 @@ func main() {
 	algo := flag.String("algo", "hillclimb", "search algorithm: hillclimb (paper), anneal, constructive")
 	maxInputs := flag.Int("maxinputs", 2, "max XOR inputs per set-index bit (0 = unlimited)")
 	restarts := flag.Int("restarts", 0, "extra random hill-climbing restarts")
-	workers := flag.Int("workers", 1, "parallel workers for profiling (1 = sequential, -1 = all cores); results are identical for any value")
+	workers := flag.Int("workers", 1, "trace slices profiled in parallel, each on its own goroutine (1 = one slice, -1 = all cores); results are identical for any value")
 	noFallback := flag.Bool("nofallback", false, "disable the revert-to-conventional guard")
 	verbose := flag.Bool("verbose", false, "print the profile and search details")
 	bitstream := flag.Bool("bitstream", false, "emit the Fig. 2b configuration bitstream for the selected function (permutation family, maxinputs <= 2)")

@@ -68,10 +68,11 @@ type Config struct {
 	Seed     int64
 	// NoFallback disables the revert-to-conventional guard of §6.
 	NoFallback bool
-	// Workers shards the profiling pass across goroutines
-	// (profile.BuildStream, exact for any worker count); the search
-	// phase is sequential. 0 or 1 = sequential; < 0 = one worker per
-	// core.
+	// Workers is how many contiguous slices of the trace the profiling
+	// pass runs at once, each on its own goroutine and builder, joined
+	// in order (profile.BuildStream, exact for any worker count); the
+	// search phase is sequential. 0 or 1 = one slice; < 0 = one worker
+	// per core.
 	Workers int
 	// CheckpointPath, when non-empty, is the base path for crash
 	// snapshots of the profiling pass: it writes <path>.profile.ckpt

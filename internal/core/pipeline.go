@@ -105,18 +105,18 @@ func (pl *Pipeline) emit(e Event) {
 	}
 }
 
-// Profile runs the Fig. 1 profiling stage over one pass of the trace:
-// profile.BuildStream reads the pass chunk by chunk, so no block slice
-// of the whole trace is built. The pass is sharded across
-// Config.Workers when > 1 (bit-identical to the sequential pass) and
-// follows the Config's sampling and backend knobs.
+// Profile runs the Fig. 1 profiling stage over the trace:
+// profile.BuildStream reads it chunk by chunk, so no block slice of the
+// whole trace is built. With Config.Workers > 1 the trace is profiled
+// in that many contiguous slices at once, each reading its own pass,
+// and joined in order (bit-identical to one slice); the pass follows
+// the Config's sampling and backend knobs.
 //
 // With Config.CheckpointPath set the pass snapshots periodically;
 // Resume continues from an existing snapshot, whichever worker count
 // wrote it, provided it was taken under the same sampling. On
-// cancellation the sequential pass, and a checkpointed sharded pass,
-// return the partial profile so far — marked Degraded and exact for the
-// prefix it covers — alongside the error.
+// cancellation the pass returns the longest exact prefix it profiled,
+// marked Degraded, alongside the error.
 func (pl *Pipeline) Profile(ctx context.Context, src trace.Source) (*profile.Profile, error) {
 	cfg, err := pl.Config.Normalized()
 	if err != nil {

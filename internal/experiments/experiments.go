@@ -37,7 +37,7 @@ const BlockBytes = 4
 // mutable state, so two drivers can run concurrently in one process
 // with different options.
 type Options struct {
-	// Workers is threaded into every per-trace core.Config: it shards
+	// Workers is threaded into every per-trace core.Config: it slices
 	// the profiling pass (bit-identical results for any value); the
 	// search is sequential. The drivers already fan
 	// out across benchmarks, so 0 keeps each per-trace pipeline

@@ -147,13 +147,13 @@ func (s *Stack) Seen(b uint64) bool { return s.stamp(b) != 0 }
 func (s *Stack) Len() int { return len(s.first) }
 
 // Window returns the k most recent blocks, most recent first. The
-// slice aliases the window and is valid until the next Touch, Absorb,
-// Restore or Reset.
+// slice aliases the window and is valid until the next Touch, Absorb
+// or Restore.
 func (s *Stack) Window() []uint64 { return s.win.Blocks() }
 
 // FirstTouched returns every block touched, in first-touch order. The
 // slice aliases the gate's storage and is valid until the next Touch,
-// Absorb, Restore or Reset.
+// Absorb or Restore.
 func (s *Stack) FirstTouched() []uint64 { return s.first }
 
 // Blocks returns every block touched, most recent first: the full LRU
@@ -217,17 +217,6 @@ func (s *Stack) Absorb(o *Stack) (reseen int) {
 	}
 	s.win.Reset(w)
 	return reseen
-}
-
-// Reset empties the gate, keeping its storage for reuse. Clearing
-// costs one write per block seen, not one per possible block.
-func (s *Stack) Reset() {
-	for _, b := range s.first {
-		s.setStamp(b, 0)
-	}
-	s.first = s.first[:0]
-	s.clock = 0
-	s.win.Reset(nil)
 }
 
 // FAMisses counts misses of a fully-associative LRU cache with the

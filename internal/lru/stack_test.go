@@ -193,8 +193,7 @@ func TestStackRawWalk(t *testing.T) {
 // TestStackAbsorbMatchesSequential cuts a sequence at every point: a
 // gate that absorbs a cold gate run over the suffix must equal one gate
 // run over the whole sequence — listing, window, first touches and every
-// later classification — and Reset must return the absorbed gate to
-// empty for reuse.
+// later classification.
 func TestStackAbsorbMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	blocks := make([]uint64, 300)
@@ -202,16 +201,14 @@ func TestStackAbsorbMatchesSequential(t *testing.T) {
 		blocks[i] = uint64(rng.Intn(40))
 	}
 	for _, k := range []int{1, 4, 16, 64} {
-		shard := NewStack(k, 6)
 		for cut := 0; cut <= len(blocks); cut += 7 {
-			want, got := NewStack(k, 6), NewStack(k, 0)
+			want, got, shard := NewStack(k, 6), NewStack(k, 0), NewStack(k, 6)
 			for _, b := range blocks {
 				want.Touch(b)
 			}
 			for _, b := range blocks[:cut] {
 				got.Touch(b)
 			}
-			shard.Reset()
 			for _, b := range blocks[cut:] {
 				shard.Touch(b)
 			}

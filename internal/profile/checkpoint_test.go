@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"xoridx/internal/ckpt"
@@ -419,26 +420,30 @@ func TestRestoreRejectsConsistentLies(t *testing.T) {
 	}
 }
 
-// cancelAfterSource delivers blocks and cancels the context once limit
-// blocks have been handed out — the deterministic stand-in for a kill
-// signal landing mid-profile. It delivers at most 512 accesses per
-// chunk, so the sequential engine's per-chunk ctx poll stops a run
-// within 512 accesses of the kill.
-func cancelAfterSource(blocks []uint64, limit int, cancel context.CancelFunc) passFunc {
-	rest, i := blockTrace(blocks).Accesses, 0
-	return func() ([]trace.Access, error) {
-		if len(rest) == 0 {
-			return nil, io.EOF
+// cancelAfterSource delivers blocks and cancels the context once any
+// pass has handed out the accesses before position limit — the
+// deterministic stand-in for a kill signal landing mid-profile. It is
+// re-readable and declares its length, so a build over several slices
+// reads it once per slice, and it delivers at most 512 accesses per
+// chunk, so a slice's per-chunk ctx poll stops it within 512 accesses
+// of the kill.
+func cancelAfterSource(blocks []uint64, limit int, cancel context.CancelFunc) source {
+	return source{len(blocks), func() passFunc {
+		rest, i := blockTrace(blocks).Accesses, 0
+		return func() ([]trace.Access, error) {
+			if len(rest) == 0 {
+				return nil, io.EOF
+			}
+			if i >= limit {
+				cancel()
+				// Keep delivering; the slice's ctx check stops it.
+			}
+			k := min(512, len(rest))
+			chunk := rest[:k]
+			rest, i = rest[k:], i+k
+			return chunk, nil
 		}
-		if i >= limit {
-			cancel()
-			// Keep delivering; the builder's ctx check stops the run.
-		}
-		k := min(512, len(rest))
-		chunk := rest[:k]
-		rest, i = rest[k:], i+k
-		return chunk, nil
-	}
+	}}
 }
 
 // TestBuildCheckpointedKillResume is the differential test of the
@@ -635,27 +640,24 @@ func TestBuildCtxReturnsDegradedPartial(t *testing.T) {
 }
 
 func TestShardRunConvertsPanic(t *testing.T) {
-	testShardHook = func(int) { panic("boom") }
-	defer func() { testShardHook = nil }()
-	s := &shardState{idx: 3, blocks: []uint64{1, 2, 3}}
-	s.run(context.Background(), 8, 4, Options{})
+	testSliceHook = func(int, uint64) { panic("boom") }
+	defer func() { testSliceHook = nil }()
+	s := &slice{idx: 3, from: 1, to: 3, bd: NewBuilder(8, 4)}
+	s.run(context.Background(), blockTrace([]uint64{1, 2, 3}), 0, Options{})
 	if !errors.Is(s.err, xerr.ErrPanic) {
 		t.Fatalf("recovered panic: err = %v, want wrapped ErrPanic", s.err)
 	}
-	if got := s.err.Error(); !bytes.Contains([]byte(got), []byte("shard 3")) || !bytes.Contains([]byte(got), []byte("boom")) {
-		t.Fatalf("panic error %q does not identify the shard and cause", got)
-	}
-	if s.p != nil {
-		t.Fatal("panicked shard must not hand back a profile")
+	if got := s.err.Error(); !bytes.Contains([]byte(got), []byte("slice 3")) || !bytes.Contains([]byte(got), []byte("boom")) {
+		t.Fatalf("panic error %q does not identify the slice and cause", got)
 	}
 }
 
-// TestBuildStreamCheckpointedKillResume is the sharded analog of
+// TestBuildStreamCheckpointedKillResume is the parallel analog of
 // TestBuildCheckpointedKillResume, with a twist the sequential test
-// cannot express: every resume attempt uses a different worker count
-// and chunk size, so convergence also proves the snapshot is
-// boundary-placement independent (a shard edge is not part of the
-// reconciled state).
+// cannot express: every attempt uses a different worker count, so
+// convergence also proves the snapshot is independent of where the
+// slice boundaries fell (a slice edge is not part of the joined
+// state).
 func TestBuildStreamCheckpointedKillResume(t *testing.T) {
 	blocks := syntheticBlocks(40000)
 	want := Build(blocks, 12, 64)
@@ -671,7 +673,7 @@ func TestBuildStreamCheckpointedKillResume(t *testing.T) {
 		if attempt < len(kills) {
 			src = cancelAfterSource(blocks, kills[attempt], cancel)
 		}
-		p, err := BuildStream(ctx, src, 1, 12, 64, Options{Workers: 1 + attempt, chunkSize: 300 + 170*attempt,
+		p, err := BuildStream(ctx, src, 1, 12, 64, Options{Workers: 2 + 3*attempt,
 			CheckpointPath: path, checkpointEvery: 1500, Resume: true})
 		if attempt < len(kills) {
 			wantCanceled(t, err)
@@ -693,7 +695,7 @@ func TestBuildStreamCheckpointedMatchesBuildWithoutPath(t *testing.T) {
 	blocks := syntheticBlocks(20000)
 	want := Build(blocks, 12, 64)
 	got, err := BuildStream(context.Background(), blockTrace(blocks), 1, 12, 64,
-		Options{Workers: 3, chunkSize: 640})
+		Options{Workers: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -702,23 +704,32 @@ func TestBuildStreamCheckpointedMatchesBuildWithoutPath(t *testing.T) {
 	}
 }
 
-// TestParallelSequentialSnapshotInterop pins the design claim that a
-// reconciler's (profile, boundary stack) state at a shard boundary IS a
-// sequential Builder state: a parallel run's snapshot resumes under the
-// sequential builder and vice versa, both converging bit-identically.
+// TestParallelSequentialSnapshotInterop pins the design claim that the
+// joined prefix at a slice boundary IS a sequential Builder state: a
+// parallel run's snapshot resumes under one slice and vice versa, both
+// converging bit-identically.
 func TestParallelSequentialSnapshotInterop(t *testing.T) {
 	blocks := syntheticBlocks(30000)
 	want := Build(blocks, 12, 64)
 
-	// Parallel partial → sequential finish.
+	// Parallel partial → sequential finish. Slice 1 of [15000, 30000)
+	// waits at its start until slice 0 has closed its pass, so the kill
+	// at 24000 leaves a partial joined across both slices.
 	path := filepath.Join(t.TempDir(), "p2s.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
-	p, err := BuildStream(ctx, cancelAfterSource(blocks, 12000, cancel), 1, 12, 64,
-		Options{Workers: 4, chunkSize: 512, CheckpointPath: path, checkpointEvery: 2000, Resume: true})
+	src := &firstClose{Source: cancelAfterSource(blocks, 24000, cancel), done: make(chan struct{})}
+	testSliceHook = func(idx int, _ uint64) {
+		if idx == 1 {
+			<-src.done
+		}
+	}
+	p, err := BuildStream(ctx, src, 1, 12, 64,
+		Options{Workers: 2, CheckpointPath: path, checkpointEvery: 2000, Resume: true})
+	testSliceHook = nil
 	cancel()
 	wantCanceled(t, err)
-	if p == nil || !p.Degraded {
-		t.Fatalf("killed parallel run returned p=%v err=%v, want a degraded partial", p, err)
+	if p == nil || !p.Degraded || p.Accesses <= 15000 {
+		t.Fatalf("killed parallel run returned p=%v err=%v, want a degraded partial past slice 0", p, err)
 	}
 	got, err := BuildStream(context.Background(), blockTrace(blocks), 1, 12, 64,
 		Options{CheckpointPath: path, Resume: true})
@@ -740,13 +751,36 @@ func TestParallelSequentialSnapshotInterop(t *testing.T) {
 		t.Fatalf("killed sequential run returned p=%v err=%v, want a degraded partial", p2, err)
 	}
 	got2, err := BuildStream(context.Background(), blockTrace(blocks), 1, 12, 64,
-		Options{Workers: 3, chunkSize: 777, CheckpointPath: path2, Resume: true})
+		Options{Workers: 3, CheckpointPath: path2, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := diffProfiles(got2, want); d != "" {
 		t.Fatalf("parallel resume of a sequential snapshot differs: %s", d)
 	}
+}
+
+// firstClose is a trace source whose first closed pass closes done.
+type firstClose struct {
+	trace.Source
+	once sync.Once
+	done chan struct{}
+}
+
+func (s *firstClose) Pass(ctx context.Context) (trace.Pass, error) {
+	p, err := s.Source.Pass(ctx)
+	return closeHook{p, func() { s.once.Do(func() { close(s.done) }) }}, err
+}
+
+// closeHook is a pass that calls f when it is closed.
+type closeHook struct {
+	trace.Pass
+	f func()
+}
+
+func (c closeHook) Close() error {
+	c.f()
+	return c.Pass.Close()
 }
 
 func TestBuildStreamCheckpointedGeometryMismatch(t *testing.T) {
@@ -764,27 +798,29 @@ func TestBuildStreamCheckpointedGeometryMismatch(t *testing.T) {
 }
 
 // TestStreamShardTransientFaultIsolated injects faultio-style transient
-// failures only while one shard's chunk range is being read, with no
+// failures only while one range of the trace is being read, with no
 // retry beneath the source: the build must fail with the classified
-// ErrIO — not a secondary cancellation — and a nil profile. Retried
-// transient faults are TestStreamFaultMatrix's.
+// ErrIO — not a secondary cancellation of the slices it stops — and a
+// nil profile. Retried transient faults are TestStreamFaultMatrix's.
 func TestStreamShardTransientFaultIsolated(t *testing.T) {
 	blocks := syntheticBlocks(8192)
-	const chunk = 1024 // faults land inside shard 2's range [2048, 3072)
-	rest, pos := blockTrace(blocks).Accesses, 0
-	src := passFunc(func() ([]trace.Access, error) {
-		if pos >= len(blocks) {
-			return nil, io.EOF
+	const chunk = 1024 // faults land inside slice 1's range [2048, 4096)
+	src := source{len(blocks), func() passFunc {
+		rest, pos := blockTrace(blocks).Accesses, 0
+		return func() ([]trace.Access, error) {
+			if pos >= len(blocks) {
+				return nil, io.EOF
+			}
+			if pos >= 3*chunk && pos < 4*chunk {
+				return nil, xerr.ErrIO
+			}
+			c := rest[pos : pos+chunk]
+			pos += chunk
+			return c, nil
 		}
-		if pos >= 2*chunk && pos < 3*chunk {
-			return nil, xerr.ErrIO
-		}
-		c := rest[pos : pos+chunk]
-		pos += chunk
-		return c, nil
-	})
+	}}
 	baseline := runtime.NumGoroutine()
-	p, err := BuildStream(context.Background(), src, 1, 12, 64, Options{Workers: 4, chunkSize: chunk})
+	p, err := BuildStream(context.Background(), src, 1, 12, 64, Options{Workers: 4})
 	if p != nil {
 		t.Fatal("failed build must not return a profile")
 	}
@@ -798,8 +834,9 @@ func TestStreamShardTransientFaultIsolated(t *testing.T) {
 }
 
 // TestStreamFaultMatrix drives the full streaming pipeline (faulty
-// bytes -> retrying reader -> trace decoder -> sharded builders) under
-// every fault schedule and worker count. The invariants: transient
+// bytes -> retrying reader -> trace decoder -> slice builders) under
+// every fault schedule and worker count; every slice reads its own
+// pass through the same schedule. The invariants: transient
 // faults are invisible (bit-identical profile), permanent faults fail
 // the build with a classified error and a nil profile (never a
 // half-merged histogram), and no schedule leaks goroutines.
@@ -832,15 +869,18 @@ func TestStreamFaultMatrix(t *testing.T) {
 		for _, workers := range []int{1, 4, 16} {
 			t.Run(fmt.Sprintf("%s/workers=%d", sc.name, workers), func(t *testing.T) {
 				baseline := runtime.NumGoroutine()
-				fr, err := faultio.NewReader(bytes.NewReader(data), sc.sched)
-				if err != nil {
-					t.Fatal(err)
+				open := func() (*trace.Reader, error) {
+					fr, err := faultio.NewReader(bytes.NewReader(data), sc.sched)
+					if err != nil {
+						return nil, err
+					}
+					rr, err := faultio.NewRetryReader(context.Background(), fr, faultio.Policy{MaxRetries: 12})
+					if err != nil {
+						return nil, err
+					}
+					return trace.NewReader(rr)
 				}
-				rr, err := faultio.NewRetryReader(context.Background(), fr, faultio.Policy{MaxRetries: 12})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rd, err := trace.NewReader(rr)
+				rd, err := open()
 				if err != nil {
 					if sc.transient {
 						t.Fatalf("header under recoverable faults: %v", err)
@@ -851,8 +891,14 @@ func TestStreamFaultMatrix(t *testing.T) {
 					waitGoroutines(t, baseline)
 					return
 				}
-				p, err := BuildStream(context.Background(), passFunc(rd.Chunk), 64, 12, 64,
-					Options{Workers: workers, chunkSize: 256})
+				src := source{int(rd.Header().Len), func() passFunc {
+					rd, err := open()
+					if err != nil {
+						return func() ([]trace.Access, error) { return nil, err }
+					}
+					return rd.Chunk
+				}}
+				p, err := BuildStream(context.Background(), src, 64, 12, 64, Options{Workers: workers})
 				waitGoroutines(t, baseline)
 				if sc.transient {
 					if err != nil {

@@ -12,9 +12,8 @@ import (
 	"xoridx/internal/xerr"
 )
 
-// syntheticBlocks builds a block sequence long enough that every shard
-// of a parallel build crosses the amortised cancellation check at least
-// once (ctxCheckEvery accesses).
+// syntheticBlocks builds a deterministic block sequence over 4096
+// blocks with a mix of reuse distances.
 func syntheticBlocks(n int) []uint64 {
 	blocks := make([]uint64, n)
 	for i := range blocks {
@@ -72,8 +71,7 @@ func TestBuildParallelCtxCanceled(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// 2 workers x 10000 accesses: each shard crosses the periodic check.
-	_, err := BuildStream(ctx, blockTrace(syntheticBlocks(20000)), 1, 12, 64, Options{Workers: 2, chunkSize: 10000})
+	_, err := BuildStream(ctx, blockTrace(syntheticBlocks(20000)), 1, 12, 64, Options{Workers: 2})
 	wantCanceled(t, err)
 	waitGoroutines(t, baseline)
 }
@@ -91,50 +89,61 @@ func TestBuildStreamCtxCanceledBeforeRead(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
+// wantExactPrefix asserts a canceled build's result is the longest
+// exact prefix: a Degraded profile short of the whole trace and
+// bit-identical to Build over the accesses it covers.
+func wantExactPrefix(t *testing.T, p *Profile, blocks []uint64, n, cacheBlocks int) {
+	t.Helper()
+	if p == nil || !p.Degraded {
+		t.Fatalf("canceled build returned p=%v, want a Degraded prefix", p)
+	}
+	if p.Accesses >= uint64(len(blocks)) {
+		t.Fatalf("canceled build covers %d of %d accesses, want a strict prefix", p.Accesses, len(blocks))
+	}
+	if d := diffProfiles(p, Build(blocks[:p.Accesses], n, cacheBlocks)); d != "" {
+		t.Fatalf("degraded prefix of %d accesses: %s", p.Accesses, d)
+	}
+}
+
 // TestBuildParallelCtxCancelDuringExchange cancels from inside the last
-// shard's hook while the earlier shards are finishing: cancellation
-// lands in the window where completed shards are handing their gate
-// summaries to the reconciler. The call must surface ErrCanceled,
-// return no profile, and leave no goroutine behind.
+// slice's hook while the earlier slices are running: the call must
+// surface ErrCanceled alongside the exact prefix the slices reached,
+// and leave no goroutine behind.
 func TestBuildParallelCtxCancelDuringExchange(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	testShardHook = func(idx int) {
+	testSliceHook = func(idx int, _ uint64) {
 		if idx == 3 {
 			cancel()
 		}
 	}
-	defer func() { testShardHook = nil }()
-	// 4 shards x 30000 accesses: every shard crosses the periodic check.
-	p, err := BuildStream(ctx, blockTrace(syntheticBlocks(120000)), 1, 12, 64, Options{Workers: 4, chunkSize: 30000})
+	defer func() { testSliceHook = nil }()
+	blocks := syntheticBlocks(120000)
+	p, err := BuildStream(ctx, blockTrace(blocks), 1, 12, 64, Options{Workers: 4})
 	wantCanceled(t, err)
-	if p != nil {
-		t.Fatal("canceled parallel build must not return a profile")
-	}
+	wantExactPrefix(t, p, blocks, 12, 64)
 	waitGoroutines(t, baseline)
 }
 
-// TestBuildStreamCtxCancelDuringMerge cancels from a late chunk's hook,
-// after earlier chunks have already been absorbed by the collector —
-// cancellation mid-reconciliation, not mid-read. Without a checkpoint
-// the stream build must drop the partial state entirely.
+// TestBuildStreamCtxCancelDuringMerge cancels from a late slice's hook
+// on a build of many slices: whichever earlier slices finished, the
+// join still absorbs them in order up to the first partial one, and
+// without a checkpoint returns that exact prefix.
 func TestBuildStreamCtxCancelDuringMerge(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	testShardHook = func(idx int) {
+	testSliceHook = func(idx int, _ uint64) {
 		if idx == 5 {
 			cancel()
 		}
 	}
-	defer func() { testShardHook = nil }()
-	p, err := BuildStream(ctx, blockTrace(syntheticBlocks(100000)), 1, 12, 64,
-		Options{Workers: 3, chunkSize: 8192})
+	defer func() { testSliceHook = nil }()
+	blocks := syntheticBlocks(100000)
+	p, err := BuildStream(ctx, blockTrace(blocks), 1, 12, 64, Options{Workers: 8})
 	wantCanceled(t, err)
-	if p != nil {
-		t.Fatal("canceled stream build without a checkpoint must not return a profile")
-	}
+	wantExactPrefix(t, p, blocks, 12, 64)
 	waitGoroutines(t, baseline)
 }
 
@@ -147,14 +156,14 @@ func TestBuildStreamCtxCanceledMidStream(t *testing.T) {
 	src := passFunc(func() ([]trace.Access, error) {
 		reads++
 		if reads == 2 {
-			cancel() // the dispatcher must notice before the next read
+			cancel() // the slice must notice before the next read
 		}
 		return chunk, nil
 	})
-	_, err := BuildStream(ctx, src, 1, 12, 64, Options{Workers: 2, chunkSize: len(chunk)})
+	_, err := BuildStream(ctx, src, 1, 12, 64, Options{Workers: 2})
 	wantCanceled(t, err)
 	if reads > 3 {
-		t.Errorf("dispatcher kept reading after cancellation: %d reads", reads)
+		t.Errorf("slice kept reading after cancellation: %d reads", reads)
 	}
 	waitGoroutines(t, baseline)
 }

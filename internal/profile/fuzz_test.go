@@ -27,8 +27,8 @@ func fuzzBlocks(data []byte) []uint64 {
 // FuzzBuildParallelWorkers asserts worker-count invariance: BuildStream
 // must produce the same profile — histogram and every counter — for
 // workers = 1..16 on both exact backends on arbitrary traces, and that
-// profile must match the sequential Build. A sharded build over an
-// awkward chunk size is held to the same standard.
+// profile must match the sequential Build. A build over many slices
+// of an awkward length is held to the same standard.
 func FuzzBuildParallelWorkers(f *testing.F) {
 	f.Add([]byte{}, uint8(8), uint8(4))
 	f.Add([]byte{1, 0, 2, 0, 1, 0, 2, 0, 1, 0}, uint8(6), uint8(2))
@@ -61,22 +61,18 @@ func FuzzBuildParallelWorkers(f *testing.F) {
 					workers, n, cacheBlocks, len(blocks), d)
 			}
 		}
-		got, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks,
-			Options{Workers: 3, chunkSize: 17})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mustParallel(t, blocks, n, cacheBlocks, slicesOf(len(blocks), 17))
 		if d := diffProfiles(got, want); d != "" {
-			t.Fatalf("stream n=%d cap=%d len=%d: %s", n, cacheBlocks, len(blocks), d)
+			t.Fatalf("slices of 17 n=%d cap=%d len=%d: %s", n, cacheBlocks, len(blocks), d)
 		}
 	})
 }
 
-// FuzzShardMerge drives the reconciler directly with fuzz-chosen shard
-// boundaries — including empty shards, single-access shards, and cut
-// points nowhere near a chunkSize multiple, which the public builders
-// can never produce — and asserts gate absorption still
-// reconciles to the exact sequential profile with exact walk stats.
+// FuzzShardMerge drives the join directly with fuzz-chosen slice
+// boundaries — including empty slices, single-access slices, and cut
+// points nowhere near an even split, which BuildStream never produces
+// — and asserts Builder.absorb still joins them to the exact
+// sequential profile with exact walk stats.
 func FuzzShardMerge(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 0, 1, 0, 2, 0, 1, 0}, []byte{1, 3}, uint8(6), uint8(2))
 	f.Add([]byte{}, []byte{}, uint8(8), uint8(4))
@@ -99,23 +95,22 @@ func FuzzShardMerge(f *testing.F) {
 		sort.Ints(points)
 		points = append(points, len(blocks))
 
-		rc := newReconciler(NewBuilder(n, cacheBlocks))
+		joined := NewBuilder(n, cacheBlocks)
 		prev := 0
-		for idx, cut := range points {
-			s := &shardState{idx: idx, blocks: blocks[prev:cut]}
-			s.run(context.Background(), n, cacheBlocks, Options{})
-			if s.err != nil {
-				t.Fatal(s.err)
+		for _, cut := range points {
+			s := NewBuilder(n, cacheBlocks)
+			for _, b := range blocks[prev:cut] {
+				s.Add(b)
 			}
-			if err := rc.absorb(s); err != nil {
+			if err := joined.absorb(s); err != nil {
 				t.Fatal(err)
 			}
 			prev = cut
 		}
-		if d := diffProfiles(rc.out, want); d != "" {
+		if d := diffProfiles(joined.p, want); d != "" {
 			t.Fatalf("n=%d cap=%d len=%d cuts=%v: %s", n, cacheBlocks, len(blocks), points, d)
 		}
-		st := rc.stats
+		st := joined.stats
 		if st.CandidateWalks != want.Candidates || st.WalkSteps != want.TotalPairs ||
 			st.GatedCapacityMisses != want.Capacity {
 			t.Fatalf("stats probes broken: %+v vs candidates=%d pairs=%d capacity=%d",
@@ -126,9 +121,9 @@ func FuzzShardMerge(f *testing.F) {
 
 // FuzzParallelCheckpointResume kills a checkpointed parallel build at a
 // fuzz-chosen point in the source, then resumes from the snapshot with
-// a different worker count and chunk size. The resumed profile must be
-// bit-identical to an uninterrupted sequential Build — chunk-boundary
-// invariance of the snapshot is part of the contract.
+// a different worker count. The resumed profile must be bit-identical
+// to an uninterrupted sequential Build — slice-boundary invariance of
+// the snapshot is part of the contract.
 func FuzzParallelCheckpointResume(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 0, 1, 0, 2, 0}, uint16(2), uint8(3), uint8(9))
 	f.Add([]byte{}, uint16(0), uint8(0), uint8(0))
@@ -138,7 +133,7 @@ func FuzzParallelCheckpointResume(f *testing.F) {
 	}
 	f.Add(loop, uint16(77), uint8(2), uint8(31))
 
-	f.Fuzz(func(t *testing.T, data []byte, killRaw uint16, wRaw, chunkRaw uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, killRaw uint16, wRaw, w2Raw uint8) {
 		const n, cacheBlocks = 10, 16
 		blocks := fuzzBlocks(data)
 		want := Build(blocks, n, cacheBlocks)
@@ -150,12 +145,12 @@ func FuzzParallelCheckpointResume(f *testing.F) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		BuildStream(ctx, cancelAfterSource(blocks, kill, cancel), 1, n, cacheBlocks,
-			Options{Workers: 1 + int(wRaw)%4, chunkSize: 1 + int(chunkRaw)%64,
+			Options{Workers: 1 + int(wRaw)%64,
 				CheckpointPath: path, checkpointEvery: 1 + uint64(killRaw)%97, Resume: true})
 		cancel()
 
 		got, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks,
-			Options{Workers: 1 + int(chunkRaw)%5, chunkSize: 1 + int(wRaw)%77,
+			Options{Workers: 1 + int(w2Raw)%77,
 				CheckpointPath: path, Resume: true})
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,8 @@
 package profile
 
 // Error-path tests for Builder.Add and Profile.Merge: the merge
-// preconditions guard the sharded pipeline (every shard must share n
-// and the capacity filter), so their rejections are load-bearing.
+// preconditions guard the slice join (every slice must share n and
+// the capacity filter), so their rejections are load-bearing.
 
 import (
 	"strings"

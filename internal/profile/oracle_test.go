@@ -14,11 +14,10 @@ package profile
 // the stack — and exactly why the oracle makes a trustworthy reference:
 // the two share no code and no data structure. The tests below assert
 // that the sequential Build matches the oracle bit for bit on
-// randomized traces, and that the sharded builders match the sequential
-// Build bit for bit for every worker count and chunk size.
+// randomized traces, and that BuildStream matches the sequential Build
+// bit for bit for every worker count.
 
 import (
-	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -221,10 +220,10 @@ func TestDifferentialSequentialVsOracle(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallelVsSequential checks that BuildStream's two
-// engines are bit-identical to Build — counters included — for
-// every worker count and for chunk sizes that force many shard
-// boundaries, on randomized traces.
+// TestDifferentialParallelVsSequential checks that BuildStream is
+// bit-identical to Build — counters included — for every worker count
+// and for slice lengths that force many boundaries, on randomized
+// traces.
 func TestDifferentialParallelVsSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	trials := 300
@@ -243,26 +242,22 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 					trial, n, cacheBlocks, len(blocks), workers, d)
 			}
 		}
-		chunk := 1 + r.Intn(40)
-		got, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks,
-			Options{Workers: 1 + r.Intn(4), chunkSize: chunk})
-		if err != nil {
-			t.Fatalf("trial %d: BuildStream: %v", trial, err)
-		}
+		size := 1 + r.Intn(40)
+		got := mustParallel(t, blocks, n, cacheBlocks, slicesOf(len(blocks), size))
 		if d := diffProfiles(got, want); d != "" {
-			t.Fatalf("trial %d (n=%d cap=%d len=%d) chunk=%d: stream: %s",
-				trial, n, cacheBlocks, len(blocks), chunk, d)
+			t.Fatalf("trial %d (n=%d cap=%d len=%d) slice length %d: %s",
+				trial, n, cacheBlocks, len(blocks), size, d)
 		}
 	}
 }
 
 // TestDifferentialShardedMatrix is the full cross-implementation race
-// for the gate-absorbing scheme: on every trial one randomized trace
-// (locality-mixed or shard-boundary-adversarial) is profiled by the
+// for the slice join: on every trial one randomized trace
+// (locality-mixed or boundary-adversarial) is profiled by the
 // sequential Build, the pre-overhaul sequential reference (refBuild),
 // the retained warmup/overlap parallel reference (refBuildParallel),
-// BuildStream at a random worker count in {1..16} with one chunk per
-// worker, and BuildStream at a random chunk size — on all three exact
+// BuildStream at a random worker count in {1..16}, and BuildStream
+// over slices of a random length in {1..48} — on all three exact
 // stores (flat, sparse at wideN over n-bit blocks, wide-n sparse) —
 // and every result must be bit-identical, counters and BuildStats
 // walk-count probes included. The wideN sparse profile must also match
@@ -317,7 +312,7 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 		got := mustParallelOpts(t, blocks, n, cacheBlocks,
 			Options{Workers: workers, Stats: &st})
 		if d := diffProfiles(got, want); d != "" {
-			t.Fatalf("trial %d (n=%d cap=%d len=%d) workers=%d: sharded vs sequential: %s",
+			t.Fatalf("trial %d (n=%d cap=%d len=%d) workers=%d: sliced vs sequential: %s",
 				trial, n, cacheBlocks, len(blocks), workers, d)
 		}
 		if st.CandidateWalks != got.Candidates || st.WalkSteps != got.TotalPairs ||
@@ -327,19 +322,15 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 		}
 		refPar := refBuildParallel(blocks, n, cacheBlocks, 1+r.Intn(8))
 		if d := diffProfiles(got, refPar); d != "" {
-			t.Fatalf("trial %d workers=%d: sharded vs retained warmup reference: %s",
+			t.Fatalf("trial %d workers=%d: sliced vs retained warmup reference: %s",
 				trial, workers, d)
 		}
 
-		chunk := 1 + r.Intn(48)
-		gs, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks,
-			Options{Workers: 1 + r.Intn(5), chunkSize: chunk})
-		if err != nil {
-			t.Fatalf("trial %d: BuildStream: %v", trial, err)
-		}
+		size := 1 + r.Intn(48)
+		gs := mustParallel(t, blocks, n, cacheBlocks, slicesOf(len(blocks), size))
 		if d := diffProfiles(gs, want); d != "" {
-			t.Fatalf("trial %d (n=%d cap=%d len=%d) chunk=%d: stream vs sequential: %s",
-				trial, n, cacheBlocks, len(blocks), chunk, d)
+			t.Fatalf("trial %d (n=%d cap=%d len=%d) slice length %d: many slices vs sequential: %s",
+				trial, n, cacheBlocks, len(blocks), size, d)
 		}
 
 		if backend == 0 {

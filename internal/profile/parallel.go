@@ -1,392 +1,270 @@
 package profile
 
-// Parallel sharded profiling by gate absorption (DESIGN.md §13).
+// The profiling engine (DESIGN.md §13): the accesses still to profile
+// are split into Workers contiguous slices, every slice runs the
+// sequential Fig. 1 loop on its own builder, and the slices are joined
+// in trace order.
 //
-// The Fig. 1 pass is sequential on its face — the LRU gate is global
-// state — but almost none of that state matters across a shard
-// boundary. Each shard runs the plain Builder from cold, with zero
-// per-access overhead over the sequential pass. A single in-order
-// reconciliation pass then reads the shard's gate — its distinct
-// blocks in first-touch order, its stamps and its window — and repairs
-// the only classifications a cold shard can get wrong, its apparent
-// first touches:
+// The LRU gate is global state, but almost none of it matters across a
+// slice boundary. A slice after the first starts cold, and joining it
+// to the prefix before it repairs the only classifications a cold
+// builder can get wrong, its apparent first touches:
 //
 //   - Every non-first-touch access has its previous access inside the
-//     shard, so the blocks above it in the shard's window are exactly
-//     the blocks the sequential window holds above it. Intra-shard
+//     slice, so the blocks above it in the slice's window are exactly
+//     the blocks the sequential window holds above it. Intra-slice
 //     classifications and histogram contributions are bit-identical to
 //     the sequential pass.
-//   - A shard's j-th first touch of block b that an earlier shard
-//     already accessed is really a re-reference. Its sequential reuse
-//     distance is |prefix_j ∪ above(b)|, where prefix_j is the shard's
-//     j first-touched blocks before it (all accessed since b's previous
-//     access) and above(b) the blocks above b in the boundary gate —
-//     the sequential gate at the shard's start. With j > cacheBlocks,
-//     or b below the boundary window, the distance already exceeds the
-//     filter, so the miss flips compulsory→capacity with no walk at
-//     all; otherwise the boundary window above b, less the prefix
-//     members, either flips it to capacity or supplies the conflict
-//     pairs b⊕y the cold shard omitted.
-//   - The boundary gate then absorbs the shard's: the shard's stamps
-//     move past the boundary clock, so every block the shard touched
-//     is more recent than every block it did not, and the shard's
-//     window, topped up from the boundary window when the shard saw
-//     fewer than cacheBlocks+1 blocks, becomes the boundary window.
-//     That is the sequential gate at the shard's end, because an LRU
+//   - A slice's j-th first touch of block b that the prefix already
+//     accessed is really a re-reference. Its sequential reuse distance
+//     is |prefix_j ∪ above(b)|, where prefix_j is the slice's j
+//     first-touched blocks before it (all accessed since b's previous
+//     access) and above(b) the blocks above b in the prefix's gate.
+//     With j > cacheBlocks, or b below the prefix's window, the
+//     distance already exceeds the filter, so the miss flips
+//     compulsory→capacity with no walk at all; otherwise the prefix
+//     window above b, less the slice's first touches, either flips it
+//     to capacity or supplies the conflict pairs b⊕y the cold slice
+//     omitted.
+//   - The prefix's gate then absorbs the slice's (lru.Stack.Absorb):
+//     that is the sequential gate at the slice's end, because an LRU
 //     stack depends only on the order of last accesses.
 //
-// At most cacheBlocks+1 first touches per shard can reach the walk, and
-// each reads at most cacheBlocks+1 window entries, so the repair is
-// O(cacheBlocks²) per boundary and the absorb O(1) per distinct shard
-// block — independent of shard length. Histogram increments commute,
-// so the merged profile is bit-identical to the sequential Build —
-// histogram, every counter, and the BuildStats probes — for every
-// worker count and chunk size. An absorbed shard's builder, histogram
-// and stamps included, is emptied and handed to the next shard, so a
-// pass allocates only as many builders as it has in flight. This
-// replaces an earlier warmup-replay scheme (kept in refparallel_test.go
-// as a differential reference), which paid a per-access map write in
-// every shard and re-profiled an overlap window per boundary.
+// The repair is O(cacheBlocks²) per boundary and the absorb O(1) per
+// distinct block of the slice; histogram increments commute, so the
+// joined profile is bit-identical to the sequential Build — histogram,
+// every counter and the BuildStats probes — for every worker count.
+// The warmup-replay scheme this replaced is kept in refparallel_test.go
+// as a differential reference.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"sync"
 
-	"xoridx/internal/lru"
+	"xoridx/internal/trace"
 	"xoridx/internal/xerr"
 )
 
-// testShardHook, when non-nil, runs at the start of every shard pass
-// with the shard index. The cancellation and panic-surfacing tests use
-// it to inject failures into a chosen shard; it is nil outside tests.
-var testShardHook func(idx int)
+// testSliceHook, when non-nil, runs at the start of every slice with
+// its index and first access. The cancellation, panic and layout tests
+// use it; it is nil outside tests.
+var testSliceHook func(idx int, from uint64)
 
-// shardState is the fixed-size per-shard slot of a sharded build: the
-// input half (idx, blocks) is filled by the dispatcher, the output half
-// (bd, p, err) by the one worker goroutine that runs the shard. Nothing
-// in it is shared until the shard is handed back for reconciliation,
-// and once absorbed the whole slot — chunk buffer and builder — is
-// recycled for a later shard.
-type shardState struct {
-	idx    int
-	blocks []uint64
-	bd     *Builder // the previous shard's builder when recycled, else nil
-
-	p   *Profile
-	err error
+// slice is one contiguous run [from, to) of the accesses a build
+// profiles, and the builder that profiles it. The last slice has to =
+// open and reads on to the end of the pass.
+type slice struct {
+	idx      int
+	from, to uint64
+	bd       *Builder
+	err      error // nil when the slice ran to its end
 }
 
-// run profiles the shard on a cold builder — a new one, or the recycled
-// one emptied — checking ctx every ctxCheckEvery accesses. A panic
-// anywhere in the pass is converted into a wrapped xerr.ErrPanic naming
-// the shard instead of crashing the process, so the fan-out drains
-// normally and the caller sees an ordinary error it can match with
-// errors.Is.
-func (s *shardState) run(ctx context.Context, n, cacheBlocks int, opt Options) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.p = nil
-			s.err = xerr.Panicked(fmt.Sprintf("profile: shard %d", s.idx), r)
+// open marks the last slice's end: wherever the pass ends.
+const open = math.MaxUint64
+
+// layout splits the accesses [pos, length) still to profile into
+// workers contiguous slices, never more than there are accesses, so a
+// source that does not know its length (0) profiles as one slice.
+// Slice 0 continues start; build gives the others cold builders.
+func layout(start *Builder, length uint64, workers int) []*slice {
+	pos := start.Pos()
+	rest := uint64(0)
+	if length > pos {
+		rest = length - pos
+	}
+	w := min(uint64(max(workers, 1)), max(rest, 1))
+	ss := make([]*slice, w)
+	for i := range ss {
+		hi, lo := bits.Mul64(uint64(i), rest)
+		q, _ := bits.Div64(hi, lo, w)
+		ss[i] = &slice{idx: i, from: pos + q}
+		if i > 0 {
+			ss[i-1].to = ss[i].from
 		}
-	}()
-	if testShardHook != nil {
-		testShardHook(s.idx)
 	}
-	if s.bd == nil {
-		s.bd = newBuilder(n, cacheBlocks, opt.Sketch)
-	} else {
-		s.bd.reset()
-	}
-	tick := 0
-	for _, b := range s.blocks {
-		if tick++; tick >= ctxCheckEvery {
-			tick = 0
-			if err := xerr.Check(ctx); err != nil {
-				s.err = err
-				return
-			}
+	ss[0].bd = start
+	ss[w-1].to = open
+	return ss
+}
+
+// build runs every slice, slice 0 inline and the others on their own
+// goroutines, and joins them. A slice that fails for any reason but
+// cancellation cancels the others, and the first such failure in
+// slice order is what the build returns. On cancellation the result is
+// the longest exact prefix: the slices joined in order up to and
+// including the first partial one, marked Degraded and snapshotted
+// when checkpointing.
+func build(ctx context.Context, src trace.Source, shift uint, ss []*slice, opt Options) (*Profile, error) {
+	inner, cancel := context.WithCancel(ctx)
+	defer cancel()
+	run := func(s *slice) {
+		if s.run(inner, src, shift, opt); s.err != nil && !errors.Is(s.err, xerr.ErrCanceled) {
+			cancel()
 		}
-		s.bd.Add(b)
 	}
-	s.p = s.bd.p
-}
-
-// reset empties an absorbed shard's builder for the next shard, keeping
-// its flat table or sparse map and its stamps: clearing costs one pass
-// over the table and one write per block the shard saw.
-func (bd *Builder) reset() {
-	p := bd.p
-	clear(p.Table)
-	clear(p.Sparse)
-	fresh := &Profile{N: p.N, CacheBlocks: p.CacheBlocks, Table: p.Table, Sparse: p.Sparse}
-	if sk := p.Sketch; sk != nil {
-		fresh.Sketch = NewSketch(SketchOptions{Width: sk.Width, Depth: sk.Depth, TopK: sk.topK, Seed: sk.Seed})
-	}
-	bd.p = fresh
-	bd.stack.Reset()
-	bd.stats = BuildStats{}
-}
-
-// buildSharded is the Workers > 1 engine: a chunk dispatcher, a
-// worker pool of cold shard builders, and an in-order collector that
-// absorbs shards as they complete (and snapshots the reconciled prefix
-// when checkpointing). Reconciliation is incremental, and absorbed
-// shard slots return to a free list the dispatcher draws from, so a
-// pass allocates chunk buffers, histograms and stamps only for the
-// shards it has in flight at once. start is the state the pass
-// continues from — cold, or a restored snapshot whose (profile, gate)
-// pair seeds the reconciler. A failed shard (panic,
-// injected fault) cancels the rest of the fan-out internally, and its
-// error — not the secondary cancellation — is what the call returns.
-func buildSharded(ctx context.Context, rd *blockReader, start *Builder, opt Options) (*Profile, error) {
-	n, cacheBlocks := start.p.N, start.p.CacheBlocks
-	rc := newReconciler(start)
-	// inner cancels the fan-out when a shard fails, so the dispatcher
-	// and sibling shards stop instead of profiling a stream whose
-	// result is already lost. The root-cause error is kept separately —
-	// the secondary cancellations never mask it.
-	inner, cancelInner := context.WithCancel(ctx)
-	defer cancelInner()
-
-	jobs := make(chan *shardState, opt.Workers)
-	done := make(chan *shardState, opt.Workers)
-	// free holds absorbed slots for reuse. It has room for about as
-	// many slots as can be in flight (queued, running, done, and the
-	// collector's and dispatcher's own), so a recycled slot is rarely
-	// dropped and reallocated.
-	free := make(chan *shardState, 4*opt.Workers)
+	p := ss[0].bd.p
 	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
+	for _, s := range ss[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for s := range jobs {
-				s.run(inner, n, cacheBlocks, opt)
-				done <- s
-			}
+			// Each cold builder is made by the goroutine that fills it.
+			// Builders made one after another by one goroutine sit next
+			// to each other in memory, and two slices bumping counters
+			// in one cache line ran at half speed.
+			s.bd = newBuilder(p.N, p.CacheBlocks, opt.Sketch)
+			run(s)
 		}()
 	}
-	// Collector: reconcile results in shard order as they arrive,
-	// buffering the out-of-order ones, so completed histograms are
-	// released instead of accumulating until the end of the stream.
-	// Errored shards still advance the in-order cursor — otherwise a
-	// canceled shard would stall every later result in the pending map.
-	// rootErr collects the first non-cancellation failure (and triggers
-	// the internal cancel); cancelErr the first cancellation.
-	collected := make(chan struct{})
-	var rootErr, cancelErr error
-	go func() {
-		defer close(collected)
-		pending := make(map[int]*shardState)
-		next := 0
-		sinceCkpt := uint64(0)
-		fail := func(err error) {
-			if errors.Is(err, xerr.ErrCanceled) {
-				if cancelErr == nil {
-					cancelErr = err
-				}
-				return
-			}
-			if rootErr == nil {
-				rootErr = err
-				cancelInner()
-			}
-		}
-		for s := range done {
-			pending[s.idx] = s
-			for {
-				ns, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next++
-				if ns.err != nil {
-					fail(ns.err)
-					continue
-				}
-				if rootErr != nil || cancelErr != nil {
-					continue
-				}
-				added := ns.p.Accesses
-				if err := rc.absorb(ns); err != nil {
-					fail(err)
-					continue
-				}
-				select {
-				case free <- ns:
-				default:
-				}
-				if opt.CheckpointPath != "" {
-					if sinceCkpt += added; sinceCkpt >= opt.checkpointEvery {
-						if err := opt.snapshot(rc.builder()); err != nil {
-							fail(err)
-							continue
-						}
-						sinceCkpt = 0
-					}
-				}
-			}
-		}
-	}()
+	run(ss[0])
+	wg.Wait()
 
-	idx := 0
-	var srcErr error
-	for {
-		if err := xerr.Check(inner); err != nil {
-			srcErr = err
-			break
-		}
-		var s *shardState
-		select {
-		case s = <-free:
-		default:
-			s = &shardState{blocks: make([]uint64, opt.chunkSize)}
-		}
-		filled, ferr := rd.fill(s.blocks[:cap(s.blocks)])
-		if filled > 0 && (ferr == nil || ferr == io.EOF) {
-			s.idx, s.blocks = idx, s.blocks[:filled]
-			jobs <- s
-			idx++
-		}
-		if ferr == io.EOF {
-			break
-		}
-		if ferr != nil {
-			srcErr = ferr
-			break
+	for _, s := range ss {
+		if s.err != nil && !errors.Is(s.err, xerr.ErrCanceled) {
+			return nil, s.err
 		}
 	}
-	close(jobs)
-	wg.Wait()
-	close(done)
-	<-collected
-
-	switch {
-	case rootErr != nil:
-		return nil, rootErr
-	case srcErr != nil && !errors.Is(srcErr, xerr.ErrCanceled):
-		return nil, srcErr
-	case srcErr != nil || cancelErr != nil:
-		cause := srcErr
-		if cause == nil {
-			cause = cancelErr
+	bd := ss[0].bd
+	for _, s := range ss {
+		if s.idx > 0 {
+			if err := bd.absorb(s.bd); err != nil {
+				return nil, err
+			}
 		}
-		if opt.CheckpointPath != "" {
-			return opt.degraded(rc.builder(), cause)
+		if s.err != nil {
+			return opt.degraded(bd, s.err)
 		}
-		return nil, cause
 	}
 	// Final snapshot: a resume of a completed run replays nothing.
-	if err := opt.snapshot(rc.builder()); err != nil {
+	if err := opt.snapshot(bd); err != nil {
 		return nil, err
 	}
 	if opt.Stats != nil {
-		*opt.Stats = rc.stats
+		*opt.Stats = bd.stats
 	}
-	return rc.out, nil
+	return bd.Finish(), nil
 }
 
-// reconciler folds shard results into the merged profile in trace
-// order. bound is the sequential LRU gate at the boundary between the
-// shards already absorbed and the next one — the only cross-shard state
-// the scheme needs. Its (out, bound) pair is at every shard boundary
-// exactly the (profile, gate) state of a sequential Builder at that
-// access position, which is what makes sharded builds checkpointable
-// with the sequential snapshot codec (see rc.builder).
-type reconciler struct {
-	out   *Profile
-	bound *lru.Stack
-	stats BuildStats
-
-	prefix  map[uint64]struct{} // scratch: current shard's first-touch prefix
-	scratch []uint64            // scratch: boundary blocks collected by a walk
-}
-
-// newReconciler continues from start's (profile, gate) state: cold, or
-// a restored snapshot of the prefix already profiled.
-func newReconciler(start *Builder) *reconciler {
-	return &reconciler{
-		out:    start.p,
-		bound:  start.stack,
-		prefix: make(map[uint64]struct{}),
-	}
-}
-
-// builder views the reconciled prefix as a sequential Builder for the
-// snapshot codec: (out, bound) at a shard boundary carries the same
-// counters, gate and histogram a sequential Builder would hold at that
-// access position, down to the stackLen == Compulsory invariant Restore
-// re-validates.
-func (rc *reconciler) builder() *Builder {
-	return &Builder{p: rc.out, stack: rc.bound}
-}
-
-// absorb folds the next shard (in trace order) into the merged profile:
-// reclassify the shard's boundary-crossing first touches against the
-// boundary gate, let the boundary gate absorb the shard's, then merge
-// the histogram. A merge failure (a shard built with a different
-// geometry — impossible through the exported builders, reachable if the
-// reconciler is ever reused across configurations) is returned as
-// Merge's wrapped xerr.ErrProfileMismatch rather than panicking in
-// library code.
-func (rc *reconciler) absorb(s *shardState) error {
-	st := s.bd.stats
-	rc.stats.CandidateWalks += st.CandidateWalks
-	rc.stats.WalkSteps += st.WalkSteps
-	rc.stats.GatedCapacityMisses += st.GatedCapacityMisses
-	// Only first touches with at most cacheBlocks first touches before
-	// them can be conflict candidates; each is resolved against the
-	// boundary gate before it absorbs the shard's.
-	first := s.bd.stack.FirstTouched()
-	head := first[:min(len(first), rc.out.CacheBlocks+1)]
-	clear(rc.prefix)
-	resolved := 0
-	for j, b := range head {
-		if rc.bound.Seen(b) {
-			rc.resolve(s.p, head[:j], b)
-			resolved++
+// run profiles the slice: it opens its own pass, skips to from, and
+// adds accesses until to, polling ctx once per chunk. Slice 0 extends
+// the exact prefix, so it alone snapshots every checkpointEvery
+// accesses. A panic becomes a wrapped xerr.ErrPanic naming the slice.
+func (s *slice) run(ctx context.Context, src trace.Source, shift uint, opt Options) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.err = xerr.Panicked(fmt.Sprintf("profile: slice %d", s.idx), r)
 		}
-		rc.prefix[b] = struct{}{}
+	}()
+	if testSliceHook != nil {
+		testSliceHook(s.idx, s.from)
 	}
-	// Every later first touch the boundary had seen sits more than
-	// cacheBlocks blocks deep: a capacity miss, found by Absorb's count.
-	deep := uint64(rc.bound.Absorb(s.bd.stack) - resolved)
-	s.p.Compulsory -= deep
-	s.p.Capacity += deep
-	rc.stats.GatedCapacityMisses += deep
-	if err := rc.out.Merge(s.p); err != nil {
-		return fmt.Errorf("profile: shard merge: %w", err)
+	s.err = s.profile(ctx, src, shift, opt)
+}
+
+func (s *slice) profile(ctx context.Context, src trace.Source, shift uint, opt Options) error {
+	pass, err := src.Pass(ctx)
+	if err != nil {
+		return err
+	}
+	defer pass.Close()
+	rd := &blockReader{pass: pass}
+	if err := rd.skip(ctx, s.from); err != nil {
+		return err
+	}
+	bd, left, sinceCkpt := s.bd, s.to-s.from, uint64(0)
+	for left > 0 {
+		if err := xerr.Check(ctx); err != nil {
+			return err
+		}
+		chunk, err := rd.next()
+		if err == io.EOF && s.to == open {
+			return nil
+		}
+		if err == io.EOF {
+			return fmt.Errorf("profile: source ended %d accesses short of its declared length: %w", left, xerr.ErrFormat)
+		}
+		if err != nil {
+			return err
+		}
+		chunk = chunk[:min(uint64(len(chunk)), left)]
+		for _, a := range chunk {
+			bd.Add(a.Addr >> shift)
+		}
+		left -= uint64(len(chunk))
+		if sinceCkpt += uint64(len(chunk)); s.idx == 0 && sinceCkpt >= opt.checkpointEvery {
+			if err := opt.snapshot(bd); err != nil {
+				return err
+			}
+			sinceCkpt = 0
+		}
 	}
 	return nil
 }
 
-// resolve reclassifies one boundary-crossing candidate: block b looked
-// like the shard's j-th first touch (j = len(prefix) <= cacheBlocks)
-// but an earlier shard accessed it. Its sequential reuse distance is
-// the size of prefix ∪ {boundary blocks above b}; the prefix members
-// are distinct from each other and all accessed since b, so only the
-// boundary blocks not already in the prefix add to it. A b below the
-// boundary window has more than cacheBlocks boundary blocks above it.
-func (rc *reconciler) resolve(p *Profile, prefix []uint64, b uint64) {
+// absorb joins the slice profiled by s, which starts cold at bd's
+// position: reclassify the slice's boundary-crossing first touches
+// against bd's gate, let that gate absorb the slice's, then merge the
+// histogram. bd is then exactly the sequential builder at the slice's
+// end. A merge failure (a slice built with a different geometry) is
+// returned as Merge's wrapped xerr.ErrProfileMismatch.
+func (bd *Builder) absorb(s *Builder) error {
+	bd.stats.CandidateWalks += s.stats.CandidateWalks
+	bd.stats.WalkSteps += s.stats.WalkSteps
+	bd.stats.GatedCapacityMisses += s.stats.GatedCapacityMisses
+	// Only first touches with at most cacheBlocks first touches before
+	// them can be conflict candidates; each is resolved against bd's
+	// gate before it absorbs the slice's.
+	first := s.stack.FirstTouched()
+	head := first[:min(len(first), bd.p.CacheBlocks+1)]
+	inPrefix := make(map[uint64]struct{}, len(head))
+	resolved := 0
+	for j, b := range head {
+		if bd.stack.Seen(b) {
+			bd.resolve(s.p, head[:j], inPrefix, b)
+			resolved++
+		}
+		inPrefix[b] = struct{}{}
+	}
+	// Every later first touch bd had seen sits more than cacheBlocks
+	// blocks deep: a capacity miss, found by Absorb's count.
+	deep := uint64(bd.stack.Absorb(s.stack) - resolved)
+	s.p.Compulsory -= deep
+	s.p.Capacity += deep
+	bd.stats.GatedCapacityMisses += deep
+	if err := bd.p.Merge(s.p); err != nil {
+		return fmt.Errorf("profile: slice merge: %w", err)
+	}
+	return nil
+}
+
+// resolve reclassifies one boundary-crossing candidate into p, the
+// slice's profile: block b looked like the slice's j-th first touch (j
+// = len(prefix) <= cacheBlocks) but bd accessed it. Its sequential
+// reuse distance is the size of prefix ∪ {blocks above b in bd's gate};
+// the prefix members (inPrefix) are distinct and all accessed since b, so
+// only the gate blocks not among them add to it. A b below bd's window
+// has more than cacheBlocks blocks above it.
+func (bd *Builder) resolve(p *Profile, prefix []uint64, inPrefix map[uint64]struct{}, b uint64) {
 	p.Compulsory--
-	above, in := rc.bound.Above(b)
-	ys := rc.scratch[:0]
+	above, in := bd.stack.Above(b)
+	var ys []uint64
 	for _, y := range above {
-		if _, ok := rc.prefix[y]; !ok {
+		if _, ok := inPrefix[y]; !ok {
 			ys = append(ys, y)
 		}
 	}
-	rc.scratch = ys
-	if !in || len(prefix)+len(ys) > rc.out.CacheBlocks {
+	if !in || len(prefix)+len(ys) > bd.p.CacheBlocks {
 		p.Capacity++
-		rc.stats.GatedCapacityMisses++
+		bd.stats.GatedCapacityMisses++
 		return
 	}
 	p.Candidates++
-	rc.stats.CandidateWalks++
-	rc.stats.WalkSteps += p.addPairs(b, prefix) + p.addPairs(b, ys)
+	bd.stats.CandidateWalks++
+	bd.stats.WalkSteps += p.addPairs(b, prefix) + p.addPairs(b, ys)
 }

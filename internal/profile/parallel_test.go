@@ -25,7 +25,8 @@ func blockTrace(blocks []uint64) *trace.Trace {
 }
 
 // passFunc is a trace source of a single pass whose chunks come from a
-// test's closure.
+// test's closure. Its header declares no length, so BuildStream
+// profiles it as one slice.
 type passFunc func() ([]trace.Access, error)
 
 func (f passFunc) Header() trace.Header                     { return trace.Header{} }
@@ -33,37 +34,51 @@ func (f passFunc) Pass(context.Context) (trace.Pass, error) { return f, nil }
 func (f passFunc) Chunk() ([]trace.Access, error)           { return f() }
 func (f passFunc) Close() error                             { return nil }
 
-// chunked hands blocks out as accesses at most size per chunk, then
-// io.EOF.
-func chunked(blocks []uint64, size int) passFunc {
-	rest := blockTrace(blocks).Accesses
-	return func() ([]trace.Access, error) {
-		if len(rest) == 0 {
-			return nil, io.EOF
-		}
-		k := min(size, len(rest))
-		chunk := rest[:k]
-		rest = rest[k:]
-		return chunk, nil
-	}
+// source is a re-readable trace source of n accesses: every pass is a
+// fresh passFunc from open, so a build over several slices reads it
+// once per slice.
+type source struct {
+	n    int
+	open func() passFunc
 }
 
-// mustParallel runs the sharded engine over an in-memory trace split
-// into one chunk per worker, for tests where the geometry is known to
-// be valid.
+func (s source) Header() trace.Header                     { return trace.Header{Len: uint64(s.n)} }
+func (s source) Pass(context.Context) (trace.Pass, error) { return s.open(), nil }
+
+// chunked hands blocks out as accesses at most size per chunk, then
+// io.EOF, on every pass.
+func chunked(blocks []uint64, size int) source {
+	return source{len(blocks), func() passFunc {
+		rest := blockTrace(blocks).Accesses
+		return func() ([]trace.Access, error) {
+			if len(rest) == 0 {
+				return nil, io.EOF
+			}
+			k := min(size, len(rest))
+			chunk := rest[:k]
+			rest = rest[k:]
+			return chunk, nil
+		}
+	}}
+}
+
+// slicesOf is the worker count that cuts length accesses into slices
+// of at most size accesses: the many-boundary setting of the
+// differential tests.
+func slicesOf(length, size int) int {
+	return max(1, (length+size-1)/size)
+}
+
+// mustParallel profiles an in-memory trace in workers slices, for tests
+// where the geometry is known to be valid.
 func mustParallel(t testing.TB, blocks []uint64, n, cacheBlocks, workers int) *Profile {
 	t.Helper()
 	return mustParallelOpts(t, blocks, n, cacheBlocks, Options{Workers: workers})
 }
 
-// mustParallelOpts is mustParallel with explicit options. A zero
-// chunkSize is replaced by one chunk per worker, so even short test
-// traces cross shard boundaries.
+// mustParallelOpts is mustParallel with explicit options.
 func mustParallelOpts(t testing.TB, blocks []uint64, n, cacheBlocks int, opt Options) *Profile {
 	t.Helper()
-	if opt.chunkSize == 0 && opt.Workers > 1 {
-		opt.chunkSize = max(1, (len(blocks)+opt.Workers-1)/opt.Workers)
-	}
 	p, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks, opt)
 	if err != nil {
 		t.Fatalf("BuildStream(context.Background(), n=%d cap=%d %+v): %v", n, cacheBlocks, opt, err)
@@ -109,8 +124,8 @@ func TestBuildParallelRejectsInvalidGeometry(t *testing.T) {
 	}
 }
 
-// boundaryTrace builds a trace whose reuse intervals straddle shard
-// edges: cycles over `period` distinct blocks, so with shard lengths
+// boundaryTrace builds a trace whose reuse intervals straddle slice
+// edges: cycles over `period` distinct blocks, so with slice lengths
 // near the period nearly every re-reference crosses a boundary and the
 // reuse distance hovers right at the capacity filter. An occasional
 // noise block perturbs the recency order so boundary stacks are not
@@ -126,10 +141,10 @@ func boundaryTrace(r *rand.Rand, period, length int) []uint64 {
 	return blocks[:length]
 }
 
-// TestBuildParallelBoundaryAdversarial pins gate absorption
-// where it is hardest: reuse intervals that straddle shard boundaries
-// with distances right at the capacity filter, across worker counts and
-// chunk sizes chosen to put a boundary inside almost every interval.
+// TestBuildParallelBoundaryAdversarial pins the join where it is
+// hardest: reuse intervals that straddle slice boundaries with
+// distances right at the capacity filter, across worker counts and
+// slice lengths chosen to put a boundary inside almost every interval.
 func TestBuildParallelBoundaryAdversarial(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -144,15 +159,11 @@ func TestBuildParallelBoundaryAdversarial(t *testing.T) {
 					trial, cacheBlocks, period, workers, d)
 			}
 		}
-		for _, chunk := range []int{period - 1, period, period + 1} {
-			got, err := BuildStream(context.Background(), blockTrace(blocks), 1, 8, cacheBlocks,
-				Options{Workers: 4, chunkSize: chunk})
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, size := range []int{period - 1, period, period + 1} {
+			got := mustParallel(t, blocks, 8, cacheBlocks, slicesOf(len(blocks), size))
 			if d := diffProfiles(got, want); d != "" {
-				t.Fatalf("trial %d cap=%d period=%d chunk=%d: %s",
-					trial, cacheBlocks, period, chunk, d)
+				t.Fatalf("trial %d cap=%d period=%d slice length %d: %s",
+					trial, cacheBlocks, period, size, d)
 			}
 		}
 	}
@@ -160,7 +171,7 @@ func TestBuildParallelBoundaryAdversarial(t *testing.T) {
 
 // TestBuildParallelStatsInvariants pins the merged hot-path probes: the
 // sequential invariants hold exactly for the merged counters too — the
-// reconciler never writes a histogram entry it has to undo.
+// join never writes a histogram entry it has to undo.
 func TestBuildParallelStatsInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 40; trial++ {
@@ -184,54 +195,53 @@ func TestBuildParallelStatsInvariants(t *testing.T) {
 }
 
 // TestBuildParallelShardPanicNamesShard pins the failure contract: a
-// worker panic surfaces as a wrapped xerr.ErrPanic naming the shard —
+// worker panic surfaces as a wrapped xerr.ErrPanic naming the slice —
 // never a bare crash, never a masked secondary cancellation.
 func TestBuildParallelShardPanicNamesShard(t *testing.T) {
-	testShardHook = func(idx int) {
+	testSliceHook = func(idx int, _ uint64) {
 		if idx == 2 {
-			panic("injected shard failure")
+			panic("injected slice failure")
 		}
 	}
-	defer func() { testShardHook = nil }()
+	defer func() { testSliceHook = nil }()
 	blocks := make([]uint64, 4096)
 	for i := range blocks {
 		blocks[i] = uint64(i % 97)
 	}
-	_, err := BuildStream(context.Background(), blockTrace(blocks), 1, 8, 4, Options{Workers: 4, chunkSize: 1024})
+	_, err := BuildStream(context.Background(), blockTrace(blocks), 1, 8, 4, Options{Workers: 4})
 	if !errors.Is(err, xerr.ErrPanic) {
 		t.Fatalf("err = %v, want wrapped ErrPanic", err)
 	}
-	if !strings.Contains(err.Error(), "shard 2") {
-		t.Fatalf("err = %v, want the shard named", err)
+	if !strings.Contains(err.Error(), "slice 2") {
+		t.Fatalf("err = %v, want the slice named", err)
 	}
 	if errors.Is(err, xerr.ErrCanceled) {
 		t.Fatalf("err = %v, panic must not be reported as a cancellation", err)
 	}
 }
 
-// TestBuildStreamShardPanicNotMaskedByCancellation does the same for
-// the stream pipeline, where a failed shard internally cancels the
-// dispatcher and its sibling shards: the panic stays the reported root
-// cause and no goroutine is left behind.
+// TestBuildStreamShardPanicNotMaskedByCancellation: a failed slice
+// cancels its siblings, and the panic stays the reported root cause
+// with no goroutine left behind.
 func TestBuildStreamShardPanicNotMaskedByCancellation(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	testShardHook = func(idx int) {
+	testSliceHook = func(idx int, _ uint64) {
 		if idx == 3 {
-			panic("injected shard failure")
+			panic("injected slice failure")
 		}
 	}
-	defer func() { testShardHook = nil }()
+	defer func() { testSliceHook = nil }()
 	blocks := make([]uint64, 4096)
 	for i := range blocks {
 		blocks[i] = uint64(i % 131)
 	}
 	p, err := BuildStream(context.Background(), blockTrace(blocks), 1, 8, 4,
-		Options{Workers: 4, chunkSize: 64})
+		Options{Workers: 16})
 	if p != nil {
 		t.Fatal("failed stream build must not return a profile")
 	}
-	if !errors.Is(err, xerr.ErrPanic) || !strings.Contains(err.Error(), "shard 3") {
-		t.Fatalf("err = %v, want wrapped ErrPanic naming shard 3", err)
+	if !errors.Is(err, xerr.ErrPanic) || !strings.Contains(err.Error(), "slice 3") {
+		t.Fatalf("err = %v, want wrapped ErrPanic naming slice 3", err)
 	}
 	if errors.Is(err, xerr.ErrCanceled) {
 		t.Fatalf("err = %v, internal cancellation must not mask the panic", err)
@@ -239,25 +249,49 @@ func TestBuildStreamShardPanicNotMaskedByCancellation(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
-// TestBuildStreamFillsShortReads pins the chunk-boundary alignment: a
-// pass that dribbles a few accesses per chunk still yields shards of
-// exactly chunkSize (the dispatcher tops chunks up), so shard
-// boundaries — and the gates absorbed at them — are a
-// function of chunkSize alone, not of the pass's chunk sizes.
+// TestBuildStreamFillsShortReads pins the slice layout: slice bounds —
+// and the gates joined at them — are a function of the source's
+// declared length and the worker count alone, not of the pass's chunk
+// sizes, even for a pass that dribbles a few accesses per chunk.
 func TestBuildStreamFillsShortReads(t *testing.T) {
-	var shards atomic.Int32
-	testShardHook = func(int) { shards.Add(1) }
-	defer func() { testShardHook = nil }()
 	blocks := boundaryTrace(rand.New(rand.NewSource(14)), 13, 100)
-	got, err := BuildStream(context.Background(), chunked(blocks, 3), 1, 8, 4, Options{Workers: 2, chunkSize: 25})
+	for _, size := range []int{1, 3, 7, 100} {
+		starts := make([]atomic.Uint64, 4)
+		testSliceHook = func(idx int, from uint64) { starts[idx].Store(from + 1) }
+		got, err := BuildStream(context.Background(), chunked(blocks, size), 1, 8, 4, Options{Workers: 4})
+		testSliceHook = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffProfiles(got, Build(blocks, 8, 4)); d != "" {
+			t.Fatalf("chunks of %d: %s", size, d)
+		}
+		for i := range starts {
+			if from := starts[i].Load(); from != uint64(25*i)+1 {
+				t.Fatalf("chunks of %d: slice %d started at %d, want %d", size, i, int(from)-1, 25*i)
+			}
+		}
+	}
+}
+
+// TestBuildStreamUnknownLengthIsOneSlice: a source whose header
+// declares no length profiles as one slice, whatever Workers says, and
+// bit-identically to Build.
+func TestBuildStreamUnknownLengthIsOneSlice(t *testing.T) {
+	blocks := boundaryTrace(rand.New(rand.NewSource(15)), 29, 3000)
+	var slices atomic.Int32
+	testSliceHook = func(int, uint64) { slices.Add(1) }
+	defer func() { testSliceHook = nil }()
+	src := chunked(blocks, 100)
+	got, err := BuildStream(context.Background(), src.open(), 1, 10, 16, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffProfiles(got, Build(blocks, 8, 4)); d != "" {
+	if d := diffProfiles(got, Build(blocks, 10, 16)); d != "" {
 		t.Fatal(d)
 	}
-	if n := shards.Load(); n != 4 {
-		t.Fatalf("dispatched %d shards for 100 accesses at chunkSize 25, want 4", n)
+	if n := slices.Load(); n != 1 {
+		t.Fatalf("ran %d slices over a source of unknown length, want 1", n)
 	}
 }
 
@@ -271,19 +305,19 @@ func TestBuildStreamPropagatesSourceError(t *testing.T) {
 			}
 			return nil, boom
 		})
-		if _, err := BuildStream(context.Background(), src, 1, 8, 4, Options{Workers: workers, chunkSize: 2}); !errors.Is(err, boom) {
+		if _, err := BuildStream(context.Background(), src, 1, 8, 4, Options{Workers: workers}); !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom)
 		}
 	}
 }
 
 // TestBuildStreamFinalChunkWithEOF: a pass whose last chunk is short,
-// with a shard length that divides neither the trace nor the chunks,
+// with slice lengths that divide neither the trace nor the chunks,
 // profiles every access once.
 func TestBuildStreamFinalChunkWithEOF(t *testing.T) {
 	blocks := []uint64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
 	for _, workers := range []int{1, 3} {
-		got, err := BuildStream(context.Background(), chunked(blocks, 5), 1, 6, 4, Options{Workers: workers, chunkSize: 4})
+		got, err := BuildStream(context.Background(), chunked(blocks, 5), 1, 6, 4, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,8 +335,8 @@ func TestBuildStreamBlockSize(t *testing.T) {
 	for _, b := range syntheticBlocks(5000) {
 		tr.Append(b*64+b%64, trace.Read)
 	}
-	for _, workers := range []int{1, 3} {
-		got, err := BuildStream(context.Background(), tr, 64, 10, 16, Options{Workers: workers, chunkSize: 700})
+	for _, workers := range []int{1, 3, 7} {
+		got, err := BuildStream(context.Background(), tr, 64, 10, 16, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,10 +354,7 @@ func TestBuildStreamBlockSize(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Workers != 0 {
-		t.Fatalf("Workers = %d, want the sequential engine's 0", o.Workers)
-	}
-	if o.chunkSize != defaultChunkSize {
-		t.Fatalf("chunkSize = %d", o.chunkSize)
+		t.Fatalf("Workers = %d, want the one-slice 0", o.Workers)
 	}
 	if o.checkpointEvery != defaultCheckpointEvery {
 		t.Fatalf("checkpointEvery = %d", o.checkpointEvery)

@@ -470,8 +470,12 @@ func (p *Profile) Merge(o *Profile) error {
 	}
 	switch {
 	case p.Table != nil:
+		// Only nonzero counts are added: writing every counter would
+		// fault in all 8·2^n bytes of p's table.
 		for v, c := range o.Table {
-			p.Table[v] += c
+			if c != 0 {
+				p.Table[v] += c
+			}
 		}
 	case p.Sketch != nil:
 		if err := p.Sketch.Merge(o.Sketch); err != nil {

@@ -2,7 +2,7 @@ package profile
 
 // Property-based differential tests: three structured trace generators
 // (strided, tiled, random) cross-check the sequential Build, the
-// sharded BuildStream, and the naive oracle on arbitrary
+// BuildStream over many slices, and the naive oracle on arbitrary
 // inputs, including block addresses at and beyond the 2^n mask edge and
 // degenerate empty / single-access traces.
 
@@ -80,7 +80,7 @@ func checkAllBuilders(t *testing.T, blocks []uint64) bool {
 				return false
 			}
 			got, err := BuildStream(context.Background(), blockTrace(blocks), 1, n, cacheBlocks,
-				Options{Workers: 3, chunkSize: 33})
+				Options{Workers: slicesOf(len(blocks), 33)})
 			if err != nil {
 				t.Logf("n=%d cap=%d: BuildStream: %v", n, cacheBlocks, err)
 				return false

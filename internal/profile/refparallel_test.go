@@ -6,10 +6,10 @@ package profile
 // first-touch and seen sets, and a map-based merge pass repairs the
 // compulsory/capacity split at boundaries. It was proven exact by the
 // earlier differential batteries, which makes it a trustworthy third
-// implementation to race against the gate-absorbing scheme that replaced
-// it (the two share the reconciliation *problem* but no reconciliation
-// code). Kept synchronous — the goroutine fan-out is the production
-// builder's concern, not the reference's.
+// implementation to race against the slice join that replaced it (the
+// two share the reconciliation *problem* but no reconciliation code).
+// Kept synchronous — the goroutine fan-out is the production builder's
+// concern, not the reference's.
 
 import (
 	"math/rand"

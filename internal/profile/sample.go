@@ -30,9 +30,9 @@ package profile
 // never needs to know it is looking at a subsample.
 //
 // The candidate ordinal that decides sampling is global to the pass
-// (the j-th conflict candidate of the stream), which an isolated cold
-// shard cannot know; BuildStream therefore runs sampled builds on its
-// sequential engine whatever Options.Workers says. A snapshot carries
+// (the j-th conflict candidate of the stream), which a cold slice
+// cannot know; BuildStream therefore runs a sampled build as one slice
+// whatever Options.Workers says. A snapshot carries
 // the ordinal (checkpoint.go), so a resumed sampled pass walks exactly
 // the candidates the uninterrupted one would.
 

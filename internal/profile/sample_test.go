@@ -131,15 +131,15 @@ func TestSampledDeterministic(t *testing.T) {
 	}
 }
 
-// TestBuildStreamSampledMatchesSequential: BuildStream must route
-// sampled builds through the sequential engine (cold shards cannot know
-// global candidate ordinals), yielding a profile bit-identical to the
+// TestBuildStreamSampledMatchesSequential: BuildStream must run
+// sampled builds as one slice (cold slices cannot know global
+// candidate ordinals), yielding a profile bit-identical to the
 // sampled reference pass no matter how many workers were requested.
 func TestBuildStreamSampledMatchesSequential(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(64)), 8_000)
 	opt := SampleOptions{K: 16, Seed: 5}
 	want := buildSampled(blocks, 16, 64, opt)
-	got, err := BuildStream(context.Background(), blockTrace(blocks), 1, 16, 64, Options{Workers: 4, chunkSize: 999, Sample: opt})
+	got, err := BuildStream(context.Background(), blockTrace(blocks), 1, 16, 64, Options{Workers: 4, Sample: opt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,12 @@ package profile
 // of every estimate, so a sketch estimate is not a bound on the exact
 // Eq. 4 count either way.
 //
-// Sharded builds merge sketches entrywise (same seeds row-for-row), so
-// every per-row counter remains an upper bound of the true count after
-// the merge; conservative update makes the merged counters
-// order-dependent, so unlike flat/sparse builds a sharded sketch build
-// is not bit-identical to a sequential one — only bound-identical.
+// A build over several slices merges their sketches entrywise (same
+// seeds row-for-row), so every per-row counter remains an upper bound
+// of the true count after the merge; conservative update makes the
+// merged counters order-dependent, so unlike flat/sparse builds such a
+// sketch build is not bit-identical to a one-slice one — only
+// bound-identical.
 
 import (
 	"fmt"
