@@ -793,7 +793,10 @@ func BenchmarkBuild(b *testing.B) {
 // one contiguous slice of the trace per worker, joined in order — on
 // the two workload shapes that bracket it: capacity-heavy (slices
 // barely interact — near-ideal scaling) and mixed (locality spans
-// boundaries — the join earns its keep).
+// boundaries — the join earns its keep). Each (workload, workers) row
+// is the median of parallelReps runs, and the runs interleave worker
+// counts, so a change in the machine's load reaches every row alike
+// instead of deciding one row's single sample.
 // Every measured profile is checked bit-identical to the sequential
 // Build before its timing may enter the baseline. The final
 // sub-benchmark writes the workload-tagged parallel section of
@@ -801,6 +804,7 @@ func BenchmarkBuild(b *testing.B) {
 // multi-worker speedup contract.
 func BenchmarkBuildParallel(b *testing.B) {
 	const accesses = 4_000_000
+	const parallelReps = 5
 	const n, cacheBlocks = benchProfileN, benchProfileCacheBlocks
 	workloads := []struct {
 		name   string
@@ -815,29 +819,33 @@ func BenchmarkBuildParallel(b *testing.B) {
 		want := profile.Build(w.blocks, n, cacheBlocks)
 		src := blockTrace(w.blocks)
 		perMs := make(map[int]float64)
-		for _, workers := range workerCounts {
-			b.Run(fmt.Sprintf("%s/workers=%d", w.name, workers), func(b *testing.B) {
-				b.SetBytes(accesses * 8)
-				var best time.Duration
-				for i := 0; i < b.N; i++ {
-					start := time.Now()
-					got, err := profile.BuildStream(context.Background(), src, 1, n, cacheBlocks,
-						profile.Options{Workers: workers})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if d := time.Since(start); best == 0 || d < best {
-						best = d
-					}
-					if !sameFlatProfile(got, want) {
-						b.Fatalf("%s workers=%d: parallel build diverged from sequential", w.name, workers)
+		b.Run(w.name, func(b *testing.B) {
+			b.SetBytes(accesses * 8 * parallelReps * int64(len(workerCounts)))
+			runs := make(map[int][]time.Duration)
+			for i := 0; i < b.N; i++ {
+				for rep := 0; rep < parallelReps; rep++ {
+					for _, workers := range workerCounts {
+						start := time.Now()
+						got, err := profile.BuildStream(context.Background(), src, 1, n, cacheBlocks,
+							profile.Options{Workers: workers})
+						if err != nil {
+							b.Fatal(err)
+						}
+						runs[workers] = append(runs[workers], time.Since(start))
+						if !sameFlatProfile(got, want) {
+							b.Fatalf("%s workers=%d: parallel build diverged from sequential", w.name, workers)
+						}
 					}
 				}
-				rate := float64(accesses) / (float64(best.Microseconds())/1000 + 1e-9)
+			}
+			for _, workers := range workerCounts {
+				d := runs[workers]
+				slices.Sort(d)
+				rate := float64(accesses) / (float64(d[len(d)/2].Microseconds())/1000 + 1e-9)
 				perMs[workers] = rate
-				b.ReportMetric(rate, "accesses/ms")
-			})
-		}
+				b.ReportMetric(rate, fmt.Sprintf("accesses/ms@workers=%d", workers))
+			}
+		})
 		if perMs[1] == 0 {
 			continue
 		}

@@ -8,7 +8,8 @@
 // with a wrapped xerr.ErrFormat — never a panic, never a silently
 // half-read state. The profiling and serving layers define their own
 // payload formats (profile.Builder.Checkpoint, serve's XSV1 service
-// state) on top of this envelope, and read them back with Decoder.
+// state) on top of this envelope, write them with Encoder and read
+// them back with Decoder.
 //
 // Wire layout:
 //
@@ -55,9 +56,7 @@ func Write(w io.Writer, magic string, version uint64, payload func(w *bytes.Buff
 	}
 	var head bytes.Buffer
 	head.WriteString(magic)
-	var buf [binary.MaxVarintLen64]byte
-	head.Write(buf[:binary.PutUvarint(buf[:], version)])
-	head.Write(buf[:binary.PutUvarint(buf[:], uint64(body.Len()))])
+	Encoder{&head}.Put(version, uint64(body.Len()))
 	crc := crc32.Update(0, castagnoli, head.Bytes())
 	crc = crc32.Update(crc, castagnoli, body.Bytes())
 	if _, err := w.Write(head.Bytes()); err != nil {
@@ -66,8 +65,7 @@ func Write(w io.Writer, magic string, version uint64, payload func(w *bytes.Buff
 	if _, err := w.Write(body.Bytes()); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(buf[:4], crc)
-	_, err := w.Write(buf[:4])
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc))
 	return err
 }
 

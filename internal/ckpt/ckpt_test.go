@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -158,6 +159,31 @@ func TestDecoderLatchesFirstFailure(t *testing.T) {
 	want := "test: snapshot c: truncated: " + xerr.ErrFormat.Error()
 	if d.Uvarint("d"); d.Err() == nil || d.Err().Error() != want || !errors.Is(d.Err(), xerr.ErrFormat) {
 		t.Fatalf("err = %v, want %q", d.Err(), want)
+	}
+}
+
+// TestEncoderDecoderRoundTrip: every primitive Encoder writes, Decoder
+// reads back in order, and the bytes are the documented ones.
+func TestEncoderDecoderRoundTrip(t *testing.T) {
+	var b bytes.Buffer
+	e := Encoder{&b}
+	e.Put(5, 300, math.MaxUint64)
+	e.WriteByte(7)
+	e.Float64(-0.25)
+	want := binary.AppendUvarint(nil, 5)
+	want = binary.AppendUvarint(want, 300)
+	want = binary.AppendUvarint(want, math.MaxUint64)
+	want = append(want, 7)
+	want = binary.LittleEndian.AppendUint64(want, math.Float64bits(-0.25))
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Fatalf("encoded % x, want % x", b.Bytes(), want)
+	}
+	d := NewDecoder(b.Bytes(), "test: snapshot")
+	if a, c, m := d.Uvarint("a"), d.Uvarint("c"), d.Uvarint("m"); a != 5 || c != 300 || m != math.MaxUint64 {
+		t.Fatalf("uvarints = %d, %d, %d", a, c, m)
+	}
+	if by, f := d.Byte("b"), d.Float64("f"); by != 7 || f != -0.25 || d.Err() != nil || d.Rem() != 0 {
+		t.Fatalf("Byte, Float64 = %d, %v, err %v, %d left", by, f, d.Err(), d.Rem())
 	}
 }
 

@@ -1,12 +1,29 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 
 	"xoridx/internal/xerr"
 )
+
+// Encoder appends the primitives of a snapshot payload, the ones
+// Decoder reads back. Byte writes go straight to the embedded buffer.
+type Encoder struct{ *bytes.Buffer }
+
+// Put appends each value as one unsigned varint.
+func (e Encoder) Put(vs ...uint64) {
+	for _, v := range vs {
+		e.Write(binary.AppendUvarint(e.AvailableBuffer(), v))
+	}
+}
+
+// Float64 appends f as its IEEE 754 bits, 8 bytes little endian.
+func (e Encoder) Float64(f float64) {
+	e.Write(binary.LittleEndian.AppendUint64(e.AvailableBuffer(), math.Float64bits(f)))
+}
 
 // Decoder reads the primitives of a snapshot payload. It latches the
 // first failure as a wrapped xerr.ErrFormat: once Err is set every read

@@ -20,7 +20,6 @@ package profile
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -51,7 +50,7 @@ func (bd *Builder) Checkpoint(w io.Writer) error {
 		return fmt.Errorf("profile: Checkpoint of a sketch-backed builder: %w", xerr.ErrInvalidOptions)
 	}
 	return ckpt.Write(w, checkpointMagic, checkpointVersion, func(b *bytes.Buffer) error {
-		bd.encode(encoder{b})
+		bd.encode(ckpt.Encoder{Buffer: b})
 		return nil
 	})
 }
@@ -78,6 +77,7 @@ func Restore(r io.Reader) (*Builder, error) {
 	if d.Rem() != 0 {
 		return nil, fmt.Errorf("profile: %d trailing bytes after snapshot payload: %w", d.Rem(), xerr.ErrFormat)
 	}
+	bd.base = bd.Stats()
 	return bd, nil
 }
 
@@ -95,28 +95,19 @@ func openSnapshot(r io.Reader, magic string, version uint64, what string) (*ckpt
 	return ckpt.NewDecoder(payload, "profile: "+what), nil
 }
 
-// encoder appends uvarints to a snapshot payload.
-type encoder struct{ *bytes.Buffer }
-
-func (e encoder) put(vs ...uint64) {
-	for _, v := range vs {
-		e.Write(binary.AppendUvarint(e.AvailableBuffer(), v))
-	}
-}
-
 // encode writes the builder: geometry and backend byte, the sampling
 // gate (K, seed and the candidate ordinal it has counted to, all zero
 // when exact), the counters and histogram support (putBody), and the
 // LRU gate from the most to the least recent block.
-func (bd *Builder) encode(e encoder) {
+func (bd *Builder) encode(e ckpt.Encoder) {
 	p := bd.p
-	e.put(uint64(p.N), uint64(p.CacheBlocks))
+	e.Put(uint64(p.N), uint64(p.CacheBlocks))
 	e.WriteByte(backendByte(p.N))
-	e.put(bd.sampleK, p.SampleSeed, bd.sampleCount)
+	e.Put(bd.sampleK, p.SampleSeed, bd.sampleCount)
 	putBody(e, p)
 	gate := bd.stack.Blocks()
-	e.put(uint64(len(gate)))
-	e.put(gate...)
+	e.Put(uint64(len(gate)))
+	e.Put(gate...)
 }
 
 // readBuilder decodes a builder written by encode and checks every
@@ -218,13 +209,13 @@ func readGate(d *ckpt.Decoder, n int, what string) ([]uint64, error) {
 // support's length and each vector as the delta from the previous one,
 // with its count. Vectors are strictly ascending, so delta coding keeps
 // dense histograms compact.
-func putBody(e encoder, p *Profile) {
-	e.put(p.Accesses, p.Compulsory, p.Capacity, p.Candidates, p.TotalPairs, p.SampledCandidates)
+func putBody(e ckpt.Encoder, p *Profile) {
+	e.Put(p.Accesses, p.Compulsory, p.Capacity, p.Candidates, p.TotalPairs, p.SampledCandidates)
 	support := p.Support()
-	e.put(uint64(len(support)))
+	e.Put(uint64(len(support)))
 	prev := uint64(0)
 	for _, vc := range support {
-		e.put(uint64(vc.Vec)-prev, vc.Count)
+		e.Put(uint64(vc.Vec)-prev, vc.Count)
 		prev = uint64(vc.Vec)
 	}
 }

@@ -161,7 +161,8 @@ func TestSnapshotErrorsNameTheirFormat(t *testing.T) {
 // TestCheckpointRestoreMidBuild: a builder checkpointed mid-trace and
 // restored must complete to a profile bit-identical to one that was
 // never interrupted — same histogram, same counters, same future
-// classifications.
+// classifications. Its Stats count only the accesses added after the
+// restore.
 func TestCheckpointRestoreMidBuild(t *testing.T) {
 	blocks := syntheticBlocks(30000)
 	for _, cut := range []int{0, 1, 9999, 29999} {
@@ -178,9 +179,18 @@ func TestCheckpointRestoreMidBuild(t *testing.T) {
 		if restored.Pos() != uint64(cut) {
 			t.Fatalf("cut=%d: restored Pos()=%d", cut, restored.Pos())
 		}
+		if st := restored.Stats(); st != (BuildStats{}) {
+			t.Fatalf("cut=%d: restored Stats() = %+v, want zero", cut, st)
+		}
+		atCut := bd.Stats()
 		for _, b := range blocks[cut:] {
 			ref.Add(b)
 			restored.Add(b)
+		}
+		st, want := restored.Stats(), ref.Stats()
+		if st.CandidateWalks+atCut.CandidateWalks != want.CandidateWalks || st.WalkSteps+atCut.WalkSteps != want.WalkSteps ||
+			st.GatedCapacityMisses+atCut.GatedCapacityMisses != want.GatedCapacityMisses {
+			t.Fatalf("cut=%d: Stats %+v after restore and %+v before do not add up to %+v", cut, st, atCut, want)
 		}
 		if d := diffProfiles(restored.Finish(), ref.Finish()); d != "" {
 			t.Fatalf("cut=%d: resumed profile differs: %s", cut, d)
@@ -1009,15 +1019,15 @@ func FuzzCheckpointCodec(f *testing.F) {
 // length runs past the payload's end. Each must be refused before the
 // flat builder's 2^24-entry table and gate stamps (256 MB) are made.
 func TestRestoreForgedLengthsAllocateLittle(t *testing.T) {
-	head := func(e encoder) {
-		e.put(24, 1) // n, cacheBlocks
+	head := func(e ckpt.Encoder) {
+		e.Put(24, 1) // n, cacheBlocks
 		e.WriteByte(backendByte(24))
-		e.put(0, 0, 0)          // exact: no sampling state
-		e.put(0, 0, 0, 0, 0, 0) // counters
+		e.Put(0, 0, 0)          // exact: no sampling state
+		e.Put(0, 0, 0, 0, 0, 0) // counters
 	}
-	payloads := map[string]func(encoder){
-		"support length": func(e encoder) { head(e); e.put(1000) },
-		"gate length":    func(e encoder) { head(e); e.put(0, 1000) },
+	payloads := map[string]func(ckpt.Encoder){
+		"support length": func(e ckpt.Encoder) { head(e); e.Put(1000) },
+		"gate length":    func(e ckpt.Encoder) { head(e); e.Put(0, 1000) },
 	}
 	restores := []struct {
 		magic   string
@@ -1031,7 +1041,7 @@ func TestRestoreForgedLengthsAllocateLittle(t *testing.T) {
 		for _, rs := range restores {
 			var raw bytes.Buffer
 			if err := ckpt.Write(&raw, rs.magic, rs.version, func(b *bytes.Buffer) error {
-				payload(encoder{b})
+				payload(ckpt.Encoder{Buffer: b})
 				return nil
 			}); err != nil {
 				t.Fatal(err)

@@ -110,12 +110,6 @@ func FuzzShardMerge(f *testing.F) {
 		if d := diffProfiles(joined.p, want); d != "" {
 			t.Fatalf("n=%d cap=%d len=%d cuts=%v: %s", n, cacheBlocks, len(blocks), points, d)
 		}
-		st := joined.stats
-		if st.CandidateWalks != want.Candidates || st.WalkSteps != want.TotalPairs ||
-			st.GatedCapacityMisses != want.Capacity {
-			t.Fatalf("stats probes broken: %+v vs candidates=%d pairs=%d capacity=%d",
-				st, want.Candidates, want.TotalPairs, want.Capacity)
-		}
 	})
 }
 

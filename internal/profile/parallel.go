@@ -145,9 +145,6 @@ func build(ctx context.Context, src trace.Source, shift uint, ss []*slice, opt O
 	if err := opt.snapshot(bd); err != nil {
 		return nil, err
 	}
-	if opt.Stats != nil {
-		*opt.Stats = bd.stats
-	}
 	return bd.Finish(), nil
 }
 
@@ -214,9 +211,6 @@ func (s *slice) profile(ctx context.Context, src trace.Source, shift uint, opt O
 // end. A merge failure (a slice built with a different geometry) is
 // returned as Merge's wrapped xerr.ErrProfileMismatch.
 func (bd *Builder) absorb(s *Builder) error {
-	bd.stats.CandidateWalks += s.stats.CandidateWalks
-	bd.stats.WalkSteps += s.stats.WalkSteps
-	bd.stats.GatedCapacityMisses += s.stats.GatedCapacityMisses
 	// Only first touches with at most cacheBlocks first touches before
 	// them can be conflict candidates; each is resolved against bd's
 	// gate before it absorbs the slice's.
@@ -236,7 +230,6 @@ func (bd *Builder) absorb(s *Builder) error {
 	deep := uint64(bd.stack.Absorb(s.stack) - resolved)
 	s.p.Compulsory -= deep
 	s.p.Capacity += deep
-	bd.stats.GatedCapacityMisses += deep
 	if err := bd.p.Merge(s.p); err != nil {
 		return fmt.Errorf("profile: slice merge: %w", err)
 	}
@@ -261,10 +254,9 @@ func (bd *Builder) resolve(p *Profile, prefix []uint64, inPrefix map[uint64]stru
 	}
 	if !in || len(prefix)+len(ys) > bd.p.CacheBlocks {
 		p.Capacity++
-		bd.stats.GatedCapacityMisses++
 		return
 	}
 	p.Candidates++
-	bd.stats.CandidateWalks++
-	bd.stats.WalkSteps += p.addPairs(b, prefix) + p.addPairs(b, ys)
+	p.addPairs(b, prefix)
+	p.addPairs(b, ys)
 }

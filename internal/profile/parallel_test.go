@@ -169,27 +169,28 @@ func TestBuildParallelBoundaryAdversarial(t *testing.T) {
 	}
 }
 
-// TestBuildParallelStatsInvariants pins the merged hot-path probes: the
-// sequential invariants hold exactly for the merged counters too — the
-// join never writes a histogram entry it has to undo.
+// TestBuildParallelStatsInvariants pins the merged hot-path probes,
+// which are the profile's counters: the join counts every boundary
+// walk, pair and capacity miss exactly as the sequential pass does, and
+// never writes a histogram entry it has to undo, so the histogram sums
+// to TotalPairs.
 func TestBuildParallelStatsInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 40; trial++ {
 		blocks := randomOracleTrace(r)
-		var st BuildStats
-		opt := Options{Workers: 1 + r.Intn(8), Stats: &st}
-		p := mustParallelOpts(t, blocks, 8, 16, opt)
-		if st.CandidateWalks != p.Candidates {
-			t.Fatalf("trial %d workers=%d: CandidateWalks %d != Candidates %d",
-				trial, opt.Workers, st.CandidateWalks, p.Candidates)
+		want := Build(blocks, 8, 16)
+		workers := 1 + r.Intn(8)
+		p := mustParallelOpts(t, blocks, 8, 16, Options{Workers: workers})
+		if p.Candidates != want.Candidates || p.TotalPairs != want.TotalPairs || p.Capacity != want.Capacity {
+			t.Fatalf("trial %d workers=%d: candidates/pairs/capacity %d/%d/%d, sequential %d/%d/%d",
+				trial, workers, p.Candidates, p.TotalPairs, p.Capacity, want.Candidates, want.TotalPairs, want.Capacity)
 		}
-		if st.WalkSteps != p.TotalPairs {
-			t.Fatalf("trial %d workers=%d: WalkSteps %d != TotalPairs %d",
-				trial, opt.Workers, st.WalkSteps, p.TotalPairs)
+		var sum uint64
+		for _, c := range p.Table {
+			sum += c
 		}
-		if st.GatedCapacityMisses != p.Capacity {
-			t.Fatalf("trial %d workers=%d: GatedCapacityMisses %d != Capacity %d",
-				trial, opt.Workers, st.GatedCapacityMisses, p.Capacity)
+		if sum != p.TotalPairs {
+			t.Fatalf("trial %d workers=%d: histogram sums to %d, TotalPairs %d", trial, workers, sum, p.TotalPairs)
 		}
 	}
 }

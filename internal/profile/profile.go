@@ -108,7 +108,7 @@ type Builder struct {
 	p     *Profile
 	mask  uint64
 	stack *lru.Stack
-	stats BuildStats
+	base  BuildStats // Stats() when restored: the probes count the live pass
 	done  bool
 
 	// Sampling gate (see sample.go). sampleK <= 1 profiles every
@@ -122,21 +122,33 @@ type Builder struct {
 
 // BuildStats exposes the hot-path probes of a Builder: how many
 // conflict walks it performed and how much work the distance gate
-// skipped. The invariants the tests pin are CandidateWalks ==
-// Profile.Candidates, WalkSteps == Profile.TotalPairs (every visited
-// entry contributes exactly one histogram increment — a rollback
-// scheme would visit capacity-miss prefixes twice on top of that), and
-// GatedCapacityMisses == Profile.Capacity (no capacity miss ever walks
-// the window). Counters restart at zero on a checkpoint restore; they
-// probe the live pass, not the snapshot.
+// skipped. The hot path counts each probe once, in the profile's own
+// counters: a walk per walked candidate (Candidates, or
+// SampledCandidates when sampled), a histogram increment per visited
+// window entry (TotalPairs — a rollback scheme would visit
+// capacity-miss prefixes twice on top of that), and no walk at all for
+// a capacity miss (Capacity). Counters restart at zero on a checkpoint
+// restore; they probe the live pass, not the snapshot.
 type BuildStats struct {
 	CandidateWalks      uint64 // conflict walks performed: exactly one per walked candidate
 	WalkSteps           uint64 // window entries visited across all walks
 	GatedCapacityMisses uint64 // capacity misses resolved by the gate alone
 }
 
-// Stats returns the builder's hot-path probe counters.
-func (bd *Builder) Stats() BuildStats { return bd.stats }
+// Stats returns the builder's hot-path probe counters, read off the
+// profile's counters since the builder was made or restored.
+func (bd *Builder) Stats() BuildStats {
+	p := bd.p
+	walks := p.Candidates
+	if bd.sampleK > 1 {
+		walks = p.SampledCandidates
+	}
+	return BuildStats{
+		CandidateWalks:      walks - bd.base.CandidateWalks,
+		WalkSteps:           p.TotalPairs - bd.base.WalkSteps,
+		GatedCapacityMisses: p.Capacity - bd.base.GatedCapacityMisses,
+	}
+}
 
 // NewBuilder starts an empty profile with the given hashed-address
 // width and capacity filter. It panics on out-of-range arguments (the
@@ -232,7 +244,6 @@ func (bd *Builder) Add(block uint64) {
 		return
 	case lru.GateBeyond:
 		p.Capacity++
-		bd.stats.GatedCapacityMisses++
 		return
 	}
 	// Conflict candidate: the blocks accessed since b's previous access
@@ -250,14 +261,12 @@ func (bd *Builder) Add(block uint64) {
 		bd.sampleNext += k
 		p.SampledCandidates++
 	}
-	bd.stats.CandidateWalks++
-	bd.stats.WalkSteps += p.addPairs(b, above)
+	p.addPairs(b, above)
 }
 
 // addPairs counts the conflict vector b⊕y into the active histogram
-// backend for every block y of ys, none of which is b, and returns how
-// many it counted.
-func (p *Profile) addPairs(b uint64, ys []uint64) uint64 {
+// backend for every block y of ys, none of which is b.
+func (p *Profile) addPairs(b uint64, ys []uint64) {
 	if tbl := p.Table; tbl != nil {
 		for _, y := range ys {
 			tbl[b^y]++
@@ -273,7 +282,6 @@ func (p *Profile) addPairs(b uint64, ys []uint64) uint64 {
 		}
 	}
 	p.TotalPairs += uint64(len(ys))
-	return uint64(len(ys))
 }
 
 // Finish returns the accumulated profile; the builder must not be used

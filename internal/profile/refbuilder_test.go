@@ -218,9 +218,13 @@ func TestWalkCountProbe(t *testing.T) {
 		if st.CandidateWalks != p.Candidates {
 			t.Fatalf("trial %d: %d walks for %d candidates", trial, st.CandidateWalks, p.Candidates)
 		}
-		if st.WalkSteps != p.TotalPairs {
-			t.Fatalf("trial %d: %d walk steps for %d pairs — some visit did not become exactly one increment",
-				trial, st.WalkSteps, p.TotalPairs)
+		var sum uint64
+		for _, c := range p.Table {
+			sum += c
+		}
+		if st.WalkSteps != p.TotalPairs || sum != p.TotalPairs {
+			t.Fatalf("trial %d: %d walk steps, %d histogram increments for %d pairs — some visit did not become exactly one increment",
+				trial, st.WalkSteps, sum, p.TotalPairs)
 		}
 		if st.GatedCapacityMisses != p.Capacity {
 			t.Fatalf("trial %d: gate resolved %d of %d capacity misses", trial, st.GatedCapacityMisses, p.Capacity)

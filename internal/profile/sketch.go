@@ -135,18 +135,21 @@ func (s *Sketch) rowHash(v uint64, d int) uint64 {
 
 // Inc adds one occurrence of v with conservative update: only the rows
 // currently at the minimum estimate grow, which never breaks the
-// overestimate invariant and tightens the bound in practice.
+// overestimate invariant and tightens the bound in practice. Each row
+// is hashed once, for both the minimum and the update.
 func (s *Sketch) Inc(v uint64) {
+	var idx [16]uint64 // Depth <= 16 (Validate)
 	min := ^uint64(0)
-	for d := range s.Rows {
-		if c := s.Rows[d][s.rowHash(v, d)]; c < min {
+	for d, row := range s.Rows {
+		idx[d] = s.rowHash(v, d)
+		if c := row[idx[d]]; c < min {
 			min = c
 		}
 	}
 	est := min + 1
-	for d := range s.Rows {
-		if h := s.rowHash(v, d); s.Rows[d][h] < est {
-			s.Rows[d][h] = est
+	for d, row := range s.Rows {
+		if row[idx[d]] < est {
+			row[idx[d]] = est
 		}
 	}
 	s.Total++

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -194,6 +195,8 @@ func FuzzSketchBackend(f *testing.F) {
 	f.Add(uint64(0), []byte{1, 2, 3, 1, 2, 3, 1, 2, 3})
 	f.Add(uint64(42), []byte{0x40, 0x80, 0x40, 0x80, 0xC0, 0x40})
 	f.Add(uint64(7), []byte{})
+	f.Add(uint64(5), []byte("conflict vectors collide in every row of a narrow sketch, again and again"))
+	f.Add(uint64(10), []byte{0x11, 0x21, 0x31, 0x41, 0x11, 0x21, 0x31, 0x41, 0x51, 0x11, 0x61, 0x21, 0x71, 0x31})
 	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -219,5 +222,43 @@ func FuzzSketchBackend(f *testing.F) {
 				t.Fatalf("underestimate at %#x: %d < %d", uint64(v), got, c)
 			}
 		})
+
+		// Inc against its two-pass reference, with a TopK small enough
+		// to evict heavy hitters.
+		opt := SketchOptions{Width: 1 << (4 + seed%4), Depth: int(seed%3) + 1, TopK: 8, Seed: seed}
+		got, want := NewSketch(opt), NewSketch(opt)
+		for i, b := range blocks {
+			v := b ^ blocks[i/2]
+			got.Inc(v)
+			refSketchInc(want, v)
+		}
+		for d := range want.Rows {
+			if !slices.Equal(got.Rows[d], want.Rows[d]) {
+				t.Fatalf("row %d differs from the reference Inc", d)
+			}
+		}
+		if got.Total != want.Total || !slices.Equal(got.HeavyHitters(), want.HeavyHitters()) {
+			t.Fatalf("Total %d, heavy hitters %v; reference Inc %d, %v",
+				got.Total, got.HeavyHitters(), want.Total, want.HeavyHitters())
+		}
 	})
+}
+
+// refSketchInc is the two-pass Inc: it hashes every row once for the
+// minimum and again for the conservative update.
+func refSketchInc(s *Sketch, v uint64) {
+	min := ^uint64(0)
+	for d := range s.Rows {
+		if c := s.Rows[d][s.rowHash(v, d)]; c < min {
+			min = c
+		}
+	}
+	est := min + 1
+	for d := range s.Rows {
+		if h := s.rowHash(v, d); s.Rows[d][h] < est {
+			s.Rows[d][h] = est
+		}
+	}
+	s.Total++
+	s.offer(v, est)
 }

@@ -48,13 +48,6 @@ type Options struct {
 	// so a sampled build always runs as one slice.
 	Sample SampleOptions
 
-	// Stats, when non-nil, receives the hot-path probe counters on
-	// success: the sum of every slice's BuildStats plus the join's own
-	// boundary walks, for which the sequential invariants
-	// CandidateWalks == Candidates, WalkSteps == TotalPairs and
-	// GatedCapacityMisses == Capacity hold exactly.
-	Stats *BuildStats
-
 	// CheckpointPath, when non-empty, is the snapshot file, written
 	// atomically: every 2^20 accesses of slice 0 (the prefix it
 	// extends), once more at the end, and once on cancellation. Every

@@ -88,24 +88,12 @@ func emptyLike(o *Profile) *Profile {
 	return p
 }
 
-// cloneProfile deep-copies a profile so the caller can hand it to a
-// concurrent search while the original keeps accumulating.
-func cloneProfile(o *Profile) *Profile {
-	p := &Profile{
-		N: o.N, CacheBlocks: o.CacheBlocks,
-		Accesses: o.Accesses, Compulsory: o.Compulsory, Capacity: o.Capacity,
-		Candidates: o.Candidates, TotalPairs: o.TotalPairs, Degraded: o.Degraded,
-		SampleK: o.SampleK, SampleSeed: o.SampleSeed, SampledCandidates: o.SampledCandidates,
+// fold merges o into p. The two share geometry, backend and sampling
+// by construction, so Merge cannot fail.
+func fold(p, o *Profile) {
+	if err := p.Merge(o); err != nil {
+		panic(err)
 	}
-	if o.Sparse != nil {
-		p.Sparse = make(map[uint64]uint64, len(o.Sparse))
-		for v, c := range o.Sparse {
-			p.Sparse[v] = c
-		}
-	} else {
-		p.Table = append([]uint64(nil), o.Table...)
-	}
-	return p
 }
 
 // Add records one block access into the current window. Classification
@@ -127,10 +115,7 @@ func (w *Windowed) Rotate() {
 	if w.decay != 0 {
 		decayInPlace(w.agg, 1-w.decay)
 	}
-	// Same geometry and backend by construction, so Merge cannot fail.
-	if err := w.agg.Merge(win); err != nil {
-		panic(err)
-	}
+	fold(w.agg, win)
 	w.rotations++
 	w.bd.p = emptyLike(win)
 }
@@ -170,17 +155,19 @@ func decayInPlace(p *Profile, lambda float64) {
 // Aggregate returns an independent copy of the decayed aggregate —
 // the rotated windows only, not the live one. Safe to hand to a
 // concurrent search while ingest continues.
-func (w *Windowed) Aggregate() *Profile { return cloneProfile(w.agg) }
+func (w *Windowed) Aggregate() *Profile {
+	out := emptyLike(w.agg)
+	fold(out, w.agg)
+	return out
+}
 
 // Snapshot returns an independent copy of the aggregate with the live
 // window folded in undecayed (the window has not rotated yet, so no
 // decay step applies to it). At decay = 0 this equals a batch Build
 // over every access ingested so far, regardless of rotation count.
 func (w *Windowed) Snapshot() *Profile {
-	out := cloneProfile(w.agg)
-	if err := out.Merge(w.bd.p); err != nil {
-		panic(err)
-	}
+	out := w.Aggregate()
+	fold(out, w.bd.p)
 	return out
 }
 
@@ -200,9 +187,6 @@ func (w *Windowed) Sampling() SampleOptions { return w.bd.sampling() }
 // Rotations returns how many windows have been folded so far.
 func (w *Windowed) Rotations() uint64 { return w.rotations }
 
-// WindowAccesses returns the live window's access count.
-func (w *Windowed) WindowAccesses() uint64 { return w.bd.p.Accesses }
-
 // Total returns the undecayed count of accesses ever ingested.
 func (w *Windowed) Total() uint64 { return w.total }
 
@@ -218,9 +202,9 @@ const (
 // aggregate's counters and histogram.
 func (w *Windowed) Checkpoint(out io.Writer) error {
 	return ckpt.Write(out, windowMagic, windowVersion, func(b *bytes.Buffer) error {
-		e := encoder{b}
+		e := ckpt.Encoder{Buffer: b}
 		w.bd.encode(e)
-		e.put(math.Float64bits(w.decay), w.rotations, w.total)
+		e.Put(math.Float64bits(w.decay), w.rotations, w.total)
 		putBody(e, w.agg)
 		return nil
 	})

@@ -120,7 +120,7 @@ func TestWindowedDecayFold(t *testing.T) {
 	for _, blk := range b {
 		w.Add(blk)
 	}
-	bWin := cloneProfile(w.bd.p)
+	bWin := w.bd.p // Rotate folds the window and starts a new one; bWin stays window B
 	w.Rotate()
 	got := w.Aggregate()
 	var wantSum uint64

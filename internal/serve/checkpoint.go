@@ -32,7 +32,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -73,9 +72,22 @@ func (s *Server) SaveCheckpoint() error {
 	if s.opt.CheckpointPath == "" {
 		return fmt.Errorf("serve: no CheckpointPath configured: %w", xerr.ErrInvalidOptions)
 	}
-	blobs, err := s.collectShardSnapshots()
+	replies, err := s.ask((*shard).snapshot)
 	if err != nil {
 		return err
+	}
+	blobs := make([][]byte, len(replies))
+	for i, r := range replies {
+		switch {
+		case r.err == nil:
+			blobs[i] = r.blob
+		case errors.Is(r.err, ErrQuarantined) || errors.Is(r.err, xerr.ErrPanic):
+			if blobs[i], err = s.fallbackShardBlob(s.shards[i]); err != nil {
+				return err
+			}
+		default:
+			return r.err
+		}
 	}
 	ep := s.cur.Load()
 	rotations := s.rotations.Load()
@@ -83,21 +95,11 @@ func (s *Server) SaveCheckpoint() error {
 	defer s.ckptMu.Unlock()
 	err = ckpt.WriteFileAtomic(s.opt.CheckpointPath, func(w io.Writer) error {
 		if err := ckpt.Write(w, serviceMagic, serviceVersion, func(b *bytes.Buffer) error {
-			var buf [binary.MaxVarintLen64]byte
-			put := func(v uint64) { b.Write(buf[:binary.PutUvarint(buf[:], v)]) }
-			put(uint64(s.n))
-			put(uint64(s.cfg.CacheBytes / s.cfg.BlockBytes))
-			put(uint64(s.m))
-			var dec [8]byte
-			binary.LittleEndian.PutUint64(dec[:], math.Float64bits(s.opt.Decay))
-			b.Write(dec[:])
-			put(uint64(len(s.shards)))
-			put(rotations)
-			put(ep.Seq)
-			put(ep.Window)
-			put(ep.Estimated)
-			put(ep.PrevEstimated)
-			put(ep.Baseline)
+			e := ckpt.Encoder{Buffer: b}
+			e.Put(uint64(s.n), uint64(s.cfg.CacheBytes/s.cfg.BlockBytes), uint64(s.m))
+			e.Float64(s.opt.Decay)
+			e.Put(uint64(len(s.shards)), rotations)
+			e.Put(ep.Seq, ep.Window, ep.Estimated, ep.PrevEstimated, ep.Baseline)
 			var flags byte
 			if ep.Changed {
 				flags |= epochFlagChanged
@@ -105,13 +107,12 @@ func (s *Server) SaveCheckpoint() error {
 			if ep.Degraded {
 				flags |= epochFlagDegraded
 			}
-			b.WriteByte(flags)
-			h := ep.Func.Matrix()
-			for _, col := range h.Cols {
-				put(uint64(col))
+			e.WriteByte(flags)
+			for _, col := range ep.Func.Matrix().Cols {
+				e.Put(uint64(col))
 			}
 			for _, blob := range blobs {
-				put(uint64(len(blob)))
+				e.Put(uint64(len(blob)))
 			}
 			return nil
 		}); err != nil {
@@ -130,57 +131,6 @@ func (s *Server) SaveCheckpoint() error {
 	return err
 }
 
-// collectShardSnapshots asks every shard goroutine to serialize its
-// Windowed, pipelined like mergeShards: all requests enqueue before
-// any reply is awaited. Shards that cannot answer — quarantined up
-// front, quarantined by a race (the drainer replies ErrQuarantined),
-// or lost to a panic mid-request (the supervisor replies ErrPanic) —
-// fall back to their last recovery snapshot.
-func (s *Server) collectShardSnapshots() ([][]byte, error) {
-	replies := make([]chan snapReply, len(s.shards))
-	for i, sh := range s.shards {
-		if sh.quarantined.Load() {
-			continue
-		}
-		rc := make(chan snapReply, 1)
-		replies[i] = rc
-		select {
-		case sh.ch <- shardCmd{snap: rc}:
-		case <-s.ctx.Done():
-			return nil, xerr.Canceled(s.ctx)
-		}
-	}
-	blobs := make([][]byte, len(s.shards))
-	for i, rc := range replies {
-		if rc == nil {
-			b, err := s.fallbackShardBlob(s.shards[i])
-			if err != nil {
-				return nil, err
-			}
-			blobs[i] = b
-			continue
-		}
-		select {
-		case rep := <-rc:
-			if rep.err != nil {
-				if errors.Is(rep.err, ErrQuarantined) || errors.Is(rep.err, xerr.ErrPanic) {
-					b, err := s.fallbackShardBlob(s.shards[i])
-					if err != nil {
-						return nil, err
-					}
-					blobs[i] = b
-					continue
-				}
-				return nil, rep.err
-			}
-			blobs[i] = rep.data
-		case <-s.ctx.Done():
-			return nil, xerr.Canceled(s.ctx)
-		}
-	}
-	return blobs, nil
-}
-
 // fallbackShardBlob stands in for a shard that cannot serialize
 // itself: its last recovery snapshot when one exists, an empty window
 // otherwise.
@@ -192,11 +142,11 @@ func (s *Server) fallbackShardBlob(sh *shard) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var b writerBuffer
+	var b bytes.Buffer
 	if err := wb.Checkpoint(&b); err != nil {
 		return nil, err
 	}
-	return b.data, nil
+	return b.Bytes(), nil
 }
 
 // loadServiceState restores a checkpoint file. See readServiceState.
@@ -307,62 +257,23 @@ func readServiceState(r io.Reader, n, cacheBlocks, m int, decay float64, sample 
 	// fails) independently. truncated poisons every later blob: once
 	// the stream runs short there is no next-blob boundary to trust.
 	truncated := false
-	cold := func(i int, cause error) error {
+	for i := range st.shards {
+		var cause error
+		if truncated {
+			cause = fmt.Errorf("blob lost to earlier truncation: %w", xerr.ErrFormat)
+		} else {
+			st.shards[i], cause, truncated = readShardBlob(r, blobLens[i], n, cacheBlocks, decay, sample)
+		}
+		if cause == nil {
+			continue
+		}
 		if strict {
-			return fmt.Errorf("serve: checkpoint shard %d damaged (strict resume refuses to heal): %w", i, cause)
+			return nil, fmt.Errorf("serve: checkpoint shard %d damaged (strict resume refuses to heal): %w", i, cause)
 		}
 		st.damage = append(st.damage, fmt.Errorf("serve: checkpoint shard %d damaged, cold-starting it: %w", i, cause))
-		wb, err := profile.NewWindowed(n, cacheBlocks, decay, sample)
-		if err != nil {
-			return err
+		if st.shards[i], err = profile.NewWindowed(n, cacheBlocks, decay, sample); err != nil {
+			return nil, err
 		}
-		st.shards[i] = wb
-		return nil
-	}
-	for i := range st.shards {
-		if truncated {
-			if err := cold(i, fmt.Errorf("blob lost to earlier truncation: %w", xerr.ErrFormat)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		blob, err := ckpt.ReadN(r, blobLens[i])
-		if err != nil {
-			truncated = true
-			if err := cold(i, fmt.Errorf("blob truncated: %v: %w", err, xerr.ErrFormat)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		wb, err := profile.RestoreWindowed(bytes.NewReader(blob))
-		if err != nil {
-			if err := cold(i, err); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if wb.N() != n || wb.CacheBlocks() != cacheBlocks {
-			if err := cold(i, fmt.Errorf("blob geometry disagrees with header: %w", xerr.ErrProfileMismatch)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if math.Float64bits(wb.Decay()) != math.Float64bits(decay) {
-			if err := cold(i, fmt.Errorf("blob decay disagrees with header: %w", xerr.ErrProfileMismatch)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if !wb.Sampling().Same(sample) {
-			// A shard profiled under a different subsample rate cannot
-			// merge with the others; heal it cold rather than poisoning
-			// every later rotation.
-			if err := cold(i, fmt.Errorf("blob sampling disagrees with config: %w", xerr.ErrProfileMismatch)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		st.shards[i] = wb
 	}
 	if !truncated {
 		var tail [1]byte
@@ -371,4 +282,31 @@ func readServiceState(r io.Reader, n, cacheBlocks, m int, decay float64, sample 
 		}
 	}
 	return st, nil
+}
+
+// readShardBlob reads one size-byte shard blob and restores it. cause,
+// when non-nil, is why the blob cannot seed its shard: a failed decode,
+// or geometry, decay or sampling that disagree with the header and the
+// server's configuration. short reports that the stream ended inside
+// the blob, so no later blob boundary can be trusted.
+func readShardBlob(r io.Reader, size uint64, n, cacheBlocks int, decay float64, sample profile.SampleOptions) (wb *profile.Windowed, cause error, short bool) {
+	blob, err := ckpt.ReadN(r, size)
+	if err != nil {
+		return nil, fmt.Errorf("blob truncated: %v: %w", err, xerr.ErrFormat), true
+	}
+	wb, err = profile.RestoreWindowed(bytes.NewReader(blob))
+	switch {
+	case err != nil:
+		return nil, err, false
+	case wb.N() != n || wb.CacheBlocks() != cacheBlocks:
+		return nil, fmt.Errorf("blob geometry disagrees with header: %w", xerr.ErrProfileMismatch), false
+	case math.Float64bits(wb.Decay()) != math.Float64bits(decay):
+		return nil, fmt.Errorf("blob decay disagrees with header: %w", xerr.ErrProfileMismatch), false
+	case !wb.Sampling().Same(sample):
+		// A shard profiled under a different subsample rate cannot
+		// merge with the others; heal it cold rather than poisoning
+		// every later rotation.
+		return nil, fmt.Errorf("blob sampling disagrees with config: %w", xerr.ErrProfileMismatch), false
+	}
+	return wb, nil, false
 }

@@ -17,10 +17,10 @@
 //
 // Readers never block: Current is one atomic pointer load. Re-tunes
 // never run twice concurrently: requests — from the window-boundary
-// optimizer goroutine or from Retune callers — deduplicate through a
-// singleflight group. Crash safety comes from the ckpt layer: the
-// whole service state (every shard's windowed histograms plus the
-// current epoch) checkpoints after each re-tune, every
+// optimizer goroutine or from Retune callers — share one execution
+// through a single-slot singleflight. Crash safety comes from the ckpt
+// layer: the whole service state (every shard's windowed histograms
+// plus the current epoch) checkpoints after each re-tune, every
 // CheckpointEvery ingested accesses, and on Close, and restores with
 // Options.Resume — healing damaged per-shard blobs unless Strict.
 package serve
@@ -252,19 +252,23 @@ type ShardStats struct {
 	SnapshotAccesses   uint64 // processed count covered by the last recovery snapshot
 }
 
-// shardCmd is one message to a shard goroutine. Exactly one field is
-// set: blocks to ingest, or a reply channel for a rotation, an
-// aggregate snapshot, or a checkpoint blob. Reply channels have
-// capacity 1 so the shard never blocks on its reply.
+// shardCmd is one message to a shard goroutine: either blocks to
+// ingest, or a request req the shard runs on its own Windowed and
+// answers on reply. Reply channels have capacity 1 so the shard never
+// blocks on its reply.
 type shardCmd struct {
 	blocks []uint64
-	rotate chan<- *profile.Profile
-	agg    chan<- *profile.Profile
-	snap   chan<- snapReply
+	req    func(*shard) shardReply
+	reply  chan<- shardReply
 }
 
-type snapReply struct {
-	data []byte
+// shardReply is a shard's answer to a request: a profile, a
+// serialized Windowed, or the error that kept the shard from
+// answering (ErrQuarantined or ErrPanic when it could not run the
+// request at all).
+type shardReply struct {
+	p    *profile.Profile
+	blob []byte
 	err  error
 }
 
@@ -313,7 +317,7 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	cur       atomic.Pointer[Epoch]
-	fl        flightGroup
+	fl        flight
 	ckptMu    sync.Mutex // serializes checkpoint writes
 	closeOnce sync.Once
 	closed    atomic.Bool
@@ -756,8 +760,7 @@ func (s *Server) Retune(ctx context.Context) (*Epoch, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	ep, _, err := s.fl.Do(ctx, "retune", s.retune)
-	return ep, err
+	return s.fl.Do(ctx, s.retune)
 }
 
 // retune is the singleflight-protected round body.
@@ -894,17 +897,19 @@ func (s *Server) newWindowed() (*profile.Windowed, error) {
 	return profile.NewWindowed(s.n, s.cfg.CacheBytes/s.cfg.BlockBytes, s.opt.Decay, s.sampling())
 }
 
-// rotateAndMerge rotates every healthy shard's window and merges the
-// decayed per-shard aggregates into one profile for the search. A
-// shard that fails mid-rotation (nil reply from its supervisor's
-// recovery path) is skipped for this round. Fairness accounting resets
-// with the rotation.
+// rotateAndMerge rotates every healthy shard's window, with a fresh
+// fairness accounting window, and merges the decayed per-shard
+// aggregates into one profile for the search.
 func (s *Server) rotateAndMerge() (*profile.Profile, error) {
-	return s.mergeShards(
-		func(rc chan *profile.Profile) shardCmd { return shardCmd{rotate: rc} },
-		(*shard).resetAcct,
-		func() error { return xerr.Canceled(s.ctx) },
-		"serve: no healthy shard contributed to the rotation")
+	replies, err := s.ask(func(sh *shard) shardReply {
+		sh.wb.Rotate()
+		sh.resetAcct()
+		return shardReply{p: sh.wb.Aggregate()}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return merge(replies, "serve: no healthy shard contributed to the rotation")
 }
 
 // Profile returns the merged live aggregate across all healthy shards
@@ -916,70 +921,66 @@ func (s *Server) Profile() (*profile.Profile, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	return s.mergeShards(
-		func(rc chan *profile.Profile) shardCmd { return shardCmd{agg: rc} },
-		nil,
-		func() error { return ErrClosed },
-		"serve: no healthy shard to snapshot")
+	replies, err := s.ask(func(sh *shard) shardReply { return shardReply{p: sh.wb.Snapshot()} })
+	if err != nil {
+		return nil, ErrClosed
+	}
+	return merge(replies, "serve: no healthy shard to snapshot")
 }
 
-// mergeShards sends the command cmd builds around a fresh reply
-// channel to every healthy shard — pipelined: all commands enqueue
-// before any reply is awaited — and merges the non-nil replies. A nil
-// reply comes from a shard that failed mid-command; its supervisor is
-// on it. replied, when non-nil, runs for every shard that replied. A
-// server shutdown returns stopped(); a round with no reply to merge
-// fails with the none message wrapping ErrQuarantined.
-func (s *Server) mergeShards(cmd func(chan *profile.Profile) shardCmd, replied func(*shard),
-	stopped func() error, none string) (*profile.Profile, error) {
-	replies := make([]chan *profile.Profile, len(s.shards))
+// ask sends req to every shard that is not quarantined — pipelined:
+// all requests enqueue before any reply is awaited — and returns every
+// shard's reply, indexed by shard. A shard quarantined up front
+// answers ErrQuarantined; one that cannot run the request answers
+// through replyFailed. A server shutdown returns a wrapped
+// xerr.ErrCanceled.
+func (s *Server) ask(req func(*shard) shardReply) ([]shardReply, error) {
+	out := make([]shardReply, len(s.shards))
+	replies := make([]chan shardReply, len(s.shards))
 	for i, sh := range s.shards {
 		if sh.quarantined.Load() {
+			out[i].err = fmt.Errorf("serve: shard %d quarantined: %w", i, ErrQuarantined)
 			continue
 		}
-		rc := make(chan *profile.Profile, 1)
-		replies[i] = rc
+		replies[i] = make(chan shardReply, 1)
 		select {
-		case sh.ch <- cmd(rc):
+		case sh.ch <- shardCmd{req: req, reply: replies[i]}:
 		case <-s.ctx.Done():
-			return nil, stopped()
+			return nil, xerr.Canceled(s.ctx)
 		}
 	}
-	var merged *profile.Profile
 	for i, rc := range replies {
 		if rc == nil {
 			continue
 		}
 		select {
-		case p := <-rc:
-			if replied != nil {
-				replied(s.shards[i])
-			}
-			if p == nil {
-				continue
-			}
-			if merged == nil {
-				merged = p
-			} else if err := merged.Merge(p); err != nil {
-				return nil, err
-			}
+		case out[i] = <-rc:
 		case <-s.ctx.Done():
-			return nil, stopped()
+			return nil, xerr.Canceled(s.ctx)
+		}
+	}
+	return out, nil
+}
+
+// merge merges the profiles in replies. A shard that could not answer
+// is skipped — its supervisor is on it; with no profile to merge the
+// result is the none message wrapping ErrQuarantined.
+func merge(replies []shardReply, none string) (*profile.Profile, error) {
+	var merged *profile.Profile
+	for _, r := range replies {
+		if r.p == nil {
+			continue
+		}
+		if merged == nil {
+			merged = r.p
+		} else if err := merged.Merge(r.p); err != nil {
+			return nil, err
 		}
 	}
 	if merged == nil {
 		return nil, fmt.Errorf("%s: %w", none, ErrQuarantined)
 	}
 	return merged, nil
-}
-
-// writerBuffer is a minimal bytes.Buffer stand-in that keeps ownership
-// of its backing slice (no Reset/ReadFrom surface to misuse).
-type writerBuffer struct{ data []byte }
-
-func (b *writerBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
 }
 
 // optimizer is the background goroutine that turns window boundaries
@@ -993,7 +994,7 @@ func (s *Server) optimizer() {
 			return
 		case <-s.wake:
 		}
-		if _, _, err := s.fl.Do(s.ctx, "retune", s.retune); err != nil {
+		if _, err := s.fl.Do(s.ctx, s.retune); err != nil {
 			s.fail(err)
 		}
 	}
@@ -1025,7 +1026,7 @@ func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
 		if s.opt.CheckpointPath != "" && s.ctx.Err() == nil {
-			// Shards are still running, so their snapshot commands drain
+			// Shards are still running, so their snapshot requests drain
 			// normally behind any queued ingest.
 			s.closeErr = s.SaveCheckpoint()
 		}

@@ -60,8 +60,8 @@ func (s *Server) superviseShard(i int, sh *shard) {
 // the only code that touches its Windowed while it runs, so the ingest
 // hot path needs no locks at all (share memory by communicating). A
 // recovered panic returns as a wrapped xerr.ErrPanic — after replying
-// to any in-flight command, so a rotation or checkpoint waiting on
-// this shard observes the failure instead of hanging. Returns nil only
+// to any in-flight request, so a requester waiting on this shard
+// observes the failure instead of hanging. Returns nil only
 // on server shutdown.
 func (s *Server) runShardOnce(sh *shard) (err error) {
 	var inFlight shardCmd
@@ -84,51 +84,42 @@ func (s *Server) runShardOnce(sh *shard) (err error) {
 }
 
 // applyShardCmd executes one shard command against the shard's
-// Windowed.
+// Windowed: a request is run and answered, a batch ingested.
 func (s *Server) applyShardCmd(sh *shard, cmd shardCmd) {
-	switch {
-	case cmd.rotate != nil:
-		sh.wb.Rotate()
-		cmd.rotate <- sh.wb.Aggregate()
-	case cmd.agg != nil:
-		cmd.agg <- sh.wb.Snapshot()
-	case cmd.snap != nil:
-		var b writerBuffer
-		err := sh.wb.Checkpoint(&b)
-		cmd.snap <- snapReply{data: b.data, err: err}
-		if err == nil {
-			// A durable checkpoint blob doubles as a recovery
-			// snapshot for free.
-			sh.snap.Store(&shardSnap{data: b.data, processed: sh.processed.Load()})
-		}
-	default:
-		for _, blk := range cmd.blocks {
-			sh.wb.Add(blk)
-		}
-		n := uint64(len(cmd.blocks))
-		processed := sh.processed.Add(n)
-		if every := s.opt.CheckpointEvery; every > 0 {
-			sh.sinceSnap += n
-			if sh.sinceSnap >= every {
-				sh.sinceSnap = 0
-				s.refreshShardSnap(sh, processed)
+	if cmd.req != nil {
+		cmd.reply <- cmd.req(sh)
+		return
+	}
+	for _, blk := range cmd.blocks {
+		sh.wb.Add(blk)
+	}
+	n := uint64(len(cmd.blocks))
+	processed := sh.processed.Add(n)
+	if every := s.opt.CheckpointEvery; every > 0 {
+		sh.sinceSnap += n
+		if sh.sinceSnap >= every {
+			sh.sinceSnap = 0
+			if r := sh.snapshot(); r.err != nil {
+				s.fail(fmt.Errorf("serve: shard %d recovery snapshot: %w", sh.i, r.err))
 			}
 		}
-		if h := s.opt.FaultHook; h != nil {
-			h(sh.i, processed)
-		}
+	}
+	if h := s.opt.FaultHook; h != nil {
+		h(sh.i, processed)
 	}
 }
 
-// refreshShardSnap reserializes the shard's Windowed into the
-// in-memory recovery snapshot its supervisor restarts it from.
-func (s *Server) refreshShardSnap(sh *shard, processed uint64) {
-	var b writerBuffer
+// snapshot serializes the shard's Windowed and stores the blob as the
+// in-memory recovery snapshot its supervisor restarts it from: a
+// durable checkpoint blob doubles as a recovery snapshot for free.
+// Runs on the shard goroutine.
+func (sh *shard) snapshot() shardReply {
+	var b bytes.Buffer
 	if err := sh.wb.Checkpoint(&b); err != nil {
-		s.fail(fmt.Errorf("serve: shard %d recovery snapshot: %w", sh.i, err))
-		return
+		return shardReply{err: err}
 	}
-	sh.snap.Store(&shardSnap{data: b.data, processed: processed})
+	sh.snap.Store(&shardSnap{data: b.Bytes(), processed: sh.processed.Load()})
+	return shardReply{blob: b.Bytes()}
 }
 
 // restoreShard rebuilds a restarting shard's Windowed from its last
@@ -177,9 +168,9 @@ func (s *Server) quarantineShard(i int, sh *shard, cause error) {
 // drainQuarantined keeps a quarantined shard's command channel flowing
 // until shutdown: ingest batches are dropped (the accesses inside were
 // already admitted and count as lost-in-quarantine in ShardStats, like
-// accesses lost to a panic after the last snapshot), and rotation /
-// snapshot requests that raced past the quarantine flag get failure
-// replies so no requester ever hangs.
+// accesses lost to a panic after the last snapshot), and requests
+// that raced past the quarantine flag get failure replies so no
+// requester ever hangs.
 func (s *Server) drainQuarantined(sh *shard) {
 	qerr := fmt.Errorf("serve: shard %d quarantined: %w", sh.i, ErrQuarantined)
 	for {
@@ -193,17 +184,11 @@ func (s *Server) drainQuarantined(sh *shard) {
 	}
 }
 
-// replyFailed answers an unservable command so its requester never
-// hangs: nil profiles for rotation/aggregate requests (the callers
-// skip nil contributions) and the error itself for snapshot requests.
-// Reply channels are capacity 1, so none of these sends block.
+// replyFailed answers an unservable request with err so its requester
+// never hangs. Reply channels are capacity 1, so the send never
+// blocks.
 func replyFailed(cmd shardCmd, err error) {
-	switch {
-	case cmd.rotate != nil:
-		cmd.rotate <- nil
-	case cmd.agg != nil:
-		cmd.agg <- nil
-	case cmd.snap != nil:
-		cmd.snap <- snapReply{err: err}
+	if cmd.reply != nil {
+		cmd.reply <- shardReply{err: err}
 	}
 }

@@ -261,6 +261,142 @@ func TestServeQuorumEscalatesStopTheWorld(t *testing.T) {
 // TestServeRejectsNegativeMaxShardRestarts: supervision has no off
 // switch. A negative budget is an invalid option, refused before any
 // goroutine starts.
+// breakerServer starts two shards checkpointing to path, with a
+// restart budget of 1 and a shard 0 that fails on every batch taking it
+// past 100 processed accesses. It feeds shard 0 a first batch of 100
+// (a recovery snapshot when every is 100), shard 1 a healthy batch of
+// 64, and shard 0 a batch of 30 that costs it its one restart: the
+// next batch to shard 0 trips the breaker. It returns the server, one
+// client per shard, shard 0's first batch and shard 1's batch.
+func breakerServer(t *testing.T, path string, every uint64) (s *Server, clients []uint64, first, healthy []uint64) {
+	t.Helper()
+	s, err := New(Options{
+		Config:           serveConfig(),
+		Shards:           2,
+		WindowAccesses:   1 << 40,
+		CheckpointPath:   path,
+		CheckpointEvery:  every,
+		MaxShardRestarts: 1,
+		FaultHook:        persistentFault(0, 101),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients = shardClients(t, s, 2)
+	pos := 0
+	first = phaseBlocks(0, 100, &pos)
+	healthy = phaseBlocks(1, 64, &pos)
+	for _, in := range []struct {
+		client uint64
+		blocks []uint64
+	}{{clients[0], first}, {clients[1], healthy}, {clients[0], phaseBlocks(0, 30, &pos)}} {
+		if err := s.IngestBlocks(in.client, in.blocks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, "shard 0 restart", func() bool { return s.Stats().Restarts == 1 })
+	return s, clients, first, healthy
+}
+
+// tripBreaker sends shard 0 the batch that quarantines it.
+func tripBreaker(t *testing.T, s *Server, clients []uint64) {
+	t.Helper()
+	pos := 0
+	if err := s.IngestBlocks(clients[0], phaseBlocks(0, 30, &pos)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// resumedProfile closes s, resumes a fresh server from its checkpoint
+// at path and returns that server's merged profile.
+func resumedProfile(t *testing.T, s *Server, path string) *profile.Profile {
+	t.Helper()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(Options{Config: serveConfig(), Shards: 2, WindowAccesses: 1 << 40, CheckpointPath: path, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if damage := s2.RestoreErrors(); len(damage) != 0 {
+		t.Fatalf("RestoreErrors = %v, want a clean resume", damage)
+	}
+	p, err := s2.Profile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// builtProfile is the batch profile of the given shard streams, each
+// profiled on its own LRU state and then merged, as the shards do.
+func builtProfile(t *testing.T, streams ...[]uint64) *profile.Profile {
+	t.Helper()
+	want := profile.Build(streams[0], 12, 64)
+	for _, blocks := range streams[1:] {
+		if err := want.Merge(profile.Build(blocks, 12, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// TestServeCheckpointQuarantinedShardFromSnapshot: a checkpoint taken
+// after shard 0 is quarantined stores shard 0's last recovery snapshot
+// in its place, so a resume restores shard 0 to that snapshot.
+func TestServeCheckpointQuarantinedShardFromSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.ckpt")
+	s, clients, first, healthy := breakerServer(t, path, 100)
+	tripBreaker(t, s, clients)
+	waitFor(t, 5*time.Second, "quarantine", func() bool { return s.Stats().Quarantined == 1 })
+	// The snapshot holds the first batch. It was taken at 100 processed
+	// accesses, or by a periodic durable checkpoint after the restart
+	// from it, which counts the 30 lost accesses as processed.
+	if got := s.ShardStats()[0].SnapshotAccesses; got != 100 && got != 130 {
+		t.Fatalf("shard 0 recovery snapshot at %d processed accesses, want 100 or 130", got)
+	}
+	if err := s.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	profilesEqual(t, resumedProfile(t, s, path), builtProfile(t, first, healthy))
+}
+
+// TestServeCheckpointQuarantinedShardCold: the same without any
+// recovery snapshot; shard 0 is checkpointed, and resumes, as an empty
+// window.
+func TestServeCheckpointQuarantinedShardCold(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.ckpt")
+	s, clients, _, healthy := breakerServer(t, path, 0)
+	tripBreaker(t, s, clients)
+	waitFor(t, 5*time.Second, "quarantine", func() bool { return s.Stats().Quarantined == 1 })
+	if err := s.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	profilesEqual(t, resumedProfile(t, s, path), builtProfile(t, healthy))
+}
+
+// TestServeRequestsBehindTrippingBatch issues Profile and
+// SaveCheckpoint right behind the batch that quarantines shard 0.
+// Whether the quarantined shard's drainer answers them or they skip
+// the shard, both return the healthy shard's data.
+func TestServeRequestsBehindTrippingBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.ckpt")
+	s, clients, _, healthy := breakerServer(t, path, 0)
+	tripBreaker(t, s, clients)
+	p, err := s.Profile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := builtProfile(t, healthy)
+	profilesEqual(t, p, want)
+	if err := s.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "quarantine", func() bool { return s.Stats().Quarantined == 1 })
+	profilesEqual(t, resumedProfile(t, s, path), want)
+}
+
 func TestServeRejectsNegativeMaxShardRestarts(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for _, budget := range []int{-1, -5} {
