@@ -369,7 +369,7 @@ func BenchmarkAblationAnnealVsHillClimb(b *testing.B) {
 	b.Run("anneal-20k", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
-			res, err := search.Anneal(context.Background(), p, 10, search.AnnealOptions{Steps: 20000, Seed: 1})
+			res, err := search.Construct(context.Background(), p, 10, search.Options{Family: hash.FamilyGeneralXOR, Algorithm: search.Anneal, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -451,7 +451,7 @@ func BenchmarkAblationConstructiveVsSearch(b *testing.B) {
 	b.Run("constructive", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
-			res, err := search.Constructive(context.Background(), p, 10, 2, 64)
+			res, err := search.Construct(context.Background(), p, 10, search.Options{Family: hash.FamilyPermutation, Algorithm: search.Constructive, MaxInputs: 2})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -341,7 +341,7 @@ func TestCLIAlgoCheckedBeforeProfiling(t *testing.T) {
 		want string
 	}{
 		{[]string{"-algo", "typo"}, `unknown -algo "typo"`},
-		{[]string{"-algo", "anneal", "-family", "permutation"}, "-algo anneal searches general XOR functions"},
+		{[]string{"-algo", "anneal", "-family", "permutation"}, "anneal searches only general-XOR functions"},
 	} {
 		out := runExpectFail(t, "xoridx", append([]string{"-trace", tr}, c.args...)...)
 		if !strings.Contains(out, c.want) || strings.Contains(out, "trace:") {

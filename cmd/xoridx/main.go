@@ -78,9 +78,9 @@ func main() {
 	blockBytes := flag.Int("block", 4, "cache block size in bytes")
 	addrBits := flag.Int("n", 16, "hashed block-address bits")
 	family := flag.String("family", "permutation", "function family: permutation, general, bitselect")
-	algo := flag.String("algo", "hillclimb", "search algorithm: hillclimb (paper), anneal, constructive")
+	algo := flag.String("algo", "hillclimb", "search algorithm: hillclimb (paper, any family), anneal (-family general), constructive (-family permutation); -restarts applies only to hillclimb")
 	maxInputs := flag.Int("maxinputs", 2, "max XOR inputs per set-index bit (0 = unlimited)")
-	restarts := flag.Int("restarts", 0, "extra random hill-climbing restarts")
+	restarts := flag.Int("restarts", 0, "extra random hill-climbing restarts (-algo hillclimb only)")
 	workers := flag.Int("workers", 1, "trace slices profiled in parallel, each on its own goroutine (1 = one slice, -1 = all cores); results are identical for any value")
 	noFallback := flag.Bool("nofallback", false, "disable the revert-to-conventional guard")
 	verbose := flag.Bool("verbose", false, "print the profile and search details")
@@ -157,6 +157,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// An unknown algorithm fails here, and one paired with a family it
+	// cannot search fails the pipeline's config check: both before the
+	// profile pass reads the trace.
+	if cfg.Algorithm, err = parseAlgorithm(*algo); err != nil {
+		fatal(err)
+	}
 	var events core.Sink
 	if *progress {
 		events = cliutil.ProgressSink(os.Stderr)
@@ -179,7 +185,7 @@ func main() {
 		}
 		return
 	}
-	res, err := tuneWith(ctx, tr, cfg, *algo, events)
+	res, err := core.Tune(ctx, tr, cfg, events)
 	if err != nil {
 		if res != nil && res.Degraded && res.Func != nil {
 			// Anytime contract: an interrupted run still reports the best
@@ -274,46 +280,14 @@ func main() {
 	}
 }
 
-// tuneWith runs the selected search algorithm through the core
-// pipeline. The alternative algorithms (extensions; see DESIGN.md §7)
-// produce a matrix that is then validated — and guarded — exactly like
-// the paper's hill climber.
-func tuneWith(ctx context.Context, tr trace.Source, cfg core.Config, algo string, events core.Sink) (*core.Result, error) {
-	// Check the algorithm and its family before the profile pass reads
-	// the trace.
-	var find func(p *profile.Profile) (search.Result, error)
-	switch algo {
-	case "hillclimb":
-		return core.Tune(ctx, tr, cfg, events)
-	case "anneal":
-		if cfg.Family != hash.FamilyGeneralXOR {
-			return nil, fmt.Errorf("-algo anneal searches general XOR functions; use -family general")
+// parseAlgorithm maps an -algo name onto the search algorithm.
+func parseAlgorithm(name string) (search.Algorithm, error) {
+	for _, a := range []search.Algorithm{search.HillClimb, search.Anneal, search.Constructive} {
+		if a.String() == name {
+			return a, nil
 		}
-		find = func(p *profile.Profile) (search.Result, error) {
-			return search.Anneal(ctx, p, cfg.SetBits(), search.AnnealOptions{Seed: cfg.Seed})
-		}
-	case "constructive":
-		if cfg.Family != hash.FamilyPermutation {
-			return nil, fmt.Errorf("-algo constructive builds permutation-based functions; use -family permutation")
-		}
-		find = func(p *profile.Profile) (search.Result, error) {
-			return search.Constructive(ctx, p, cfg.SetBits(), cfg.MaxInputs, 64)
-		}
-	default:
-		return nil, fmt.Errorf("unknown -algo %q (hillclimb, anneal, constructive)", algo)
 	}
-	pl := core.Pipeline{Config: cfg, Events: events}
-	p, err := pl.Profile(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
-	sres, err := find(p)
-	if err != nil {
-		// The same anytime contract as the hill climber's.
-		return core.Interrupted(p, sres), err
-	}
-	// The exact-simulation stage also applies the §6 fallback guard.
-	return pl.Validate(ctx, tr, p, sres)
+	return 0, fmt.Errorf("unknown -algo %q (hillclimb, anneal, constructive)", name)
 }
 
 // applyMatrixFile evaluates a previously saved index function on a

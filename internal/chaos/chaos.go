@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -187,14 +188,12 @@ func Run(cfg Config) (*Report, error) {
 }
 
 type harness struct {
-	cfg cfgAlias
+	cfg Config
 	rep *Report
 	g   rng
 
 	blockState uint64 // deterministic workload stream
 }
-
-type cfgAlias = Config
 
 // run builds the server(s) for the schedule, drives the workload, and
 // fills the report.
@@ -319,13 +318,6 @@ func (h *harness) nextBlocks(n int) []uint64 {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // retune runs one explicit re-tune round, tolerating only the typed
 // degradations §16 allows.
 func (h *harness) retune(s *serve.Server) {
@@ -428,7 +420,7 @@ func (h *harness) panicHook(shards int) func(int, uint64) {
 		for j := 0; j < k; j++ {
 			thresholds[i] = append(thresholds[i], uint64(h.g.intn(perShard)))
 		}
-		sortU64(thresholds[i])
+		slices.Sort(thresholds[i])
 	}
 	return func(sh int, processed uint64) {
 		i := int(next[sh].Load())
@@ -538,12 +530,4 @@ func (h *harness) runCorruptCkpt(opt serve.Options) error {
 	h.rep.Sent -= sentPhase1
 	h.driveAndFinish(s2, h.cfg.Accesses-half)
 	return nil
-}
-
-func sortU64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

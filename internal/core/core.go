@@ -62,6 +62,9 @@ type Config struct {
 	Family hash.Family
 	// MaxInputs bounds XOR fan-in (paper's 2-in/4-in); 0 = unlimited.
 	MaxInputs int
+	// Algorithm selects the search (default the paper's hill climber);
+	// validation rejects one paired with a family it cannot search.
+	Algorithm search.Algorithm
 	// Restarts and Seed add randomised hill-climbing restarts beyond
 	// the paper's single conventional start.
 	Restarts int
@@ -140,6 +143,9 @@ func (c Config) validate() error {
 	if c.AddrBits < c.SetBits()+1 || c.AddrBits > profile.MaxBits {
 		return fmt.Errorf("core: AddrBits %d out of range (need > set bits %d, <= %d): %w",
 			c.AddrBits, c.SetBits(), profile.MaxBits, xerr.ErrInvalidGeometry)
+	}
+	if err := c.searchOptions().CheckAlgorithm(); err != nil {
+		return err
 	}
 	switch c.Backend {
 	case "", "auto", "sketch":
@@ -234,6 +240,7 @@ func (c Config) searchOptions() search.Options {
 		MaxInputs: c.MaxInputs,
 		Restarts:  c.Restarts,
 		Seed:      c.Seed,
+		Algorithm: c.Algorithm,
 	}
 }
 

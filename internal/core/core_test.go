@@ -6,11 +6,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
+	"xoridx/internal/search"
 	"xoridx/internal/trace"
 	"xoridx/internal/workloads"
 )
@@ -76,6 +78,69 @@ func TestConfigBackendDomain(t *testing.T) {
 		if c.ok && err != nil || !c.ok && !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("Backend %q CheckpointPath %q: err = %v, want ok=%v or a wrapped ErrInvalidOptions",
 				c.backend, c.path, err, c.ok)
+		}
+	}
+}
+
+// TestConfigAlgorithmDomain pins the search algorithms a Config accepts:
+// annealing searches general XOR and the constructive heuristic
+// permutation-based functions. A bad pair, an unknown algorithm or an
+// unknown family fails validation, so Tune rejects it before it reads
+// the trace.
+func TestConfigAlgorithmDomain(t *testing.T) {
+	cases := []struct {
+		algo   search.Algorithm
+		family hash.Family
+		ok     bool
+	}{
+		{search.HillClimb, hash.FamilyBitSelect, true},
+		{search.Anneal, hash.FamilyGeneralXOR, true},
+		{search.Constructive, hash.FamilyPermutation, true},
+		{search.Anneal, hash.FamilyPermutation, false},
+		{search.Constructive, hash.FamilyGeneralXOR, false},
+		{search.Algorithm(9), hash.FamilyPermutation, false},
+		{search.HillClimb, hash.Family(9), false},
+	}
+	for _, c := range cases {
+		cfg := Config{CacheBytes: 1024, Family: c.family, Algorithm: c.algo}
+		_, err := cfg.Normalized()
+		if c.ok && err != nil || !c.ok && !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("%v on %v: err = %v, want ok=%v or a wrapped ErrInvalidOptions", c.algo, c.family, err, c.ok)
+		}
+		if c.ok {
+			continue
+		}
+		src := &countingSource{Source: thrashTrace(256, 10)}
+		if _, err := Tune(context.Background(), src, cfg, nil); !errors.Is(err, ErrInvalidOptions) || src.passes != 0 {
+			t.Errorf("%v on %v: Tune err = %v after %d trace passes, want ErrInvalidOptions before any", c.algo, c.family, err, src.passes)
+		}
+	}
+}
+
+// TestTuneAlgorithmReachesSearch pins that Config.Algorithm selects the
+// search the pipeline runs: Tune's search result is search.Construct's
+// with the same options on the same profile.
+func TestTuneAlgorithmReachesSearch(t *testing.T) {
+	tr := thrashTrace(256, 200)
+	for _, cfg := range []Config{
+		{CacheBytes: 1024, Family: hash.FamilyGeneralXOR, Algorithm: search.Anneal, Seed: 3},
+		{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2, Algorithm: search.Constructive},
+	} {
+		res, err := Tune(context.Background(), tr, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := search.Construct(context.Background(), res.Profile, 8, search.Options{
+			Family: cfg.Family, MaxInputs: cfg.MaxInputs, Seed: cfg.Seed, Algorithm: cfg.Algorithm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Search, want) {
+			t.Errorf("%v: Tune searched %+v, want %+v", cfg.Algorithm, res.Search, want)
+		}
+		if res.Optimized.Misses >= res.Baseline.Misses {
+			t.Errorf("%v: %d misses, baseline %d: the thrash was not removed",
+				cfg.Algorithm, res.Optimized.Misses, res.Baseline.Misses)
 		}
 	}
 }

@@ -146,12 +146,11 @@ func (pl *Pipeline) Search(ctx context.Context, p *profile.Profile) (search.Resu
 // carries the given round index, so a shared Sink can attribute
 // interleaved progress streams.
 //
-// A non-zero warm matrix seeds the climb at that function instead of
-// the conventional start (search.ConstructWarm) when the configured
-// family supports it — general XOR with unlimited fan-in.
-// Other configurations fall back to the cold search: the warm seed is
-// an optimisation hint, not a contract, and a serving loop tuning a
-// permutation-family function must still make progress.
+// A non-zero warm matrix is the search's Options.Warm: it seeds the
+// general-XOR climb with unlimited fan-in at that function instead of
+// the conventional start, and every other search ignores it. The warm
+// seed is an optimisation hint, not a contract, and a serving loop
+// tuning a permutation-family function must still make progress.
 func (pl *Pipeline) SearchRound(ctx context.Context, p *profile.Profile, warm gf2.Matrix, round int) (search.Result, error) {
 	cfg := pl.Config.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -162,6 +161,7 @@ func (pl *Pipeline) SearchRound(ctx context.Context, p *profile.Profile, warm gf
 	}
 	pl.emit(Event{Kind: StageStarted, Stage: StageSearch, Round: round})
 	opt := cfg.searchOptions()
+	opt.Warm = warm
 	if pl.Events != nil {
 		opt.Progress = func(sp search.Progress) {
 			pl.emit(Event{
@@ -175,15 +175,7 @@ func (pl *Pipeline) SearchRound(ctx context.Context, p *profile.Profile, warm gf
 			})
 		}
 	}
-	var (
-		sres search.Result
-		err  error
-	)
-	if warm.Cols != nil && cfg.Family == hash.FamilyGeneralXOR && cfg.MaxInputs == 0 {
-		sres, err = search.ConstructWarm(ctx, p, cfg.SetBits(), warm, opt)
-	} else {
-		sres, err = search.Construct(ctx, p, cfg.SetBits(), opt)
-	}
+	sres, err := search.Construct(ctx, p, cfg.SetBits(), opt)
 	if err != nil {
 		// sres may carry a Degraded best-so-far matrix; pass it up so
 		// an interrupted pipeline still yields a usable function.
@@ -250,21 +242,21 @@ func Tune(ctx context.Context, src trace.Source, cfg Config, events Sink) (*Resu
 // TuneProfiled runs search and then validation with a pre-built
 // profile, letting callers amortise profiling across several searches
 // (e.g. the 2-in/4-in/16-in sweep of Table 2). events may be nil. On
-// cancellation it returns Interrupted's result alongside the wrapped
+// cancellation it returns interrupted's result alongside the wrapped
 // ErrCanceled.
 func TuneProfiled(ctx context.Context, src trace.Source, p *profile.Profile, cfg Config, events Sink) (*Result, error) {
 	pl := Pipeline{Config: cfg, Events: events}
 	sres, err := pl.Search(ctx, p)
 	if err != nil {
-		return Interrupted(p, sres), err
+		return interrupted(p, sres), err
 	}
 	return pl.Validate(ctx, src, p, sres)
 }
 
-// Interrupted wraps the best-so-far matrix of a search that stopped
+// interrupted wraps the best-so-far matrix of a search that stopped
 // early as a Degraded Result, whose Search field tells how many moves
 // and evaluations completed; nil when the search left no usable matrix.
-func Interrupted(p *profile.Profile, sres search.Result) *Result {
+func interrupted(p *profile.Profile, sres search.Result) *Result {
 	if !sres.Degraded || sres.Matrix.Cols == nil {
 		return nil
 	}

@@ -27,7 +27,6 @@ import (
 	"xoridx/internal/hash"
 	"xoridx/internal/hwcost"
 	"xoridx/internal/lru"
-	"xoridx/internal/search"
 	"xoridx/internal/trace"
 	"xoridx/internal/workloads"
 )
@@ -355,41 +354,32 @@ func SizeSweep(ctx context.Context, opt Options, bench string, sizes []int, scal
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,
 		}
-		res, err := core.Tune(ctx, tr, cfg, opt.Events)
+		// One profile serves both geometries: its capacity filter is the
+		// cache size in blocks, whatever the associativity.
+		pl := core.Pipeline{Config: cfg, Events: opt.Events}
+		p, err := pl.Profile(ctx, tr)
 		if err != nil {
 			return nil, fmt.Errorf("%s @ %dB: %w", bench, size, err)
 		}
-		pt := SweepPoint{
+		res, err := core.TuneProfiled(ctx, tr, p, cfg, opt.Events)
+		if err != nil {
+			return nil, fmt.Errorf("%s @ %dB: %w", bench, size, err)
+		}
+		// Compose the tuned hashing idea with 2-way associativity: tune
+		// a fresh function for the 2-way geometry (one fewer set bit),
+		// reported unguarded.
+		cfg.Ways, cfg.NoFallback = 2, true
+		res2, err := core.TuneProfiled(ctx, tr, p, cfg, opt.Events)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, SweepPoint{
 			CacheBytes: size,
 			Modulo:     res.Baseline.Misses,
 			TunedXOR:   res.Optimized.Misses,
-		}
-
-		// Compose the tuned hashing idea with 2-way associativity: tune
-		// a fresh function for the 2-way geometry (one fewer set bit).
-		cfg2 := cfg
-		cfg2.CacheBytes = size // same capacity, half the sets
-		p2, err := core.BuildProfile(ctx, tr, cfg2)
-		if err != nil {
-			return nil, err
-		}
-		m2 := cfg2.SetBits() - 1
-		res2, err := search.Construct(ctx, p2, m2, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2})
-		if err != nil {
-			return nil, err
-		}
-		f2, err := hash.NewXOR(res2.Matrix)
-		if err != nil {
-			return nil, err
-		}
-		twoXOR, err := cache.Simulate(ctx, tr, cache.Config{SizeBytes: size, BlockBytes: BlockBytes, Ways: 2, Index: f2})
-		if err != nil {
-			return nil, err
-		}
-		pt.TwoWayXOR = twoXOR[0].Misses
-
-		pt.FullAssoc = lru.FAMisses(tr.Blocks(BlockBytes, AddrBits), size/BlockBytes)
-		out = append(out, pt)
+			TwoWayXOR:  res2.Optimized.Misses,
+			FullAssoc:  lru.FAMisses(tr.Blocks(BlockBytes, AddrBits), size/BlockBytes),
+		})
 	}
 	return out, nil
 }

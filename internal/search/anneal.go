@@ -1,12 +1,10 @@
 package search
 
 import (
-	"context"
 	"math"
 	"math/rand"
 
 	"xoridx/internal/gf2"
-	"xoridx/internal/profile"
 	"xoridx/internal/xerr"
 )
 
@@ -18,59 +16,38 @@ import (
 // worsening moves with probability exp(-Δ/T), escaping the local
 // optima that stop the hill climber.
 
-// AnnealOptions configures Anneal.
-type AnnealOptions struct {
-	// Steps is the number of proposal steps (default 20000).
-	Steps int
-	// InitialTemp sets T at step 0, in units of estimated misses;
-	// default: 2% of the conventional baseline estimate.
-	InitialTemp float64
-	// Seed drives the random walk.
-	Seed int64
-}
+// annealSteps is the number of proposal steps; the starting
+// temperature is annealTemp times the conventional baseline estimate
+// (at least 1), cooled exponentially to 1% of it.
+const (
+	annealSteps = 20000
+	annealTemp  = 0.02
+)
 
-// Anneal searches general XOR functions by simulated annealing and
-// returns the best function found. Like Construct it starts from the
-// conventional null space; unlike Construct the result is
-// stochastic — run it with several seeds and keep the best.
+// anneal searches general XOR functions by simulated annealing from the
+// conventional null space, drawing from an RNG seeded with Options.Seed,
+// and returns the best function visited. Unlike the hill climber the
+// result is stochastic: run it with several seeds and keep the best.
 // Cancellation is checked every ctxCheckEvery proposal steps.
-func Anneal(ctx context.Context, p *profile.Profile, m int, opt AnnealOptions) (Result, error) {
-	n := p.N
-	if m <= 0 || m >= n {
-		return Result{}, errOutOfRange(m, n)
-	}
-	if opt.Steps <= 0 {
-		opt.Steps = 20000
-	}
-	d := n - m
-	rng := rand.New(rand.NewSource(opt.Seed))
-	cur := gf2.SpanUnits(n, m, n)
+func (s *state) anneal(int) (Result, error) {
+	p, n, d := s.p, s.n, s.n-s.m
+	rng := rand.New(rand.NewSource(s.opt.Seed))
+	cur := gf2.SpanUnits(n, s.m, n)
 	curEst := p.EstimateSubspace(cur)
-	baseline := curEst
-	if opt.InitialTemp <= 0 {
-		opt.InitialTemp = 0.02 * float64(baseline)
-		if opt.InitialTemp < 1 {
-			opt.InitialTemp = 1
-		}
-	}
+	temp0 := max(annealTemp*float64(curEst), 1)
 	best := cur
 	bestEst := curEst
 	walkCost := uint64(1) << uint(d)
-	res := Result{Baseline: baseline, Lookups: walkCost}
-	for step := 0; step < opt.Steps; step++ {
+	res := Result{Lookups: walkCost}
+	var err error
+	for step := 0; step < annealSteps; step++ {
 		if step&(ctxCheckEvery-1) == 0 {
-			if err := xerr.Check(ctx); err != nil {
-				// Anytime contract: hand back the best state the walk
-				// reached, tagged Degraded, alongside the error.
-				res.Matrix = gf2.MatrixWithNullSpace(best)
-				res.Estimated = bestEst
-				res.Degraded = true
-				return res, err
+			if err = xerr.Check(s.ctx); err != nil {
+				break // anytime contract: hand back the best state reached
 			}
 		}
 		// Exponential cooling to ~1% of the initial temperature.
-		frac := float64(step) / float64(opt.Steps)
-		temp := opt.InitialTemp * math.Pow(0.01, frac)
+		temp := temp0 * math.Pow(0.01, float64(step)/annealSteps)
 
 		// Random neighbor: random hyperplane of cur + random external
 		// vector (the same neighbourhood structure as the hill climber).
@@ -102,5 +79,5 @@ func Anneal(ctx context.Context, p *profile.Profile, m int, opt AnnealOptions) (
 	}
 	res.Matrix = gf2.MatrixWithNullSpace(best)
 	res.Estimated = bestEst
-	return res, nil
+	return res, err
 }

@@ -1,11 +1,7 @@
 package search
 
 import (
-	"context"
-	"fmt"
-
 	"xoridx/internal/gf2"
-	"xoridx/internal/profile"
 	"xoridx/internal/xerr"
 )
 
@@ -19,38 +15,25 @@ import (
 // O(hot × m × (n−m)) candidates total) and a useful baseline for how
 // much the paper's full search actually buys.
 
-// Constructive builds a permutation-based function with at most
-// maxInputs inputs per XOR (0 = unlimited) by covering the hotVectors
-// most frequent conflict vectors. Cancellation is checked once per hot
-// vector (each vector scores at most m·(n−m) candidate edits, so the
-// latency bound is a fraction of a move).
-func Constructive(ctx context.Context, p *profile.Profile, m int, maxInputs, hotVectors int) (Result, error) {
-	n := p.N
-	if m <= 0 || m >= n {
-		return Result{}, errOutOfRange(m, n)
-	}
-	if maxInputs < 0 {
-		return Result{}, fmt.Errorf("search: negative maxInputs: %w", xerr.ErrInvalidOptions)
-	}
-	if hotVectors <= 0 {
-		hotVectors = 64
-	}
-	maxExtra := n
-	if maxInputs > 0 {
-		maxExtra = maxInputs - 1
-	}
-	h := gf2.Identity(n, m)
-	res := Result{Baseline: p.EstimateConventional(m)}
-	cur := p.EstimateMatrix(h)
+// hotVectors is how many of the most frequent conflict vectors the
+// constructive heuristic covers.
+const hotVectors = 64
 
+// constructive builds a permutation-based function with at most
+// Options.MaxInputs inputs per XOR (0 = unlimited) by covering the
+// hotVectors most frequent conflict vectors. Cancellation is checked
+// once per hot vector (each vector scores at most m·(n−m) candidate
+// edits, so the latency bound is a fraction of a move).
+func (s *state) constructive(int) (Result, error) {
+	p, n, m := s.p, s.n, s.m
+	maxExtra := s.maxExtra()
+	h := gf2.Identity(n, m)
+	var res Result
+	cur := p.EstimateMatrix(h)
+	var err error
 	for _, vc := range p.HotVectors(hotVectors) {
-		if err := xerr.Check(ctx); err != nil {
-			// Anytime contract: the partially-patched function is still
-			// a valid index matrix — return it tagged Degraded.
-			res.Matrix = h
-			res.Estimated = cur
-			res.Degraded = true
-			return res, err
+		if err = xerr.Check(s.ctx); err != nil {
+			break // anytime contract: the partial function is still valid
 		}
 		v := vc.Vec
 		if h.Apply(v) != 0 {
@@ -63,8 +46,7 @@ func Constructive(ctx context.Context, p *profile.Profile, m int, maxInputs, hot
 		for c := 0; c < m; c++ {
 			for b := m; b < n; b++ {
 				u := gf2.Unit(b)
-				adding := h.Cols[c]&u == 0
-				if adding && int((h.Cols[c]>>uint(m)).Weight()) >= maxExtra {
+				if h.Cols[c]&u == 0 && extraCount(h.Cols[c], m) >= maxExtra {
 					continue
 				}
 				h.Cols[c] ^= u
@@ -87,5 +69,5 @@ func Constructive(ctx context.Context, p *profile.Profile, m int, maxInputs, hot
 	}
 	res.Matrix = h
 	res.Estimated = cur
-	return res, nil
+	return res, err
 }

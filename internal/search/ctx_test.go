@@ -69,14 +69,14 @@ func TestConstructCtxCancelMidClimb(t *testing.T) {
 func TestAnnealCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Anneal(ctx, ctxTestProfile(), 6, AnnealOptions{})
+	_, err := Construct(ctx, ctxTestProfile(), 6, Options{Family: hash.FamilyGeneralXOR, Algorithm: Anneal})
 	wantCanceled(t, err)
 }
 
 func TestConstructiveCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Constructive(ctx, ctxTestProfile(), 6, 2, 64)
+	_, err := Construct(ctx, ctxTestProfile(), 6, Options{Family: hash.FamilyPermutation, Algorithm: Constructive, MaxInputs: 2})
 	wantCanceled(t, err)
 }
 
@@ -167,21 +167,37 @@ func TestTypedOptionErrors(t *testing.T) {
 	if _, err := Construct(context.Background(), p, 6, Options{Restarts: -1}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("negative Restarts error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := ConstructWarm(context.Background(), p, 6, gf2.Identity(12, 6),
-		Options{Family: hash.FamilyGeneralXOR, Restarts: -1}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := Construct(context.Background(), p, 6,
+		Options{Family: hash.FamilyGeneralXOR, Restarts: -1, Warm: gf2.Identity(12, 6)}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("warm negative Restarts error %v must wrap ErrInvalidOptions", err)
 	}
 	if _, err := Construct(context.Background(), p, 6, Options{Family: hash.Family(99)}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("unknown family error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := Anneal(context.Background(), p, 0, AnnealOptions{}); !errors.Is(err, xerr.ErrInvalidOptions) {
+	if _, err := Construct(context.Background(), p, 0, Options{Family: hash.FamilyGeneralXOR, Algorithm: Anneal}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("anneal m=0 error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := Constructive(context.Background(), p, 12, 2, 8); !errors.Is(err, xerr.ErrInvalidOptions) {
+	constructive := Options{Family: hash.FamilyPermutation, Algorithm: Constructive, MaxInputs: 2}
+	if _, err := Construct(context.Background(), p, 12, constructive); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("constructive m=n error %v must wrap ErrInvalidOptions", err)
 	}
-	if _, err := Constructive(context.Background(), p, 6, -1, 8); !errors.Is(err, xerr.ErrInvalidOptions) {
+	constructive.MaxInputs = -1
+	if _, err := Construct(context.Background(), p, 6, constructive); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("constructive negative maxInputs error %v must wrap ErrInvalidOptions", err)
+	}
+	// Every algorithm is checked against the family it searches.
+	for _, opt := range []Options{
+		{Family: hash.FamilyPermutation, Algorithm: Anneal},
+		{Family: hash.FamilyGeneralXOR, Algorithm: Constructive},
+		{Family: hash.FamilyBitSelect, Algorithm: Constructive},
+		{Family: hash.FamilyGeneralXOR, Algorithm: Algorithm(99)},
+	} {
+		if err := opt.CheckAlgorithm(); !errors.Is(err, xerr.ErrInvalidOptions) {
+			t.Errorf("%v on %v: CheckAlgorithm error %v must wrap ErrInvalidOptions", opt.Algorithm, opt.Family, err)
+		}
+		if _, err := Construct(context.Background(), p, 6, opt); !errors.Is(err, xerr.ErrInvalidOptions) {
+			t.Errorf("%v on %v: error %v must wrap ErrInvalidOptions", opt.Algorithm, opt.Family, err)
+		}
 	}
 }
 
@@ -231,11 +247,11 @@ func TestAnnealAndConstructiveDegrade(t *testing.T) {
 	p := conflictProfile(12, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Anneal(ctx, p, 6, AnnealOptions{Steps: 5000})
+	res, err := Construct(ctx, p, 6, Options{Family: hash.FamilyGeneralXOR, Algorithm: Anneal})
 	if !errors.Is(err, xerr.ErrCanceled) || !res.Degraded || res.Matrix.Cols == nil {
 		t.Fatalf("Anneal: res=%+v err=%v, want degraded best-so-far + ErrCanceled", res, err)
 	}
-	res, err = Constructive(ctx, p, 6, 4, 32)
+	res, err = Construct(ctx, p, 6, Options{Family: hash.FamilyPermutation, Algorithm: Constructive, MaxInputs: 4})
 	if !errors.Is(err, xerr.ErrCanceled) || !res.Degraded || res.Matrix.Cols == nil {
 		t.Fatalf("Constructive: res=%+v err=%v, want degraded best-so-far + ErrCanceled", res, err)
 	}

@@ -17,10 +17,7 @@ type neighbours func(h gf2.Matrix, emit func(j int, col gf2.Vec))
 // within a column.
 func (s *state) permutationSpace(start int) (gf2.Matrix, neighbours) {
 	n, m := s.n, s.m
-	maxExtra := n // effectively unlimited
-	if s.opt.MaxInputs > 0 {
-		maxExtra = s.opt.MaxInputs - 1
-	}
+	maxExtra := s.maxExtra()
 	cur := gf2.Identity(n, m)
 	if start > 0 {
 		for c := 0; c < m; c++ {
@@ -167,6 +164,15 @@ func (s *state) climbMatrix(cur gf2.Matrix, next neighbours) (Result, error) {
 	res.Matrix = cur
 	res.Estimated = curEst
 	return res, ctxErr
+}
+
+// maxExtra is the bound on a permutation column's extra inputs:
+// MaxInputs−1, or n (effectively unlimited) for MaxInputs 0.
+func (s *state) maxExtra() int {
+	if s.opt.MaxInputs > 0 {
+		return s.opt.MaxInputs - 1
+	}
+	return s.n
 }
 
 // extraCount counts inputs above the identity bit in a permutation

@@ -13,7 +13,7 @@ import (
 // climbNullSpace performs steepest-descent hill climbing over null
 // spaces of dimension n−m, the paper's search for general XOR
 // functions. start==0 begins at the conventional null space
-// span(e_m..e_{n−1}), or at the warm null space when one is set;
+// span(e_m..e_{n−1}), or at Options.Warm's null space when it is set;
 // start>0 begins at a random subspace of the same dimension. Each move
 // scores every neighbour of the current null space from one
 // Walsh–Hadamard transform per syndrome group (DESIGN.md §10) and takes
@@ -28,8 +28,8 @@ func (s *state) climbNullSpace(start int) (Result, error) {
 	switch {
 	case start > 0:
 		cur = s.randomSubspace(d)
-	case s.warm != nil:
-		cur = *s.warm // warm start (ConstructWarm)
+	case s.opt.Warm.Cols != nil:
+		cur = s.opt.Warm.NullSpace()
 	default:
 		cur = gf2.SpanUnits(n, m, n)
 	}

@@ -24,10 +24,14 @@
 // groups the histogram support by syndrome under the current function
 // and sums a few groups per neighbour (DESIGN.md §10).
 //
-// Every search (Construct, ConstructWarm, Anneal, Constructive) takes a
-// context, checks it between candidate evaluations and returns a
-// wrapped xerr.ErrCanceled within one hill-climbing move of the context
-// being canceled.
+// Construct is the one entry point. Options.Algorithm swaps the hill
+// climber for simulated annealing or the constructive heuristic
+// (extensions, §3.3); Options.Warm starts the general-XOR climb from
+// an existing function.
+//
+// Construct takes a context, checks it between candidate evaluations
+// and returns a wrapped xerr.ErrCanceled within one hill-climbing move
+// of the context being canceled.
 package search
 
 import (
@@ -58,6 +62,63 @@ type Options struct {
 	// hill-climbing move (and at the end of each climb). It is called
 	// synchronously from the search goroutine; keep it fast.
 	Progress func(Progress)
+	// Algorithm selects the search; the zero value is the paper's hill
+	// climber. Restarts apply to the hill climber only.
+	Algorithm Algorithm
+	// Warm, when set, replaces the conventional start of the first
+	// climb. Only the general-XOR null-space climb (MaxInputs 0) climbs
+	// from an arbitrary function; every other search ignores Warm.
+	Warm gf2.Matrix
+}
+
+// Algorithm is a search strategy over a function family.
+type Algorithm int
+
+const (
+	// HillClimb is the paper's steepest descent (§3.2), for every family.
+	HillClimb Algorithm = iota
+	// Anneal is simulated annealing over general-XOR null spaces.
+	Anneal
+	// Constructive is the greedy covering heuristic for
+	// permutation-based functions.
+	Constructive
+)
+
+// String returns the algorithm's name: hillclimb, anneal or constructive.
+func (a Algorithm) String() string {
+	switch a {
+	case HillClimb:
+		return "hillclimb"
+	case Anneal:
+		return "anneal"
+	case Constructive:
+		return "constructive"
+	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
+}
+
+// CheckAlgorithm rejects an unknown algorithm or family, and an
+// algorithm paired with a family it cannot search, with a wrapped
+// xerr.ErrInvalidOptions.
+func (opt Options) CheckAlgorithm() error {
+	want := opt.Family // the hill climber searches every family
+	switch opt.Algorithm {
+	case HillClimb:
+	case Anneal:
+		want = hash.FamilyGeneralXOR
+	case Constructive:
+		want = hash.FamilyPermutation
+	default:
+		return fmt.Errorf("search: unknown algorithm %v: %w", opt.Algorithm, xerr.ErrInvalidOptions)
+	}
+	switch {
+	case opt.Family != want:
+		return fmt.Errorf("search: %v searches only %v functions, not %v: %w",
+			opt.Algorithm, want, opt.Family, xerr.ErrInvalidOptions)
+	case opt.Family < hash.FamilyBitSelect || opt.Family > hash.FamilyGeneralXOR:
+		return fmt.Errorf("search: unknown family %v: %w", opt.Family, xerr.ErrInvalidOptions)
+	}
+	return nil
 }
 
 // Progress is one search progress snapshot, delivered through
@@ -78,7 +139,8 @@ type Result struct {
 	Evaluated  int        // candidate evaluations performed
 	// Lookups counts histogram support entries read: the whole support
 	// once per move, plus the two syndrome groups each matrix-space
-	// candidate sums (DESIGN.md §10); Anneal counts 2^d per estimate.
+	// candidate sums (DESIGN.md §10); annealing counts 2^d per estimate
+	// and the constructive heuristic counts none.
 	// The baseline estimate is excluded.
 	Lookups uint64
 	// MemoHits is always 0. It stays only because the benchmark harness
@@ -109,28 +171,23 @@ func (r Result) Improvement() float64 {
 }
 
 // Construct searches for an m-set-bit index function minimising the
-// profile's miss estimate. The climbs check ctx between candidate
-// evaluations (every ctxCheckEvery of them), so a canceled context
-// aborts the search within one hill-climbing move and the call returns
-// a wrapped xerr.ErrCanceled.
+// profile's miss estimate with opt.Algorithm. The searches check ctx
+// between candidate evaluations (every ctxCheckEvery of them), so a
+// canceled context aborts the search within one hill-climbing move and
+// the call returns a wrapped xerr.ErrCanceled.
 func Construct(ctx context.Context, p *profile.Profile, m int, opt Options) (Result, error) {
-	return construct(ctx, p, m, opt, nil)
-}
-
-// construct is the shared implementation behind Construct and
-// ConstructWarm. A non-nil warm null space replaces the conventional
-// start of the first climb; ConstructWarm derives it from a starting
-// matrix.
-func construct(ctx context.Context, p *profile.Profile, m int, opt Options, warm *gf2.Subspace) (Result, error) {
 	n := p.N
 	if m <= 0 || m >= n {
-		return Result{}, errOutOfRange(m, n)
+		return Result{}, fmt.Errorf("search: m=%d out of range (0, %d): %w", m, n, xerr.ErrInvalidOptions)
 	}
 	if opt.MaxInputs < 0 {
 		return Result{}, fmt.Errorf("search: negative MaxInputs: %w", xerr.ErrInvalidOptions)
 	}
 	if opt.Restarts < 0 {
 		return Result{}, fmt.Errorf("search: negative Restarts: %w", xerr.ErrInvalidOptions)
+	}
+	if err := opt.CheckAlgorithm(); err != nil {
+		return Result{}, err
 	}
 	if opt.Family == hash.FamilyPermutation && opt.MaxInputs == 1 {
 		// A 1-input permutation-based function is exactly modulo indexing.
@@ -144,31 +201,34 @@ func construct(ctx context.Context, p *profile.Profile, m int, opt Options, warm
 		}
 		return out, nil
 	}
-	var space func(s *state, start int) (gf2.Matrix, neighbours)
-	switch opt.Family {
-	case hash.FamilyGeneralXOR:
-		if opt.MaxInputs > 0 {
-			// Fan-in-limited general XOR: search matrix space under the
-			// weight constraint instead of unconstrained null spaces.
-			space = (*state).generalLimitedSpace
+	s := &state{ctx: ctx, p: p, n: n, m: m, opt: opt}
+	climb, climbs := (*state).climbNullSpace, opt.Restarts+1
+	switch {
+	case opt.Algorithm == Anneal:
+		climb, climbs = (*state).anneal, 1
+	case opt.Algorithm == Constructive:
+		climb, climbs = (*state).constructive, 1
+	case opt.Family == hash.FamilyPermutation:
+		climb = matrixClimb((*state).permutationSpace)
+	case opt.Family == hash.FamilyBitSelect:
+		climb = matrixClimb((*state).bitSelectSpace)
+	case opt.MaxInputs > 0:
+		// Fan-in-limited general XOR: search matrix space under the
+		// weight constraint instead of unconstrained null spaces.
+		climb = matrixClimb((*state).generalLimitedSpace)
+	case opt.Warm.Cols != nil:
+		if w := opt.Warm; w.N != n || w.M != m || w.Rank() != m {
+			return Result{}, fmt.Errorf("search: warm start is a rank-%d %dx%d matrix, search wants rank %d %dx%d: %w",
+				w.Rank(), w.N, w.M, m, n, m, xerr.ErrInvalidOptions)
 		}
-	case hash.FamilyPermutation:
-		space = (*state).permutationSpace
-	case hash.FamilyBitSelect:
-		space = (*state).bitSelectSpace
-	default:
-		return Result{}, fmt.Errorf("search: unknown family %v: %w", opt.Family, xerr.ErrInvalidOptions)
 	}
-	climb := (*state).climbNullSpace
-	if space != nil {
-		climb = func(s *state, start int) (Result, error) { return s.climbMatrix(space(s, start)) }
+	if opt.Algorithm == HillClimb {
+		s.nb = &neighbourhood{support: p.Support(), n: n}
 	}
-	s := &state{ctx: ctx, p: p, n: n, m: m, opt: opt, warm: warm,
-		nb: &neighbourhood{support: p.Support(), n: n}}
 	// Run every climb, keep the best result, and accumulate the
 	// iteration/evaluation totals exactly once per climb. Each restart
 	// derives its own RNG from (Seed, restart index).
-	for r := 0; r <= opt.Restarts; r++ {
+	for r := 0; r < climbs; r++ {
 		s.restart = r
 		s.rng = rand.New(rand.NewSource(restartSeed(opt.Seed, r)))
 		cand, err := climb(s, r)
@@ -183,6 +243,11 @@ func construct(ctx context.Context, p *profile.Profile, m int, opt Options, warm
 		}
 	}
 	return s.finalize(p, m), nil
+}
+
+// matrixClimb runs climbMatrix over a matrix-space family.
+func matrixClimb(space func(s *state, start int) (gf2.Matrix, neighbours)) func(*state, int) (Result, error) {
+	return func(s *state, start int) (Result, error) { return s.climbMatrix(space(s, start)) }
 }
 
 // restartSeed derives restart r's private RNG seed (splitmix64 over
@@ -216,9 +281,6 @@ type state struct {
 	nb      *neighbourhood // the one scorer, shared by every climb
 	restart int            // current restart index, for Progress snapshots
 	tick    int            // evaluations since the last ctx check
-
-	// warm, when non-nil, is the first climb's starting null space.
-	warm *gf2.Subspace
 
 	// Accumulators over completed climbs.
 	best       Result
@@ -270,8 +332,4 @@ func (s *state) emit(iteration, evaluated int, best uint64) {
 	if s.opt.Progress != nil {
 		s.opt.Progress(Progress{Restart: s.restart, Iteration: iteration, Evaluated: evaluated, Best: best})
 	}
-}
-
-func errOutOfRange(m, n int) error {
-	return fmt.Errorf("search: m=%d out of range (0, %d): %w", m, n, xerr.ErrInvalidOptions)
 }

@@ -249,7 +249,7 @@ func TestImprovementZeroBaseline(t *testing.T) {
 func TestAnnealFindsStrideSolution(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)
-	res, err := Anneal(context.Background(), p, 6, AnnealOptions{Steps: 5000, Seed: 7})
+	res, err := Construct(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR, Algorithm: Anneal, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestAnnealNeverReportsWorseThanVisited(t *testing.T) {
 		blocks[i] = uint64(rng.Intn(2048))
 	}
 	p := profile.Build(blocks, 12, 64)
-	res, err := Anneal(context.Background(), p, 6, AnnealOptions{Steps: 3000, Seed: 5})
+	res, err := Construct(context.Background(), p, 6, Options{Family: hash.FamilyGeneralXOR, Algorithm: Anneal, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,10 +290,11 @@ func TestAnnealNeverReportsWorseThanVisited(t *testing.T) {
 
 func TestAnnealValidation(t *testing.T) {
 	p := profile.Build([]uint64{1, 2}, 10, 8)
-	if _, err := Anneal(context.Background(), p, 0, AnnealOptions{}); err == nil {
+	opt := Options{Family: hash.FamilyGeneralXOR, Algorithm: Anneal}
+	if _, err := Construct(context.Background(), p, 0, opt); err == nil {
 		t.Fatal("m=0 must fail")
 	}
-	if _, err := Anneal(context.Background(), p, 10, AnnealOptions{}); err == nil {
+	if _, err := Construct(context.Background(), p, 10, opt); err == nil {
 		t.Fatal("m=n must fail")
 	}
 }
@@ -301,11 +302,12 @@ func TestAnnealValidation(t *testing.T) {
 func TestAnnealDeterministicPerSeed(t *testing.T) {
 	blocks := strideTrace(32, 16, 5)
 	p := profile.Build(blocks, 12, 64)
-	a, err := Anneal(context.Background(), p, 6, AnnealOptions{Steps: 1000, Seed: 11})
+	opt := Options{Family: hash.FamilyGeneralXOR, Algorithm: Anneal, Seed: 11}
+	a, err := Construct(context.Background(), p, 6, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Anneal(context.Background(), p, 6, AnnealOptions{Steps: 1000, Seed: 11})
+	b, err := Construct(context.Background(), p, 6, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestAnnealDeterministicPerSeed(t *testing.T) {
 func TestConstructiveCoversStride(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
 	p := profile.Build(blocks, 12, 64)
-	res, err := Constructive(context.Background(), p, 6, 2, 64)
+	res, err := Construct(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, Algorithm: Constructive, MaxInputs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +347,7 @@ func TestConstructiveVsHillClimb(t *testing.T) {
 			blocks[i] = uint64(i%64)*64 + uint64(rng.Intn(4))
 		}
 		p := profile.Build(blocks, 12, 64)
-		cons, err := Constructive(context.Background(), p, 6, 2, 64)
+		cons, err := Construct(context.Background(), p, 6, Options{Family: hash.FamilyPermutation, Algorithm: Constructive, MaxInputs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,10 +369,11 @@ func TestConstructiveVsHillClimb(t *testing.T) {
 
 func TestConstructiveValidation(t *testing.T) {
 	p := profile.Build([]uint64{1}, 10, 8)
-	if _, err := Constructive(context.Background(), p, 0, 2, 8); err == nil {
+	opt := Options{Family: hash.FamilyPermutation, Algorithm: Constructive, MaxInputs: 2}
+	if _, err := Construct(context.Background(), p, 0, opt); err == nil {
 		t.Fatal("m=0 must fail")
 	}
-	if _, err := Constructive(context.Background(), p, 10, 2, 8); err == nil {
+	if _, err := Construct(context.Background(), p, 10, opt); err == nil {
 		t.Fatal("m=n must fail")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"xoridx/internal/gf2"
@@ -56,7 +57,8 @@ func TestWarmStartFromConventionalEqualsCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := ConstructWarm(context.Background(), p, m, gf2.Identity(n, m), opt)
+		opt.Warm = gf2.Identity(n, m)
+		warm, err := Construct(context.Background(), p, m, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,8 +83,8 @@ func TestWarmStartNeverWorse(t *testing.T) {
 		p := warmTestProfile(int64(trial), n, m)
 		from := randomFullRank(rng, n, m)
 		startEst := p.EstimateMatrix(from)
-		res, err := ConstructWarm(context.Background(), p, m,
-			from, Options{Family: hash.FamilyGeneralXOR})
+		res, err := Construct(context.Background(), p, m,
+			Options{Family: hash.FamilyGeneralXOR, Warm: from})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -93,24 +95,46 @@ func TestWarmStartNeverWorse(t *testing.T) {
 	}
 }
 
-// TestWarmStartValidation pins the option domain.
+// TestWarmStartValidation pins the option domain: a warm start the
+// null-space climb would use must match the geometry and have full
+// rank, and every other search ignores Warm, giving the cold result.
 func TestWarmStartValidation(t *testing.T) {
 	const n, m = 10, 5
 	p := warmTestProfile(1, n, m)
-	good := gf2.Identity(n, m)
-	cases := []struct {
+	// A random full-rank start, so a search that used it would differ.
+	from := randomFullRank(rand.New(rand.NewSource(1)), n, m)
+	bad := []struct {
 		name string
 		from gf2.Matrix
+	}{
+		{"wrong geometry", gf2.Identity(n, m-1)},
+		{"rank deficient", gf2.Matrix{N: n, M: m, Cols: make([]gf2.Vec, m)}},
+	}
+	for _, tc := range bad {
+		opt := Options{Family: hash.FamilyGeneralXOR, Warm: tc.from}
+		if _, err := Construct(context.Background(), p, m, opt); !errors.Is(err, xerr.ErrInvalidOptions) {
+			t.Errorf("%s: err = %v, want ErrInvalidOptions", tc.name, err)
+		}
+	}
+	ignored := []struct {
+		name string
 		opt  Options
 	}{
-		{"permutation family", good, Options{Family: hash.FamilyPermutation}},
-		{"fan-in bound", good, Options{Family: hash.FamilyGeneralXOR, MaxInputs: 2}},
-		{"wrong geometry", gf2.Identity(n, m-1), Options{Family: hash.FamilyGeneralXOR}},
-		{"rank deficient", gf2.Matrix{N: n, M: m, Cols: make([]gf2.Vec, m)}, Options{Family: hash.FamilyGeneralXOR}},
+		{"permutation family", Options{Family: hash.FamilyPermutation}},
+		{"fan-in bound", Options{Family: hash.FamilyGeneralXOR, MaxInputs: 2}},
 	}
-	for _, tc := range cases {
-		if _, err := ConstructWarm(context.Background(), p, m, tc.from, tc.opt); !errors.Is(err, xerr.ErrInvalidOptions) {
-			t.Errorf("%s: err = %v, want ErrInvalidOptions", tc.name, err)
+	for _, tc := range ignored {
+		cold, err := Construct(context.Background(), p, m, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.opt.Warm = from
+		warm, err := Construct(context.Background(), p, m, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(warm, cold) {
+			t.Errorf("%s: Warm is ignored, want the cold result %+v, got %+v", tc.name, cold, warm)
 		}
 	}
 }
