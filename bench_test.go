@@ -160,7 +160,8 @@ func BenchmarkTable2Instr16KB(b *testing.B) { benchTable2Cell(b, "rijndael", tru
 func BenchmarkExp1GeneralVsPermutation(b *testing.B) {
 	tr := mustWorkload(b, "susan").Data(1)
 	cfg := core.Config{CacheBytes: 4096, NoFallback: true}
-	p, err := core.BuildProfile(context.Background(), tr, cfg)
+	pl := core.Pipeline{Config: cfg}
+	p, err := pl.Profile(context.Background(), tr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -307,13 +308,13 @@ func BenchmarkAblationRestarts(b *testing.B) {
 func BenchmarkCacheSimulator(b *testing.B) {
 	tr := mustWorkload(b, "susan").Data(1)
 	cfg := cache.Config{SizeBytes: 4096, BlockBytes: 4, Ways: 1}
-	cfg.Index = hash.Modulo(16, cfg.SetBits())
+	cfg.Index = gf2.Identity(16, cfg.SetBits())
 	folded, err := hash.FoldedXOR(16, cfg.SetBits())
 	if err != nil {
 		b.Fatal(err)
 	}
 	xor := cfg
-	xor.Index = folded
+	xor.Index = folded.Matrix()
 	for _, bc := range []struct {
 		name string
 		cfgs []cache.Config
@@ -400,9 +401,9 @@ func BenchmarkExtensionHierarchy(b *testing.B) {
 	var amatConv, amatXOR float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l2 := cache.Config{SizeBytes: 16384, BlockBytes: 16, Ways: 4, Index: hash.Modulo(16, 8)}
+		l2 := cache.Config{SizeBytes: 16384, BlockBytes: 16, Ways: 4, Index: gf2.Identity(16, 8)}
 		amatConv = amat(cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1}, l2)
-		amatXOR = amat(cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: res.Func}, l2)
+		amatXOR = amat(cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: res.Func.Matrix()}, l2)
 	}
 	b.ReportMetric(amatConv, "AMAT-conv")
 	b.ReportMetric(amatXOR, "AMAT-xor")

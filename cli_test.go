@@ -310,7 +310,7 @@ func TestCLIAlternativeAlgorithms(t *testing.T) {
 	if !strings.Contains(out, "misses removed") {
 		t.Fatalf("constructive output:\n%s", out)
 	}
-	out, _ = run(t, "xoridx", "-trace", tr, "-cache", "1024", "-family", "general", "-algo", "anneal")
+	out, _ = run(t, "xoridx", "-trace", tr, "-cache", "1024", "-family", "general", "-maxinputs", "0", "-algo", "anneal")
 	if !strings.Contains(out, "misses removed") {
 		t.Fatalf("anneal output:\n%s", out)
 	}
@@ -342,6 +342,7 @@ func TestCLIAlgoCheckedBeforeProfiling(t *testing.T) {
 	}{
 		{[]string{"-algo", "typo"}, `unknown -algo "typo"`},
 		{[]string{"-algo", "anneal", "-family", "permutation"}, "anneal searches only general-XOR functions"},
+		{[]string{"-algo", "anneal", "-family", "general"}, "MaxInputs must be 0, not 2"}, // default -maxinputs 2
 	} {
 		out := runExpectFail(t, "xoridx", append([]string{"-trace", tr}, c.args...)...)
 		if !strings.Contains(out, c.want) || strings.Contains(out, "trace:") {

@@ -12,7 +12,7 @@
 //	xoridx -trace fft.xtr -analyze                           # conflict diagnosis
 //	xoridx -trace fft.xtr -save f.mat; xoridx -trace g.xtr -apply f.mat
 //	xoridx -trace fft.xtr -bitstream -verilog index.v        # hardware artefacts
-//	xoridx -trace fft.xtr -family general -algo anneal       # alternative search
+//	xoridx -trace fft.xtr -family general -maxinputs 0 -algo anneal  # alternative search
 //	xoridx -trace fft.xtr -cache 4096 -workers -1            # profile slices of the trace in parallel
 //	xoridx -trace fft.xtr -cache 4096 -progress              # stage/search progress on stderr
 //	xoridx -trace fft.xtr -checkpoint run                    # profiling crash snapshots -> run.profile.ckpt
@@ -78,7 +78,7 @@ func main() {
 	blockBytes := flag.Int("block", 4, "cache block size in bytes")
 	addrBits := flag.Int("n", 16, "hashed block-address bits")
 	family := flag.String("family", "permutation", "function family: permutation, general, bitselect")
-	algo := flag.String("algo", "hillclimb", "search algorithm: hillclimb (paper, any family), anneal (-family general), constructive (-family permutation); -restarts applies only to hillclimb")
+	algo := flag.String("algo", "hillclimb", "search algorithm: hillclimb (paper, any family), anneal (-family general -maxinputs 0), constructive (-family permutation); -restarts applies only to hillclimb")
 	maxInputs := flag.Int("maxinputs", 2, "max XOR inputs per set-index bit (0 = unlimited)")
 	restarts := flag.Int("restarts", 0, "extra random hill-climbing restarts (-algo hillclimb only)")
 	workers := flag.Int("workers", 1, "trace slices profiled in parallel, each on its own goroutine (1 = one slice, -1 = all cores); results are identical for any value")
@@ -321,7 +321,7 @@ func applyMatrixFile(ctx context.Context, tr trace.Source, path string, cfg core
 // emitBitstream programs the Fig. 2b permutation-based selector network
 // with the selected function and prints the configuration bits, one
 // line per selector, verifying the configured hardware first.
-func emitBitstream(f hash.Func, n, m int) error {
+func emitBitstream(f *hash.XOR, n, m int) error {
 	nl := netlist.NewPermutationXOR2(n, m)
 	if err := nl.Configure(f.Matrix()); err != nil {
 		return fmt.Errorf("function does not fit the 2-input permutation-based network: %w", err)

@@ -47,8 +47,8 @@ func dspLoop(padBytes uint64) *trace.Trace {
 	return tr
 }
 
-func misses(tr *trace.Trace, f hash.Func) uint64 {
-	st, err := cache.Simulate(context.Background(), tr, cache.Config{SizeBytes: 4096, BlockBytes: 4, Ways: 1, Index: f})
+func misses(tr *trace.Trace, f *hash.XOR) uint64 {
+	st, err := cache.Simulate(context.Background(), tr, cache.Config{SizeBytes: 4096, BlockBytes: 4, Ways: 1, Index: f.Matrix()})
 	if err != nil {
 		log.Fatal(err)
 	}

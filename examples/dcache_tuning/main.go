@@ -35,7 +35,8 @@ func main() {
 		}
 		tr := w.Data(1)
 		cfg := core.Config{CacheBytes: cacheBytes} // fallback guard ON
-		p, err := core.BuildProfile(context.Background(), tr, cfg)
+		pl := core.Pipeline{Config: cfg}
+		p, err := pl.Profile(context.Background(), tr)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,7 +17,6 @@ import (
 	"math/bits"
 
 	"xoridx/internal/gf2"
-	"xoridx/internal/hash"
 	"xoridx/internal/trace"
 	"xoridx/internal/xerr"
 )
@@ -41,7 +40,7 @@ type Config struct {
 	SizeBytes  int         // total capacity
 	BlockBytes int         // line size (power of two)
 	Ways       int         // associativity; 1 = direct mapped
-	Index      hash.Func   // index+tag function; nil = modulo over 16 bits
+	Index      gf2.Matrix  // index function H; zero value = modulo over 16 bits
 	Repl       Replacement // victim policy; default LRU
 }
 
@@ -108,9 +107,10 @@ func (s Stats) MissesPerKOp(ops uint64) float64 {
 // slices indexed set*Ways + way: the resident block address, a state
 // byte (valid, dirty) and, for LRU and FIFO sets of more than one way,
 // a stamp (the access count at the last touch or at the fill). A line
-// keeps its block address where hardware keeps a tag: hash.Func's
-// (Index, Tag) pair identifies a block, so within one set two blocks
-// compare equal exactly when their tags do, and no tag is computed.
+// keeps its block address where hardware keeps a tag, so two blocks in
+// one set compare equal exactly when they are the same block and no tag
+// is computed. That holds for an index matrix of any rank: a
+// rank-deficient H leaves some sets unused but still caches correctly.
 type Cache struct {
 	cfg    Config
 	idx    gf2.LinearMap // the index function, tabulated
@@ -129,27 +129,27 @@ const (
 	dirty       // written since fill (write-back policy)
 )
 
-// New builds a cache from the configuration. When cfg.Index is nil, a
-// conventional modulo function over 16 block-address bits is used.
+// New builds a cache from the configuration. When cfg.Index is the zero
+// matrix, a conventional modulo function over 16 block-address bits is
+// used. An index matrix of any rank is accepted; one whose width is
+// outside [1, 64], whose columns have bits at or above its width, or
+// whose set bits differ from the geometry's is a wrapped
+// xerr.ErrInvalidGeometry.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	idx := cfg.Index
-	if idx == nil {
-		f, err := hash.NewXOR(gf2.Identity(16, cfg.SetBits()))
-		if err != nil {
-			return nil, fmt.Errorf("cache: default modulo index: %w", err)
-		}
-		idx = f
+	h := cfg.Index
+	if h.N == 0 && h.M == 0 && h.Cols == nil {
+		h = gf2.Identity(16, cfg.SetBits())
 	}
-	if idx.SetBits() != cfg.SetBits() {
-		return nil, fmt.Errorf("cache: index function has %d set bits, geometry needs %d: %w", idx.SetBits(), cfg.SetBits(), xerr.ErrInvalidGeometry)
+	if err := checkIndex(h, cfg.SetBits()); err != nil {
+		return nil, err
 	}
 	lines := cfg.Sets() * cfg.Ways
 	c := &Cache{
 		cfg:    cfg,
-		idx:    gf2.NewLinearMap(idx.Matrix()),
+		idx:    gf2.NewLinearMap(h),
 		ways:   cfg.Ways,
 		shift:  uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 		blocks: make([]uint64, lines),
@@ -338,14 +338,32 @@ func (c *Cache) Flush() {
 }
 
 // SetIndex reconfigures the index function and flushes the cache (the
-// two are inseparable in hardware — see Flush). The new function must
-// produce the same number of set bits.
-func (c *Cache) SetIndex(f hash.Func) error {
-	if f.SetBits() != c.cfg.SetBits() {
-		return fmt.Errorf("cache: new index function has %d set bits, geometry needs %d: %w",
-			f.SetBits(), c.cfg.SetBits(), xerr.ErrInvalidGeometry)
+// two are inseparable in hardware — see Flush). The new matrix is
+// checked as New checks cfg.Index.
+func (c *Cache) SetIndex(h gf2.Matrix) error {
+	if err := checkIndex(h, c.cfg.SetBits()); err != nil {
+		return err
 	}
-	c.idx = gf2.NewLinearMap(f.Matrix())
+	c.idx = gf2.NewLinearMap(h)
 	c.Flush()
+	return nil
+}
+
+// checkIndex refuses an index matrix the simulator cannot tabulate for
+// a geometry of m set bits: a width outside [1, 64], a column with bits
+// at or above the width, or a set-bit count other than m.
+func checkIndex(h gf2.Matrix, m int) error {
+	if h.N < 1 || h.N > gf2.MaxBits {
+		return fmt.Errorf("cache: index matrix has %d address bits, outside [1, %d]: %w", h.N, gf2.MaxBits, xerr.ErrInvalidGeometry)
+	}
+	if h.M != m || len(h.Cols) != m {
+		return fmt.Errorf("cache: index matrix has %d set bits, geometry needs %d: %w", h.M, m, xerr.ErrInvalidGeometry)
+	}
+	for c, col := range h.Cols {
+		if col&^gf2.Mask(h.N) != 0 {
+			return fmt.Errorf("cache: index column %d (%#x) has bits at or above n=%d: %w",
+				c, uint64(col), h.N, xerr.ErrInvalidGeometry)
+		}
+	}
 	return nil
 }

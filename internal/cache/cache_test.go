@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"xoridx/internal/gf2"
-	"xoridx/internal/hash"
 	"xoridx/internal/lru"
 	"xoridx/internal/trace"
 	"xoridx/internal/xerr"
@@ -62,10 +61,48 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// Mismatched index function.
 	cfg := dmConfig(1024) // 8 set bits
-	cfg.Index = hash.Modulo(16, 10)
+	cfg.Index = gf2.Identity(16, 10)
 	if _, err := New(cfg); err == nil {
 		t.Error("set-bit mismatch should be rejected")
 	}
+}
+
+// wantIndexRefused asserts that New refuses index matrix h for a
+// 256-set direct-mapped cache with a wrapped ErrInvalidGeometry, and
+// that SetIndex refuses it on a working cache of that geometry.
+func wantIndexRefused(t *testing.T, h gf2.Matrix) {
+	t.Helper()
+	cfg := dmConfig(1024)
+	cfg.Index = h
+	if _, err := New(cfg); !errors.Is(err, xerr.ErrInvalidGeometry) {
+		t.Errorf("New: err = %v, want wrapped ErrInvalidGeometry", err)
+	}
+	if err := mustNew(t, dmConfig(1024)).SetIndex(h); !errors.Is(err, xerr.ErrInvalidGeometry) {
+		t.Errorf("SetIndex: err = %v, want wrapped ErrInvalidGeometry", err)
+	}
+}
+
+// TestNewRefusesIndexWidth: an index matrix must hash between 1 and 64
+// address bits.
+func TestNewRefusesIndexWidth(t *testing.T) {
+	wantIndexRefused(t, gf2.Matrix{N: 0, M: 8, Cols: make([]gf2.Vec, 8)})
+	wantIndexRefused(t, gf2.Matrix{N: 65, M: 8, Cols: gf2.Identity(16, 8).Cols})
+}
+
+// TestNewRefusesStrayIndexBits: a column with bits at or above the
+// matrix's width would read address bits the matrix does not declare.
+func TestNewRefusesStrayIndexBits(t *testing.T) {
+	h := gf2.Identity(16, 8)
+	h.Cols[3] |= gf2.Unit(16)
+	wantIndexRefused(t, h)
+}
+
+// TestNewRefusesSetBitMismatch: the matrix's set bits must be the
+// geometry's, in both its M and its column count.
+func TestNewRefusesSetBitMismatch(t *testing.T) {
+	wantIndexRefused(t, gf2.Identity(16, 7))
+	wantIndexRefused(t, gf2.Identity(16, 9))
+	wantIndexRefused(t, gf2.Matrix{N: 16, M: 8, Cols: gf2.Identity(16, 7).Cols})
 }
 
 func TestDirectMappedHitMiss(t *testing.T) {
@@ -96,7 +133,7 @@ func TestDirectMappedHitMiss(t *testing.T) {
 func TestSetAssociativeLRU(t *testing.T) {
 	// 2-way, 2 sets, block 4 B => 16 B cache.
 	c := mustNew(t, Config{SizeBytes: 16, BlockBytes: 4, Ways: 2,
-		Index: hash.Modulo(16, 1)})
+		Index: gf2.Identity(16, 1)})
 	// Three blocks mapping to set 0: 0, 2, 4 (even block addresses).
 	c.AccessBlock(0) // miss
 	c.AccessBlock(2) // miss
@@ -124,7 +161,7 @@ func TestFullyAssociativeMatchesDistanceTree(t *testing.T) {
 	}
 	capacity := 32
 	c := mustNew(t, Config{SizeBytes: capacity * 4, BlockBytes: 4, Ways: capacity,
-		Index: hash.Modulo(16, 0)})
+		Index: gf2.Identity(16, 0)})
 	got := runBlocks(c, blocks).Misses
 	want := lru.FAMisses(blocks, capacity)
 	if got != want {
@@ -149,15 +186,11 @@ func TestXORIndexingRemovesStrideConflicts(t *testing.T) {
 		t.Fatalf("modulo cache should always miss, got %d/%d", convMisses, len(blocks))
 	}
 	// XOR the stride-carrying bits (8..13) into the index.
-	extra := make([][]int, 8)
+	h := gf2.Identity(16, 8)
 	for c := 0; c < 6; c++ {
-		extra[c] = []int{8 + c}
+		h.Cols[c] |= gf2.Unit(8 + c)
 	}
-	f, err := hash.PermutationBased(16, 8, extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := mustNew(t, Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: f})
+	x := mustNew(t, Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: h})
 	xorMisses := runBlocks(x, blocks).Misses
 	if xorMisses != 64 {
 		t.Fatalf("XOR cache should only take 64 compulsory misses, got %d", xorMisses)
@@ -218,11 +251,9 @@ func TestSkewedBeatsDirectMappedOnAliases(t *testing.T) {
 	dm := mustNew(t, Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1})
 	dmMisses := runBlocks(dm, blocks).Misses
 
-	f0 := hash.Modulo(16, 8)
 	h := gf2.Identity(16, 8)
 	h.Cols[0] |= gf2.Unit(8) // bank 1 mixes bit 8 into index bit 0
-	f1 := hash.MustXOR(h)
-	sk, err := NewSkewed(4, []hash.Func{f0, f1})
+	sk, err := NewSkewed(4, []gf2.Matrix{gf2.Identity(16, 8), h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +267,11 @@ func TestSkewedBeatsDirectMappedOnAliases(t *testing.T) {
 }
 
 func TestSkewedValidation(t *testing.T) {
-	if _, err := NewSkewed(4, []hash.Func{hash.Modulo(16, 8)}); err == nil {
+	if _, err := NewSkewed(4, []gf2.Matrix{gf2.Identity(16, 8)}); err == nil {
 		t.Error("single bank should be rejected")
 	}
-	if _, err := NewSkewed(4, []hash.Func{hash.Modulo(16, 8), hash.Modulo(16, 9)}); err == nil {
-		t.Error("mismatched set bits should be rejected")
+	if _, err := NewSkewed(4, []gf2.Matrix{gf2.Identity(16, 8), gf2.Identity(16, 9)}); !errors.Is(err, xerr.ErrInvalidGeometry) {
+		t.Errorf("mismatched set bits: err = %v, want wrapped ErrInvalidGeometry", err)
 	}
 }
 
@@ -248,7 +279,7 @@ func TestSkewedValidation(t *testing.T) {
 // the rule New applies, so a zero block size can no longer reach the
 // divide in Access.
 func TestSkewedRejectsBadBlockSize(t *testing.T) {
-	banks := []hash.Func{hash.Modulo(16, 4), hash.Modulo(16, 4)}
+	banks := []gf2.Matrix{gf2.Identity(16, 4), gf2.Identity(16, 4)}
 	for _, bb := range []int{0, -4, 3, 12} {
 		sk, err := NewSkewed(bb, banks)
 		if err == nil {
@@ -261,11 +292,9 @@ func TestSkewedRejectsBadBlockSize(t *testing.T) {
 }
 
 func TestSkewedHitPath(t *testing.T) {
-	f0 := hash.Modulo(16, 4)
 	h := gf2.Identity(16, 4)
 	h.Cols[0] |= gf2.Unit(4)
-	f1 := hash.MustXOR(h)
-	sk, _ := NewSkewed(4, []hash.Func{f0, f1})
+	sk, _ := NewSkewed(4, []gf2.Matrix{gf2.Identity(16, 4), h})
 	if !sk.AccessBlock(7) {
 		t.Fatal("cold miss expected")
 	}
@@ -296,11 +325,9 @@ func TestSetIndexReconfigures(t *testing.T) {
 	c := mustNew(t, dmConfig(1024)) // 256 sets
 	c.AccessBlock(0)
 	c.AccessBlock(256) // evicts block 0 under modulo
-	f, err := hash.PermutationBased(16, 8, [][]int{{8}, {}, {}, {}, {}, {}, {}, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetIndex(f); err != nil {
+	h := gf2.Identity(16, 8)
+	h.Cols[0] |= gf2.Unit(8)
+	if err := c.SetIndex(h); err != nil {
 		t.Fatal(err)
 	}
 	// After reconfiguration, 0 and 256 no longer alias; both miss once
@@ -311,7 +338,7 @@ func TestSetIndexReconfigures(t *testing.T) {
 		t.Fatal("blocks should coexist after reconfiguration")
 	}
 	// A mismatched function is rejected.
-	if err := c.SetIndex(hash.Modulo(16, 9)); err == nil {
+	if err := c.SetIndex(gf2.Identity(16, 9)); err == nil {
 		t.Fatal("set-bit mismatch must be rejected")
 	}
 }
@@ -377,12 +404,9 @@ func TestXORIndexingReducesWriteTraffic(t *testing.T) {
 		tr.Append(0, trace.Write)
 		tr.Append(64*4, trace.Write) // alias in 16-set cache
 	}
-	f, err := hash.PermutationBased(16, 4, [][]int{{6}, {}, {}, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := dmConfig(64)
-	cfg.Index = f
+	cfg.Index = gf2.Identity(16, 4)
+	cfg.Index.Cols[0] |= gf2.Unit(6)
 	st, err := Simulate(context.Background(), &tr, dmConfig(64), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +434,7 @@ func TestRandomReplacementEscapesLRUCycle(t *testing.T) {
 	}
 	faCfg := func(r Replacement) Config {
 		return Config{SizeBytes: 16, BlockBytes: 4, Ways: 4,
-			Index: hash.Modulo(16, 0), Repl: r}
+			Index: gf2.Identity(16, 0), Repl: r}
 	}
 	lruC := mustNew(t, faCfg(LRU))
 	lruMisses := runBlocks(lruC, blocks).Misses
@@ -430,7 +454,7 @@ func TestFIFOIgnoresReuse(t *testing.T) {
 	seq := []uint64{0, 2, 0, 4}
 	run := func(r Replacement) *Cache {
 		c := mustNew(t, Config{SizeBytes: 16, BlockBytes: 4, Ways: 2,
-			Index: hash.Modulo(16, 1), Repl: r})
+			Index: gf2.Identity(16, 1), Repl: r})
 		runBlocks(c, seq)
 		return c
 	}
@@ -452,7 +476,7 @@ func TestReplacementDeterministic(t *testing.T) {
 	}
 	run := func() uint64 {
 		c := mustNew(t, Config{SizeBytes: 64, BlockBytes: 4, Ways: 4,
-			Index: hash.Modulo(16, 2), Repl: Random})
+			Index: gf2.Identity(16, 2), Repl: Random})
 		return runBlocks(c, blocks).Misses
 	}
 	if run() != run() {

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"xoridx/internal/hash"
+	"xoridx/internal/gf2"
 	"xoridx/internal/trace"
 	"xoridx/internal/xerr"
 )
@@ -47,7 +47,7 @@ func ctxTestTrace() *trace.Trace {
 func checkSimulate(t *testing.T, ctx context.Context, prefix int) {
 	t.Helper()
 	tr := ctxTestTrace()
-	cfg := Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: hash.Modulo(16, 8)}
+	cfg := Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: gf2.Identity(16, 8)}
 	ref := mustNew(t, cfg)
 	for _, a := range tr.Accesses[:prefix] {
 		if a.Kind == trace.Write {
@@ -115,15 +115,15 @@ func TestInvalidGeometryTyped(t *testing.T) {
 // under modulo and under an XOR function, 2-way FIFO and 4-way Random.
 func onePassConfigs(t *testing.T) []Config {
 	t.Helper()
-	f, err := hash.PermutationBased(16, 8, [][]int{{8}, {9}, {10}, {}, {}, {}, {}, {}})
-	if err != nil {
-		t.Fatal(err)
+	h := gf2.Identity(16, 8)
+	for c := 0; c < 3; c++ {
+		h.Cols[c] |= gf2.Unit(8 + c)
 	}
 	return []Config{
-		{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: hash.Modulo(16, 8)},
-		{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: f},
-		{SizeBytes: 1024, BlockBytes: 4, Ways: 2, Index: hash.Modulo(16, 7), Repl: FIFO},
-		{SizeBytes: 1024, BlockBytes: 4, Ways: 4, Index: hash.Modulo(16, 6), Repl: Random},
+		{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: gf2.Identity(16, 8)},
+		{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: h},
+		{SizeBytes: 1024, BlockBytes: 4, Ways: 2, Index: gf2.Identity(16, 7), Repl: FIFO},
+		{SizeBytes: 1024, BlockBytes: 4, Ways: 4, Index: gf2.Identity(16, 6), Repl: Random},
 	}
 }
 

@@ -24,7 +24,7 @@ func Example_xorIndexing() {
 	// One pass of the trace through both caches.
 	st, _ := cache.Simulate(context.Background(), &tr,
 		cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1},
-		cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: f})
+		cache.Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: f.Matrix()})
 	fmt.Println("modulo misses:", st[0].Misses)
 	fmt.Println("XOR misses:   ", st[1].Misses)
 	// Output:

@@ -3,14 +3,14 @@ package cache
 import (
 	"testing"
 
-	"xoridx/internal/hash"
+	"xoridx/internal/gf2"
 	"xoridx/internal/trace"
 )
 
-func twoLevel(t *testing.T, l1Index hash.Func) *Hierarchy {
+func twoLevel(t *testing.T, l1Index gf2.Matrix) *Hierarchy {
 	t.Helper()
 	l1 := Config{SizeBytes: 1024, BlockBytes: 4, Ways: 1, Index: l1Index}
-	l2 := Config{SizeBytes: 16384, BlockBytes: 16, Ways: 4, Index: hash.Modulo(16, 8)}
+	l2 := Config{SizeBytes: 16384, BlockBytes: 16, Ways: 4, Index: gf2.Identity(16, 8)}
 	h, err := NewHierarchy(l1, l2)
 	if err != nil {
 		t.Fatal(err)
@@ -19,7 +19,7 @@ func twoLevel(t *testing.T, l1Index hash.Func) *Hierarchy {
 }
 
 func TestHierarchyBasic(t *testing.T) {
-	h := twoLevel(t, nil)
+	h := twoLevel(t, gf2.Matrix{})
 	// Cold access misses both levels.
 	m1, m2 := h.Access(0x1000, false)
 	if !m1 || !m2 {
@@ -60,12 +60,10 @@ func TestHierarchyXORL1StillPays(t *testing.T) {
 		}
 		return h.L1.Stats(), h.L2.Stats()
 	}
-	conv := twoLevel(t, nil)
+	conv := twoLevel(t, gf2.Matrix{})
 	s1c, s2c := run(conv)
-	f, err := hash.PermutationBased(16, 8, [][]int{{8}, {}, {}, {}, {}, {}, {}, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := gf2.Identity(16, 8)
+	f.Cols[0] |= gf2.Unit(8)
 	x := twoLevel(t, f)
 	s1x, s2x := run(x)
 	if s1c.Misses < 390 {
@@ -96,7 +94,7 @@ func TestHierarchyValidation(t *testing.T) {
 }
 
 func TestHierarchyAMATEmpty(t *testing.T) {
-	h := twoLevel(t, nil)
+	h := twoLevel(t, gf2.Matrix{})
 	if h.AMAT(1, 8, 60) != 0 {
 		t.Fatal("empty run AMAT must be 0")
 	}

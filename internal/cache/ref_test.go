@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"xoridx/internal/gf2"
-	"xoridx/internal/hash"
 	"xoridx/internal/trace"
 )
 
@@ -23,12 +22,12 @@ type refLine struct {
 // refCache is the tagged per-access simulator the flat, tagless Cache
 // replaced, kept as the reference its differential test runs against.
 // It indexes with Matrix.Apply (one popcount per column) and compares
-// tags: the function's Tag with the block-address bits above AddrBits
-// appended.
+// tags: its own tag function's value with the block-address bits above
+// n appended.
 type refCache struct {
 	cfg   Config
-	f     hash.Func
 	h     gf2.Matrix
+	tag   gf2.Matrix
 	sets  [][]refLine
 	clock uint64
 	stats Stats
@@ -40,7 +39,22 @@ func newRefCache(cfg Config) *refCache {
 	for i := range sets {
 		sets[i] = make([]refLine, cfg.Ways)
 	}
-	return &refCache{cfg: cfg, f: cfg.Index, h: cfg.Index.Matrix(), sets: sets, rng: 0x243F6A8885A308D3}
+	return &refCache{cfg: cfg, h: cfg.Index, tag: refTag(cfg.Index), sets: sets, rng: 0x243F6A8885A308D3}
+}
+
+// refTag completes an index matrix of any column rank with the address
+// bits outside col-space(H), so (index, tag) is injective on n-bit
+// block addresses even when some sets are unreachable.
+func refTag(h gf2.Matrix) gf2.Matrix {
+	span := gf2.Span(h.N, h.Cols...)
+	var positions []int
+	for i := 0; i < h.N; i++ {
+		if u := gf2.Unit(i); !span.Contains(u) {
+			span = span.Extend(u)
+			positions = append(positions, i)
+		}
+	}
+	return gf2.BitSelect(h.N, positions)
 }
 
 func (c *refCache) access(addr uint64, isWrite bool) bool {
@@ -50,9 +64,10 @@ func (c *refCache) access(addr uint64, isWrite bool) bool {
 	if isWrite {
 		c.stats.Writes++
 	}
-	n := uint(c.f.AddrBits())
-	set := c.h.Apply(gf2.Vec(block) & gf2.Mask(int(n)))
-	tag := block>>n<<n | c.f.Tag(block)
+	n := uint(c.h.N)
+	low := gf2.Vec(block) & gf2.Mask(int(n))
+	set := c.h.Apply(low)
+	tag := block>>n<<n | uint64(c.tag.Apply(low))
 
 	lines := c.sets[set]
 	victim := 0
@@ -88,41 +103,9 @@ func (c *refCache) access(addr uint64, isWrite bool) bool {
 	return true
 }
 
-// plantedFunc is an index matrix of any column rank as a hash.Func, as
-// the crack oracle plants it: the tag selects the address bits that
-// complete col-space(H) to full rank, so (Index, Tag) stays injective
-// even when some sets are unreachable.
-type plantedFunc struct {
-	h, tag gf2.Matrix
-}
-
-func newPlantedFunc(h gf2.Matrix) *plantedFunc {
-	span := gf2.Span(h.N, h.Cols...)
-	var positions []int
-	for i := 0; i < h.N; i++ {
-		if u := gf2.Unit(i); !span.Contains(u) {
-			span = span.Extend(u)
-			positions = append(positions, i)
-		}
-	}
-	return &plantedFunc{h: h, tag: gf2.BitSelect(h.N, positions)}
-}
-
-func (f *plantedFunc) Index(b uint64) uint64 {
-	return uint64(f.h.Apply(gf2.Vec(b) & gf2.Mask(f.h.N)))
-}
-func (f *plantedFunc) Tag(b uint64) uint64 {
-	return uint64(f.tag.Apply(gf2.Vec(b) & gf2.Mask(f.h.N)))
-}
-func (f *plantedFunc) AddrBits() int      { return f.h.N }
-func (f *plantedFunc) SetBits() int       { return f.h.M }
-func (f *plantedFunc) Matrix() gf2.Matrix { return f.h.Clone() }
-func (f *plantedFunc) String() string     { return fmt.Sprintf("planted %d->%d", f.h.N, f.h.M) }
-
-// randomFunc returns an n-bit index function with m set bits: a
-// full-rank hash.XOR, or a planted matrix of rank below m.
-func randomFunc(t *testing.T, rng *rand.Rand, n, m int, deficient bool) hash.Func {
-	t.Helper()
+// randomFunc returns an n-bit index matrix with m set bits, of full
+// rank or of rank below m.
+func randomFunc(rng *rand.Rand, n, m int, deficient bool) gf2.Matrix {
 	for {
 		h := gf2.NewMatrix(n, m)
 		for c := range h.Cols {
@@ -130,7 +113,7 @@ func randomFunc(t *testing.T, rng *rand.Rand, n, m int, deficient bool) hash.Fun
 		}
 		if deficient {
 			if m == 0 {
-				return newPlantedFunc(h)
+				return h
 			}
 			// Make one column the XOR of others (or zero).
 			c := rng.Intn(m)
@@ -140,14 +123,10 @@ func randomFunc(t *testing.T, rng *rand.Rand, n, m int, deficient bool) hash.Fun
 					h.Cols[c] ^= h.Cols[d]
 				}
 			}
-			return newPlantedFunc(h)
+			return h
 		}
 		if h.Rank() == m {
-			f, err := hash.NewXOR(h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f
+			return h
 		}
 	}
 }
@@ -187,8 +166,7 @@ func refTrace(rng *rand.Rand, lines, accesses int) *trace.Trace {
 // TestSimulateMatchesRefCache runs the flat, tagless simulator against
 // refCache on seeded random traces of reads and writes: Ways 1, 2, 4
 // and 8 under LRU, FIFO and Random, BlockBytes 1, 4 and 64, every n
-// from 1 to 64, with full-rank hash.XOR functions and rank-deficient
-// planted ones. Simulate's Stats, and the stateful Cache's per-access
+// from 1 to 64, with full-rank and rank-deficient index matrices. Simulate's Stats, and the stateful Cache's per-access
 // misses, must equal the reference's.
 func TestSimulateMatchesRefCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
@@ -204,7 +182,7 @@ func TestSimulateMatchesRefCache(t *testing.T) {
 					m = 1
 				}
 				cfg := Config{SizeBytes: bb * ways << m, BlockBytes: bb, Ways: ways, Repl: repl,
-					Index: randomFunc(t, rng, n, m, deficient)}
+					Index: randomFunc(rng, n, m, deficient)}
 				name := fmt.Sprintf("n=%d/m=%d/ways=%d/%v/block=%d/deficient=%v", n, m, ways, repl, bb, deficient)
 				tr := refTrace(rng, ways<<m, 1500)
 

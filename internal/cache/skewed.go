@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"xoridx/internal/gf2"
-	"xoridx/internal/hash"
 	"xoridx/internal/xerr"
 )
 
@@ -24,25 +23,25 @@ type Skewed struct {
 	stats      Stats
 }
 
-// NewSkewed builds a skewed cache with one bank per index function.
-// Every function must produce the same number of set bits; total
-// capacity is len(idx) * 2^setBits * blockBytes. A block size that is
-// not a positive power of two is a wrapped xerr.ErrInvalidGeometry, as
-// in New.
-func NewSkewed(blockBytes int, idx []hash.Func) (*Skewed, error) {
+// NewSkewed builds a skewed cache with one bank per index matrix.
+// Every matrix must have the same number of set bits; total capacity is
+// len(idx) * 2^setBits * blockBytes. A block size that is not a
+// positive power of two, and a matrix New would refuse, are wrapped
+// xerr.ErrInvalidGeometry, as in New.
+func NewSkewed(blockBytes int, idx []gf2.Matrix) (*Skewed, error) {
 	if blockBytes <= 0 || blockBytes&(blockBytes-1) != 0 {
 		return nil, fmt.Errorf("cache: block size %d not a positive power of two: %w", blockBytes, xerr.ErrInvalidGeometry)
 	}
 	if len(idx) < 2 {
 		return nil, fmt.Errorf("cache: skewed cache needs >= 2 banks, got %d", len(idx))
 	}
-	m := idx[0].SetBits()
+	m := idx[0].M
 	maps := make([]gf2.LinearMap, len(idx))
-	for w, f := range idx {
-		if f.SetBits() != m {
-			return nil, fmt.Errorf("cache: skewed banks disagree on set bits (%d vs %d)", f.SetBits(), m)
+	for w, h := range idx {
+		if err := checkIndex(h, m); err != nil {
+			return nil, fmt.Errorf("cache: skewed bank %d: %w", w, err)
 		}
-		maps[w] = gf2.NewLinearMap(f.Matrix())
+		maps[w] = gf2.NewLinearMap(h)
 	}
 	sets := 1 << uint(m)
 	return &Skewed{

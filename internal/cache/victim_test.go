@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"xoridx/internal/hash"
+	"xoridx/internal/gf2"
 )
 
 func TestVictimValidation(t *testing.T) {
@@ -89,12 +89,11 @@ func TestVictimNeverWorseThanPlain(t *testing.T) {
 func TestVictimWithXORIndex(t *testing.T) {
 	// Victim buffers compose with XOR indexing: the combination can
 	// only help.
-	f, err := hash.PermutationBased(16, 4, [][]int{{4}, {5}, {6}, {7}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := dmConfig(64)
-	cfg.Index = f
+	cfg.Index = gf2.Identity(16, 4)
+	for c := range cfg.Index.Cols {
+		cfg.Index.Cols[c] |= gf2.Unit(4 + c)
+	}
 	v, err := NewVictim(cfg, 2)
 	if err != nil {
 		t.Fatal(err)

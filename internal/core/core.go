@@ -190,7 +190,7 @@ func (c Config) SetBits() int {
 type Result struct {
 	// Func is the selected index function (the optimized one, or the
 	// conventional function if the fallback fired).
-	Func hash.Func
+	Func *hash.XOR
 	// Search reports the design-space search outcome.
 	Search search.Result
 	// Baseline and Optimized are exact simulation results for the
@@ -284,7 +284,7 @@ func (c Config) profileWorkers() int {
 // and its null-space basis — the artefacts a hardware engineer needs to
 // program the Fig. 2 selector network. The result never carries a
 // trailing newline, so it composes cleanly with fmt.Println.
-func DescribeFunction(f hash.Func) string {
+func DescribeFunction(f *hash.XOR) string {
 	h := f.Matrix()
 	ns := h.NullSpace()
 	// SizeBig, not Size: a 64-bit-wide degenerate function can have a

@@ -205,7 +205,7 @@ func TestFallbackGuard(t *testing.T) {
 func TestTuneProfiledReusesProfile(t *testing.T) {
 	tr := thrashTrace(256, 100)
 	cfg := Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}
-	p, err := BuildProfile(context.Background(), tr, cfg)
+	p, err := (&Pipeline{Config: cfg}).Profile(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestTuneProfiledReusesProfile(t *testing.T) {
 
 func TestTuneProfiledValidatesProfileShape(t *testing.T) {
 	tr := thrashTrace(256, 10)
-	p, _ := BuildProfile(context.Background(), tr, Config{CacheBytes: 1024})
+	p, _ := (&Pipeline{Config: Config{CacheBytes: 1024}}).Profile(context.Background(), tr)
 	// Wrong cache size for this profile.
 	if _, err := TuneProfiled(context.Background(), tr, p, Config{CacheBytes: 4096}, nil); err == nil {
 		t.Fatal("capacity mismatch must be rejected")
@@ -268,8 +268,8 @@ func TestTuneSetAssociative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Func.SetBits() != 7 { // 128 sets of 2 ways
-		t.Fatalf("set bits = %d, want 7", res.Func.SetBits())
+	if m := res.Func.Matrix().M; m != 7 { // 128 sets of 2 ways
+		t.Fatalf("set bits = %d, want 7", m)
 	}
 	if res.Baseline.Misses != 400 {
 		t.Fatalf("2-way baseline should thrash on 4 aliases: %d", res.Baseline.Misses)

@@ -35,7 +35,7 @@ func degradedConfig() Config {
 func TestRunProfiledDegradedOnCancel(t *testing.T) {
 	tr := richTrace(6)
 	cfg := degradedConfig()
-	p, err := BuildProfile(context.Background(), tr, cfg)
+	p, err := (&Pipeline{Config: cfg}).Profile(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

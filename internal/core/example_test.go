@@ -33,8 +33,8 @@ func ExampleTune() {
 	// permutation-based: true, fan-in: 2
 }
 
-// ExampleBuildProfile shows profile reuse across several searches.
-func ExampleBuildProfile() {
+// ExamplePipeline_Profile shows profile reuse across several searches.
+func ExamplePipeline_Profile() {
 	tr := &trace.Trace{Name: "pair"}
 	for i := 0; i < 100; i++ {
 		tr.Append(0, trace.Read)
@@ -42,7 +42,8 @@ func ExampleBuildProfile() {
 	}
 	cfg := core.Config{CacheBytes: 1024}
 	ctx := context.Background()
-	p, err := core.BuildProfile(ctx, tr, cfg)
+	pl := core.Pipeline{Config: cfg}
+	p, err := pl.Profile(ctx, tr)
 	if err != nil {
 		panic(err)
 	}

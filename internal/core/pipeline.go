@@ -4,8 +4,8 @@ package core
 // the paper's construction algorithm — profile (Fig. 1), search (§3.2),
 // validate (§6) — individually, threads a context through every hot
 // loop beneath them, and reports progress through an event sink.
-// Profile and Validate read the trace as a trace.Source. Tune,
-// TuneProfiled and BuildProfile are the one-call conveniences on top.
+// Profile and Validate read the trace as a trace.Source. Tune and
+// TuneProfiled are the one-call conveniences on top.
 
 import (
 	"context"
@@ -110,7 +110,8 @@ func (pl *Pipeline) emit(e Event) {
 // whole trace is built. With Config.Workers > 1 the trace is profiled
 // in that many contiguous slices at once, each reading its own pass,
 // and joined in order (bit-identical to one slice); the pass follows
-// the Config's sampling and backend knobs.
+// the Config's sampling and backend knobs. The profile can be shared
+// across TuneProfiled calls for the same trace and cache size.
 //
 // With Config.CheckpointPath set the pass snapshots periodically;
 // Resume continues from an existing snapshot, whichever worker count
@@ -208,9 +209,9 @@ func (pl *Pipeline) Validate(ctx context.Context, src trace.Source, p *profile.P
 	}
 	pl.emit(Event{Kind: StageStarted, Stage: StageValidate})
 	res := &Result{Search: sres, Profile: p, Func: optFunc}
-	base := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.Ways, Index: hash.Modulo(cfg.AddrBits, m)}
+	base := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.Ways, Index: gf2.Identity(cfg.AddrBits, m)}
 	opt := base
-	opt.Index = optFunc
+	opt.Index = sres.Matrix
 	st, err := cache.Simulate(ctx, src, base, opt)
 	if err != nil {
 		// The searched function is intact — only its exact validation
@@ -265,13 +266,6 @@ func interrupted(p *profile.Profile, sres search.Result) *Result {
 		res.Func = f
 	}
 	return res
-}
-
-// BuildProfile profiles a trace for the given configuration; the
-// profile can then be shared across TuneProfiled calls.
-func BuildProfile(ctx context.Context, src trace.Source, cfg Config) (*profile.Profile, error) {
-	pl := Pipeline{Config: cfg}
-	return pl.Profile(ctx, src)
 }
 
 // Check returns a wrapped ErrCanceled when ctx is done and nil

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xoridx/internal/cache"
+	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
 	"xoridx/internal/trace"
 )
@@ -75,7 +76,7 @@ func TestPipelineEventOrder(t *testing.T) {
 func TestTuneCtxCanceledMidProfile(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := BuildProfile(ctx, thrashTrace(64, 100), pipelineConfig())
+	_, err := (&Pipeline{Config: pipelineConfig()}).Profile(ctx, thrashTrace(64, 100))
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v must wrap ErrCanceled and context.Canceled", err)
 	}
@@ -177,7 +178,7 @@ func TestTypedGeometryErrors(t *testing.T) {
 	}
 	// Profile mismatch: profile built for another geometry.
 	cfg := pipelineConfig()
-	p, err := BuildProfile(context.Background(), thrashTrace(64, 10), cfg)
+	p, err := (&Pipeline{Config: cfg}).Profile(context.Background(), thrashTrace(64, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,13 +280,13 @@ func TestValidateOnePass(t *testing.T) {
 	cfg := pl.Config.withDefaults()
 	for _, c := range []struct {
 		name string
-		f    hash.Func
+		h    gf2.Matrix
 		got  cache.Stats
 	}{
-		{"baseline", hash.Modulo(cfg.AddrBits, cfg.SetBits()), res.Baseline},
-		{"optimized", res.Func, res.Optimized},
+		{"baseline", gf2.Identity(cfg.AddrBits, cfg.SetBits()), res.Baseline},
+		{"optimized", res.Func.Matrix(), res.Optimized},
 	} {
-		st, err := cache.Simulate(ctx, tr, cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.Ways, Index: c.f})
+		st, err := cache.Simulate(ctx, tr, cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: cfg.BlockBytes, Ways: cfg.Ways, Index: c.h})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -262,27 +262,35 @@ func TestNewSimOracleValidation(t *testing.T) {
 	}
 }
 
-// TestPlantedBijective checks the simulator-side wrapper: for any
-// planted rank the (index, tag) pair must distinguish every block, or
-// the black box would merge addresses the real hardware separates.
+// TestPlantedBijective checks the black box at every planted rank:
+// distinct blocks never share a line, so probing target with y evicts
+// it exactly when H maps the two to one set, including a y that
+// differs from target only above the hashed bits. A black box that
+// merged blocks would answer no conflict for such a pair.
 func TestPlantedBijective(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		n := 4 + int(seed%7) // 4..10
 		m := 1 + int(seed)%(n-1)
 		rank := 1 + int(seed)%m
 		h := RandomPlant(n, m, rank, 2000+seed)
-		f, err := newPlanted(h)
+		o, err := NewSimOracle(h, HitMiss)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := make(map[[2]uint64]uint64, 1<<uint(n))
 		for x := uint64(0); x < 1<<uint(n); x++ {
-			key := [2]uint64{f.Index(x), f.Tag(x)}
-			if prev, dup := seen[key]; dup {
-				t.Fatalf("seed %d (n=%d m=%d rank=%d): blocks %#x and %#x share index %#x tag %#x",
-					seed, n, m, rank, prev, x, key[0], key[1])
+			if !o.Conflicts(x, []uint64{x | 1<<uint(n)}) {
+				t.Fatalf("seed %d: block %#x not evicted by its alias above bit %d", seed, x, n)
 			}
-			seen[key] = x
+			for y := uint64(0); y < 1<<uint(n); y++ {
+				if y == x {
+					continue
+				}
+				want := h.Apply(gf2.Vec(x)) == h.Apply(gf2.Vec(y))
+				if got := o.Conflicts(x, []uint64{y}); got != want {
+					t.Fatalf("seed %d (n=%d m=%d rank=%d): Conflicts(%#x, %#x) = %v, same set %v",
+						seed, n, m, rank, x, y, got, want)
+				}
+			}
 		}
 	}
 }

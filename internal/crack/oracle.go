@@ -5,7 +5,6 @@ import (
 
 	"xoridx/internal/cache"
 	"xoridx/internal/gf2"
-	"xoridx/internal/hash"
 	"xoridx/internal/xerr"
 )
 
@@ -37,53 +36,6 @@ type Oracle interface {
 	// Stats returns the cumulative probe cost so far.
 	Stats() Stats
 }
-
-// planted wraps an index matrix of ANY column rank as a hash.Func, so
-// a rank-deficient H (some sets unreachable — a plausible buggy or
-// degenerate deployment) can be planted in the simulator. hash.NewXOR
-// deliberately rejects such matrices for construction; the black box
-// must nevertheless behave like real hardware wired with one, so the
-// tag completes col-space(H) to full rank with n-rank(H) selected bits
-// (rather than hash.XOR's n-m), keeping (index, tag) bijective.
-type planted struct {
-	h   gf2.Matrix
-	tag gf2.Matrix
-}
-
-// newPlanted builds the black box's hidden function from h.
-func newPlanted(h gf2.Matrix) (*planted, error) {
-	if h.N <= 0 || h.N > gf2.MaxBits || h.M < 0 {
-		return nil, fmt.Errorf("crack: planted matrix %dx%d out of range: %w", h.N, h.M, xerr.ErrInvalidGeometry)
-	}
-	span := gf2.Span(h.N, h.Cols...)
-	positions := make([]int, 0, h.N-span.Dim())
-	for i := h.N - 1; i >= 0; i-- {
-		u := gf2.Unit(i)
-		if !span.Contains(u) {
-			span = span.Extend(u)
-			positions = append(positions, i)
-		}
-	}
-	for i, j := 0, len(positions)-1; i < j; i, j = i+1, j-1 {
-		positions[i], positions[j] = positions[j], positions[i]
-	}
-	return &planted{h: h, tag: gf2.BitSelect(h.N, positions)}, nil
-}
-
-func (f *planted) Index(block uint64) uint64 {
-	return uint64(f.h.Apply(gf2.Vec(block) & gf2.Mask(f.h.N)))
-}
-
-func (f *planted) Tag(block uint64) uint64 {
-	return uint64(f.tag.Apply(gf2.Vec(block) & gf2.Mask(f.h.N)))
-}
-
-func (f *planted) AddrBits() int      { return f.h.N }
-func (f *planted) SetBits() int       { return f.h.M }
-func (f *planted) Matrix() gf2.Matrix { return f.h.Clone() }
-func (f *planted) String() string     { return fmt.Sprintf("planted %d->%d", f.h.N, f.h.M) }
-
-var _ hash.Func = (*planted)(nil)
 
 // SimOracle is an Oracle over an internal/cache simulator with a
 // planted hidden function. Two observation styles are supported (the
@@ -126,24 +78,22 @@ func (s Style) String() string {
 	}
 }
 
-// NewSimOracle plants h (any rank; columns beyond rank just alias
-// sets) in a direct-mapped simulator of 2^h.M sets and returns the
-// black box. The block size is fixed at the paper's 4 bytes; probes
+// NewSimOracle plants h as the index matrix of a direct-mapped
+// simulator of 2^h.M sets and returns the black box. Any rank is
+// allowed: a rank-deficient H (some sets unreachable — a plausible
+// buggy or degenerate deployment) just aliases sets, as hardware wired
+// with it would. The block size is fixed at the paper's 4 bytes; probes
 // address blocks directly so it never matters.
 func NewSimOracle(h gf2.Matrix, style Style) (*SimOracle, error) {
 	if h.M < 1 || h.M >= h.N {
 		return nil, fmt.Errorf("crack: need 1 <= m < n, got %dx%d: %w", h.N, h.M, xerr.ErrInvalidGeometry)
-	}
-	f, err := newPlanted(h)
-	if err != nil {
-		return nil, err
 	}
 	const blockBytes = 4
 	c, err := cache.New(cache.Config{
 		SizeBytes:  blockBytes << uint(h.M),
 		BlockBytes: blockBytes,
 		Ways:       1,
-		Index:      f,
+		Index:      h,
 	})
 	if err != nil {
 		return nil, err

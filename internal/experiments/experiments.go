@@ -136,7 +136,8 @@ func tuneCell(ctx context.Context, opt Options, tr *trace.Trace, cacheBytes int)
 		Family:     hash.FamilyPermutation,
 		NoFallback: true, // report raw results like the paper's tables
 	}
-	p, err := core.BuildProfile(ctx, tr, cfg)
+	pl := core.Pipeline{Config: cfg}
+	p, err := pl.Profile(ctx, tr)
 	if err != nil {
 		return Table2Cell{}, err
 	}
@@ -207,7 +208,8 @@ func Experiment1(ctx context.Context, opt Options, scale int) ([]Exp1Row, error)
 				Workers:    opt.Workers,
 				NoFallback: true,
 			}
-			p, err := core.BuildProfile(ctx, traces[i], cfg)
+			pl := core.Pipeline{Config: cfg}
+			p, err := pl.Profile(ctx, traces[i])
 			if err != nil {
 				return nil, err
 			}
@@ -286,7 +288,8 @@ func table3Row(ctx context.Context, opt Options, w workloads.Workload, scale int
 			Workers:    opt.Workers,
 			NoFallback: true,
 		}
-		p, err := core.BuildProfile(ctx, tr, cfg)
+		pl := core.Pipeline{Config: cfg}
+		p, err := pl.Profile(ctx, tr)
 		if err != nil {
 			return Table3Row{}, err
 		}

@@ -63,7 +63,7 @@ func CrossApplication(ctx context.Context, opt Options, names []string, cacheKB,
 		NoFallback: true,
 	}
 	traces := make([]*trace.Trace, len(names))
-	funcs := make([]hash.Func, len(names))
+	funcs := make([]*hash.XOR, len(names))
 	baselines := make([]uint64, len(names))
 	for i, name := range names {
 		w, err := workloads.ByName(name)
@@ -81,7 +81,7 @@ func CrossApplication(ctx context.Context, opt Options, names []string, cacheKB,
 	out := &CrossApplicationResult{Benchmarks: names}
 	for i, name := range names {
 		row := CrossRow{TunedFor: name, RemovedPct: make([]float64, len(names))}
-		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: funcs[i]}
+		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: funcs[i].Matrix()}
 		for j := range names {
 			st, err := cache.Simulate(ctx, traces[j], dm)
 			if err != nil {
@@ -174,12 +174,12 @@ func AssociativityComparison(ctx context.Context, opt Options, names []string, c
 			SizeBytes:  cacheBytes,
 			BlockBytes: BlockBytes,
 			Ways:       2,
-			Index:      hash.Modulo(AddrBits, m2),
+			Index:      gf2.Identity(AddrBits, m2),
 		}, cache.Config{
 			SizeBytes:  cacheBytes,
 			BlockBytes: BlockBytes,
 			Ways:       cacheBytes / BlockBytes,
-			Index:      hash.Modulo(AddrBits, 0),
+			Index:      gf2.Identity(AddrBits, 0),
 		})
 		if err != nil {
 			return nil, err
@@ -188,13 +188,11 @@ func AssociativityComparison(ctx context.Context, opt Options, names []string, c
 
 		// 2-way skewed associative with the fixed inter-bank hashes of
 		// Seznec & Bodin: bank 0 conventional, bank 1 XORs high bits in.
-		f0 := hash.Modulo(AddrBits, m2)
 		h1 := gf2.Identity(AddrBits, m2)
 		for c := 0; c < m2 && m2+c < AddrBits; c++ {
 			h1.Cols[c] |= gf2.Unit(m2 + c)
 		}
-		f1 := hash.MustXOR(h1)
-		sk, err := cache.NewSkewed(BlockBytes, []hash.Func{f0, f1})
+		sk, err := cache.NewSkewed(BlockBytes, []gf2.Matrix{gf2.Identity(AddrBits, m2), h1})
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +266,7 @@ func PhaseReconfiguration(ctx context.Context, opt Options, benchA, benchB strin
 	if err != nil {
 		return nil, err
 	}
-	perApp := []hash.Func{resA.Func, resB.Func}
+	perApp := []*hash.XOR{resA.Func, resB.Func}
 
 	var rows []PhaseRow
 	for _, q := range quanta {
@@ -276,7 +274,7 @@ func PhaseReconfiguration(ctx context.Context, opt Options, benchA, benchB strin
 		row := PhaseRow{Quantum: q, Switches: len(switches)}
 
 		// (a) modulo throughout.
-		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: hash.Modulo(AddrBits, cfg.SetBits())}
+		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: gf2.Identity(AddrBits, cfg.SetBits())}
 		mod, err := cache.Simulate(ctx, merged, dm)
 		if err != nil {
 			return nil, err
@@ -291,7 +289,7 @@ func PhaseReconfiguration(ctx context.Context, opt Options, benchA, benchB strin
 		row.Compromise = comp.Optimized.Misses
 
 		// (c) per-application reconfiguration with flush at switches.
-		dm.Index = perApp[0]
+		dm.Index = perApp[0].Matrix()
 		c, err := cache.New(dm)
 		if err != nil {
 			return nil, err
@@ -309,7 +307,7 @@ func PhaseReconfiguration(ctx context.Context, opt Options, benchA, benchB strin
 			cur = end
 			app = 1 - app
 			if cur < merged.Len() {
-				if err := c.SetIndex(perApp[app]); err != nil {
+				if err := c.SetIndex(perApp[app].Matrix()); err != nil {
 					return nil, err
 				}
 			}
@@ -432,8 +430,8 @@ func FixedVsTuned(ctx context.Context, opt Options, names []string, cacheKB, sca
 			return nil, err
 		}
 		st, err := cache.Simulate(ctx, tr,
-			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: folded},
-			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: poly})
+			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: folded.Matrix()},
+			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: poly.Matrix()})
 		if err != nil {
 			return nil, err
 		}
@@ -493,9 +491,9 @@ func EnergyComparison(ctx context.Context, opt Options, names []string, cacheKB,
 
 		// Re-run with full stats (Simulate tracks writes/writebacks).
 		st, err := cache.Simulate(ctx, tr,
-			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: hash.Modulo(AddrBits, m)},
-			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: res.Func},
-			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 2, Index: hash.Modulo(AddrBits, m-1)})
+			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: gf2.Identity(AddrBits, m)},
+			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: res.Func.Matrix()},
+			cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 2, Index: gf2.Identity(AddrBits, m-1)})
 		if err != nil {
 			return nil, err
 		}
@@ -564,12 +562,12 @@ func ReplacementAblation(ctx context.Context, opt Options, names []string, cache
 		if err != nil {
 			return nil, err
 		}
-		twoWay := func(repl cache.Replacement, f hash.Func) cache.Config {
-			return cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 2, Index: f, Repl: repl}
+		twoWay := func(repl cache.Replacement, h gf2.Matrix) cache.Config {
+			return cache.Config{SizeBytes: cacheBytes, BlockBytes: BlockBytes, Ways: 2, Index: h, Repl: repl}
 		}
-		mod := hash.Modulo(AddrBits, m2)
+		mod := gf2.Identity(AddrBits, m2)
 		st, err := cache.Simulate(ctx, tr,
-			twoWay(cache.LRU, mod), twoWay(cache.FIFO, mod), twoWay(cache.Random, mod), twoWay(cache.LRU, res2.Func))
+			twoWay(cache.LRU, mod), twoWay(cache.FIFO, mod), twoWay(cache.Random, mod), twoWay(cache.LRU, res2.Func.Matrix()))
 		if err != nil {
 			return nil, err
 		}
@@ -623,9 +621,9 @@ func ASLRRobustness(ctx context.Context, opt Options, bench string, cacheKB, sca
 	var rows []ASLRRow
 	for _, delta := range deltas {
 		moved := base.Rebase(delta)
-		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: hash.Modulo(AddrBits, cfg.SetBits())}
+		dm := cache.Config{SizeBytes: cfg.CacheBytes, BlockBytes: BlockBytes, Ways: 1, Index: gf2.Identity(AddrBits, cfg.SetBits())}
 		staleCfg := dm
-		staleCfg.Index = tuned.Func
+		staleCfg.Index = tuned.Func.Matrix()
 		st, err := cache.Simulate(ctx, moved, dm, staleCfg)
 		if err != nil {
 			return nil, err

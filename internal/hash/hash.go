@@ -2,12 +2,13 @@
 // paper: conventional modulo indexing, bit-selecting functions, general
 // XOR functions and permutation-based XOR functions.
 //
-// A Func maps an N-bit block address to an M-bit set index and a tag.
-// Correctness requires the pair (index, tag) to be bijective on block
-// addresses: two distinct blocks must differ in index or tag, otherwise
-// the cache would alias them. Permutation-based functions (paper §4)
-// can keep the conventional tag — the high address bits — while general
-// XOR functions need a compatible bit-selecting tag, which NewXOR
+// An index function is its GF(2) matrix H: the set index of an n-bit
+// block address a is a·H, and the cache simulator takes H itself. An
+// XOR pairs a full-rank H with a tag for the hardware view: the pair
+// (index, tag) is bijective on block addresses, so two distinct blocks
+// differ in index or tag. Permutation-based functions (paper §4) keep
+// the conventional tag — the high address bits — while general XOR
+// functions need a compatible bit-selecting tag, which NewXOR
 // constructs by completing the index matrix to full rank.
 package hash
 
@@ -20,37 +21,10 @@ import (
 	"xoridx/internal/xerr"
 )
 
-// Func is a cache index/tag function pair over n-bit block addresses.
-//
-// Every implementation meets two contracts the cache simulator relies
-// on. Index is the GF(2)-linear map of Matrix on the low n address bits:
-// Index(b) == Matrix().Apply(b mod 2^n), so the simulator evaluates it
-// from a tabulated gf2.LinearMap. And (Index, Tag), with the address
-// bits above n appended to the tag, is injective on block addresses, so
-// two blocks in one set have equal tags exactly when they are the same
-// block: a simulated line stores its block address and computes no tag.
-type Func interface {
-	// Index returns the set index (m bits) for a block address.
-	Index(block uint64) uint64
-	// Tag returns the tag for a block address. Together with Index and
-	// the block-address bits above AddrBits it uniquely identifies the
-	// block.
-	Tag(block uint64) uint64
-	// AddrBits returns n, the number of hashed block-address bits.
-	// Address bits above n never enter Index or Tag; they belong to the
-	// tag (paper §5: the N−n high-order address bits are only used to
-	// compute the tag).
-	AddrBits() int
-	// SetBits returns m, the number of set-index bits.
-	SetBits() int
-	// Matrix returns the index function's GF(2) matrix H.
-	Matrix() gf2.Matrix
-	// String describes the function.
-	String() string
-}
-
 // XOR is a general XOR index function with an explicit bit-selecting
-// tag. It implements Func.
+// tag. Index is the linear map of Matrix on the low n address bits;
+// address bits above n never enter Index or Tag (paper §5: the N−n
+// high-order address bits are only used to compute the tag).
 type XOR struct {
 	h   gf2.Matrix
 	tag gf2.Matrix // n×(n−m) bit-selecting tag function
@@ -120,29 +94,22 @@ func completeTag(h gf2.Matrix) (gf2.Matrix, error) {
 	return gf2.BitSelect(n, positions), nil
 }
 
-// Index implements Func.
+// Index returns the m-bit set index of a block address.
 func (f *XOR) Index(block uint64) uint64 {
 	return uint64(f.h.Apply(gf2.Vec(block) & gf2.Mask(f.h.N)))
 }
 
-// Tag implements Func.
+// Tag returns the tag of a block address: with Index and the address
+// bits above n it identifies the block.
 func (f *XOR) Tag(block uint64) uint64 {
 	return uint64(f.tag.Apply(gf2.Vec(block) & gf2.Mask(f.h.N)))
 }
 
-// AddrBits implements Func.
-func (f *XOR) AddrBits() int { return f.h.N }
-
-// SetBits implements Func.
-func (f *XOR) SetBits() int { return f.h.M }
-
-// Matrix implements Func.
+// Matrix returns the index function's GF(2) matrix H.
 func (f *XOR) Matrix() gf2.Matrix { return f.h.Clone() }
 
-// TagMatrix returns the bit-selecting tag function's matrix.
-func (f *XOR) TagMatrix() gf2.Matrix { return f.tag.Clone() }
-
-// String implements Func.
+// String describes the function: its family and each set-index bit's
+// XOR inputs.
 func (f *XOR) String() string {
 	kind := "general XOR"
 	switch {

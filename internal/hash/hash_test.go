@@ -20,7 +20,7 @@ func TestModulo(t *testing.T) {
 			t.Fatalf("Tag(%#x) = %#x", block, got)
 		}
 	}
-	if f.AddrBits() != 16 || f.SetBits() != 8 {
+	if h := f.Matrix(); h.N != 16 || h.M != 8 {
 		t.Fatal("dims wrong")
 	}
 }
@@ -62,9 +62,9 @@ func TestMustXORPanics(t *testing.T) {
 }
 
 // checkBijective verifies (index, tag) uniquely identifies every block.
-func checkBijective(t *testing.T, f Func) {
+func checkBijective(t *testing.T, f *XOR) {
 	t.Helper()
-	n := f.AddrBits()
+	n := f.Matrix().N
 	seen := make(map[[2]uint64]uint64)
 	for block := uint64(0); block < 1<<uint(n); block++ {
 		key := [2]uint64{f.Index(block), f.Tag(block)}
@@ -144,18 +144,17 @@ func TestBitSelecting(t *testing.T) {
 	if !f.Matrix().IsBitSelecting() {
 		t.Fatal("should be bit-selecting")
 	}
-	// Tag must select the unselected bits: 7, 8, 10..15.
-	tagM := f.TagMatrix()
-	var selected gf2.Vec
-	for _, col := range tagM.Cols {
-		if col.Weight() != 1 {
-			t.Fatal("tag must be bit-selecting")
+	// Tag must select the unselected bits 7, 8, 10..15, in ascending
+	// order: address bit positions[i] becomes tag bit i.
+	for i, p := range []int{7, 8, 10, 11, 12, 13, 14, 15} {
+		if got := f.Tag(1 << uint(p)); got != 1<<uint(i) {
+			t.Fatalf("Tag(a%d) = %#x, want %#x", p, got, 1<<uint(i))
 		}
-		selected |= col
 	}
-	wantTagBits := gf2.Mask(16) &^ (gf2.Mask(7) | gf2.Unit(9))
-	if selected != wantTagBits {
-		t.Fatalf("tag selects %b, want %b", selected, wantTagBits)
+	for _, p := range []int{0, 1, 2, 3, 4, 5, 6, 9} {
+		if got := f.Tag(1 << uint(p)); got != 0 {
+			t.Fatalf("Tag(a%d) = %#x, want 0 for an index bit", p, got)
+		}
 	}
 }
 

@@ -86,7 +86,7 @@ func TestQuickPermutationRunsAreConflictFree(t *testing.T) {
 		if !fn.Matrix().IsPermutationBased() {
 			return true
 		}
-		m := fn.SetBits()
+		m := fn.Matrix().M
 		base := (uint64(baseRaw) & 0xFFF) &^ (1<<uint(m) - 1)
 		seen := make(map[uint64]bool, 1<<uint(m))
 		for off := uint64(0); off < 1<<uint(m); off++ {
@@ -131,7 +131,7 @@ func TestQuickIndexMatchesLinearMap(t *testing.T) {
 		fn := qf.F
 		h := fn.Matrix()
 		return fn.Index(block) == uint64(gf2.NewLinearMap(h).Apply(gf2.Vec(block))) &&
-			fn.Index(block) == uint64(h.Apply(gf2.Vec(block)&gf2.Mask(fn.AddrBits())))
+			fn.Index(block) == uint64(h.Apply(gf2.Vec(block)&gf2.Mask(h.N)))
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)

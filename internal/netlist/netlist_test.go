@@ -104,7 +104,7 @@ func TestPermutationNetworkRealisesFunctions(t *testing.T) {
 }
 
 func TestPermutationNetworkMatchesHashFunc(t *testing.T) {
-	// The netlist must agree bit-for-bit with the hash.Func view, index
+	// The netlist must agree bit-for-bit with the hash.XOR view, index
 	// AND tag (permutation-based keeps the conventional tag).
 	n, m := 12, 5
 	f, err := hash.PermutationBased(n, m, [][]int{{7}, {}, {9, 11} /*too wide for 2-in*/, {}, {}})

@@ -356,9 +356,10 @@ func TestWideAddressSpace(t *testing.T) {
 
 // dmMisses is the exact reference: the misses of a direct-mapped cache
 // of 4-byte lines, one per set of f, reading blocks in order.
-func dmMisses(t testing.TB, blocks []uint64, f hash.Func) uint64 {
+func dmMisses(t testing.TB, blocks []uint64, f *hash.XOR) uint64 {
 	t.Helper()
-	c, err := cache.New(cache.Config{SizeBytes: 4 << f.SetBits(), BlockBytes: 4, Ways: 1, Index: f})
+	h := f.Matrix()
+	c, err := cache.New(cache.Config{SizeBytes: 4 << h.M, BlockBytes: 4, Ways: 1, Index: h})
 	if err != nil {
 		t.Fatal(err)
 	}

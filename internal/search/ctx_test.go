@@ -188,6 +188,7 @@ func TestTypedOptionErrors(t *testing.T) {
 	// Every algorithm is checked against the family it searches.
 	for _, opt := range []Options{
 		{Family: hash.FamilyPermutation, Algorithm: Anneal},
+		{Family: hash.FamilyGeneralXOR, Algorithm: Anneal, MaxInputs: 2},
 		{Family: hash.FamilyGeneralXOR, Algorithm: Constructive},
 		{Family: hash.FamilyBitSelect, Algorithm: Constructive},
 		{Family: hash.FamilyGeneralXOR, Algorithm: Algorithm(99)},

@@ -97,8 +97,9 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// CheckAlgorithm rejects an unknown algorithm or family, and an
-// algorithm paired with a family it cannot search, with a wrapped
+// CheckAlgorithm rejects an unknown algorithm or family, an algorithm
+// paired with a family it cannot search, and annealing under a fan-in
+// bound (its moves ignore MaxInputs), with a wrapped
 // xerr.ErrInvalidOptions.
 func (opt Options) CheckAlgorithm() error {
 	want := opt.Family // the hill climber searches every family
@@ -115,6 +116,9 @@ func (opt Options) CheckAlgorithm() error {
 	case opt.Family != want:
 		return fmt.Errorf("search: %v searches only %v functions, not %v: %w",
 			opt.Algorithm, want, opt.Family, xerr.ErrInvalidOptions)
+	case opt.Algorithm == Anneal && opt.MaxInputs != 0:
+		return fmt.Errorf("search: anneal searches unbounded general-XOR functions, so MaxInputs must be 0, not %d: %w",
+			opt.MaxInputs, xerr.ErrInvalidOptions)
 	case opt.Family < hash.FamilyBitSelect || opt.Family > hash.FamilyGeneralXOR:
 		return fmt.Errorf("search: unknown family %v: %w", opt.Family, xerr.ErrInvalidOptions)
 	}

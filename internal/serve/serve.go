@@ -192,7 +192,7 @@ type Epoch struct {
 	// Seq increases by one per publication; the boot epoch is 1.
 	Seq uint64
 	// Func is the index function readers should use.
-	Func hash.Func
+	Func *hash.XOR
 	// Estimated is Func's Eq. 4 estimate on the merged aggregate of
 	// the round that published this epoch (0 for the boot epoch: no
 	// profile existed yet).
