@@ -38,7 +38,7 @@ func (s *state) anneal(int) (Result, error) {
 	best := cur
 	bestEst := curEst
 	walkCost := uint64(1) << uint(d)
-	res := Result{Lookups: walkCost}
+	var res Result
 	var err error
 	for step := 0; step < annealSteps; step++ {
 		if step&(ctxCheckEvery-1) == 0 {

@@ -53,6 +53,7 @@ func (s *state) constructive(int) (Result, error) {
 				if h.Apply(v) != 0 { // the edit must actually cover v
 					est := p.EstimateMatrix(h)
 					res.Evaluated++
+					res.Lookups += uint64(1) << uint(n-m)
 					if est < bestEst {
 						bestEst = est
 						bestCol, bestBit = c, b

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -138,12 +139,13 @@ func sameClimb(got, want Result, gotTrace, wantTrace []Progress) string {
 func conventionalGroups(p *profile.Profile, m int) (present, full uint64) {
 	nb := &neighbourhood{support: p.Support(), n: p.N}
 	nb.load(gf2.Identity(p.N, m))
-	nb.groups(func(g []profile.VectorCount, _ []uint64) {
+	nb.transform()
+	for g := 0; g+1 < len(nb.starts); g++ {
 		present++
-		if len(g) > 1 {
+		if nb.starts[g+1]-nb.starts[g] > 1 {
 			full++
 		}
-	})
+	}
 	return present, full
 }
 
@@ -235,6 +237,41 @@ func kernelBlocks(t *testing.T, name string) []uint64 {
 	return w.Data(1).Blocks(4, 16)
 }
 
+// score returns the estimate of the neighbour span(W_φ, v), v ∉ cur:
+// W_φ's own coset plus the entries of v's group in v's coset of W_φ,
+// found by binary search on the sorted support. It is the per-candidate
+// oracle of resolve's coset sums.
+func (nb *neighbourhood) score(phi uint64, v gf2.Vec) uint64 {
+	sum := uint64(nb.inHyperplane(phi))
+	key := uint64(nb.key.Apply(v))
+	g, keys := nb.group(key >> uint(nb.d))
+	for i, vc := range g {
+		if bits.OnesCount64((keys[i]^key)&phi)&1 == 0 {
+			sum += vc.Count
+		}
+	}
+	return sum
+}
+
+// resolveByScan is resolve as a per-candidate scan: it re-scores each
+// representative outside cur with score and returns the first whose
+// neighbour scores est, and how many of W_φ's representatives do.
+func (nb *neighbourhood) resolveByScan(phi, est uint64) (gf2.Subspace, int) {
+	w := nb.cur.Hyperplane(phi)
+	free := gf2.FreePositions(nb.n, w.Basis)
+	var first gf2.Subspace
+	ties := 0
+	for x := uint64(1); x < 1<<uint(len(free)); x++ {
+		rep := gf2.ScatterBits(x, free)
+		if !nb.cur.Contains(rep) && nb.score(phi, rep) == est {
+			if ties++; ties == 1 {
+				first = w.Extend(rep)
+			}
+		}
+	}
+	return first, ties
+}
+
 // TestEvaluatorMatchesEstimateBasis checks every neighbour score of
 // one transform against the profile estimator: for random null spaces
 // N, every (φ, x) score must equal the Gray-walk estimate of
@@ -249,16 +286,7 @@ func TestEvaluatorMatchesEstimateBasis(t *testing.T) {
 	profiles := backendProfiles(t, blocks, n, 4)
 	for trial := 0; trial < 40; trial++ {
 		d := 1 + rng.Intn(n-2)
-		var cur gf2.Subspace
-		for {
-			vecs := make([]gf2.Vec, d)
-			for i := range vecs {
-				vecs[i] = gf2.Vec(rng.Uint64()) & gf2.Mask(n)
-			}
-			if cur = gf2.Span(n, vecs...); cur.Dim() == d {
-				break
-			}
-		}
+		cur := (&state{n: n, rng: rng}).randomSubspace(d)
 		for _, backend := range []string{"flat", "sparse"} {
 			p := profiles[backend]
 			nb := &neighbourhood{support: p.Support(), n: n}
@@ -278,6 +306,87 @@ func TestEvaluatorMatchesEstimateBasis(t *testing.T) {
 						t.Fatalf("%s trial %d φ=%d x=%d: score = %d, EstimateBasis = %d",
 							backend, trial, phi, x, got, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestResolveMatchesScan holds resolve's coset sums to the re-scoring
+// scan: from random null spaces on flat, sparse and sketch profiles,
+// every improving φ must resolve to the identical subspace, and so must
+// every other φ at its own best score, ties among representatives
+// included.
+func TestResolveMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const n = 11
+	blocks := make([]uint64, 3000)
+	for i := range blocks {
+		blocks[i] = uint64(rng.Intn(1 << n))
+	}
+	var improving, tied int
+	hashed := map[bool]bool{} // whether resolve's table was hashed or dense
+	for backend, p := range backendProfiles(t, blocks, n, 5) {
+		for trial := 0; trial < 25; trial++ {
+			d := 1 + rng.Intn(n-2)
+			cur := (&state{n: n, rng: rng}).randomSubspace(d)
+			nb := &neighbourhood{support: p.Support(), n: n}
+			curEst := nb.load(gf2.MatrixWithNullSpace(cur))
+			nb.transform()
+			hashed[2*(len(nb.starts)-1) < 1<<uint(n-d-1)] = true
+			for phi := uint64(1); phi < 1<<uint(d); phi++ {
+				est := uint64(nb.inHyperplane(phi) + nb.minZ[phi])
+				want, ties := nb.resolveByScan(phi, est)
+				if ties == 0 {
+					t.Fatalf("%s trial %d φ=%d: no representative scores %d", backend, trial, phi, est)
+				}
+				if est < curEst {
+					improving++
+				}
+				if ties > 1 {
+					tied++
+				}
+				if got := nb.resolve(phi, est); !got.Equal(want) {
+					t.Fatalf("%s trial %d φ=%d: resolve = %v, scan = %v", backend, trial, phi, got.Basis, want.Basis)
+				}
+			}
+		}
+	}
+	if improving == 0 || tied == 0 || !hashed[true] || !hashed[false] {
+		t.Errorf("cases cover %d improving φ, %d tied ones and hashed tables %v, want all",
+			improving, tied, hashed)
+	}
+}
+
+// TestFoldIndependentOfSplit checks that cutting the nonzero groups
+// into 1 to 5 ranges gives the identical F̂_0 and minZ, with more ranges
+// than groups (m = 2, three nonzero groups) and a single group (m = 1).
+func TestFoldIndependentOfSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const n = 12
+	blocks := make([]uint64, 4000)
+	for i := range blocks {
+		blocks[i] = uint64(rng.Intn(1 << n))
+	}
+	for _, m := range []int{1, 2, 6} {
+		p := profile.Build(blocks, n, 1<<uint(m))
+		for trial := 0; trial < 4; trial++ {
+			nb := &neighbourhood{support: p.Support(), n: n}
+			nb.load(gf2.MatrixWithNullSpace((&state{n: n, rng: rng}).randomSubspace(n - m)))
+			nb.transform()
+			bounds := nb.starts
+			if groups := len(bounds) - 1; groups != 1<<uint(m)-1 {
+				t.Fatalf("m=%d: %d nonzero groups, want all %d", m, groups, 1<<uint(m)-1)
+			}
+			f0 := slices.Clone(nb.f0)
+			var want []int64
+			for k := 1; k <= 5; k++ {
+				nb.fold(bounds, k)
+				if k == 1 {
+					want = slices.Clone(nb.minZ)
+				}
+				if !slices.Equal(nb.f0, f0) || !slices.Equal(nb.minZ, want) {
+					t.Fatalf("m=%d trial %d: %d ranges give minZ %v, one gives %v", m, trial, k, nb.minZ, want)
 				}
 			}
 		}

@@ -141,11 +141,12 @@ type Result struct {
 	Baseline   uint64     // estimated conflict misses of modulo indexing
 	Iterations int        // hill-climbing moves taken (all climbs)
 	Evaluated  int        // candidate evaluations performed
-	// Lookups counts histogram support entries read: the whole support
-	// once per move, plus the two syndrome groups each matrix-space
-	// candidate sums (DESIGN.md §10); annealing counts 2^d per estimate
-	// and the constructive heuristic counts none.
-	// The baseline estimate is excluded.
+	// Lookups counts the histogram entries the search reads, Baseline's
+	// estimate excluded: the hill climbers count the whole support once
+	// per load (the start and each move) plus the two syndrome groups
+	// each matrix-space candidate sums (DESIGN.md §10); annealing and
+	// the constructive heuristic count 2^(n−m) per candidate they
+	// estimate, their starting estimate being the baseline.
 	Lookups uint64
 	// MemoHits is always 0. It stays only because the benchmark harness
 	// reads it, and goes when that harness reads the runtime's counters.

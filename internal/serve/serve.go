@@ -868,15 +868,22 @@ func validateAggregate(p *profile.Profile, n, cacheBlocks int) error {
 		return fmt.Errorf("serve: re-tune aggregate counters disagree (%d+%d+%d > %d accesses): %w",
 			p.Compulsory, p.Capacity, p.Candidates, p.Accesses, xerr.ErrFormat)
 	}
+	// The search copies the support right after; this pass reads it in
+	// place and keeps the first fault it meets.
 	var sum uint64
-	for _, vc := range p.Support() {
-		if vc.Vec > gf2.Mask(n) {
-			return fmt.Errorf("serve: re-tune aggregate vector %#x exceeds %d bits: %w", uint64(vc.Vec), n, xerr.ErrFormat)
+	var bad error
+	p.ForEachNonZero(func(v gf2.Vec, c uint64) {
+		switch {
+		case bad != nil:
+		case v > gf2.Mask(n):
+			bad = fmt.Errorf("serve: re-tune aggregate vector %#x exceeds %d bits: %w", uint64(v), n, xerr.ErrFormat)
+		case c == 0:
+			bad = fmt.Errorf("serve: re-tune aggregate carries a zero count: %w", xerr.ErrFormat)
 		}
-		if vc.Count == 0 {
-			return fmt.Errorf("serve: re-tune aggregate carries a zero count: %w", xerr.ErrFormat)
-		}
-		sum += vc.Count
+		sum += c
+	})
+	if bad != nil {
+		return bad
 	}
 	if sum != p.TotalPairs {
 		return fmt.Errorf("serve: re-tune aggregate histogram sums to %d pairs, counter says %d: %w",

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"xoridx/internal/ckpt"
+	"xoridx/internal/gf2"
 	"xoridx/internal/profile"
 	"xoridx/internal/xerr"
 )
@@ -704,6 +706,33 @@ func TestValidateAggregate(t *testing.T) {
 	counters.Accesses = counters.Compulsory + counters.Capacity + counters.Candidates - 1
 	if err := validateAggregate(&counters, 12, 64); !errors.Is(err, xerr.ErrFormat) {
 		t.Fatalf("counter disagreement = %v, want ErrFormat", err)
+	}
+
+	// The sparse backend can carry what the flat table cannot: a
+	// stored zero count and a vector wider than n.
+	sparse := *p
+	sparse.Table, sparse.Sparse = nil, map[uint64]uint64{}
+	p.ForEachNonZero(func(v gf2.Vec, c uint64) { sparse.Sparse[uint64(v)] = c })
+	if err := validateAggregate(&sparse, 12, 64); err != nil {
+		t.Fatalf("healthy sparse aggregate rejected: %v", err)
+	}
+	zero := sparse
+	zero.Sparse = maps.Clone(sparse.Sparse)
+	for v := uint64(1); ; v++ {
+		if _, ok := zero.Sparse[v]; !ok {
+			zero.Sparse[v] = 0
+			break
+		}
+	}
+	if err := validateAggregate(&zero, 12, 64); !errors.Is(err, xerr.ErrFormat) {
+		t.Fatalf("zero count = %v, want ErrFormat", err)
+	}
+	wide := sparse
+	wide.Sparse = maps.Clone(sparse.Sparse)
+	wide.Sparse[1<<12] = 1
+	wide.TotalPairs++
+	if err := validateAggregate(&wide, 12, 64); !errors.Is(err, xerr.ErrFormat) {
+		t.Fatalf("vector wider than n = %v, want ErrFormat", err)
 	}
 }
 
