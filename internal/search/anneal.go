@@ -51,6 +51,8 @@ func (s *state) anneal(int) (Result, error) {
 
 		// Random neighbor: random hyperplane of cur + random external
 		// vector (the same neighbourhood structure as the hill climber).
+		// The hyperplane has dimension d−1 and lies in cur, which v
+		// avoids, so the neighbour always has dimension d.
 		hp := cur.Hyperplane(uint64(rng.Intn(1<<uint(d)-1)) + 1)
 		var v gf2.Vec
 		for {
@@ -60,9 +62,6 @@ func (s *state) anneal(int) (Result, error) {
 			}
 		}
 		cand := hp.Extend(v)
-		if cand.Dim() != d {
-			continue
-		}
 		candEst := p.EstimateSubspace(cand)
 		res.Evaluated++
 		res.Lookups += walkCost

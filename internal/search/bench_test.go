@@ -18,9 +18,11 @@ import (
 // paper's largest dimensions (n=16, m=8) against the per-candidate
 // reference climb (DESIGN.md §10). Both must return the bit-identical
 // matrix and estimate; the metrics of record are wall-clock time and
-// histogram lookups per climb. The final sub-benchmark writes
-// BENCH_search.json at the repository root — the perf-trajectory
-// baseline for the search hot path.
+// histogram lookups per climb. The final sub-benchmark fails when the
+// climb's estimate, moves, candidates or lookups differ from the
+// committed BENCH_search.json at the repository root — the
+// perf-trajectory baseline for the search hot path — and otherwise
+// rewrites it with fresh timings.
 func BenchmarkClimb(b *testing.B) {
 	const n, m, cacheBlocks = 16, 8, 256
 	w, err := workloads.ByName("fft")
@@ -65,25 +67,33 @@ func BenchmarkClimb(b *testing.B) {
 			got.Iterations != ref.Iterations || got.Evaluated != ref.Evaluated {
 			b.Fatalf("climbs diverged: %+v vs reference %+v", got, ref)
 		}
-		speedup := float64(best["reference"]) / float64(best["transform"])
-		out := struct {
-			Benchmark       string  `json:"benchmark"`
-			Workload        string  `json:"workload"`
-			N               int     `json:"n"`
-			M               int     `json:"m"`
-			CacheBlocks     int     `json:"cache_blocks"`
-			GoVersion       string  `json:"go_version"`
-			NumCPU          int     `json:"num_cpu"`
-			GOMAXPROCS      int     `json:"gomaxprocs"`
-			Estimated       uint64  `json:"estimated_misses"`
-			Iterations      int     `json:"iterations"`
-			Evaluated       int     `json:"evaluated"`
-			Lookups         uint64  `json:"lookups"`
-			ReferenceMs     float64 `json:"reference_ms"`
-			TransformMs     float64 `json:"transform_ms"`
-			Speedup         float64 `json:"speedup"`
-			MatrixIdentical bool    `json:"matrix_identical"`
+		path := filepath.Join("..", "..", "BENCH_search.json")
+		committed, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var rec searchRecord
+		if err := json.Unmarshal(committed, &rec); err != nil {
+			b.Fatalf("%s: %v", path, err)
+		}
+		for _, c := range []struct {
+			field     string
+			rec, this uint64
 		}{
+			{"estimated_misses", rec.Estimated, got.Estimated},
+			{"iterations", uint64(rec.Iterations), uint64(got.Iterations)},
+			{"evaluated", uint64(rec.Evaluated), uint64(got.Evaluated)},
+			{"lookups", rec.Lookups, got.Lookups},
+		} {
+			if c.rec != c.this {
+				b.Errorf("%s: %s is %d in the committed record, %d in this run", path, c.field, c.rec, c.this)
+			}
+		}
+		if b.Failed() {
+			return
+		}
+		speedup := float64(best["reference"]) / float64(best["transform"])
+		out := searchRecord{
 			Benchmark:       "BenchmarkClimb",
 			Workload:        "fft",
 			N:               n,
@@ -105,10 +115,29 @@ func BenchmarkClimb(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		path := filepath.Join("..", "..", "BENCH_search.json")
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(speedup, "speedup")
 	})
+}
+
+// searchRecord is BENCH_search.json's schema.
+type searchRecord struct {
+	Benchmark       string  `json:"benchmark"`
+	Workload        string  `json:"workload"`
+	N               int     `json:"n"`
+	M               int     `json:"m"`
+	CacheBlocks     int     `json:"cache_blocks"`
+	GoVersion       string  `json:"go_version"`
+	NumCPU          int     `json:"num_cpu"`
+	GOMAXPROCS      int     `json:"gomaxprocs"`
+	Estimated       uint64  `json:"estimated_misses"`
+	Iterations      int     `json:"iterations"`
+	Evaluated       int     `json:"evaluated"`
+	Lookups         uint64  `json:"lookups"`
+	ReferenceMs     float64 `json:"reference_ms"`
+	TransformMs     float64 `json:"transform_ms"`
+	Speedup         float64 `json:"speedup"`
+	MatrixIdentical bool    `json:"matrix_identical"`
 }

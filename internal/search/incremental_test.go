@@ -12,7 +12,6 @@ import (
 	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
-	"xoridx/internal/trace"
 	"xoridx/internal/workloads"
 )
 
@@ -107,15 +106,7 @@ func backendProfiles(t *testing.T, blocks []uint64, n, m int) map[string]*profil
 	sparse.Table = nil
 	sparse.Sparse = make(map[uint64]uint64)
 	flat.ForEachNonZero(func(v gf2.Vec, c uint64) { sparse.Sparse[uint64(v)] = c })
-	tr := &trace.Trace{}
-	for _, b := range blocks {
-		tr.Append(b, trace.Read)
-	}
-	sketch, err := profile.BuildStream(context.Background(), tr, 1, n, 1<<uint(m),
-		profile.Options{Sketch: &profile.SketchOptions{Width: 64, Depth: 2, TopK: 48, Seed: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sketch := streamProfile(t, blocks, n, m, profile.Options{Sketch: &profile.SketchOptions{Width: 64, Depth: 2, TopK: 48, Seed: 3}})
 	return map[string]*profile.Profile{"flat": flat, "sparse": &sparse, "sketch": sketch}
 }
 

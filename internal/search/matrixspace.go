@@ -116,54 +116,67 @@ func (s *state) bitSelectSpace(start int) (gf2.Matrix, neighbours) {
 	}
 }
 
-// climbMatrix is the steepest-descent loop over matrix states, taking
-// the first strict minimum in emit order. A neighbour H′ replaces
-// column j of H with h′_j, so it scores the part of syndrome groups 0
-// and e_j that h′_j maps to 0 (DESIGN.md §10). A rank-deficient H′ has
-// the null space K of H's other columns, which contains N(H), so it
-// never strictly beats the current state and needs no rank test.
+// climbMatrix is the steepest-descent loop over matrix states: it
+// steps to the first strict minimum among all of cur's neighbours
+// until none improves.
 func (s *state) climbMatrix(cur gf2.Matrix, next neighbours) (Result, error) {
-	nb := s.nb
-	curEst := nb.load(cur)
-	res := Result{Lookups: uint64(len(nb.support))}
-	// The neighbor callback cannot return an error, so a cancellation
-	// observed inside it is parked in ctxErr; every later callback then
-	// returns immediately and the loop surfaces the error after the
-	// enumeration unwinds — still well within one hill-climbing move.
-	var ctxErr error
+	res := Result{Matrix: cur, Estimated: s.nb.load(cur), Lookups: uint64(len(s.nb.support))}
 	for {
-		zero, _ := nb.group(0)
-		bestEst, bestJ, bestCol := curEst, -1, gf2.Vec(0)
-		next(cur, func(j int, col gf2.Vec) {
-			if ctxErr != nil {
-				return
-			}
-			if ctxErr = s.checkEvery(); ctxErr != nil {
-				return
-			}
-			unit, _ := nb.group(1 << uint(j))
-			res.Evaluated++
-			res.Lookups += uint64(len(zero) + len(unit))
-			if est := kernelSum(zero, col) + kernelSum(unit, col); est < bestEst {
-				bestEst, bestJ, bestCol = est, j, col
-			}
-		})
-		if ctxErr != nil || bestJ < 0 {
+		moved, err := s.step(&res, next, nil)
+		if err != nil || !moved {
 			// Interrupted, the best state reached so far is returned
 			// Degraded alongside the error: the anytime contract.
-			res.Degraded = ctxErr != nil
-			break
+			res.Degraded = err != nil
+			return res, err
 		}
-		cur = cur.Clone()
-		cur.Cols[bestJ] = bestCol
-		curEst = nb.load(cur)
-		res.Lookups += uint64(len(nb.support))
-		res.Iterations++
-		s.emit(res.Iterations, res.Evaluated, curEst)
+		s.emit(res.Iterations, res.Evaluated, res.Estimated)
 	}
-	res.Matrix = cur
-	res.Estimated = curEst
-	return res, ctxErr
+}
+
+// step is one move of a matrix-space search from the loaded state
+// res.Matrix, whose estimate is res.Estimated. It scores the
+// neighbours next emits that keep accepts (all of them when keep is
+// nil) and moves res to the first strict minimum in emit order,
+// reporting whether one beat the current state. A neighbour H′
+// replaces column j of H with h′_j, so it scores the part of syndrome
+// groups 0 and e_j that h′_j maps to 0 (DESIGN.md §10). A
+// rank-deficient H′ has the null space K of H's other columns, which
+// contains N(H), so it never strictly beats the current state and
+// needs no rank test. Each scored neighbour counts in Evaluated and
+// its two groups in Lookups, a move adds Iterations and the reloaded
+// support, and the context is polled every ctxCheckEvery neighbours.
+func (s *state) step(res *Result, next neighbours, keep func(j int, col gf2.Vec) bool) (bool, error) {
+	nb := s.nb
+	zero, _ := nb.group(0)
+	bestEst, bestJ, bestCol := res.Estimated, -1, gf2.Vec(0)
+	// The neighbour callback cannot return an error, so a cancellation
+	// observed inside it is parked in ctxErr; every later callback then
+	// returns immediately and the error surfaces once the enumeration
+	// unwinds, still well within one move.
+	var ctxErr error
+	next(res.Matrix, func(j int, col gf2.Vec) {
+		if ctxErr != nil || keep != nil && !keep(j, col) {
+			return
+		}
+		if ctxErr = s.checkEvery(); ctxErr != nil {
+			return
+		}
+		unit, _ := nb.group(1 << uint(j))
+		res.Evaluated++
+		res.Lookups += uint64(len(zero) + len(unit))
+		if est := kernelSum(zero, col) + kernelSum(unit, col); est < bestEst {
+			bestEst, bestJ, bestCol = est, j, col
+		}
+	})
+	if ctxErr != nil || bestJ < 0 {
+		return false, ctxErr
+	}
+	res.Matrix = res.Matrix.Clone()
+	res.Matrix.Cols[bestJ] = bestCol
+	res.Estimated = nb.load(res.Matrix)
+	res.Lookups += uint64(len(nb.support))
+	res.Iterations++
+	return true, nil
 }
 
 // maxExtra is the bound on a permutation column's extra inputs:

@@ -323,10 +323,10 @@ type Server struct {
 	closed    atomic.Bool
 	closeErr  error
 
-	// Window accounting.
-	sinceRotate atomic.Uint64
-	wake        chan struct{}
-	ckptWake    chan struct{}
+	// Optimizer and checkpoint wakes, at window and CheckpointEvery
+	// boundaries of the ingested count.
+	wake     chan struct{}
+	ckptWake chan struct{}
 
 	// Counters.
 	ingested    atomic.Uint64
@@ -683,29 +683,27 @@ func (sh *shard) resetAcct() {
 	sh.acctMu.Unlock()
 }
 
-// noteAccesses counts n accepted accesses, advances the window clock —
-// waking the optimizer at window boundaries — and triggers the
-// periodic durable checkpoint at CheckpointEvery boundaries. The Swap
-// makes window crossings race-tolerant: however many ingesters cross
-// together, the counter resets once and at least one wake lands (the
-// channel holds one pending wake; coalescing concurrent boundaries is
-// exactly the singleflight semantics the re-tune wants anyway).
+// noteAccesses counts n accepted accesses and, whenever the ingested
+// total crosses a multiple of WindowAccesses, wakes the optimizer; a
+// crossed multiple of CheckpointEvery triggers the periodic durable
+// checkpoint the same way. Each adder sees its own range of the total,
+// so however many ingesters cross together, exactly one of them sees
+// each boundary; the channels hold one pending wake, and coalescing
+// concurrent boundaries is exactly the singleflight semantics the
+// re-tune wants anyway.
 func (s *Server) noteAccesses(n uint64) {
 	total := s.ingested.Add(n)
-	if every := s.opt.CheckpointEvery; every > 0 && s.opt.CheckpointPath != "" {
-		if (total-n)/every != total/every {
-			select {
-			case s.ckptWake <- struct{}{}:
-			default:
-			}
+	crossed := func(every uint64) bool { return (total-n)/every != total/every }
+	if every := s.opt.CheckpointEvery; every > 0 && s.opt.CheckpointPath != "" && crossed(every) {
+		select {
+		case s.ckptWake <- struct{}{}:
+		default:
 		}
 	}
-	if s.sinceRotate.Add(n) >= s.opt.WindowAccesses {
-		if s.sinceRotate.Swap(0) >= s.opt.WindowAccesses {
-			select {
-			case s.wake <- struct{}{}:
-			default:
-			}
+	if crossed(s.opt.WindowAccesses) {
+		select {
+		case s.wake <- struct{}{}:
+		default:
 		}
 	}
 }
