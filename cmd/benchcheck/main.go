@@ -40,9 +40,10 @@
 //     has 4 or more CPUs.
 //   - Out-of-core (PR 10, DESIGN.md §17): every sampled row must keep
 //     the exact Eq. 4 value inside its confidence margin with the k=16 build at
-//     >= 4x the exact build, and the count-min sketch must spend at
-//     least 10x less histogram memory than the sparse map while
-//     honoring its (ε,δ) bound.
+//     >= 4x the exact build, and the sketch at its default entry cap
+//     must spend at least 10x less histogram memory than the sparse map
+//     with no support vector outside its deterministic Misra–Gries
+//     bound (violations == 0).
 package main
 
 import (
@@ -98,8 +99,9 @@ type sampledRow struct {
 
 type sketchResult struct {
 	Accesses    int     `json:"accesses"`
-	Width       int     `json:"width"`
-	Depth       int     `json:"depth"`
+	Entries     int     `json:"entries"`
+	Slack       uint64  `json:"slack"`
+	TotalPairs  uint64  `json:"total_pairs"`
 	Support     int     `json:"support"`
 	Violations  int     `json:"violations"`
 	SparseBytes int     `json:"sparse_bytes"`
@@ -526,11 +528,11 @@ func validate(f *benchFile, perf bool) error {
 	return validateOutOfCorePerf(f)
 }
 
-// validateOutOfCore holds the §17 sections (sampled profiling,
-// count-min sketch) to structural sanity: every section present,
-// positive rates and sizes, ratios that match their own inputs, and a
-// within_bound flag consistent with the recorded estimate, exact value
-// and margin.
+// validateOutOfCore holds the §17 sections (sampled profiling, capped
+// sketch) to structural sanity: every section present, positive rates
+// and sizes, ratios that match their own inputs, within_bound flags
+// consistent with the recorded numbers, and a sketch slack its own
+// pruning could have produced.
 func validateOutOfCore(f *benchFile) error {
 	if len(f.Sampled) == 0 {
 		return fmt.Errorf("no sampled section — run BenchmarkBuildOutOfCore with -benchtime=1x first")
@@ -575,17 +577,22 @@ func validateOutOfCore(f *benchFile) error {
 	if k.Accesses <= 0 {
 		return fmt.Errorf("sketch: accesses = %d out of range", k.Accesses)
 	}
-	if k.Width <= 0 || k.Width&(k.Width-1) != 0 {
-		return fmt.Errorf("sketch: width = %d not a positive power of two", k.Width)
+	if k.Entries <= 0 {
+		return fmt.Errorf("sketch: entries = %d not positive", k.Entries)
 	}
-	if k.Depth < 1 {
-		return fmt.Errorf("sketch: depth = %d out of range", k.Depth)
+	// Each unit of slack pruned entries+1 counts off the histogram.
+	if k.Slack*uint64(k.Entries+1) > k.TotalPairs {
+		return fmt.Errorf("sketch: slack %d × (entries %d + 1) exceeds total_pairs %d",
+			k.Slack, k.Entries, k.TotalPairs)
 	}
 	if k.Support <= 0 {
 		return fmt.Errorf("sketch: support = %d — an empty differential witnesses nothing", k.Support)
 	}
 	if k.Violations < 0 || k.Violations > k.Support {
 		return fmt.Errorf("sketch: violations = %d outside [0, %d]", k.Violations, k.Support)
+	}
+	if k.WithinBound != (k.Violations == 0) {
+		return fmt.Errorf("sketch: within_bound = %v contradicts %d violations", k.WithinBound, k.Violations)
 	}
 	if k.SparseBytes <= 0 || k.SketchBytes <= 0 {
 		return fmt.Errorf("sketch: non-positive sizes (sparse %d, sketch %d)", k.SparseBytes, k.SketchBytes)
@@ -601,7 +608,7 @@ func validateOutOfCore(f *benchFile) error {
 // validateOutOfCorePerf enforces the §17 half of the -perf contract:
 // every sampled row keeps the exact value inside its margin with k=16
 // at >= 4x the exact build, and the sketch spends >= 10x less histogram
-// memory than the sparse map while honoring its (ε,δ) bound.
+// memory than the sparse map with no count outside its slack.
 func validateOutOfCorePerf(f *benchFile) error {
 	k16 := false
 	for _, s := range f.Sampled {
@@ -623,8 +630,8 @@ func validateOutOfCorePerf(f *benchFile) error {
 	if f.Sketch.MemoryRatio < 10 {
 		return fmt.Errorf("perf contract: sketch memory ratio %.3fx < 10x under the sparse map", f.Sketch.MemoryRatio)
 	}
-	if !f.Sketch.WithinBound {
-		return fmt.Errorf("perf contract: sketch exceeded its (ε,δ) bound on %d of %d support vectors",
+	if f.Sketch.Violations != 0 {
+		return fmt.Errorf("perf contract: sketch counts outside [true − slack, true] on %d of %d support vectors",
 			f.Sketch.Violations, f.Sketch.Support)
 	}
 	return nil

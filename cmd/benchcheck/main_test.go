@@ -37,10 +37,10 @@ func goodFile() *benchFile {
 				Estimate: 310000, Exact: 300000, Margin: 10100, WithinBound: true},
 		},
 		Sketch: &sketchResult{
-			Accesses: 160000, Width: 1 << 14, Depth: 4,
+			Accesses: 160000, Entries: 24576, Slack: 2300, TotalPairs: 57000000,
 			Support: 250000, Violations: 0,
-			SparseBytes: 12000000, SketchBytes: 720000,
-			MemoryRatio: 12000000.0 / 720000, WithinBound: true,
+			SparseBytes: 12000000, SketchBytes: 24576 * 48,
+			MemoryRatio: 12000000.0 / (24576 * 48), WithinBound: true,
 		},
 	}
 }
@@ -246,9 +246,19 @@ func TestValidateRejections(t *testing.T) {
 			wantSub: "no sketch section",
 		},
 		{
-			name:    "sketch width not a power of two",
-			mutate:  func(f *benchFile) { f.Sketch.Width = 10000 },
-			wantSub: "not a positive power of two",
+			name:    "sketch entries not positive",
+			mutate:  func(f *benchFile) { f.Sketch.Entries = 0 },
+			wantSub: "entries = 0 not positive",
+		},
+		{
+			name:    "sketch slack beyond what pruning removed",
+			mutate:  func(f *benchFile) { f.Sketch.Slack = 57000000/24577 + 1 },
+			wantSub: "exceeds total_pairs",
+		},
+		{
+			name:    "sketch within_bound contradicts its violations",
+			mutate:  func(f *benchFile) { f.Sketch.Violations = 1 },
+			wantSub: "contradicts 1 violations",
 		},
 		{
 			name:    "empty sketch differential",
@@ -278,7 +288,7 @@ func TestValidateRejections(t *testing.T) {
 				f.Sketch.Violations = f.Sketch.Support / 2
 				f.Sketch.WithinBound = false
 			},
-			wantSub: "(ε,δ) bound",
+			wantSub: "outside [true − slack, true]",
 		},
 	}
 	for _, tc := range cases {

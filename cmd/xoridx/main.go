@@ -20,7 +20,7 @@
 //	xoridx -trace fft.xtr -cpuprofile cpu.pb -memprofile mem.pb  # pprof the pipeline
 //	xoridx -trace huge.xtr -sample 16                        # sampled profiling with confidence bounds
 //	xoridx -trace huge.xtr -sample 16 -checkpoint run        # ... with crash snapshots; -resume continues it
-//	xoridx -trace huge.xtr -backend sketch                   # bounded-memory count-min histogram
+//	xoridx -trace huge.xtr -backend sketch                   # bounded-memory capped histogram (Misra–Gries)
 //
 // A binary trace is never loaded: profiling and exact validation (-apply
 // too), which simulates both caches at once, stream it off the file in a
@@ -28,7 +28,8 @@
 // passes the same way, so traces far larger than RAM are tuned,
 // validated and diagnosed in bounded memory. An approximate profile
 // (-sample > 1 or -backend sketch) adds the Eq. 4 estimates with their
-// "X ± ε" confidence intervals to the report.
+// "X ± ε" confidence intervals to the report; -verbose prints a sketch
+// profile's slack, the most any of its counts is low by.
 //
 // Ctrl-C (SIGINT) cancels the pipeline cooperatively: the run aborts
 // within one hill-climbing move, prints the best-so-far function marked
@@ -94,8 +95,8 @@ func main() {
 	resume := flag.Bool("resume", false, "restore the profile from <path>.profile.ckpt under -checkpoint (a missing file means a cold start) and re-run the search; the resumed run is bit-identical to an uninterrupted one, and a snapshot taken under another -sample or -sample-seed is refused")
 	retries := flag.Int("retries", 0, "retry budget for transient trace I/O failures, with capped exponential backoff")
 	sampleK := flag.Uint64("sample", 0, "profile every k-th conflict candidate instead of all of them; estimates gain a 95% confidence interval (0 or 1 = exact); composes with -checkpoint")
-	sampleSeed := flag.Uint64("sample-seed", 0, "deterministic phase seed for -sample (and the sketch backend's hashes)")
-	backend := flag.String("backend", "auto", "histogram backend: auto (the address width picks a flat table or a sparse map) or sketch (bounded memory; estimates count only the tracked heavy-hitter vectors)")
+	sampleSeed := flag.Uint64("sample-seed", 0, "deterministic phase seed for -sample")
+	backend := flag.String("backend", "auto", fmt.Sprintf("histogram backend: auto (the address width picks a flat table or a sparse map) or sketch (bounded memory: a sparse map capped at %d entries whose counts, and so estimates, are low by at most the slack -verbose prints)", profile.SketchEntries))
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
 	flag.Parse()
@@ -209,7 +210,7 @@ func main() {
 	fmt.Printf("cache: %d B, %d-way, %d B blocks (%d sets)\n\n",
 		*cacheBytes, *ways, *blockBytes, *cacheBytes / *blockBytes / *ways)
 	p := res.Profile
-	approx := p.SampleK > 1 || p.Sketch != nil
+	approx := p.SampleK > 1 || p.Backend() == "sketch"
 	if *verbose {
 		label := "profile"
 		if approx {
@@ -217,6 +218,10 @@ func main() {
 		}
 		fmt.Printf("%s: %d accesses = %d compulsory + %d capacity + %d conflict candidates (%d conflict pairs)\n",
 			label, p.Accesses, p.Compulsory, p.Capacity, p.Candidates, p.TotalPairs)
+		if p.Backend() == "sketch" {
+			fmt.Printf("sketch profiling: slack %d; each count is low by at most that, of %d conflict pairs\n",
+				p.Slack, p.TotalPairs)
+		}
 		if p.SampleK > 1 {
 			fmt.Printf("sampled profiling: k=%d, walked %d of %d candidates; optimized estimate %s\n",
 				p.SampleK, p.SampledCandidates, p.Candidates, res.Search.Confidence)

@@ -96,17 +96,17 @@ type Config struct {
 	// sequential; a checkpoint records the sampling, and Resume refuses
 	// a snapshot taken under another SampleK or SampleSeed.
 	SampleK uint64
-	// SampleSeed picks the deterministic sampling phase (and the sketch
-	// backend's row hashes); runs with the same seed are reproducible.
+	// SampleSeed picks the deterministic sampling phase; runs with the
+	// same seed are reproducible.
 	SampleSeed uint64
 	// Backend selects the histogram backend: "" or "auto" (exact; the
 	// address width picks the store, a flat table up to
 	// profile.MaxFlatBits address bits and a sparse map beyond) or
-	// "sketch" (count-min: memory bounded at any width). On the sketch
-	// every estimate, the search's and the baseline alike, sums the
-	// exactly tracked heavy-hitter vectors' counts, so estimates omit
-	// the untracked tail. Only the auto backend composes with
-	// CheckpointPath.
+	// "sketch" (a sparse map capped at profile.SketchEntries entries:
+	// memory bounded at any width). On the sketch every count is low by
+	// at most the profile's Slack, so every estimate, the search's and
+	// the baseline alike, is a lower bound of the exact one. Only the
+	// auto backend composes with CheckpointPath.
 	Backend string
 }
 
@@ -260,10 +260,8 @@ func applyFallback(res *Result, cfg Config, m int) {
 func (c Config) profileOptions() profile.Options {
 	opt := profile.Options{
 		Workers: c.profileWorkers(),
+		Sketch:  c.Backend == "sketch",
 		Sample:  profile.SampleOptions{K: c.SampleK, Seed: c.SampleSeed},
-	}
-	if c.Backend == "sketch" {
-		opt.Sketch = &profile.SketchOptions{Seed: c.SampleSeed}
 	}
 	if c.CheckpointPath != "" {
 		opt.CheckpointPath = c.CheckpointPath + ".profile.ckpt"

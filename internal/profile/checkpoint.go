@@ -46,7 +46,7 @@ func (bd *Builder) Checkpoint(w io.Writer) error {
 	if bd.done {
 		return fmt.Errorf("profile: Checkpoint after Finish: %w", xerr.ErrInvalidOptions)
 	}
-	if bd.p.Sketch != nil {
+	if bd.p.entryCap > 0 {
 		return fmt.Errorf("profile: Checkpoint of a sketch-backed builder: %w", xerr.ErrInvalidOptions)
 	}
 	return ckpt.Write(w, checkpointMagic, checkpointVersion, func(b *bytes.Buffer) error {

@@ -118,7 +118,7 @@ func build(ctx context.Context, src trace.Source, shift uint, ss []*slice, opt O
 			// Builders made one after another by one goroutine sit next
 			// to each other in memory, and two slices bumping counters
 			// in one cache line ran at half speed.
-			s.bd = newBuilder(p.N, p.CacheBlocks, opt.Sketch)
+			s.bd = newBuilder(p.N, p.CacheBlocks, opt.entryCap)
 			run(s)
 		}()
 	}

@@ -18,7 +18,9 @@
 // a sparse map backend automatically: a trace of length L touches at
 // most L·cacheBlocks distinct conflict vectors regardless of n, so the
 // histogram support stays bounded while 2^n does not. The search climbs
-// read the support (Support), not single null spaces.
+// read the support (Support), not single null spaces. A caller that
+// cannot afford even the support opts into the sketch backend: the
+// sparse map capped at SketchEntries entries (sketch.go).
 package profile
 
 import (
@@ -42,17 +44,21 @@ const MaxBits = 64
 
 // Profile is the conflict-vector histogram gathered from one trace.
 //
-// Exactly one backend is populated: Table for n <= MaxFlatBits, Sparse
-// beyond that, or Sketch when a caller opts into the approximate
-// count-min backend (see sketch.go). Code that indexes Table directly
-// only works on flat profiles; use At, ForEachNonZero or Support to
-// stay backend-agnostic.
+// Exactly one store is populated: Table for n <= MaxFlatBits, Sparse
+// beyond that or when a caller opts into the sketch backend, whose
+// Sparse map is capped (see sketch.go). Code that indexes Table
+// directly only works on flat profiles; use At, ForEachNonZero or
+// Support to stay backend-agnostic.
 type Profile struct {
 	N           int               // hashed address bits; vectors are truncated to N bits
 	CacheBlocks int               // capacity filter used during profiling
 	Table       []uint64          // flat backend: misses(v) for every v in [0, 2^N); nil when sparse
-	Sparse      map[uint64]uint64 // sparse backend: misses(v) for nonzero entries only; nil when flat
-	Sketch      *Sketch           // count-min backend: approximate, never undercounting; nil otherwise
+	Sparse      map[uint64]uint64 // sparse and sketch backends: misses(v) for nonzero entries only; nil when flat
+
+	// Slack bounds the sketch backend's undercount: every count lies in
+	// [true − Slack, true]. It is 0 on the exact backends.
+	Slack    uint64
+	entryCap int // the sketch's entry cap; 0 on the exact backends
 
 	// Bookkeeping from the profiling pass.
 	Accesses   uint64 // trace length
@@ -159,7 +165,7 @@ func NewBuilder(n, cacheBlocks int) *Builder {
 	if err := ValidateGeometry(n, cacheBlocks); err != nil {
 		panic(err)
 	}
-	return newBuilder(n, cacheBlocks, nil)
+	return newBuilder(n, cacheBlocks, 0)
 }
 
 // ValidateGeometry checks a (n, cacheBlocks) profiling geometry,
@@ -175,16 +181,16 @@ func ValidateGeometry(n, cacheBlocks int) error {
 }
 
 // newBuilder constructs a cold builder on the one histogram store its
-// inputs allow: the count-min sketch when sketch is non-nil (never a
-// flat table, whatever n), otherwise a flat table for n <= MaxFlatBits
-// and a sparse map beyond. The gate's stamps follow the same rule —
-// direct-indexed exactly when the histogram is a flat table — so a
-// sketch or sparse build never allocates 2^n of anything. The sketch
-// options must be valid.
-func newBuilder(n, cacheBlocks int, sketch *SketchOptions) *Builder {
-	p := &Profile{N: n, CacheBlocks: cacheBlocks}
-	if sketch != nil {
-		p.Sketch = NewSketch(*sketch)
+// inputs allow: a sparse map capped at entryCap entries when entryCap
+// is positive (the sketch; never a flat table, whatever n), otherwise
+// a flat table for n <= MaxFlatBits and a sparse map beyond. The gate's
+// stamps follow the same rule — direct-indexed exactly when the
+// histogram is a flat table — so a sketch or sparse build never
+// allocates 2^n of anything.
+func newBuilder(n, cacheBlocks, entryCap int) *Builder {
+	p := &Profile{N: n, CacheBlocks: cacheBlocks, entryCap: entryCap}
+	if entryCap > 0 {
+		p.Sparse = make(map[uint64]uint64)
 	} else {
 		p.fill(nil)
 	}
@@ -265,20 +271,20 @@ func (bd *Builder) Add(block uint64) {
 }
 
 // addPairs counts the conflict vector b⊕y into the active histogram
-// backend for every block y of ys, none of which is b.
+// backend for every block y of ys, none of which is b. A capped map
+// that outgrows its cap takes the Misra–Gries step (sketch.go).
 func (p *Profile) addPairs(b uint64, ys []uint64) {
 	if tbl := p.Table; tbl != nil {
 		for _, y := range ys {
 			tbl[b^y]++
 		}
-	} else if sk := p.Sketch; sk != nil {
-		for _, y := range ys {
-			sk.Inc(b ^ y)
-		}
 	} else {
 		sp := p.Sparse
 		for _, y := range ys {
 			sp[b^y]++
+			if p.entryCap > 0 && len(sp) > p.entryCap {
+				p.decrement()
+			}
 		}
 	}
 	p.TotalPairs += uint64(len(ys))
@@ -292,35 +298,24 @@ func (bd *Builder) Finish() *Profile {
 }
 
 // At returns misses(v), the histogram count of one conflict vector,
-// regardless of backend. On the sketch backend the value is the
-// count-min estimate: an upper bound within the (ε, δ) guarantee.
+// regardless of backend. On the sketch backend the value is low by at
+// most Slack.
 func (p *Profile) At(v gf2.Vec) uint64 {
 	if p.Table != nil {
 		return p.Table[v]
-	}
-	if p.Sketch != nil {
-		return p.Sketch.At(uint64(v))
 	}
 	return p.Sparse[uint64(v)]
 }
 
 // ForEachNonZero calls fn for every nonzero histogram entry. Order is
-// ascending for the flat backend and unspecified for the sparse one;
-// use Support when a deterministic order matters. On the sketch
-// backend only the tracked heavy hitters are enumerable — the tail is
-// reachable through point queries (At) but not through enumeration.
+// ascending for the flat backend and unspecified for the map ones;
+// use Support when a deterministic order matters.
 func (p *Profile) ForEachNonZero(fn func(v gf2.Vec, count uint64)) {
 	if p.Table != nil {
 		for v, c := range p.Table {
 			if c != 0 {
 				fn(gf2.Vec(v), c)
 			}
-		}
-		return
-	}
-	if p.Sketch != nil {
-		for _, vc := range p.Sketch.HeavyHitters() {
-			fn(vc.Vec, vc.Count)
 		}
 		return
 	}
@@ -334,12 +329,9 @@ func (p *Profile) ForEachNonZero(fn func(v gf2.Vec, count uint64)) {
 // sweeps once per move instead of Gray-walking 2^d entries per
 // candidate. The result is allocated exactly once: the flat backend
 // counts its nonzero entries in a first pass (and is already in
-// ascending order, so no sort is needed), the sparse backend sizes the
+// ascending order, so no sort is needed), the map backends size the
 // slice from the map population.
 func (p *Profile) Support() []VectorCount {
-	if p.Sketch != nil {
-		return p.Sketch.support()
-	}
 	if p.Table != nil {
 		nonzero := 0
 		for _, c := range p.Table {
@@ -376,11 +368,10 @@ func (p *Profile) EstimateSubspace(ns gf2.Subspace) uint64 {
 // (vectors need not be canonical, only independent). It walks the
 // 2^dim members in Gray-code order (Subspace.Members order) or scans
 // the histogram support with one membership test per entry, whichever
-// reads less: the flat table always walks, the sparse map walks while
-// 2^dim is at most its population, and the sketch always scans its
-// heavy hitters, the support every search climb scores.
+// reads less: the flat table always walks, and a map walks while
+// 2^dim is at most its population.
 func (p *Profile) EstimateBasis(basis []gf2.Vec) uint64 {
-	if p.Sketch != nil || p.Table == nil && (len(basis) >= 63 || 1<<len(basis) > len(p.Sparse)) {
+	if p.Table == nil && (len(basis) >= 63 || 1<<len(basis) > len(p.Sparse)) {
 		// Membership tests need a canonical basis; build one.
 		return p.estimateSupport(gf2.Span(p.N, basis...).Basis)
 	}
@@ -457,8 +448,9 @@ func sortVectorCounts(v []VectorCount) {
 // p (weighted union: counts simply accumulate). Useful to build one
 // compromise function for a set of applications without materialising
 // an interleaved trace; both profiles must share n and the capacity
-// filter. Note the merged estimate ignores cross-application conflicts
-// (it models time-sharing with a flush at every switch).
+// filter and the backend. Two sketches merge as Misra–Gries summaries
+// (sketch.go). Note the merged estimate ignores cross-application
+// conflicts (it models time-sharing with a flush at every switch).
 func (p *Profile) Merge(o *Profile) error {
 	if p.N != o.N {
 		return fmt.Errorf("profile: cannot merge n=%d into n=%d: %w", o.N, p.N, xerr.ErrProfileMismatch)
@@ -466,9 +458,9 @@ func (p *Profile) Merge(o *Profile) error {
 	if p.CacheBlocks != o.CacheBlocks {
 		return fmt.Errorf("profile: capacity filters differ (%d vs %d blocks): %w", o.CacheBlocks, p.CacheBlocks, xerr.ErrProfileMismatch)
 	}
-	if (p.Table == nil) != (o.Table == nil) || (p.Sketch == nil) != (o.Sketch == nil) {
+	if (p.Table == nil) != (o.Table == nil) || p.entryCap != o.entryCap {
 		return fmt.Errorf("profile: histogram backends differ (%s vs %s): %w",
-			o.backendName(), p.backendName(), xerr.ErrProfileMismatch)
+			o.Backend(), p.Backend(), xerr.ErrProfileMismatch)
 	}
 	if len(p.Table) != len(o.Table) {
 		return fmt.Errorf("profile: table sizes differ (%d vs %d entries): %w", len(o.Table), len(p.Table), xerr.ErrProfileMismatch)
@@ -485,10 +477,8 @@ func (p *Profile) Merge(o *Profile) error {
 				p.Table[v] += c
 			}
 		}
-	case p.Sketch != nil:
-		if err := p.Sketch.Merge(o.Sketch); err != nil {
-			return err
-		}
+	case p.entryCap > 0:
+		p.mergeCapped(o)
 	default:
 		for v, c := range o.Sparse {
 			p.Sparse[v] += c
@@ -504,34 +494,30 @@ func (p *Profile) Merge(o *Profile) error {
 	return nil
 }
 
-// backendName names the populated histogram backend, for error
-// messages and the CLI's -backend flag domain.
-func (p *Profile) backendName() string {
+// Backend returns the populated histogram backend's name: "flat",
+// "sparse" or "sketch".
+func (p *Profile) Backend() string {
 	switch {
 	case p.Table != nil:
 		return "flat"
-	case p.Sketch != nil:
+	case p.entryCap > 0:
 		return "sketch"
 	default:
 		return "sparse"
 	}
 }
 
-// Backend returns the populated histogram backend's name: "flat",
-// "sparse" or "sketch".
-func (p *Profile) Backend() string { return p.backendName() }
-
 // HistogramBytes approximates the memory held by the histogram
-// backend: exact for the flat table and the sketch rows, and a
-// deliberate underestimate for the sparse map (48 bytes per entry —
-// key, value and bucket slot, ignoring Go's load-factor headroom), so
-// sketch-vs-sparse memory ratios computed from it are conservative.
+// backend: exact for the flat table, and 48 bytes per map entry — key,
+// value and bucket slot, ignoring Go's load-factor headroom — for the
+// sparse map and for the sketch at its full cap, so sketch-vs-sparse
+// memory ratios computed from it compare like with like.
 func (p *Profile) HistogramBytes() int {
 	switch {
 	case p.Table != nil:
 		return len(p.Table) * 8
-	case p.Sketch != nil:
-		return p.Sketch.Bytes()
+	case p.entryCap > 0:
+		return p.entryCap * 48
 	default:
 		return len(p.Sparse) * 48
 	}

@@ -49,7 +49,7 @@ func TestBuilderWindowMirrorsStack(t *testing.T) {
 	builders := map[string]*Builder{
 		"flat":    NewBuilder(n, cacheBlocks),
 		"sparse":  NewBuilder(wideN, cacheBlocks),
-		"sketch":  newBuilder(n, cacheBlocks, &SketchOptions{Width: 1 << 8}),
+		"sketch":  newBuilder(n, cacheBlocks, 256),
 		"sampled": sampled,
 	}
 	for name, bd := range builders {
@@ -123,13 +123,14 @@ func TestBuilderWindowMirrorsStack(t *testing.T) {
 
 // TestSketchBuilderStampsStayBounded: the gate direct-indexes its
 // stamps only beside a flat table, so a sketch builder at n =
-// MaxFlatBits — where a flat store would be 2^24 stamps, 128 MB —
-// grows the heap by its sketch and the blocks it sees, not by 2^n.
+// MaxFlatBits — where a flat store would be 2^24 stamps, 128 MB — at
+// its default cap grows the heap by its capped map and the blocks it
+// sees, not by 2^n.
 func TestSketchBuilderStampsStayBounded(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	bd := newBuilder(MaxFlatBits, 64, &SketchOptions{Width: 1 << 10})
+	bd := newBuilder(MaxFlatBits, 64, SketchEntries)
 	for b := uint64(0); b < 4096; b++ {
 		bd.Add(b * 4099)
 	}

@@ -88,8 +88,8 @@ func (bd *Builder) setSampling(opt SampleOptions) {
 }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap, well-distributed
-// 64-bit mix used to derive the sampling phase and the sketch row
-// hashes without any dependency.
+// 64-bit mix used to derive the sampling phase without any
+// dependency.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

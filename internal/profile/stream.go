@@ -33,13 +33,14 @@ type Options struct {
 	// to its start. Sampling forces one slice.
 	Workers int
 
-	// Sketch, when non-nil, selects the count-min-sketch histogram
-	// backend (see sketch.go). Otherwise the width alone picks the
-	// exact store: a flat table for n <= MaxFlatBits, a sparse map
-	// beyond. Slice sketches merge entrywise, so a sketch build over
-	// several slices keeps the (ε, δ) error bound but is not
+	// Sketch selects the sketch histogram backend: a sparse map capped
+	// at SketchEntries entries, whose counts are low by at most the
+	// profile's Slack (see sketch.go). Otherwise the width alone picks
+	// the exact store: a flat table for n <= MaxFlatBits, a sparse map
+	// beyond. Slice sketches merge as Misra–Gries summaries, so a
+	// sketch build over several slices keeps the bound but is not
 	// bit-identical to a one-slice sketch build.
-	Sketch *SketchOptions
+	Sketch bool
 
 	// Sample enables sampled conflict walks (see sample.go): every
 	// access still runs the exact distance gate, but only every K-th
@@ -67,6 +68,10 @@ type Options struct {
 	// checkpointEvery is the snapshot cadence in accesses; 0 selects
 	// defaultCheckpointEvery. Tests shrink it to snapshot often.
 	checkpointEvery uint64
+
+	// entryCap is the sketch's entry cap; 0 selects SketchEntries.
+	// Tests shrink it so that pruning fires. Without Sketch it is 0.
+	entryCap int
 }
 
 func (o Options) withDefaults() Options {
@@ -76,19 +81,21 @@ func (o Options) withDefaults() Options {
 	if o.checkpointEvery == 0 {
 		o.checkpointEvery = defaultCheckpointEvery
 	}
+	if !o.Sketch {
+		o.entryCap = 0
+	} else if o.entryCap == 0 {
+		o.entryCap = SketchEntries
+	}
 	return o
 }
 
 // validate rejects out-of-domain options before any work starts.
 func (o Options) validate() error {
-	if o.Sketch == nil {
-		return nil
-	}
-	if o.CheckpointPath != "" {
+	if o.Sketch && o.CheckpointPath != "" {
 		// The snapshot codec is exact flat/sparse state.
 		return fmt.Errorf("profile: sketch builds cannot be checkpointed: %w", xerr.ErrInvalidOptions)
 	}
-	return o.Sketch.Validate()
+	return nil
 }
 
 // BuildStream runs the Fig. 1 profiling pass over src without
@@ -158,7 +165,7 @@ func (o Options) start(n, cacheBlocks int) (*Builder, error) {
 			return nil, err
 		}
 	}
-	bd := newBuilder(n, cacheBlocks, o.Sketch)
+	bd := newBuilder(n, cacheBlocks, o.entryCap)
 	bd.setSampling(o.Sample)
 	return bd, nil
 }

@@ -74,7 +74,7 @@ func NewWindowed(n, cacheBlocks int, decay float64, sample SampleOptions) (*Wind
 	if err := ValidateDecay(decay); err != nil {
 		return nil, err
 	}
-	w := &Windowed{bd: newBuilder(n, cacheBlocks, nil), decay: decay}
+	w := &Windowed{bd: newBuilder(n, cacheBlocks, 0), decay: decay}
 	w.bd.setSampling(sample)
 	w.agg = emptyLike(w.bd.p)
 	return w, nil

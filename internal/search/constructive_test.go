@@ -117,7 +117,7 @@ func TestConstructiveMatchesReference(t *testing.T) {
 	fft := kernelBlocks(t, "fft")
 	profiles = append(profiles,
 		named{"wide/sparse/1024", sparse, 10},
-		named{"fft/sketch/256", streamProfile(t, fft, 16, 8, profile.Options{Sketch: &profile.SketchOptions{}}), 8},
+		named{"fft/sketch/256", streamProfile(t, fft, 16, 8, profile.Options{Sketch: true}), 8},
 		named{"fft/sampled-4/256", streamProfile(t, fft, 16, 8, profile.Options{Sample: profile.SampleOptions{K: 4, Seed: 7}}), 8},
 	)
 	moved, bound := 0, 0

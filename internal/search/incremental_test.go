@@ -41,8 +41,7 @@ func referenceConstruct(p *profile.Profile, m int, opt Options) (Result, []Progr
 // enumeration order over W's free positions, it scores span(W, rep) by
 // a Gray-code walk of its members over supp, the histogram support
 // spread into a dense table, and keeps the first strict minimum.
-// Summing the support is what the transform climb does too: on the
-// sketch backend it is a lower bound of the point queries.
+// Summing the support is what the transform climb does too.
 func (s *state) referenceClimb(start int, supp []uint64) Result {
 	n, d := s.n, s.n-s.m
 	cur := gf2.SpanUnits(n, s.m, n)
@@ -96,9 +95,11 @@ func walkSupport(supp []uint64, basis []gf2.Vec) uint64 {
 // backendProfiles builds the same trace into a flat, a sparse and a
 // sketch histogram. The width alone picks flat or sparse, so the sparse
 // profile is the flat one moved into a map through the exported
-// fields, at the same n. The sketch is small enough to collide and
-// tracks few heavy hitters, so its point queries overestimate and its
-// support is a strict subset.
+// fields, at the same n. The sketch is the capped map at its default
+// cap, which these small supports fit under (its pruning is tested in
+// the profile package), so a fourth profile keeps the 48 hottest
+// vectors alone: a support that is a strict subset, as a pruned
+// sketch's is.
 func backendProfiles(t *testing.T, blocks []uint64, n, m int) map[string]*profile.Profile {
 	t.Helper()
 	flat := profile.Build(blocks, n, 1<<uint(m))
@@ -106,8 +107,13 @@ func backendProfiles(t *testing.T, blocks []uint64, n, m int) map[string]*profil
 	sparse.Table = nil
 	sparse.Sparse = make(map[uint64]uint64)
 	flat.ForEachNonZero(func(v gf2.Vec, c uint64) { sparse.Sparse[uint64(v)] = c })
-	sketch := streamProfile(t, blocks, n, m, profile.Options{Sketch: &profile.SketchOptions{Width: 64, Depth: 2, TopK: 48, Seed: 3}})
-	return map[string]*profile.Profile{"flat": flat, "sparse": &sparse, "sketch": sketch}
+	sketch := streamProfile(t, blocks, n, m, profile.Options{Sketch: true})
+	hottest := sparse
+	hottest.Sparse = make(map[uint64]uint64)
+	for _, vc := range flat.HotVectors(48) {
+		hottest.Sparse[uint64(vc.Vec)] = vc.Count
+	}
+	return map[string]*profile.Profile{"flat": flat, "sparse": &sparse, "sketch": sketch, "hottest": &hottest}
 }
 
 // sameClimb reports how got differs from the reference, or "".
@@ -304,10 +310,10 @@ func TestEvaluatorMatchesEstimateBasis(t *testing.T) {
 }
 
 // TestResolveMatchesScan holds resolve's coset sums to the re-scoring
-// scan: from random null spaces on flat, sparse and sketch profiles,
-// every improving φ must resolve to the identical subspace, and so must
-// every other φ at its own best score, ties among representatives
-// included.
+// scan: from random null spaces on flat, sparse, sketch and
+// hottest-vector profiles, every improving φ must resolve to the
+// identical subspace, and so must every other φ at its own best score,
+// ties among representatives included.
 func TestResolveMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const n = 11
