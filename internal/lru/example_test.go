@@ -2,20 +2,22 @@ package lru_test
 
 import (
 	"fmt"
+	"slices"
 
 	"xoridx/internal/lru"
 )
 
 // Example_stackDistance computes reuse distances, the quantity the
 // paper's capacity filter is built on: a block re-touched within the
-// window comes back with the blocks accessed since its previous access.
+// window is found by walking the window from the front, and its index
+// there is the number of blocks accessed since its previous access.
 func Example_stackDistance() {
 	s := lru.NewStack(8, 0)
 	for _, b := range []uint64{1, 2, 3, 1, 1, 3} {
-		g, above := s.Touch(b)
 		d := -1
-		if g != lru.GateCold {
-			d = len(above)
+		if g, window := s.Touch(b); g == lru.GateWithin {
+			d = slices.Index(window, b)
+			s.Lift(d)
 		}
 		fmt.Print(d, " ")
 	}

@@ -31,7 +31,7 @@ func FuzzStackRoundTrip(f *testing.F) {
 		k := len(blocks)%64 + 1
 		s := NewStack(k, 16)
 		for i := 0; len(blocks) > 0 && i < 12288; i++ {
-			s.Touch(blocks[i%len(blocks)])
+			access(t, s, blocks[i%len(blocks)])
 		}
 		snapshot := s.Blocks()
 		restored := NewStack(k, 0)
@@ -54,8 +54,8 @@ func FuzzStackRoundTrip(f *testing.F) {
 			if s.Seen(b) != restored.Seen(b) {
 				t.Fatalf("suffix access %d: Seen(%#x) diverges", i, b)
 			}
-			g1, above1 := s.Touch(b)
-			g2, above2 := restored.Touch(b)
+			g1, above1 := access(t, s, b)
+			g2, above2 := access(t, restored, b)
 			if g1 != g2 || !slices.Equal(above1, above2) {
 				t.Fatalf("restored gate diverges at suffix access %d (block %#x): gate %d walk %v, want %d walk %v",
 					i, b, g2, above2, g1, above1)

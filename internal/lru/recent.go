@@ -48,12 +48,13 @@ func (r *Recent) Push(b uint64) {
 	r.n = min(r.n+1, r.k)
 }
 
-// Lift moves the block at window position d — its reuse distance, as
-// Stack's search over the window's stamps finds — to the front and
-// returns the d blocks that were above it, most recent first. The move
-// is one copy of those blocks, and above aliases the window like
-// Blocks. A position outside the window panics: the caller's gate and
-// the window have diverged.
+// Lift moves the block at window position d — its reuse distance,
+// which a conflict walk finds by scanning the window from the front
+// until it meets the block, and Stack.Find by a binary search over the
+// window's stamps — to the front and returns the d blocks that were
+// above it, most recent first. The move is one copy of those blocks,
+// and above aliases the window like Blocks. A position outside the
+// window panics: the caller's gate and the window have diverged.
 func (r *Recent) Lift(d int) (above []uint64) {
 	if uint(d) >= uint(r.n) {
 		panic("lru: Lift of a block outside the window")

@@ -108,7 +108,7 @@ func TestRecentSteadyStateAllocs(t *testing.T) {
 	const k = 32
 	s := NewStack(k, 8)
 	for b := uint64(0); b < 256; b++ {
-		s.Touch(b)
+		access(t, s, b)
 	}
 	var i uint64
 	lifts := 0
@@ -118,7 +118,7 @@ func TestRecentSteadyStateAllocs(t *testing.T) {
 		if i%5 == 0 {
 			b = 24 + i%232
 		}
-		if g, _ := s.Touch(b); g == GateWithin {
+		if g, _ := access(t, s, b); g == GateWithin {
 			lifts++
 		}
 		i++

@@ -18,6 +18,13 @@
 // below the window. Nothing about the order below the window is kept:
 // no later classification depends on it, and a full top-to-bottom
 // listing, which only checkpoints need, is the blocks sorted by stamp.
+//
+// An access is classified from stamps alone. A re-reference inside the
+// window is finished in two steps: Touch hands back the window with
+// the block still in place, the caller finds the block's position — a
+// conflict walk scans the window from the front and meets it, any
+// other caller asks Find, a binary search over the window's stamps —
+// and Lift moves it to the front.
 package lru
 
 import (
@@ -46,11 +53,13 @@ const (
 //
 // The zero value is not usable; call NewStack.
 type Stack struct {
-	flat   []uint64          // stamp by block, when direct-indexed
-	sparse map[uint64]uint64 // stamp by block otherwise
-	first  []uint64          // every block seen, in first-touch order
-	clock  uint64            // stamp of the latest access
-	win    *Recent
+	flat    []uint64          // stamp by block, when direct-indexed
+	sparse  map[uint64]uint64 // stamp by block otherwise
+	first   []uint64          // every block seen, in first-touch order
+	clock   uint64            // stamp of the latest access
+	win     *Recent
+	lifting bool   // a GateWithin Touch awaits its Lift
+	pending uint64 // the block that Touch classified GateWithin
 }
 
 // NewStack returns an empty gate whose window holds k >= 1 blocks.
@@ -81,49 +90,66 @@ func (s *Stack) setStamp(b, t uint64) {
 	}
 }
 
-// Touch records an access to block b and classifies its reuse distance
-// d, the number of distinct blocks accessed since b's previous access,
-// against the window size k: GateCold on a first touch, GateWithin for
-// d < k and GateBeyond otherwise. For a GateWithin access above lists
-// those d blocks, most recent first; it aliases the window and is valid
-// until the next Touch. After Touch, b heads the window.
-func (s *Stack) Touch(b uint64) (g Gate, above []uint64) {
+// Touch classifies an access to block b by its reuse distance d, the
+// number of distinct blocks accessed since b's previous access, against
+// the window size k, reading stamps only: GateCold on a first touch,
+// GateWithin for d < k and GateBeyond otherwise. A cold or beyond
+// access is complete when Touch returns, with b heading the window.
+//
+// A GateWithin access is not: Touch returns the window unchanged, b
+// still at position d with the d blocks accessed since its previous
+// access in front of it, most recent first, and the caller finishes the
+// access with Lift(d). The window slice is valid until that Lift. A
+// Touch while a Lift is pending panics.
+func (s *Stack) Touch(b uint64) (g Gate, window []uint64) {
+	if s.lifting {
+		panic("lru: Touch while a Lift is pending")
+	}
 	old := s.stamp(b)
-	switch d := s.position(old); {
+	w := s.win.Blocks()
+	switch {
 	case old == 0:
 		g = GateCold
 		s.first = append(s.first, b)
-		s.win.Push(b)
-	case d >= 0:
-		g = GateWithin
-		above = s.win.Lift(d)
+	case len(w) < s.win.k || old >= s.stamp(w[len(w)-1]):
+		s.lifting, s.pending = true, b
+		return GateWithin, w
 	default:
 		g = GateBeyond
-		s.win.Push(b)
 	}
+	s.win.Push(b)
 	s.clock++
 	s.setStamp(b, s.clock)
-	return g, above
+	return g, nil
 }
 
-// Above returns the blocks above b in the window, most recent first,
-// and whether b is in the window at all, without touching anything.
-// The slice aliases the window like Window.
-func (s *Stack) Above(b uint64) ([]uint64, bool) {
-	d := s.position(s.stamp(b))
-	if d < 0 {
-		return nil, false
+// Lift finishes a GateWithin access: d must be the window position of
+// the block Touch classified, which moves to the front and takes the
+// next stamp. It returns the d blocks that were above it, most recent
+// first, aliasing the window like Window. Lift without a pending access,
+// or at a position that does not hold the touched block, panics: the
+// caller's walk and the gate have diverged.
+func (s *Stack) Lift(d int) (above []uint64) {
+	if !s.lifting {
+		panic("lru: Lift without a pending GateWithin access")
 	}
-	return s.win.Blocks()[:d], true
+	if w := s.win.Blocks(); uint(d) >= uint(len(w)) || w[d] != s.pending {
+		panic(fmt.Sprintf("lru: Lift(%d) does not hold the touched block %#x", d, s.pending))
+	}
+	s.lifting = false
+	s.clock++
+	s.setStamp(s.pending, s.clock)
+	return s.win.Lift(d)
 }
 
-// position returns the window index of the block stamped old, or -1
-// when no window block carries that stamp: old is 0 (never seen), or
-// the window is full and old is older than its last block's stamp.
-// Stamps fall strictly from the front of the window to its back, so a
-// binary search finds the block in O(log k) stamp reads instead of a
-// scan over the blocks above it.
-func (s *Stack) position(old uint64) int {
+// Find returns b's window position — its reuse distance — or -1 when b
+// is not in the window: never seen, or below a full window. Stamps fall
+// strictly from the front of the window to its back, so a binary search
+// finds b in O(log k) stamp reads instead of a scan over the blocks
+// above it. Between a GateWithin Touch of b and its Lift, b's stamp is
+// still the old one, so Find(b) is the position Lift wants.
+func (s *Stack) Find(b uint64) int {
+	old := s.stamp(b)
 	w := s.win.Blocks()
 	if old == 0 || len(w) == s.win.k && old < s.stamp(w[len(w)-1]) {
 		return -1
@@ -147,8 +173,8 @@ func (s *Stack) Seen(b uint64) bool { return s.stamp(b) != 0 }
 func (s *Stack) Len() int { return len(s.first) }
 
 // Window returns the k most recent blocks, most recent first. The
-// slice aliases the window and is valid until the next Touch, Absorb
-// or Restore.
+// slice aliases the window and is valid until the next Touch, Lift,
+// Absorb or Restore.
 func (s *Stack) Window() []uint64 { return s.win.Blocks() }
 
 // FirstTouched returns every block touched, in first-touch order. The
@@ -232,6 +258,8 @@ func FAMisses(blocks []uint64, capacity int) uint64 {
 	for _, b := range blocks {
 		if g, _ := s.Touch(b); g != GateWithin {
 			misses++
+		} else {
+			s.Lift(s.Find(b))
 		}
 	}
 	return misses

@@ -125,7 +125,7 @@ func checkAccess(t *testing.T, where string, gate *Stack, ref *listStack, b uint
 	} else {
 		ref.Push(b)
 	}
-	got, above := gate.Touch(b)
+	got, above := access(t, gate, b)
 	if got != want {
 		t.Fatalf("%s: Touch(%d) at k=%d: gate %d, want %d", where, b, gate.win.k, got, want)
 	}

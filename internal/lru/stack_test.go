@@ -15,7 +15,7 @@ const wide = 1 << 10
 // -1 for a first touch. The gate's window must exceed every distance.
 func touchDistance(t *testing.T, s *Stack, b uint64) int {
 	t.Helper()
-	g, above := s.Touch(b)
+	g, above := access(t, s, b)
 	switch g {
 	case GateCold:
 		return -1
@@ -34,9 +34,9 @@ func checkOrder(t *testing.T, s *Stack, want []uint64) {
 
 func TestStackBasicOrder(t *testing.T) {
 	s := NewStack(wide, 0)
-	s.Touch(1)
-	s.Touch(2)
-	s.Touch(3)
+	access(t, s, 1)
+	access(t, s, 2)
+	access(t, s, 3)
 	checkOrder(t, s, []uint64{3, 2, 1})
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
@@ -46,13 +46,13 @@ func TestStackBasicOrder(t *testing.T) {
 func TestStackMoveToTop(t *testing.T) {
 	s := NewStack(wide, 0)
 	for b := uint64(1); b <= 5; b++ {
-		s.Touch(b)
+		access(t, s, b)
 	}
-	s.Touch(3)
+	access(t, s, 3)
 	checkOrder(t, s, []uint64{3, 5, 4, 2, 1})
 	// Move bottom, then top (a no-op for the order).
-	s.Touch(1)
-	s.Touch(1)
+	access(t, s, 1)
+	access(t, s, 1)
 	checkOrder(t, s, []uint64{1, 3, 5, 4, 2})
 	if s.Len() != 5 {
 		t.Fatalf("Len = %d after moves, want 5", s.Len())
@@ -64,8 +64,8 @@ func TestStackDepthAndTouch(t *testing.T) {
 	if d := touchDistance(t, s, 10); d != -1 {
 		t.Fatalf("first touch distance = %d", d)
 	}
-	s.Touch(20)
-	s.Touch(30)
+	access(t, s, 20)
+	access(t, s, 30)
 	if d := touchDistance(t, s, 10); d != 2 {
 		t.Fatalf("Touch(10) distance = %d", d)
 	}
@@ -77,12 +77,12 @@ func TestStackDepthAndTouch(t *testing.T) {
 	// stack is 10 30 20.
 	s2 := NewStack(2, 0)
 	for _, b := range []uint64{20, 30, 10} {
-		s2.Touch(b)
+		access(t, s2, b)
 	}
-	if g, above := s2.Touch(30); g != GateWithin || !slices.Equal(above, []uint64{10}) {
+	if g, above := access(t, s2, 30); g != GateWithin || !slices.Equal(above, []uint64{10}) {
 		t.Fatalf("distance 1 in a window of 2: gate %d above %v", g, above)
 	}
-	if g, _ := s2.Touch(20); g != GateBeyond {
+	if g, _ := access(t, s2, 20); g != GateBeyond {
 		t.Fatalf("distance 2 in a window of 2: gate %d", g)
 	}
 }
@@ -134,7 +134,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 func TestNewStackFromRoundTrip(t *testing.T) {
 	s := NewStack(3, 0)
 	for _, b := range []uint64{10, 20, 30, 20, 40, 10} {
-		s.Touch(b)
+		access(t, s, b)
 	}
 	snapshot := s.Blocks()
 	restored := NewStack(3, 0)
@@ -146,8 +146,8 @@ func TestNewStackFromRoundTrip(t *testing.T) {
 		t.Fatalf("restored window %v, want %v", restored.Window(), s.Window())
 	}
 	for _, b := range []uint64{30, 40, 10, 20, 99, 30} {
-		g1, above1 := s.Touch(b)
-		g2, above2 := restored.Touch(b)
+		g1, above1 := access(t, s, b)
+		g2, above2 := access(t, restored, b)
 		if g1 != g2 || !slices.Equal(above1, above2) {
 			t.Fatalf("restored gate diverges on block %d: gate %d above %v, want %d above %v", b, g2, above2, g1, above1)
 		}
@@ -176,7 +176,7 @@ func TestNewStackFromEmpty(t *testing.T) {
 func TestStackRawWalk(t *testing.T) {
 	s := NewStack(3, 4)
 	for _, b := range []uint64{5, 9, 1, 9, 5, 7} {
-		s.Touch(b)
+		access(t, s, b)
 	}
 	checkOrder(t, s, []uint64{7, 5, 9, 1})
 	if got := s.Window(); !slices.Equal(got, []uint64{7, 5, 9}) {
@@ -204,13 +204,13 @@ func TestStackAbsorbMatchesSequential(t *testing.T) {
 		for cut := 0; cut <= len(blocks); cut += 7 {
 			want, got, shard := NewStack(k, 6), NewStack(k, 0), NewStack(k, 6)
 			for _, b := range blocks {
-				want.Touch(b)
+				access(t, want, b)
 			}
 			for _, b := range blocks[:cut] {
-				got.Touch(b)
+				access(t, got, b)
 			}
 			for _, b := range blocks[cut:] {
-				shard.Touch(b)
+				access(t, shard, b)
 			}
 			got.Absorb(shard)
 			checkOrder(t, got, want.Blocks())
@@ -221,8 +221,8 @@ func TestStackAbsorbMatchesSequential(t *testing.T) {
 				t.Fatalf("k=%d cut %d: Len %d, want %d", k, cut, got.Len(), want.Len())
 			}
 			for _, b := range blocks[:50] {
-				g1, above1 := want.Touch(b)
-				g2, above2 := got.Touch(b)
+				g1, above1 := access(t, want, b)
+				g2, above2 := access(t, got, b)
 				if g1 != g2 || !slices.Equal(above1, above2) {
 					t.Fatalf("k=%d cut %d: absorbed gate diverges on %d", k, cut, b)
 				}

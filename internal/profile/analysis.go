@@ -57,10 +57,10 @@ func AnalyzeConflicts(ctx context.Context, src trace.Source, blockBytes, n, cach
 		return nil, err
 	}
 	defer pass.Close()
-	// Second pass: the same gate as the profile, but counting pairs for
-	// hot vectors. The gate classifies each access before any block is
-	// visited, so capacity misses contribute nothing and cost no walk
-	// at all.
+	// Second pass: the same gate and walk as the profile, but counting
+	// pairs for hot vectors. The gate classifies each access before any
+	// block is visited, so capacity misses contribute nothing and cost
+	// no walk at all.
 	pairs := make(map[[2]uint64]uint64)
 	shift := uint(bits.TrailingZeros(uint(blockBytes)))
 	mask := uint64(gf2.Mask(n))
@@ -78,9 +78,15 @@ func AnalyzeConflicts(ctx context.Context, src trace.Source, blockBytes, n, cach
 		}
 		for _, a := range chunk {
 			b := a.Addr >> shift & mask
-			_, above := stack.Touch(b)
-			for _, y := range above {
-				if hotSet[b^y] {
+			g, window := stack.Touch(b)
+			if g != lru.GateWithin {
+				continue
+			}
+			// The conflict walk, as in Builder.Add: count down the
+			// window until it meets b, and lift b from there.
+			d := 0
+			for ; window[d] != b; d++ {
+				if y := window[d]; hotSet[b^y] {
 					key := [2]uint64{b, y}
 					if key[0] > key[1] {
 						key[0], key[1] = key[1], key[0]
@@ -88,6 +94,7 @@ func AnalyzeConflicts(ctx context.Context, src trace.Source, blockBytes, n, cach
 					pairs[key]++
 				}
 			}
+			stack.Lift(d)
 		}
 	}
 	out := &Analysis{Profile: p}

@@ -85,7 +85,7 @@ func TestBuilderWarmMatchesPrefixReplay(t *testing.T) {
 
 	bd := NewBuilder(8, 8)
 	for _, b := range blocks[:cut] {
-		bd.stack.Touch(b)
+		touchGate(bd.stack, b)
 	}
 	for _, b := range blocks[cut:] {
 		bd.Add(b)

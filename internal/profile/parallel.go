@@ -245,14 +245,14 @@ func (bd *Builder) absorb(s *Builder) error {
 // has more than cacheBlocks blocks above it.
 func (bd *Builder) resolve(p *Profile, prefix []uint64, inPrefix map[uint64]struct{}, b uint64) {
 	p.Compulsory--
-	above, in := bd.stack.Above(b)
+	d := bd.stack.Find(b)
 	var ys []uint64
-	for _, y := range above {
+	for _, y := range bd.stack.Window()[:max(d, 0)] {
 		if _, ok := inPrefix[y]; !ok {
 			ys = append(ys, y)
 		}
 	}
-	if !in || len(prefix)+len(ys) > bd.p.CacheBlocks {
+	if d < 0 || len(prefix)+len(ys) > bd.p.CacheBlocks {
 		p.Capacity++
 		return
 	}

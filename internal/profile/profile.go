@@ -108,8 +108,10 @@ func Build(blocks []uint64, n, cacheBlocks int) *Profile {
 // CacheBlocks+1 most recent blocks. A never-seen block is a compulsory
 // miss and a block below the window a capacity miss, both classified
 // without visiting a single window entry. A block in the window is a
-// conflict candidate, and the blocks above it — at most CacheBlocks of
-// them — come back as one contiguous slice of the window.
+// conflict candidate: the gate hands back the window, one contiguous
+// slice, and the conflict walk counts the blocks in front of it — at
+// most CacheBlocks of them — until it meets the block, which is then
+// lifted from where the walk stopped.
 type Builder struct {
 	p     *Profile
 	mask  uint64
@@ -239,10 +241,9 @@ func (bd *Builder) Add(block uint64) {
 	p := bd.p
 	b := block & bd.mask
 	p.Accesses++
-	// Distance gate: the access is classified, and b moved to the top
-	// of the window, before any window entry is counted. A capacity
-	// miss costs no walk at all.
-	g, above := bd.stack.Touch(b)
+	// Distance gate: the access is classified from stamps before any
+	// window entry is read. A capacity miss costs no walk at all.
+	g, window := bd.stack.Touch(b)
 	switch g {
 	case lru.GateCold:
 		// Compulsory miss: no conflict information.
@@ -252,42 +253,57 @@ func (bd *Builder) Add(block uint64) {
 		p.Capacity++
 		return
 	}
-	// Conflict candidate: the blocks accessed since b's previous access
-	// — at most CacheBlocks of them, by the gate — each contribute one
-	// conflict vector.
+	// Conflict candidate: b is in the window, behind the blocks
+	// accessed since its previous access — at most CacheBlocks of them,
+	// by the gate — each of which contributes one conflict vector.
 	p.Candidates++
 	if k := bd.sampleK; k > 1 {
-		// Sampling gate (sample.go): only every k-th candidate walks;
-		// a skipped one has already moved to the front of the window,
-		// so the LRU state — and every later classification — stays
-		// exact.
+		// Sampling gate (sample.go): only every k-th candidate walks; a
+		// skipped one is still lifted to the front of the window, found
+		// by the gate's binary search, so the LRU state — and every
+		// later classification — stays exact.
 		if bd.sampleCount++; bd.sampleCount != bd.sampleNext {
+			bd.stack.Lift(bd.stack.Find(b))
 			return
 		}
 		bd.sampleNext += k
 		p.SampledCandidates++
 	}
-	p.addPairs(b, above)
+	// The walk counts its way down the window to b; where it stops is
+	// b's reuse distance, and the Lift there finishes the access.
+	bd.stack.Lift(p.addPairs(b, window))
 }
 
-// addPairs counts the conflict vector b⊕y into the active histogram
-// backend for every block y of ys, none of which is b. A capped map
-// that outgrows its cap takes the Misra–Gries step (sketch.go).
-func (p *Profile) addPairs(b uint64, ys []uint64) {
+// addPairs is the conflict walk: it counts the conflict vector b⊕y into
+// the active histogram backend for every block y of ys in front of the
+// first b, or for all of ys when b is not among them, and returns how
+// many it counted — b's index in ys when it is there. A capped map that
+// outgrows its cap takes the Misra–Gries step (sketch.go).
+func (p *Profile) addPairs(b uint64, ys []uint64) int {
+	d := len(ys)
 	if tbl := p.Table; tbl != nil {
-		for _, y := range ys {
+		for i, y := range ys {
+			if y == b {
+				d = i
+				break
+			}
 			tbl[b^y]++
 		}
 	} else {
 		sp := p.Sparse
-		for _, y := range ys {
+		for i, y := range ys {
+			if y == b {
+				d = i
+				break
+			}
 			sp[b^y]++
 			if p.entryCap > 0 && len(sp) > p.entryCap {
 				p.decrement()
 			}
 		}
 	}
-	p.TotalPairs += uint64(len(ys))
+	p.TotalPairs += uint64(d)
+	return d
 }
 
 // Finish returns the accumulated profile; the builder must not be used

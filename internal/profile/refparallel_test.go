@@ -47,7 +47,7 @@ func refBuildParallel(blocks []uint64, n, cacheBlocks, workers int) *Profile {
 		ws := refWarmStart(blocks, start, cacheBlocks+1, mask)
 		bd := NewBuilder(n, cacheBlocks)
 		for _, b := range blocks[ws:start] {
-			bd.stack.Touch(b & mask)
+			touchGate(bd.stack, b&mask)
 		}
 		var firstTouch []uint64
 		shardSeen := make(map[uint64]struct{})

@@ -8,9 +8,9 @@ package profile
 // Compulsory/Capacity/Candidates counters are bit-identical to an exact
 // pass — but only every k-th conflict candidate's reuse interval is
 // counted into the histogram. A skipped candidate is still lifted to
-// the front of the window (the gate's Touch does that before the
-// sampling gate looks at it), so later reuse distances are unaffected
-// by the skipping; it just skips the counting.
+// the front of the window, from the position the gate's binary search
+// (lru.Stack.Find) reports, so later reuse distances are unaffected by
+// the skipping; it just skips the counting walk.
 //
 // The histogram therefore holds a deterministic ~1/k subsample of the
 // conflict pairs, and every Eq. 4 estimate read from it is a raw count
@@ -39,6 +39,7 @@ package profile
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"xoridx/internal/xerr"
 )
@@ -97,17 +98,22 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Confidence qualifies an Eq. 4 estimate read from a sampled profile:
-// the scaled estimate, the half-width of its confidence interval, and
-// the level the interval holds at. For an exact profile (K <= 1) the
-// margin is zero and Level is 1.
+// Confidence qualifies an Eq. 4 estimate read from an approximate
+// profile: the scaled estimate, the half-width of its sampling
+// confidence interval and the level the interval holds at, and the
+// sketch backend's slack. For a sampled profile (K > 1) the margin is
+// nonzero; for an unsampled one it is zero and Level is 1. On a sketch
+// whose map has pruned (Slack > 0) every count is low by at most Slack,
+// so the estimate is a lower bound. The estimate is exact only when
+// K <= 1 and Slack = 0.
 type Confidence struct {
-	Estimate uint64  // scaled estimate k·M (equals the raw count when exact)
+	Estimate uint64  // scaled estimate k·M (equals the raw count when unsampled)
 	Raw      uint64  // M, the raw (sampled) histogram sum that produced it
-	K        uint64  // sampling factor (1 = exact)
-	Margin   uint64  // CI half-width: ceil(z·k·√M); 0 when exact
+	K        uint64  // sampling factor (1 = unsampled)
+	Margin   uint64  // CI half-width: ceil(z·k·√M); 0 when unsampled
 	RelError float64 // Margin / Estimate, 0 when Estimate is 0
 	Level    float64 // two-sided confidence level of the interval
+	Slack    uint64  // the profile's Slack: each raw count is low by at most this; 0 on the exact backends
 }
 
 // The z-score and level of the reported interval (two-sided 95%).
@@ -129,10 +135,10 @@ func (p *Profile) Scale() uint64 {
 // ConfidenceFor wraps a raw Eq. 4 estimate (as returned by
 // EstimateSubspace and friends on this profile) in its sampling
 // confidence interval — see the package comment in sample.go for the
-// derivation.
+// derivation — and carries the profile's sketch slack along.
 func (p *Profile) ConfidenceFor(raw uint64) Confidence {
 	k := p.Scale()
-	c := Confidence{Estimate: raw * k, Raw: raw, K: k, Level: 1}
+	c := Confidence{Estimate: raw * k, Raw: raw, K: k, Level: 1, Slack: p.Slack}
 	if k == 1 {
 		return c
 	}
@@ -144,13 +150,25 @@ func (p *Profile) ConfidenceFor(raw uint64) Confidence {
 	return c
 }
 
-// String renders "X ± ε (95% CI, k=16)" for sampled estimates and the
-// plain count for exact ones.
+// String renders "X (exact)" only for an exact estimate. A sampled one
+// reads "X ± ε (95% CI, k=16)", and one read off a sketch that has
+// pruned states that it is a lower bound and by how much each count
+// may be low: "X (lower bound, slack S)", or both notes in one
+// parenthesis.
 func (c Confidence) String() string {
-	if c.K <= 1 {
-		return fmt.Sprintf("%d (exact)", c.Estimate)
+	est := fmt.Sprintf("%d", c.Estimate)
+	var notes []string
+	if c.K > 1 {
+		est += fmt.Sprintf(" ± %d", c.Margin)
+		notes = append(notes, fmt.Sprintf("%.0f%% CI, k=%d", c.Level*100, c.K))
 	}
-	return fmt.Sprintf("%d ± %d (%.0f%% CI, k=%d)", c.Estimate, c.Margin, c.Level*100, c.K)
+	if c.Slack > 0 {
+		notes = append(notes, fmt.Sprintf("lower bound, slack %d", c.Slack))
+	}
+	if len(notes) == 0 {
+		notes = append(notes, "exact")
+	}
+	return fmt.Sprintf("%s (%s)", est, strings.Join(notes, "; "))
 }
 
 // checkSamplingCompatible verifies two profiles agree on sampling

@@ -8,7 +8,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xoridx/internal/xerr"
@@ -248,5 +250,42 @@ func TestConfidenceString(t *testing.T) {
 	sampled := Confidence{Estimate: 1600, Raw: 100, K: 16, Margin: 314, Level: 0.95}
 	if got := sampled.String(); got != "1600 ± 314 (95% CI, k=16)" {
 		t.Fatalf("sampled rendering: %q", got)
+	}
+	sketch := Confidence{Estimate: 42, Raw: 42, K: 1, Level: 1, Slack: 3}
+	if got := sketch.String(); got != "42 (lower bound, slack 3)" {
+		t.Fatalf("sketch rendering: %q", got)
+	}
+	sampled.Slack = 3
+	if got := sampled.String(); got != "1600 ± 314 (95% CI, k=16; lower bound, slack 3)" {
+		t.Fatalf("sampled sketch rendering: %q", got)
+	}
+}
+
+// TestConfidenceForSketchSlack: on a sketch profile whose map has
+// pruned, an Eq. 4 estimate is a lower bound, and ConfidenceFor says so
+// with the profile's slack instead of calling it exact. A sketch whose
+// support fits under its cap has no slack and stays exact.
+func TestConfidenceForSketchSlack(t *testing.T) {
+	blocks := wideSupportBlocks(rand.New(rand.NewSource(67)), 20_000)
+	bd := newBuilder(24, 64, 256)
+	for _, b := range blocks {
+		bd.Add(b)
+	}
+	sk := bd.Finish()
+	if sk.Slack == 0 {
+		t.Fatal("a 256-entry sketch over a wide support did not prune")
+	}
+	raw := sk.EstimateConventional(8)
+	c := sk.ConfidenceFor(raw)
+	want := fmt.Sprintf("%d (lower bound, slack %d)", raw, sk.Slack)
+	if c.Slack != sk.Slack || c.String() != want {
+		t.Fatalf("sketch estimate renders %q (slack %d), want %q", c, c.Slack, want)
+	}
+	small := newBuilder(16, 64, SketchEntries)
+	for _, b := range blocks[:2000] {
+		small.Add(b & 0xffff)
+	}
+	if p := small.Finish(); p.Slack != 0 || !strings.HasSuffix(p.ConfidenceFor(7).String(), "(exact)") {
+		t.Fatalf("unpruned sketch (slack %d) renders %q", p.Slack, p.ConfidenceFor(7))
 	}
 }

@@ -161,10 +161,11 @@ type Result struct {
 	// just not necessarily a local optimum.
 	Degraded bool
 	// Confidence qualifies Estimated when the profile was built with
-	// sampled conflict walks (profile.SampleOptions): the scaled
-	// estimate and its confidence interval, so callers can report
-	// "misses(H) = X ± ε". Zero-valued for exact profiles — Estimated
-	// is then the exact Eq. 4 count and needs no interval.
+	// sampled conflict walks (profile.SampleOptions) or is a sketch that
+	// has pruned: the scaled estimate, its confidence interval and the
+	// sketch's slack, so callers can report "misses(H) = X ± ε" or a
+	// lower bound. Zero-valued for exact profiles — Estimated is then
+	// the exact Eq. 4 count and needs no qualifier.
 	Confidence profile.Confidence
 }
 
@@ -306,7 +307,7 @@ func (s *state) finalize(p *profile.Profile, m int) Result {
 	out.Evaluated = s.totEvals
 	out.Lookups = s.totLookups
 	out.Baseline = p.EstimateConventional(m)
-	if p.SampleK > 1 {
+	if p.SampleK > 1 || p.Slack > 0 {
 		out.Confidence = p.ConfidenceFor(out.Estimated)
 	}
 	return out
